@@ -5,11 +5,22 @@ fiber components.  The connection determines the adapted frame
 
     H_i = d/dx^i - Gamma^k_ij y^j d/dy^k,    V_i = d/dy^i,
 
-whose matrix E = [[1, 0], [-Gamma y, 1]] has frame vectors as columns.  In
-the adapted frame the six tensors take constant or metric-block form; in
-bundle coordinates mixed tensors conjugate through (E, E^-1) and bilinear
-forms pull back through E^-1.  Row index of a bilinear form is its first
-argument.
+whose matrix E = [[1, 0], [A, 1]], with A[k, i] = -Gamma^k_ij y^j, has frame
+vectors as columns; E^-1 = [[1, 0], [-A, 1]].  In the adapted frame the six
+tensors take constant or metric-block form.  In bundle coordinates they are
+block formulas in the n x n blocks A and g, with P = (-A)^T g:
+
+    I = [[A, -1], [1 + A A, -A]]      J = [[-A, 1], [1 - A A, A]]
+    K = [[1, 0], [2 A, -1]]
+    h = sym [[g + P (-A), P], [g (-A), g]]
+    k = sym [[P + g (-A), g], [g, 0]]
+    omega = antisym [[-P + g (-A), g], [-g, 0]]
+
+with sym M = (M + M^T) / 2 and antisym M = (M - M^T) / 2.  A block c + X Y
+is summed as (c + X_0 Y_0) + X_1 Y_1 + ..., term m being column m of X
+times row m of Y: that is the order of the dense products E M E^-1 and
+E^-T M E^-1, so the blocks reproduce those products bit for bit.  Row index
+of a bilinear form is its first argument.
 """
 from __future__ import annotations
 
@@ -19,7 +30,6 @@ import numpy as np
 
 from . import fields, jets
 from .errors import SpecError
-from .jets import Jet
 from .manifold import ManifoldSpec, check_spd, sample_points
 
 FRAMES = ("adapted", "bundle-coordinate")
@@ -95,81 +105,59 @@ def standard_born_matrices(n: int) -> dict[str, np.ndarray]:
 
 # -- frames -----------------------------------------------------------------
 
-def _frame_jets(spec: ManifoldSpec, bp: BundlePoint, order: int):
-    """(E, E^-1, G) as jets over the 2n bundle coordinates."""
+def _fiber_block(spec: ManifoldSpec, bp: BundlePoint, order: int) -> np.ndarray:
+    """A[k, i] = -Gamma^k_ij y^j as jets over the 2n bundle coordinates."""
     n = spec.n
-    nv = 2 * n
-    gamma = fields.connection_jets(spec, bp.x, order, nvars=nv)
-    y = jets.seed_embedded(bp.y, order, nv, offset=n)
-    a = np.empty((n, n), dtype=object)  # a[k, i] = -Gamma^k_ij y^j
-    for k in range(n):
-        for i in range(n):
-            acc = gamma[k, i, 0] * y[0]
-            for j in range(1, n):
-                acc = acc + gamma[k, i, j] * y[j]
-            a[k, i] = -acc
-    e = np.empty((nv, nv), dtype=object)
-    einv = np.empty((nv, nv), dtype=object)
-    for r in range(nv):
-        for c in range(nv):
-            const = 1.0 if r == c else 0.0
-            e[r, c] = Jet.constant(const, order, nv)
-            einv[r, c] = Jet.constant(const, order, nv)
-    for k in range(n):
-        for i in range(n):
-            e[n + k, i] = a[k, i]
-            einv[n + k, i] = -a[k, i]
-    g = fields.metric_args(spec, jets.seed_embedded(bp.x, order, nv, 0), order)
-    return e, einv, g
+    gamma = fields.connection_jets(spec, bp.x, order, nvars=2 * n)
+    y = np.array(jets.seed_embedded(bp.y, order, 2 * n, offset=n), dtype=object)
+    return -(gamma @ y)
+
+
+def _frame_jets(spec: ManifoldSpec, bp: BundlePoint, order: int):
+    """(E, E^-1) as jets over the 2n bundle coordinates."""
+    a = _fiber_block(spec, bp, order)
+    n = spec.n
+    one = fields.const_jet_array(np.eye(n), order, 2 * n)
+    zero = fields.const_jet_array(np.zeros((n, n)), order, 2 * n)
+    return np.block([[one, zero], [a, one]]), np.block([[one, zero], [-a, one]])
 
 
 def adapted_frame_at(spec: ManifoldSpec, bp: BundlePoint):
     """Change-of-basis pair (E, E^-1): columns of E are H_1..H_n, V_1..V_n
     in bundle coordinates, rows of E^-1 the dual coframe."""
     bp = _require_point(spec, bp)
-    e, einv, _ = _frame_jets(spec, bp, 0)
+    e, einv = _frame_jets(spec, bp, 0)
     return fields.jet_values(e), fields.jet_values(einv)
 
 
-def _sym_pair(m: np.ndarray, sign: float) -> np.ndarray:
-    out = np.empty_like(m)
-    nv = m.shape[0]
-    for r in range(nv):
-        for c in range(nv):
-            out[r, c] = (m[r, c] + sign * m[c, r]) * 0.5
-    return out
+def _madd(c: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """c + x @ y, summed as (c + x_0 y_0) + x_1 y_1 + ... (see module doc)."""
+    for m in range(x.shape[1]):
+        c = c + x[:, m, None] * y[None, m]
+    return c
 
 
 def born_jets(spec: ManifoldSpec, bp: BundlePoint, order: int = 1) -> dict[str, np.ndarray]:
     """The six tensors in bundle coordinates as jets over the 2n coordinates."""
     bp = _require_point(spec, bp)
     n = spec.n
-    e, einv, g = _frame_jets(spec, bp, order)
-    proto = e[0, 0]
-    zero = Jet.constant(0.0, proto.order, proto.nvars)
-
-    consts = _constant_blocks(n)
-    adapted = {name: fields.const_jet_array(m, proto.order, proto.nvars)
-               for name, m in consts.items()}
-    for name, (ra, ca), (rb, cb), sb in (
-            ("h", (0, 0), (n, n), 1.0),
-            ("k", (0, n), (n, 0), 1.0),
-            ("omega", (0, n), (n, 0), -1.0)):
-        grid = np.full((2 * n, 2 * n), zero, dtype=object)
-        for i in range(n):
-            for j in range(n):
-                grid[ra + i, ca + j] = g[i, j]
-                grid[rb + i, cb + j] = g[i, j] * sb
-        adapted[name] = grid
-
-    einv_t = einv.T
-    out = {}
-    for name in ("I", "J", "K"):
-        out[name] = fields.jet_matmul(fields.jet_matmul(e, adapted[name]), einv)
-    out["h"] = _sym_pair(fields.jet_matmul(fields.jet_matmul(einv_t, adapted["h"]), einv), 1.0)
-    out["k"] = _sym_pair(fields.jet_matmul(fields.jet_matmul(einv_t, adapted["k"]), einv), 1.0)
-    out["omega"] = _sym_pair(fields.jet_matmul(fields.jet_matmul(einv_t, adapted["omega"]), einv), -1.0)
-    return out
+    a = _fiber_block(spec, bp, order)
+    g = fields.metric_args(spec, jets.seed_embedded(bp.x, order, 2 * n, 0), order)
+    one = fields.const_jet_array(np.eye(n), order, 2 * n)
+    zero = fields.const_jet_array(np.zeros((n, n)), order, 2 * n)
+    na = -a
+    p = na.T @ g
+    h = np.block([[_madd(g, p, na), p], [g @ na, g]])
+    k = np.block([[_madd(p, g, na), g], [g, zero]])
+    omega = np.block([[_madd(-p, g, na), g], [-g, zero]])
+    return {
+        "I": np.block([[a, -one], [_madd(one, na, na), na]]),
+        "J": np.block([[na, one], [_madd(one, a, na), a]]),
+        "K": np.block([[one, zero], [a * 2.0, -one]]),
+        "h": (h + h.T) * 0.5,
+        "k": (k + k.T) * 0.5,
+        "omega": (omega - omega.T) * 0.5,
+    }
 
 
 def born_at(spec: ManifoldSpec, bp: BundlePoint,
@@ -189,6 +177,8 @@ def born_at(spec: ManifoldSpec, bp: BundlePoint,
         gv = fields.jet_values(fields.metric_jets(spec, bp.x, 0))
         check_spd(gv, bp.x)
         mats = {name: fields.jet_values(m) for name, m in jmats.items()}
+    # a structural zero can come out as -0.0; adding 0.0 makes it +0.0
+    mats = {name: m + 0.0 for name, m in mats.items()}
     return BornFrame(I=mats["I"], J=mats["J"], K=mats["K"], h=mats["h"],
                      k=mats["k"], omega=mats["omega"], frame=frame, point=bp)
 

@@ -18,7 +18,8 @@ from . import fields, jets
 from .bundle import _constant_blocks
 from .errors import SpecError
 from .jets import Jet
-from .manifold import ManifoldSpec, curvature_at, sample_points, torsion_at
+from .manifold import (ManifoldSpec, curvature_at, halton_points, sample_fibers,
+                       sample_points, torsion_at)
 
 FLATNESS_GATE_TOL = 1e-7
 PUSHFORWARD_TOL = 1e-6
@@ -151,30 +152,36 @@ def exponential_chart(spec: ManifoldSpec, x0, steps: int = DEFAULT_STEPS,
     return ChartMap(spec=spec, x0=x0, steps=steps, radius=inradius / 2.0)
 
 
-def pushforward_connection_residual(spec: ManifoldSpec, chart: ChartMap,
-                                    probes) -> float:
-    """Max-norm of the connection coefficients transformed into the chart:
+def _transformed_connection(spec: ManifoldSpec, chart: ChartMap, a) -> np.ndarray:
+    """Connection coefficients transformed into the chart at probe a:
     Gamma'^c_ab = (da^c/dx^k) [ (dx^i/da^a)(dx^j/da^b) Gamma^k_ij
     + d2 x^k / da^a da^b ]."""
+    n = spec.n
+    cj = chart.jets(a, order=2)
+    x = tuple(c.value for c in cj)
+    jac = np.array([[cj[k].partial(i) for i in range(n)] for k in range(n)])
+    sec = np.array([[[cj[k].partial(i, j) for j in range(n)]
+                     for i in range(n)] for k in range(n)])
+    gamma = fields.jet_values(fields.connection_jets(spec, x, 0))
+    try:
+        inv = np.linalg.inv(jac)
+    except np.linalg.LinAlgError:
+        raise SpecError(f"singular chart Jacobian at probe {a}") from None
+    inner = np.einsum("ia,jb,kij->kab", jac, jac, gamma) + sec
+    return np.einsum("ck,kab->cab", inv, inner)
+
+
+def pushforward_connection_residual(spec: ManifoldSpec, chart: ChartMap,
+                                    probes) -> float:
+    """Max-norm of the connection coefficients transformed into the chart
+    over the probes."""
     worst = 0.0
     for a in probes:
         a = tuple(float(c) for c in a)
         if float(np.linalg.norm(a)) > chart.radius + 1e-12:
             raise ValueError(
                 f"probe {a} lies beyond the chart validity radius {chart.radius:g}")
-        cj = chart.jets(a, order=2)
-        n = spec.n
-        x = tuple(c.value for c in cj)
-        jac = np.array([[cj[k].partial(i) for i in range(n)] for k in range(n)])
-        sec = np.array([[[cj[k].partial(i, j) for j in range(n)]
-                         for i in range(n)] for k in range(n)])
-        gamma = fields.jet_values(fields.connection_jets(spec, x, 0))
-        try:
-            inv = np.linalg.inv(jac)
-        except np.linalg.LinAlgError:
-            raise SpecError(f"singular chart Jacobian at probe {a}") from None
-        inner = np.einsum("ia,jb,kij->kab", jac, jac, gamma) + sec
-        transformed = np.einsum("ck,kab->cab", inv, inner)
+        transformed = _transformed_connection(spec, chart, a)
         worst = max(worst, float(np.max(np.abs(transformed))))
     return worst
 
@@ -185,15 +192,7 @@ def chart_born_block_residual(spec: ManifoldSpec, chart: ChartMap, a, y) -> floa
     a = tuple(float(c) for c in a)
     y = np.asarray(y, dtype=float)
     n = spec.n
-    cj = chart.jets(a, order=2)
-    x = tuple(c.value for c in cj)
-    jac = np.array([[cj[k].partial(i) for i in range(n)] for k in range(n)])
-    sec = np.array([[[cj[k].partial(i, j) for j in range(n)]
-                     for i in range(n)] for k in range(n)])
-    gamma = fields.jet_values(fields.connection_jets(spec, x, 0))
-    inv = np.linalg.inv(jac)
-    transformed = np.einsum("ck,ia,jb,kij->cab", inv, jac, jac, gamma) \
-        + np.einsum("ck,kab->cab", inv, sec)
+    transformed = _transformed_connection(spec, chart, a)
     blocks = np.zeros((2 * n, 2 * n))
     blocks[:n, :n] = np.eye(n)
     blocks[n:, n:] = np.eye(n)
@@ -207,3 +206,26 @@ def chart_born_block_residual(spec: ManifoldSpec, chart: ChartMap, a, y) -> floa
         got = e @ consts[name] @ einv
         worst = max(worst, float(np.max(np.abs(got - consts[name]))))
     return worst
+
+
+def affine_chart_witness(spec: ManifoldSpec, x0, probes: int, fiber_radius: float,
+                         steps: int = DEFAULT_STEPS, seed: int = 42) -> dict:
+    """Build the exponential chart at x0 and check, at ``probes`` Halton
+    probes inside its validity radius, that the transformed connection and
+    the I, J, K blocks at the first sampled fiber vector take their affine
+    form."""
+    chart = exponential_chart(spec, x0, steps=steps, seed=seed)
+    unit = halton_points(probes, spec.n, seed)
+    points = [tuple(chart.radius * (2 * u - 1) / 2) for u in unit]
+    push = pushforward_connection_residual(spec, chart, points)
+    fiber = sample_fibers(spec.n, 1, fiber_radius, seed)[0]
+    blocks = max(chart_born_block_residual(spec, chart, a, fiber) for a in points)
+    return {
+        "base_point": list(chart.x0),
+        "radius": chart.radius,
+        "steps": chart.steps,
+        "probes": probes,
+        "pushforward_residual": push,
+        "born_block_residual": blocks,
+        "witnessed": bool(push <= PUSHFORWARD_TOL and blocks <= PUSHFORWARD_TOL),
+    }

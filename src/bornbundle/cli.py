@@ -35,16 +35,14 @@ import numpy as np
 
 from . import corpus
 from .bundle import BundlePoint, born_at, born_compatibility_residuals
-from .charts import (FLATNESS_GATE_TOL, FlatnessGateError, exponential_chart,
-                     chart_born_block_residual,
-                     pushforward_connection_residual)
+from .charts import FLATNESS_GATE_TOL, affine_chart_witness
 from .errors import SpecError
 from .expr import EvalDomainError, ParseError
 from .integrability import (CROSS_TOL, frame_bracket_residuals,
                             integrability_verdict,
                             nijenhuis_J_identity_residuals, theorem_crosscheck)
-from .manifold import (DEFAULT_TOL, ManifoldSpec, build_spec, halton_points,
-                       sample_fibers, sample_points, two_of_four_residuals)
+from .manifold import (DEFAULT_TOL, ManifoldSpec, build_spec, sample_fibers,
+                       sample_points, two_of_four_residuals)
 
 BORN_GATE = 1e-8  # construction identities must hold to this level
 
@@ -58,7 +56,6 @@ class RunConfig:
     tol: float = DEFAULT_TOL
     cross_tol: float = CROSS_TOL
     seed: int = 42
-    report_path: str | None = None
 
     def __post_init__(self):
         if self.points < 1 or self.fiber_points < 1:
@@ -202,7 +199,6 @@ def run(config: RunConfig) -> dict:
         "max_nijenhuis_K": integ.max_nijenhuis_K,
         "max_d_omega": integ.max_d_omega,
         "integrable": integ.integrable,
-        "strongly_integrable": integ.strongly_integrable,
         "tol": integ.tol,
         "per_point": integ.per_point,
     }
@@ -230,20 +226,10 @@ def run(config: RunConfig) -> dict:
 
     if hv.max_curvature <= FLATNESS_GATE_TOL and hv.max_torsion <= FLATNESS_GATE_TOL:
         x0 = tuple(0.5 * (lo + hi) for lo, hi in spec.sample_box)
-        chart = exponential_chart(spec, x0, seed=config.seed)
-        unit = halton_points(6, spec.n, config.seed)
-        probes = [tuple(chart.radius * (2 * u - 1) / 2) for u in unit]
-        push = pushforward_connection_residual(spec, chart, probes)
-        blocks = max(chart_born_block_residual(spec, chart, a, fibers[0])
-                     for a in probes)
-        report["affine_chart"] = {
-            "base_point": list(x0),
-            "radius": chart.radius,
-            "steps": chart.steps,
-            "pushforward_residual": push,
-            "born_block_residual": blocks,
-            "witnessed": bool(push <= 1e-6 and blocks <= 1e-6),
-        }
+        witness = affine_chart_witness(spec, x0, 6, config.fiber_radius,
+                                       seed=config.seed)
+        del witness["probes"]
+        report["affine_chart"] = witness
         if not report["affine_chart"]["witnessed"]:
             failures.append("affine-chart witness residuals")
 
@@ -278,7 +264,7 @@ def _cmd_check(args) -> int:
     config = RunConfig(source=args.spec, points=args.points,
                        fiber_points=args.fiber_points,
                        fiber_radius=args.fiber_radius, tol=args.tol,
-                       seed=args.seed, report_path=args.report)
+                       seed=args.seed)
     report = run(config)
     text = report_to_json(report)
     if args.report:
@@ -317,22 +303,9 @@ def _cmd_affine_chart(args) -> int:
         x0 = tuple(float(v) for v in args.at.split(","))
     else:
         x0 = tuple(0.5 * (lo + hi) for lo, hi in spec.sample_box)
-    chart = exponential_chart(spec, x0, steps=args.steps, seed=args.seed)
-    unit = halton_points(args.probes, spec.n, args.seed)
-    probes = [tuple(chart.radius * (2 * u - 1) / 2) for u in unit]
-    push = pushforward_connection_residual(spec, chart, probes)
-    fiber = sample_fibers(spec.n, 1, args.fiber_radius, args.seed)[0]
-    blocks = max(chart_born_block_residual(spec, chart, a, fiber) for a in probes)
-    out = {
-        "spec": spec.name or args.spec,
-        "base_point": list(x0),
-        "radius": chart.radius,
-        "steps": chart.steps,
-        "probes": args.probes,
-        "pushforward_residual": push,
-        "born_block_residual": blocks,
-        "witnessed": bool(push <= 1e-6 and blocks <= 1e-6),
-    }
+    out = {"spec": spec.name or args.spec,
+           **affine_chart_witness(spec, x0, args.probes, args.fiber_radius,
+                                  args.steps, args.seed)}
     sys.stdout.write(report_to_json(_jsonable(out)))
     return 0 if out["witnessed"] else 2
 

@@ -51,20 +51,6 @@ def jet_d1(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def jet_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n, m = a.shape
-    m2, p = b.shape
-    assert m == m2
-    out = np.empty((n, p), dtype=object)
-    for i in range(n):
-        for j in range(p):
-            s = a[i, 0] * b[0, j]
-            for k in range(1, m):
-                s = s + a[i, k] * b[k, j]
-            out[i, j] = s
-    return out
-
-
 def jet_inv(mat: np.ndarray) -> np.ndarray:
     """Matrix inverse over jets by Gauss-Jordan with value pivoting."""
     n = mat.shape[0]

@@ -20,7 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from . import fields, jets
-from .bundle import BundlePoint, _frame_jets, _require_point, born_jets
+from .bundle import (BundlePoint, _frame_jets, _require_point, adapted_frame_at,
+                     born_jets)
 from .manifold import (DEFAULT_TOL, HessianVerdict, ManifoldSpec, TensorValue,
                        curvature_at, hessian_verdict, sample_fibers,
                        sample_points, torsion_at)
@@ -72,7 +73,7 @@ def _vector_bracket(x_jets, y_jets) -> np.ndarray:
 
 def _frame_fields(spec: ManifoldSpec, bp: BundlePoint):
     """H_i and V_i as jet-valued vector fields in bundle coordinates."""
-    e, _, _ = _frame_jets(spec, bp, order=1)
+    e, _ = _frame_jets(spec, bp, order=1)
     nv = e.shape[0]
     n = nv // 2
     h = [e[:, i] for i in range(n)]
@@ -122,9 +123,7 @@ def nijenhuis_J_identity_residuals(spec: ManifoldSpec, bp: BundlePoint) -> dict:
     bp = _require_point(spec, bp)
     n = spec.n
     nj = _nijenhuis_from_jets(born_jets(spec, bp, order=1)["J"])
-    e, einv, _ = _frame_jets(spec, bp, order=0)
-    ev = fields.jet_values(e)
-    einv_v = fields.jet_values(einv)
+    ev, einv_v = adapted_frame_at(spec, bp)
     # N in the adapted frame: pull the value index back, feed frame vectors in
     nj_ad = np.einsum("cl,lmn,ma,nb->cab", einv_v, nj, ev, ev)
 
@@ -160,7 +159,6 @@ class IntegrabilityReport:
     max_nijenhuis_K: float
     max_d_omega: float
     integrable: bool
-    strongly_integrable: bool
     hessian_agreement: bool
     hessian: HessianVerdict
     tol: float
@@ -218,9 +216,6 @@ def integrability_verdict(spec: ManifoldSpec, base_count: int = 32,
         max_nijenhuis_K=maxima["nijenhuis_K"],
         max_d_omega=maxima["d_omega"],
         integrable=integrable,
-        # for induced structures the two integrability notions coincide;
-        # the affine-chart witness provides the constructive side
-        strongly_integrable=integrable,
         hessian_agreement=(integrable == hv.is_hessian),
         hessian=hv, tol=tol, per_point=per_point)
 

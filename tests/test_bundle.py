@@ -9,7 +9,7 @@ from bornbundle.bundle import (BornFrame, BundlePoint, adapted_frame_at,
                                born_compatibility_residuals, born_jets,
                                standard_born_matrices)
 from bornbundle.errors import SpecError
-from bornbundle.manifold import sample_fibers, sample_points
+from bornbundle.manifold import build_spec, sample_fibers, sample_points
 
 EUCLID = corpus.example("euclidean2")
 HESSIAN = corpus.example("hessian-exp2")
@@ -18,6 +18,11 @@ SPHERE = corpus.example("sphere2")
 TORSIONFUL = corpus.example("flat-torsionful")
 PULLBACK = corpus.example("pullback-flat")
 ALL = [EUCLID, HESSIAN, SKEW, SPHERE, TORSIONFUL, PULLBACK]
+# curved, so A = -Gamma y does not vanish (the 3-D specs in test_variants are flat)
+CURVED3 = build_spec("curved3", ["u", "v", "w"], [[-1, 1]] * 3,
+                     metric=[["1", "0", "0"], ["0", "exp(2*u)", "0"],
+                             ["0", "0", "exp(2*u + v)"]],
+                     connection="levi-civita")
 
 
 def bundle_points(spec, n_base=4, n_fiber=5, radius=1.0, seed=3):
@@ -92,7 +97,7 @@ def test_sphere_coordinate_frame_differs_but_conjugates():
     assert np.max(np.abs(e @ bf_ad.I @ einv - bf_co.I)) <= 1e-12
 
 
-@pytest.mark.parametrize("spec", ALL, ids=lambda s: s.name)
+@pytest.mark.parametrize("spec", ALL + [CURVED3], ids=lambda s: s.name)
 def test_frame_conversion_consistency(spec):
     # conjugating / pulling back the adapted tensors reproduces the
     # bundle-coordinate ones for 20 bundle points per spec
@@ -106,6 +111,15 @@ def test_frame_conversion_consistency(spec):
             co = getattr(bf_co, name)
             want = e @ ad @ einv if mixed else einv.T @ ad @ einv
             assert np.max(np.abs(co - want)) <= 1e-12
+
+
+def test_structural_zeros_are_positive():
+    # reports print these matrices; a structural zero must not read -0.0
+    for bp in bundle_points(CURVED3, 4, 5):
+        bf = born_at(CURVED3, bp)
+        for name in ("I", "J", "K", "h", "k", "omega"):
+            m = getattr(bf, name)
+            assert not np.any((m == 0.0) & np.signbit(m)), name
 
 
 @pytest.mark.parametrize("spec", ALL, ids=lambda s: s.name)

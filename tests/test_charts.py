@@ -9,6 +9,7 @@ from bornbundle.charts import (BoxExitError, ChartMap, FlatnessGateError,
                                geodesic_integrate,
                                pushforward_connection_residual)
 from bornbundle.errors import SpecError
+from bornbundle.jets import Jet
 from bornbundle.manifold import halton_points
 
 EUCLID = corpus.example("euclidean2")
@@ -151,6 +152,21 @@ def test_born_blocks_in_constructed_chart():
         for a in probes(chart.radius, 4):
             res = chart_born_block_residual(spec, chart, a, (0.7, -0.4))
             assert res <= 1e-6
+
+
+class _CollapsedChart(ChartMap):
+    """Sends every probe to x0, so the chart Jacobian is zero."""
+
+    def jets(self, a, order=2):
+        return [Jet.constant(c, order, self.spec.n) for c in self.x0]
+
+
+def test_singular_chart_jacobian_is_spec_error():
+    chart = _CollapsedChart(EUCLID, (0.0, 0.0), radius=0.25)
+    with pytest.raises(SpecError, match="singular chart Jacobian"):
+        pushforward_connection_residual(EUCLID, chart, [(0.1, 0.0)])
+    with pytest.raises(SpecError, match="singular chart Jacobian"):
+        chart_born_block_residual(EUCLID, chart, (0.1, 0.0), (0.7, -0.4))
 
 
 def test_chart_base_point_must_be_inside():

@@ -79,7 +79,6 @@ def test_run_euclidean_report_contents():
     assert report["agreement"] is True
     assert report["hessian"]["is_hessian"] is True
     assert report["integrability"]["integrable"] is True
-    assert report["integrability"]["strongly_integrable"] is True
     assert report["born_compat"]["k_signature_ok"] is True
     assert max(report["born_compat"]["max_residuals"].values()) <= 1e-10
     assert report["affine_chart"]["witnessed"] is True
@@ -223,7 +222,6 @@ def test_invariant_failure_exit_code(monkeypatch, capsys):
             max_nijenhuis_K=rep.max_nijenhuis_K,
             max_d_omega=rep.max_d_omega,
             integrable=not rep.integrable,
-            strongly_integrable=not rep.integrable,
             hessian_agreement=False,
             hessian=rep.hessian, tol=rep.tol, per_point=rep.per_point)
 

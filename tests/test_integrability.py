@@ -263,7 +263,7 @@ def test_d_omega_iff_dual_torsion_free(spec):
 
 def test_verdict_euclidean():
     rep = integrability_verdict(EUCLID, 8, 4)
-    assert rep.integrable and rep.strongly_integrable
+    assert rep.integrable
     assert rep.hessian.is_hessian
     assert rep.hessian_agreement
     assert len(rep.per_point) == 32
