@@ -30,7 +30,7 @@ import numpy as np
 
 from . import fields, jets
 from .errors import SpecError
-from .manifold import ManifoldSpec, check_spd, sample_points
+from .manifold import BaseJets, ManifoldSpec, base_jets, check_spd, sample_points
 
 FRAMES = ("adapted", "bundle-coordinate")
 
@@ -105,20 +105,20 @@ def standard_born_matrices(n: int) -> dict[str, np.ndarray]:
 
 # -- frames -----------------------------------------------------------------
 
-def _fiber_block(spec: ManifoldSpec, bp: BundlePoint, order: int) -> np.ndarray:
-    """A[k, i] = -Gamma^k_ij y^j as jets over the 2n bundle coordinates."""
-    n = spec.n
-    gamma = fields.connection_jets(spec, bp.x, order, nvars=2 * n)
-    y = np.array(jets.seed_embedded(bp.y, order, 2 * n, offset=n), dtype=object)
-    return -(gamma @ y)
+def _fiber_blocks(gamma: np.ndarray, y):
+    """A[k, i] = -Gamma^k_ij y^j, with y seeded in the fiber slots of Gamma's
+    jet variables, and the unit and zero n x n blocks as jets of that kind."""
+    n = gamma.shape[0]
+    proto = gamma.flat[0]
+    yj = np.array(jets.seed_embedded(y, proto.order, proto.nvars, offset=n), dtype=object)
+    return (-(gamma @ yj), fields.const_jet_array(np.eye(n), proto.order, proto.nvars),
+            fields.const_jet_array(np.zeros((n, n)), proto.order, proto.nvars))
 
 
-def _frame_jets(spec: ManifoldSpec, bp: BundlePoint, order: int):
-    """(E, E^-1) as jets over the 2n bundle coordinates."""
-    a = _fiber_block(spec, bp, order)
-    n = spec.n
-    one = fields.const_jet_array(np.eye(n), order, 2 * n)
-    zero = fields.const_jet_array(np.zeros((n, n)), order, 2 * n)
+def _frame_jets(gamma: np.ndarray, y):
+    """(E, E^-1) at fiber vector y, from Gamma's jets over the 2n bundle
+    coordinates."""
+    a, one, zero = _fiber_blocks(gamma, y)
     return np.block([[one, zero], [a, one]]), np.block([[one, zero], [-a, one]])
 
 
@@ -126,7 +126,7 @@ def adapted_frame_at(spec: ManifoldSpec, bp: BundlePoint):
     """Change-of-basis pair (E, E^-1): columns of E are H_1..H_n, V_1..V_n
     in bundle coordinates, rows of E^-1 the dual coframe."""
     bp = _require_point(spec, bp)
-    e, einv = _frame_jets(spec, bp, 0)
+    e, einv = _frame_jets(fields.connection_jets(spec, bp.x, 0, nvars=2 * spec.n), bp.y)
     return fields.jet_values(e), fields.jet_values(einv)
 
 
@@ -137,14 +137,11 @@ def _madd(c: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return c
 
 
-def born_jets(spec: ManifoldSpec, bp: BundlePoint, order: int = 1) -> dict[str, np.ndarray]:
-    """The six tensors in bundle coordinates as jets over the 2n coordinates."""
-    bp = _require_point(spec, bp)
-    n = spec.n
-    a = _fiber_block(spec, bp, order)
-    g = fields.metric_args(spec, jets.seed_embedded(bp.x, order, 2 * n, 0), order)
-    one = fields.const_jet_array(np.eye(n), order, 2 * n)
-    zero = fields.const_jet_array(np.zeros((n, n)), order, 2 * n)
+def fiber_born_jets(base: BaseJets, y) -> dict[str, np.ndarray]:
+    """The six tensors in bundle coordinates at (base.x, y), as jets of the
+    base fields' order over the 2n coordinates."""
+    a, one, zero = _fiber_blocks(base.gamma, y)
+    g = base.g
     na = -a
     p = na.T @ g
     h = np.block([[_madd(g, p, na), p], [g @ na, g]])
@@ -160,27 +157,35 @@ def born_jets(spec: ManifoldSpec, bp: BundlePoint, order: int = 1) -> dict[str, 
     }
 
 
+def born_jets(spec: ManifoldSpec, bp: BundlePoint, order: int = 1) -> dict[str, np.ndarray]:
+    """The six tensors in bundle coordinates as jets over the 2n coordinates."""
+    bp = _require_point(spec, bp)
+    return fiber_born_jets(base_jets(spec, bp.x, order), bp.y)
+
+
+def born_frame(values: dict[str, np.ndarray], frame: str, bp: BundlePoint) -> BornFrame:
+    """The six tensors from their value matrices."""
+    # a structural zero can come out as -0.0; adding 0.0 makes it +0.0
+    return BornFrame(**{name: m + 0.0 for name, m in values.items()}, frame=frame, point=bp)
+
+
 def born_at(spec: ManifoldSpec, bp: BundlePoint,
             frame: str = "bundle-coordinate") -> BornFrame:
     """Evaluate the six tensors at a bundle point, in the requested frame."""
     bp = _require_point(spec, bp)
     if frame not in FRAMES:
         raise ValueError(f"unknown frame {frame!r}")
-    n = spec.n
     if frame == "adapted":
         gv = fields.jet_values(fields.metric_jets(spec, bp.x, 0))
         check_spd(gv, bp.x)
-        mats = _constant_blocks(n)
+        mats = _constant_blocks(spec.n)
         mats.update(_metric_blocks(gv))
     else:
-        jmats = born_jets(spec, bp, order=0)
-        gv = fields.jet_values(fields.metric_jets(spec, bp.x, 0))
-        check_spd(gv, bp.x)
-        mats = {name: fields.jet_values(m) for name, m in jmats.items()}
-    # a structural zero can come out as -0.0; adding 0.0 makes it +0.0
-    mats = {name: m + 0.0 for name, m in mats.items()}
-    return BornFrame(I=mats["I"], J=mats["J"], K=mats["K"], h=mats["h"],
-                     k=mats["k"], omega=mats["omega"], frame=frame, point=bp)
+        base = base_jets(spec, bp.x, 0)
+        check_spd(fields.jet_values(base.g), bp.x)
+        mats = {name: fields.jet_values(m)
+                for name, m in fiber_born_jets(base, bp.y).items()}
+    return born_frame(mats, frame, bp)
 
 
 # -- compatibility ------------------------------------------------------------

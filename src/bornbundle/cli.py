@@ -20,27 +20,29 @@ Spec file format (JSON)::
 Exit codes: 0 all checks ran and no internal invariant failed, 1 spec or
 configuration error, 2 internal invariant failure (the Hessian and
 integrability verdicts disagreed, the two-of-four residual pattern was
-impossible, or a construction identity broke).  A spec merely being
-non-Hessian is a result, not a failure.
+impossible, or a construction identity broke) or internal fault (a jet
+misuse or a failed linear solve, reported as a JSON error like a spec
+error).  A spec merely being non-Hessian is a result, not a failure.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import corpus
-from .bundle import BundlePoint, born_at, born_compatibility_residuals
+from .bundle import BundlePoint, born_at
 from .charts import FLATNESS_GATE_TOL, affine_chart_witness
 from .errors import SpecError
 from .expr import EvalDomainError, ParseError
 from .integrability import (CROSS_TOL, frame_bracket_residuals,
                             integrability_verdict,
                             nijenhuis_J_identity_residuals, theorem_crosscheck)
+from .jets import JetUsageError
 from .manifold import (DEFAULT_TOL, ManifoldSpec, build_spec, sample_fibers,
                        sample_points, two_of_four_residuals)
 
@@ -157,40 +159,19 @@ def run(config: RunConfig) -> dict:
     integ = integrability_verdict(spec, config.points, config.fiber_points,
                                   config.fiber_radius, config.tol, config.seed)
     hv = integ.hessian
-    report["hessian"] = {
-        "is_hessian": hv.is_hessian,
-        "max_curvature": hv.max_curvature,
-        "max_torsion": hv.max_torsion,
-        "max_nabla_g_asymmetry": hv.max_nabla_g_asymmetry,
-        "tol": hv.tol,
-        "points": hv.points,
-    }
+    report["hessian"] = asdict(hv)
 
     two = two_of_four_residuals(spec, [tuple(p) for p in base], config.cross_tol)
-    report["two_of_four"] = {
-        "residuals": two.residuals,
-        "holds": two.holds,
-        "tol": two.tol,
-        "fact_violated": two.fact_violated,
-    }
+    report["two_of_four"] = asdict(two)
     if two.fact_violated:
         failures.append("two_of_four pattern (exactly two or three conditions hold)")
 
-    worst_born: dict[str, float] = {}
-    signature_ok = True
-    for x in base:
-        for y in fibers:
-            rep = born_compatibility_residuals(
-                born_at(spec, BundlePoint(tuple(x), tuple(y))))
-            for key, val in rep.residuals.items():
-                worst_born[key] = max(worst_born.get(key, 0.0), val)
-            signature_ok = signature_ok and rep.k_signature == (spec.n, spec.n)
     report["born_compat"] = {
-        "max_residuals": worst_born,
-        "k_signature_ok": signature_ok,
+        "max_residuals": integ.max_born_compat,
+        "k_signature_ok": integ.k_signature_ok,
         "gate": BORN_GATE,
     }
-    if max(worst_born.values()) > BORN_GATE or not signature_ok:
+    if max(integ.max_born_compat.values()) > BORN_GATE or not integ.k_signature_ok:
         failures.append("born construction identities")
 
     report["integrability"] = {
@@ -347,11 +328,15 @@ def main(argv=None) -> int:
         if args.command == "theorem":
             return _cmd_theorem(args)
         return _cmd_affine_chart(args)
+    # both subclass ValueError, but they are internal faults, not spec errors
+    except (JetUsageError, np.linalg.LinAlgError) as e:
+        fault, code = e, 2
     except (SpecError, ParseError, EvalDomainError, ValueError) as e:
-        error = {"error": {"kind": type(e).__name__, "message": str(e)},
-                 "status": "error"}
-        sys.stdout.write(report_to_json(error))
-        return 1
+        fault, code = e, 1
+    error = {"error": {"kind": type(fault).__name__, "message": str(fault)},
+             "status": "error"}
+    sys.stdout.write(report_to_json(error))
+    return code
 
 
 if __name__ == "__main__":

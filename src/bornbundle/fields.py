@@ -244,10 +244,6 @@ def metric_jets(spec, p, order: int, nvars: int | None = None) -> np.ndarray:
     return metric_args(spec, _seed_point(p, order, nvars), order)
 
 
-def metric_dg_jets(spec, p, order: int, nvars: int | None = None):
-    return metric_dg_args(spec, _seed_point(p, order, nvars), order)
-
-
 def connection_jets(spec, p, order: int, nvars: int | None = None) -> np.ndarray:
     return connection_args(spec, _seed_point(p, order, nvars), order)
 
@@ -256,9 +252,6 @@ def levi_civita_jets(spec, p, order: int, nvars: int | None = None) -> np.ndarra
     return levi_civita_args(spec, _seed_point(p, order, nvars), order)
 
 
-def dual_connection_jets(spec, p, order: int, nvars: int | None = None,
-                         of_gamma: np.ndarray | None = None) -> np.ndarray:
+def dual_connection_jets(spec, p, order: int, nvars: int | None = None) -> np.ndarray:
     args = _seed_point(p, order, nvars)
-    if of_gamma is None:
-        of_gamma = connection_args(spec, args, order)
-    return dual_of(spec, args, of_gamma, order)
+    return dual_of(spec, args, connection_args(spec, args, order), order)

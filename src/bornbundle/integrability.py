@@ -11,6 +11,11 @@ frame-bracket and Nijenhuis identities that tie these to curvature and
 torsion are checked against both global signs and the better-matching sign
 is recorded, never assumed.  Residuals of identities that grow linearly in
 the fiber coordinate are normalized by (1 + |y|).
+
+:func:`integrability_verdict` evaluates Gamma and g once per base point
+and uses them for that point's Hessian residuals and for every fiber over
+it; it builds the Born tensors once per bundle point and takes the
+Nijenhuis, d omega and construction-identity residuals from them.
 """
 from __future__ import annotations
 
@@ -19,12 +24,13 @@ from typing import Sequence
 
 import numpy as np
 
-from . import fields, jets
-from .bundle import (BundlePoint, _frame_jets, _require_point, adapted_frame_at,
-                     born_jets)
+from . import fields
+from .bundle import (BundlePoint, _frame_jets, _require_point,
+                     born_compatibility_residuals, born_frame, born_jets,
+                     fiber_born_jets)
 from .manifold import (DEFAULT_TOL, HessianVerdict, ManifoldSpec, TensorValue,
-                       curvature_at, hessian_verdict, sample_fibers,
-                       sample_points, torsion_at)
+                       _curvature_of, _torsion_of, base_jets,
+                       sample_fibers, sample_points)
 
 CROSS_TOL = 1e-7  # comparisons between two independent numeric pipelines
 
@@ -71,16 +77,6 @@ def _vector_bracket(x_jets, y_jets) -> np.ndarray:
     return np.einsum("n,nm->m", xv, dy) - np.einsum("n,nm->m", yv, dx)
 
 
-def _frame_fields(spec: ManifoldSpec, bp: BundlePoint):
-    """H_i and V_i as jet-valued vector fields in bundle coordinates."""
-    e, _ = _frame_jets(spec, bp, order=1)
-    nv = e.shape[0]
-    n = nv // 2
-    h = [e[:, i] for i in range(n)]
-    v = [e[:, n + i] for i in range(n)]
-    return h, v
-
-
 def _signed_residual(lhs: np.ndarray, rhs: np.ndarray, scale: float):
     plus = float(np.max(np.abs(lhs - rhs))) / scale
     minus = float(np.max(np.abs(lhs + rhs))) / scale
@@ -95,9 +91,11 @@ def frame_bracket_residuals(spec: ManifoldSpec, bp: BundlePoint) -> dict:
     each up to a recorded global sign."""
     bp = _require_point(spec, bp)
     n = spec.n
-    h, v = _frame_fields(spec, bp)
-    r = curvature_at(spec, bp.x).components
-    gamma = fields.jet_values(fields.connection_jets(spec, bp.x, 0))
+    gamma = fields.connection_jets(spec, bp.x, 1, nvars=2 * n)
+    e, _ = _frame_jets(gamma, bp.y)  # columns: H_i and V_i as jet-valued fields
+    h = [e[:, i] for i in range(n)]
+    v = [e[:, n + i] for i in range(n)]
+    r = _curvature_of(gamma)
     y = np.asarray(bp.y)
     scale = _norm_factor(bp)
 
@@ -107,7 +105,7 @@ def frame_bracket_residuals(spec: ManifoldSpec, bp: BundlePoint) -> dict:
     lhs_vv = np.stack([[_vector_bracket(v[i], v[j]) for j in range(n)] for i in range(n)])
     lhs_hv = np.stack([[_vector_bracket(h[i], v[j]) for j in range(n)] for i in range(n)])
     rhs_hv = np.zeros((n, n, 2 * n))
-    rhs_hv[:, :, n:] = -np.einsum("kij->ijk", gamma)
+    rhs_hv[:, :, n:] = -np.einsum("kij->ijk", fields.jet_values(gamma))
 
     return {
         "HH": _signed_residual(lhs_hh, rhs_hh, scale),
@@ -122,13 +120,14 @@ def nijenhuis_J_identity_residuals(spec: ManifoldSpec, bp: BundlePoint) -> dict:
     R^l_ijk y^k H_l - T^k_ij V_k (HV pairs), up to a recorded global sign."""
     bp = _require_point(spec, bp)
     n = spec.n
-    nj = _nijenhuis_from_jets(born_jets(spec, bp, order=1)["J"])
-    ev, einv_v = adapted_frame_at(spec, bp)
+    base = base_jets(spec, bp.x)
+    nj = _nijenhuis_from_jets(fiber_born_jets(base, bp.y)["J"])
+    ev, einv_v = (fields.jet_values(m) for m in _frame_jets(base.gamma, bp.y))
     # N in the adapted frame: pull the value index back, feed frame vectors in
     nj_ad = np.einsum("cl,lmn,ma,nb->cab", einv_v, nj, ev, ev)
 
-    r = curvature_at(spec, bp.x).components
-    t = torsion_at(spec, bp.x).components
+    r = _curvature_of(base.gamma)
+    t = _torsion_of(fields.jet_values(base.gamma))
     y = np.asarray(bp.y)
     ry = np.einsum("lijk,k->ijl", r, y)
     scale = _norm_factor(bp)
@@ -162,6 +161,8 @@ class IntegrabilityReport:
     hessian_agreement: bool
     hessian: HessianVerdict
     tol: float
+    max_born_compat: dict  # worst defect of each construction identity
+    k_signature_ok: bool   # k had signature (n, n) at every point
     per_point: list = field(default_factory=list)
 
     def residual_table(self) -> dict:
@@ -171,10 +172,7 @@ class IntegrabilityReport:
                 "d_omega": self.max_d_omega}
 
 
-def point_residuals(spec: ManifoldSpec, bp: BundlePoint) -> dict:
-    """Normalized max-norms of N_I, N_J, N_K and d omega at one point."""
-    bp = _require_point(spec, bp)
-    mats = born_jets(spec, bp, order=1)
+def _residuals_of(mats: dict, bp: BundlePoint) -> dict:
     scale = _norm_factor(bp)
     out = {}
     for name in ("I", "J", "K"):
@@ -184,6 +182,11 @@ def point_residuals(spec: ManifoldSpec, bp: BundlePoint) -> dict:
     dw = dw + dw.transpose(1, 2, 0) + dw.transpose(2, 0, 1)
     out["d_omega"] = float(np.max(np.abs(dw))) / scale
     return out
+
+
+def point_residuals(spec: ManifoldSpec, bp: BundlePoint) -> dict:
+    """Normalized max-norms of N_I, N_J, N_K and d omega at one point."""
+    return _residuals_of(born_jets(spec, bp, order=1), bp)
 
 
 def integrability_verdict(spec: ManifoldSpec, base_count: int = 32,
@@ -196,20 +199,29 @@ def integrability_verdict(spec: ManifoldSpec, base_count: int = 32,
     accepted."""
     if base_count < 1 or fiber_count < 1:
         raise ValueError("sample counts must be at least 1")
-    base = sample_points(spec, base_count, seed)
+    bases = [base_jets(spec, x) for x in sample_points(spec, base_count, seed)]
+    hv = HessianVerdict.of(bases, tol)  # its positivity gate precedes the Born identities
     fibers = sample_fibers(spec.n, fiber_count, fiber_radius, seed)
     maxima = {"nijenhuis_I": 0.0, "nijenhuis_J": 0.0,
               "nijenhuis_K": 0.0, "d_omega": 0.0}
+    worst_born: dict[str, float] = {}
+    signature_ok = True
     per_point = []
-    for x in base:
+    for b in bases:
         for y in fibers:
-            bp = BundlePoint(tuple(x), tuple(y))
-            row = point_residuals(spec, bp)
+            bp = BundlePoint(b.x, tuple(y))
+            mats = fiber_born_jets(b, bp.y)
+            row = _residuals_of(mats, bp)
             per_point.append({"x": list(bp.x), "y": list(bp.y), **row})
             for key in maxima:
                 maxima[key] = max(maxima[key], row[key])
+            compat = born_compatibility_residuals(born_frame(
+                {name: fields.jet_values(m) for name, m in mats.items()},
+                "bundle-coordinate", bp))
+            for key, val in compat.residuals.items():
+                worst_born[key] = max(worst_born.get(key, 0.0), val)
+            signature_ok = signature_ok and compat.k_signature == (spec.n, spec.n)
     integrable = all(v <= tol for v in maxima.values())
-    hv = hessian_verdict(spec, [tuple(x) for x in base], tol)
     return IntegrabilityReport(
         max_nijenhuis_I=maxima["nijenhuis_I"],
         max_nijenhuis_J=maxima["nijenhuis_J"],
@@ -217,7 +229,8 @@ def integrability_verdict(spec: ManifoldSpec, base_count: int = 32,
         max_d_omega=maxima["d_omega"],
         integrable=integrable,
         hessian_agreement=(integrable == hv.is_hessian),
-        hessian=hv, tol=tol, per_point=per_point)
+        hessian=hv, tol=tol, max_born_compat=worst_born,
+        k_signature_ok=signature_ok, per_point=per_point)
 
 
 @dataclass(frozen=True)

@@ -96,15 +96,13 @@ def build_spec(name: str, coordinates: Sequence[str], sample_box,
 @dataclass(frozen=True)
 class TensorValue:
     """Dense component array at a point, tagged with a variance signature
-    ('u'/'l' per index, row-major: first index first) and a frame.  When the
-    producing operation ran with jets, the jet array rides along in ``jets``.
-    For bilinear forms the row (first) index is the first argument."""
+    ('u'/'l' per index, row-major: first index first) and a frame.  For
+    bilinear forms the row (first) index is the first argument."""
 
     components: np.ndarray
     variance: str
     frame: str
     point: tuple
-    jets: np.ndarray | None = None
 
     def __post_init__(self):
         if self.components.ndim != len(self.variance):
@@ -119,7 +117,15 @@ class TensorValue:
 
 # -- sampling --------------------------------------------------------------
 
-_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
+def _primes(count: int) -> list[int]:
+    """The first ``count`` primes."""
+    primes: list[int] = []
+    candidate = 2
+    while len(primes) < count:
+        if all(candidate % p for p in primes):
+            primes.append(candidate)
+        candidate += 1
+    return primes
 
 
 def _radical_inverse(i: int, base: int) -> float:
@@ -135,13 +141,12 @@ def _radical_inverse(i: int, base: int) -> float:
 def halton_points(count: int, dim: int, seed: int, prime_offset: int = 0) -> np.ndarray:
     """Deterministic low-discrepancy points in [0, 1)^dim; the seed shifts
     the start index of the sequence."""
-    if dim + prime_offset > len(_PRIMES):
-        raise ValueError("halton sampler supports at most 8 dimensions")
+    primes = _primes(dim + prime_offset)[prime_offset:]
     start = 1 + (seed % 8191) * 61
     pts = np.empty((count, dim))
     for r in range(count):
         for d in range(dim):
-            pts[r, d] = _radical_inverse(start + r, _PRIMES[prime_offset + d])
+            pts[r, d] = _radical_inverse(start + r, primes[d])
     return pts
 
 
@@ -193,33 +198,57 @@ def _require_inside(spec: ManifoldSpec, p) -> tuple:
     return p
 
 
-def metric_at(spec: ManifoldSpec, p, order: int = 0) -> TensorValue:
-    """Metric components at p, positivity-checked.  The returned tensor
-    additionally exposes the underlying jets as ``.jets``."""
+def metric_at(spec: ManifoldSpec, p) -> TensorValue:
+    """Metric components at p, positivity-checked."""
     p = _require_inside(spec, p)
-    g = fields.metric_jets(spec, p, order)
-    values = fields.jet_values(g)
+    values = fields.jet_values(fields.metric_jets(spec, p, 0))
     check_spd(values, p)
-    return TensorValue(values, "ll", "base-coordinate", p, jets=g)
+    return TensorValue(values, "ll", "base-coordinate", p)
 
 
-def connection_at(spec: ManifoldSpec, p, order: int = 0) -> TensorValue:
+def connection_at(spec: ManifoldSpec, p) -> TensorValue:
     p = _require_inside(spec, p)
-    gamma = fields.connection_jets(spec, p, order)
-    return TensorValue(fields.jet_values(gamma), "ull", "base-coordinate", p, jets=gamma)
+    gamma = fields.jet_values(fields.connection_jets(spec, p, 0))
+    return TensorValue(gamma, "ull", "base-coordinate", p)
 
 
-def levi_civita_at(spec: ManifoldSpec, p, order: int = 0) -> TensorValue:
+def levi_civita_at(spec: ManifoldSpec, p) -> TensorValue:
     p = _require_inside(spec, p)
-    gamma = fields.levi_civita_jets(spec, p, order)
-    return TensorValue(fields.jet_values(gamma), "ull", "base-coordinate", p, jets=gamma)
+    gamma = fields.jet_values(fields.levi_civita_jets(spec, p, 0))
+    return TensorValue(gamma, "ull", "base-coordinate", p)
+
+
+def _curvature_of(gamma: np.ndarray) -> np.ndarray:
+    """R^l_ijk from jets of Gamma of order >= 1 whose first n variables are
+    the base coordinates."""
+    gv = fields.jet_values(gamma)
+    dgamma = fields.jet_d1(gamma)[:len(gv)]  # dgamma[d, k, i, j] = d_d Gamma^k_ij
+    half = (np.einsum("iljk->lijk", dgamma)
+            + np.einsum("lim,mjk->lijk", gv, gv))
+    return half - half.transpose(0, 2, 1, 3)
+
+
+def _nabla_g_of(gamma_values: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, float]:
+    """nabla g, indexed (direction; arguments), from Gamma's values and jets
+    of g as in :func:`_curvature_of`, with its worst asymmetry under index
+    permutations."""
+    gv = fields.jet_values(g)
+    dg = fields.jet_d1(g)[:len(gv)]  # dg[l, i, j] = d_l g_ij
+    ng = (dg - np.einsum("lij,lk->ijk", gamma_values, gv)
+          - np.einsum("lik,jl->ijk", gamma_values, gv))
+    asym = 0.0
+    for perm in itertools.permutations(range(3)):
+        if perm == (0, 1, 2):
+            continue
+        asym = max(asym, float(np.max(np.abs(ng - ng.transpose(perm)))))
+    return ng, asym
 
 
 def torsion_at(spec: ManifoldSpec, p) -> TensorValue:
     """T^k_ij = Gamma^k_ij - Gamma^k_ji."""
     p = _require_inside(spec, p)
     gamma = fields.jet_values(fields.connection_jets(spec, p, 0))
-    return TensorValue(gamma - gamma.transpose(0, 2, 1), "ull", "base-coordinate", p)
+    return TensorValue(_torsion_of(gamma), "ull", "base-coordinate", p)
 
 
 def _torsion_of(gamma_values: np.ndarray) -> np.ndarray:
@@ -229,12 +258,7 @@ def _torsion_of(gamma_values: np.ndarray) -> np.ndarray:
 def curvature_at(spec: ManifoldSpec, p) -> TensorValue:
     """R^l_ijk under the package convention (see module docstring)."""
     p = _require_inside(spec, p)
-    gamma = fields.connection_jets(spec, p, 1)
-    gv = fields.jet_values(gamma)
-    dg = fields.jet_d1(gamma)  # dg[d, k, i, j] = d_d Gamma^k_ij
-    half = (np.einsum("iljk->lijk", dg)
-            + np.einsum("lim,mjk->lijk", gv, gv))
-    r = half - half.transpose(0, 2, 1, 3)
+    r = _curvature_of(fields.connection_jets(spec, p, 1))
     return TensorValue(r, "ulll", "base-coordinate", p)
 
 
@@ -250,9 +274,9 @@ def dual_connection_at(spec: ManifoldSpec, p) -> TensorValue:
 def dual_identity_residual(spec: ManifoldSpec, p) -> float:
     """Max-norm defect of d_i g_jk = Gamma^l_ij g_lk + g_jl Gamma*^l_ik."""
     p = _require_inside(spec, p)
-    g, dg = fields.metric_dg_jets(spec, p, 0)
+    g = fields.metric_jets(spec, p, 1)
     gv = fields.jet_values(g)
-    dgv = fields.jet_values(dg)
+    dgv = fields.jet_d1(g)
     gamma = fields.jet_values(fields.connection_jets(spec, p, 0))
     dual = fields.jet_values(fields.dual_connection_jets(spec, p, 0))
     resid = (dgv - np.einsum("lij,lk->ijk", gamma, gv)
@@ -264,18 +288,30 @@ def nabla_g_at(spec: ManifoldSpec, p) -> tuple[TensorValue, float]:
     """Covariant derivative of the metric, indexed (direction; arguments),
     and the worst asymmetry under index permutations."""
     p = _require_inside(spec, p)
-    g, dg = fields.metric_dg_jets(spec, p, 0)
-    gv = fields.jet_values(g)
-    dgv = fields.jet_values(dg)
+    g = fields.metric_jets(spec, p, 1)
     gamma = fields.jet_values(fields.connection_jets(spec, p, 0))
-    ng = (dgv - np.einsum("lij,lk->ijk", gamma, gv)
-          - np.einsum("lik,jl->ijk", gamma, gv))
-    asym = 0.0
-    for perm in itertools.permutations(range(3)):
-        if perm == (0, 1, 2):
-            continue
-        asym = max(asym, float(np.max(np.abs(ng - ng.transpose(perm)))))
+    ng, asym = _nabla_g_of(gamma, g)
     return TensorValue(ng, "lll", "base-coordinate", p), asym
+
+
+# -- base-point fields and the Hessian verdict ------------------------------------
+
+@dataclass(frozen=True)
+class BaseJets:
+    x: tuple
+    gamma: np.ndarray  # Gamma^k_ij
+    g: np.ndarray
+
+
+def base_jets(spec: ManifoldSpec, x, order: int = 1) -> BaseJets:
+    """Gamma and g at base point x, as jets of ``order`` over the 2n bundle
+    coordinates (x^1..x^n, y^1..y^n), of which they depend on x only.
+    Everything evaluated over x is built from them: the Hessian verdict
+    and, per fiber, the Born tensors."""
+    x = _require_inside(spec, x)
+    args = jets.seed_embedded(x, order, 2 * spec.n, 0)
+    return BaseJets(x, fields.connection_args(spec, args, order),
+                    fields.metric_args(spec, args, order))
 
 
 @dataclass(frozen=True)
@@ -287,6 +323,21 @@ class HessianVerdict:
     tol: float
     points: int
 
+    @classmethod
+    def of(cls, bases: Sequence[BaseJets], tol: float) -> "HessianVerdict":
+        """The verdict over base-point jets of order at least 1, after the
+        metric's positivity gate at each point."""
+        max_r = max_t = max_a = 0.0
+        for base in bases:
+            check_spd(fields.jet_values(base.g), base.x)
+            gv = fields.jet_values(base.gamma)
+            max_r = max(max_r, float(np.max(np.abs(_curvature_of(base.gamma)))))
+            max_t = max(max_t, float(np.max(np.abs(_torsion_of(gv)))))
+            max_a = max(max_a, _nabla_g_of(gv, base.g)[1])
+        return cls(is_hessian=bool(max_r <= tol and max_t <= tol and max_a <= tol),
+                   max_curvature=max_r, max_torsion=max_t,
+                   max_nabla_g_asymmetry=max_a, tol=tol, points=len(bases))
+
 
 def hessian_verdict(spec: ManifoldSpec, points: Sequence[Sequence[float]],
                     tol: float = DEFAULT_TOL) -> HessianVerdict:
@@ -295,16 +346,7 @@ def hessian_verdict(spec: ManifoldSpec, points: Sequence[Sequence[float]],
     points = list(points)
     if not points:
         raise ValueError("need at least one sample point")
-    max_r = max_t = max_a = 0.0
-    for p in points:
-        metric_at(spec, p)  # SPD gate
-        max_r = max(max_r, curvature_at(spec, p).max_abs())
-        max_t = max(max_t, torsion_at(spec, p).max_abs())
-        max_a = max(max_a, nabla_g_at(spec, p)[1])
-    return HessianVerdict(
-        is_hessian=bool(max_r <= tol and max_t <= tol and max_a <= tol),
-        max_curvature=max_r, max_torsion=max_t, max_nabla_g_asymmetry=max_a,
-        tol=tol, points=len(points))
+    return HessianVerdict.of([base_jets(spec, p) for p in points], tol)
 
 
 @dataclass(frozen=True)

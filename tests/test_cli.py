@@ -1,10 +1,17 @@
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
+from bornbundle import corpus
+from bornbundle.bundle import (BundlePoint, born_at,
+                               born_compatibility_residuals)
 from bornbundle.cli import (RunConfig, load_spec, main, report_to_json, run,
                             spec_from_dict)
 from bornbundle.errors import SpecError
+from bornbundle.jets import JetUsageError
+from bornbundle.manifold import hessian_verdict, sample_fibers, sample_points
 
 SMALL = dict(points=6, fiber_points=3)
 
@@ -210,20 +217,13 @@ def test_invariant_failure_exit_code(monkeypatch, capsys):
     # a verdict disagreement cannot arise from a correct build, so force one
     # to check the exit-code contract
     import bornbundle.cli as cli_mod
-    from bornbundle.integrability import IntegrabilityReport
 
     real = cli_mod.integrability_verdict
 
     def broken(spec, *args, **kwargs):
         rep = real(spec, *args, **kwargs)
-        return IntegrabilityReport(
-            max_nijenhuis_I=rep.max_nijenhuis_I,
-            max_nijenhuis_J=rep.max_nijenhuis_J,
-            max_nijenhuis_K=rep.max_nijenhuis_K,
-            max_d_omega=rep.max_d_omega,
-            integrable=not rep.integrable,
-            hessian_agreement=False,
-            hessian=rep.hessian, tol=rep.tol, per_point=rep.per_point)
+        return dataclasses.replace(rep, integrable=not rep.integrable,
+                                   hessian_agreement=False)
 
     monkeypatch.setattr(cli_mod, "integrability_verdict", broken)
     code = main(["check", "euclidean2", "--points", "4", "--fiber-points", "2"])
@@ -231,3 +231,63 @@ def test_invariant_failure_exit_code(monkeypatch, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["status"] == "invariant-failure"
     assert any("disagree" in f for f in report["failures"])
+
+
+@pytest.mark.parametrize("error", [JetUsageError("jet mismatch"),
+                                   np.linalg.LinAlgError("Singular matrix")],
+                         ids=lambda e: type(e).__name__)
+def test_internal_fault_exit_code(monkeypatch, capsys, error):
+    # both subclass ValueError; they are internal faults, not spec errors
+    import bornbundle.cli as cli_mod
+
+    def broken(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli_mod, "two_of_four_residuals", broken)
+    code = main(["check", "euclidean2", "--points", "2", "--fiber-points", "1"])
+    assert code == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"error": {"kind": type(error).__name__, "message": str(error)},
+                   "status": "error"}
+
+
+LC3 = {
+    "dimension": 3,
+    "coordinates": ["x0", "x1", "x2"],
+    "metric": {"components": [["exp(-0.6*x1)", "0", "0"],
+                              ["0", "exp(0.839*x2)", "0"],
+                              ["0", "0", "exp(0.542*x0)"]]},
+    "connection": {"kind": "levi-civita"},
+    "sample_box": [[-1, 1], [-1, 1], [-1, 1]],
+}
+
+
+@pytest.mark.parametrize("source", list(corpus.BUILTIN_BUILDERS) + ["lc3"])
+def test_shared_sweep_matches_standalone_functions(source, tmp_path):
+    if source == "lc3":
+        path = tmp_path / "lc3.json"
+        path.write_text(json.dumps(LC3))
+        source = str(path)
+    config = RunConfig(source=source, points=4, fiber_points=2)
+    report = run(config)
+    spec = load_spec(source)
+    base = [tuple(x) for x in sample_points(spec, config.points, config.seed)]
+    fibers = sample_fibers(spec.n, config.fiber_points, config.fiber_radius,
+                           config.seed)
+    worst: dict = {}
+    signature_ok = True
+    for x in base:
+        for y in fibers:
+            rep = born_compatibility_residuals(born_at(spec, BundlePoint(x, tuple(y))))
+            for key, val in rep.residuals.items():
+                worst[key] = max(worst.get(key, 0.0), val)
+            signature_ok = signature_ok and rep.k_signature == (spec.n, spec.n)
+    assert report["born_compat"]["max_residuals"] == worst
+    assert list(report["born_compat"]["max_residuals"]) == list(worst)
+    assert report["born_compat"]["k_signature_ok"] == signature_ok
+    hv = hessian_verdict(spec, base, config.tol)
+    assert report["hessian"] == {
+        "is_hessian": hv.is_hessian, "max_curvature": hv.max_curvature,
+        "max_torsion": hv.max_torsion,
+        "max_nabla_g_asymmetry": hv.max_nabla_g_asymmetry,
+        "tol": hv.tol, "points": hv.points}

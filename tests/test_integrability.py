@@ -323,3 +323,18 @@ def test_theorem_crosscheck_single_spec():
 def test_theorem_crosscheck_empty_corpus():
     with pytest.raises(ValueError):
         theorem_crosscheck([])
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("metric", ["identity", "potential"])
+def test_theorem_crosscheck_beyond_four_dimensions(n, metric):
+    coords = [f"x{k}" for k in range(n)]
+    if metric == "identity":
+        kw = {"metric": [["1" if i == j else "0" for j in range(n)] for i in range(n)]}
+    else:
+        kw = {"potential": " + ".join(f"exp({c})" for c in coords)}
+    spec = build_spec(f"{metric}{n}", coords, [(-1.0, 1.0)] * n, connection="flat", **kw)
+    rep = theorem_crosscheck([spec], base_count=2, fiber_count=1)
+    row = rep.rows[0]
+    assert rep.all_agree
+    assert row["hessian"] is True and row["integrable"] is True

@@ -271,7 +271,7 @@ def test_dual_of_dual_returns_original(spec):
     for p in points_of(spec, 4):
         gamma = fields.connection_jets(spec, p, 0)
         first = fields.dual_connection_jets(spec, p, 0)
-        second = fields.dual_connection_jets(spec, p, 0, of_gamma=first)
+        second = fields.dual_of(spec, jets.seed_embedded(p, 0, len(p)), first, 0)
         diff = fields.jet_values(second) - fields.jet_values(gamma)
         assert np.max(np.abs(diff)) <= 1e-10
 
