@@ -5,7 +5,12 @@ Prints the endpoint differences |x(steps) - x(2*steps)| for a sphere
 geodesic; each halving should shrink the difference by roughly 16x
 (fourth-order method).  The flat corpus connections have polynomial
 geodesics that the integrator reproduces exactly, so the sphere is the
-interesting case.
+interesting case: its Levi-Civita connection has no structurally zero
+coefficient, so every term of the geodesic acceleration is summed.
+
+Exits 1 if a contraction falls outside [12, 20].  Above 256 steps the
+differences reach round-off and stop contracting, so keep --max-steps at
+256 or below.
 
 Usage:
     python3 scripts/rk4_convergence.py [--spec sphere2] [--x0 1.0,1.0] [--v 0.35,0.5]
@@ -22,6 +27,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from bornbundle import corpus
 from bornbundle.charts import geodesic_integrate
+
+CONTRACTION = (12.0, 20.0)  # fourth order gives about 16x per halving
 
 
 def main() -> int:
@@ -40,14 +47,24 @@ def main() -> int:
     prev = geodesic_integrate(spec, x0, v, steps)
     print(f"{'steps':>8s} {'|x(n) - x(2n)|':>16s} {'contraction':>12s}")
     last_diff = None
+    off = []
     while steps < args.max_steps:
         nxt = geodesic_integrate(spec, x0, v, steps * 2)
         diff = float(np.max(np.abs(prev - nxt)))
-        ratio = f"{last_diff / diff:10.1f}x" if last_diff and diff > 0 else ""
+        ratio = ""
+        if last_diff and diff > 0:
+            contraction = last_diff / diff
+            ratio = f"{contraction:10.1f}x"
+            if not CONTRACTION[0] <= contraction <= CONTRACTION[1]:
+                off.append(f"{contraction:.1f}x at {steps} steps")
         print(f"{steps:8d} {diff:16.3e} {ratio:>12s}")
         last_diff = diff
         prev = nxt
         steps *= 2
+    if off:
+        print(f"contraction outside [{CONTRACTION[0]:g}, {CONTRACTION[1]:g}]: "
+              f"{', '.join(off)}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -18,7 +18,8 @@ Spec file format (JSON)::
 (i, j).  Expressions use the mini-language of :mod:`bornbundle.expr`.
 
 Exit codes: 0 all checks ran and no internal invariant failed, 1 spec or
-configuration error, 2 internal invariant failure (the Hessian and
+configuration error (including a domain error or an overflow while
+evaluating the spec's fields), 2 internal invariant failure (the Hessian and
 integrability verdicts disagreed, the two-of-four residual pattern was
 impossible, or a construction identity broke) or internal fault (a jet
 misuse or a failed linear solve, reported as a JSON error like a spec
@@ -42,7 +43,7 @@ from .expr import EvalDomainError, ParseError
 from .integrability import (CROSS_TOL, frame_bracket_residuals,
                             integrability_verdict,
                             nijenhuis_J_identity_residuals, theorem_crosscheck)
-from .jets import JetUsageError
+from .jets import JetDomainError, JetUsageError
 from .manifold import (DEFAULT_TOL, ManifoldSpec, build_spec, sample_fibers,
                        sample_points, two_of_four_residuals)
 
@@ -331,7 +332,10 @@ def main(argv=None) -> int:
     # both subclass ValueError, but they are internal faults, not spec errors
     except (JetUsageError, np.linalg.LinAlgError) as e:
         fault, code = e, 2
-    except (SpecError, ParseError, EvalDomainError, ValueError) as e:
+    # a domain error or an overflow outside expression evaluation, such as
+    # inverting a metric whose pivot is nearly zero, is still the spec's fault
+    except (SpecError, ParseError, EvalDomainError, JetDomainError,
+            ValueError) as e:
         fault, code = e, 1
     error = {"error": {"kind": type(fault).__name__, "message": str(fault)},
              "status": "error"}

@@ -231,6 +231,40 @@ def connection_args(spec, args: Sequence[Jet], order: int) -> np.ndarray:
     raise SpecError(f"unknown connection kind {kind!r}")
 
 
+def _is_literal_zero(ast) -> bool:
+    return isinstance(ast, expr.Const) and ast.value == 0.0
+
+
+def connection_support(spec) -> tuple[tuple[int, int, int], ...]:
+    """The (k, i, j) of every coefficient that is not structurally zero, in
+    (k, i, j) order: none for a flat connection, the entries whose
+    expression is not the literal 0 for an explicit one, and all n^3 for
+    the connections derived from the metric."""
+    kind = spec.connection_kind
+    if kind == "flat":
+        return ()
+    every = tuple(np.ndindex(spec.n, spec.n, spec.n))
+    if kind == "explicit":
+        return tuple((k, i, j) for k, i, j in every
+                     if not _is_literal_zero(spec.gamma_exprs[k][i][j]))
+    return every
+
+
+def connection_terms(spec, args: Sequence[Jet], order: int,
+                     support: tuple[tuple[int, int, int], ...]) -> list:
+    """The coefficients Gamma[k, i, j] on ``support`` (see
+    :func:`connection_support`) at jet-valued coordinates, as
+    ((k, i, j), jet) pairs."""
+    if not support:
+        return []
+    if spec.connection_kind == "explicit":
+        return [((k, i, j), jets.truncate(
+                    expr.evaluate(spec.gamma_exprs[k][i][j], args), order))
+                for k, i, j in support]
+    gamma = connection_args(spec, args, order)
+    return [(kij, gamma[kij]) for kij in support]
+
+
 # -- seeded (point-based) entry points ------------------------------------
 
 def _seed_point(p, order, nvars=None):

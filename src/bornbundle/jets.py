@@ -228,11 +228,18 @@ def _reciprocal(u: Jet) -> Jet:
     if v == 0.0:
         raise JetDomainError("division by zero")
     inv = 1.0 / v
-    return _chain(u, (inv, -inv * inv, 2.0 * inv ** 3, -6.0 * inv ** 4))
+    try:
+        derivs = (inv, -inv * inv, 2.0 * inv ** 3, -6.0 * inv ** 4)
+    except OverflowError:
+        raise JetDomainError(f"reciprocal of {v} overflows") from None
+    return _chain(u, derivs)
 
 
 def exp(u: Jet) -> Jet:
-    e = math.exp(u.value)
+    try:
+        e = math.exp(u.value)
+    except OverflowError:
+        raise JetDomainError(f"exp of {u.value} overflows") from None
     return _chain(u, (e, e, e, e))
 
 
@@ -288,7 +295,10 @@ def pow_const(u: Jet, c: float) -> Jet:
                 else:
                     raise JetDomainError(f"zero base with exponent {c} needs negative powers")
             else:
-                derivs.append(coeff * v ** e)
+                try:
+                    derivs.append(coeff * v ** e)
+                except OverflowError:
+                    raise JetDomainError(f"{v} ** {e} overflows") from None
         coeff *= c - k
     while len(derivs) < 4:
         derivs.append(0.0)

@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from bornbundle import corpus
+from bornbundle import corpus, fields
 from bornbundle.charts import (BoxExitError, ChartMap, FlatnessGateError,
-                               chart_born_block_residual, exponential_chart,
-                               geodesic_integrate,
+                               affine_chart_witness, chart_born_block_residual,
+                               exponential_chart, geodesic_integrate,
                                pushforward_connection_residual)
 from bornbundle.errors import SpecError
 from bornbundle.jets import Jet
-from bornbundle.manifold import halton_points
+from bornbundle.manifold import build_spec, halton_points, sample_fibers
 
 EUCLID = corpus.example("euclidean2")
 HESSIAN = corpus.example("hessian-exp2")
@@ -134,6 +134,14 @@ def test_probe_beyond_radius_rejected():
         pushforward_connection_residual(EUCLID, chart, [(0.9, 0.0)])
 
 
+def test_block_residual_probe_beyond_radius_rejected():
+    chart = exponential_chart(EUCLID, (0.0, 0.0))
+    with pytest.raises(ValueError, match="validity radius"):
+        chart_born_block_residual(EUCLID, chart, (0.9, 0.0), (0.7, -0.4))
+    with pytest.raises(ValueError, match="at least one chart probe"):
+        affine_chart_witness(EUCLID, (0.0, 0.0), 0, 1.0)
+
+
 def test_chart_jacobian_and_second_derivatives_pullback():
     chart = exponential_chart(PULLBACK, (0.0, 0.0))
     a = (0.2, 0.1)
@@ -190,3 +198,57 @@ def test_exponential_chart_levi_civita_of_pullback_metric():
         assert chart.point(a) == pytest.approx(want, abs=1e-8)
     res = pushforward_connection_residual(spec, chart, probes(chart.radius, 4))
     assert res <= 1e-6
+
+
+def _pullback_with_zeros(zero):
+    gamma = [[[zero] * 2 for _ in range(2)] for _ in range(2)]
+    gamma[1][0][0] = "-2"
+    return build_spec("pullback-flat", ("u", "v"), [(-1, 1), (-1, 1)],
+                      metric=[["1 + 4*u^2", "-2*u"], ["-2*u", "1"]],
+                      connection="explicit", gamma=gamma)
+
+
+def test_skipped_zero_terms_change_no_result():
+    # a literal 0 coefficient is left out of the geodesic acceleration, while
+    # 0*u is evaluated and summed like any other term; both must give the
+    # same chart map, value and partials alike
+    skipped, summed = _pullback_with_zeros("0"), _pullback_with_zeros("0*u")
+    assert fields.connection_support(skipped) == ((1, 0, 0),)
+    assert len(fields.connection_support(summed)) == 8
+    x0 = (0.1, -0.2)
+    fast = exponential_chart(skipped, x0)
+    full = exponential_chart(summed, x0)
+    for a in probes(fast.radius, 5):
+        for got, want in zip(fast.jets(a), full.jets(a)):
+            assert got.value == want.value
+            assert got.partials == want.partials
+
+
+def test_connection_support_by_kind():
+    assert fields.connection_support(EUCLID) == ()
+    assert fields.connection_support(TORSIONFUL) == ((0, 0, 1),)
+    assert len(fields.connection_support(SPHERE)) == 8
+
+
+@pytest.mark.parametrize("spec", [PULLBACK, EUCLID, HESSIAN])
+def test_witness_integrates_each_probe_once(spec, monkeypatch):
+    calls = []
+    jets_of = ChartMap.jets
+
+    def counted(self, a, order=2):
+        calls.append(a)
+        return jets_of(self, a, order)
+
+    monkeypatch.setattr(ChartMap, "jets", counted)
+    x0, count, seed = (0.0, 0.0), 5, 3
+    out = affine_chart_witness(spec, x0, count, 1.0, seed=seed)
+    assert len(calls) == count
+    # the shared per-probe pass gives what the two standalone residuals give
+    chart = exponential_chart(spec, x0, seed=seed)
+    points = [tuple(chart.radius * (2 * u - 1) / 2)
+              for u in halton_points(count, 2, seed)]
+    fiber = sample_fibers(2, 1, 1.0, seed)[0]
+    assert out["pushforward_residual"] == pushforward_connection_residual(
+        spec, chart, points)
+    assert out["born_block_residual"] == max(
+        chart_born_block_residual(spec, chart, a, fiber) for a in points)

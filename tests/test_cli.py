@@ -177,6 +177,29 @@ def test_cli_error_exit_code(capsys):
     assert "no-such-spec" in out["error"]["message"]
 
 
+@pytest.mark.parametrize("connection,seed,kind", [
+    ("flat", 0, "EvalDomainError"),  # exp(1000*u) overflows in the expression
+    ("levi-civita", 0, "JetDomainError"),  # 1/g_uu overflows inverting g
+])
+def test_overflowing_metric_is_spec_error(connection, seed, kind, tmp_path,
+                                          capsys):
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({
+        "dimension": 2,
+        "coordinates": ["u", "v"],
+        "metric": {"components": [["exp(1000*u)", "0"], ["0", "1"]]},
+        "connection": {"kind": connection},
+        "sample_box": [[-1, 1], [-1, 1]],
+    }))
+    code = main(["check", str(path), "--points", "8", "--fiber-points", "2",
+                 "--seed", str(seed)])
+    assert code == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == "error"
+    assert out["error"]["kind"] == kind
+    assert "overflows" in out["error"]["message"]
+
+
 def test_cli_theorem_builtin(capsys):
     code = main(["theorem", "--points", "4", "--fiber-points", "2"])
     assert code == 0

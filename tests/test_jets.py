@@ -127,6 +127,19 @@ def test_domain_errors():
         x / z
 
 
+def test_overflow_is_domain_error():
+    (big,) = seed((1000.0,), 3)
+    with pytest.raises(JetDomainError, match="exp of 1000.0 overflows"):
+        jets.exp(big)
+    (tiny,) = seed((1e-200,), 3)
+    with pytest.raises(JetDomainError, match="reciprocal"):
+        1.0 / tiny
+    with pytest.raises(JetDomainError, match="overflows"):
+        tiny ** -2.0
+    with pytest.raises(JetDomainError, match="overflows"):
+        big ** 200.0
+
+
 def test_usage_errors():
     with pytest.raises(JetUsageError):
         seed((1.0,), 4)
