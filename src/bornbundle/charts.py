@@ -35,6 +35,7 @@ from .manifold import (ManifoldSpec, curvature_at, halton_points, sample_fibers,
 FLATNESS_GATE_TOL = 1e-7
 PUSHFORWARD_TOL = 1e-6
 DEFAULT_STEPS = 64
+GATE_POINTS = 8  # sample points of the flatness gate
 
 
 class BoxExitError(SpecError):
@@ -142,22 +143,21 @@ class ChartMap:
 
 
 def exponential_chart(spec: ManifoldSpec, x0, steps: int = DEFAULT_STEPS,
-                      gate_tol: float = FLATNESS_GATE_TOL,
-                      gate_points: int = 8, seed: int = 42) -> ChartMap:
+                      seed: int = 42) -> ChartMap:
     """Build the exponential chart at x0 after checking that curvature and
     torsion vanish on sampled points (otherwise the map is not affine)."""
     x0 = tuple(float(c) for c in x0)
     if not spec.contains(x0):
         raise SpecError(f"chart base point {x0} lies outside the sample box")
     max_r = max_t = 0.0
-    for p in sample_points(spec, gate_points, seed):
+    for p in sample_points(spec, GATE_POINTS, seed):
         max_r = max(max_r, curvature_at(spec, tuple(p)).max_abs())
         max_t = max(max_t, torsion_at(spec, tuple(p)).max_abs())
-    if max_r > gate_tol or max_t > gate_tol:
+    if max_r > FLATNESS_GATE_TOL or max_t > FLATNESS_GATE_TOL:
         raise FlatnessGateError(
             "exponential map is affine only for flat torsion-free connections: "
             f"max |curvature| = {max_r:.3g}, max |torsion| = {max_t:.3g} "
-            f"(gate {gate_tol:g})")
+            f"(gate {FLATNESS_GATE_TOL:g})")
     inradius = min((hi - lo) / 2.0 for lo, hi in spec.sample_box)
     return ChartMap(spec=spec, x0=x0, steps=steps, radius=inradius / 2.0)
 

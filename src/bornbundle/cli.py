@@ -17,13 +17,19 @@ Spec file format (JSON)::
 ``gamma[k][i][j]`` is the coefficient with upper index k and lower indices
 (i, j).  Expressions use the mini-language of :mod:`bornbundle.expr`.
 
+``check`` takes the Hessian verdict, the two-of-four report, the
+integrability residuals and its probe point from one sweep over the sample
+points (:func:`~bornbundle.integrability.integrability_verdict`).
+
 Exit codes: 0 all checks ran and no internal invariant failed, 1 spec or
 configuration error (including a domain error or an overflow while
-evaluating the spec's fields), 2 internal invariant failure (the Hessian and
-integrability verdicts disagreed, the two-of-four residual pattern was
-impossible, or a construction identity broke) or internal fault (a jet
-misuse or a failed linear solve, reported as a JSON error like a spec
-error).  A spec merely being non-Hessian is a result, not a failure.
+evaluating the spec's fields, and a field value or first derivative that
+is not finite at a sample point), 2 internal invariant failure (the
+Hessian and integrability verdicts disagreed, the two-of-four residual
+pattern was impossible, or a construction identity broke) or internal
+fault (a jet misuse or a failed linear solve, reported as a JSON error like
+a spec error).  A spec merely being non-Hessian is a result, not a
+failure.
 """
 from __future__ import annotations
 
@@ -44,8 +50,7 @@ from .integrability import (CROSS_TOL, frame_bracket_residuals,
                             integrability_verdict,
                             nijenhuis_J_identity_residuals, theorem_crosscheck)
 from .jets import JetDomainError, JetUsageError
-from .manifold import (DEFAULT_TOL, ManifoldSpec, build_spec, sample_fibers,
-                       sample_points, two_of_four_residuals)
+from .manifold import DEFAULT_TOL, ManifoldSpec, TwoOfFourReport, build_spec
 
 BORN_GATE = 1e-8  # construction identities must hold to this level
 
@@ -57,7 +62,6 @@ class RunConfig:
     fiber_points: int = 8
     fiber_radius: float = 1.0
     tol: float = DEFAULT_TOL
-    cross_tol: float = CROSS_TOL
     seed: int = 42
 
     def __post_init__(self):
@@ -140,9 +144,6 @@ def run(config: RunConfig) -> dict:
     config, seed); certifies behaviour on sampled points of this single
     chart only."""
     spec = load_spec(config.source)
-    base = sample_points(spec, config.points, config.seed)
-    fibers = sample_fibers(spec.n, config.fiber_points, config.fiber_radius,
-                           config.seed)
     report: dict = {
         "spec": _spec_summary(spec),
         "config": {
@@ -150,7 +151,7 @@ def run(config: RunConfig) -> dict:
             "fiber_points": config.fiber_points,
             "fiber_radius": config.fiber_radius,
             "tol": config.tol,
-            "cross_tol": config.cross_tol,
+            "cross_tol": CROSS_TOL,
             "seed": config.seed,
         },
         "scope": "verdicts certify sampled points of a single chart",
@@ -162,7 +163,7 @@ def run(config: RunConfig) -> dict:
     hv = integ.hessian
     report["hessian"] = asdict(hv)
 
-    two = two_of_four_residuals(spec, [tuple(p) for p in base], config.cross_tol)
+    two = TwoOfFourReport.of(integ.bases, CROSS_TOL)
     report["two_of_four"] = asdict(two)
     if two.fact_violated:
         failures.append("two_of_four pattern (exactly two or three conditions hold)")
@@ -188,7 +189,8 @@ def run(config: RunConfig) -> dict:
     if not integ.hessian_agreement:
         failures.append("hessian/integrability verdicts disagree")
 
-    probe = BundlePoint(tuple(base[0]), tuple(fibers[0]))
+    first = integ.per_point[0]  # the first bundle point of the sweep
+    probe = BundlePoint(tuple(first["x"]), tuple(first["y"]))
     frame = born_at(spec, probe, "bundle-coordinate")
     report["born_frame_sample"] = {
         "point": {"x": list(probe.x), "y": list(probe.y)},

@@ -163,49 +163,50 @@ def metric_dg_args(spec, args: Sequence[Jet], order: int):
 
 # -- connections ----------------------------------------------------------
 
-def zero_connection(n: int, order: int, nvars: int) -> np.ndarray:
-    out = np.empty((n, n, n), dtype=object)
-    for idx in np.ndindex(out.shape):
-        out[idx] = Jet.constant(0.0, order, nvars)
+def levi_civita_of(dg: np.ndarray, ginv: np.ndarray) -> np.ndarray:
+    """Christoffel symbols half g^{kl} (d_i g_lj + d_j g_li - d_l g_ij) from
+    dg[l, i, j] = d_l g_ij and g^-1, whose entries may be jets or floats."""
+    n = len(ginv)
+    out = np.empty((n, n, n), dtype=ginv.dtype)
+    for k, i, j in np.ndindex(out.shape):
+        acc = None
+        for l in range(n):
+            term = ginv[k, l] * (dg[i, l, j] + dg[j, l, i] - dg[l, i, j])
+            acc = term if acc is None else acc + term
+        out[k, i, j] = acc * 0.5
+    return out
+
+
+def dual_connection_of(gamma: np.ndarray, g: np.ndarray, dg: np.ndarray,
+                       ginv: np.ndarray) -> np.ndarray:
+    """Dual of the connection gamma with respect to the metric,
+    g^{lj} (d_i g_jk - Gamma^m_ij g_mk), from the inputs of
+    :func:`levi_civita_of` and g."""
+    n = len(ginv)
+    out = np.empty((n, n, n), dtype=ginv.dtype)
+    for l, i, k in np.ndindex(out.shape):
+        acc = None
+        for j in range(n):
+            inner = dg[i, j, k]
+            for m in range(n):
+                inner = inner - gamma[m, i, j] * g[m, k]
+            term = ginv[l, j] * inner
+            acc = term if acc is None else acc + term
+        out[l, i, k] = acc
     return out
 
 
 def levi_civita_args(spec, args: Sequence[Jet], order: int) -> np.ndarray:
-    """Christoffel symbols of the metric: half g^{kl} (d_i g_lj + d_j g_li - d_l g_ij)."""
-    n = spec.n
+    """Christoffel symbols of the metric at jet-valued coordinates."""
     g, dg = metric_dg_args(spec, args, order)
-    ginv = jet_inv(g)
-    out = np.empty((n, n, n), dtype=object)
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                acc = None
-                for l in range(n):
-                    term = ginv[k, l] * (dg[i, l, j] + dg[j, l, i] - dg[l, i, j])
-                    acc = term if acc is None else acc + term
-                out[k, i, j] = acc * 0.5
-    return out
+    return levi_civita_of(dg, jet_inv(g))
 
 
 def dual_of(spec, args: Sequence[Jet], gamma: np.ndarray, order: int) -> np.ndarray:
-    """Dual of the given connection with respect to the metric:
-    g^{lj} (d_i g_jk - Gamma^m_ij g_mk)."""
-    n = spec.n
+    """Dual of the given connection with respect to the metric at jet-valued
+    coordinates."""
     g, dg = metric_dg_args(spec, args, order)
-    ginv = jet_inv(g)
-    out = np.empty((n, n, n), dtype=object)
-    for l in range(n):
-        for i in range(n):
-            for k in range(n):
-                acc = None
-                for j in range(n):
-                    inner = dg[i, j, k]
-                    for m in range(n):
-                        inner = inner - gamma[m, i, j] * g[m, k]
-                    term = ginv[l, j] * inner
-                    acc = term if acc is None else acc + term
-                out[l, i, k] = acc
-    return out
+    return dual_connection_of(gamma, g, dg, jet_inv(g))
 
 
 def connection_args(spec, args: Sequence[Jet], order: int) -> np.ndarray:
@@ -213,8 +214,9 @@ def connection_args(spec, args: Sequence[Jet], order: int) -> np.ndarray:
     jet-valued coordinates."""
     n = spec.n
     kind = spec.connection_kind
-    if kind == "flat":
-        return zero_connection(n, order, args[0].nvars)
+    if kind in ("flat", "hessian-dual"):
+        zero = const_jet_array(np.zeros((n, n, n)), order, args[0].nvars)
+        return zero if kind == "flat" else dual_of(spec, args, zero, order)
     if kind == "explicit":
         out = np.empty((n, n, n), dtype=object)
         for k in range(n):
@@ -225,9 +227,6 @@ def connection_args(spec, args: Sequence[Jet], order: int) -> np.ndarray:
         return out
     if kind == "levi-civita":
         return levi_civita_args(spec, args, order)
-    if kind == "hessian-dual":
-        zero = zero_connection(n, order, args[0].nvars)
-        return dual_of(spec, args, zero, order)
     raise SpecError(f"unknown connection kind {kind!r}")
 
 

@@ -15,7 +15,9 @@ the fiber coordinate are normalized by (1 + |y|).
 :func:`integrability_verdict` evaluates Gamma and g once per base point
 and uses them for that point's Hessian residuals and for every fiber over
 it; it builds the Born tensors once per bundle point and takes the
-Nijenhuis, d omega and construction-identity residuals from them.
+Nijenhuis, d omega and construction-identity residuals from them.  Its
+report carries the base-point evaluations, so that the two-of-four report
+of ``check`` reads them too.
 """
 from __future__ import annotations
 
@@ -57,12 +59,16 @@ def nijenhuis_at(spec: ManifoldSpec, which: str, bp: BundlePoint) -> TensorValue
     return TensorValue(n, "ull", "bundle-coordinate", bp.coords())
 
 
+def _d_omega_of(omega: np.ndarray) -> np.ndarray:
+    """:func:`d_omega_at` from jets of omega of order >= 1."""
+    dw = fields.jet_d1(omega)  # dw[a, b, c] = d_a omega_bc
+    return dw + dw.transpose(1, 2, 0) + dw.transpose(2, 0, 1)
+
+
 def d_omega_at(spec: ManifoldSpec, bp: BundlePoint) -> TensorValue:
     """(d omega)_abc = d_a omega_bc + d_b omega_ca + d_c omega_ab."""
     bp = _require_point(spec, bp)
-    w = born_jets(spec, bp, order=1)["omega"]
-    dw = fields.jet_d1(w)  # dw[a, b, c] = d_a omega_bc
-    out = dw + dw.transpose(1, 2, 0) + dw.transpose(2, 0, 1)
+    out = _d_omega_of(born_jets(spec, bp, order=1)["omega"])
     return TensorValue(out, "lll", "bundle-coordinate", bp.coords())
 
 
@@ -164,6 +170,7 @@ class IntegrabilityReport:
     max_born_compat: dict  # worst defect of each construction identity
     k_signature_ok: bool   # k had signature (n, n) at every point
     per_point: list = field(default_factory=list)
+    bases: list = field(default_factory=list)  # the BaseJets of the sweep
 
     def residual_table(self) -> dict:
         return {"nijenhuis_I": self.max_nijenhuis_I,
@@ -178,9 +185,7 @@ def _residuals_of(mats: dict, bp: BundlePoint) -> dict:
     for name in ("I", "J", "K"):
         out["nijenhuis_" + name] = float(
             np.max(np.abs(_nijenhuis_from_jets(mats[name])))) / scale
-    dw = fields.jet_d1(mats["omega"])
-    dw = dw + dw.transpose(1, 2, 0) + dw.transpose(2, 0, 1)
-    out["d_omega"] = float(np.max(np.abs(dw))) / scale
+    out["d_omega"] = float(np.max(np.abs(_d_omega_of(mats["omega"])))) / scale
     return out
 
 
@@ -230,7 +235,7 @@ def integrability_verdict(spec: ManifoldSpec, base_count: int = 32,
         integrable=integrable,
         hessian_agreement=(integrable == hv.is_hessian),
         hessian=hv, tol=tol, max_born_compat=worst_born,
-        k_signature_ok=signature_ok, per_point=per_point)
+        k_signature_ok=signature_ok, per_point=per_point, bases=bases)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,14 @@ evaluation (metric, connection, torsion, curvature, dual connection,
 covariant derivative of the metric, Levi-Civita), the Hessian verdict and
 the four-residual torsion/duality/compatibility report.
 
+:func:`base_jets` evaluates Gamma and g once per sample point and rejects
+a value or derivative that is not finite as a spec error.  The Hessian
+verdict and the two-of-four report are both built from these evaluations;
+the latter takes the dual connection and Levi-Civita from the values of g
+and its first partials and one inverse of g, through the formulas of
+:mod:`bornbundle.fields`, so they equal the fields' own order-0 values bit
+for bit.  The ``*_at`` functions evaluate their fields on their own.
+
 Curvature convention, fixed once for the whole package:
 ``R^l_ijk = d_i Gamma^l_jk - d_j Gamma^l_ik + Gamma^l_im Gamma^m_jk
 - Gamma^l_jm Gamma^m_ik``.  Identities involving the curvature are checked
@@ -14,6 +22,7 @@ assumed.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -303,15 +312,30 @@ class BaseJets:
     g: np.ndarray
 
 
+def _require_finite(x: tuple, name: str, field: np.ndarray) -> None:
+    """Reject a field whose entries have a value or a derivative that is not
+    finite, naming the first such entry."""
+    for idx in np.ndindex(field.shape):
+        jet = field[idx]
+        if not all(map(math.isfinite, (jet.value, *jet.partials.values()))):
+            entry = "".join(f"[{i}]" for i in idx)
+            raise SpecError(f"{name}{entry} or one of its derivatives is not "
+                            f"finite at {x} (value {jet.value!r})")
+
+
 def base_jets(spec: ManifoldSpec, x, order: int = 1) -> BaseJets:
     """Gamma and g at base point x, as jets of ``order`` over the 2n bundle
     coordinates (x^1..x^n, y^1..y^n), of which they depend on x only.
-    Everything evaluated over x is built from them: the Hessian verdict
-    and, per fiber, the Born tensors."""
+    Everything evaluated over x is built from them: the Hessian verdict,
+    the two-of-four report and, per fiber, the Born tensors.  A value or
+    derivative that is not finite is a spec error."""
     x = _require_inside(spec, x)
     args = jets.seed_embedded(x, order, 2 * spec.n, 0)
-    return BaseJets(x, fields.connection_args(spec, args, order),
+    base = BaseJets(x, fields.connection_args(spec, args, order),
                     fields.metric_args(spec, args, order))
+    _require_finite(x, "gamma", base.gamma)
+    _require_finite(x, "metric", base.g)
+    return base
 
 
 @dataclass(frozen=True)
@@ -349,6 +373,16 @@ def hessian_verdict(spec: ManifoldSpec, points: Sequence[Sequence[float]],
     return HessianVerdict.of([base_jets(spec, p) for p in points], tol)
 
 
+def dual_and_levi_civita(gamma: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values of the dual of Gamma and of the Levi-Civita connection, from
+    Gamma's values, g's jets of order >= 1 and one inverse of g, through the
+    formulas :mod:`bornbundle.fields` uses for jets."""
+    gv = fields.jet_values(g)
+    dg = fields.jet_d1(g)[:len(gv)]  # dg[l, i, j] = d_l g_ij
+    ginv = fields.jet_values(fields.jet_inv(fields.const_jet_array(gv, 0, 1)))
+    return fields.dual_connection_of(gamma, gv, dg, ginv), fields.levi_civita_of(dg, ginv)
+
+
 @dataclass(frozen=True)
 class TwoOfFourReport:
     """Max residuals of: torsion of the connection, torsion of its dual,
@@ -361,26 +395,30 @@ class TwoOfFourReport:
     tol: float
     fact_violated: bool
 
+    @classmethod
+    def of(cls, bases: Sequence[BaseJets], tol: float) -> "TwoOfFourReport":
+        """The report over base-point jets: Gamma of any order, g of order >= 1."""
+        maxima = dict.fromkeys(("torsion", "dual_torsion", "nabla_g_asymmetry",
+                                "mean_vs_levi_civita"), 0.0)
+        for base in bases:
+            gamma = fields.jet_values(base.gamma)
+            dual, lc = dual_and_levi_civita(gamma, base.g)
+            point = {"torsion": np.max(np.abs(_torsion_of(gamma))),
+                     "dual_torsion": np.max(np.abs(_torsion_of(dual))),
+                     "nabla_g_asymmetry": _nabla_g_of(gamma, base.g)[1],
+                     "mean_vs_levi_civita": np.max(np.abs(0.5 * (gamma + dual) - lc))}
+            maxima = {k: max(v, float(point[k])) for k, v in maxima.items()}
+        holds = {k: bool(v <= tol) for k, v in maxima.items()}
+        return cls(residuals=maxima, holds=holds, tol=tol,
+                   fact_violated=bool(sum(holds.values()) in (2, 3)))
+
 
 def two_of_four_residuals(spec: ManifoldSpec, points: Sequence[Sequence[float]],
                           tol: float = DEFAULT_TOL) -> TwoOfFourReport:
-    points = list(points)
+    """:meth:`TwoOfFourReport.of` with Gamma at order 0 and g at order 1, which
+    a potential metric with its Levi-Civita connection supports."""
+    points = [_require_inside(spec, p) for p in points]
     if not points:
         raise ValueError("need at least one sample point")
-    keys = ("torsion", "dual_torsion", "nabla_g_asymmetry", "mean_vs_levi_civita")
-    maxima = dict.fromkeys(keys, 0.0)
-    for p in points:
-        p = _require_inside(spec, p)
-        gamma = fields.jet_values(fields.connection_jets(spec, p, 0))
-        dual = fields.jet_values(fields.dual_connection_jets(spec, p, 0))
-        lc = fields.jet_values(fields.levi_civita_jets(spec, p, 0))
-        _, asym = nabla_g_at(spec, p)
-        maxima["torsion"] = max(maxima["torsion"], float(np.max(np.abs(_torsion_of(gamma)))))
-        maxima["dual_torsion"] = max(maxima["dual_torsion"], float(np.max(np.abs(_torsion_of(dual)))))
-        maxima["nabla_g_asymmetry"] = max(maxima["nabla_g_asymmetry"], asym)
-        maxima["mean_vs_levi_civita"] = max(
-            maxima["mean_vs_levi_civita"], float(np.max(np.abs(0.5 * (gamma + dual) - lc))))
-    holds = {k: bool(v <= tol) for k, v in maxima.items()}
-    count = sum(holds.values())
-    return TwoOfFourReport(residuals=maxima, holds=holds, tol=tol,
-                           fact_violated=bool(count in (2, 3)))
+    return TwoOfFourReport.of([BaseJets(p, fields.connection_jets(spec, p, 0),
+                                        fields.metric_jets(spec, p, 1)) for p in points], tol)

@@ -11,7 +11,9 @@ from bornbundle.cli import (RunConfig, load_spec, main, report_to_json, run,
                             spec_from_dict)
 from bornbundle.errors import SpecError
 from bornbundle.jets import JetUsageError
-from bornbundle.manifold import hessian_verdict, sample_fibers, sample_points
+from bornbundle.integrability import CROSS_TOL
+from bornbundle.manifold import (hessian_verdict, sample_fibers, sample_points,
+                                 two_of_four_residuals)
 
 SMALL = dict(points=6, fiber_points=3)
 
@@ -177,27 +179,50 @@ def test_cli_error_exit_code(capsys):
     assert "no-such-spec" in out["error"]["message"]
 
 
-@pytest.mark.parametrize("connection,seed,kind", [
-    ("flat", 0, "EvalDomainError"),  # exp(1000*u) overflows in the expression
-    ("levi-civita", 0, "JetDomainError"),  # 1/g_uu overflows inverting g
+def _diag_spec(metric, connection="flat", box=((0.5, 1), (-1, 1)), gamma=None):
+    spec = {"dimension": 2, "coordinates": ["u", "v"],
+            "metric": {"components": [[metric[0], "0"], ["0", metric[1]]]},
+            "connection": {"kind": connection},
+            "sample_box": [list(iv) for iv in box]}
+    if gamma is not None:
+        spec["connection"]["gamma"] = gamma
+    return spec
+
+
+OVERFLOW_BOX = ((-1, 1), (-1, 1))
+GAMMA_OVERFLOW = [[["exp(500*u)*exp(500*u)", "0"], ["0", "0"]],
+                  [["0", "0"], ["0", "0"]]]
+
+
+@pytest.mark.parametrize("spec,kind,message", [
+    # exp(1000*u) overflows in the expression
+    pytest.param(_diag_spec(("exp(1000*u)", "1"), box=OVERFLOW_BOX),
+                 "EvalDomainError", "overflows", id="flat-0-EvalDomainError"),
+    # 1/g_uu overflows inverting g
+    pytest.param(_diag_spec(("exp(1000*u)", "1"), "levi-civita", OVERFLOW_BOX),
+                 "JetDomainError", "overflows", id="levi-civita-0-JetDomainError"),
+    # a product of finite factors overflows to inf
+    pytest.param(_diag_spec(("exp(500*u)*exp(500*u)", "1")),
+                 "SpecError", "metric[0][0] or one of its derivatives is not finite",
+                 id="metric-product"),
+    pytest.param(_diag_spec(("1", "1"), "explicit", gamma=GAMMA_OVERFLOW),
+                 "SpecError", "gamma[0][0][0] or one of its derivatives is not finite",
+                 id="gamma-product"),
+    # a finite value whose first partial overflows
+    pytest.param(_diag_spec(("1", "exp(700*u)*exp(9*u)"), box=((0.99, 1), (-1, 1))),
+                 "SpecError", "metric[1][1] or one of its derivatives is not finite",
+                 id="metric-partial"),
 ])
-def test_overflowing_metric_is_spec_error(connection, seed, kind, tmp_path,
-                                          capsys):
+def test_overflowing_metric_is_spec_error(spec, kind, message, tmp_path, capsys):
     path = tmp_path / "overflow.json"
-    path.write_text(json.dumps({
-        "dimension": 2,
-        "coordinates": ["u", "v"],
-        "metric": {"components": [["exp(1000*u)", "0"], ["0", "1"]]},
-        "connection": {"kind": connection},
-        "sample_box": [[-1, 1], [-1, 1]],
-    }))
+    path.write_text(json.dumps(spec))
     code = main(["check", str(path), "--points", "8", "--fiber-points", "2",
-                 "--seed", str(seed)])
+                 "--seed", "0"])
     assert code == 1
     out = json.loads(capsys.readouterr().out)
     assert out["status"] == "error"
     assert out["error"]["kind"] == kind
-    assert "overflows" in out["error"]["message"]
+    assert message in out["error"]["message"]
 
 
 def test_cli_theorem_builtin(capsys):
@@ -266,7 +291,7 @@ def test_internal_fault_exit_code(monkeypatch, capsys, error):
     def broken(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr(cli_mod, "two_of_four_residuals", broken)
+    monkeypatch.setattr(cli_mod.TwoOfFourReport, "of", broken)
     code = main(["check", "euclidean2", "--points", "2", "--fiber-points", "1"])
     assert code == 2
     out = json.loads(capsys.readouterr().out)
@@ -314,3 +339,5 @@ def test_shared_sweep_matches_standalone_functions(source, tmp_path):
         "max_torsion": hv.max_torsion,
         "max_nabla_g_asymmetry": hv.max_nabla_g_asymmetry,
         "tol": hv.tol, "points": hv.points}
+    assert report["two_of_four"] == dataclasses.asdict(
+        two_of_four_residuals(spec, base, CROSS_TOL))

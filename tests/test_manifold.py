@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from bornbundle import corpus, expr, fields, jets
+from bornbundle.cli import spec_from_dict
 from bornbundle.errors import NotPositiveDefiniteError, SpecError
-from bornbundle.manifold import (DEFAULT_TOL, build_spec, connection_at,
-                                 curvature_at, dual_connection_at,
+from bornbundle.manifold import (DEFAULT_TOL, base_jets, build_spec,
+                                 connection_at, curvature_at,
+                                 dual_and_levi_civita, dual_connection_at,
                                  dual_identity_residual, hessian_verdict,
                                  levi_civita_at, metric_at, nabla_g_at,
                                  sample_points, torsion_at,
@@ -365,6 +367,72 @@ def test_fact_two_of_four_pattern(spec):
     if below >= 2:
         assert all(v <= 1e-7 for v in rep.residuals.values())
     assert not rep.fact_violated
+
+
+def _diagonal(entries):
+    n = len(entries)
+    return [[entries[i] if i == j else "0" for j in range(n)] for i in range(n)]
+
+
+def _gamma_00(coefficients):
+    """An explicit connection whose only nonzero entries are Gamma^k_00."""
+    n = len(coefficients)
+    grid = [[["0"] * n for _ in range(n)] for _ in range(n)]
+    for k, c in enumerate(coefficients):
+        grid[k][0][0] = c
+    return {"kind": "explicit", "gamma": grid}
+
+
+def _generated(n, metric, connection):
+    return {"dimension": n, "coordinates": [f"x{i}" for i in range(n)],
+            "metric": metric, "connection": connection,
+            "sample_box": [[-1, 1]] * n}
+
+
+# Levi-Civita of a curved diagonal metric, a flat connection with a potential
+# metric, and the straight coordinates w_k = x_k + c_k x0^2 written in x
+GENERATED = {
+    "lc3": _generated(3, {"components": _diagonal(
+        ["exp(0.7*x1)", "exp(-0.5*x2)", "exp(0.8*x0)"])}, {"kind": "levi-civita"}),
+    "lc4": _generated(4, {"components": _diagonal(
+        ["exp(0.6*x1)", "exp(-0.9*x2)", "exp(0.4*x3)", "exp(-0.7*x0)"])},
+        {"kind": "levi-civita"}),
+    "potential3": _generated(3, {"potential": (
+        "2.974*exp(0.985*x0) + 2.969*exp(1.19*x1) + 2.291*exp(0.962*x2)"
+        " + 0.023*x0*x1 - 0.066*x0*x2 - 0.035*x1*x2")}, {"kind": "flat"}),
+    "potential4": _generated(4, {"potential": (
+        "2.5*exp(0.9*x0) + 2.2*exp(1.1*x1) + 2.8*exp(0.85*x2) + 2.1*exp(1.05*x3)"
+        " + 0.04*x0*x1 - 0.07*x0*x3 + 0.02*x1*x2 - 0.05*x2*x3")}, {"kind": "flat"}),
+    "twisted3": _generated(3, {"components": [
+        ["1.2 + 4.54*x0^2", "0.7*x0", "-2.4*x0"],
+        ["0.7*x0", "0.7", "0"],
+        ["-2.4*x0", "0", "1.5"]]}, _gamma_00(["0", "1.0", "-1.6"])),
+    "twisted4": _generated(4, {"components": [
+        ["1.2 + 4.864*x0^2", "0.7*x0", "-2.4*x0", "0.54*x0"],
+        ["0.7*x0", "0.7", "0", "0"],
+        ["-2.4*x0", "0", "1.5", "0"],
+        ["0.54*x0", "0", "0", "0.9"]]}, _gamma_00(["0", "1.0", "-1.6", "0.6"])),
+}
+
+
+@pytest.mark.parametrize("source", list(corpus.BUILTIN_BUILDERS) + list(GENERATED))
+def test_sweep_dual_and_levi_civita_match_fields(source):
+    # the two-of-four report reads the dual and Levi-Civita from the sweep's
+    # base-point jets; they must be the fields' order-0 values bit for bit,
+    # the signs of zeros included
+    if source in GENERATED:
+        spec = spec_from_dict(GENERATED[source], name=source)
+    else:
+        spec = corpus.example(source)
+    for x in points_of(spec, 16, 42):
+        base = base_jets(spec, x)
+        dual, lc = dual_and_levi_civita(fields.jet_values(base.gamma), base.g)
+        for got, field in ((dual, fields.dual_connection_jets(spec, x, 0)),
+                           (lc, fields.levi_civita_jets(spec, x, 0))):
+            want = fields.jet_values(field)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 # -- sampling ------------------------------------------------------------------------

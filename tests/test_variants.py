@@ -122,6 +122,8 @@ def test_potential_levi_civita_values_work():
     assert gamma[0, 0, 0] == pytest.approx(0.5, abs=1e-12)
     _, asym = nabla_g_at(spec, (0.3, -0.2))
     assert asym <= 1e-12  # Levi-Civita makes the metric parallel
+    rep = two_of_four_residuals(spec, pts(spec, 4))
+    assert all(rep.holds.values()) and not rep.fact_violated
 
 
 def test_potential_levi_civita_curvature_exceeds_budget():
