@@ -16,11 +16,19 @@ block formulas in the n x n blocks A and g, with P = (-A)^T g:
     k = sym [[P + g (-A), g], [g, 0]]
     omega = antisym [[-P + g (-A), g], [-g, 0]]
 
-with sym M = (M + M^T) / 2 and antisym M = (M - M^T) / 2.  A block c + X Y
-is summed as (c + X_0 Y_0) + X_1 Y_1 + ..., term m being column m of X
-times row m of Y: that is the order of the dense products E M E^-1 and
-E^-T M E^-1, so the blocks reproduce those products bit for bit.  Row index
-of a bilinear form is its first argument.
+with sym M = (M + M^T) / 2 and antisym M = (M - M^T) / 2.  Row index of a
+bilinear form is its first argument.
+
+:func:`fiber_born_jets` builds the tensors at the F fiber vectors of one
+base point at once, as float arrays (F, 1 + 2n, 2n, 2n): values in row 0,
+then the first partials by x^1..x^n and by y^1..y^n (the base fields'
+y-partials are zero); order-0 base fields give the value row alone.  Sums
+act row by row; a product has value a b and partials (0.0 + a b') + a' b,
+as Jet multiplication.  A block c + X Y is summed as
+(c + X_0 Y_0) + X_1 Y_1 + ..., term m being column m of X times row m of
+Y, and X Y without c (A = -Gamma y, P, g (-A)) as X_0 Y_0 + X_1 Y_1 + ...:
+the order of the dense products E M E^-1 and E^-T M E^-1 and of a matmul
+over jets, so the arrays equal the jet arithmetic bit for bit.
 """
 from __future__ import annotations
 
@@ -28,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fields, jets
+from . import fields
 from .errors import SpecError
 from .manifold import BaseJets, ManifoldSpec, base_jets, check_spd, sample_points
 
@@ -105,62 +113,84 @@ def standard_born_matrices(n: int) -> dict[str, np.ndarray]:
 
 # -- frames -----------------------------------------------------------------
 
-def _fiber_blocks(gamma: np.ndarray, y):
-    """A[k, i] = -Gamma^k_ij y^j, with y seeded in the fiber slots of Gamma's
-    jet variables, and the unit and zero n x n blocks as jets of that kind."""
-    n = gamma.shape[0]
-    proto = gamma.flat[0]
-    yj = np.array(jets.seed_embedded(y, proto.order, proto.nvars, offset=n), dtype=object)
-    return (-(gamma @ yj), fields.const_jet_array(np.eye(n), proto.order, proto.nvars),
-            fields.const_jet_array(np.zeros((n, n)), proto.order, proto.nvars))
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Entrywise product of arrays with rows on axis 1 (see module doc)."""
+    return np.concatenate([a[:, :1] * b[:, :1],
+                           (0.0 + a[:, :1] * b[:, 1:]) + a[:, 1:] * b[:, :1]], axis=1)
 
 
-def _frame_jets(gamma: np.ndarray, y):
-    """(E, E^-1) at fiber vector y, from Gamma's jets over the 2n bundle
-    coordinates."""
-    a, one, zero = _fiber_blocks(gamma, y)
-    return np.block([[one, zero], [a, one]]), np.block([[one, zero], [-a, one]])
+def _madd(x: np.ndarray, y: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
+    """c + x @ y over the last two axes, summed as in the module doc."""
+    for m in range(x.shape[-1]):
+        term = _mul(x[..., m, None], y[..., None, m, :])
+        c = term if c is None else c + term
+    return c
+
+
+def _fiber_blocks(base: BaseJets, ys) -> tuple[np.ndarray, np.ndarray]:
+    """A[k, i] = -Gamma^k_ij y^j at the fiber vectors ``ys`` (F, n), and g,
+    as (F, rows, n, n) arrays over the 2n bundle coordinates."""
+    f, n = np.shape(ys)
+    rows = 2 * len(base.gamma) - 1  # 1 + 2n, or 1 for order-0 fields
+    gamma, g = (np.concatenate([m, np.zeros((rows - len(m),) + m.shape[1:])])[None]
+                for m in (base.gamma, base.g))
+    y = np.zeros((f, rows, n, 1))
+    y[:, 0, :, 0] = ys
+    if rows > 1:
+        y[:, 1 + n:, :, 0] = np.eye(n)
+    a = -_madd(gamma.reshape(1, rows, n * n, n), y).reshape(f, rows, n, n)
+    return a, np.broadcast_to(g, a.shape)
+
+
+def _frame_of(base: BaseJets, y) -> tuple[np.ndarray, np.ndarray]:
+    """(E, E^-1) at fiber vector y: E with the rows of the base fields,
+    E^-1 as values."""
+    a = _fiber_blocks(base, [y])[0][0]
+    n = a.shape[-1]
+    e = np.zeros((len(a), 2 * n, 2 * n))
+    e[0] = np.eye(2 * n)
+    e[:, n:, :n] = a
+    einv = e[0].copy()
+    einv[n:, :n] = -a[0]
+    return e, einv
 
 
 def adapted_frame_at(spec: ManifoldSpec, bp: BundlePoint):
     """Change-of-basis pair (E, E^-1): columns of E are H_1..H_n, V_1..V_n
     in bundle coordinates, rows of E^-1 the dual coframe."""
     bp = _require_point(spec, bp)
-    e, einv = _frame_jets(fields.connection_jets(spec, bp.x, 0, nvars=2 * spec.n), bp.y)
-    return fields.jet_values(e), fields.jet_values(einv)
+    e, einv = _frame_of(base_jets(spec, bp.x, 0), bp.y)
+    return e[0], einv
 
 
-def _madd(c: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """c + x @ y, summed as (c + x_0 y_0) + x_1 y_1 + ... (see module doc)."""
-    for m in range(x.shape[1]):
-        c = c + x[:, m, None] * y[None, m]
-    return c
-
-
-def fiber_born_jets(base: BaseJets, y) -> dict[str, np.ndarray]:
-    """The six tensors in bundle coordinates at (base.x, y), as jets of the
-    base fields' order over the 2n coordinates."""
-    a, one, zero = _fiber_blocks(base.gamma, y)
-    g = base.g
+def fiber_born_jets(base: BaseJets, ys) -> dict[str, np.ndarray]:
+    """The six tensors in bundle coordinates at (base.x, y) for every fiber
+    vector y of ``ys``, as arrays of values and first partials (module doc)."""
+    a, g = _fiber_blocks(base, ys)
+    one = np.zeros(a.shape)
+    one[:, 0] = np.eye(len(base.x))
+    zero = np.zeros(a.shape)
     na = -a
-    p = na.T @ g
-    h = np.block([[_madd(g, p, na), p], [g @ na, g]])
-    k = np.block([[_madd(p, g, na), g], [g, zero]])
-    omega = np.block([[_madd(-p, g, na), g], [-g, zero]])
+    p = _madd(na.swapaxes(-1, -2), g)
+    h = np.block([[_madd(p, na, g), p], [_madd(g, na), g]])
+    k = np.block([[_madd(g, na, p), g], [g, zero]])
+    omega = np.block([[_madd(g, na, -p), g], [-g, zero]])
     return {
-        "I": np.block([[a, -one], [_madd(one, na, na), na]]),
-        "J": np.block([[na, one], [_madd(one, a, na), a]]),
+        "I": np.block([[a, -one], [_madd(na, na, one), na]]),
+        "J": np.block([[na, one], [_madd(a, na, one), a]]),
         "K": np.block([[one, zero], [a * 2.0, -one]]),
-        "h": (h + h.T) * 0.5,
-        "k": (k + k.T) * 0.5,
-        "omega": (omega - omega.T) * 0.5,
+        "h": (h + h.swapaxes(-1, -2)) * 0.5,
+        "k": (k + k.swapaxes(-1, -2)) * 0.5,
+        "omega": (omega - omega.swapaxes(-1, -2)) * 0.5,
     }
 
 
-def born_jets(spec: ManifoldSpec, bp: BundlePoint, order: int = 1) -> dict[str, np.ndarray]:
-    """The six tensors in bundle coordinates as jets over the 2n coordinates."""
+def born_jets(spec: ManifoldSpec, bp: BundlePoint) -> dict[str, np.ndarray]:
+    """The six tensors in bundle coordinates with their first partials over
+    the 2n coordinates, as (1 + 2n, 2n, 2n) arrays."""
     bp = _require_point(spec, bp)
-    return fiber_born_jets(base_jets(spec, bp.x, order), bp.y)
+    return {name: m[0] for name, m in
+            fiber_born_jets(base_jets(spec, bp.x), [bp.y]).items()}
 
 
 def born_frame(values: dict[str, np.ndarray], frame: str, bp: BundlePoint) -> BornFrame:
@@ -175,16 +205,13 @@ def born_at(spec: ManifoldSpec, bp: BundlePoint,
     bp = _require_point(spec, bp)
     if frame not in FRAMES:
         raise ValueError(f"unknown frame {frame!r}")
+    base = base_jets(spec, bp.x, 0)
+    check_spd(base.g[0], bp.x)
     if frame == "adapted":
-        gv = fields.jet_values(fields.metric_jets(spec, bp.x, 0))
-        check_spd(gv, bp.x)
         mats = _constant_blocks(spec.n)
-        mats.update(_metric_blocks(gv))
+        mats.update(_metric_blocks(base.g[0]))
     else:
-        base = base_jets(spec, bp.x, 0)
-        check_spd(fields.jet_values(base.g), bp.x)
-        mats = {name: fields.jet_values(m)
-                for name, m in fiber_born_jets(base, bp.y).items()}
+        mats = {name: m[0, 0] for name, m in fiber_born_jets(base, [bp.y]).items()}
     return born_frame(mats, frame, bp)
 
 

@@ -146,7 +146,11 @@ def exponential_chart(spec: ManifoldSpec, x0, steps: int = DEFAULT_STEPS,
                       seed: int = 42) -> ChartMap:
     """Build the exponential chart at x0 after checking that curvature and
     torsion vanish on sampled points (otherwise the map is not affine)."""
+    if steps < 1:
+        raise ValueError("need at least one integration step")
     x0 = tuple(float(c) for c in x0)
+    if len(x0) != spec.n:
+        raise SpecError(f"chart base point has {len(x0)} coordinates, expected {spec.n}")
     if not spec.contains(x0):
         raise SpecError(f"chart base point {x0} lies outside the sample box")
     max_r = max_t = 0.0

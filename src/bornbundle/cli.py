@@ -23,13 +23,13 @@ points (:func:`~bornbundle.integrability.integrability_verdict`).
 
 Exit codes: 0 all checks ran and no internal invariant failed, 1 spec or
 configuration error (including a domain error or an overflow while
-evaluating the spec's fields, and a field value or first derivative that
-is not finite at a sample point), 2 internal invariant failure (the
-Hessian and integrability verdicts disagreed, the two-of-four residual
-pattern was impossible, or a construction identity broke) or internal
-fault (a jet misuse or a failed linear solve, reported as a JSON error like
-a spec error).  A spec merely being non-Hessian is a result, not a
-failure.
+evaluating the spec's fields, and a field value, first derivative or
+residual that is not finite at a sample point), 2 internal invariant
+failure (the Hessian and integrability verdicts disagreed, the two-of-four
+residual pattern was impossible, or a construction identity broke) or
+internal fault (a jet misuse or a failed linear solve, reported as a JSON
+error like a spec error).  A spec merely being non-Hessian is a result,
+not a failure.
 """
 from __future__ import annotations
 

@@ -1,10 +1,12 @@
 """Jet-valued evaluation of metric and connection fields.
 
 Everything here works on numpy object arrays whose entries are
-:class:`~bornbundle.jets.Jet`.  Point-based callers seed the coordinates;
-the chart builder passes arbitrary jet-valued coordinates, for which
-derivative-based connections are handled by augmenting the arguments with
-fresh seed slots (see :func:`bornbundle.jets.augment`).
+:class:`~bornbundle.jets.Jet`.  Point-based callers seed the n coordinates
+of the point (no larger variable space); the chart builder passes
+arbitrary jet-valued coordinates, for which derivative-based connections
+are handled by augmenting the arguments with fresh seed slots (see
+:func:`bornbundle.jets.augment`).  :func:`jet_array` gives the float
+arrays of values and first partials that the bundle layer works on.
 
 Derivative budget: jets stop at order 3, so a potential-based metric
 (g = second partials of the potential) exposes at most one order of
@@ -40,15 +42,15 @@ def jet_values(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def jet_d1(arr: np.ndarray) -> np.ndarray:
-    """First derivatives, with the differentiation index as leading axis."""
-    nvars = arr.flat[0].nvars
-    out = np.empty((nvars,) + arr.shape, dtype=float)
-    for idx in np.ndindex(arr.shape):
-        j = arr[idx]
-        for d in range(nvars):
-            out[(d,) + idx] = j.partials[(d,)]
-    return out
+def jet_array(arr: np.ndarray) -> np.ndarray:
+    """Values and first partials of jets over m variables as one float array
+    (1 + m, *arr.shape): values in row 0, the partial by variable d in row
+    1 + d; order-0 jets give the value row alone."""
+    proto = arr.flat[0]
+    m = proto.nvars if proto.order >= 1 else 0
+    rows = [[j.value for j in arr.flat]]
+    rows += [[j.partials[(d,)] for j in arr.flat] for d in range(m)]
+    return np.array(rows).reshape((1 + m,) + arr.shape)
 
 
 def jet_inv(mat: np.ndarray) -> np.ndarray:
@@ -266,25 +268,22 @@ def connection_terms(spec, args: Sequence[Jet], order: int,
 
 # -- seeded (point-based) entry points ------------------------------------
 
-def _seed_point(p, order, nvars=None):
-    n = len(p)
-    if nvars is None:
-        nvars = n
-    return jets.seed_embedded(p, order, nvars, 0)
+def _seed_point(p, order):
+    return jets.seed_embedded(p, order, len(p), 0)
 
 
-def metric_jets(spec, p, order: int, nvars: int | None = None) -> np.ndarray:
-    return metric_args(spec, _seed_point(p, order, nvars), order)
+def metric_jets(spec, p, order: int) -> np.ndarray:
+    return metric_args(spec, _seed_point(p, order), order)
 
 
-def connection_jets(spec, p, order: int, nvars: int | None = None) -> np.ndarray:
-    return connection_args(spec, _seed_point(p, order, nvars), order)
+def connection_jets(spec, p, order: int) -> np.ndarray:
+    return connection_args(spec, _seed_point(p, order), order)
 
 
-def levi_civita_jets(spec, p, order: int, nvars: int | None = None) -> np.ndarray:
-    return levi_civita_args(spec, _seed_point(p, order, nvars), order)
+def levi_civita_jets(spec, p, order: int) -> np.ndarray:
+    return levi_civita_args(spec, _seed_point(p, order), order)
 
 
-def dual_connection_jets(spec, p, order: int, nvars: int | None = None) -> np.ndarray:
-    args = _seed_point(p, order, nvars)
+def dual_connection_jets(spec, p, order: int) -> np.ndarray:
+    args = _seed_point(p, order)
     return dual_of(spec, args, connection_args(spec, args, order), order)

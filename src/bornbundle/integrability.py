@@ -6,7 +6,8 @@ brackets; for a (1,1)-tensor A the components reduce to
 
     N^l_ab = A^m_a d_m A^l_b - A^m_b d_m A^l_a - A^l_m (d_a A^m_b - d_b A^m_a)
 
-with derivatives over all 2n bundle coordinates supplied by jets.  The
+with derivatives over all 2n bundle coordinates read from the float
+arrays of values and first partials that :mod:`bornbundle.bundle` builds.  The
 frame-bracket and Nijenhuis identities that tie these to curvature and
 torsion are checked against both global signs and the better-matching sign
 is recorded, never assumed.  Residuals of identities that grow linearly in
@@ -17,7 +18,8 @@ and uses them for that point's Hessian residuals and for every fiber over
 it; it builds the Born tensors once per bundle point and takes the
 Nijenhuis, d omega and construction-identity residuals from them.  Its
 report carries the base-point evaluations, so that the two-of-four report
-of ``check`` reads them too.
+of ``check`` reads them too.  A residual that is not finite at a sample
+point is a spec error naming it and the point.
 """
 from __future__ import annotations
 
@@ -26,12 +28,11 @@ from typing import Sequence
 
 import numpy as np
 
-from . import fields
-from .bundle import (BundlePoint, _frame_jets, _require_point,
+from .bundle import (BundlePoint, _frame_of, _require_point,
                      born_compatibility_residuals, born_frame, born_jets,
                      fiber_born_jets)
 from .manifold import (DEFAULT_TOL, HessianVerdict, ManifoldSpec, TensorValue,
-                       _curvature_of, _torsion_of, base_jets,
+                       _curvature_of, _finite_max, _torsion_of, base_jets,
                        sample_fibers, sample_points)
 
 CROSS_TOL = 1e-7  # comparisons between two independent numeric pipelines
@@ -41,9 +42,9 @@ def _norm_factor(bp: BundlePoint) -> float:
     return 1.0 + float(np.linalg.norm(bp.y))
 
 
-def _nijenhuis_from_jets(a_jets: np.ndarray) -> np.ndarray:
-    av = fields.jet_values(a_jets)
-    da = fields.jet_d1(a_jets)  # da[m, l, b] = d_m A^l_b
+def _nijenhuis_of(a: np.ndarray) -> np.ndarray:
+    """N_A from a (1 + 2n, 2n, 2n) array of A's values and first partials."""
+    av, da = a[0], a[1:]  # da[m, l, b] = d_m A^l_b
     half = (np.einsum("ma,mlb->lab", av, da)
             - np.einsum("lm,amb->lab", av, da))
     return half - half.transpose(0, 2, 1)
@@ -54,34 +55,24 @@ def nijenhuis_at(spec: ManifoldSpec, which: str, bp: BundlePoint) -> TensorValue
     if which not in ("I", "J", "K"):
         raise ValueError(f"which must be I, J or K, not {which!r}")
     bp = _require_point(spec, bp)
-    a_jets = born_jets(spec, bp, order=1)[which]
-    n = _nijenhuis_from_jets(a_jets)
+    n = _nijenhuis_of(born_jets(spec, bp)[which])
     return TensorValue(n, "ull", "bundle-coordinate", bp.coords())
 
 
 def _d_omega_of(omega: np.ndarray) -> np.ndarray:
-    """:func:`d_omega_at` from jets of omega of order >= 1."""
-    dw = fields.jet_d1(omega)  # dw[a, b, c] = d_a omega_bc
+    """:func:`d_omega_at` from an array of omega's values and first partials."""
+    dw = omega[1:]  # dw[a, b, c] = d_a omega_bc
     return dw + dw.transpose(1, 2, 0) + dw.transpose(2, 0, 1)
 
 
 def d_omega_at(spec: ManifoldSpec, bp: BundlePoint) -> TensorValue:
     """(d omega)_abc = d_a omega_bc + d_b omega_ca + d_c omega_ab."""
     bp = _require_point(spec, bp)
-    out = _d_omega_of(born_jets(spec, bp, order=1)["omega"])
+    out = _d_omega_of(born_jets(spec, bp)["omega"])
     return TensorValue(out, "lll", "bundle-coordinate", bp.coords())
 
 
 # -- proof identities ---------------------------------------------------------
-
-def _vector_bracket(x_jets, y_jets) -> np.ndarray:
-    """[X, Y]^mu = X^nu d_nu Y^mu - Y^nu d_nu X^mu for jet-valued fields."""
-    xv = fields.jet_values(x_jets)
-    yv = fields.jet_values(y_jets)
-    dx = fields.jet_d1(x_jets)  # dx[nu, mu]
-    dy = fields.jet_d1(y_jets)
-    return np.einsum("n,nm->m", xv, dy) - np.einsum("n,nm->m", yv, dx)
-
 
 def _signed_residual(lhs: np.ndarray, rhs: np.ndarray, scale: float):
     plus = float(np.max(np.abs(lhs - rhs))) / scale
@@ -92,31 +83,30 @@ def _signed_residual(lhs: np.ndarray, rhs: np.ndarray, scale: float):
 
 
 def frame_bracket_residuals(spec: ManifoldSpec, bp: BundlePoint) -> dict:
-    """Jet-computed brackets of the adapted frame fields against
+    """Brackets of the adapted frame fields, from E's first partials, against
     [H_i, H_j] = -R^l_ijk y^k V_l, [V_i, V_j] = 0, [H_i, V_j] = -Gamma^k_ij V_k,
     each up to a recorded global sign."""
     bp = _require_point(spec, bp)
     n = spec.n
-    gamma = fields.connection_jets(spec, bp.x, 1, nvars=2 * n)
-    e, _ = _frame_jets(gamma, bp.y)  # columns: H_i and V_i as jet-valued fields
-    h = [e[:, i] for i in range(n)]
-    v = [e[:, n + i] for i in range(n)]
-    r = _curvature_of(gamma)
+    base = base_jets(spec, bp.x)
+    # columns of E are the fields H_i and V_i; bracket every pair of columns:
+    # [X_a, X_b]^m = X_a^v d_v X_b^m - X_b^v d_v X_a^m
+    e, _ = _frame_of(base, bp.y)
+    half = np.einsum("va,vmb->abm", e[0], e[1:])
+    brackets = half - half.transpose(1, 0, 2)
+    r = _curvature_of(base.gamma)
     y = np.asarray(bp.y)
     scale = _norm_factor(bp)
 
-    lhs_hh = np.stack([[_vector_bracket(h[i], h[j]) for j in range(n)] for i in range(n)])
     rhs_hh = np.zeros((n, n, 2 * n))
     rhs_hh[:, :, n:] = -np.einsum("lijk,k->ijl", r, y)
-    lhs_vv = np.stack([[_vector_bracket(v[i], v[j]) for j in range(n)] for i in range(n)])
-    lhs_hv = np.stack([[_vector_bracket(h[i], v[j]) for j in range(n)] for i in range(n)])
     rhs_hv = np.zeros((n, n, 2 * n))
-    rhs_hv[:, :, n:] = -np.einsum("kij->ijk", fields.jet_values(gamma))
+    rhs_hv[:, :, n:] = -np.einsum("kij->ijk", base.gamma[0])
 
     return {
-        "HH": _signed_residual(lhs_hh, rhs_hh, scale),
-        "VV": {"residual": float(np.max(np.abs(lhs_vv))) / scale},
-        "HV": _signed_residual(lhs_hv, rhs_hv, scale),
+        "HH": _signed_residual(brackets[:n, :n], rhs_hh, scale),
+        "VV": {"residual": float(np.max(np.abs(brackets[n:, n:]))) / scale},
+        "HV": _signed_residual(brackets[:n, n:], rhs_hv, scale),
     }
 
 
@@ -127,13 +117,13 @@ def nijenhuis_J_identity_residuals(spec: ManifoldSpec, bp: BundlePoint) -> dict:
     bp = _require_point(spec, bp)
     n = spec.n
     base = base_jets(spec, bp.x)
-    nj = _nijenhuis_from_jets(fiber_born_jets(base, bp.y)["J"])
-    ev, einv_v = (fields.jet_values(m) for m in _frame_jets(base.gamma, bp.y))
+    nj = _nijenhuis_of(fiber_born_jets(base, [bp.y])["J"][0])
+    e, einv = _frame_of(base, bp.y)
     # N in the adapted frame: pull the value index back, feed frame vectors in
-    nj_ad = np.einsum("cl,lmn,ma,nb->cab", einv_v, nj, ev, ev)
+    nj_ad = np.einsum("cl,lmn,ma,nb->cab", einv, nj, e[0], e[0])
 
     r = _curvature_of(base.gamma)
-    t = _torsion_of(fields.jet_values(base.gamma))
+    t = _torsion_of(base.gamma[0])
     y = np.asarray(bp.y)
     ry = np.einsum("lijk,k->ijl", r, y)
     scale = _norm_factor(bp)
@@ -179,21 +169,6 @@ class IntegrabilityReport:
                 "d_omega": self.max_d_omega}
 
 
-def _residuals_of(mats: dict, bp: BundlePoint) -> dict:
-    scale = _norm_factor(bp)
-    out = {}
-    for name in ("I", "J", "K"):
-        out["nijenhuis_" + name] = float(
-            np.max(np.abs(_nijenhuis_from_jets(mats[name])))) / scale
-    out["d_omega"] = float(np.max(np.abs(_d_omega_of(mats["omega"])))) / scale
-    return out
-
-
-def point_residuals(spec: ManifoldSpec, bp: BundlePoint) -> dict:
-    """Normalized max-norms of N_I, N_J, N_K and d omega at one point."""
-    return _residuals_of(born_jets(spec, bp, order=1), bp)
-
-
 def integrability_verdict(spec: ManifoldSpec, base_count: int = 32,
                           fiber_count: int = 8, fiber_radius: float = 1.0,
                           tol: float = DEFAULT_TOL, seed: int = 42) -> IntegrabilityReport:
@@ -213,18 +188,20 @@ def integrability_verdict(spec: ManifoldSpec, base_count: int = 32,
     signature_ok = True
     per_point = []
     for b in bases:
-        for y in fibers:
+        mats = fiber_born_jets(b, fibers)
+        for f, y in enumerate(fibers):
             bp = BundlePoint(b.x, tuple(y))
-            mats = fiber_born_jets(b, bp.y)
-            row = _residuals_of(mats, bp)
+            tensors = {"nijenhuis_" + name: _nijenhuis_of(mats[name][f]) for name in "IJK"}
+            tensors["d_omega"] = _d_omega_of(mats["omega"][f])
+            row = {key: _finite_max(key, t, (bp.x, bp.y)) / _norm_factor(bp)
+                   for key, t in tensors.items()}
             per_point.append({"x": list(bp.x), "y": list(bp.y), **row})
-            for key in maxima:
-                maxima[key] = max(maxima[key], row[key])
+            maxima = {key: max(val, row[key]) for key, val in maxima.items()}
             compat = born_compatibility_residuals(born_frame(
-                {name: fields.jet_values(m) for name, m in mats.items()},
-                "bundle-coordinate", bp))
+                {name: m[f, 0] for name, m in mats.items()}, "bundle-coordinate", bp))
             for key, val in compat.residuals.items():
-                worst_born[key] = max(worst_born.get(key, 0.0), val)
+                worst_born[key] = max(worst_born.get(key, 0.0),
+                                      _finite_max(key, val, (bp.x, bp.y)))
             signature_ok = signature_ok and compat.k_signature == (spec.n, spec.n)
     integrable = all(v <= tol for v in maxima.values())
     return IntegrabilityReport(

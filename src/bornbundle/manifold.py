@@ -7,7 +7,8 @@ the four-residual torsion/duality/compatibility report.
 
 :func:`base_jets` evaluates Gamma and g once per sample point and rejects
 a value or derivative that is not finite as a spec error.  The Hessian
-verdict and the two-of-four report are both built from these evaluations;
+verdict and the two-of-four report are both built from these evaluations
+(a residual that is not finite at a point is a spec error too);
 the latter takes the dual connection and Levi-Civita from the values of g
 and its first partials and one inverse of g, through the formulas of
 :mod:`bornbundle.fields`, so they equal the fields' own order-0 values bit
@@ -228,28 +229,23 @@ def levi_civita_at(spec: ManifoldSpec, p) -> TensorValue:
 
 
 def _curvature_of(gamma: np.ndarray) -> np.ndarray:
-    """R^l_ijk from jets of Gamma of order >= 1 whose first n variables are
-    the base coordinates."""
-    gv = fields.jet_values(gamma)
-    dgamma = fields.jet_d1(gamma)[:len(gv)]  # dgamma[d, k, i, j] = d_d Gamma^k_ij
+    """R^l_ijk from a Gamma array of order 1 (see :func:`base_jets`)."""
+    gv, dgamma = gamma[0], gamma[1:]  # dgamma[d, k, i, j] = d_d Gamma^k_ij
     half = (np.einsum("iljk->lijk", dgamma)
             + np.einsum("lim,mjk->lijk", gv, gv))
     return half - half.transpose(0, 2, 1, 3)
 
 
 def _nabla_g_of(gamma_values: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, float]:
-    """nabla g, indexed (direction; arguments), from Gamma's values and jets
-    of g as in :func:`_curvature_of`, with its worst asymmetry under index
-    permutations."""
-    gv = fields.jet_values(g)
-    dg = fields.jet_d1(g)[:len(gv)]  # dg[l, i, j] = d_l g_ij
+    """nabla g, indexed (direction; arguments), from Gamma's values and a g
+    array as in :func:`_curvature_of`, with its worst asymmetry under index
+    permutations (NaN if any entry is NaN)."""
+    gv, dg = g[0], g[1:]  # dg[l, i, j] = d_l g_ij
     ng = (dg - np.einsum("lij,lk->ijk", gamma_values, gv)
           - np.einsum("lik,jl->ijk", gamma_values, gv))
-    asym = 0.0
-    for perm in itertools.permutations(range(3)):
-        if perm == (0, 1, 2):
-            continue
-        asym = max(asym, float(np.max(np.abs(ng - ng.transpose(perm)))))
+    asym = float(np.max([np.max(np.abs(ng - ng.transpose(perm)))
+                         for perm in itertools.permutations(range(3))
+                         if perm != (0, 1, 2)]))
     return ng, asym
 
 
@@ -267,7 +263,7 @@ def _torsion_of(gamma_values: np.ndarray) -> np.ndarray:
 def curvature_at(spec: ManifoldSpec, p) -> TensorValue:
     """R^l_ijk under the package convention (see module docstring)."""
     p = _require_inside(spec, p)
-    r = _curvature_of(fields.connection_jets(spec, p, 1))
+    r = _curvature_of(fields.jet_array(fields.connection_jets(spec, p, 1)))
     return TensorValue(r, "ulll", "base-coordinate", p)
 
 
@@ -283,9 +279,8 @@ def dual_connection_at(spec: ManifoldSpec, p) -> TensorValue:
 def dual_identity_residual(spec: ManifoldSpec, p) -> float:
     """Max-norm defect of d_i g_jk = Gamma^l_ij g_lk + g_jl Gamma*^l_ik."""
     p = _require_inside(spec, p)
-    g = fields.metric_jets(spec, p, 1)
-    gv = fields.jet_values(g)
-    dgv = fields.jet_d1(g)
+    g = fields.jet_array(fields.metric_jets(spec, p, 1))
+    gv, dgv = g[0], g[1:]
     gamma = fields.jet_values(fields.connection_jets(spec, p, 0))
     dual = fields.jet_values(fields.dual_connection_jets(spec, p, 0))
     resid = (dgv - np.einsum("lij,lk->ijk", gamma, gv)
@@ -297,7 +292,7 @@ def nabla_g_at(spec: ManifoldSpec, p) -> tuple[TensorValue, float]:
     """Covariant derivative of the metric, indexed (direction; arguments),
     and the worst asymmetry under index permutations."""
     p = _require_inside(spec, p)
-    g = fields.metric_jets(spec, p, 1)
+    g = fields.jet_array(fields.metric_jets(spec, p, 1))
     gamma = fields.jet_values(fields.connection_jets(spec, p, 0))
     ng, asym = _nabla_g_of(gamma, g)
     return TensorValue(ng, "lll", "base-coordinate", p), asym
@@ -315,24 +310,33 @@ class BaseJets:
 def _require_finite(x: tuple, name: str, field: np.ndarray) -> None:
     """Reject a field whose entries have a value or a derivative that is not
     finite, naming the first such entry."""
-    for idx in np.ndindex(field.shape):
-        jet = field[idx]
-        if not all(map(math.isfinite, (jet.value, *jet.partials.values()))):
-            entry = "".join(f"[{i}]" for i in idx)
-            raise SpecError(f"{name}{entry} or one of its derivatives is not "
-                            f"finite at {x} (value {jet.value!r})")
+    bad = np.argwhere(~np.isfinite(field).all(axis=0))
+    if len(bad):
+        idx = tuple(bad[0])
+        entry = "".join(f"[{i}]" for i in idx)
+        raise SpecError(f"{name}{entry} or one of its derivatives is not "
+                        f"finite at {x} (value {float(field[(0, *idx)])!r})")
+
+
+def _finite_max(name: str, residual, point) -> float:
+    """max |residual|; one that is not finite (a NaN, which ``max`` skips, or
+    inf) is a spec error naming the residual and the sample point."""
+    worst = float(np.max(np.abs(residual)))
+    if not math.isfinite(worst):
+        raise SpecError(f"{name} residual is not finite at {point} (value {worst!r})")
+    return worst
 
 
 def base_jets(spec: ManifoldSpec, x, order: int = 1) -> BaseJets:
-    """Gamma and g at base point x, as jets of ``order`` over the 2n bundle
-    coordinates (x^1..x^n, y^1..y^n), of which they depend on x only.
-    Everything evaluated over x is built from them: the Hessian verdict,
-    the two-of-four report and, per fiber, the Born tensors.  A value or
-    derivative that is not finite is a spec error."""
+    """Gamma and g at base point x as :func:`bornbundle.fields.jet_array`
+    arrays over the n base coordinates: values and, at ``order`` 1, first
+    partials.  Everything evaluated over x is built from them: the Hessian
+    verdict, the two-of-four report and the Born tensors of all fibers.  A
+    value or derivative that is not finite is a spec error."""
     x = _require_inside(spec, x)
-    args = jets.seed_embedded(x, order, 2 * spec.n, 0)
-    base = BaseJets(x, fields.connection_args(spec, args, order),
-                    fields.metric_args(spec, args, order))
+    args = jets.seed_embedded(x, order, spec.n, 0)
+    base = BaseJets(x, fields.jet_array(fields.connection_args(spec, args, order)),
+                    fields.jet_array(fields.metric_args(spec, args, order)))
     _require_finite(x, "gamma", base.gamma)
     _require_finite(x, "metric", base.g)
     return base
@@ -349,15 +353,16 @@ class HessianVerdict:
 
     @classmethod
     def of(cls, bases: Sequence[BaseJets], tol: float) -> "HessianVerdict":
-        """The verdict over base-point jets of order at least 1, after the
-        metric's positivity gate at each point."""
+        """The verdict over base-point fields of order 1, after the metric's
+        positivity gate at each point."""
         max_r = max_t = max_a = 0.0
         for base in bases:
-            check_spd(fields.jet_values(base.g), base.x)
-            gv = fields.jet_values(base.gamma)
-            max_r = max(max_r, float(np.max(np.abs(_curvature_of(base.gamma)))))
-            max_t = max(max_t, float(np.max(np.abs(_torsion_of(gv)))))
-            max_a = max(max_a, _nabla_g_of(gv, base.g)[1])
+            check_spd(base.g[0], base.x)
+            gv = base.gamma[0]
+            max_r = max(max_r, _finite_max("curvature", _curvature_of(base.gamma), base.x))
+            max_t = max(max_t, _finite_max("torsion", _torsion_of(gv), base.x))
+            max_a = max(max_a, _finite_max("nabla_g_asymmetry",
+                                           _nabla_g_of(gv, base.g)[1], base.x))
         return cls(is_hessian=bool(max_r <= tol and max_t <= tol and max_a <= tol),
                    max_curvature=max_r, max_torsion=max_t,
                    max_nabla_g_asymmetry=max_a, tol=tol, points=len(bases))
@@ -375,10 +380,9 @@ def hessian_verdict(spec: ManifoldSpec, points: Sequence[Sequence[float]],
 
 def dual_and_levi_civita(gamma: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Values of the dual of Gamma and of the Levi-Civita connection, from
-    Gamma's values, g's jets of order >= 1 and one inverse of g, through the
-    formulas :mod:`bornbundle.fields` uses for jets."""
-    gv = fields.jet_values(g)
-    dg = fields.jet_d1(g)[:len(gv)]  # dg[l, i, j] = d_l g_ij
+    Gamma's values, a g array of order 1 (see :func:`base_jets`) and one
+    inverse of g, through the formulas :mod:`bornbundle.fields` uses for jets."""
+    gv, dg = g[0], g[1:]  # dg[l, i, j] = d_l g_ij
     ginv = fields.jet_values(fields.jet_inv(fields.const_jet_array(gv, 0, 1)))
     return fields.dual_connection_of(gamma, gv, dg, ginv), fields.levi_civita_of(dg, ginv)
 
@@ -397,17 +401,18 @@ class TwoOfFourReport:
 
     @classmethod
     def of(cls, bases: Sequence[BaseJets], tol: float) -> "TwoOfFourReport":
-        """The report over base-point jets: Gamma of any order, g of order >= 1."""
+        """The report over base-point fields: Gamma of any order, g of order 1."""
         maxima = dict.fromkeys(("torsion", "dual_torsion", "nabla_g_asymmetry",
                                 "mean_vs_levi_civita"), 0.0)
         for base in bases:
-            gamma = fields.jet_values(base.gamma)
+            gamma = base.gamma[0]
             dual, lc = dual_and_levi_civita(gamma, base.g)
             point = {"torsion": np.max(np.abs(_torsion_of(gamma))),
                      "dual_torsion": np.max(np.abs(_torsion_of(dual))),
                      "nabla_g_asymmetry": _nabla_g_of(gamma, base.g)[1],
                      "mean_vs_levi_civita": np.max(np.abs(0.5 * (gamma + dual) - lc))}
-            maxima = {k: max(v, float(point[k])) for k, v in maxima.items()}
+            maxima = {k: max(v, _finite_max(k, point[k], base.x))
+                      for k, v in maxima.items()}
         holds = {k: bool(v <= tol) for k, v in maxima.items()}
         return cls(residuals=maxima, holds=holds, tol=tol,
                    fact_violated=bool(sum(holds.values()) in (2, 3)))
@@ -420,5 +425,6 @@ def two_of_four_residuals(spec: ManifoldSpec, points: Sequence[Sequence[float]],
     points = [_require_inside(spec, p) for p in points]
     if not points:
         raise ValueError("need at least one sample point")
-    return TwoOfFourReport.of([BaseJets(p, fields.connection_jets(spec, p, 0),
-                                        fields.metric_jets(spec, p, 1)) for p in points], tol)
+    return TwoOfFourReport.of(
+        [BaseJets(p, fields.jet_array(fields.connection_jets(spec, p, 0)),
+                  fields.jet_array(fields.metric_jets(spec, p, 1))) for p in points], tol)

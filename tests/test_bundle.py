@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from bornbundle import corpus, fields
+from bornbundle import corpus, fields, jets
 from bornbundle.bundle import (BornFrame, BundlePoint, adapted_frame_at,
                                affine_chart_form_check, born_at,
                                born_compatibility_residuals, born_jets,
-                               standard_born_matrices)
+                               fiber_born_jets, standard_born_matrices)
+from bornbundle.cli import spec_from_dict
 from bornbundle.errors import SpecError
-from bornbundle.manifold import build_spec, sample_fibers, sample_points
+from bornbundle.manifold import base_jets, build_spec, sample_fibers, sample_points
+from test_manifold import GENERATED
 
 EUCLID = corpus.example("euclidean2")
 HESSIAN = corpus.example("hessian-exp2")
@@ -183,3 +185,57 @@ def test_dimension_mismatch_rejected():
 def test_base_point_outside_box_rejected():
     with pytest.raises(SpecError):
         born_at(EUCLID, BundlePoint((5.0, 0.0), (0.0, 0.0)))
+
+
+def born_reference(spec, x, y):
+    """The block formulas of the module doc over Jet objects: Gamma and g as
+    jets over the 2n bundle coordinates, y seeded in the fiber slots, a
+    product without a constant as an object matmul and c + X Y summed term
+    by term."""
+    n = spec.n
+    args = jets.seed_embedded(x, 1, 2 * n, 0)
+    gamma = fields.connection_args(spec, args, 1)
+    g = fields.metric_args(spec, args, 1)
+    yj = np.array(jets.seed_embedded(y, 1, 2 * n, offset=n), dtype=object)
+    one = fields.const_jet_array(np.eye(n), 1, 2 * n)
+    zero = fields.const_jet_array(np.zeros((n, n)), 1, 2 * n)
+
+    def madd(c, x, y):
+        for m in range(n):
+            c = c + x[:, m, None] * y[None, m]
+        return c
+
+    a = -(gamma @ yj)
+    na = -a
+    p = na.T @ g
+    h = np.block([[madd(g, p, na), p], [g @ na, g]])
+    k = np.block([[madd(p, g, na), g], [g, zero]])
+    omega = np.block([[madd(-p, g, na), g], [-g, zero]])
+    mats = {
+        "I": np.block([[a, -one], [madd(one, na, na), na]]),
+        "J": np.block([[na, one], [madd(one, a, na), a]]),
+        "K": np.block([[one, zero], [a * 2.0, -one]]),
+        "h": (h + h.T) * 0.5,
+        "k": (k + k.T) * 0.5,
+        "omega": (omega - omega.T) * 0.5,
+    }
+    return {name: fields.jet_array(m) for name, m in mats.items()}
+
+
+@pytest.mark.parametrize("source", list(corpus.BUILTIN_BUILDERS) + list(GENERATED))
+def test_fiber_arrays_equal_jet_reference(source):
+    # values and first partials over the 2n coordinates equal the jet
+    # arithmetic, the signs of zero values included
+    if source in GENERATED:
+        spec = spec_from_dict(GENERATED[source], name=source)
+    else:
+        spec = corpus.example(source)
+    fibers = sample_fibers(spec.n, 4, 1.0, 42)
+    for x in sample_points(spec, 8, 42):
+        got = fiber_born_jets(base_jets(spec, x), fibers)
+        for f, y in enumerate(fibers):
+            want = born_reference(spec, tuple(x), tuple(y))
+            for name, arr in want.items():
+                assert got[name][f].shape == arr.shape
+                assert np.array_equal(got[name][f], arr), name
+                assert np.array_equal(np.signbit(got[name][f, 0]), np.signbit(arr[0])), name

@@ -225,6 +225,25 @@ def test_overflowing_metric_is_spec_error(spec, kind, message, tmp_path, capsys)
     assert message in out["error"]["message"]
 
 
+# finite fields whose curvature is inf - inf = NaN at every sample point
+NAN_RESIDUAL = _diag_spec(("1", "1"), "explicit", OVERFLOW_BOX,
+                          gamma=[[["1e200", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]])
+
+
+@pytest.mark.parametrize("command", ["check", "theorem"])
+def test_nan_residual_is_spec_error(command, tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(NAN_RESIDUAL))
+    target = [str(path)] if command == "check" else ["--corpus", str(tmp_path)]
+    code = main([command, *target, "--points", "4", "--fiber-points", "2"])
+    assert code == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == "error"
+    assert out["error"]["kind"] == "SpecError"
+    assert "curvature residual is not finite at (" in out["error"]["message"]
+    assert "(value nan)" in out["error"]["message"]
+
+
 def test_cli_theorem_builtin(capsys):
     code = main(["theorem", "--points", "4", "--fiber-points", "2"])
     assert code == 0
@@ -259,6 +278,22 @@ def test_cli_affine_chart_rejects_curved(capsys):
     assert code == 1
     out = json.loads(capsys.readouterr().out)
     assert out["status"] == "error"
+
+
+@pytest.mark.parametrize("args,message", [
+    pytest.param(["--steps", "0"], "need at least one integration step", id="steps-0"),
+    pytest.param(["--steps", "-1"], "need at least one integration step", id="steps-negative"),
+    pytest.param(["--at", "0.1"], "chart base point has 1 coordinates, expected 2",
+                 id="at-short"),
+    pytest.param(["--at", "0,0,0"], "chart base point has 3 coordinates, expected 2",
+                 id="at-long"),
+])
+def test_cli_affine_chart_rejects_bad_arguments(args, message, capsys):
+    code = main(["affine-chart", "euclidean2", *args])
+    assert code == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == "error"
+    assert out["error"]["message"] == message
 
 
 def test_invariant_failure_exit_code(monkeypatch, capsys):

@@ -426,7 +426,7 @@ def test_sweep_dual_and_levi_civita_match_fields(source):
         spec = corpus.example(source)
     for x in points_of(spec, 16, 42):
         base = base_jets(spec, x)
-        dual, lc = dual_and_levi_civita(fields.jet_values(base.gamma), base.g)
+        dual, lc = dual_and_levi_civita(base.gamma[0], base.g)
         for got, field in ((dual, fields.dual_connection_jets(spec, x, 0)),
                            (lc, fields.levi_civita_jets(spec, x, 0))):
             want = fields.jet_values(field)
