@@ -13,9 +13,9 @@ from .integrability import (IntegrabilityReport, d_omega_at,
                             nijenhuis_J_identity_residuals, nijenhuis_at,
                             theorem_crosscheck)
 from .jets import Jet, fd_oracle, seed
-from .manifold import (HessianVerdict, ManifoldSpec, TensorValue, build_spec,
-                       connection_at, curvature_at, dual_connection_at,
-                       hessian_verdict, levi_civita_at, metric_at, nabla_g_at,
-                       torsion_at, two_of_four_residuals)
+from .manifold import (HessianVerdict, ManifoldSpec, build_spec, connection_at,
+                       curvature_at, dual_connection_at, hessian_verdict,
+                       levi_civita_at, metric_at, nabla_g_at, torsion_at,
+                       two_of_four_residuals)
 
 __version__ = "0.1.0"

@@ -29,6 +29,10 @@ as Jet multiplication.  A block c + X Y is summed as
 Y, and X Y without c (A = -Gamma y, P, g (-A)) as X_0 Y_0 + X_1 Y_1 + ...:
 the order of the dense products E M E^-1 and E^-T M E^-1 and of a matmul
 over jets, so the arrays equal the jet arithmetic bit for bit.
+
+A :class:`BornFrame` holds the value matrices of one bundle point or of a
+stack of points along leading axes; :func:`born_compatibility_residuals`
+returns a stack's residuals and signature counts per point.
 """
 from __future__ import annotations
 
@@ -64,8 +68,8 @@ class BundlePoint:
 
 @dataclass(frozen=True)
 class BornFrame:
-    """The six tensors at one bundle point.  I, J, K map vectors to vectors;
-    h, k, omega are bilinear forms."""
+    """The six tensors at one bundle point or, along leading axes, a stack of
+    points.  I, J, K map vectors to vectors; h, k, omega are bilinear forms."""
 
     I: np.ndarray
     J: np.ndarray
@@ -73,8 +77,12 @@ class BornFrame:
     h: np.ndarray
     k: np.ndarray
     omega: np.ndarray
-    frame: str
-    point: BundlePoint
+
+    @classmethod
+    def of(cls, values: dict[str, np.ndarray]) -> "BornFrame":
+        """The six tensors from their value matrices, or stacks of them."""
+        # a structural zero can come out as -0.0; adding 0.0 makes it +0.0
+        return cls(**{name: m + 0.0 for name, m in values.items()})
 
 
 def _require_point(spec: ManifoldSpec, bp: BundlePoint) -> BundlePoint:
@@ -193,12 +201,6 @@ def born_jets(spec: ManifoldSpec, bp: BundlePoint) -> dict[str, np.ndarray]:
             fiber_born_jets(base_jets(spec, bp.x), [bp.y]).items()}
 
 
-def born_frame(values: dict[str, np.ndarray], frame: str, bp: BundlePoint) -> BornFrame:
-    """The six tensors from their value matrices."""
-    # a structural zero can come out as -0.0; adding 0.0 makes it +0.0
-    return BornFrame(**{name: m + 0.0 for name, m in values.items()}, frame=frame, point=bp)
-
-
 def born_at(spec: ManifoldSpec, bp: BundlePoint,
             frame: str = "bundle-coordinate") -> BornFrame:
     """Evaluate the six tensors at a bundle point, in the requested frame."""
@@ -212,7 +214,7 @@ def born_at(spec: ManifoldSpec, bp: BundlePoint,
         mats.update(_metric_blocks(base.g[0]))
     else:
         mats = {name: m[0, 0] for name, m in fiber_born_jets(base, [bp.y]).items()}
-    return born_frame(mats, frame, bp)
+    return BornFrame.of(mats)
 
 
 # -- compatibility ------------------------------------------------------------
@@ -223,18 +225,17 @@ class BornCompatReport:
     k_signature: tuple
 
     def max_residual(self) -> float:
-        return max(self.residuals.values())
+        return float(np.max(list(self.residuals.values())))
 
 
 def born_compatibility_residuals(bf: BornFrame) -> BornCompatReport:
     """Max-norm defect of every defining identity of the structure, plus the
-    eigenvalue-sign signature of k."""
-    nv = bf.I.shape[0]
-    n = nv // 2
-    ident = np.eye(nv)
+    eigenvalue-sign signature of k; per frame on a stack of frames."""
+    ident = np.eye(bf.I.shape[-1])
+    ht, kt, omegat = (m.swapaxes(-1, -2) for m in (bf.h, bf.k, bf.omega))
 
     def dev(m):
-        return float(np.max(np.abs(m)))
+        return np.max(np.abs(m), axis=(-2, -1))
 
     residuals = {
         "I_squared": dev(bf.I @ bf.I + ident),
@@ -243,23 +244,23 @@ def born_compatibility_residuals(bf: BornFrame) -> BornCompatReport:
         "IJK": dev(bf.I @ bf.J @ bf.K + ident),
         # a form maps X to form(X, .); with the first argument on rows the
         # matrix of that map is the transpose of the component matrix
-        "I_vs_h_inv_omega": dev(np.linalg.solve(bf.h.T, bf.omega.T) - bf.I),
-        "J_vs_k_inv_h": dev(np.linalg.solve(bf.k.T, bf.h.T) - bf.J),
-        "K_vs_omega_inv_k": dev(np.linalg.solve(bf.omega.T, bf.k.T) - bf.K),
-        "h_symmetry": dev(bf.h - bf.h.T),
-        "k_symmetry": dev(bf.k - bf.k.T),
-        "omega_antisymmetry": dev(bf.omega + bf.omega.T),
+        "I_vs_h_inv_omega": dev(np.linalg.solve(ht, omegat) - bf.I),
+        "J_vs_k_inv_h": dev(np.linalg.solve(kt, ht) - bf.J),
+        "K_vs_omega_inv_k": dev(np.linalg.solve(omegat, kt) - bf.K),
+        "h_symmetry": dev(bf.h - ht),
+        "k_symmetry": dev(bf.k - kt),
+        "omega_antisymmetry": dev(bf.omega + omegat),
         "anticommute_I_JK": dev(bf.J @ bf.K - bf.I),
         "anticommute_I_KJ": dev(bf.K @ bf.J + bf.I),
         "anticommute_J_KI": dev(bf.K @ bf.I + bf.J),
         "anticommute_J_IK": dev(bf.I @ bf.K - bf.J),
         "anticommute_K_IJ": dev(bf.I @ bf.J + bf.K),
         "anticommute_K_JI": dev(bf.J @ bf.I - bf.K),
-        "h_positive": float(max(0.0, -np.min(np.linalg.eigvalsh(bf.h)))),
-        "omega_nondegenerate": float(max(0.0, 1e-12 - abs(np.linalg.det(bf.omega)))),
+        "h_positive": np.maximum(0.0, -np.min(np.linalg.eigvalsh(bf.h), axis=-1)),
+        "omega_nondegenerate": np.maximum(0.0, 1e-12 - np.abs(np.linalg.det(bf.omega))),
     }
     eigs = np.linalg.eigvalsh(bf.k)
-    signature = (int(np.sum(eigs > 0)), int(np.sum(eigs < 0)))
+    signature = (np.sum(eigs > 0, axis=-1), np.sum(eigs < 0, axis=-1))
     return BornCompatReport(residuals=residuals, k_signature=signature)
 
 

@@ -17,7 +17,10 @@ the entries other than a literal 0 for an explicit one), in (k, i, j)
 order, and is a constant zero jet for a k without terms.  A skipped term is
 an exact +-0 jet, and adding +-0 to a nonzero float is exact, so skipping
 can change only the signs of zeros; every chart output passes through
-``abs`` and ``max``, so the reports do not change.
+``abs`` and ``max``, so the reports do not change.  The flatness gate and
+the probe residuals take their maxima through
+:func:`bornbundle.manifold.finite_maxima`, so a NaN or inf curvature,
+torsion or residual is a spec error naming it and its point.
 """
 from __future__ import annotations
 
@@ -29,8 +32,8 @@ from . import fields, jets
 from .bundle import _constant_blocks
 from .errors import SpecError
 from .jets import Jet
-from .manifold import (ManifoldSpec, curvature_at, halton_points, sample_fibers,
-                       sample_points, torsion_at)
+from .manifold import (ManifoldSpec, curvature_at, finite_maxima, halton_points,
+                       sample_fibers, sample_points, torsion_at)
 
 FLATNESS_GATE_TOL = 1e-7
 PUSHFORWARD_TOL = 1e-6
@@ -153,10 +156,10 @@ def exponential_chart(spec: ManifoldSpec, x0, steps: int = DEFAULT_STEPS,
         raise SpecError(f"chart base point has {len(x0)} coordinates, expected {spec.n}")
     if not spec.contains(x0):
         raise SpecError(f"chart base point {x0} lies outside the sample box")
-    max_r = max_t = 0.0
-    for p in sample_points(spec, GATE_POINTS, seed):
-        max_r = max(max_r, curvature_at(spec, tuple(p)).max_abs())
-        max_t = max(max_t, torsion_at(spec, tuple(p)).max_abs())
+    points = [tuple(p) for p in sample_points(spec, GATE_POINTS, seed).tolist()]
+    worst = finite_maxima({"curvature": [curvature_at(spec, p) for p in points],
+                           "torsion": [torsion_at(spec, p) for p in points]}, points)
+    max_r, max_t = (float(np.max(m)) for m in worst.values())
     if max_r > FLATNESS_GATE_TOL or max_t > FLATNESS_GATE_TOL:
         raise FlatnessGateError(
             "exponential map is affine only for flat torsion-free connections: "
@@ -188,9 +191,9 @@ def _transformed_connection(spec: ManifoldSpec, chart: ChartMap, a) -> np.ndarra
     return np.einsum("ck,kab->cab", inv, inner)
 
 
-def _block_residual(transformed: np.ndarray, y: np.ndarray) -> float:
-    """Distance of I, J, K built from a transformed connection at fiber
-    vector y from their constant affine-chart blocks."""
+def _block_residual(transformed: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """I, J, K built from a transformed connection at fiber vector y, minus
+    their constant affine-chart blocks, as a (3, 2n, 2n) stack."""
     y = np.asarray(y, dtype=float)
     n = len(y)
     e = np.eye(2 * n)
@@ -198,11 +201,7 @@ def _block_residual(transformed: np.ndarray, y: np.ndarray) -> float:
     einv = e.copy()
     einv[n:, :n] = -einv[n:, :n]
     consts = _constant_blocks(n)
-    worst = 0.0
-    for name in ("I", "J", "K"):
-        got = e @ consts[name] @ einv
-        worst = max(worst, float(np.max(np.abs(got - consts[name]))))
-    return worst
+    return np.stack([e @ consts[name] @ einv - consts[name] for name in "IJK"])
 
 
 def _probe_residuals(spec: ManifoldSpec, chart: ChartMap, probes,
@@ -210,14 +209,14 @@ def _probe_residuals(spec: ManifoldSpec, chart: ChartMap, probes,
     """Integrate the chart once per probe and return the max-norm of the
     transformed connection and, at fiber vector y, the max block residual
     over the probes (0.0 when y is None)."""
-    push = blocks = 0.0
-    for a in probes:
-        transformed = _transformed_connection(spec, chart,
-                                              tuple(float(c) for c in a))
-        push = max(push, float(np.max(np.abs(transformed))))
-        if y is not None:
-            blocks = max(blocks, _block_residual(transformed, y))
-    return push, blocks
+    probes = [tuple(float(c) for c in a) for a in probes]
+    transformed = [_transformed_connection(spec, chart, a) for a in probes]
+    stacks = {"pushforward_connection": transformed}
+    if y is not None:
+        stacks["born_block"] = [_block_residual(t, y) for t in transformed]
+    worst = finite_maxima(stacks, probes)
+    return (float(np.max(worst["pushforward_connection"])),
+            float(np.max(worst.get("born_block", 0.0))))
 
 
 def pushforward_connection_residual(spec: ManifoldSpec, chart: ChartMap,

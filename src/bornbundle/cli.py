@@ -23,18 +23,20 @@ points (:func:`~bornbundle.integrability.integrability_verdict`).
 
 Exit codes: 0 all checks ran and no internal invariant failed, 1 spec or
 configuration error (including a domain error or an overflow while
-evaluating the spec's fields, and a field value, first derivative or
-residual that is not finite at a sample point), 2 internal invariant
-failure (the Hessian and integrability verdicts disagreed, the two-of-four
-residual pattern was impossible, or a construction identity broke) or
-internal fault (a jet misuse or a failed linear solve, reported as a JSON
-error like a spec error).  A spec merely being non-Hessian is a result,
-not a failure.
+evaluating the spec's fields, a field value, first derivative or
+residual that is not finite at a sample point, a fiber radius that is not
+finite and positive, and a tolerance that is negative or not finite),
+2 internal invariant failure (the Hessian and integrability verdicts
+disagreed, the two-of-four residual pattern was impossible, or a
+construction identity broke) or internal fault (a jet misuse or a failed
+linear solve, reported as a JSON error like a spec error).  A spec merely
+being non-Hessian is a result, not a failure.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -67,8 +69,8 @@ class RunConfig:
     def __post_init__(self):
         if self.points < 1 or self.fiber_points < 1:
             raise SpecError("sample counts must be at least 1")
-        if self.fiber_radius <= 0:
-            raise SpecError("fiber radius must be positive")
+        if not 0.0 < self.fiber_radius < math.inf:
+            raise SpecError("fiber radius must be finite and positive")
 
 
 def load_spec(source: str) -> ManifoldSpec:
@@ -194,7 +196,7 @@ def run(config: RunConfig) -> dict:
     frame = born_at(spec, probe, "bundle-coordinate")
     report["born_frame_sample"] = {
         "point": {"x": list(probe.x), "y": list(probe.y)},
-        "frame": frame.frame,
+        "frame": "bundle-coordinate",
         **{name: getattr(frame, name).tolist()
            for name in ("I", "J", "K", "h", "k", "omega")},
     }

@@ -15,61 +15,62 @@ the fiber coordinate are normalized by (1 + |y|).
 
 :func:`integrability_verdict` evaluates Gamma and g once per base point
 and uses them for that point's Hessian residuals and for every fiber over
-it; it builds the Born tensors once per bundle point and takes the
-Nijenhuis, d omega and construction-identity residuals from them.  Its
-report carries the base-point evaluations, so that the two-of-four report
-of ``check`` reads them too.  A residual that is not finite at a sample
-point is a spec error naming it and the point.
+it.  Per base point it builds the Born tensors of all F fibers as one
+(F, 1 + 2n, 2n, 2n) stack and computes the Nijenhuis tensors, d omega and
+the construction identities once each on that stack (the formulas accept
+leading stack axes).  Its report carries the base-point evaluations, so
+that the two-of-four report of ``check`` reads them too.  A residual that
+is not finite at a sample point is a spec error naming it and the point
+(:func:`bornbundle.manifold.finite_maxima`); the first one is reported by
+base point, then fiber, then residual: N_I, N_J, N_K, d omega, and then the
+construction identities, which are solved only once those four stacks of
+the base point are finite.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .bundle import (BundlePoint, _frame_of, _require_point,
-                     born_compatibility_residuals, born_frame, born_jets,
-                     fiber_born_jets)
-from .manifold import (DEFAULT_TOL, HessianVerdict, ManifoldSpec, TensorValue,
-                       _curvature_of, _finite_max, _torsion_of, base_jets,
-                       sample_fibers, sample_points)
+from .bundle import (BornFrame, BundlePoint, _frame_of, _require_point,
+                     born_compatibility_residuals, born_jets, fiber_born_jets)
+from .manifold import (DEFAULT_TOL, HessianVerdict, ManifoldSpec, _curvature_of,
+                       _torsion_of, base_jets, finite_maxima, sample_fibers,
+                       sample_points)
 
 CROSS_TOL = 1e-7  # comparisons between two independent numeric pipelines
 
 
-def _norm_factor(bp: BundlePoint) -> float:
-    return 1.0 + float(np.linalg.norm(bp.y))
+def _norm_factor(y) -> float:
+    return 1.0 + float(np.linalg.norm(y))
 
 
 def _nijenhuis_of(a: np.ndarray) -> np.ndarray:
-    """N_A from a (1 + 2n, 2n, 2n) array of A's values and first partials."""
-    av, da = a[0], a[1:]  # da[m, l, b] = d_m A^l_b
-    half = (np.einsum("ma,mlb->lab", av, da)
-            - np.einsum("lm,amb->lab", av, da))
-    return half - half.transpose(0, 2, 1)
+    """N_A from a (..., 1 + 2n, 2n, 2n) array of A's values and first partials."""
+    av, da = a[..., 0, :, :], a[..., 1:, :, :]  # da[m, l, b] = d_m A^l_b
+    half = (np.einsum("...ma,...mlb->...lab", av, da)
+            - np.einsum("...lm,...amb->...lab", av, da))
+    return half - half.swapaxes(-1, -2)
 
 
-def nijenhuis_at(spec: ManifoldSpec, which: str, bp: BundlePoint) -> TensorValue:
+def nijenhuis_at(spec: ManifoldSpec, which: str, bp: BundlePoint) -> np.ndarray:
     """Nijenhuis tensor of the bundle-coordinate I, J or K at a bundle point."""
     if which not in ("I", "J", "K"):
         raise ValueError(f"which must be I, J or K, not {which!r}")
-    bp = _require_point(spec, bp)
-    n = _nijenhuis_of(born_jets(spec, bp)[which])
-    return TensorValue(n, "ull", "bundle-coordinate", bp.coords())
+    return _nijenhuis_of(born_jets(spec, _require_point(spec, bp))[which])
 
 
 def _d_omega_of(omega: np.ndarray) -> np.ndarray:
     """:func:`d_omega_at` from an array of omega's values and first partials."""
-    dw = omega[1:]  # dw[a, b, c] = d_a omega_bc
-    return dw + dw.transpose(1, 2, 0) + dw.transpose(2, 0, 1)
+    dw = omega[..., 1:, :, :]  # dw[a, b, c] = d_a omega_bc
+    return dw + np.moveaxis(dw, -3, -1) + np.moveaxis(dw, -1, -3)
 
 
-def d_omega_at(spec: ManifoldSpec, bp: BundlePoint) -> TensorValue:
+def d_omega_at(spec: ManifoldSpec, bp: BundlePoint) -> np.ndarray:
     """(d omega)_abc = d_a omega_bc + d_b omega_ca + d_c omega_ab."""
-    bp = _require_point(spec, bp)
-    out = _d_omega_of(born_jets(spec, bp)["omega"])
-    return TensorValue(out, "lll", "bundle-coordinate", bp.coords())
+    return _d_omega_of(born_jets(spec, _require_point(spec, bp))["omega"])
 
 
 # -- proof identities ---------------------------------------------------------
@@ -96,7 +97,7 @@ def frame_bracket_residuals(spec: ManifoldSpec, bp: BundlePoint) -> dict:
     brackets = half - half.transpose(1, 0, 2)
     r = _curvature_of(base.gamma)
     y = np.asarray(bp.y)
-    scale = _norm_factor(bp)
+    scale = _norm_factor(bp.y)
 
     rhs_hh = np.zeros((n, n, 2 * n))
     rhs_hh[:, :, n:] = -np.einsum("lijk,k->ijl", r, y)
@@ -126,7 +127,7 @@ def nijenhuis_J_identity_residuals(spec: ManifoldSpec, bp: BundlePoint) -> dict:
     t = _torsion_of(base.gamma[0])
     y = np.asarray(bp.y)
     ry = np.einsum("lijk,k->ijl", r, y)
-    scale = _norm_factor(bp)
+    scale = _norm_factor(bp.y)
 
     rhs_hh = np.zeros((n, n, 2 * n))
     rhs_hh[:, :, :n] = np.einsum("kij->ijk", t)
@@ -179,30 +180,30 @@ def integrability_verdict(spec: ManifoldSpec, base_count: int = 32,
     accepted."""
     if base_count < 1 or fiber_count < 1:
         raise ValueError("sample counts must be at least 1")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be finite and non-negative, not {tol!r}")
     bases = [base_jets(spec, x) for x in sample_points(spec, base_count, seed)]
     hv = HessianVerdict.of(bases, tol)  # its positivity gate precedes the Born identities
     fibers = sample_fibers(spec.n, fiber_count, fiber_radius, seed)
-    maxima = {"nijenhuis_I": 0.0, "nijenhuis_J": 0.0,
-              "nijenhuis_K": 0.0, "d_omega": 0.0}
-    worst_born: dict[str, float] = {}
+    norms = np.array([_norm_factor(y) for y in fibers])
+    rows, compat, per_point = [], [], []
     signature_ok = True
-    per_point = []
     for b in bases:
+        points = [(b.x, tuple(y)) for y in fibers.tolist()]
         mats = fiber_born_jets(b, fibers)
-        for f, y in enumerate(fibers):
-            bp = BundlePoint(b.x, tuple(y))
-            tensors = {"nijenhuis_" + name: _nijenhuis_of(mats[name][f]) for name in "IJK"}
-            tensors["d_omega"] = _d_omega_of(mats["omega"][f])
-            row = {key: _finite_max(key, t, (bp.x, bp.y)) / _norm_factor(bp)
-                   for key, t in tensors.items()}
-            per_point.append({"x": list(bp.x), "y": list(bp.y), **row})
-            maxima = {key: max(val, row[key]) for key, val in maxima.items()}
-            compat = born_compatibility_residuals(born_frame(
-                {name: m[f, 0] for name, m in mats.items()}, "bundle-coordinate", bp))
-            for key, val in compat.residuals.items():
-                worst_born[key] = max(worst_born.get(key, 0.0),
-                                      _finite_max(key, val, (bp.x, bp.y)))
-            signature_ok = signature_ok and compat.k_signature == (spec.n, spec.n)
+        tensors = {"nijenhuis_" + name: _nijenhuis_of(mats[name]) for name in "IJK"}
+        tensors["d_omega"] = _d_omega_of(mats["omega"])
+        rows.append({key: m / norms
+                     for key, m in finite_maxima(tensors, points).items()})
+        per_point += [{"x": list(x), "y": list(y),
+                       **{key: float(m[f]) for key, m in rows[-1].items()}}
+                      for f, (x, y) in enumerate(points)]
+        rep = born_compatibility_residuals(
+            BornFrame.of({name: m[:, 0] for name, m in mats.items()}))
+        compat.append(finite_maxima(rep.residuals, points))
+        signature_ok = signature_ok and bool(np.all(np.array(rep.k_signature) == spec.n))
+    maxima = {key: float(np.max([r[key] for r in rows])) for key in rows[0]}
+    worst_born = {key: float(np.max([c[key] for c in compat])) for key in compat[0]}
     integrable = all(v <= tol for v in maxima.values())
     return IntegrabilityReport(
         max_nijenhuis_I=maxima["nijenhuis_I"],

@@ -7,12 +7,15 @@ the four-residual torsion/duality/compatibility report.
 
 :func:`base_jets` evaluates Gamma and g once per sample point and rejects
 a value or derivative that is not finite as a spec error.  The Hessian
-verdict and the two-of-four report are both built from these evaluations
-(a residual that is not finite at a point is a spec error too);
+verdict and the two-of-four report are both built from these evaluations;
 the latter takes the dual connection and Levi-Civita from the values of g
 and its first partials and one inverse of g, through the formulas of
 :mod:`bornbundle.fields`, so they equal the fields' own order-0 values bit
-for bit.  The ``*_at`` functions evaluate their fields on their own.
+for bit.  The ``*_at`` functions evaluate their fields on their own and
+return plain arrays.  Every verdict of the package, the chart witness's
+included, reduces its residuals to per-point maxima through
+:func:`finite_maxima`, which rejects a residual that is not finite at a
+point as a spec error.
 
 Curvature convention, fixed once for the whole package:
 ``R^l_ijk = d_i Gamma^l_jk - d_j Gamma^l_ik + Gamma^l_im Gamma^m_jk
@@ -103,28 +106,6 @@ def build_spec(name: str, coordinates: Sequence[str], sample_box,
                         potential=potential_ast, gamma_exprs=gamma_exprs, name=name)
 
 
-@dataclass(frozen=True)
-class TensorValue:
-    """Dense component array at a point, tagged with a variance signature
-    ('u'/'l' per index, row-major: first index first) and a frame.  For
-    bilinear forms the row (first) index is the first argument."""
-
-    components: np.ndarray
-    variance: str
-    frame: str
-    point: tuple
-
-    def __post_init__(self):
-        if self.components.ndim != len(self.variance):
-            raise ValueError("variance signature must match array rank")
-        dims = set(self.components.shape)
-        if len(dims) > 1:
-            raise ValueError("all tensor axes must have equal length")
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.components)))
-
-
 # -- sampling --------------------------------------------------------------
 
 def _primes(count: int) -> list[int]:
@@ -173,8 +154,8 @@ def sample_fibers(n: int, count: int, radius: float, seed: int) -> np.ndarray:
     disjoint from the base-point stream."""
     if count < 1:
         raise ValueError("need at least one fiber sample")
-    if radius <= 0:
-        raise ValueError("fiber radius must be positive")
+    if not 0.0 < radius < math.inf:
+        raise ValueError("fiber radius must be finite and positive")
     unit = halton_points(count, n, seed, prime_offset=n)
     return (2.0 * unit - 1.0) * radius
 
@@ -208,24 +189,20 @@ def _require_inside(spec: ManifoldSpec, p) -> tuple:
     return p
 
 
-def metric_at(spec: ManifoldSpec, p) -> TensorValue:
+def metric_at(spec: ManifoldSpec, p) -> np.ndarray:
     """Metric components at p, positivity-checked."""
     p = _require_inside(spec, p)
     values = fields.jet_values(fields.metric_jets(spec, p, 0))
     check_spd(values, p)
-    return TensorValue(values, "ll", "base-coordinate", p)
+    return values
 
 
-def connection_at(spec: ManifoldSpec, p) -> TensorValue:
-    p = _require_inside(spec, p)
-    gamma = fields.jet_values(fields.connection_jets(spec, p, 0))
-    return TensorValue(gamma, "ull", "base-coordinate", p)
+def connection_at(spec: ManifoldSpec, p) -> np.ndarray:
+    return fields.jet_values(fields.connection_jets(spec, _require_inside(spec, p), 0))
 
 
-def levi_civita_at(spec: ManifoldSpec, p) -> TensorValue:
-    p = _require_inside(spec, p)
-    gamma = fields.jet_values(fields.levi_civita_jets(spec, p, 0))
-    return TensorValue(gamma, "ull", "base-coordinate", p)
+def levi_civita_at(spec: ManifoldSpec, p) -> np.ndarray:
+    return fields.jet_values(fields.levi_civita_jets(spec, _require_inside(spec, p), 0))
 
 
 def _curvature_of(gamma: np.ndarray) -> np.ndarray:
@@ -249,31 +226,27 @@ def _nabla_g_of(gamma_values: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, fl
     return ng, asym
 
 
-def torsion_at(spec: ManifoldSpec, p) -> TensorValue:
+def torsion_at(spec: ManifoldSpec, p) -> np.ndarray:
     """T^k_ij = Gamma^k_ij - Gamma^k_ji."""
-    p = _require_inside(spec, p)
-    gamma = fields.jet_values(fields.connection_jets(spec, p, 0))
-    return TensorValue(_torsion_of(gamma), "ull", "base-coordinate", p)
+    return _torsion_of(connection_at(spec, p))
 
 
 def _torsion_of(gamma_values: np.ndarray) -> np.ndarray:
     return gamma_values - gamma_values.transpose(0, 2, 1)
 
 
-def curvature_at(spec: ManifoldSpec, p) -> TensorValue:
+def curvature_at(spec: ManifoldSpec, p) -> np.ndarray:
     """R^l_ijk under the package convention (see module docstring)."""
     p = _require_inside(spec, p)
-    r = _curvature_of(fields.jet_array(fields.connection_jets(spec, p, 1)))
-    return TensorValue(r, "ulll", "base-coordinate", p)
+    return _curvature_of(fields.jet_array(fields.connection_jets(spec, p, 1)))
 
 
-def dual_connection_at(spec: ManifoldSpec, p) -> TensorValue:
+def dual_connection_at(spec: ManifoldSpec, p) -> np.ndarray:
     """The unique connection pairing with the declared one so that the
     metric is parallel for the pair: Gamma*^l_ik = g^{lj}(d_i g_jk -
     Gamma^m_ij g_mk)."""
     p = _require_inside(spec, p)
-    dual = fields.dual_connection_jets(spec, p, 0)
-    return TensorValue(fields.jet_values(dual), "ull", "base-coordinate", p)
+    return fields.jet_values(fields.dual_connection_jets(spec, p, 0))
 
 
 def dual_identity_residual(spec: ManifoldSpec, p) -> float:
@@ -288,14 +261,13 @@ def dual_identity_residual(spec: ManifoldSpec, p) -> float:
     return float(np.max(np.abs(resid)))
 
 
-def nabla_g_at(spec: ManifoldSpec, p) -> tuple[TensorValue, float]:
+def nabla_g_at(spec: ManifoldSpec, p) -> tuple[np.ndarray, float]:
     """Covariant derivative of the metric, indexed (direction; arguments),
     and the worst asymmetry under index permutations."""
     p = _require_inside(spec, p)
     g = fields.jet_array(fields.metric_jets(spec, p, 1))
     gamma = fields.jet_values(fields.connection_jets(spec, p, 0))
-    ng, asym = _nabla_g_of(gamma, g)
-    return TensorValue(ng, "lll", "base-coordinate", p), asym
+    return _nabla_g_of(gamma, g)
 
 
 # -- base-point fields and the Hessian verdict ------------------------------------
@@ -318,13 +290,20 @@ def _require_finite(x: tuple, name: str, field: np.ndarray) -> None:
                         f"finite at {x} (value {float(field[(0, *idx)])!r})")
 
 
-def _finite_max(name: str, residual, point) -> float:
-    """max |residual|; one that is not finite (a NaN, which ``max`` skips, or
-    inf) is a spec error naming the residual and the sample point."""
-    worst = float(np.max(np.abs(residual)))
-    if not math.isfinite(worst):
-        raise SpecError(f"{name} residual is not finite at {point} (value {worst!r})")
-    return worst
+def finite_maxima(residuals: dict, points: Sequence) -> dict[str, np.ndarray]:
+    """Per-point max |residual| of each stack in ``residuals``, whose first
+    axis runs over ``points``.  A maximum that is not finite (a NaN, which
+    Python's ``max`` would skip, or inf) is a spec error naming the first one
+    by point, then by residual in the order given, and its point."""
+    maxima = {name: np.max(np.abs(np.reshape(r, (len(points), -1))), axis=1)
+              for name, r in residuals.items()}
+    bad = np.argwhere(~np.isfinite(np.stack(list(maxima.values()), axis=1)))
+    if len(bad):
+        p, r = bad[0]
+        name = list(maxima)[r]
+        raise SpecError(f"{name} residual is not finite at {points[p]} "
+                        f"(value {float(maxima[name][p])!r})")
+    return maxima
 
 
 def base_jets(spec: ManifoldSpec, x, order: int = 1) -> BaseJets:
@@ -354,15 +333,15 @@ class HessianVerdict:
     @classmethod
     def of(cls, bases: Sequence[BaseJets], tol: float) -> "HessianVerdict":
         """The verdict over base-point fields of order 1, after the metric's
-        positivity gate at each point."""
-        max_r = max_t = max_a = 0.0
+        positivity gate at every point."""
         for base in bases:
             check_spd(base.g[0], base.x)
-            gv = base.gamma[0]
-            max_r = max(max_r, _finite_max("curvature", _curvature_of(base.gamma), base.x))
-            max_t = max(max_t, _finite_max("torsion", _torsion_of(gv), base.x))
-            max_a = max(max_a, _finite_max("nabla_g_asymmetry",
-                                           _nabla_g_of(gv, base.g)[1], base.x))
+        worst = finite_maxima({
+            "curvature": [_curvature_of(b.gamma) for b in bases],
+            "torsion": [_torsion_of(b.gamma[0]) for b in bases],
+            "nabla_g_asymmetry": [_nabla_g_of(b.gamma[0], b.g)[1] for b in bases],
+        }, [b.x for b in bases])
+        max_r, max_t, max_a = (float(np.max(m)) for m in worst.values())
         return cls(is_hessian=bool(max_r <= tol and max_t <= tol and max_a <= tol),
                    max_curvature=max_r, max_torsion=max_t,
                    max_nabla_g_asymmetry=max_a, tol=tol, points=len(bases))
@@ -402,17 +381,15 @@ class TwoOfFourReport:
     @classmethod
     def of(cls, bases: Sequence[BaseJets], tol: float) -> "TwoOfFourReport":
         """The report over base-point fields: Gamma of any order, g of order 1."""
-        maxima = dict.fromkeys(("torsion", "dual_torsion", "nabla_g_asymmetry",
-                                "mean_vs_levi_civita"), 0.0)
-        for base in bases:
-            gamma = base.gamma[0]
-            dual, lc = dual_and_levi_civita(gamma, base.g)
-            point = {"torsion": np.max(np.abs(_torsion_of(gamma))),
-                     "dual_torsion": np.max(np.abs(_torsion_of(dual))),
-                     "nabla_g_asymmetry": _nabla_g_of(gamma, base.g)[1],
-                     "mean_vs_levi_civita": np.max(np.abs(0.5 * (gamma + dual) - lc))}
-            maxima = {k: max(v, _finite_max(k, point[k], base.x))
-                      for k, v in maxima.items()}
+        duals = [dual_and_levi_civita(b.gamma[0], b.g) for b in bases]
+        worst = finite_maxima({
+            "torsion": [_torsion_of(b.gamma[0]) for b in bases],
+            "dual_torsion": [_torsion_of(dual) for dual, _ in duals],
+            "nabla_g_asymmetry": [_nabla_g_of(b.gamma[0], b.g)[1] for b in bases],
+            "mean_vs_levi_civita": [0.5 * (b.gamma[0] + dual) - lc
+                                    for b, (dual, lc) in zip(bases, duals)],
+        }, [b.x for b in bases])
+        maxima = {k: float(np.max(v)) for k, v in worst.items()}
         holds = {k: bool(v <= tol) for k, v in maxima.items()}
         return cls(residuals=maxima, holds=holds, tol=tol,
                    fact_violated=bool(sum(holds.values()) in (2, 3)))

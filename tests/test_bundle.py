@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -239,3 +240,21 @@ def test_fiber_arrays_equal_jet_reference(source):
                 assert got[name][f].shape == arr.shape
                 assert np.array_equal(got[name][f], arr), name
                 assert np.array_equal(np.signbit(got[name][f, 0]), np.signbit(arr[0])), name
+
+
+@pytest.mark.parametrize("source", list(corpus.BUILTIN_BUILDERS) + list(GENERATED))
+def test_stacked_compatibility_equals_per_frame(source):
+    # products, solves, determinants and eigenvalues over a stack of frames
+    # give each frame's bits
+    if source in GENERATED:
+        spec = spec_from_dict(GENERATED[source], name=source)
+    else:
+        spec = corpus.example(source)
+    frames = [born_at(spec, bp) for bp in bundle_points(spec, 2, 4)]
+    stack = BornFrame(**{f.name: np.stack([getattr(bf, f.name) for bf in frames])
+                         for f in dataclasses.fields(BornFrame)})
+    rep = born_compatibility_residuals(stack)
+    for i, bf in enumerate(frames):
+        one = born_compatibility_residuals(bf)
+        assert {key: val[i] for key, val in rep.residuals.items()} == one.residuals
+        assert (rep.k_signature[0][i], rep.k_signature[1][i]) == one.k_signature

@@ -11,7 +11,7 @@ from bornbundle.cli import (RunConfig, load_spec, main, report_to_json, run,
                             spec_from_dict)
 from bornbundle.errors import SpecError
 from bornbundle.jets import JetUsageError
-from bornbundle.integrability import CROSS_TOL
+from bornbundle.integrability import CROSS_TOL, d_omega_at, nijenhuis_at
 from bornbundle.manifold import (hessian_verdict, sample_fibers, sample_points,
                                  two_of_four_residuals)
 
@@ -230,18 +230,51 @@ NAN_RESIDUAL = _diag_spec(("1", "1"), "explicit", OVERFLOW_BOX,
                           gamma=[[["1e200", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]])
 
 
-@pytest.mark.parametrize("command", ["check", "theorem"])
+@pytest.mark.parametrize("command", ["check", "theorem", "affine-chart"])
 def test_nan_residual_is_spec_error(command, tmp_path, capsys):
     path = tmp_path / "nan.json"
     path.write_text(json.dumps(NAN_RESIDUAL))
-    target = [str(path)] if command == "check" else ["--corpus", str(tmp_path)]
-    code = main([command, *target, "--points", "4", "--fiber-points", "2"])
+    target = ["--corpus", str(tmp_path)] if command == "theorem" else [str(path)]
+    if command != "affine-chart":  # the chart's flatness gate samples on its own
+        target += ["--points", "4", "--fiber-points", "2"]
+    code = main([command, *target])
     assert code == 1
     out = json.loads(capsys.readouterr().out)
     assert out["status"] == "error"
     assert out["error"]["kind"] == "SpecError"
     assert "curvature residual is not finite at (" in out["error"]["message"]
     assert "(value nan)" in out["error"]["message"]
+
+
+@pytest.mark.parametrize("radius", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("command", ["check", "theorem", "affine-chart"])
+def test_fiber_radius_must_be_finite_and_positive(command, radius, capsys):
+    target = {"check": ["euclidean2", "--points", "4", "--fiber-points", "2"],
+              "theorem": ["--points", "4", "--fiber-points", "2"],
+              "affine-chart": ["euclidean2", "--probes", "2"]}[command]
+    code = main([command, *target, "--fiber-radius", radius])
+    assert code == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"]["message"] == "fiber radius must be finite and positive"
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("command", ["check", "theorem"])
+def test_tolerance_must_be_finite_and_non_negative(command, tol, capsys):
+    target = ["euclidean2"] if command == "check" else []
+    code = main([command, *target, "--points", "4", "--fiber-points", "2", "--tol", tol])
+    assert code == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"]["message"] == (
+        f"tolerance must be finite and non-negative, not {float(tol)!r}")
+
+
+def test_zero_tolerance_is_valid(capsys):
+    code = main(["check", "euclidean2", "--points", "4", "--fiber-points", "2",
+                 "--tol", "0"])
+    assert code == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["hessian"]["is_hessian"] and out["integrability"]["integrable"]
 
 
 def test_cli_theorem_builtin(capsys):
@@ -359,12 +392,21 @@ def test_shared_sweep_matches_standalone_functions(source, tmp_path):
                            config.seed)
     worst: dict = {}
     signature_ok = True
+    rows = iter(report["integrability"]["per_point"])
     for x in base:
         for y in fibers:
-            rep = born_compatibility_residuals(born_at(spec, BundlePoint(x, tuple(y))))
+            bp = BundlePoint(x, tuple(y))
+            rep = born_compatibility_residuals(born_at(spec, bp))
             for key, val in rep.residuals.items():
                 worst[key] = max(worst.get(key, 0.0), val)
             signature_ok = signature_ok and rep.k_signature == (spec.n, spec.n)
+            scale = 1 + float(np.linalg.norm(y))
+            want = {f"nijenhuis_{w}": float(np.max(np.abs(nijenhuis_at(spec, w, bp))))
+                    for w in "IJK"}
+            want["d_omega"] = float(np.max(np.abs(d_omega_at(spec, bp))))
+            assert next(rows) == {"x": list(bp.x), "y": list(bp.y),
+                                  **{key: val / scale for key, val in want.items()}}
+    assert next(rows, None) is None
     assert report["born_compat"]["max_residuals"] == worst
     assert list(report["born_compat"]["max_residuals"]) == list(worst)
     assert report["born_compat"]["k_signature_ok"] == signature_ok

@@ -9,9 +9,9 @@ from bornbundle.errors import NotPositiveDefiniteError, SpecError
 from bornbundle.manifold import (DEFAULT_TOL, base_jets, build_spec,
                                  connection_at, curvature_at,
                                  dual_and_levi_civita, dual_connection_at,
-                                 dual_identity_residual, hessian_verdict,
-                                 levi_civita_at, metric_at, nabla_g_at,
-                                 sample_points, torsion_at,
+                                 dual_identity_residual, finite_maxima,
+                                 hessian_verdict, levi_civita_at, metric_at,
+                                 nabla_g_at, sample_points, torsion_at,
                                  two_of_four_residuals)
 
 EUCLID = corpus.example("euclidean2")
@@ -80,27 +80,27 @@ def fd_curvature(spec, p, h=1e-6):
 
 def test_euclidean_metric_is_identity():
     for p in points_of(EUCLID):
-        assert np.array_equal(metric_at(EUCLID, p).components, np.eye(2))
+        assert np.array_equal(metric_at(EUCLID, p), np.eye(2))
 
 
 def test_quadratic_potential_gives_identity():
     spec = build_spec("quad", ("u", "v"), [(-1, 1), (-1, 1)],
                       potential="u^2/2 + v^2/2", connection="flat")
     for p in points_of(spec):
-        assert metric_at(spec, p).components == pytest.approx(np.eye(2), abs=1e-14)
+        assert metric_at(spec, p) == pytest.approx(np.eye(2), abs=1e-14)
 
 
 def test_exp_potential_metric_values():
-    g0 = metric_at(HESSIAN, (0.0, 0.0)).components
+    g0 = metric_at(HESSIAN, (0.0, 0.0))
     assert g0 == pytest.approx(np.diag([1.0, 1.0]), abs=1e-14)
-    g1 = metric_at(HESSIAN, (1.0, 0.0)).components
+    g1 = metric_at(HESSIAN, (1.0, 0.0))
     assert g1 == pytest.approx(np.diag([math.e, 1.0]), abs=1e-12)
 
 
 @pytest.mark.parametrize("spec", ALL, ids=lambda s: s.name)
 def test_metric_matches_fd_oracle(spec):
     for p in points_of(spec, 4):
-        got = metric_at(spec, p).components
+        got = metric_at(spec, p)
         want = fd_metric(spec, p)
         assert got == pytest.approx(want, abs=1e-6)
 
@@ -116,7 +116,7 @@ def test_metric_is_symmetric_and_spd_checked():
 def test_asymmetric_grid_is_symmetrized_on_load():
     spec = build_spec("asym", ("u", "v"), [(-1, 1), (-1, 1)],
                       metric=[["1", "u"], ["0", "2"]], connection="flat")
-    g = metric_at(spec, (0.4, 0.0)).components
+    g = metric_at(spec, (0.4, 0.0))
     assert g[0, 1] == g[1, 0] == pytest.approx(0.2)
 
 
@@ -129,12 +129,12 @@ def test_point_outside_box_rejected():
 
 def test_flat_connection_is_zero():
     for p in points_of(EUCLID):
-        assert np.array_equal(connection_at(EUCLID, p).components, np.zeros((2, 2, 2)))
+        assert np.array_equal(connection_at(EUCLID, p), np.zeros((2, 2, 2)))
 
 
 def test_sphere_christoffels_closed_form():
     th = math.pi / 4
-    gamma = connection_at(SPHERE, (th, 0.5)).components
+    gamma = connection_at(SPHERE, (th, 0.5))
     # Gamma^theta_{phi phi} = -sin cos, Gamma^phi_{theta phi} = cot
     assert gamma[0, 1, 1] == pytest.approx(-math.sin(th) * math.cos(th), abs=1e-12)
     assert gamma[0, 1, 1] == pytest.approx(-0.5, abs=1e-12)
@@ -147,12 +147,12 @@ def test_euclidean_levi_civita_is_zero():
     spec = build_spec("euclid-lc", ("u", "v"), [(-1, 1), (-1, 1)],
                       metric=[["1", "0"], ["0", "1"]], connection="levi-civita")
     for p in points_of(spec):
-        assert np.array_equal(connection_at(spec, p).components, np.zeros((2, 2, 2)))
+        assert np.array_equal(connection_at(spec, p), np.zeros((2, 2, 2)))
 
 
 def test_levi_civita_at_works_for_any_connection_kind():
     p = (0.3, 0.2)
-    lc = levi_civita_at(SKEW, p).components
+    lc = levi_civita_at(SKEW, p)
     # metric diag(1, e^u): Gamma^v_uv = 1/2, Gamma^u_vv = -e^u/2
     assert lc[1, 0, 1] == pytest.approx(0.5, abs=1e-12)
     assert lc[1, 1, 0] == pytest.approx(0.5, abs=1e-12)
@@ -163,11 +163,11 @@ def test_levi_civita_at_works_for_any_connection_kind():
 
 def test_torsion_of_levi_civita_vanishes():
     for p in points_of(SPHERE):
-        assert torsion_at(SPHERE, p).max_abs() == 0.0
+        assert np.max(np.abs(torsion_at(SPHERE, p))) == 0.0
 
 
 def test_explicit_torsion():
-    t = torsion_at(TORSIONFUL, (0.1, 0.2)).components
+    t = torsion_at(TORSIONFUL, (0.1, 0.2))
     assert t[0, 0, 1] == 1.0
     assert t[0, 1, 0] == -1.0
     assert np.count_nonzero(t) == 2
@@ -176,7 +176,7 @@ def test_explicit_torsion():
 @pytest.mark.parametrize("spec", ALL, ids=lambda s: s.name)
 def test_torsion_antisymmetry_exact(spec):
     for p in points_of(spec, 4):
-        t = torsion_at(spec, p).components
+        t = torsion_at(spec, p)
         assert np.array_equal(t, -t.transpose(0, 2, 1))
 
 
@@ -184,31 +184,31 @@ def test_torsion_antisymmetry_exact(spec):
 
 def test_flat_curvature_is_zero():
     for p in points_of(EUCLID):
-        assert curvature_at(EUCLID, p).max_abs() == 0.0
+        assert np.max(np.abs(curvature_at(EUCLID, p))) == 0.0
 
 
 def test_sphere_curvature_magnitude():
     th = math.pi / 2
-    r = curvature_at(SPHERE, (th, 1.0)).components
-    g = metric_at(SPHERE, (th, 1.0)).components
+    r = curvature_at(SPHERE, (th, 1.0))
+    g = metric_at(SPHERE, (th, 1.0))
     lowered = np.einsum("lm,mijk->lijk", g, r)
     # magnitude of the theta-phi-theta-phi component is sin^2(theta)
     assert abs(lowered[0, 1, 0, 1]) == pytest.approx(math.sin(th) ** 2, abs=1e-10)
-    r2 = curvature_at(SPHERE, (math.pi / 4, 1.0)).components
-    g2 = metric_at(SPHERE, (math.pi / 4, 1.0)).components
+    r2 = curvature_at(SPHERE, (math.pi / 4, 1.0))
+    g2 = metric_at(SPHERE, (math.pi / 4, 1.0))
     lowered2 = np.einsum("lm,mijk->lijk", g2, r2)
     assert abs(lowered2[0, 1, 0, 1]) == pytest.approx(0.5, abs=1e-10)
 
 
 def test_pullback_connection_is_flat():
     for p in points_of(PULLBACK):
-        assert curvature_at(PULLBACK, p).max_abs() <= 1e-10
+        assert np.max(np.abs(curvature_at(PULLBACK, p))) <= 1e-10
 
 
 @pytest.mark.parametrize("spec", ALL, ids=lambda s: s.name)
 def test_curvature_matches_fd_oracle(spec):
     for p in points_of(spec, 3, seed=11):
-        got = curvature_at(spec, p).components
+        got = curvature_at(spec, p)
         want = fd_curvature(spec, p)
         assert got == pytest.approx(want, abs=5e-4)
 
@@ -216,7 +216,7 @@ def test_curvature_matches_fd_oracle(spec):
 @pytest.mark.parametrize("spec", ALL, ids=lambda s: s.name)
 def test_curvature_antisymmetry(spec):
     for p in points_of(spec, 4):
-        r = curvature_at(spec, p).components
+        r = curvature_at(spec, p)
         assert np.max(np.abs(r + r.transpose(0, 2, 1, 3))) <= 1e-12
 
 
@@ -224,18 +224,18 @@ def test_curvature_antisymmetry(spec):
 
 def test_dual_of_flat_euclidean_is_zero():
     for p in points_of(EUCLID):
-        assert dual_connection_at(EUCLID, p).max_abs() == 0.0
+        assert np.max(np.abs(dual_connection_at(EUCLID, p))) == 0.0
 
 
 def test_levi_civita_is_self_dual():
     for p in points_of(SPHERE, 4):
-        gamma = connection_at(SPHERE, p).components
-        dual = dual_connection_at(SPHERE, p).components
+        gamma = connection_at(SPHERE, p)
+        dual = dual_connection_at(SPHERE, p)
         assert dual == pytest.approx(gamma, abs=1e-12)
 
 
 def test_dual_of_skew_metric_by_hand():
-    dual = dual_connection_at(SKEW, (0.0, 0.0)).components
+    dual = dual_connection_at(SKEW, (0.0, 0.0))
     want = np.zeros((2, 2, 2))
     want[1, 0, 1] = 1.0  # g^vv d_u g_vv = e^-u e^u
     assert dual == pytest.approx(want, abs=1e-14)
@@ -258,7 +258,7 @@ def test_dual_of_skew_metric_fd_crosscheck():
         dg[d] = (g_at(hi) - g_at(lo)) / (2 * h)
     ginv = np.linalg.inv(g_at(p))
     want = np.einsum("lj,ijk->lik", ginv, dg)  # flat connection drops out
-    got = dual_connection_at(SKEW, p).components
+    got = dual_connection_at(SKEW, p)
     assert got == pytest.approx(want, abs=1e-6)
 
 
@@ -282,14 +282,14 @@ def test_dual_of_dual_returns_original(spec):
 
 def test_nabla_g_euclidean():
     ng, asym = nabla_g_at(EUCLID, (0.2, -0.7))
-    assert ng.max_abs() == 0.0
+    assert np.max(np.abs(ng)) == 0.0
     assert asym == 0.0
 
 
 def test_nabla_g_skew_metric_by_hand():
     ng, asym = nabla_g_at(SKEW, (0.0, 0.0))
-    assert ng.components[0, 1, 1] == pytest.approx(1.0, abs=1e-14)
-    assert ng.components[1, 0, 1] == 0.0
+    assert ng[0, 1, 1] == pytest.approx(1.0, abs=1e-14)
+    assert ng[1, 0, 1] == 0.0
     assert asym == pytest.approx(1.0, abs=1e-14)
 
 
@@ -309,7 +309,7 @@ def test_levi_civita_parallel_metric(spec):
     for p in points_of(lc_spec, 4):
         _, asym = nabla_g_at(lc_spec, p)
         ng, _ = nabla_g_at(lc_spec, p)
-        assert ng.max_abs() <= 1e-10
+        assert np.max(np.abs(ng)) <= 1e-10
 
 
 # -- verdicts -----------------------------------------------------------------------
@@ -445,3 +445,26 @@ def test_sample_points_inside_box_and_deterministic():
         assert SPHERE.contains(p)
     c = sample_points(SPHERE, 32, 43)
     assert not np.array_equal(a, c)
+
+
+# -- residual maxima ---------------------------------------------------------------
+
+def test_finite_maxima_per_point():
+    got = finite_maxima({"a": [[1.0, -2.0], [0.5, -0.0]], "b": [3.0, -4.0]}, ["p", "q"])
+    assert list(got) == ["a", "b"]
+    assert got["a"].tolist() == [2.0, 0.5]
+    assert got["b"].tolist() == [3.0, 4.0]
+
+
+@pytest.mark.parametrize("stacks,message", [
+    # the first point with a non-finite residual wins over the residual order
+    ({"a": [0.0, 0.0, np.nan], "b": [0.0, np.inf, 0.0]},
+     "b residual is not finite at q (value inf)"),
+    # at one point, the first residual in the order given
+    ({"a": [0.0, np.nan, 0.0], "b": [0.0, -np.inf, 0.0]},
+     "a residual is not finite at q (value nan)"),
+])
+def test_finite_maxima_names_first_non_finite(stacks, message):
+    with pytest.raises(SpecError) as err:
+        finite_maxima(stacks, ["p", "q", "r"])
+    assert str(err.value) == message

@@ -38,8 +38,8 @@ HD_SKEW = build_spec("hd-skew", ("u", "v"), BOX2,
 def test_hessian_dual_matches_dual_of_flat():
     flat = corpus.example("flat-skew-metric")
     for p in pts(HD_SKEW, 4):
-        got = connection_at(HD_SKEW, p).components
-        want = dual_connection_at(flat, p).components
+        got = connection_at(HD_SKEW, p)
+        want = dual_connection_at(flat, p)
         assert np.array_equal(got, want)
 
 
@@ -52,8 +52,8 @@ def test_hessian_dual_of_hessian_pair_is_hessian():
 
 def test_hessian_dual_of_skew_metric_is_flat_but_torsionful():
     for p in pts(HD_SKEW, 4):
-        assert curvature_at(HD_SKEW, p).max_abs() <= 1e-10
-    t = max(torsion_at(HD_SKEW, p).max_abs() for p in pts(HD_SKEW, 4))
+        assert np.max(np.abs(curvature_at(HD_SKEW, p))) <= 1e-10
+    t = max(np.max(np.abs(torsion_at(HD_SKEW, p))) for p in pts(HD_SKEW, 4))
     assert t > 0.3
 
 
@@ -117,7 +117,7 @@ def test_three_dim_two_of_four():
 def test_potential_levi_civita_values_work():
     spec = build_spec("pot-lc", ("u", "v"), BOX2, potential="exp(u) + exp(v)",
                       connection="levi-civita")
-    gamma = connection_at(spec, (0.3, -0.2)).components
+    gamma = connection_at(spec, (0.3, -0.2))
     # Christoffels of a diagonal Hessian metric: Gamma^u_uu = 1/2 (in this case)
     assert gamma[0, 0, 0] == pytest.approx(0.5, abs=1e-12)
     _, asym = nabla_g_at(spec, (0.3, -0.2))
