@@ -9,29 +9,43 @@ an ODE).  Success criterion: the transformed connection coefficients
 vanish in the constructed chart, and so the I, J, K blocks built from them
 take their constant affine-chart form.
 
-Each probe is integrated once: the witness reads both residuals from one
-transformed connection per probe.  The geodesic acceleration sums only the
-coefficients of Gamma that are not structurally zero
-(:func:`bornbundle.fields.connection_support`: none for a flat connection,
-the entries other than a literal 0 for an explicit one), in (k, i, j)
-order, and is a constant zero jet for a k without terms.  A skipped term is
-an exact +-0 jet, and adding +-0 to a nonzero float is exact, so skipping
-can change only the signs of zeros; every chart output passes through
-``abs`` and ``max``, so the reports do not change.  The flatness gate and
-the probe residuals take their maxima through
+All probes of a call are integrated together, once each, by one RK4
+loop over a ``(B, n, K)`` state: B probes, n coordinates, and K jet
+coefficients in the layout of :class:`bornbundle.jets.JetBatch` (the
+value, then the partials by the straight coordinates in
+:func:`bornbundle.jets.partial_keys` order).  The witness reads both
+residuals from one transformed connection per probe.  The geodesic
+acceleration sums only the coefficients of Gamma that are not structurally
+zero (:func:`bornbundle.fields.connection_support`: none for a flat
+connection, the entries other than a literal 0 for an explicit one), in
+(k, i, j) order, and is a zero jet for a k without terms.  A skipped term
+is an exact +-0 jet, and adding +-0 to a nonzero float is exact, so
+skipping can change only the signs of zeros; every chart output passes
+through ``abs`` and ``max``, so the reports do not change.  An explicit
+Gamma is evaluated over the whole batch; the connections derived from the
+metric are evaluated row by row on Jets.  Every coefficient equals the
+per-probe Jet integration bit for bit.
+
+Errors: probe radii are checked before any integration.  The loop runs
+under ``np.errstate``, since Python floats overflow to inf silently and
+numpy would warn.  If any probe fails (it leaves the box, or Gamma meets a
+domain error), the probes are integrated again one at a time, in order,
+and the first failure is raised.  The flatness gate and the probe
+residuals take their maxima through
 :func:`bornbundle.manifold.finite_maxima`, so a NaN or inf curvature,
 torsion or residual is a spec error naming it and its point.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from . import fields, jets
+from . import expr, fields, jets
 from .bundle import _constant_blocks
 from .errors import SpecError
-from .jets import Jet
+from .jets import Jet, JetBatch
 from .manifold import (ManifoldSpec, curvature_at, finite_maxima, halton_points,
                        sample_fibers, sample_points, torsion_at)
 
@@ -54,45 +68,115 @@ class FlatnessGateError(SpecError):
     is not an affine chart."""
 
 
-def _acceleration(spec: ManifoldSpec, support, x, u):
-    """-Gamma^k_ij u^i u^j, summed in (k, i, j) order over the support only;
-    a k without terms gets a constant zero jet."""
-    sums = [None] * spec.n
-    for (k, i, j), gamma in fields.connection_terms(spec, list(x), x[0].order,
-                                                    support):
-        term = gamma * u[i] * u[j]
-        sums[k] = term if sums[k] is None else sums[k] + term
-    zero = Jet.constant(0.0, x[0].order, x[0].nvars)
-    return [zero if s is None else -s for s in sums]
-
-
-def _rk4(spec: ManifoldSpec, x, u, steps: int):
-    """Integrate the geodesic equation over t in [0, 1]; state entries are
-    jets, so derivative seeds ride through for free."""
-    h = 1.0 / steps
+def _connection_terms(spec: ManifoldSpec, support, order: int):
+    """Gamma's coefficients on ``support`` as a function of chart positions:
+    coefficients ``(B, n, K)`` of order-``order`` jets to ``(B, T, K)``.
+    An explicit connection evaluates each support expression once over the
+    whole batch; the connections derived from the metric evaluate row by
+    row, through :func:`bornbundle.fields.connection_args` on Jets."""
     n = spec.n
+    if spec.connection_kind == "explicit":
+        asts = [spec.gamma_exprs[k][i][j] for k, i, j in support]
+
+        def terms(x):
+            args = [JetBatch(order, n, x[:, c]) for c in range(n)]
+            out = np.empty((len(x), len(asts), x.shape[-1]))
+            for t, ast in enumerate(asts):
+                out[:, t] = jets.coefficients(expr.evaluate(ast, args))
+            return out
+        return terms
+    keys = jets.partial_keys(order, n)
+
+    def terms(x):
+        out = np.empty((len(x), len(support), x.shape[-1]))
+        for b, row in enumerate(x):
+            args = [Jet(order, n, c[0], dict(zip(keys, c[1:].tolist()))) for c in row]
+            gamma = fields.connection_args(spec, args, order)
+            out[b] = [jets.coefficients(gamma[kij]) for kij in support]
+        return out
+    return terms
+
+
+def _acceleration(spec: ManifoldSpec, order: int):
+    """The geodesic acceleration -Gamma^k_ij u^i u^j as a function of the
+    state (x, u), both ``(B, n, K)``.  The products ``(Gamma * u^i) * u^j``
+    of all support terms are formed at once, then each k sums its terms in
+    support order; a k without terms gets a zero jet."""
     support = fields.connection_support(spec)
+    if not support:
+        return lambda x, u: np.zeros(u.shape)
+    gamma_of = _connection_terms(spec, support, order)
+    n, count = spec.n, len(support)
+    _, i, j = np.array(support).T
+    # each k's terms, padded with slot `count`, which holds -0.0: adding
+    # -0.0 leaves every float as it is, signed zeros included
+    rows = [[t for t, kij in enumerate(support) if kij[0] == k] for k in range(n)]
+    width = max(len(r) for r in rows)
+    table = np.array([r + [count] * (width - len(r)) for r in rows])
+
+    def accel(x, u):
+        terms = np.full((len(x), count + 1, x.shape[-1]), -0.0)
+        gu = jets._product_coeffs(gamma_of(x), u[:, i], order, n)
+        terms[:, :count] = jets._product_coeffs(gu, u[:, j], order, n)
+        picked = terms[:, table]
+        acc = picked[:, :, 0]
+        for p in range(1, width):
+            acc = acc + picked[:, :, p]
+        return -acc
+    return accel
+
+
+def _rk4(spec: ManifoldSpec, x0, velocities: np.ndarray, order: int,
+         steps: int) -> np.ndarray:
+    """Integrate the geodesic equation over t in [0, 1] from x0 with each
+    row of ``velocities`` as initial velocity.  The state holds order-
+    ``order`` jets over the velocity components, as ``(B, n, K)``
+    coefficients, and so are the endpoints it returns.  Raises BoxExitError
+    for the first row to leave the sample box, at the first step where one
+    does."""
+    count, n = velocities.shape
+    width = 1 + len(jets.partial_keys(order, n))
+    x = np.zeros((count, n, width))
+    x[:, :, 0] = x0
+    u = np.zeros((count, n, width))
+    u[:, :, 0] = velocities
+    if order >= 1:
+        u[:, range(n), range(1, n + 1)] = 1.0
+    accel = _acceleration(spec, order)
+    lo, hi = np.array(spec.sample_box, dtype=float).T
+    h = 1.0 / steps
     for step in range(steps):
-        k1x, k1u = u, _acceleration(spec, support, x, u)
-        x2 = [x[i] + k1x[i] * (h / 2) for i in range(n)]
-        u2 = [u[i] + k1u[i] * (h / 2) for i in range(n)]
-        k2x, k2u = u2, _acceleration(spec, support, x2, u2)
-        x3 = [x[i] + k2x[i] * (h / 2) for i in range(n)]
-        u3 = [u[i] + k2u[i] * (h / 2) for i in range(n)]
-        k3x, k3u = u3, _acceleration(spec, support, x3, u3)
-        x4 = [x[i] + k3x[i] * h for i in range(n)]
-        u4 = [u[i] + k3u[i] * h for i in range(n)]
-        k4x, k4u = u4, _acceleration(spec, support, x4, u4)
-        x = [x[i] + (k1x[i] + k2x[i] * 2 + k3x[i] * 2 + k4x[i]) * (h / 6)
-             for i in range(n)]
-        u = [u[i] + (k1u[i] + k2u[i] * 2 + k3u[i] * 2 + k4u[i]) * (h / 6)
-             for i in range(n)]
-        values = [c.value for c in x]
-        if not spec.contains(values):
+        k1u = accel(x, u)
+        x2, u2 = x + u * (h / 2), u + k1u * (h / 2)
+        k2u = accel(x2, u2)
+        x3, u3 = x + u2 * (h / 2), u + k2u * (h / 2)
+        k3u = accel(x3, u3)
+        x4, u4 = x + u3 * h, u + k3u * h
+        k4u = accel(x4, u4)
+        x = x + (u + u2 * 2 + u3 * 2 + u4) * (h / 6)
+        u = u + (k1u + k2u * 2 + k3u * 2 + k4u) * (h / 6)
+        inside = np.all((lo <= x[:, :, 0]) & (x[:, :, 0] <= hi), axis=1)
+        if not inside.all():
+            values = tuple(x[int(np.argmin(inside)), :, 0].tolist())
             raise BoxExitError(
                 f"geodesic left the sample box at step {step + 1}/{steps}, "
-                f"position {tuple(values)}", step + 1)
+                f"position {values}", step + 1)
     return x
+
+
+def _integrate(spec: ManifoldSpec, x0, velocities, order: int, steps: int) -> np.ndarray:
+    """:func:`_rk4` over all velocities at once.  If any of them fails (a
+    box exit or a domain error), they are integrated again one at a time,
+    in order, so that the first one's failure is raised."""
+    velocities = np.array(velocities, dtype=float).reshape(len(velocities), spec.n)
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python floats
+        if len(velocities) > 1:
+            try:
+                return _rk4(spec, x0, velocities, order, steps)
+            except (SpecError, ArithmeticError):
+                pass
+        return np.concatenate([_rk4(spec, x0, v[None], order, steps)
+                               for v in velocities])
 
 
 def geodesic_integrate(spec: ManifoldSpec, x0, v, steps: int = DEFAULT_STEPS) -> np.ndarray:
@@ -102,11 +186,15 @@ def geodesic_integrate(spec: ManifoldSpec, x0, v, steps: int = DEFAULT_STEPS) ->
     x0 = tuple(float(c) for c in x0)
     if not spec.contains(x0):
         raise SpecError(f"start point {x0} lies outside the sample box")
-    n = spec.n
-    x = [Jet.constant(c, 0, n) for c in x0]
-    u = [Jet.constant(float(c), 0, n) for c in v]
-    end = _rk4(spec, x, u, steps)
-    return np.array([c.value for c in end])
+    return _integrate(spec, x0, [v], 0, steps)[0, :, 0]
+
+
+@lru_cache(maxsize=None)
+def _second_columns(n: int) -> np.ndarray:
+    """Coefficient column of the (i, j) partial of an order-2 jet over n
+    variables, as an (n, n) table."""
+    cols = jets._columns(2, n)
+    return np.array([[cols[tuple(sorted((i, j)))] for j in range(n)] for i in range(n)])
 
 
 @dataclass(frozen=True)
@@ -122,27 +210,22 @@ class ChartMap:
     def point(self, a) -> np.ndarray:
         return geodesic_integrate(self.spec, self.x0, a, self.steps)
 
-    def jets(self, a, order: int = 2) -> list[Jet]:
-        """Chart-map coordinates as jets over the straight coordinates."""
-        n = self.spec.n
-        x = [Jet.constant(c, order, n) for c in self.x0]
-        u = jets.seed_embedded(a, order, n, 0)
-        return _rk4(self.spec, x, u, self.steps)
+    def probe_jets(self, probes, order: int = 2) -> JetBatch:
+        """Chart-map coordinates at every probe, as jets over the straight
+        coordinates with batch shape (probes, n), from one integration."""
+        return JetBatch(order, self.spec.n,
+                        _integrate(self.spec, self.x0, probes, order, self.steps))
+
+    def jets(self, a, order: int = 2) -> JetBatch:
+        """Chart-map coordinates at a, as jets with batch shape (n,)."""
+        out = self.probe_jets([a], order)
+        return JetBatch(order, self.spec.n, out.coeffs[0])
 
     def jacobian(self, a) -> np.ndarray:
-        out = self.jets(a, order=1)
-        n = self.spec.n
-        return np.array([[out[k].partial(i) for i in range(n)] for k in range(n)])
+        return self.jets(a, order=1).coeffs[:, 1:]
 
     def second_derivatives(self, a) -> np.ndarray:
-        out = self.jets(a, order=2)
-        n = self.spec.n
-        sec = np.empty((n, n, n))
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    sec[k, i, j] = out[k].partial(i, j)
-        return sec
+        return self.jets(a, order=2).coeffs[:, _second_columns(self.spec.n)]
 
 
 def exponential_chart(spec: ManifoldSpec, x0, steps: int = DEFAULT_STEPS,
@@ -157,8 +240,10 @@ def exponential_chart(spec: ManifoldSpec, x0, steps: int = DEFAULT_STEPS,
     if not spec.contains(x0):
         raise SpecError(f"chart base point {x0} lies outside the sample box")
     points = [tuple(p) for p in sample_points(spec, GATE_POINTS, seed).tolist()]
-    worst = finite_maxima({"curvature": [curvature_at(spec, p) for p in points],
-                           "torsion": [torsion_at(spec, p) for p in points]}, points)
+    with np.errstate(over="ignore", invalid="ignore"):  # finite_maxima checks
+        residuals = {"curvature": [curvature_at(spec, p) for p in points],
+                     "torsion": [torsion_at(spec, p) for p in points]}
+    worst = finite_maxima(residuals, points)
     max_r, max_t = (float(np.max(m)) for m in worst.values())
     if max_r > FLATNESS_GATE_TOL or max_t > FLATNESS_GATE_TOL:
         raise FlatnessGateError(
@@ -169,20 +254,23 @@ def exponential_chart(spec: ManifoldSpec, x0, steps: int = DEFAULT_STEPS,
     return ChartMap(spec=spec, x0=x0, steps=steps, radius=inradius / 2.0)
 
 
-def _transformed_connection(spec: ManifoldSpec, chart: ChartMap, a) -> np.ndarray:
-    """Connection coefficients transformed into the chart at probe a:
-    Gamma'^c_ab = (da^c/dx^k) [ (dx^i/da^a)(dx^j/da^b) Gamma^k_ij
-    + d2 x^k / da^a da^b ]."""
-    if float(np.linalg.norm(a)) > chart.radius + 1e-12:
-        raise ValueError(
-            f"probe {a} lies beyond the chart validity radius {chart.radius:g}")
+def _connection_values(spec: ManifoldSpec, x: np.ndarray) -> np.ndarray:
+    """Gamma^k_ij at each row of positions x, ``(B, n)``, as ``(B, n, n, n)``."""
     n = spec.n
-    cj = chart.jets(a, order=2)
-    x = tuple(c.value for c in cj)
-    jac = np.array([[cj[k].partial(i) for i in range(n)] for k in range(n)])
-    sec = np.array([[[cj[k].partial(i, j) for j in range(n)]
-                     for i in range(n)] for k in range(n)])
-    gamma = fields.jet_values(fields.connection_jets(spec, x, 0))
+    out = np.zeros((len(x), n, n, n))
+    support = fields.connection_support(spec)
+    if support:
+        terms = _connection_terms(spec, support, 0)(x[:, :, None])
+        out[(slice(None), *np.array(support).T)] = terms[:, :, 0]
+    return out
+
+
+def _transformed_connection(jac: np.ndarray, sec: np.ndarray, gamma: np.ndarray,
+                            a) -> np.ndarray:
+    """Connection coefficients transformed into the chart at probe a, from
+    the chart map's Jacobian dx^k/da^a, its second derivatives and Gamma at
+    its image: Gamma'^c_ab = (da^c/dx^k) [ (dx^i/da^a)(dx^j/da^b) Gamma^k_ij
+    + d2 x^k / da^a da^b ]."""
     try:
         inv = np.linalg.inv(jac)
     except np.linalg.LinAlgError:
@@ -206,14 +294,24 @@ def _block_residual(transformed: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _probe_residuals(spec: ManifoldSpec, chart: ChartMap, probes,
                      y=None) -> tuple[float, float]:
-    """Integrate the chart once per probe and return the max-norm of the
-    transformed connection and, at fiber vector y, the max block residual
-    over the probes (0.0 when y is None)."""
+    """Integrate the chart once over all probes and return the max-norm of
+    the transformed connection and, at fiber vector y, the max block
+    residual over the probes (0.0 when y is None)."""
     probes = [tuple(float(c) for c in a) for a in probes]
-    transformed = [_transformed_connection(spec, chart, a) for a in probes]
-    stacks = {"pushforward_connection": transformed}
-    if y is not None:
-        stacks["born_block"] = [_block_residual(t, y) for t in transformed]
+    for a in probes:
+        if float(np.linalg.norm(a)) > chart.radius + 1e-12:
+            raise ValueError(
+                f"probe {a} lies beyond the chart validity radius {chart.radius:g}")
+    cj = chart.probe_jets(probes, order=2).coeffs
+    n = spec.n
+    with np.errstate(over="ignore", invalid="ignore"):  # finite_maxima checks
+        gamma = _connection_values(spec, cj[:, :, 0])
+        transformed = [_transformed_connection(*parts, a) for *parts, a in
+                       zip(cj[:, :, 1:n + 1], cj[:, :, _second_columns(n)], gamma,
+                           probes)]
+        stacks = {"pushforward_connection": transformed}
+        if y is not None:
+            stacks["born_block"] = [_block_residual(t, y) for t in transformed]
     worst = finite_maxima(stacks, probes)
     return (float(np.max(worst["pushforward_connection"])),
             float(np.max(worst.get("born_block", 0.0))))

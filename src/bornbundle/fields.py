@@ -251,21 +251,6 @@ def connection_support(spec) -> tuple[tuple[int, int, int], ...]:
     return every
 
 
-def connection_terms(spec, args: Sequence[Jet], order: int,
-                     support: tuple[tuple[int, int, int], ...]) -> list:
-    """The coefficients Gamma[k, i, j] on ``support`` (see
-    :func:`connection_support`) at jet-valued coordinates, as
-    ((k, i, j), jet) pairs."""
-    if not support:
-        return []
-    if spec.connection_kind == "explicit":
-        return [((k, i, j), jets.truncate(
-                    expr.evaluate(spec.gamma_exprs[k][i][j], args), order))
-                for k, i, j in support]
-    gamma = connection_args(spec, args, order)
-    return [(kij, gamma[kij]) for kij in support]
-
-
 # -- seeded (point-based) entry points ------------------------------------
 
 def _seed_point(p, order):

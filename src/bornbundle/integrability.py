@@ -190,16 +190,18 @@ def integrability_verdict(spec: ManifoldSpec, base_count: int = 32,
     signature_ok = True
     for b in bases:
         points = [(b.x, tuple(y)) for y in fibers.tolist()]
-        mats = fiber_born_jets(b, fibers)
-        tensors = {"nijenhuis_" + name: _nijenhuis_of(mats[name]) for name in "IJK"}
-        tensors["d_omega"] = _d_omega_of(mats["omega"])
+        with np.errstate(over="ignore", invalid="ignore"):  # finite_maxima checks
+            mats = fiber_born_jets(b, fibers)
+            tensors = {"nijenhuis_" + name: _nijenhuis_of(mats[name]) for name in "IJK"}
+            tensors["d_omega"] = _d_omega_of(mats["omega"])
         rows.append({key: m / norms
                      for key, m in finite_maxima(tensors, points).items()})
         per_point += [{"x": list(x), "y": list(y),
                        **{key: float(m[f]) for key, m in rows[-1].items()}}
                       for f, (x, y) in enumerate(points)]
-        rep = born_compatibility_residuals(
-            BornFrame.of({name: m[:, 0] for name, m in mats.items()}))
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = born_compatibility_residuals(
+                BornFrame.of({name: m[:, 0] for name, m in mats.items()}))
         compat.append(finite_maxima(rep.residuals, points))
         signature_ok = signature_ok and bool(np.all(np.array(rep.k_signature) == spec.n))
     maxima = {key: float(np.max([r[key] for r in rows])) for key in rows[0]}

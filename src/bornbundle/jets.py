@@ -7,6 +7,15 @@ equality of mixed partials under permutation of the differentiation
 indices is structural: looking up ``(i, j)`` and ``(j, i)`` hits the same
 cell.
 
+A :class:`JetBatch` holds jets of one order and arity at every point of a
+batch as one float array of shape ``(*batch, K)``: the value in column 0,
+then the K - 1 partials in :func:`partial_keys` order (Taylor-mode forward
+differentiation on coefficient arrays).  Its arithmetic reproduces the
+Jet's bit for bit: products sum their Leibniz splits in Jet order through
+gather tables, and the elementary functions take their derivative values
+from the same ``math`` calls, point by point, raising the same
+:class:`JetDomainError` as the Jet at the first failing point in C order.
+
 The module also provides :func:`fd_oracle`, a central-difference gradient
 used as an independent check on the jet first derivatives.
 """
@@ -14,8 +23,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Callable, Sequence
+
+import numpy as np
 
 MAX_ORDER = 3
 
@@ -200,6 +211,11 @@ def seed_embedded(point: Sequence[float], order: int, nvars: int,
 
 
 # -- elementary functions ----------------------------------------------
+#
+# Each function below is written as the values of f and its first three
+# derivatives at one float, or its JetDomainError there; :func:`_elementary`
+# lifts it to Jets and JetBatches alike, so both compute with the same
+# ``math`` calls and raise the same messages.
 
 def _chain(u: Jet, f: Sequence[float]) -> Jet:
     """Compose a scalar function with derivative values ``f[0..order]`` at
@@ -223,66 +239,87 @@ def _chain(u: Jet, f: Sequence[float]) -> Jet:
     return Jet(u.order, u.nvars, f[0], out)
 
 
-def _reciprocal(u: Jet) -> Jet:
-    v = u.value
+def _elementary(derivs: Callable[[float], Sequence[float]]):
+    """The jet function whose derivative values ``derivs`` gives at one
+    float: on a Jet through :func:`_chain`, on a JetBatch through
+    :func:`_chain_coeffs`, calling ``derivs`` at each point in C order."""
+    @wraps(derivs)
+    def apply(u):
+        if isinstance(u, JetBatch):
+            values = u.coeffs[..., 0]
+            f = np.array([derivs(v) for v in values.ravel().tolist()])
+            return u._new(_chain_coeffs(u.coeffs, f.reshape(values.shape + (4,)),
+                                        u.order, u.nvars))
+        return _chain(u, derivs(u.value))
+    return apply
+
+
+@_elementary
+def _reciprocal(v: float) -> tuple:
     if v == 0.0:
         raise JetDomainError("division by zero")
     inv = 1.0 / v
     try:
-        derivs = (inv, -inv * inv, 2.0 * inv ** 3, -6.0 * inv ** 4)
+        return (inv, -inv * inv, 2.0 * inv ** 3, -6.0 * inv ** 4)
     except OverflowError:
         raise JetDomainError(f"reciprocal of {v} overflows") from None
-    return _chain(u, derivs)
 
 
-def exp(u: Jet) -> Jet:
+@_elementary
+def exp(v: float) -> tuple:
     try:
-        e = math.exp(u.value)
+        e = math.exp(v)
     except OverflowError:
-        raise JetDomainError(f"exp of {u.value} overflows") from None
-    return _chain(u, (e, e, e, e))
+        raise JetDomainError(f"exp of {v} overflows") from None
+    return (e, e, e, e)
 
 
-def log(u: Jet) -> Jet:
-    v = u.value
+@_elementary
+def log(v: float) -> tuple:
     if v <= 0.0:
         raise JetDomainError(f"log of non-positive value {v}")
     inv = 1.0 / v
-    return _chain(u, (math.log(v), inv, -inv * inv, 2.0 * inv ** 3))
+    return (math.log(v), inv, -inv * inv, 2.0 * inv ** 3)
 
 
-def sqrt(u: Jet) -> Jet:
-    v = u.value
+@_elementary
+def sqrt(v: float) -> tuple:
     if v <= 0.0:
         raise JetDomainError(f"sqrt of non-positive value {v}")
     s = math.sqrt(v)
-    return _chain(u, (s, 0.5 / s, -0.25 / (s * v), 0.375 / (s * v * v)))
+    return (s, 0.5 / s, -0.25 / (s * v), 0.375 / (s * v * v))
 
 
-def sin(u: Jet) -> Jet:
-    s, c = math.sin(u.value), math.cos(u.value)
-    return _chain(u, (s, c, -s, -c))
+@_elementary
+def sin(v: float) -> tuple:
+    s, c = math.sin(v), math.cos(v)
+    return (s, c, -s, -c)
 
 
-def cos(u: Jet) -> Jet:
-    s, c = math.sin(u.value), math.cos(u.value)
-    return _chain(u, (c, -s, -c, s))
+@_elementary
+def cos(v: float) -> tuple:
+    s, c = math.sin(v), math.cos(v)
+    return (c, -s, -c, s)
 
 
-def tanh(u: Jet) -> Jet:
-    t = math.tanh(u.value)
+@_elementary
+def tanh(v: float) -> tuple:
+    t = math.tanh(v)
     d = 1.0 - t * t
-    return _chain(u, (t, d, -2.0 * t * d, d * (6.0 * t * t - 2.0)))
+    return (t, d, -2.0 * t * d, d * (6.0 * t * t - 2.0))
 
 
-def pow_const(u: Jet, c: float) -> Jet:
+def pow_const(u, c: float):
     """u**c with a constant exponent."""
-    v = u.value
+    return _elementary(lambda v: _pow_derivs(v, c, u.order))(u)
+
+
+def _pow_derivs(v: float, c: float, order: int) -> list:
     if v < 0.0 and not float(c).is_integer():
         raise JetDomainError(f"negative base {v} with non-integer exponent {c}")
     derivs = []
     coeff = 1.0
-    for k in range(u.order + 1):
+    for k in range(order + 1):
         if coeff == 0.0:
             derivs.append(0.0)
         else:
@@ -302,7 +339,206 @@ def pow_const(u: Jet, c: float) -> Jet:
         coeff *= c - k
     while len(derivs) < 4:
         derivs.append(0.0)
-    return _chain(u, derivs)
+    return derivs
+
+
+# -- dense jet batches ---------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _columns(order: int, nvars: int) -> dict:
+    """Column of each multi-index in a coefficient vector: () is the value
+    in column 0, then come the partials in :func:`partial_keys` order."""
+    return {key: c for c, key in enumerate(((),) + partial_keys(order, nvars))}
+
+
+@lru_cache(maxsize=None)
+def _product_table(order: int, nvars: int):
+    """Gather tables of a jet product.  Column c of the product sums
+    ``a[left[c, s]] * b[right[c, s]]`` over the splits s of its multi-index
+    (:func:`_mul_splits`, in mask order); a column with fewer splits points
+    its unused slots at column 0.  Columns are ordered by the length of
+    their multi-index, so the columns with a split s are those from
+    ``starts[s]`` on."""
+    cols = _columns(order, nvars)
+    width = 2 ** order
+    left = np.zeros((len(cols), width), dtype=np.intp)
+    right = np.zeros((len(cols), width), dtype=np.intp)
+    for key, c in cols.items():
+        for s, (lkey, rkey) in enumerate(_mul_splits(key)):
+            left[c, s], right[c, s] = cols[lkey], cols[rkey]
+    starts = [1 + sum(math.comb(nvars + r - 1, r) for r in range(1, s.bit_length()))
+              for s in range(width)]
+    return left, right, starts
+
+
+def _product_coeffs(a: np.ndarray, b: np.ndarray, order: int, nvars: int) -> np.ndarray:
+    """Coefficients of the jet product a * b, summed as :meth:`Jet.__mul__`
+    sums them: the value is ``av*bv``, and each partial is ``0.0 + fa*fb +
+    ...`` over its splits in mask order."""
+    left, right, starts = _product_table(order, nvars)
+    terms = a[..., left] * b[..., right]
+    out = 0.0 + terms[..., 0]
+    out[..., 0] = terms[..., 0, 0]
+    for s in range(1, len(starts)):
+        block = out[..., starts[s]:]
+        block += terms[..., starts[s]:, s]
+    return out
+
+
+@lru_cache(maxsize=None)
+def _chain_table(order: int, nvars: int) -> list:
+    """For each multi-index length r >= 2: the columns of its partials and
+    the columns that :func:`_chain`'s formula for length r reads."""
+    cols = _columns(order, nvars)
+    tables = []
+    for r in range(2, order + 1):
+        keys = [key for key in cols if len(key) == r]
+        if r == 2:
+            reads = [(cols[(i,)], cols[(j,)]) for i, j in keys]
+        else:
+            reads = [(cols[(i,)], cols[(j,)], cols[(k,)], cols[(j, k)],
+                      cols[(i, k)], cols[(i, j)]) for i, j, k in keys]
+        tables.append((np.array([cols[key] for key in keys], dtype=np.intp),
+                       np.array(reads, dtype=np.intp).T))
+    return tables
+
+
+def _chain_coeffs(p: np.ndarray, f: np.ndarray, order: int, nvars: int) -> np.ndarray:
+    """:func:`_chain` over coefficient arrays: p has shape ``(*batch, K)``
+    and f holds the derivative values, ``(*batch, 4)``."""
+    out = np.empty(p.shape)
+    out[..., 0] = f[..., 0]
+    out[..., 1:] = f[..., 1:2] * p[..., 1:]
+    for cols, reads in _chain_table(order, nvars):
+        if len(reads) == 2:
+            i, j = reads
+            out[..., cols] = f[..., 2:3] * p[..., i] * p[..., j] + out[..., cols]
+        else:
+            i, j, k, jk, ik, ij = reads
+            out[..., cols] = (f[..., 3:4] * p[..., i] * p[..., j] * p[..., k]
+                              + f[..., 2:3] * (p[..., i] * p[..., jk]
+                                               + p[..., j] * p[..., ik]
+                                               + p[..., k] * p[..., ij])
+                              + out[..., cols])
+    return out
+
+
+def coefficients(u) -> np.ndarray:
+    """The coefficient array of a JetBatch, or the coefficient vector of a
+    Jet: the value, then the partials in :func:`partial_keys` order."""
+    if isinstance(u, JetBatch):
+        return u.coeffs
+    return np.array([u.value, *(u.partials[k] for k in partial_keys(u.order, u.nvars))])
+
+
+class JetBatch:
+    """Jets of one order and arity at every point of a batch, held as one
+    float array ``coeffs`` of shape ``(*batch, K)``: the value in column 0,
+    then the K - 1 partials in :func:`partial_keys` order.
+
+    The arithmetic mirrors :class:`Jet` operation by operation, so each
+    coefficient equals, bit for bit, what a Jet at that batch point
+    computes.  A product sums its Leibniz splits in the order of
+    :meth:`Jet.__mul__`.  A constant Jet on the left of an operator keeps
+    the left role, since at order 2 the split sum is not symmetric.  The
+    elementary functions take their derivative values from the Jet's own
+    ``math`` calls, and raise the JetDomainError of the first failing batch
+    point in C order.  numpy warns where Python floats overflow silently,
+    so callers that may overflow run under ``np.errstate``.
+    :func:`bornbundle.expr.evaluate` runs unchanged on batches.
+    """
+
+    __slots__ = ("order", "nvars", "coeffs")
+
+    def __init__(self, order: int, nvars: int, coeffs):
+        if not 0 <= order <= MAX_ORDER:
+            raise JetUsageError(f"unsupported jet order {order} (max {MAX_ORDER})")
+        if nvars < 1:
+            raise JetUsageError("jet needs at least one variable")
+        coeffs = np.asarray(coeffs, dtype=float)
+        if coeffs.shape[-1:] != (len(_columns(order, nvars)),):
+            raise JetUsageError(f"coefficients of shape {coeffs.shape} do not hold "
+                                f"order-{order} jets over {nvars} variables")
+        self.order = order
+        self.nvars = nvars
+        self.coeffs = coeffs
+
+    @property
+    def value(self) -> np.ndarray:
+        return self.coeffs[..., 0]
+
+    def _new(self, coeffs) -> "JetBatch":
+        return JetBatch(self.order, self.nvars, coeffs)
+
+    def _coerce(self, other):
+        """The coefficients of an operand: a float becomes a constant jet,
+        as in :meth:`Jet._coerce`; anything else gives NotImplemented."""
+        if isinstance(other, (Jet, JetBatch)):
+            if other.order != self.order or other.nvars != self.nvars:
+                raise JetUsageError(
+                    f"jet mismatch: (order={self.order}, nvars={self.nvars}) vs "
+                    f"(order={other.order}, nvars={other.nvars})")
+            return coefficients(other)
+        if isinstance(other, (int, float)):
+            out = np.zeros(self.coeffs.shape[-1])
+            out[0] = other
+            return out
+        return NotImplemented
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is NotImplemented else self._new(self.coeffs + o)
+
+    def __radd__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is NotImplemented else self._new(o + self.coeffs)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is NotImplemented else self._new(self.coeffs - o)
+
+    def __rsub__(self, other):
+        if isinstance(other, (int, float)):
+            return (-self).__add__(other)  # as Jet.__rsub__
+        o = self._coerce(other)
+        return NotImplemented if o is NotImplemented else self._new(o - self.coeffs)
+
+    def __neg__(self):
+        return self._new(-self.coeffs)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, float)):
+            return self._new(self.coeffs * float(other))
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return self._new(_product_coeffs(self.coeffs, o, self.order, self.nvars))
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, float)):
+            return self * other
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return self._new(_product_coeffs(o, self.coeffs, self.order, self.nvars))
+
+    def __truediv__(self, other):
+        if isinstance(other, (int, float)):
+            if other == 0:
+                raise JetDomainError("division by zero")
+            return self * (1.0 / float(other))
+        if self._coerce(other) is NotImplemented:
+            return NotImplemented
+        return self * _reciprocal(other)
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        if isinstance(other, (int, float)):
+            return _reciprocal(self) * other  # as Jet.__rtruediv__
+        return self._new(_product_coeffs(o, _reciprocal(self).coeffs,
+                                         self.order, self.nvars))
 
 
 # -- derivative extraction ----------------------------------------------

@@ -294,7 +294,10 @@ def finite_maxima(residuals: dict, points: Sequence) -> dict[str, np.ndarray]:
     """Per-point max |residual| of each stack in ``residuals``, whose first
     axis runs over ``points``.  A maximum that is not finite (a NaN, which
     Python's ``max`` would skip, or inf) is a spec error naming the first one
-    by point, then by residual in the order given, and its point."""
+    by point, then by residual in the order given, and its point.  Callers
+    compute the residuals under ``np.errstate(over="ignore",
+    invalid="ignore")``: a residual that overflows or is NaN reaches this
+    check instead of printing a numpy warning."""
     maxima = {name: np.max(np.abs(np.reshape(r, (len(points), -1))), axis=1)
               for name, r in residuals.items()}
     bad = np.argwhere(~np.isfinite(np.stack(list(maxima.values()), axis=1)))
@@ -336,11 +339,13 @@ class HessianVerdict:
         positivity gate at every point."""
         for base in bases:
             check_spd(base.g[0], base.x)
-        worst = finite_maxima({
-            "curvature": [_curvature_of(b.gamma) for b in bases],
-            "torsion": [_torsion_of(b.gamma[0]) for b in bases],
-            "nabla_g_asymmetry": [_nabla_g_of(b.gamma[0], b.g)[1] for b in bases],
-        }, [b.x for b in bases])
+        with np.errstate(over="ignore", invalid="ignore"):  # finite_maxima checks
+            residuals = {
+                "curvature": [_curvature_of(b.gamma) for b in bases],
+                "torsion": [_torsion_of(b.gamma[0]) for b in bases],
+                "nabla_g_asymmetry": [_nabla_g_of(b.gamma[0], b.g)[1] for b in bases],
+            }
+        worst = finite_maxima(residuals, [b.x for b in bases])
         max_r, max_t, max_a = (float(np.max(m)) for m in worst.values())
         return cls(is_hessian=bool(max_r <= tol and max_t <= tol and max_a <= tol),
                    max_curvature=max_r, max_torsion=max_t,
@@ -382,13 +387,15 @@ class TwoOfFourReport:
     def of(cls, bases: Sequence[BaseJets], tol: float) -> "TwoOfFourReport":
         """The report over base-point fields: Gamma of any order, g of order 1."""
         duals = [dual_and_levi_civita(b.gamma[0], b.g) for b in bases]
-        worst = finite_maxima({
-            "torsion": [_torsion_of(b.gamma[0]) for b in bases],
-            "dual_torsion": [_torsion_of(dual) for dual, _ in duals],
-            "nabla_g_asymmetry": [_nabla_g_of(b.gamma[0], b.g)[1] for b in bases],
-            "mean_vs_levi_civita": [0.5 * (b.gamma[0] + dual) - lc
-                                    for b, (dual, lc) in zip(bases, duals)],
-        }, [b.x for b in bases])
+        with np.errstate(over="ignore", invalid="ignore"):  # finite_maxima checks
+            residuals = {
+                "torsion": [_torsion_of(b.gamma[0]) for b in bases],
+                "dual_torsion": [_torsion_of(dual) for dual, _ in duals],
+                "nabla_g_asymmetry": [_nabla_g_of(b.gamma[0], b.g)[1] for b in bases],
+                "mean_vs_levi_civita": [0.5 * (b.gamma[0] + dual) - lc
+                                        for b, (dual, lc) in zip(bases, duals)],
+            }
+        worst = finite_maxima(residuals, [b.x for b in bases])
         maxima = {k: float(np.max(v)) for k, v in worst.items()}
         holds = {k: bool(v <= tol) for k, v in maxima.items()}
         return cls(residuals=maxima, holds=holds, tol=tol,

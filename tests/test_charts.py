@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from bornbundle import corpus, fields
+from bornbundle import corpus, fields, jets
+from bornbundle.cli import spec_from_dict
 from bornbundle.charts import (BoxExitError, ChartMap, FlatnessGateError,
                                affine_chart_witness, chart_born_block_residual,
                                exponential_chart, geodesic_integrate,
                                pushforward_connection_residual)
 from bornbundle.errors import SpecError
-from bornbundle.jets import Jet
+from bornbundle.jets import Jet, JetBatch
 from bornbundle.manifold import build_spec, halton_points, sample_fibers
+from test_manifold import GENERATED
 
 EUCLID = corpus.example("euclidean2")
 HESSIAN = corpus.example("hessian-exp2")
@@ -165,8 +167,10 @@ def test_born_blocks_in_constructed_chart():
 class _CollapsedChart(ChartMap):
     """Sends every probe to x0, so the chart Jacobian is zero."""
 
-    def jets(self, a, order=2):
-        return [Jet.constant(c, order, self.spec.n) for c in self.x0]
+    def probe_jets(self, probes, order=2):
+        const = np.stack([jets.coefficients(Jet.constant(c, order, self.spec.n))
+                          for c in self.x0])
+        return JetBatch(order, self.spec.n, np.stack([const for _ in probes]))
 
 
 def test_singular_chart_jacobian_is_spec_error():
@@ -219,9 +223,9 @@ def test_skipped_zero_terms_change_no_result():
     fast = exponential_chart(skipped, x0)
     full = exponential_chart(summed, x0)
     for a in probes(fast.radius, 5):
-        for got, want in zip(fast.jets(a), full.jets(a)):
-            assert got.value == want.value
-            assert got.partials == want.partials
+        got, want = fast.jets(a), full.jets(a)
+        assert np.array_equal(got.value, want.value)
+        assert np.array_equal(got.coeffs[:, 1:], want.coeffs[:, 1:])
 
 
 def test_connection_support_by_kind():
@@ -233,16 +237,17 @@ def test_connection_support_by_kind():
 @pytest.mark.parametrize("spec", [PULLBACK, EUCLID, HESSIAN])
 def test_witness_integrates_each_probe_once(spec, monkeypatch):
     calls = []
-    jets_of = ChartMap.jets
+    jets_of = ChartMap.probe_jets
 
-    def counted(self, a, order=2):
-        calls.append(a)
-        return jets_of(self, a, order)
+    def counted(self, probes, order=2):
+        calls.append(list(probes))
+        return jets_of(self, probes, order)
 
-    monkeypatch.setattr(ChartMap, "jets", counted)
+    monkeypatch.setattr(ChartMap, "probe_jets", counted)
     x0, count, seed = (0.0, 0.0), 5, 3
     out = affine_chart_witness(spec, x0, count, 1.0, seed=seed)
-    assert len(calls) == count
+    # one integration, in one call, of all the probes
+    assert len(calls) == 1 and len(calls[0]) == count
     # the shared per-probe pass gives what the two standalone residuals give
     chart = exponential_chart(spec, x0, seed=seed)
     points = [tuple(chart.radius * (2 * u - 1) / 2)
@@ -252,3 +257,88 @@ def test_witness_integrates_each_probe_once(spec, monkeypatch):
         spec, chart, points)
     assert out["born_block_residual"] == max(
         chart_born_block_residual(spec, chart, a, fiber) for a in points)
+
+
+def reference_chart_jets(spec, x0, a, order=2, steps=64):
+    """The per-probe RK4 over Jets that the batched integrator replaced, kept
+    as the reference: chart-map coordinates at probe a as a list of Jets."""
+    n = spec.n
+    support = fields.connection_support(spec)
+
+    def acceleration(x, u):
+        sums = [None] * n
+        if support:
+            gamma = fields.connection_args(spec, list(x), order)
+            for k, i, j in support:
+                term = gamma[k, i, j] * u[i] * u[j]
+                sums[k] = term if sums[k] is None else sums[k] + term
+        zero = Jet.constant(0.0, order, n)
+        return [zero if s is None else -s for s in sums]
+
+    h = 1.0 / steps
+    x = [Jet.constant(c, order, n) for c in x0]
+    u = jets.seed_embedded(a, order, n, 0)
+    for _ in range(steps):
+        k1x, k1u = u, acceleration(x, u)
+        x2 = [x[i] + k1x[i] * (h / 2) for i in range(n)]
+        u2 = [u[i] + k1u[i] * (h / 2) for i in range(n)]
+        k2x, k2u = u2, acceleration(x2, u2)
+        x3 = [x[i] + k2x[i] * (h / 2) for i in range(n)]
+        u3 = [u[i] + k2u[i] * (h / 2) for i in range(n)]
+        k3x, k3u = u3, acceleration(x3, u3)
+        x4 = [x[i] + k3x[i] * h for i in range(n)]
+        u4 = [u[i] + k3u[i] * h for i in range(n)]
+        k4x, k4u = u4, acceleration(x4, u4)
+        x = [x[i] + (k1x[i] + k2x[i] * 2 + k3x[i] * 2 + k4x[i]) * (h / 6)
+             for i in range(n)]
+        u = [u[i] + (k1u[i] + k2u[i] * 2 + k3u[i] * 2 + k4u[i]) * (h / 6)
+             for i in range(n)]
+        assert spec.contains([c.value for c in x])
+    return x
+
+
+# Gamma entries using every expression node: constants, variables, negation,
+# + - * /, powers and all six functions
+EVERY_NODE = build_spec(
+    "every-node", ("u", "v"), [(-1, 1), (-1, 1)], metric=[["1", "0"], ["0", "1"]],
+    connection="explicit",
+    gamma=[[["0.1*sin(u) - v/3", "0"], ["0", "log(2 + u) - sqrt(1.5 + v)"]],
+           [["-exp(-u^2)*cos(v)", "tanh(u*v)^2"], ["0", "1/(2 + u^2)"]]])
+PULLBACK_LC = build_spec("pullback-lc", ("u", "v"), [(-1, 1), (-1, 1)],
+                         metric=[["1 + 4*u^2", "-2*u"], ["-2*u", "1"]],
+                         connection="levi-civita")
+REFERENCE_SPECS = {
+    "euclidean2": EUCLID, "hessian-exp2": HESSIAN, "pullback-flat": PULLBACK,
+    "flat-skew-metric": corpus.example("flat-skew-metric"),
+    **{name: spec_from_dict(GENERATED[name], name=name)
+       for name in ("twisted3", "twisted4", "potential3", "potential4")},
+    "every-node": EVERY_NODE, "pullback-lc": PULLBACK_LC,
+}
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_SPECS))
+def test_batched_chart_equals_jet_reference(name):
+    # every coefficient of the batched chart map, over all probes of one
+    # call, equals the per-probe Jet integration, signs of zeros included
+    spec = REFERENCE_SPECS[name]
+    x0 = tuple(0.5 * (lo + hi) + 0.1 for lo, hi in spec.sample_box)
+    chart = ChartMap(spec, x0, radius=0.25)
+    count = 3 if name == "pullback-lc" else 6
+    points = [tuple(0.25 * (2 * u - 1) / 2) for u in halton_points(count, spec.n, 5)]
+    got = chart.probe_jets(points).coeffs
+    for b, a in enumerate(points):
+        want = np.stack([jets.coefficients(c) for c in reference_chart_jets(spec, x0, a)])
+        assert np.array_equal(got[b], want)
+        assert np.array_equal(np.signbit(got[b]), np.signbit(want))
+
+
+def test_batched_box_exit_reports_the_first_probe():
+    # probe 28 leaves the box first, at step 24, yet probe 0's exit (step 51)
+    # is reported, as when the probes were integrated one after another
+    chart = exponential_chart(PULLBACK, (0.9, 0.9))
+    points = [tuple(chart.radius * (2 * u - 1) / 2) for u in halton_points(30, 2, 42)]
+    with pytest.raises(BoxExitError) as first:
+        chart.probe_jets(points[28:29])
+    with pytest.raises(BoxExitError) as batch:
+        chart.probe_jets(points)
+    assert (first.value.step, batch.value.step) == (24, 51)

@@ -230,6 +230,7 @@ NAN_RESIDUAL = _diag_spec(("1", "1"), "explicit", OVERFLOW_BOX,
                           gamma=[[["1e200", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", ["check", "theorem", "affine-chart"])
 def test_nan_residual_is_spec_error(command, tmp_path, capsys):
     path = tmp_path / "nan.json"
@@ -244,6 +245,33 @@ def test_nan_residual_is_spec_error(command, tmp_path, capsys):
     assert out["error"]["kind"] == "SpecError"
     assert "curvature residual is not finite at (" in out["error"]["message"]
     assert "(value nan)" in out["error"]["message"]
+
+
+def _chart_error(argv, capsys):
+    code = main(["affine-chart", *argv])
+    assert code == 1
+    return json.loads(capsys.readouterr().out)["error"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_chart_overflow_is_box_exit_without_warning(tmp_path, capsys):
+    # flat, so it passes the gate; the geodesic overflows to -inf at once
+    spec = _diag_spec(("1", "1"), "explicit", OVERFLOW_BOX,
+                      gamma=[[["1e150", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]])
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(spec))
+    assert _chart_error([str(path)], capsys) == {
+        "kind": "BoxExitError",
+        "message": "geodesic left the sample box at step 1/64, "
+                   "position (-inf, 0.001153239788142051)"}
+
+
+def test_chart_box_exit_names_the_first_probe(capsys):
+    # probe 28 leaves the box first (test_charts), but probe 0's exit is named
+    assert _chart_error(["pullback-flat", "--at", "0.9,0.9", "--probes", "30"],
+                        capsys)["message"] == (
+        "geodesic left the sample box at step 51/64, "
+        "position (1.000095748901367, 0.9688343881433716)")
 
 
 @pytest.mark.parametrize("radius", ["nan", "inf", "0", "-1"])

@@ -1,0 +1,203 @@
+"""JetBatch against the Jet reference: every coefficient of a batched
+operation must equal, sign of zero included, what the Jet at that batch
+point computes, and a domain error must carry the Jet's message."""
+import operator
+
+import numpy as np
+import pytest
+
+from bornbundle import expr, jets
+from bornbundle.jets import Jet, JetBatch, JetDomainError, JetUsageError, partial_keys
+
+ORDERS = (0, 1, 2, 3)
+BATCH = 7
+
+
+def random_jets(rng, order, nvars, count, lo=-2.0, hi=2.0, values=None):
+    """Jets with random values and partials; some partials are exact +-0 so
+    that the signs of zeros are exercised."""
+    out = []
+    for b in range(count):
+        value = float(rng.uniform(lo, hi)) if values is None else values[b]
+        partials = {}
+        for key in partial_keys(order, nvars):
+            pick = rng.integers(5)
+            partials[key] = (0.0 if pick == 0 else -0.0 if pick == 1
+                             else float(rng.uniform(-3.0, 3.0)))
+        out.append(Jet(order, nvars, value, partials))
+    return out
+
+
+def batch_of(js):
+    return JetBatch(js[0].order, js[0].nvars, np.stack([jets.coefficients(j) for j in js]))
+
+
+def assert_same(batch, js):
+    assert isinstance(batch, JetBatch)
+    want = np.stack([jets.coefficients(j) for j in js])
+    got = batch.coeffs
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan], want[~nan])
+    assert np.array_equal(np.signbit(got[~nan]), np.signbit(want[~nan]))
+
+
+def cases():
+    for order in ORDERS:
+        for nvars in (1, 2, 3):
+            yield pytest.param(order, nvars, id=f"order{order}-nvars{nvars}")
+
+
+BINARY = [operator.add, operator.sub, operator.mul, operator.truediv]
+
+
+@pytest.mark.parametrize("order,nvars", cases())
+@pytest.mark.parametrize("op", BINARY, ids=lambda op: op.__name__)
+def test_binary_ops_match_jets(order, nvars, op):
+    rng = np.random.default_rng(order * 10 + nvars)
+    a, b = (random_jets(rng, order, nvars, BATCH) for _ in range(2))
+    const = random_jets(rng, order, nvars, 1)[0]
+    ab, bb = batch_of(a), batch_of(b)
+    assert_same(op(ab, bb), [op(x, y) for x, y in zip(a, b)])
+    # a scalar Jet on either side keeps its role as left or right operand
+    assert_same(op(ab, const), [op(x, const) for x in a])
+    assert_same(op(const, bb), [op(const, y) for y in b])
+    for c in (2, -0.5, 0.0, -0.0):
+        if op is operator.truediv and c == 0:
+            continue
+        assert_same(op(ab, c), [op(x, c) for x in a])
+        assert_same(op(c, bb), [op(c, y) for y in b])
+
+
+@pytest.mark.parametrize("order,nvars", cases())
+def test_negation_and_reflected_float_ops_match_jets(order, nvars):
+    rng = np.random.default_rng(100 + order * 10 + nvars)
+    a = random_jets(rng, order, nvars, BATCH)
+    ab = batch_of(a)
+    assert_same(-ab, [-x for x in a])
+    assert_same(1.5 - ab, [1.5 - x for x in a])
+    assert_same(0.0 - ab, [0.0 - x for x in a])
+
+
+@pytest.mark.parametrize("order,nvars", cases())
+@pytest.mark.parametrize("func,lo,hi", [
+    (jets.exp, -3.0, 3.0), (jets.log, 0.1, 4.0), (jets.sqrt, 0.1, 4.0),
+    (jets.sin, -4.0, 4.0), (jets.cos, -4.0, 4.0), (jets.tanh, -3.0, 3.0),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_elementary_functions_match_jets(order, nvars, func, lo, hi):
+    rng = np.random.default_rng(200 + order * 10 + nvars)
+    a = random_jets(rng, order, nvars, BATCH, lo, hi)
+    assert_same(func(batch_of(a)), [func(x) for x in a])
+
+
+@pytest.mark.parametrize("order,nvars", cases())
+@pytest.mark.parametrize("exponent", [0.0, 1.0, 2.0, 3.0, -2.0, 0.5, -1.5, 2.5])
+def test_pow_const_matches_jets(order, nvars, exponent):
+    rng = np.random.default_rng(300 + order * 10 + nvars)
+    # positive bases take every exponent, integer exponents take negative
+    # bases too, and a zero base takes the exponents whose powers it has
+    bases = [0.3, 1.7, 2.0, 0.9]
+    if float(exponent).is_integer():
+        bases += [-1.2, -0.4]
+    if exponent >= order or float(exponent).is_integer() and exponent >= 0:
+        bases += [0.0]
+    a = random_jets(rng, order, nvars, len(bases), values=bases)
+    assert_same(jets.pow_const(batch_of(a), exponent),
+                [jets.pow_const(x, exponent) for x in a])
+
+
+def jet_error(fn, x):
+    with pytest.raises(JetDomainError) as exc:
+        fn(x)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("fn,values", [
+    (jets.log, [1.0, 0.5, -1.0, 0.0]),
+    (jets.sqrt, [2.0, 0.0, -3.0]),
+    (jets.exp, [1.0, 800.0, 900.0]),
+    (lambda u: 1.0 / u, [2.0, 0.0, -1.0]),
+    (lambda u: u / (u - 1.0), [0.5, 1.0]),
+    (lambda u: Jet.constant(1.0, u.order, u.nvars) / u, [3.0, 1e-300, 0.0]),
+    (lambda u: jets.pow_const(u, 0.5), [1.0, -2.0]),
+    (lambda u: jets.pow_const(u, -1.0), [1.0, 0.0]),
+    (lambda u: jets.pow_const(u, 3.0), [1.0, 1e200]),
+], ids=["log", "sqrt", "exp", "reciprocal", "divide", "jet-divide",
+        "pow-fractional", "pow-zero-base", "pow-overflow"])
+def test_domain_errors_carry_the_jet_message(order, fn, values):
+    rng = np.random.default_rng(order)
+    a = random_jets(rng, order, 2, len(values), values=values)
+    first = next(jet_error(fn, x) for x in a if _raises(fn, x))
+    assert jet_error(fn, batch_of(a)) == first
+
+
+def _raises(fn, x):
+    try:
+        fn(x)
+    except JetDomainError:
+        return True
+    return False
+
+
+def test_division_by_a_float_zero_is_domain_error():
+    b = batch_of(random_jets(np.random.default_rng(0), 1, 2, 3))
+    with pytest.raises(JetDomainError, match="division by zero"):
+        b / 0.0
+
+
+def test_mismatched_jets_are_usage_errors():
+    b = batch_of(random_jets(np.random.default_rng(0), 1, 2, 3))
+    with pytest.raises(JetUsageError):
+        b + Jet.constant(1.0, 2, 2)
+    with pytest.raises(JetUsageError):
+        Jet.constant(1.0, 1, 3) * b
+    with pytest.raises(JetUsageError):
+        JetBatch(1, 2, np.zeros((3, 4)))
+
+
+def test_batch_of_any_shape():
+    rng = np.random.default_rng(5)
+    a = random_jets(rng, 2, 2, 6)
+    grid = JetBatch(2, 2, batch_of(a).coeffs.reshape(2, 3, -1))
+    assert_same(JetBatch(2, 2, (grid * jets.sin(grid)).coeffs.reshape(6, -1)),
+                [x * jets.sin(x) for x in a])
+    assert grid.value[1, 2] == a[5].value
+
+
+# every node kind: constants, variables, negation, + - * /, powers, calls
+EXPRESSIONS = [
+    "2*u - v/3 + 1",
+    "-(u*v)^2 + u^3 - 0.5/v^2",
+    "exp(u)*sin(v) + cos(u*v) - tanh(2*u)",
+    "log(1 + u^2) / sqrt(2 + v) + (u - v)^0.5",
+    "1/(1 + u^2 + v^2)",
+]
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("text", EXPRESSIONS)
+def test_expression_evaluates_unchanged_on_a_batch(order, text):
+    ast = expr.parse(text, ["u", "v"])
+    rng = np.random.default_rng(order)
+    points = [(float(rng.uniform(0.6, 1.8)), float(rng.uniform(0.1, 0.5)))
+              for _ in range(BATCH)]
+    coeffs = np.stack([np.stack([jets.coefficients(j)
+                                 for j in jets.seed_embedded(p, order, 2, 0)])
+                       for p in points])
+    args = [JetBatch(order, 2, coeffs[:, c]) for c in range(2)]
+    assert_same(expr.evaluate(ast, args),
+                [expr.evaluate(ast, jets.seed_embedded(p, order, 2, 0)) for p in points])
+
+
+def test_expression_domain_error_names_the_jet_message_and_offset():
+    ast = expr.parse("log(u - 1)", ["u"])
+    values = [2.0, 0.5, 0.25]
+    args = [JetBatch(1, 1, np.array([[v, 1.0] for v in values]))]
+    with pytest.raises(expr.EvalDomainError) as batch_exc:
+        expr.evaluate(ast, args)
+    with pytest.raises(expr.EvalDomainError) as jet_exc:
+        expr.evaluate(ast, jets.seed([0.5], 1))
+    assert str(batch_exc.value) == str(jet_exc.value)
+    assert batch_exc.value.offset == jet_exc.value.offset
