@@ -40,9 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fields
 from .errors import SpecError
-from .manifold import BaseJets, ManifoldSpec, base_jets, check_spd, sample_points
+from .manifold import (BaseJets, ManifoldSpec, base_jets, check_spd, connection_at,
+                       sample_points)
 
 FRAMES = ("adapted", "bundle-coordinate")
 
@@ -167,7 +167,7 @@ def adapted_frame_at(spec: ManifoldSpec, bp: BundlePoint):
     """Change-of-basis pair (E, E^-1): columns of E are H_1..H_n, V_1..V_n
     in bundle coordinates, rows of E^-1 the dual coframe."""
     bp = _require_point(spec, bp)
-    e, einv = _frame_of(base_jets(spec, bp.x, 0), bp.y)
+    e, einv = _frame_of(base_jets(spec, [bp.x], 0)[0], bp.y)
     return e[0], einv
 
 
@@ -198,16 +198,18 @@ def born_jets(spec: ManifoldSpec, bp: BundlePoint) -> dict[str, np.ndarray]:
     the 2n coordinates, as (1 + 2n, 2n, 2n) arrays."""
     bp = _require_point(spec, bp)
     return {name: m[0] for name, m in
-            fiber_born_jets(base_jets(spec, bp.x), [bp.y]).items()}
+            fiber_born_jets(base_jets(spec, [bp.x])[0], [bp.y]).items()}
 
 
-def born_at(spec: ManifoldSpec, bp: BundlePoint,
-            frame: str = "bundle-coordinate") -> BornFrame:
-    """Evaluate the six tensors at a bundle point, in the requested frame."""
+def born_at(spec: ManifoldSpec, bp: BundlePoint, frame: str = "bundle-coordinate",
+            base: BaseJets | None = None) -> BornFrame:
+    """Evaluate the six tensors at a bundle point, in the requested frame,
+    from the base-point fields ``base`` at bp.x if given (any order: the
+    values are the same bits)."""
     bp = _require_point(spec, bp)
     if frame not in FRAMES:
         raise ValueError(f"unknown frame {frame!r}")
-    base = base_jets(spec, bp.x, 0)
+    base = base_jets(spec, [bp.x], 0)[0] if base is None else base
     check_spd(base.g[0], bp.x)
     if frame == "adapted":
         mats = _constant_blocks(spec.n)
@@ -275,15 +277,15 @@ def affine_chart_form_check(spec: ManifoldSpec, bp: BundlePoint) -> dict[str, fl
     probes = [bp.x] + [tuple(0.5 * (lo + hi) for lo, hi in spec.sample_box)]
     probes += [tuple(p) for p in sample_points(spec, 4, 1)]
     for q in probes:
-        gamma = fields.jet_values(fields.connection_jets(spec, q, 0))
+        gamma = connection_at(spec, q)
         if np.max(np.abs(gamma)) != 0.0:
             raise SpecError(
                 "connection coefficients do not vanish in this chart; "
                 f"max |Gamma| = {np.max(np.abs(gamma)):.3g} at {q}")
-    bf = born_at(spec, bp, "bundle-coordinate")
+    base = base_jets(spec, [bp.x], 0)[0]
+    bf = born_at(spec, bp, "bundle-coordinate", base)
     want = _constant_blocks(spec.n)
-    gv = fields.jet_values(fields.metric_jets(spec, bp.x, 0))
-    want.update(_metric_blocks(gv))
+    want.update(_metric_blocks(base.g[0]))
     return {
         "I": float(np.max(np.abs(bf.I - want["I"]))),
         "J": float(np.max(np.abs(bf.J - want["J"]))),

@@ -21,10 +21,10 @@ connection, the entries other than a literal 0 for an explicit one), in
 (k, i, j) order, and is a zero jet for a k without terms.  A skipped term
 is an exact +-0 jet, and adding +-0 to a nonzero float is exact, so
 skipping can change only the signs of zeros; every chart output passes
-through ``abs`` and ``max``, so the reports do not change.  An explicit
-Gamma is evaluated over the whole batch; the connections derived from the
-metric are evaluated row by row on Jets.  Every coefficient equals the
-per-probe Jet integration bit for bit.
+through ``abs`` and ``max``, so the reports do not change.  Gamma is
+evaluated over the whole batch at every stage, the connections derived
+from the metric included.  Every coefficient equals the per-probe Jet
+integration bit for bit.
 
 Errors: probe radii are checked before any integration.  The loop runs
 under ``np.errstate``, since Python floats overflow to inf silently and
@@ -42,10 +42,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import expr, fields, jets
+from . import fields, jets
 from .bundle import _constant_blocks
 from .errors import SpecError
-from .jets import Jet, JetBatch
+from .jets import JetBatch
 from .manifold import (ManifoldSpec, curvature_at, finite_maxima, halton_points,
                        sample_fibers, sample_points, torsion_at)
 
@@ -70,31 +70,19 @@ class FlatnessGateError(SpecError):
 
 def _connection_terms(spec: ManifoldSpec, support, order: int):
     """Gamma's coefficients on ``support`` as a function of chart positions:
-    coefficients ``(B, n, K)`` of order-``order`` jets to ``(B, T, K)``.
-    An explicit connection evaluates each support expression once over the
-    whole batch; the connections derived from the metric evaluate row by
-    row, through :func:`bornbundle.fields.connection_args` on Jets."""
+    coefficients ``(B, n, K)`` of order-``order`` jets to ``(B, T, K)``,
+    evaluated over the whole batch.  An explicit connection evaluates its
+    support expressions alone; the connections derived from the metric go
+    through :func:`bornbundle.fields.connection_args`."""
     n = spec.n
+
+    def args(x):
+        return [JetBatch(order, n, x[:, c]) for c in range(n)]
     if spec.connection_kind == "explicit":
         asts = [spec.gamma_exprs[k][i][j] for k, i, j in support]
-
-        def terms(x):
-            args = [JetBatch(order, n, x[:, c]) for c in range(n)]
-            out = np.empty((len(x), len(asts), x.shape[-1]))
-            for t, ast in enumerate(asts):
-                out[:, t] = jets.coefficients(expr.evaluate(ast, args))
-            return out
-        return terms
-    keys = jets.partial_keys(order, n)
-
-    def terms(x):
-        out = np.empty((len(x), len(support), x.shape[-1]))
-        for b, row in enumerate(x):
-            args = [Jet(order, n, c[0], dict(zip(keys, c[1:].tolist()))) for c in row]
-            gamma = fields.connection_args(spec, args, order)
-            out[b] = [jets.coefficients(gamma[kij]) for kij in support]
-        return out
-    return terms
+        return lambda x: fields.evaluate_all(asts, args(x)).coeffs
+    index = (slice(None), *np.array(support).T)
+    return lambda x: fields.connection_args(spec, args(x), order).coeffs[index]
 
 
 def _acceleration(spec: ManifoldSpec, order: int):
@@ -256,13 +244,7 @@ def exponential_chart(spec: ManifoldSpec, x0, steps: int = DEFAULT_STEPS,
 
 def _connection_values(spec: ManifoldSpec, x: np.ndarray) -> np.ndarray:
     """Gamma^k_ij at each row of positions x, ``(B, n)``, as ``(B, n, n, n)``."""
-    n = spec.n
-    out = np.zeros((len(x), n, n, n))
-    support = fields.connection_support(spec)
-    if support:
-        terms = _connection_terms(spec, support, 0)(x[:, :, None])
-        out[(slice(None), *np.array(support).T)] = terms[:, :, 0]
-    return out
+    return fields.connection_args(spec, jets.seed_batch(x, 0), 0).value
 
 
 def _transformed_connection(jac: np.ndarray, sec: np.ndarray, gamma: np.ndarray,

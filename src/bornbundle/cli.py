@@ -193,15 +193,16 @@ def run(config: RunConfig) -> dict:
 
     first = integ.per_point[0]  # the first bundle point of the sweep
     probe = BundlePoint(tuple(first["x"]), tuple(first["y"]))
-    frame = born_at(spec, probe, "bundle-coordinate")
+    base = integ.bases[0]  # the sweep's fields at probe.x
+    frame = born_at(spec, probe, "bundle-coordinate", base)
     report["born_frame_sample"] = {
         "point": {"x": list(probe.x), "y": list(probe.y)},
         "frame": "bundle-coordinate",
         **{name: getattr(frame, name).tolist()
            for name in ("I", "J", "K", "h", "k", "omega")},
     }
-    brackets = frame_bracket_residuals(spec, probe)
-    nj = nijenhuis_J_identity_residuals(spec, probe)
+    brackets = frame_bracket_residuals(spec, probe, base)
+    nj = nijenhuis_J_identity_residuals(spec, probe, base)
     report["sign_conventions"] = {
         "bracket_HH": brackets["HH"]["sign"],
         "bracket_HV": brackets["HV"]["sign"],

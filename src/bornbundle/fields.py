@@ -1,12 +1,18 @@
-"""Jet-valued evaluation of metric and connection fields.
+"""Metric and connection fields as jets over a batch of points.
 
-Everything here works on numpy object arrays whose entries are
-:class:`~bornbundle.jets.Jet`.  Point-based callers seed the n coordinates
-of the point (no larger variable space); the chart builder passes
-arbitrary jet-valued coordinates, for which derivative-based connections
-are handled by augmenting the arguments with fresh seed slots (see
-:func:`bornbundle.jets.augment`).  :func:`jet_array` gives the float
-arrays of values and first partials that the bundle layer works on.
+Every field takes the coordinates as n :class:`~bornbundle.jets.JetBatch`
+arguments of one batch shape and returns a JetBatch whose batch axes are
+the arguments' followed by the field's index axes: g at P points has batch
+shape (P, n, n).  The sample sweep passes the seeded coordinates of all its
+points (:func:`bornbundle.jets.seed_batch`); the chart builder passes
+jet-valued coordinates, for which derivative-based connections augment the
+arguments with fresh seed slots (see :func:`bornbundle.jets.augment`).
+Each expression is evaluated once over the batch; a constant one comes out
+as a scalar Jet and is broadcast.  :func:`jet_inv`, :func:`levi_civita_of`
+and :func:`dual_connection_of` act on all points at once in the operations
+and summation order of the same formulas on one point's Jets, so every
+coefficient equals the Jet result bit for bit; the two formulas take float
+arrays with leading stack axes as well.
 
 Derivative budget: jets stop at order 3, so a potential-based metric
 (g = second partials of the potential) exposes at most one order of
@@ -15,218 +21,186 @@ derivatives of g.  Combinations that would need more raise
 """
 from __future__ import annotations
 
+import itertools
 from typing import Sequence
 
 import numpy as np
 
 from . import expr, jets
 from .errors import SpecError, UnsupportedDerivativeError
-from .jets import Jet
+from .jets import JetBatch
 
 MAX_ORDER = jets.MAX_ORDER
 
 
-# -- object-array helpers -------------------------------------------------
-
-def const_jet_array(values: np.ndarray, order: int, nvars: int) -> np.ndarray:
-    out = np.empty(values.shape, dtype=object)
-    for idx in np.ndindex(values.shape):
-        out[idx] = Jet.constant(float(values[idx]), order, nvars)
-    return out
-
-
-def jet_values(arr: np.ndarray) -> np.ndarray:
-    out = np.empty(arr.shape, dtype=float)
-    for idx in np.ndindex(arr.shape):
-        out[idx] = arr[idx].value
-    return out
+def evaluate_all(asts: Sequence, args: Sequence[JetBatch],
+                 shape: tuple | None = None) -> JetBatch:
+    """The expressions ``asts`` over the batch of the arguments, as one
+    JetBatch of batch shape ``(*batch, *shape)``: ``shape`` is that of the
+    grid whose entries ``asts`` lists in C order, by default (len(asts),)."""
+    a = args[0]
+    out = np.empty(a.shape + (len(asts), a.coeffs.shape[-1]))
+    for t, ast in enumerate(asts):
+        out[..., t, :] = jets.coefficients(expr.evaluate(ast, args))
+    shape = (len(asts),) if shape is None else shape
+    return JetBatch(a.order, a.nvars, out.reshape(a.shape + shape + out.shape[-1:]))
 
 
-def jet_array(arr: np.ndarray) -> np.ndarray:
-    """Values and first partials of jets over m variables as one float array
-    (1 + m, *arr.shape): values in row 0, the partial by variable d in row
-    1 + d; order-0 jets give the value row alone."""
-    proto = arr.flat[0]
-    m = proto.nvars if proto.order >= 1 else 0
-    rows = [[j.value for j in arr.flat]]
-    rows += [[j.partials[(d,)] for j in arr.flat] for d in range(m)]
-    return np.array(rows).reshape((1 + m,) + arr.shape)
-
-
-def jet_inv(mat: np.ndarray) -> np.ndarray:
-    """Matrix inverse over jets by Gauss-Jordan with value pivoting."""
-    n = mat.shape[0]
-    work = [[mat[i, j].copy() for j in range(n)] for i in range(n)]
-    proto = mat[0, 0]
-    ident = [[Jet.constant(1.0 if i == j else 0.0, proto.order, proto.nvars)
-              for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(work[r][col].value))
-        if work[pivot][col].value == 0.0:
-            raise SpecError("singular matrix while inverting metric")
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            ident[col], ident[pivot] = ident[pivot], ident[col]
-        inv_p = 1.0 / work[col][col]
-        work[col] = [w * inv_p for w in work[col]]
-        ident[col] = [w * inv_p for w in ident[col]]
-        for row in range(n):
-            if row == col:
-                continue
-            factor = work[row][col]
-            work[row] = [w - factor * c for w, c in zip(work[row], work[col])]
-            ident[row] = [w - factor * c for w, c in zip(ident[row], ident[col])]
-    out = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = ident[i][j]
-    return out
+def _slot_partials(c: JetBatch, m: int, n: int, depth: int, order: int) -> JetBatch:
+    """The partials of c by every ``depth`` of the n augmented variables
+    m..m+n-1, as jets of ``order`` over the first m: c's batch axes gain
+    ``depth`` axes of length n."""
+    slots = list(itertools.product(range(m, m + n), repeat=depth))
+    out = jets.extract_partial(c, slots, m, order).coeffs
+    return JetBatch(order, m, out.reshape(c.shape + (n,) * depth + out.shape[-1:]))
 
 
 # -- metric ---------------------------------------------------------------
 
-def _eval_grid(asts, args) -> np.ndarray:
-    grid = np.empty((len(asts), len(asts[0])), dtype=object)
-    for i, row in enumerate(asts):
-        for j, ast in enumerate(row):
-            grid[i, j] = expr.evaluate(ast, args)
-    return grid
+def _metric_grid(spec, args) -> JetBatch:
+    grid = evaluate_all([ast for row in spec.metric_exprs for ast in row], args,
+                        (spec.n, spec.n))
+    return (grid + grid.swapaxes(-1, -2)) * 0.5
 
 
-def _symmetrize(grid: np.ndarray) -> np.ndarray:
-    n = grid.shape[0]
-    out = np.empty_like(grid)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = (grid[i, j] + grid[j, i]) * 0.5
-    return out
+def _potential(spec, args, order: int) -> JetBatch:
+    return evaluate_all([spec.potential], jets.augment(args, order), ())
 
 
-def metric_args(spec, args: Sequence[Jet], order: int) -> np.ndarray:
+def metric_args(spec, args: Sequence[JetBatch], order: int) -> JetBatch:
     """g_ij as jets of ``order`` at jet-valued coordinates."""
-    n = spec.n
     if spec.potential is None:
         if order > args[0].order:
             raise jets.JetUsageError("metric order exceeds argument order")
-        grid = _eval_grid(spec.metric_exprs, args)
-        grid = np.array([[jets.truncate(grid[i, j], order) for j in range(n)]
-                         for i in range(n)], dtype=object)
-        return _symmetrize(grid)
+        return jets.truncate(_metric_grid(spec, args), order)
     need = order + 2
     if need > MAX_ORDER:
         raise UnsupportedDerivativeError(
             f"potential-based metric with order-{order} jets needs order-{need} "
             f"jets of the potential (max {MAX_ORDER}); use an explicit metric")
-    aug = jets.augment(args, need)
-    phi = expr.evaluate(spec.potential, aug)
-    m = args[0].nvars
-    grid = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            grid[i, j] = jets.extract_partial(phi, (m + i, m + j), m, order)
-    return grid
+    return _slot_partials(_potential(spec, args, need), args[0].nvars, spec.n, 2, order)
 
 
-def metric_dg_args(spec, args: Sequence[Jet], order: int):
-    """(g, dg) as jets of ``order``, with dg[l, i, j] the l-partial of g_ij."""
+def metric_dg_args(spec, args: Sequence[JetBatch], order: int):
+    """(g, dg) as jets of ``order``, with dg[..., l, i, j] the l-partial of g_ij."""
     n = spec.n
     m = args[0].nvars
-    dg = np.empty((n, n, n), dtype=object)
     if spec.potential is None:
         need = order + 1
         if need > MAX_ORDER:
             raise UnsupportedDerivativeError(
                 f"metric derivatives at jet order {order} need order-{need} jets")
-        aug = jets.augment(args, need)
-        grid = _symmetrize(_eval_grid(spec.metric_exprs, aug))
-        g = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for j in range(n):
-                g[i, j] = jets.restrict(grid[i, j], m, order)
-                for l in range(n):
-                    dg[l, i, j] = jets.extract_partial(grid[i, j], (m + l,), m, order)
-        return g, dg
+        grid = _metric_grid(spec, jets.augment(args, need))
+        dg = _slot_partials(grid, m, n, 1, order)  # dg[..., i, j, l]
+        return (_slot_partials(grid, m, n, 0, order),
+                JetBatch(order, m, np.moveaxis(dg.coeffs, -2, -4)))
     need = order + 3
     if need > MAX_ORDER:
         raise UnsupportedDerivativeError(
             f"derivatives of a potential-based metric at jet order {order} need "
             f"order-{need} jets of the potential (max {MAX_ORDER}); "
             f"use an explicit metric")
-    aug = jets.augment(args, need)
-    phi = expr.evaluate(spec.potential, aug)
-    g = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            g[i, j] = jets.extract_partial(phi, (m + i, m + j), m, order)
-            for l in range(n):
-                dg[l, i, j] = jets.extract_partial(phi, (m + i, m + j, m + l), m, order)
-    return g, dg
+    phi = _potential(spec, args, need)
+    # the third partials of phi are symmetric in (l, i, j)
+    return _slot_partials(phi, m, n, 2, order), _slot_partials(phi, m, n, 3, order)
+
+
+def jet_inv(mat: JetBatch) -> JetBatch:
+    """Inverse of every matrix of ``mat`` (batch shape ``(*batch, n, n)``) by
+    Gauss-Jordan with value pivoting on [mat | 1].  Each matrix pivots on
+    the first row of largest |value| in the column, as ``max(..., key=abs)``
+    picks it, and swaps its own rows; a zero pivot is a spec error."""
+    order, nvars = mat.order, mat.nvars
+    n = mat.shape[-1]
+    work = mat.coeffs.reshape((-1, n, n, mat.coeffs.shape[-1]))
+    count = len(work)
+    ident = np.zeros(work.shape)
+    ident[:, range(n), range(n), 0] = 1.0
+    work = np.concatenate([work, ident], axis=2)
+    at = np.arange(count)
+    for col in range(n):
+        size = np.abs(work[:, :, col, 0])
+        pivot = np.full(count, col)
+        for row in range(col + 1, n):
+            pivot = np.where(size[:, row] > size[at, pivot], row, pivot)
+        if np.any(work[at, pivot, col, 0] == 0.0):
+            raise SpecError("singular matrix while inverting metric")
+        rows = np.tile(np.arange(n), (count, 1))
+        rows[:, col] = pivot
+        rows[at, pivot] = col
+        work = work[at[:, None], rows]
+        inv_p = (1.0 / JetBatch(order, nvars, work[:, col, col])).coeffs[:, None]
+        work[:, col] = jets._product_coeffs(work[:, col], inv_p, order, nvars)
+        others = [row for row in range(n) if row != col]
+        factor = work[:, others][:, :, None, col]
+        work[:, others] = work[:, others] - jets._product_coeffs(
+            factor, work[:, None, col], order, nvars)
+    return JetBatch(order, nvars, work[:, :, n:].reshape(mat.coeffs.shape))
 
 
 # -- connections ----------------------------------------------------------
 
-def levi_civita_of(dg: np.ndarray, ginv: np.ndarray) -> np.ndarray:
+def levi_civita_of(dg, ginv):
     """Christoffel symbols half g^{kl} (d_i g_lj + d_j g_li - d_l g_ij) from
-    dg[l, i, j] = d_l g_ij and g^-1, whose entries may be jets or floats."""
-    n = len(ginv)
-    out = np.empty((n, n, n), dtype=ginv.dtype)
-    for k, i, j in np.ndindex(out.shape):
-        acc = None
-        for l in range(n):
-            term = ginv[k, l] * (dg[i, l, j] + dg[j, l, i] - dg[l, i, j])
-            acc = term if acc is None else acc + term
-        out[k, i, j] = acc * 0.5
-    return out
+    dg[..., l, i, j] = d_l g_ij and g^-1, both JetBatches or both float
+    arrays; the terms are summed over l in order."""
+    n = ginv.shape[-1]
+    acc = None
+    for l in range(n):
+        d = dg[..., :, l, :]  # d[i, j] = d_i g_lj
+        inner = d + d.swapaxes(-1, -2) - dg[..., l, :, :]
+        term = ginv[..., :, l, None, None] * inner[..., None, :, :]
+        acc = term if acc is None else acc + term
+    return acc * 0.5
 
 
-def dual_connection_of(gamma: np.ndarray, g: np.ndarray, dg: np.ndarray,
-                       ginv: np.ndarray) -> np.ndarray:
+def dual_connection_of(gamma, g, dg, ginv):
     """Dual of the connection gamma with respect to the metric,
     g^{lj} (d_i g_jk - Gamma^m_ij g_mk), from the inputs of
-    :func:`levi_civita_of` and g."""
-    n = len(ginv)
-    out = np.empty((n, n, n), dtype=ginv.dtype)
-    for l, i, k in np.ndindex(out.shape):
-        acc = None
-        for j in range(n):
-            inner = dg[i, j, k]
-            for m in range(n):
-                inner = inner - gamma[m, i, j] * g[m, k]
-            term = ginv[l, j] * inner
-            acc = term if acc is None else acc + term
-        out[l, i, k] = acc
-    return out
+    :func:`levi_civita_of` and g; the terms are summed over j in order, and
+    the inner sum over m in order."""
+    n = ginv.shape[-1]
+    acc = None
+    for j in range(n):
+        inner = dg[..., :, j, :]  # inner[i, k] = d_i g_jk
+        for m in range(n):
+            inner = inner - gamma[..., m, :, j, None] * g[..., m, None, :]
+        term = ginv[..., :, j, None, None] * inner[..., None, :, :]
+        acc = term if acc is None else acc + term
+    return acc
 
 
-def levi_civita_args(spec, args: Sequence[Jet], order: int) -> np.ndarray:
+def levi_civita_args(spec, args: Sequence[JetBatch], order: int) -> JetBatch:
     """Christoffel symbols of the metric at jet-valued coordinates."""
     g, dg = metric_dg_args(spec, args, order)
     return levi_civita_of(dg, jet_inv(g))
 
 
-def dual_of(spec, args: Sequence[Jet], gamma: np.ndarray, order: int) -> np.ndarray:
+def dual_of(spec, args: Sequence[JetBatch], gamma: JetBatch, order: int) -> JetBatch:
     """Dual of the given connection with respect to the metric at jet-valued
     coordinates."""
     g, dg = metric_dg_args(spec, args, order)
     return dual_connection_of(gamma, g, dg, jet_inv(g))
 
 
-def connection_args(spec, args: Sequence[Jet], order: int) -> np.ndarray:
-    """Connection coefficients Gamma[k, i, j] of the declared connection at
-    jet-valued coordinates."""
+def dual_connection_args(spec, args: Sequence[JetBatch], order: int) -> JetBatch:
+    """Dual of the declared connection at jet-valued coordinates."""
+    return dual_of(spec, args, connection_args(spec, args, order), order)
+
+
+def connection_args(spec, args: Sequence[JetBatch], order: int) -> JetBatch:
+    """Connection coefficients Gamma[..., k, i, j] of the declared connection
+    at jet-valued coordinates."""
     n = spec.n
     kind = spec.connection_kind
     if kind in ("flat", "hessian-dual"):
-        zero = const_jet_array(np.zeros((n, n, n)), order, args[0].nvars)
+        nvars = args[0].nvars
+        zero = JetBatch(order, nvars, np.zeros(
+            args[0].shape + (n, n, n, len(jets._columns(order, nvars)))))
         return zero if kind == "flat" else dual_of(spec, args, zero, order)
     if kind == "explicit":
-        out = np.empty((n, n, n), dtype=object)
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    out[k, i, j] = jets.truncate(
-                        expr.evaluate(spec.gamma_exprs[k][i][j], args), order)
-        return out
+        asts = [ast for plane in spec.gamma_exprs for row in plane for ast in row]
+        return jets.truncate(evaluate_all(asts, args, (n, n, n)), order)
     if kind == "levi-civita":
         return levi_civita_args(spec, args, order)
     raise SpecError(f"unknown connection kind {kind!r}")
@@ -249,26 +223,3 @@ def connection_support(spec) -> tuple[tuple[int, int, int], ...]:
         return tuple((k, i, j) for k, i, j in every
                      if not _is_literal_zero(spec.gamma_exprs[k][i][j]))
     return every
-
-
-# -- seeded (point-based) entry points ------------------------------------
-
-def _seed_point(p, order):
-    return jets.seed_embedded(p, order, len(p), 0)
-
-
-def metric_jets(spec, p, order: int) -> np.ndarray:
-    return metric_args(spec, _seed_point(p, order), order)
-
-
-def connection_jets(spec, p, order: int) -> np.ndarray:
-    return connection_args(spec, _seed_point(p, order), order)
-
-
-def levi_civita_jets(spec, p, order: int) -> np.ndarray:
-    return levi_civita_args(spec, _seed_point(p, order), order)
-
-
-def dual_connection_jets(spec, p, order: int) -> np.ndarray:
-    args = _seed_point(p, order)
-    return dual_of(spec, args, connection_args(spec, args, order), order)

@@ -36,9 +36,9 @@ import numpy as np
 
 from .bundle import (BornFrame, BundlePoint, _frame_of, _require_point,
                      born_compatibility_residuals, born_jets, fiber_born_jets)
-from .manifold import (DEFAULT_TOL, HessianVerdict, ManifoldSpec, _curvature_of,
-                       _torsion_of, base_jets, finite_maxima, sample_fibers,
-                       sample_points)
+from .manifold import (DEFAULT_TOL, BaseJets, HessianVerdict, ManifoldSpec,
+                       _curvature_of, _torsion_of, base_jets, finite_maxima,
+                       sample_fibers, sample_points)
 
 CROSS_TOL = 1e-7  # comparisons between two independent numeric pipelines
 
@@ -83,13 +83,15 @@ def _signed_residual(lhs: np.ndarray, rhs: np.ndarray, scale: float):
             "sign": sign, "residual": min(plus, minus)}
 
 
-def frame_bracket_residuals(spec: ManifoldSpec, bp: BundlePoint) -> dict:
+def frame_bracket_residuals(spec: ManifoldSpec, bp: BundlePoint,
+                            base: BaseJets | None = None) -> dict:
     """Brackets of the adapted frame fields, from E's first partials, against
     [H_i, H_j] = -R^l_ijk y^k V_l, [V_i, V_j] = 0, [H_i, V_j] = -Gamma^k_ij V_k,
-    each up to a recorded global sign."""
+    each up to a recorded global sign.  ``base`` is the order-1
+    :func:`~bornbundle.manifold.base_jets` at bp.x, evaluated if not given."""
     bp = _require_point(spec, bp)
     n = spec.n
-    base = base_jets(spec, bp.x)
+    base = base_jets(spec, [bp.x])[0] if base is None else base
     # columns of E are the fields H_i and V_i; bracket every pair of columns:
     # [X_a, X_b]^m = X_a^v d_v X_b^m - X_b^v d_v X_a^m
     e, _ = _frame_of(base, bp.y)
@@ -111,13 +113,15 @@ def frame_bracket_residuals(spec: ManifoldSpec, bp: BundlePoint) -> dict:
     }
 
 
-def nijenhuis_J_identity_residuals(spec: ManifoldSpec, bp: BundlePoint) -> dict:
+def nijenhuis_J_identity_residuals(spec: ManifoldSpec, bp: BundlePoint,
+                                   base: BaseJets | None = None) -> dict:
     """N_J on frame-field pairs against the curvature/torsion expressions
     T^k_ij H_k - R^l_ijk y^k V_l (HH and VV pairs) and
-    R^l_ijk y^k H_l - T^k_ij V_k (HV pairs), up to a recorded global sign."""
+    R^l_ijk y^k H_l - T^k_ij V_k (HV pairs), up to a recorded global sign.
+    ``base`` is as for :func:`frame_bracket_residuals`."""
     bp = _require_point(spec, bp)
     n = spec.n
-    base = base_jets(spec, bp.x)
+    base = base_jets(spec, [bp.x])[0] if base is None else base
     nj = _nijenhuis_of(fiber_born_jets(base, [bp.y])["J"][0])
     e, einv = _frame_of(base, bp.y)
     # N in the adapted frame: pull the value index back, feed frame vectors in
@@ -182,7 +186,7 @@ def integrability_verdict(spec: ManifoldSpec, base_count: int = 32,
         raise ValueError("sample counts must be at least 1")
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tolerance must be finite and non-negative, not {tol!r}")
-    bases = [base_jets(spec, x) for x in sample_points(spec, base_count, seed)]
+    bases = base_jets(spec, sample_points(spec, base_count, seed))
     hv = HessianVerdict.of(bases, tol)  # its positivity gate precedes the Born identities
     fibers = sample_fibers(spec.n, fiber_count, fiber_radius, seed)
     norms = np.array([_norm_factor(y) for y in fibers])

@@ -15,6 +15,8 @@ Jet's bit for bit: products sum their Leibniz splits in Jet order through
 gather tables, and the elementary functions take their derivative values
 from the same ``math`` calls, point by point, raising the same
 :class:`JetDomainError` as the Jet at the first failing point in C order.
+Seeding (:func:`seed_batch`), :func:`truncate`, :func:`augment` and
+:func:`extract_partial` act on JetBatches as column gathers.
 
 The module also provides :func:`fd_oracle`, a central-difference gradient
 used as an independent check on the jet first derivatives.
@@ -84,9 +86,6 @@ class Jet:
     @staticmethod
     def constant(value: float, order: int, nvars: int) -> "Jet":
         return Jet(order, nvars, value)
-
-    def copy(self) -> "Jet":
-        return Jet(self.order, self.nvars, self.value, dict(self.partials))
 
     # -- lookup --------------------------------------------------------
 
@@ -279,7 +278,10 @@ def log(v: float) -> tuple:
     if v <= 0.0:
         raise JetDomainError(f"log of non-positive value {v}")
     inv = 1.0 / v
-    return (math.log(v), inv, -inv * inv, 2.0 * inv ** 3)
+    try:
+        return (math.log(v), inv, -inv * inv, 2.0 * inv ** 3)
+    except OverflowError:
+        raise JetDomainError(f"derivatives of log at {v} overflow") from None
 
 
 @_elementary
@@ -287,7 +289,10 @@ def sqrt(v: float) -> tuple:
     if v <= 0.0:
         raise JetDomainError(f"sqrt of non-positive value {v}")
     s = math.sqrt(v)
-    return (s, 0.5 / s, -0.25 / (s * v), 0.375 / (s * v * v))
+    try:
+        return (s, 0.5 / s, -0.25 / (s * v), 0.375 / (s * v * v))
+    except ZeroDivisionError:  # s * v or s * v * v underflows to 0
+        raise JetDomainError(f"derivatives of sqrt at {v} overflow") from None
 
 
 @_elementary
@@ -467,6 +472,20 @@ class JetBatch:
     def value(self) -> np.ndarray:
         return self.coeffs[..., 0]
 
+    @property
+    def shape(self) -> tuple:
+        """The batch shape."""
+        return self.coeffs.shape[:-1]
+
+    def __getitem__(self, index) -> "JetBatch":
+        """Index the batch axes, as numpy indexes an array of that shape."""
+        return self._new(self.coeffs[np.index_exp[index] + (slice(None),)])
+
+    def swapaxes(self, a: int, b: int) -> "JetBatch":
+        """Swap two batch axes."""
+        a, b = (axis % len(self.shape) for axis in (a, b))
+        return self._new(self.coeffs.swapaxes(a, b))
+
     def _new(self, coeffs) -> "JetBatch":
         return JetBatch(self.order, self.nvars, coeffs)
 
@@ -541,7 +560,7 @@ class JetBatch:
                                          self.order, self.nvars))
 
 
-# -- derivative extraction ----------------------------------------------
+# -- seeding and derivative extraction ---------------------------------
 
 def shift(u: Jet, i: int) -> Jet:
     """The jet of the partial derivative of u with respect to variable i,
@@ -554,17 +573,28 @@ def shift(u: Jet, i: int) -> Jet:
     return out
 
 
-def truncate(u: Jet, order: int) -> Jet:
-    """Drop partials above ``order``."""
+def truncate(u: JetBatch, order: int) -> JetBatch:
+    """Drop partials above ``order``: the first columns, since
+    :func:`partial_keys` lists the partials by increasing length."""
     if order > u.order:
         raise JetUsageError("cannot truncate to a higher order")
-    out = Jet(order, u.nvars, u.value)
-    for key in out.partials:
-        out.partials[key] = u.partials[key]
-    return out
+    return JetBatch(order, u.nvars, u.coeffs[..., :len(_columns(order, u.nvars))])
 
 
-def augment(args: Sequence[Jet], order: int) -> list[Jet]:
+def seed_batch(points, order: int) -> list[JetBatch]:
+    """The coordinates of every row of ``points`` as seeded jets, one
+    JetBatch of batch shape (len(points),) per coordinate, as
+    :func:`seed_embedded` seeds one point; order 0 gives the values alone."""
+    points = np.asarray(points, dtype=float)
+    n = points.shape[1]
+    coeffs = np.zeros((n, len(points), len(_columns(order, n))))
+    coeffs[:, :, 0] = points.T
+    if order >= 1:
+        coeffs[range(n), :, range(1, n + 1)] = 1.0
+    return [JetBatch(order, n, c) for c in coeffs]
+
+
+def augment(args: Sequence[JetBatch], order: int) -> list[JetBatch]:
     """Append one fresh seeded variable per argument.
 
     The returned jets represent ``x_i(a, e) = args[i](a) + e_i``; evaluating
@@ -576,34 +606,39 @@ def augment(args: Sequence[Jet], order: int) -> list[Jet]:
     """
     m = args[0].nvars
     n = len(args)
+    cols = _columns(order, m + n)
     out = []
     for i, a in enumerate(args):
         if a.nvars != m:
             raise JetUsageError("augment needs arguments over the same variables")
-        b = Jet(order, m + n, a.value)
-        copy_to = min(order, a.order)
-        for key in partial_keys(copy_to, m):
-            b.partials[key] = a.partials[key]
-        b.partials[(m + i,)] = 1.0
-        out.append(b)
+        # the partials up to min(order, a.order) are a prefix of a's columns
+        copied = [cols[key] for key in _columns(min(order, a.order), m)]
+        coeffs = np.zeros(a.shape + (len(cols),))
+        coeffs[..., copied] = a.coeffs[..., :len(copied)]
+        coeffs[..., cols[(m + i,)]] = 1.0
+        out.append(JetBatch(order, m + n, coeffs))
     return out
 
 
-def extract_partial(c: Jet, slots: Sequence[int], nvars: int, order: int) -> Jet:
-    """Read the field partial tagged by the augmented ``slots`` out of an
-    augmented evaluation, as a jet over the first ``nvars`` variables."""
-    slots = tuple(sorted(slots))
-    if len(slots) + order > c.order:
+@lru_cache(maxsize=None)
+def _extract_columns(from_order: int, from_nvars: int, slots: tuple,
+                     nvars: int, order: int) -> np.ndarray:
+    src = _columns(from_order, from_nvars)
+    return np.array([[src[tuple(sorted(key + tagged))] for key in _columns(order, nvars)]
+                     for tagged in slots], dtype=np.intp)
+
+
+def extract_partial(c: JetBatch, slots: Sequence[tuple], nvars: int,
+                    order: int) -> JetBatch:
+    """Read the field partials tagged by augmented slots out of an augmented
+    evaluation, as jets over the first ``nvars`` variables: one partial per
+    tuple of slots in ``slots`` (the empty tuple gives the field itself),
+    on a new last batch axis."""
+    slots = tuple(tuple(sorted(tagged)) for tagged in slots)
+    if max(len(tagged) for tagged in slots) + order > c.order:
         raise JetUsageError("augmented jet does not hold enough orders")
-    out = Jet(order, nvars, c.partials[slots] if slots else c.value)
-    for key in out.partials:
-        out.partials[key] = c.partials[tuple(sorted(key + slots))]
-    return out
-
-
-def restrict(c: Jet, nvars: int, order: int) -> Jet:
-    """Restrict an augmented jet back to the first ``nvars`` variables."""
-    return extract_partial(c, (), nvars, order)
+    return JetBatch(order, nvars,
+                    c.coeffs[..., _extract_columns(c.order, c.nvars, slots, nvars, order)])
 
 
 # -- independent oracle --------------------------------------------------

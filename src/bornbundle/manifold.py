@@ -5,17 +5,17 @@ evaluation (metric, connection, torsion, curvature, dual connection,
 covariant derivative of the metric, Levi-Civita), the Hessian verdict and
 the four-residual torsion/duality/compatibility report.
 
-:func:`base_jets` evaluates Gamma and g once per sample point and rejects
-a value or derivative that is not finite as a spec error.  The Hessian
-verdict and the two-of-four report are both built from these evaluations;
-the latter takes the dual connection and Levi-Civita from the values of g
-and its first partials and one inverse of g, through the formulas of
-:mod:`bornbundle.fields`, so they equal the fields' own order-0 values bit
-for bit.  The ``*_at`` functions evaluate their fields on their own and
-return plain arrays.  Every verdict of the package, the chart witness's
-included, reduces its residuals to per-point maxima through
-:func:`finite_maxima`, which rejects a residual that is not finite at a
-point as a spec error.
+:func:`base_jets` evaluates Gamma and g at all sample points of a sweep as
+one batch and rejects a value or derivative that is not finite as a spec
+error.  The Hessian verdict and the two-of-four report are both built from
+these evaluations; the latter takes the dual connection and Levi-Civita
+from the values of g and its first partials and one batched inverse of g,
+through the formulas of :mod:`bornbundle.fields`, so they equal the
+fields' own order-0 values bit for bit.  The ``*_at`` functions evaluate
+the fields they need at their one point and return plain arrays.  Every
+verdict of the package, the chart witness's included, reduces its
+residuals to per-point maxima through :func:`finite_maxima`, which rejects
+a residual that is not finite at a point as a spec error.
 
 Curvature convention, fixed once for the whole package:
 ``R^l_ijk = d_i Gamma^l_jk - d_j Gamma^l_ik + Gamma^l_im Gamma^m_jk
@@ -189,20 +189,29 @@ def _require_inside(spec: ManifoldSpec, p) -> tuple:
     return p
 
 
+def _at(field, spec: ManifoldSpec, p, order: int = 0) -> np.ndarray:
+    """A field of :mod:`bornbundle.fields` at the point p, from its seeded
+    coordinates: the values, or at order 1 the values and first partials
+    along the first axis."""
+    args = jets.seed_batch([_require_inside(spec, p)], order)
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python floats
+        out = np.moveaxis(field(spec, args, order).coeffs[0], -1, 0)
+    return out if order else out[0]
+
+
 def metric_at(spec: ManifoldSpec, p) -> np.ndarray:
     """Metric components at p, positivity-checked."""
-    p = _require_inside(spec, p)
-    values = fields.jet_values(fields.metric_jets(spec, p, 0))
-    check_spd(values, p)
+    values = _at(fields.metric_args, spec, p)
+    check_spd(values, _require_inside(spec, p))
     return values
 
 
 def connection_at(spec: ManifoldSpec, p) -> np.ndarray:
-    return fields.jet_values(fields.connection_jets(spec, _require_inside(spec, p), 0))
+    return _at(fields.connection_args, spec, p)
 
 
 def levi_civita_at(spec: ManifoldSpec, p) -> np.ndarray:
-    return fields.jet_values(fields.levi_civita_jets(spec, _require_inside(spec, p), 0))
+    return _at(fields.levi_civita_args, spec, p)
 
 
 def _curvature_of(gamma: np.ndarray) -> np.ndarray:
@@ -237,25 +246,22 @@ def _torsion_of(gamma_values: np.ndarray) -> np.ndarray:
 
 def curvature_at(spec: ManifoldSpec, p) -> np.ndarray:
     """R^l_ijk under the package convention (see module docstring)."""
-    p = _require_inside(spec, p)
-    return _curvature_of(fields.jet_array(fields.connection_jets(spec, p, 1)))
+    return _curvature_of(_at(fields.connection_args, spec, p, 1))
 
 
 def dual_connection_at(spec: ManifoldSpec, p) -> np.ndarray:
     """The unique connection pairing with the declared one so that the
     metric is parallel for the pair: Gamma*^l_ik = g^{lj}(d_i g_jk -
     Gamma^m_ij g_mk)."""
-    p = _require_inside(spec, p)
-    return fields.jet_values(fields.dual_connection_jets(spec, p, 0))
+    return _at(fields.dual_connection_args, spec, p)
 
 
 def dual_identity_residual(spec: ManifoldSpec, p) -> float:
     """Max-norm defect of d_i g_jk = Gamma^l_ij g_lk + g_jl Gamma*^l_ik."""
-    p = _require_inside(spec, p)
-    g = fields.jet_array(fields.metric_jets(spec, p, 1))
+    g = _at(fields.metric_args, spec, p, 1)
     gv, dgv = g[0], g[1:]
-    gamma = fields.jet_values(fields.connection_jets(spec, p, 0))
-    dual = fields.jet_values(fields.dual_connection_jets(spec, p, 0))
+    gamma = connection_at(spec, p)
+    dual = dual_connection_at(spec, p)
     resid = (dgv - np.einsum("lij,lk->ijk", gamma, gv)
              - np.einsum("jl,lik->ijk", gv, dual))
     return float(np.max(np.abs(resid)))
@@ -264,10 +270,7 @@ def dual_identity_residual(spec: ManifoldSpec, p) -> float:
 def nabla_g_at(spec: ManifoldSpec, p) -> tuple[np.ndarray, float]:
     """Covariant derivative of the metric, indexed (direction; arguments),
     and the worst asymmetry under index permutations."""
-    p = _require_inside(spec, p)
-    g = fields.jet_array(fields.metric_jets(spec, p, 1))
-    gamma = fields.jet_values(fields.connection_jets(spec, p, 0))
-    return _nabla_g_of(gamma, g)
+    return _nabla_g_of(connection_at(spec, p), _at(fields.metric_args, spec, p, 1))
 
 
 # -- base-point fields and the Hessian verdict ------------------------------------
@@ -309,19 +312,39 @@ def finite_maxima(residuals: dict, points: Sequence) -> dict[str, np.ndarray]:
     return maxima
 
 
-def base_jets(spec: ManifoldSpec, x, order: int = 1) -> BaseJets:
-    """Gamma and g at base point x as :func:`bornbundle.fields.jet_array`
-    arrays over the n base coordinates: values and, at ``order`` 1, first
-    partials.  Everything evaluated over x is built from them: the Hessian
-    verdict, the two-of-four report and the Born tensors of all fibers.  A
-    value or derivative that is not finite is a spec error."""
-    x = _require_inside(spec, x)
-    args = jets.seed_embedded(x, order, spec.n, 0)
-    base = BaseJets(x, fields.jet_array(fields.connection_args(spec, args, order)),
-                    fields.jet_array(fields.metric_args(spec, args, order)))
-    _require_finite(x, "gamma", base.gamma)
-    _require_finite(x, "metric", base.g)
-    return base
+def _base_batch(spec: ManifoldSpec, points, order: int,
+                gamma_order: int) -> list[BaseJets]:
+    xs = [_require_inside(spec, x) for x in points]
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python floats
+        gamma = fields.connection_args(spec, jets.seed_batch(xs, gamma_order), gamma_order)
+        g = fields.metric_args(spec, jets.seed_batch(xs, order), order)
+    gamma, g = (np.moveaxis(f.coeffs, -1, 1) for f in (gamma, g))
+    bases = [BaseJets(x, gamma[p], g[p]) for p, x in enumerate(xs)]
+    for base in bases:
+        _require_finite(base.x, "gamma", base.gamma)
+        _require_finite(base.x, "metric", base.g)
+    return bases
+
+
+def base_jets(spec: ManifoldSpec, points, order: int = 1,
+              gamma_order: int | None = None) -> list[BaseJets]:
+    """Gamma and g at every base point of ``points``, with the values in row
+    0 and, at order 1, the partial by coordinate d in row 1 + d; Gamma has
+    ``gamma_order``, by default ``order``.  The Hessian verdict, the
+    two-of-four report and the Born tensors of all fibers of a point are
+    built from them.  A value or derivative that is not finite is a spec
+    error.  The points are evaluated as one batch, of whose arrays each
+    BaseJets holds views; if the batch fails, they are evaluated again one
+    at a time, so that the first point's failure is raised, and at that
+    point one of Gamma before one of g."""
+    gamma_order = order if gamma_order is None else gamma_order
+    points = list(points)
+    if len(points) > 1:
+        try:
+            return _base_batch(spec, points, order, gamma_order)
+        except (SpecError, ArithmeticError):
+            pass  # raised again by the point that fails first, below
+    return [base for x in points for base in _base_batch(spec, [x], order, gamma_order)]
 
 
 @dataclass(frozen=True)
@@ -359,15 +382,16 @@ def hessian_verdict(spec: ManifoldSpec, points: Sequence[Sequence[float]],
     points = list(points)
     if not points:
         raise ValueError("need at least one sample point")
-    return HessianVerdict.of([base_jets(spec, p) for p in points], tol)
+    return HessianVerdict.of(base_jets(spec, points), tol)
 
 
 def dual_and_levi_civita(gamma: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Values of the dual of Gamma and of the Levi-Civita connection, from
-    Gamma's values, a g array of order 1 (see :func:`base_jets`) and one
-    inverse of g, through the formulas :mod:`bornbundle.fields` uses for jets."""
-    gv, dg = g[0], g[1:]  # dg[l, i, j] = d_l g_ij
-    ginv = fields.jet_values(fields.jet_inv(fields.const_jet_array(gv, 0, 1)))
+    Gamma's values and a g array of order 1 (see :func:`base_jets`), both
+    with any leading stack axes, through one batched inverse of g and the
+    formulas of :mod:`bornbundle.fields`."""
+    gv, dg = g[..., 0, :, :], g[..., 1:, :, :]  # dg[..., l, i, j] = d_l g_ij
+    ginv = fields.jet_inv(jets.JetBatch(0, 1, gv[..., None])).value
     return fields.dual_connection_of(gamma, gv, dg, ginv), fields.levi_civita_of(dg, ginv)
 
 
@@ -386,14 +410,14 @@ class TwoOfFourReport:
     @classmethod
     def of(cls, bases: Sequence[BaseJets], tol: float) -> "TwoOfFourReport":
         """The report over base-point fields: Gamma of any order, g of order 1."""
-        duals = [dual_and_levi_civita(b.gamma[0], b.g) for b in bases]
+        gamma = np.stack([b.gamma[0] for b in bases])
         with np.errstate(over="ignore", invalid="ignore"):  # finite_maxima checks
+            dual, lc = dual_and_levi_civita(gamma, np.stack([b.g for b in bases]))
             residuals = {
                 "torsion": [_torsion_of(b.gamma[0]) for b in bases],
-                "dual_torsion": [_torsion_of(dual) for dual, _ in duals],
+                "dual_torsion": [_torsion_of(d) for d in dual],
                 "nabla_g_asymmetry": [_nabla_g_of(b.gamma[0], b.g)[1] for b in bases],
-                "mean_vs_levi_civita": [0.5 * (b.gamma[0] + dual) - lc
-                                        for b, (dual, lc) in zip(bases, duals)],
+                "mean_vs_levi_civita": 0.5 * (gamma + dual) - lc,
             }
         worst = finite_maxima(residuals, [b.x for b in bases])
         maxima = {k: float(np.max(v)) for k, v in worst.items()}
@@ -409,6 +433,4 @@ def two_of_four_residuals(spec: ManifoldSpec, points: Sequence[Sequence[float]],
     points = [_require_inside(spec, p) for p in points]
     if not points:
         raise ValueError("need at least one sample point")
-    return TwoOfFourReport.of(
-        [BaseJets(p, fields.jet_array(fields.connection_jets(spec, p, 0)),
-                  fields.jet_array(fields.metric_jets(spec, p, 1))) for p in points], tol)
+    return TwoOfFourReport.of(base_jets(spec, points, 1, gamma_order=0), tol)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from bornbundle import corpus, expr, fields, jets
+from bornbundle import corpus, expr, jets
 from bornbundle.bundle import (BundlePoint, born_at,
                                born_compatibility_residuals,
                                standard_born_matrices)
@@ -18,8 +18,8 @@ from bornbundle.integrability import (d_omega_at, frame_bracket_residuals,
                                       integrability_verdict,
                                       nijenhuis_J_identity_residuals,
                                       theorem_crosscheck)
-from bornbundle.manifold import (halton_points, sample_fibers, sample_points,
-                                 two_of_four_residuals)
+from bornbundle.manifold import (dual_connection_at, halton_points, sample_fibers,
+                                 sample_points, two_of_four_residuals)
 
 ALL = corpus.all_examples()
 BY_NAME = {s.name: s for s in ALL}
@@ -180,7 +180,7 @@ def test_acceptance_6_d_omega_iff_dual_torsion():
     for spec in ALL:
         dual_torsion = 0.0
         for p in sample_points(spec, 8, 19):
-            dual = fields.jet_values(fields.dual_connection_jets(spec, tuple(p), 0))
+            dual = dual_connection_at(spec, tuple(p))
             dual_torsion = max(dual_torsion, float(
                 np.max(np.abs(dual - dual.transpose(0, 2, 1)))))
         max_dw = 0.0

@@ -4,14 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from bornbundle import corpus, fields, jets
+import jet_reference as ref
+from bornbundle import corpus, jets
 from bornbundle.bundle import (BornFrame, BundlePoint, adapted_frame_at,
                                affine_chart_form_check, born_at,
                                born_compatibility_residuals, born_jets,
                                fiber_born_jets, standard_born_matrices)
 from bornbundle.cli import spec_from_dict
 from bornbundle.errors import SpecError
-from bornbundle.manifold import base_jets, build_spec, sample_fibers, sample_points
+from bornbundle.manifold import (base_jets, build_spec, connection_at, metric_at,
+                                 sample_fibers, sample_points)
 from test_manifold import GENERATED
 
 EUCLID = corpus.example("euclidean2")
@@ -63,7 +65,7 @@ def test_frame_block_structure():
             assert np.array_equal(e[:n, n:], np.zeros((n, n)))
             assert np.array_equal(e[n:, n:], np.eye(n))
             # dual coframe rows: V*^i = Gamma^i_jk y^k dx^j + dy^i
-            gamma = fields.jet_values(fields.connection_jets(spec, bp.x, 0))
+            gamma = connection_at(spec, bp.x)
             vstar = np.einsum("ijk,k->ij", gamma, np.asarray(bp.y))
             assert einv[n:, :n] == pytest.approx(vstar, abs=1e-14)
 
@@ -84,7 +86,7 @@ def test_adapted_frame_gives_constant_blocks_everywhere():
         bf = born_at(spec, bp, "adapted")
         for name in ("I", "J", "K"):
             assert np.array_equal(getattr(bf, name), want[name])
-        g = fields.jet_values(fields.metric_jets(spec, bp.x, 0))
+        g = metric_at(spec, bp.x)
         assert np.array_equal(bf.h[:2, :2], g)
         assert np.array_equal(bf.h[2:, 2:], g)
         assert np.array_equal(bf.k[:2, 2:], g)
@@ -195,11 +197,11 @@ def born_reference(spec, x, y):
     by term."""
     n = spec.n
     args = jets.seed_embedded(x, 1, 2 * n, 0)
-    gamma = fields.connection_args(spec, args, 1)
-    g = fields.metric_args(spec, args, 1)
+    gamma = ref.connection_args(spec, args, 1)
+    g = ref.metric_args(spec, args, 1)
     yj = np.array(jets.seed_embedded(y, 1, 2 * n, offset=n), dtype=object)
-    one = fields.const_jet_array(np.eye(n), 1, 2 * n)
-    zero = fields.const_jet_array(np.zeros((n, n)), 1, 2 * n)
+    one = ref.const_jet_array(np.eye(n), 1, 2 * n)
+    zero = ref.const_jet_array(np.zeros((n, n)), 1, 2 * n)
 
     def madd(c, x, y):
         for m in range(n):
@@ -220,7 +222,7 @@ def born_reference(spec, x, y):
         "k": (k + k.T) * 0.5,
         "omega": (omega - omega.T) * 0.5,
     }
-    return {name: fields.jet_array(m) for name, m in mats.items()}
+    return {name: ref.jet_array(m) for name, m in mats.items()}
 
 
 @pytest.mark.parametrize("source", list(corpus.BUILTIN_BUILDERS) + list(GENERATED))
@@ -232,8 +234,9 @@ def test_fiber_arrays_equal_jet_reference(source):
     else:
         spec = corpus.example(source)
     fibers = sample_fibers(spec.n, 4, 1.0, 42)
-    for x in sample_points(spec, 8, 42):
-        got = fiber_born_jets(base_jets(spec, x), fibers)
+    points = sample_points(spec, 8, 42)
+    for x, base in zip(points, base_jets(spec, points)):
+        got = fiber_born_jets(base, fibers)
         for f, y in enumerate(fibers):
             want = born_reference(spec, tuple(x), tuple(y))
             for name, arr in want.items():

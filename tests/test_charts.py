@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import jet_reference as ref
 from bornbundle import corpus, fields, jets
 from bornbundle.cli import spec_from_dict
 from bornbundle.charts import (BoxExitError, ChartMap, FlatnessGateError,
@@ -268,7 +269,7 @@ def reference_chart_jets(spec, x0, a, order=2, steps=64):
     def acceleration(x, u):
         sums = [None] * n
         if support:
-            gamma = fields.connection_args(spec, list(x), order)
+            gamma = ref.connection_args(spec, list(x), order)
             for k, i, j in support:
                 term = gamma[k, i, j] * u[i] * u[j]
                 sums[k] = term if sums[k] is None else sums[k] + term
@@ -307,13 +308,21 @@ EVERY_NODE = build_spec(
 PULLBACK_LC = build_spec("pullback-lc", ("u", "v"), [(-1, 1), (-1, 1)],
                          metric=[["1 + 4*u^2", "-2*u"], ["-2*u", "1"]],
                          connection="levi-civita")
+HESSIAN_DUAL = build_spec("hessian-dual-exp2", ("u", "v"), [(-1, 1), (-1, 1)],
+                          metric=[["exp(u)", "0"], ["0", "exp(v)"]],
+                          connection="hessian-dual")
 REFERENCE_SPECS = {
     "euclidean2": EUCLID, "hessian-exp2": HESSIAN, "pullback-flat": PULLBACK,
     "flat-skew-metric": corpus.example("flat-skew-metric"),
     **{name: spec_from_dict(GENERATED[name], name=name)
-       for name in ("twisted3", "twisted4", "potential3", "potential4")},
-    "every-node": EVERY_NODE, "pullback-lc": PULLBACK_LC,
+       for name in ("twisted3", "twisted4", "potential3", "potential4", "lc3")},
+    "every-node": EVERY_NODE, "pullback-lc": PULLBACK_LC, "sphere2": SPHERE,
+    "hessian-dual-exp2": HESSIAN_DUAL,
 }
+# probes and RK4 steps of the connections derived from the metric, whose
+# Jet reference is slow
+METRIC_DERIVED = {"pullback-lc": (3, 64), "sphere2": (3, 16),
+                  "hessian-dual-exp2": (3, 64), "lc3": (2, 8)}
 
 
 @pytest.mark.parametrize("name", list(REFERENCE_SPECS))
@@ -322,12 +331,13 @@ def test_batched_chart_equals_jet_reference(name):
     # call, equals the per-probe Jet integration, signs of zeros included
     spec = REFERENCE_SPECS[name]
     x0 = tuple(0.5 * (lo + hi) + 0.1 for lo, hi in spec.sample_box)
-    chart = ChartMap(spec, x0, radius=0.25)
-    count = 3 if name == "pullback-lc" else 6
+    count, steps = METRIC_DERIVED.get(name, (6, 64))
+    chart = ChartMap(spec, x0, steps=steps, radius=0.25)
     points = [tuple(0.25 * (2 * u - 1) / 2) for u in halton_points(count, spec.n, 5)]
     got = chart.probe_jets(points).coeffs
     for b, a in enumerate(points):
-        want = np.stack([jets.coefficients(c) for c in reference_chart_jets(spec, x0, a)])
+        want = np.stack([jets.coefficients(c)
+                         for c in reference_chart_jets(spec, x0, a, steps=steps)])
         assert np.array_equal(got[b], want)
         assert np.array_equal(np.signbit(got[b]), np.signbit(want))
 

@@ -225,6 +225,24 @@ def test_overflowing_metric_is_spec_error(spec, kind, message, tmp_path, capsys)
     assert message in out["error"]["message"]
 
 
+@pytest.mark.parametrize("func", ["log", "sqrt"])
+def test_tiny_log_or_sqrt_argument_is_spec_error(func, tmp_path, capsys):
+    # at u^60 + 1e-300 ~ 1e-138 the third derivative of log overflows
+    # (1/v^3) and the one of sqrt divides by v^2 sqrt(v), which underflows
+    spec = _diag_spec((f"1 + {func}(u^60 + 1e-300)^2", "1"),
+                      box=((-0.01, 0.01), (-1, 1)))
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(spec))
+    code = main(["check", str(path), "--points", "4", "--fiber-points", "2"])
+    assert code == 1
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
+    assert out["status"] == "error"
+    assert out["error"]["kind"] == "EvalDomainError"
+    assert out["error"]["message"].startswith(f"derivatives of {func} at ")
+    assert captured.err == ""
+
+
 # finite fields whose curvature is inf - inf = NaN at every sample point
 NAN_RESIDUAL = _diag_spec(("1", "1"), "explicit", OVERFLOW_BOX,
                           gamma=[[["1e200", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]])

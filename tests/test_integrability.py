@@ -3,15 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from bornbundle import corpus, expr, fields
+from bornbundle import corpus, expr
 from bornbundle.bundle import BundlePoint, born_at
 from bornbundle.integrability import (CROSS_TOL, d_omega_at,
                                       frame_bracket_residuals,
                                       integrability_verdict, nijenhuis_at,
                                       nijenhuis_J_identity_residuals,
                                       theorem_crosscheck)
-from bornbundle.manifold import (build_spec, sample_fibers, sample_points,
-                                 torsion_at)
+from bornbundle.manifold import (build_spec, dual_connection_at, sample_fibers,
+                                 sample_points, torsion_at)
 
 EUCLID = corpus.example("euclidean2")
 HESSIAN = corpus.example("hessian-exp2")
@@ -251,7 +251,7 @@ def test_d_omega_iff_dual_torsion_free(spec):
     pts = [tuple(p) for p in sample_points(spec, 6, 21)]
     dual_torsion = 0.0
     for p in pts:
-        dual = fields.jet_values(fields.dual_connection_jets(spec, p, 0))
+        dual = dual_connection_at(spec, p)
         dual_torsion = max(dual_torsion, float(np.max(np.abs(dual - dual.transpose(0, 2, 1)))))
     max_dw = max(np.max(np.abs(d_omega_at(spec, bp))) / (1.0 + np.linalg.norm(bp.y))
                  for bp in bundle_points(spec, 4, 3))

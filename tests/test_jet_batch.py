@@ -124,8 +124,10 @@ def jet_error(fn, x):
     (lambda u: jets.pow_const(u, 0.5), [1.0, -2.0]),
     (lambda u: jets.pow_const(u, -1.0), [1.0, 0.0]),
     (lambda u: jets.pow_const(u, 3.0), [1.0, 1e200]),
+    (jets.log, [1.0, 1e-300, 0.5]),
+    (jets.sqrt, [2.0, 1e-300]),
 ], ids=["log", "sqrt", "exp", "reciprocal", "divide", "jet-divide",
-        "pow-fractional", "pow-zero-base", "pow-overflow"])
+        "pow-fractional", "pow-zero-base", "pow-overflow", "log-tiny", "sqrt-tiny"])
 def test_domain_errors_carry_the_jet_message(order, fn, values):
     rng = np.random.default_rng(order)
     a = random_jets(rng, order, 2, len(values), values=values)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import jet_reference as ref
 from bornbundle import corpus, expr, fields, jets
 from bornbundle.cli import spec_from_dict
 from bornbundle.errors import NotPositiveDefiniteError, SpecError
@@ -62,7 +63,7 @@ def fd_curvature(spec, p, h=1e-6):
     n = spec.n
 
     def gamma_at(q):
-        return fields.jet_values(fields.connection_jets(spec, q, 0))
+        return ref.jet_values(ref.connection_jets(spec, q, 0))
 
     dg = np.empty((n, n, n, n))
     for d in range(n):
@@ -246,7 +247,7 @@ def test_dual_of_skew_metric_fd_crosscheck():
     h = 1e-6
 
     def g_at(q):
-        return fields.jet_values(fields.metric_jets(SKEW, q, 0))
+        return metric_at(SKEW, q)
 
     n = 2
     dg = np.empty((n, n, n))
@@ -271,10 +272,11 @@ def test_dual_defining_identity(spec):
 @pytest.mark.parametrize("spec", ALL, ids=lambda s: s.name)
 def test_dual_of_dual_returns_original(spec):
     for p in points_of(spec, 4):
-        gamma = fields.connection_jets(spec, p, 0)
-        first = fields.dual_connection_jets(spec, p, 0)
-        second = fields.dual_of(spec, jets.seed_embedded(p, 0, len(p)), first, 0)
-        diff = fields.jet_values(second) - fields.jet_values(gamma)
+        args = jets.seed_batch([p], 0)
+        gamma = fields.connection_args(spec, args, 0)
+        first = fields.dual_of(spec, args, gamma, 0)
+        second = fields.dual_of(spec, args, first, 0)
+        diff = second.value - gamma.value
         assert np.max(np.abs(diff)) <= 1e-10
 
 
@@ -424,12 +426,11 @@ def test_sweep_dual_and_levi_civita_match_fields(source):
         spec = spec_from_dict(GENERATED[source], name=source)
     else:
         spec = corpus.example(source)
-    for x in points_of(spec, 16, 42):
-        base = base_jets(spec, x)
+    points = points_of(spec, 16, 42)
+    for x, base in zip(points, base_jets(spec, points)):
         dual, lc = dual_and_levi_civita(base.gamma[0], base.g)
-        for got, field in ((dual, fields.dual_connection_jets(spec, x, 0)),
-                           (lc, fields.levi_civita_jets(spec, x, 0))):
-            want = fields.jet_values(field)
+        for got, want in ((dual, dual_connection_at(spec, x)),
+                          (lc, levi_civita_at(spec, x))):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
