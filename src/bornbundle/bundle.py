@@ -19,16 +19,19 @@ block formulas in the n x n blocks A and g, with P = (-A)^T g:
 with sym M = (M + M^T) / 2 and antisym M = (M - M^T) / 2.  Row index of a
 bilinear form is its first argument.
 
-:func:`fiber_born_jets` builds the tensors at the F fiber vectors of one
-base point at once, as float arrays (F, 1 + 2n, 2n, 2n): values in row 0,
-then the first partials by x^1..x^n and by y^1..y^n (the base fields'
-y-partials are zero); order-0 base fields give the value row alone.  Sums
-act row by row; a product has value a b and partials (0.0 + a b') + a' b,
-as Jet multiplication.  A block c + X Y is summed as
-(c + X_0 Y_0) + X_1 Y_1 + ..., term m being column m of X times row m of
-Y, and X Y without c (A = -Gamma y, P, g (-A)) as X_0 Y_0 + X_1 Y_1 + ...:
-the order of the dense products E M E^-1 and E^-T M E^-1 and of a matmul
-over jets, so the arrays equal the jet arithmetic bit for bit.
+:func:`fiber_born_jets` builds the tensors at all P x F bundle points of
+P base points and F fiber vectors at once, as float arrays
+(P, F, 1 + 2n, 2n, 2n): values in row 0, then the first partials by
+x^1..x^n and by y^1..y^n (the base fields' y-partials are zero); order-0
+base fields give the value row alone.  Sums act row by row; a product has
+value a b and partials (0.0 + a b') + a' b, as Jet multiplication.  A block
+c + X Y is summed as (c + X_0 Y_0) + X_1 Y_1 + ..., term m being column m
+of X times row m of Y, and X Y without c (A = -Gamma y, P, g (-A)) as
+X_0 Y_0 + X_1 Y_1 + ...: the order of the dense products E M E^-1 and
+E^-T M E^-1 and of a matmul over jets, so the arrays equal the jet
+arithmetic bit for bit.  Every operation is elementwise with broadcasting
+over the (P, F) axes, so each bundle point gets the bits of a one-point
+call.
 
 A :class:`BornFrame` holds the value matrices of one bundle point or of a
 stack of points along leading axes; :func:`born_compatibility_residuals`
@@ -112,19 +115,13 @@ def _metric_blocks(gv: np.ndarray) -> dict[str, np.ndarray]:
     }
 
 
-def standard_born_matrices(n: int) -> dict[str, np.ndarray]:
-    """The constant Born matrices of flat space (identity metric)."""
-    out = _constant_blocks(n)
-    out.update(_metric_blocks(np.eye(n)))
-    return out
-
-
 # -- frames -----------------------------------------------------------------
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Entrywise product of arrays with rows on axis 1 (see module doc)."""
-    return np.concatenate([a[:, :1] * b[:, :1],
-                           (0.0 + a[:, :1] * b[:, 1:]) + a[:, 1:] * b[:, :1]], axis=1)
+    """Entrywise product of arrays with rows on axis -3 (see module doc)."""
+    a0, b0 = a[..., :1, :, :], b[..., :1, :, :]
+    return np.concatenate([a0 * b0, (0.0 + a0 * b[..., 1:, :, :]) + a[..., 1:, :, :] * b0],
+                          axis=-3)
 
 
 def _madd(x: np.ndarray, y: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
@@ -135,25 +132,26 @@ def _madd(x: np.ndarray, y: np.ndarray, c: np.ndarray | None = None) -> np.ndarr
     return c
 
 
-def _fiber_blocks(base: BaseJets, ys) -> tuple[np.ndarray, np.ndarray]:
-    """A[k, i] = -Gamma^k_ij y^j at the fiber vectors ``ys`` (F, n), and g,
-    as (F, rows, n, n) arrays over the 2n bundle coordinates."""
+def _fiber_blocks(bases: BaseJets, ys) -> tuple[np.ndarray, np.ndarray]:
+    """A[k, i] = -Gamma^k_ij y^j at the base points of ``bases`` and the fiber
+    vectors ``ys`` (F, n), and g, as (P, F, rows, n, n) arrays over the 2n
+    bundle coordinates."""
     f, n = np.shape(ys)
-    rows = 2 * len(base.gamma) - 1  # 1 + 2n, or 1 for order-0 fields
-    gamma, g = (np.concatenate([m, np.zeros((rows - len(m),) + m.shape[1:])])[None]
-                for m in (base.gamma, base.g))
+    count, rows = len(bases.x), 2 * bases.gamma.shape[1] - 1  # 1 + 2n, or 1 at order 0
+    gamma, g = (np.concatenate([m, np.zeros((count, rows - m.shape[1]) + m.shape[2:])],
+                               axis=1)[:, None] for m in (bases.gamma, bases.g))
     y = np.zeros((f, rows, n, 1))
     y[:, 0, :, 0] = ys
     if rows > 1:
         y[:, 1 + n:, :, 0] = np.eye(n)
-    a = -_madd(gamma.reshape(1, rows, n * n, n), y).reshape(f, rows, n, n)
+    a = -_madd(gamma.reshape(count, 1, rows, n * n, n), y).reshape(count, f, rows, n, n)
     return a, np.broadcast_to(g, a.shape)
 
 
 def _frame_of(base: BaseJets, y) -> tuple[np.ndarray, np.ndarray]:
-    """(E, E^-1) at fiber vector y: E with the rows of the base fields,
-    E^-1 as values."""
-    a = _fiber_blocks(base, [y])[0][0]
+    """(E, E^-1) at the one base point of ``base`` and fiber vector y: E with
+    the rows of the base fields, E^-1 as values."""
+    a = _fiber_blocks(base, [y])[0][0, 0]
     n = a.shape[-1]
     e = np.zeros((len(a), 2 * n, 2 * n))
     e[0] = np.eye(2 * n)
@@ -167,16 +165,17 @@ def adapted_frame_at(spec: ManifoldSpec, bp: BundlePoint):
     """Change-of-basis pair (E, E^-1): columns of E are H_1..H_n, V_1..V_n
     in bundle coordinates, rows of E^-1 the dual coframe."""
     bp = _require_point(spec, bp)
-    e, einv = _frame_of(base_jets(spec, [bp.x], 0)[0], bp.y)
+    e, einv = _frame_of(base_jets(spec, [bp.x], 0), bp.y)
     return e[0], einv
 
 
-def fiber_born_jets(base: BaseJets, ys) -> dict[str, np.ndarray]:
-    """The six tensors in bundle coordinates at (base.x, y) for every fiber
-    vector y of ``ys``, as arrays of values and first partials (module doc)."""
-    a, g = _fiber_blocks(base, ys)
+def fiber_born_jets(bases: BaseJets, ys) -> dict[str, np.ndarray]:
+    """The six tensors in bundle coordinates at (x, y) for every base point x
+    of ``bases`` and fiber vector y of ``ys``, as (P, F, rows, 2n, 2n) arrays
+    of values and first partials (module doc)."""
+    a, g = _fiber_blocks(bases, ys)
     one = np.zeros(a.shape)
-    one[:, 0] = np.eye(len(base.x))
+    one[..., 0, :, :] = np.eye(a.shape[-1])
     zero = np.zeros(a.shape)
     na = -a
     p = _madd(na.swapaxes(-1, -2), g)
@@ -197,25 +196,25 @@ def born_jets(spec: ManifoldSpec, bp: BundlePoint) -> dict[str, np.ndarray]:
     """The six tensors in bundle coordinates with their first partials over
     the 2n coordinates, as (1 + 2n, 2n, 2n) arrays."""
     bp = _require_point(spec, bp)
-    return {name: m[0] for name, m in
-            fiber_born_jets(base_jets(spec, [bp.x])[0], [bp.y]).items()}
+    return {name: m[0, 0] for name, m in
+            fiber_born_jets(base_jets(spec, [bp.x]), [bp.y]).items()}
 
 
 def born_at(spec: ManifoldSpec, bp: BundlePoint, frame: str = "bundle-coordinate",
             base: BaseJets | None = None) -> BornFrame:
     """Evaluate the six tensors at a bundle point, in the requested frame,
-    from the base-point fields ``base`` at bp.x if given (any order: the
-    values are the same bits)."""
+    from the base-point fields ``base`` of the one point bp.x if given (any
+    order: the values are the same bits)."""
     bp = _require_point(spec, bp)
     if frame not in FRAMES:
         raise ValueError(f"unknown frame {frame!r}")
-    base = base_jets(spec, [bp.x], 0)[0] if base is None else base
-    check_spd(base.g[0], bp.x)
+    base = base_jets(spec, [bp.x], 0) if base is None else base
+    check_spd(base.g[:, 0], [bp.x])
     if frame == "adapted":
         mats = _constant_blocks(spec.n)
-        mats.update(_metric_blocks(base.g[0]))
+        mats.update(_metric_blocks(base.g[0, 0]))
     else:
-        mats = {name: m[0, 0] for name, m in fiber_born_jets(base, [bp.y]).items()}
+        mats = {name: m[0, 0, 0] for name, m in fiber_born_jets(base, [bp.y]).items()}
     return BornFrame.of(mats)
 
 
@@ -225,9 +224,6 @@ def born_at(spec: ManifoldSpec, bp: BundlePoint, frame: str = "bundle-coordinate
 class BornCompatReport:
     residuals: dict
     k_signature: tuple
-
-    def max_residual(self) -> float:
-        return float(np.max(list(self.residuals.values())))
 
 
 def born_compatibility_residuals(bf: BornFrame) -> BornCompatReport:
@@ -282,10 +278,10 @@ def affine_chart_form_check(spec: ManifoldSpec, bp: BundlePoint) -> dict[str, fl
             raise SpecError(
                 "connection coefficients do not vanish in this chart; "
                 f"max |Gamma| = {np.max(np.abs(gamma)):.3g} at {q}")
-    base = base_jets(spec, [bp.x], 0)[0]
+    base = base_jets(spec, [bp.x], 0)
     bf = born_at(spec, bp, "bundle-coordinate", base)
     want = _constant_blocks(spec.n)
-    want.update(_metric_blocks(base.g[0]))
+    want.update(_metric_blocks(base.g[0, 0]))
     return {
         "I": float(np.max(np.abs(bf.I - want["I"]))),
         "J": float(np.max(np.abs(bf.J - want["J"]))),

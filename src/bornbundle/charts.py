@@ -209,12 +209,6 @@ class ChartMap:
         out = self.probe_jets([a], order)
         return JetBatch(order, self.spec.n, out.coeffs[0])
 
-    def jacobian(self, a) -> np.ndarray:
-        return self.jets(a, order=1).coeffs[:, 1:]
-
-    def second_derivatives(self, a) -> np.ndarray:
-        return self.jets(a, order=2).coeffs[:, _second_columns(self.spec.n)]
-
 
 def exponential_chart(spec: ManifoldSpec, x0, steps: int = DEFAULT_STEPS,
                       seed: int = 42) -> ChartMap:
@@ -304,12 +298,6 @@ def pushforward_connection_residual(spec: ManifoldSpec, chart: ChartMap,
     """Max-norm of the connection coefficients transformed into the chart
     over the probes."""
     return _probe_residuals(spec, chart, probes)[0]
-
-
-def chart_born_block_residual(spec: ManifoldSpec, chart: ChartMap, a, y) -> float:
-    """Distance of the I, J, K built from the transformed connection at a
-    chart probe from their constant affine-chart blocks."""
-    return _probe_residuals(spec, chart, [a], y)[1]
 
 
 def affine_chart_witness(spec: ManifoldSpec, x0, probes: int, fiber_radius: float,

@@ -19,7 +19,10 @@ Spec file format (JSON)::
 
 ``check`` takes the Hessian verdict, the two-of-four report, the
 integrability residuals and its probe point from one sweep over the sample
-points (:func:`~bornbundle.integrability.integrability_verdict`).
+points (:func:`~bornbundle.integrability.integrability_verdict`).  It runs
+the affine-chart witness when that Hessian verdict finds the curvature and
+torsion within its own tolerance (and within the chart's flatness gate,
+where ``--tol`` is looser than that gate).
 
 Exit codes: 0 all checks ran and no internal invariant failed, 1 spec or
 configuration error (including a domain error or an overflow while
@@ -193,7 +196,7 @@ def run(config: RunConfig) -> dict:
 
     first = integ.per_point[0]  # the first bundle point of the sweep
     probe = BundlePoint(tuple(first["x"]), tuple(first["y"]))
-    base = integ.bases[0]  # the sweep's fields at probe.x
+    base = integ.bases[:1]  # the sweep's fields at probe.x
     frame = born_at(spec, probe, "bundle-coordinate", base)
     report["born_frame_sample"] = {
         "point": {"x": list(probe.x), "y": list(probe.y)},
@@ -211,7 +214,9 @@ def run(config: RunConfig) -> dict:
         "nijenhuis_J_HV": nj["HV"]["sign"],
     }
 
-    if hv.max_curvature <= FLATNESS_GATE_TOL and hv.max_torsion <= FLATNESS_GATE_TOL:
+    # the chart refuses curvature or torsion above its own gate, so a looser
+    # tolerance does not start the witness
+    if max(hv.max_curvature, hv.max_torsion) <= min(hv.tol, FLATNESS_GATE_TOL):
         x0 = tuple(0.5 * (lo + hi) for lo, hi in spec.sample_box)
         witness = affine_chart_witness(spec, x0, 6, config.fiber_radius,
                                        seed=config.seed)

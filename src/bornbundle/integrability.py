@@ -13,18 +13,18 @@ torsion are checked against both global signs and the better-matching sign
 is recorded, never assumed.  Residuals of identities that grow linearly in
 the fiber coordinate are normalized by (1 + |y|).
 
-:func:`integrability_verdict` evaluates Gamma and g once per base point
-and uses them for that point's Hessian residuals and for every fiber over
-it.  Per base point it builds the Born tensors of all F fibers as one
-(F, 1 + 2n, 2n, 2n) stack and computes the Nijenhuis tensors, d omega and
-the construction identities once each on that stack (the formulas accept
-leading stack axes).  Its report carries the base-point evaluations, so
-that the two-of-four report of ``check`` reads them too.  A residual that
-is not finite at a sample point is a spec error naming it and the point
+:func:`integrability_verdict` evaluates Gamma and g at all P base points
+as one stacked record and uses it for the Hessian residuals and for every
+fiber.  It builds the Born tensors of all P x F bundle points as one
+(P, F, 1 + 2n, 2n, 2n) stack and computes the Nijenhuis tensors, d omega
+and the construction identities once each on that stack (the formulas
+accept leading stack axes).  Its report carries the record, so that the
+two-of-four report of ``check`` reads it too.  A residual that is not
+finite at a sample point is a spec error naming it and the point
 (:func:`bornbundle.manifold.finite_maxima`); the first one is reported by
 base point, then fiber, then residual: N_I, N_J, N_K, d omega, and then the
-construction identities, which are solved only once those four stacks of
-the base point are finite.
+construction identities, which are solved only at the base points before
+the first with one of those four stacks not finite.
 """
 from __future__ import annotations
 
@@ -88,23 +88,24 @@ def frame_bracket_residuals(spec: ManifoldSpec, bp: BundlePoint,
     """Brackets of the adapted frame fields, from E's first partials, against
     [H_i, H_j] = -R^l_ijk y^k V_l, [V_i, V_j] = 0, [H_i, V_j] = -Gamma^k_ij V_k,
     each up to a recorded global sign.  ``base`` is the order-1
-    :func:`~bornbundle.manifold.base_jets` at bp.x, evaluated if not given."""
+    :func:`~bornbundle.manifold.base_jets` of the one point bp.x, evaluated
+    if not given."""
     bp = _require_point(spec, bp)
     n = spec.n
-    base = base_jets(spec, [bp.x])[0] if base is None else base
+    base = base_jets(spec, [bp.x]) if base is None else base
     # columns of E are the fields H_i and V_i; bracket every pair of columns:
     # [X_a, X_b]^m = X_a^v d_v X_b^m - X_b^v d_v X_a^m
     e, _ = _frame_of(base, bp.y)
     half = np.einsum("va,vmb->abm", e[0], e[1:])
     brackets = half - half.transpose(1, 0, 2)
-    r = _curvature_of(base.gamma)
+    r = _curvature_of(base.gamma)[0]
     y = np.asarray(bp.y)
     scale = _norm_factor(bp.y)
 
     rhs_hh = np.zeros((n, n, 2 * n))
     rhs_hh[:, :, n:] = -np.einsum("lijk,k->ijl", r, y)
     rhs_hv = np.zeros((n, n, 2 * n))
-    rhs_hv[:, :, n:] = -np.einsum("kij->ijk", base.gamma[0])
+    rhs_hv[:, :, n:] = -np.einsum("kij->ijk", base.gamma[0, 0])
 
     return {
         "HH": _signed_residual(brackets[:n, :n], rhs_hh, scale),
@@ -121,14 +122,14 @@ def nijenhuis_J_identity_residuals(spec: ManifoldSpec, bp: BundlePoint,
     ``base`` is as for :func:`frame_bracket_residuals`."""
     bp = _require_point(spec, bp)
     n = spec.n
-    base = base_jets(spec, [bp.x])[0] if base is None else base
-    nj = _nijenhuis_of(fiber_born_jets(base, [bp.y])["J"][0])
+    base = base_jets(spec, [bp.x]) if base is None else base
+    nj = _nijenhuis_of(fiber_born_jets(base, [bp.y])["J"][0, 0])
     e, einv = _frame_of(base, bp.y)
     # N in the adapted frame: pull the value index back, feed frame vectors in
     nj_ad = np.einsum("cl,lmn,ma,nb->cab", einv, nj, e[0], e[0])
 
-    r = _curvature_of(base.gamma)
-    t = _torsion_of(base.gamma[0])
+    r = _curvature_of(base.gamma)[0]
+    t = _torsion_of(base.gamma[0, 0])
     y = np.asarray(bp.y)
     ry = np.einsum("lijk,k->ijl", r, y)
     scale = _norm_factor(bp.y)
@@ -165,7 +166,7 @@ class IntegrabilityReport:
     max_born_compat: dict  # worst defect of each construction identity
     k_signature_ok: bool   # k had signature (n, n) at every point
     per_point: list = field(default_factory=list)
-    bases: list = field(default_factory=list)  # the BaseJets of the sweep
+    bases: BaseJets | None = None  # the sweep's base-point fields
 
     def residual_table(self) -> dict:
         return {"nijenhuis_I": self.max_nijenhuis_I,
@@ -189,27 +190,30 @@ def integrability_verdict(spec: ManifoldSpec, base_count: int = 32,
     bases = base_jets(spec, sample_points(spec, base_count, seed))
     hv = HessianVerdict.of(bases, tol)  # its positivity gate precedes the Born identities
     fibers = sample_fibers(spec.n, fiber_count, fiber_radius, seed)
-    norms = np.array([_norm_factor(y) for y in fibers])
-    rows, compat, per_point = [], [], []
-    signature_ok = True
-    for b in bases:
-        points = [(b.x, tuple(y)) for y in fibers.tolist()]
-        with np.errstate(over="ignore", invalid="ignore"):  # finite_maxima checks
-            mats = fiber_born_jets(b, fibers)
-            tensors = {"nijenhuis_" + name: _nijenhuis_of(mats[name]) for name in "IJK"}
-            tensors["d_omega"] = _d_omega_of(mats["omega"])
-        rows.append({key: m / norms
-                     for key, m in finite_maxima(tensors, points).items()})
-        per_point += [{"x": list(x), "y": list(y),
-                       **{key: float(m[f]) for key, m in rows[-1].items()}}
-                      for f, (x, y) in enumerate(points)]
-        with np.errstate(over="ignore", invalid="ignore"):
+    points = [(x, tuple(y)) for x in bases.x for y in fibers.tolist()]
+    with np.errstate(over="ignore", invalid="ignore"):  # finite_maxima checks
+        mats = fiber_born_jets(bases, fibers)
+        tensors = {"nijenhuis_" + name: _nijenhuis_of(mats[name]) for name in "IJK"}
+        tensors["d_omega"] = _d_omega_of(mats["omega"])
+        # a base point's identities come after its tensors: they are solved
+        # only at the base points before the first with a tensor that is not
+        # finite, so an error in them is raised before that tensor's, which
+        # finite_maxima raises below (else rep and compat cover every point)
+        finite = np.all([np.isfinite(t).reshape(base_count, -1).all(axis=1)
+                         for t in tensors.values()], axis=0)
+        solved = base_count if finite.all() else int(np.argmin(finite))
+        if solved:
             rep = born_compatibility_residuals(
-                BornFrame.of({name: m[:, 0] for name, m in mats.items()}))
-        compat.append(finite_maxima(rep.residuals, points))
-        signature_ok = signature_ok and bool(np.all(np.array(rep.k_signature) == spec.n))
-    maxima = {key: float(np.max([r[key] for r in rows])) for key in rows[0]}
-    worst_born = {key: float(np.max([c[key] for c in compat])) for key in compat[0]}
+                BornFrame.of({name: m[:solved, :, 0] for name, m in mats.items()}))
+            compat = finite_maxima(rep.residuals, points[:solved * fiber_count])
+    norms = np.array([_norm_factor(y) for y in fibers])
+    rows = {key: (m.reshape(base_count, fiber_count) / norms).ravel()
+            for key, m in finite_maxima(tensors, points).items()}
+    per_point = [{"x": list(x), "y": list(y), **{key: float(m[i]) for key, m in rows.items()}}
+                 for i, (x, y) in enumerate(points)]
+    maxima = {key: float(np.max(m)) for key, m in rows.items()}
+    worst_born = {key: float(np.max(c)) for key, c in compat.items()}
+    signature_ok = bool(np.all(np.array(rep.k_signature) == spec.n))
     integrable = all(v <= tol for v in maxima.values())
     return IntegrabilityReport(
         max_nijenhuis_I=maxima["nijenhuis_I"],

@@ -562,17 +562,6 @@ class JetBatch:
 
 # -- seeding and derivative extraction ---------------------------------
 
-def shift(u: Jet, i: int) -> Jet:
-    """The jet of the partial derivative of u with respect to variable i,
-    one order lower."""
-    if u.order < 1:
-        raise JetUsageError("cannot shift an order-0 jet")
-    out = Jet(u.order - 1, u.nvars, u.partials[(i,)])
-    for key in out.partials:
-        out.partials[key] = u.partials[tuple(sorted(key + (i,)))]
-    return out
-
-
 def truncate(u: JetBatch, order: int) -> JetBatch:
     """Drop partials above ``order``: the first columns, since
     :func:`partial_keys` lists the partials by increasing length."""

@@ -5,17 +5,19 @@ evaluation (metric, connection, torsion, curvature, dual connection,
 covariant derivative of the metric, Levi-Civita), the Hessian verdict and
 the four-residual torsion/duality/compatibility report.
 
-:func:`base_jets` evaluates Gamma and g at all sample points of a sweep as
-one batch and rejects a value or derivative that is not finite as a spec
-error.  The Hessian verdict and the two-of-four report are both built from
-these evaluations; the latter takes the dual connection and Levi-Civita
-from the values of g and its first partials and one batched inverse of g,
-through the formulas of :mod:`bornbundle.fields`, so they equal the
-fields' own order-0 values bit for bit.  The ``*_at`` functions evaluate
-the fields they need at their one point and return plain arrays.  Every
-verdict of the package, the chart witness's included, reduces its
-residuals to per-point maxima through :func:`finite_maxima`, which rejects
-a residual that is not finite at a point as a spec error.
+:func:`base_jets` evaluates Gamma and g at all P sample points of a sweep
+as one batch, held as one :class:`BaseJets` record of arrays stacked along
+a leading point axis, and rejects a value or derivative that is not finite
+as a spec error.  The Hessian verdict and the two-of-four report are both
+built from that record, by formulas that act on the leading axis; the
+latter takes the dual connection and Levi-Civita from the values of g and
+its first partials and one batched inverse of g, through the formulas of
+:mod:`bornbundle.fields`, so they equal the fields' own order-0 values bit
+for bit.  One-point callers use a record of one point.  The ``*_at``
+functions evaluate the fields they need at their one point and return
+plain arrays.  Every verdict of the package, the chart witness's included,
+reduces its residuals to per-point maxima through :func:`finite_maxima`,
+which rejects a residual that is not finite at a point as a spec error.
 
 Curvature convention, fixed once for the whole package:
 ``R^l_ijk = d_i Gamma^l_jk - d_j Gamma^l_ik + Gamma^l_im Gamma^m_jk
@@ -162,22 +164,25 @@ def sample_fibers(n: int, count: int, radius: float, seed: int) -> np.ndarray:
 
 # -- pointwise tensors -------------------------------------------------------
 
-def check_spd(g: np.ndarray, point) -> float:
-    """Cholesky-style positivity check; returns the smallest pivot."""
+def check_spd(g: np.ndarray, points: Sequence) -> None:
+    """Cholesky-style positivity check of the metric stack ``g`` (P, n, n) at
+    ``points``: the first point with a pivot that is not positive is an
+    error naming it and that pivot."""
     a = np.array(g, dtype=float)
-    n = a.shape[0]
-    smallest = np.inf
-    for i in range(n):
-        pivot = a[i, i]
-        smallest = min(smallest, pivot)
-        if pivot <= 0.0:
-            raise NotPositiveDefiniteError(
-                f"metric is not positive definite at {tuple(point)}: "
-                f"smallest pivot {pivot:.6g}", pivot)
-        for j in range(i + 1, n):
-            factor = a[j, i] / pivot
-            a[j, i:] -= factor * a[i, i:]
-    return smallest
+    pivots = np.empty(a.shape[:-1])
+    with np.errstate(divide="ignore", invalid="ignore"):  # past a failed pivot
+        for i in range(a.shape[-1]):
+            pivots[:, i] = a[:, i, i]
+            for j in range(i + 1, a.shape[-1]):
+                factor = a[:, j, i] / pivots[:, i]
+                a[:, j, i:] -= factor[:, None] * a[:, i, i:]
+    bad = pivots <= 0.0
+    if bad.any():
+        p = int(np.argmax(bad.any(axis=1)))
+        pivot = float(pivots[p, np.argmax(bad[p])])
+        raise NotPositiveDefiniteError(
+            f"metric is not positive definite at {tuple(points[p])}: "
+            f"smallest pivot {pivot:.6g}", pivot)
 
 
 def _require_inside(spec: ManifoldSpec, p) -> tuple:
@@ -202,7 +207,7 @@ def _at(field, spec: ManifoldSpec, p, order: int = 0) -> np.ndarray:
 def metric_at(spec: ManifoldSpec, p) -> np.ndarray:
     """Metric components at p, positivity-checked."""
     values = _at(fields.metric_args, spec, p)
-    check_spd(values, _require_inside(spec, p))
+    check_spd(values[None], [_require_inside(spec, p)])
     return values
 
 
@@ -215,23 +220,25 @@ def levi_civita_at(spec: ManifoldSpec, p) -> np.ndarray:
 
 
 def _curvature_of(gamma: np.ndarray) -> np.ndarray:
-    """R^l_ijk from a Gamma array of order 1 (see :func:`base_jets`)."""
-    gv, dgamma = gamma[0], gamma[1:]  # dgamma[d, k, i, j] = d_d Gamma^k_ij
-    half = (np.einsum("iljk->lijk", dgamma)
-            + np.einsum("lim,mjk->lijk", gv, gv))
-    return half - half.transpose(0, 2, 1, 3)
+    """R^l_ijk from a Gamma array of order 1 (see :func:`base_jets`), with
+    any leading stack axes."""
+    # dgamma[..., d, k, i, j] = d_d Gamma^k_ij
+    gv, dgamma = gamma[..., 0, :, :, :], gamma[..., 1:, :, :, :]
+    half = (np.einsum("...iljk->...lijk", dgamma)
+            + np.einsum("...lim,...mjk->...lijk", gv, gv))
+    return half - half.swapaxes(-3, -2)
 
 
-def _nabla_g_of(gamma_values: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, float]:
+def _nabla_g_of(gamma_values: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """nabla g, indexed (direction; arguments), from Gamma's values and a g
     array as in :func:`_curvature_of`, with its worst asymmetry under index
-    permutations (NaN if any entry is NaN)."""
-    gv, dg = g[0], g[1:]  # dg[l, i, j] = d_l g_ij
-    ng = (dg - np.einsum("lij,lk->ijk", gamma_values, gv)
-          - np.einsum("lik,jl->ijk", gamma_values, gv))
-    asym = float(np.max([np.max(np.abs(ng - ng.transpose(perm)))
-                         for perm in itertools.permutations(range(3))
-                         if perm != (0, 1, 2)]))
+    permutations (NaN if any entry is NaN), both over the leading stack axes."""
+    gv, dg = g[..., 0, :, :], g[..., 1:, :, :]  # dg[..., l, i, j] = d_l g_ij
+    ng = (dg - np.einsum("...lij,...lk->...ijk", gamma_values, gv)
+          - np.einsum("...lik,...jl->...ijk", gamma_values, gv))
+    asym = np.max([np.max(np.abs(ng - np.moveaxis(ng, [q - 3 for q in perm], [-3, -2, -1])),
+                          axis=(-3, -2, -1))
+                   for perm in itertools.permutations(range(3)) if perm != (0, 1, 2)], axis=0)
     return ng, asym
 
 
@@ -241,7 +248,7 @@ def torsion_at(spec: ManifoldSpec, p) -> np.ndarray:
 
 
 def _torsion_of(gamma_values: np.ndarray) -> np.ndarray:
-    return gamma_values - gamma_values.transpose(0, 2, 1)
+    return gamma_values - gamma_values.swapaxes(-1, -2)
 
 
 def curvature_at(spec: ManifoldSpec, p) -> np.ndarray:
@@ -256,30 +263,26 @@ def dual_connection_at(spec: ManifoldSpec, p) -> np.ndarray:
     return _at(fields.dual_connection_args, spec, p)
 
 
-def dual_identity_residual(spec: ManifoldSpec, p) -> float:
-    """Max-norm defect of d_i g_jk = Gamma^l_ij g_lk + g_jl Gamma*^l_ik."""
-    g = _at(fields.metric_args, spec, p, 1)
-    gv, dgv = g[0], g[1:]
-    gamma = connection_at(spec, p)
-    dual = dual_connection_at(spec, p)
-    resid = (dgv - np.einsum("lij,lk->ijk", gamma, gv)
-             - np.einsum("jl,lik->ijk", gv, dual))
-    return float(np.max(np.abs(resid)))
-
-
 def nabla_g_at(spec: ManifoldSpec, p) -> tuple[np.ndarray, float]:
     """Covariant derivative of the metric, indexed (direction; arguments),
     and the worst asymmetry under index permutations."""
-    return _nabla_g_of(connection_at(spec, p), _at(fields.metric_args, spec, p, 1))
+    ng, asym = _nabla_g_of(connection_at(spec, p), _at(fields.metric_args, spec, p, 1))
+    return ng, float(asym)
 
 
 # -- base-point fields and the Hessian verdict ------------------------------------
 
 @dataclass(frozen=True)
 class BaseJets:
+    """Gamma and g at the P points ``x`` of a sweep, stacked along the first
+    axis: ``gamma`` (P, rows, n, n, n) holds Gamma^k_ij, ``g`` (P, rows, n, n)."""
+
     x: tuple
-    gamma: np.ndarray  # Gamma^k_ij
+    gamma: np.ndarray
     g: np.ndarray
+
+    def __getitem__(self, points: slice) -> "BaseJets":
+        return BaseJets(self.x[points], self.gamma[points], self.g[points])
 
 
 def _require_finite(x: tuple, name: str, field: np.ndarray) -> None:
@@ -312,39 +315,40 @@ def finite_maxima(residuals: dict, points: Sequence) -> dict[str, np.ndarray]:
     return maxima
 
 
-def _base_batch(spec: ManifoldSpec, points, order: int,
-                gamma_order: int) -> list[BaseJets]:
+def _base_batch(spec: ManifoldSpec, points, order: int, gamma_order: int) -> BaseJets:
     xs = [_require_inside(spec, x) for x in points]
     with np.errstate(over="ignore", invalid="ignore"):  # as Python floats
         gamma = fields.connection_args(spec, jets.seed_batch(xs, gamma_order), gamma_order)
         g = fields.metric_args(spec, jets.seed_batch(xs, order), order)
-    gamma, g = (np.moveaxis(f.coeffs, -1, 1) for f in (gamma, g))
-    bases = [BaseJets(x, gamma[p], g[p]) for p, x in enumerate(xs)]
-    for base in bases:
-        _require_finite(base.x, "gamma", base.gamma)
-        _require_finite(base.x, "metric", base.g)
+    bases = BaseJets(tuple(xs), *(np.moveaxis(f.coeffs, -1, 1) for f in (gamma, g)))
+    finite = np.all([np.isfinite(f).reshape(len(xs), -1).all(axis=1)
+                     for f in (bases.gamma, bases.g)], axis=0)
+    if not finite.all():
+        p = int(np.argmin(finite))
+        _require_finite(xs[p], "gamma", bases.gamma[p])
+        _require_finite(xs[p], "metric", bases.g[p])
     return bases
 
 
 def base_jets(spec: ManifoldSpec, points, order: int = 1,
-              gamma_order: int | None = None) -> list[BaseJets]:
-    """Gamma and g at every base point of ``points``, with the values in row
-    0 and, at order 1, the partial by coordinate d in row 1 + d; Gamma has
-    ``gamma_order``, by default ``order``.  The Hessian verdict, the
-    two-of-four report and the Born tensors of all fibers of a point are
-    built from them.  A value or derivative that is not finite is a spec
-    error.  The points are evaluated as one batch, of whose arrays each
-    BaseJets holds views; if the batch fails, they are evaluated again one
-    at a time, so that the first point's failure is raised, and at that
-    point one of Gamma before one of g."""
+              gamma_order: int | None = None) -> BaseJets:
+    """Gamma and g at every base point of ``points``, stacked, with the values
+    in row 0 and, at order 1, the partial by coordinate d in row 1 + d; Gamma
+    has ``gamma_order``, by default ``order``.  The Hessian verdict, the
+    two-of-four report and the Born tensors of all bundle points are built
+    from them.  A value or derivative that is not finite is a spec error.
+    The points are evaluated as one batch; if it fails, they are evaluated
+    one at a time only to raise the first failing point's error, and at that
+    point one of Gamma before one of g (the batch error if none fails)."""
     gamma_order = order if gamma_order is None else gamma_order
     points = list(points)
-    if len(points) > 1:
-        try:
-            return _base_batch(spec, points, order, gamma_order)
-        except (SpecError, ArithmeticError):
-            pass  # raised again by the point that fails first, below
-    return [base for x in points for base in _base_batch(spec, [x], order, gamma_order)]
+    try:
+        return _base_batch(spec, points, order, gamma_order)
+    except (SpecError, ArithmeticError):
+        if len(points) > 1:
+            for x in points:
+                _base_batch(spec, [x], order, gamma_order)
+        raise
 
 
 @dataclass(frozen=True)
@@ -357,22 +361,22 @@ class HessianVerdict:
     points: int
 
     @classmethod
-    def of(cls, bases: Sequence[BaseJets], tol: float) -> "HessianVerdict":
+    def of(cls, bases: BaseJets, tol: float) -> "HessianVerdict":
         """The verdict over base-point fields of order 1, after the metric's
         positivity gate at every point."""
-        for base in bases:
-            check_spd(base.g[0], base.x)
+        check_spd(bases.g[:, 0], bases.x)
+        gamma = bases.gamma[:, 0]
         with np.errstate(over="ignore", invalid="ignore"):  # finite_maxima checks
             residuals = {
-                "curvature": [_curvature_of(b.gamma) for b in bases],
-                "torsion": [_torsion_of(b.gamma[0]) for b in bases],
-                "nabla_g_asymmetry": [_nabla_g_of(b.gamma[0], b.g)[1] for b in bases],
+                "curvature": _curvature_of(bases.gamma),
+                "torsion": _torsion_of(gamma),
+                "nabla_g_asymmetry": _nabla_g_of(gamma, bases.g)[1],
             }
-        worst = finite_maxima(residuals, [b.x for b in bases])
+        worst = finite_maxima(residuals, bases.x)
         max_r, max_t, max_a = (float(np.max(m)) for m in worst.values())
         return cls(is_hessian=bool(max_r <= tol and max_t <= tol and max_a <= tol),
                    max_curvature=max_r, max_torsion=max_t,
-                   max_nabla_g_asymmetry=max_a, tol=tol, points=len(bases))
+                   max_nabla_g_asymmetry=max_a, tol=tol, points=len(bases.x))
 
 
 def hessian_verdict(spec: ManifoldSpec, points: Sequence[Sequence[float]],
@@ -408,18 +412,18 @@ class TwoOfFourReport:
     fact_violated: bool
 
     @classmethod
-    def of(cls, bases: Sequence[BaseJets], tol: float) -> "TwoOfFourReport":
+    def of(cls, bases: BaseJets, tol: float) -> "TwoOfFourReport":
         """The report over base-point fields: Gamma of any order, g of order 1."""
-        gamma = np.stack([b.gamma[0] for b in bases])
+        gamma = bases.gamma[:, 0]
         with np.errstate(over="ignore", invalid="ignore"):  # finite_maxima checks
-            dual, lc = dual_and_levi_civita(gamma, np.stack([b.g for b in bases]))
+            dual, lc = dual_and_levi_civita(gamma, bases.g)
             residuals = {
-                "torsion": [_torsion_of(b.gamma[0]) for b in bases],
-                "dual_torsion": [_torsion_of(d) for d in dual],
-                "nabla_g_asymmetry": [_nabla_g_of(b.gamma[0], b.g)[1] for b in bases],
+                "torsion": _torsion_of(gamma),
+                "dual_torsion": _torsion_of(dual),
+                "nabla_g_asymmetry": _nabla_g_of(gamma, bases.g)[1],
                 "mean_vs_levi_civita": 0.5 * (gamma + dual) - lc,
             }
-        worst = finite_maxima(residuals, [b.x for b in bases])
+        worst = finite_maxima(residuals, bases.x)
         maxima = {k: float(np.max(v)) for k, v in worst.items()}
         holds = {k: bool(v <= tol) for k, v in maxima.items()}
         return cls(residuals=maxima, holds=holds, tol=tol,

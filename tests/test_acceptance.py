@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from bornbundle import corpus, expr, jets
-from bornbundle.bundle import (BundlePoint, born_at,
-                               born_compatibility_residuals,
-                               standard_born_matrices)
-from bornbundle.charts import (chart_born_block_residual, exponential_chart,
+from bornbundle.bundle import (BundlePoint, _constant_blocks, _metric_blocks,
+                               born_at, born_compatibility_residuals)
+from bornbundle.charts import (_probe_residuals, exponential_chart,
                                geodesic_integrate,
                                pushforward_connection_residual)
 from bornbundle.cli import RunConfig, report_to_json, run
@@ -100,8 +99,9 @@ def test_acceptance_2_born_identities():
     for spec in ALL:
         for bp in bundle_grid(spec, 4, 5):
             rep = born_compatibility_residuals(born_at(spec, bp))
-            worst = max(worst, rep.max_residual())
-            ok = ok and rep.max_residual() <= 1e-10
+            largest = float(np.max(list(rep.residuals.values())))
+            worst = max(worst, largest)
+            ok = ok and largest <= 1e-10
             ok = ok and rep.k_signature == (spec.n, spec.n)
     print(f"  worst residual {worst:.3e}")
     _verdict(2, "algebraic Born identities", ok)
@@ -109,7 +109,7 @@ def test_acceptance_2_born_identities():
 
 def test_acceptance_3_euclidean_reproduction():
     spec = BY_NAME["euclidean2"]
-    want = standard_born_matrices(2)
+    want = {**_constant_blocks(2), **_metric_blocks(np.eye(2))}
     ok = True
     for bp in bundle_grid(spec, 3, 4):
         bf = born_at(spec, bp, "bundle-coordinate")
@@ -216,8 +216,7 @@ def test_acceptance_8_affine_chart_witness():
     unit = halton_points(6, 2, 31)
     probes = [tuple(chart.radius * (2 * u - 1) / 2) for u in unit]
     push = pushforward_connection_residual(spec, chart, probes)
-    blocks = max(chart_born_block_residual(spec, chart, a, (0.8, -0.5))
-                 for a in probes)
+    blocks = max(_probe_residuals(spec, chart, [a], (0.8, -0.5))[1] for a in probes)
     # contraction must be measured where RK4 has error to contract; the flat
     # corpus geodesics (straight or polynomial) are integrated exactly, so
     # the sphere provides the convergence-order evidence

@@ -464,3 +464,30 @@ def test_shared_sweep_matches_standalone_functions(source, tmp_path):
         "tol": hv.tol, "points": hv.points}
     assert report["two_of_four"] == dataclasses.asdict(
         two_of_four_residuals(spec, base, CROSS_TOL))
+
+
+@pytest.mark.parametrize("scale,tol,is_hessian", [
+    # curvature about 1e-8, above the default tolerance: not flat, although
+    # below the chart's 1e-7 flatness gate
+    ("1e-4", "1e-9", False),
+    # curvature about 1e-6, flat under --tol 1e-5 but above the chart's gate
+    ("1e-3", "1e-5", True),
+])
+def test_chart_witness_runs_only_on_a_flat_verdict(scale, tol, is_hessian, tmp_path,
+                                                    capsys):
+    # sphere2 in coordinates theta = scale * a, phi = scale * b; the
+    # affine-chart witness, which fails on a curved sphere, must not run
+    lam = float(scale)
+    path = tmp_path / "sphere-scaled.json"
+    path.write_text(json.dumps({
+        "dimension": 2, "coordinates": ["a", "b"],
+        "metric": {"components": [[repr(lam ** 2), "0"],
+                                  ["0", f"{lam ** 2!r}*sin({scale}*a)^2"]]},
+        "connection": {"kind": "levi-civita"},
+        "sample_box": [[0.4 / lam, 2.7 / lam], [0.0, 3.1 / lam]]}))
+    assert main(["check", str(path), "--points", "8", "--fiber-points", "2",
+                 "--tol", tol]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["hessian"]["is_hessian"] == is_hessian
+    assert "affine_chart" not in report
+    assert report["status"] == "ok"

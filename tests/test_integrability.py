@@ -4,14 +4,19 @@ import numpy as np
 import pytest
 
 from bornbundle import corpus, expr
-from bornbundle.bundle import BundlePoint, born_at
-from bornbundle.integrability import (CROSS_TOL, d_omega_at,
-                                      frame_bracket_residuals,
+from bornbundle.bundle import (BornFrame, BundlePoint, born_at,
+                               born_compatibility_residuals, fiber_born_jets)
+from bornbundle.cli import spec_from_dict
+from bornbundle.errors import SpecError
+from bornbundle.integrability import (CROSS_TOL, _d_omega_of, _nijenhuis_of,
+                                      d_omega_at, frame_bracket_residuals,
                                       integrability_verdict, nijenhuis_at,
                                       nijenhuis_J_identity_residuals,
                                       theorem_crosscheck)
-from bornbundle.manifold import (build_spec, dual_connection_at, sample_fibers,
+from bornbundle.manifold import (_curvature_of, _nabla_g_of, _torsion_of, base_jets,
+                                 build_spec, dual_connection_at, sample_fibers,
                                  sample_points, torsion_at)
+from test_manifold import GENERATED, _diagonal, _gamma_00, _generated
 
 EUCLID = corpus.example("euclidean2")
 HESSIAN = corpus.example("hessian-exp2")
@@ -340,3 +345,99 @@ def test_theorem_crosscheck_beyond_four_dimensions(n, metric):
     row = rep.rows[0]
     assert rep.all_agree
     assert row["hessian"] is True and row["integrable"] is True
+
+
+# -- the stacked sweep ----------------------------------------------------------
+
+# five-dimensional members of the generated families
+GENERATED5 = {
+    "lc5": _generated(5, {"components": _diagonal(
+        ["exp(0.7*x1)", "exp(-0.5*x2)", "exp(0.8*x3)", "exp(-0.6*x4)", "exp(0.5*x0)"])},
+        {"kind": "levi-civita"}),
+    "potential5": _generated(5, {"potential": (
+        "2.5*exp(0.9*x0) + 2.2*exp(1.1*x1) + 2.8*exp(0.85*x2) + 2.1*exp(1.05*x3)"
+        " + 2.4*exp(0.95*x4) + 0.04*x0*x1 - 0.03*x2*x4 + 0.02*x1*x3")}, {"kind": "flat"}),
+    "twisted5": _generated(5, {"components": [
+        ["1.2 + 5.568*x0^2", "0.7*x0", "-2.4*x0", "0.54*x0", "-0.88*x0"],
+        ["0.7*x0", "0.7", "0", "0", "0"],
+        ["-2.4*x0", "0", "1.5", "0", "0"],
+        ["0.54*x0", "0", "0", "0.9", "0"],
+        ["-0.88*x0", "0", "0", "0", "1.1"]]}, _gamma_00(["0", "1.0", "-1.6", "0.6", "-0.8"])),
+}
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("source", list(corpus.BUILTIN_BUILDERS) + list(GENERATED)
+                         + list(GENERATED5))
+def test_stacked_sweep_equals_one_base_point_at_a_time(source):
+    # every array the sweep builds over all P x F bundle points equals the
+    # same functions called on one base point at a time, signs of zeros included
+    docs = {**GENERATED, **GENERATED5}
+    spec = (spec_from_dict(docs[source], name=source) if source in docs
+            else corpus.example(source))
+    points = sample_points(spec, 5, 42)
+    fibers = sample_fibers(spec.n, 3, 1.0, 42)
+    bases = base_jets(spec, points)
+    mats = fiber_born_jets(bases, fibers)
+    stacks = {"nijenhuis_" + name: _nijenhuis_of(mats[name]) for name in "IJK"}
+    stacks["d_omega"] = _d_omega_of(mats["omega"])
+    compat = born_compatibility_residuals(
+        BornFrame.of({name: m[:, :, 0] for name, m in mats.items()}))
+    gamma = bases.gamma[:, 0]
+    fields = {"curvature": _curvature_of(bases.gamma), "torsion": _torsion_of(gamma),
+              "nabla_g_asymmetry": _nabla_g_of(gamma, bases.g)[1]}
+    for p, x in enumerate(points):
+        one = base_jets(spec, [x])
+        one_mats = fiber_born_jets(one, fibers)
+        for name, m in one_mats.items():
+            assert_same_bits(mats[name][p], m[0])
+        for name in "IJK":
+            assert_same_bits(stacks["nijenhuis_" + name][p], _nijenhuis_of(one_mats[name])[0])
+        assert_same_bits(stacks["d_omega"][p], _d_omega_of(one_mats["omega"])[0])
+        one_compat = born_compatibility_residuals(
+            BornFrame.of({name: m[0, :, 0] for name, m in one_mats.items()}))
+        for key, r in compat.residuals.items():
+            assert_same_bits(r[p], one_compat.residuals[key])
+        for got, want in zip(compat.k_signature, one_compat.k_signature):
+            assert np.array_equal(got[p], want)
+        one_gamma = one.gamma[:, 0]
+        for key, want in (("curvature", _curvature_of(one.gamma)),
+                          ("torsion", _torsion_of(one_gamma)),
+                          ("nabla_g_asymmetry", _nabla_g_of(one_gamma, one.g)[1])):
+            assert_same_bits(fields[key][p], want[0])
+
+
+def test_error_order_is_by_base_point_then_tensors_then_identities():
+    # on [0, 1]^2 at seed 42 the first base point has u = 0.7512..., where
+    # Gamma^0_00 ~ 1e10 and g ~ 1e290: its tensors are finite but h = g A A
+    # overflows, so only an identity fails there; at the second (u = 0.1262...)
+    # Gamma^0_00 ~ 1e80 and g ~ 1, so its Nijenhuis tensors overflow.  The
+    # first base point's identity error is the one raised.
+    metric = "exp(1067*u - 134.7)"
+    spec = build_spec("error-order", ("u", "v"), [(0.0, 1.0), (0.0, 1.0)],
+                      metric=[[metric, "0"], ["0", metric]], connection="explicit",
+                      gamma=[[["exp(216.5 - 257.6*u)", "0"], ["0", "0"]],
+                             [["0", "0"], ["0", "0"]]])
+    points = sample_points(spec, 2, 42)
+    fibers = sample_fibers(2, 4, 1.0, 42)
+    for p, tensors_finite in ((0, True), (1, False)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            mats = fiber_born_jets(base_jets(spec, points[p:p + 1]), fibers)
+            assert np.isfinite(_nijenhuis_of(mats["I"])).all() == tensors_finite
+    with pytest.raises(SpecError) as err:
+        integrability_verdict(spec, 2, 4)
+    assert str(err.value) == (
+        "J_vs_k_inv_h residual is not finite at ((0.751220703125, 0.6476146928821825), "
+        "(0.39456, -0.6150413518176951)) (value nan)")
+    # the second base point alone fails in N_I
+    with pytest.raises(SpecError, match="^nijenhuis_I residual is not finite"):
+        integrability_verdict(build_spec(
+            "error-order-2", ("u", "v"), [(0.0, 0.2), (0.0, 1.0)],
+            metric=[[metric, "0"], ["0", metric]], connection="explicit",
+            gamma=[[["exp(216.5 - 257.6*u)", "0"], ["0", "0"]],
+                   [["0", "0"], ["0", "0"]]]), 1, 4)

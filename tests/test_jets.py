@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from bornbundle import jets
 from bornbundle.jets import (Jet, JetBatch, JetDomainError, JetUsageError,
                              augment, coefficients, extract_partial, fd_oracle,
-                             seed, seed_embedded, shift, truncate)
+                             seed, seed_embedded, truncate)
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -217,16 +217,6 @@ def test_jet_gradient_matches_fd(a, b):
     for i in range(2):
         scale = max(1.0, abs(f.partial(i)))
         assert abs(f.partial(i) - grad[i]) / scale <= 1e-6
-
-
-def test_shift_reads_next_order():
-    x, y = seed((0.4, 1.1), 3)
-    f = jets.sin(x) * y
-    fx = shift(f, 0)
-    assert fx.order == 2
-    assert fx.value == f.partial(0)
-    assert fx.partial(1) == f.partial(0, 1)
-    assert fx.partial(0, 1) == f.partial(0, 0, 1)
 
 
 def batch(u: Jet) -> JetBatch:
