@@ -23,13 +23,14 @@ bilinear form is its first argument.
 P base points and F fiber vectors at once, as float arrays
 (P, F, 1 + 2n, 2n, 2n): values in row 0, then the first partials by
 x^1..x^n and by y^1..y^n (the base fields' y-partials are zero); order-0
-base fields give the value row alone.  Sums act row by row; a product has
-value a b and partials (0.0 + a b') + a' b, as Jet multiplication.  A block
-c + X Y is summed as (c + X_0 Y_0) + X_1 Y_1 + ..., term m being column m
-of X times row m of Y, and X Y without c (A = -Gamma y, P, g (-A)) as
-X_0 Y_0 + X_1 Y_1 + ...: the order of the dense products E M E^-1 and
-E^-T M E^-1 and of a matmul over jets, so the arrays equal the jet
-arithmetic bit for bit.  Every operation is elementwise with broadcasting
+base fields give the value row alone.  h and k, which are read as values
+only, always hold their value row alone, (P, F, 1, 2n, 2n).  Sums act row
+by row; a product has value a b and partials (0.0 + a b') + a' b, as Jet
+multiplication.  A block c + X Y is summed as (c + X_0 Y_0) + X_1 Y_1 +
+..., term m being column m of X times row m of Y, and X Y without c
+(A = -Gamma y, P, g (-A)) as X_0 Y_0 + X_1 Y_1 + ...: the order of the
+dense products E M E^-1 and E^-T M E^-1 and of a matmul over jets, so the
+arrays equal the jet arithmetic bit for bit.  Every operation is elementwise with broadcasting
 over the (P, F) axes, so each bundle point gets the bits of a one-point
 call.
 
@@ -172,15 +173,18 @@ def adapted_frame_at(spec: ManifoldSpec, bp: BundlePoint):
 def fiber_born_jets(bases: BaseJets, ys) -> dict[str, np.ndarray]:
     """The six tensors in bundle coordinates at (x, y) for every base point x
     of ``bases`` and fiber vector y of ``ys``, as (P, F, rows, 2n, 2n) arrays
-    of values and first partials (module doc)."""
+    of values and first partials, h and k as their value rows alone (module
+    doc)."""
     a, g = _fiber_blocks(bases, ys)
     one = np.zeros(a.shape)
     one[..., 0, :, :] = np.eye(a.shape[-1])
     zero = np.zeros(a.shape)
     na = -a
     p = _madd(na.swapaxes(-1, -2), g)
-    h = np.block([[_madd(p, na, g), p], [_madd(g, na), g]])
-    k = np.block([[_madd(g, na, p), g], [g, zero]])
+    # a value row is computed from value rows alone
+    p0, na0, g0, zero0 = (m[..., :1, :, :] for m in (p, na, g, zero))
+    h = np.block([[_madd(p0, na0, g0), p0], [_madd(g0, na0), g0]])
+    k = np.block([[_madd(g0, na0, p0), g0], [g0, zero0]])
     omega = np.block([[_madd(g, na, -p), g], [-g, zero]])
     return {
         "I": np.block([[a, -one], [_madd(na, na, one), na]]),
@@ -194,7 +198,8 @@ def fiber_born_jets(bases: BaseJets, ys) -> dict[str, np.ndarray]:
 
 def born_jets(spec: ManifoldSpec, bp: BundlePoint) -> dict[str, np.ndarray]:
     """The six tensors in bundle coordinates with their first partials over
-    the 2n coordinates, as (1 + 2n, 2n, 2n) arrays."""
+    the 2n coordinates, as (1 + 2n, 2n, 2n) arrays; h and k as their value
+    row alone, (1, 2n, 2n)."""
     bp = _require_point(spec, bp)
     return {name: m[0, 0] for name, m in
             fiber_born_jets(base_jets(spec, [bp.x]), [bp.y]).items()}

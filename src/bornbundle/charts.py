@@ -21,17 +21,28 @@ connection, the entries other than a literal 0 for an explicit one), in
 (k, i, j) order, and is a zero jet for a k without terms.  A skipped term
 is an exact +-0 jet, and adding +-0 to a nonzero float is exact, so
 skipping can change only the signs of zeros; every chart output passes
-through ``abs`` and ``max``, so the reports do not change.  Gamma is
-evaluated over the whole batch at every stage, the connections derived
-from the metric included.  Every coefficient equals the per-probe Jet
+through ``abs`` and ``max``, so the reports do not change.  An explicit
+coefficient whose expression has no coordinate is evaluated once per
+integration, as its jet does not depend on the position; the others, and
+the connections derived from the metric, are evaluated over the whole
+batch at every stage.  Every coefficient equals the per-probe Jet
 integration bit for bit.
+
+The flatness gate evaluates Gamma with its first partials at its
+``GATE_POINTS`` sample points as one batch, and the probe residuals (the
+transformed connection and the I, J, K blocks built from it) are computed
+for all probes as one stack, by one batched inverse, stacked einsums and
+stacked matmuls, each of which gives every point or probe the bits of a
+call on it alone.
 
 Errors: probe radii are checked before any integration.  The loop runs
 under ``np.errstate``, since Python floats overflow to inf silently and
 numpy would warn.  If any probe fails (it leaves the box, or Gamma meets a
 domain error), the probes are integrated again one at a time, in order,
-and the first failure is raised.  The flatness gate and the probe
-residuals take their maxima through
+and the first failure is raised.  Likewise, if the gate's batch fails, its
+points are evaluated one at a time to raise the first failing point's
+error, and a singular Jacobian names the first probe that has one.  The
+flatness gate and the probe residuals take their maxima through
 :func:`bornbundle.manifold.finite_maxima`, so a NaN or inf curvature,
 torsion or residual is a spec error naming it and its point.
 """
@@ -42,12 +53,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import fields, jets
+from . import expr, fields, jets
 from .bundle import _constant_blocks
 from .errors import SpecError
 from .jets import JetBatch
-from .manifold import (ManifoldSpec, curvature_at, finite_maxima, halton_points,
-                       sample_fibers, sample_points, torsion_at)
+from .manifold import (ManifoldSpec, _curvature_of, _require_inside, _torsion_of,
+                       curvature_at, finite_maxima, halton_points, sample_fibers,
+                       sample_points)
 
 FLATNESS_GATE_TOL = 1e-7
 PUSHFORWARD_TOL = 1e-6
@@ -72,17 +84,36 @@ def _connection_terms(spec: ManifoldSpec, support, order: int):
     """Gamma's coefficients on ``support`` as a function of chart positions:
     coefficients ``(B, n, K)`` of order-``order`` jets to ``(B, T, K)``,
     evaluated over the whole batch.  An explicit connection evaluates its
-    support expressions alone; the connections derived from the metric go
-    through :func:`bornbundle.fields.connection_args`."""
+    support expressions alone, and those without a coordinate only here,
+    once: their jets do not depend on the position.  If one of those fails,
+    every term is evaluated at every stage, so that the first stage raises
+    the error of the first failing term.  The connections derived from the
+    metric go through :func:`bornbundle.fields.connection_args`."""
     n = spec.n
 
     def args(x):
         return [JetBatch(order, n, x[:, c]) for c in range(n)]
-    if spec.connection_kind == "explicit":
-        asts = [spec.gamma_exprs[k][i][j] for k, i, j in support]
-        return lambda x: fields.evaluate_all(asts, args(x)).coeffs
-    index = (slice(None), *np.array(support).T)
-    return lambda x: fields.connection_args(spec, args(x), order).coeffs[index]
+    if spec.connection_kind != "explicit":
+        index = (slice(None), *np.array(support).T)
+        return lambda x: fields.connection_args(spec, args(x), order).coeffs[index]
+    asts = [spec.gamma_exprs[k][i][j] for k, i, j in support]
+    fixed = [t for t, ast in enumerate(asts) if not expr.free_coordinates(ast)]
+    try:
+        const = fields.evaluate_all([asts[t] for t in fixed],
+                                    jets.seed_batch(np.zeros((1, n)), order)).coeffs
+    except (SpecError, ArithmeticError):
+        fixed = []
+    varying = [t for t in range(len(asts)) if t not in fixed]
+
+    def gamma(x):
+        out = np.empty((len(x), len(asts), x.shape[-1]))
+        if fixed:
+            out[:, fixed] = const
+        if varying:
+            out[:, varying] = fields.evaluate_all([asts[t] for t in varying],
+                                                  args(x)).coeffs
+        return out
+    return gamma
 
 
 def _acceleration(spec: ManifoldSpec, order: int):
@@ -210,6 +241,20 @@ class ChartMap:
         return JetBatch(order, self.spec.n, out.coeffs[0])
 
 
+def _gate_connection(spec: ManifoldSpec, points) -> np.ndarray:
+    """Gamma with its first partials at the gate points, as one order-1
+    batch laid out as in :func:`bornbundle.manifold.base_jets`.  If the batch
+    fails, the points are evaluated one at a time only to raise the first
+    failing point's error (the batch error if none fails)."""
+    try:
+        gamma = fields.connection_args(spec, jets.seed_batch(points, 1), 1)
+    except (SpecError, ArithmeticError):
+        for p in points:
+            curvature_at(spec, p)
+        raise
+    return np.moveaxis(gamma.coeffs, -1, 1)
+
+
 def exponential_chart(spec: ManifoldSpec, x0, steps: int = DEFAULT_STEPS,
                       seed: int = 42) -> ChartMap:
     """Build the exponential chart at x0 after checking that curvature and
@@ -221,10 +266,10 @@ def exponential_chart(spec: ManifoldSpec, x0, steps: int = DEFAULT_STEPS,
         raise SpecError(f"chart base point has {len(x0)} coordinates, expected {spec.n}")
     if not spec.contains(x0):
         raise SpecError(f"chart base point {x0} lies outside the sample box")
-    points = [tuple(p) for p in sample_points(spec, GATE_POINTS, seed).tolist()]
+    points = [_require_inside(spec, p) for p in sample_points(spec, GATE_POINTS, seed)]
     with np.errstate(over="ignore", invalid="ignore"):  # finite_maxima checks
-        residuals = {"curvature": [curvature_at(spec, p) for p in points],
-                     "torsion": [torsion_at(spec, p) for p in points]}
+        gamma = _gate_connection(spec, points)
+        residuals = {"curvature": _curvature_of(gamma), "torsion": _torsion_of(gamma[:, 0])}
     worst = finite_maxima(residuals, points)
     max_r, max_t = (float(np.max(m)) for m in worst.values())
     if max_r > FLATNESS_GATE_TOL or max_t > FLATNESS_GATE_TOL:
@@ -241,31 +286,39 @@ def _connection_values(spec: ManifoldSpec, x: np.ndarray) -> np.ndarray:
     return fields.connection_args(spec, jets.seed_batch(x, 0), 0).value
 
 
-def _transformed_connection(jac: np.ndarray, sec: np.ndarray, gamma: np.ndarray,
-                            a) -> np.ndarray:
-    """Connection coefficients transformed into the chart at probe a, from
-    the chart map's Jacobian dx^k/da^a, its second derivatives and Gamma at
-    its image: Gamma'^c_ab = (da^c/dx^k) [ (dx^i/da^a)(dx^j/da^b) Gamma^k_ij
-    + d2 x^k / da^a da^b ]."""
+def _transformed_connections(jac: np.ndarray, sec: np.ndarray, gamma: np.ndarray,
+                             probes) -> np.ndarray:
+    """Connection coefficients transformed into the chart at every probe,
+    from the chart map's Jacobians dx^k/da^a, its second derivatives and
+    Gamma at its images, stacked along the first axis:
+    Gamma'^c_ab = (da^c/dx^k) [ (dx^i/da^a)(dx^j/da^b) Gamma^k_ij
+    + d2 x^k / da^a da^b ].  A singular Jacobian is a spec error naming the
+    first probe that has one."""
     try:
         inv = np.linalg.inv(jac)
     except np.linalg.LinAlgError:
-        raise SpecError(f"singular chart Jacobian at probe {a}") from None
-    inner = np.einsum("ia,jb,kij->kab", jac, jac, gamma) + sec
-    return np.einsum("ck,kab->cab", inv, inner)
+        for j, a in zip(jac, probes):
+            try:
+                np.linalg.inv(j)
+            except np.linalg.LinAlgError:
+                raise SpecError(f"singular chart Jacobian at probe {a}") from None
+        raise
+    inner = np.einsum("pia,pjb,pkij->pkab", jac, jac, gamma) + sec
+    return np.einsum("pck,pkab->pcab", inv, inner)
 
 
-def _block_residual(transformed: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """I, J, K built from a transformed connection at fiber vector y, minus
-    their constant affine-chart blocks, as a (3, 2n, 2n) stack."""
+def _block_residuals(transformed: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """I, J, K built from each transformed connection of the stack at fiber
+    vector y, minus their constant affine-chart blocks, as (B, 3, 2n, 2n)."""
     y = np.asarray(y, dtype=float)
     n = len(y)
-    e = np.eye(2 * n)
-    e[n:, :n] = -np.einsum("kij,j->ki", transformed, y)
+    e = np.tile(np.eye(2 * n), (len(transformed), 1, 1))
+    e[:, n:, :n] = -np.einsum("pkij,j->pki", transformed, y)
     einv = e.copy()
-    einv[n:, :n] = -einv[n:, :n]
-    consts = _constant_blocks(n)
-    return np.stack([e @ consts[name] @ einv - consts[name] for name in "IJK"])
+    einv[:, n:, :n] = -einv[:, n:, :n]
+    blocks = _constant_blocks(n)
+    consts = np.stack([blocks[name] for name in "IJK"])
+    return e[:, None] @ consts @ einv[:, None] - consts
 
 
 def _probe_residuals(spec: ManifoldSpec, chart: ChartMap, probes,
@@ -281,13 +334,12 @@ def _probe_residuals(spec: ManifoldSpec, chart: ChartMap, probes,
     cj = chart.probe_jets(probes, order=2).coeffs
     n = spec.n
     with np.errstate(over="ignore", invalid="ignore"):  # finite_maxima checks
-        gamma = _connection_values(spec, cj[:, :, 0])
-        transformed = [_transformed_connection(*parts, a) for *parts, a in
-                       zip(cj[:, :, 1:n + 1], cj[:, :, _second_columns(n)], gamma,
-                           probes)]
+        transformed = _transformed_connections(
+            cj[:, :, 1:n + 1], cj[:, :, _second_columns(n)],
+            _connection_values(spec, cj[:, :, 0]), probes)
         stacks = {"pushforward_connection": transformed}
         if y is not None:
-            stacks["born_block"] = [_block_residual(t, y) for t in transformed]
+            stacks["born_block"] = _block_residuals(transformed, y)
     worst = finite_maxima(stacks, probes)
     return (float(np.max(worst["pushforward_connection"])),
             float(np.max(worst.get("born_block", 0.0))))

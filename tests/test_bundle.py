@@ -237,7 +237,8 @@ def born_reference(spec, x, y):
 @pytest.mark.parametrize("source", list(corpus.BUILTIN_BUILDERS) + list(GENERATED))
 def test_fiber_arrays_equal_jet_reference(source):
     # values and first partials over the 2n coordinates equal the jet
-    # arithmetic, the signs of zero values included
+    # arithmetic, the signs of zero values included; h and k are built as
+    # their value rows alone
     if source in GENERATED:
         spec = spec_from_dict(GENERATED[source], name=source)
     else:
@@ -248,6 +249,7 @@ def test_fiber_arrays_equal_jet_reference(source):
     for p, x in enumerate(points):
         for f, y in enumerate(fibers):
             want = born_reference(spec, tuple(x), tuple(y))
+            want["h"], want["k"] = want["h"][:1], want["k"][:1]
             for name, arr in want.items():
                 assert got[name][p, f].shape == arr.shape
                 assert np.array_equal(got[name][p, f], arr), name

@@ -1,18 +1,27 @@
+import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import jet_reference as ref
-from bornbundle import corpus, fields, jets
-from bornbundle.cli import spec_from_dict
-from bornbundle.charts import (BoxExitError, ChartMap, FlatnessGateError,
+from bornbundle import charts, corpus, expr, fields, jets
+from bornbundle.bundle import _constant_blocks
+from bornbundle.cli import load_spec, main, spec_from_dict
+from bornbundle.charts import (GATE_POINTS, BoxExitError, ChartMap, FlatnessGateError,
+                               _block_residuals, _connection_values, _gate_connection,
                                _probe_residuals, _second_columns,
-                               affine_chart_witness, exponential_chart,
-                               geodesic_integrate, pushforward_connection_residual)
+                               _transformed_connections, affine_chart_witness,
+                               exponential_chart, geodesic_integrate,
+                               pushforward_connection_residual)
 from bornbundle.errors import SpecError
+from bornbundle.expr import EvalDomainError
 from bornbundle.jets import Jet, JetBatch
-from bornbundle.manifold import build_spec, halton_points, sample_fibers
+from bornbundle.manifold import (_curvature_of, _torsion_of, build_spec, connection_at,
+                                 curvature_at, halton_points, sample_fibers,
+                                 sample_points, torsion_at)
 from test_manifold import GENERATED
 
 EUCLID = corpus.example("euclidean2")
@@ -321,18 +330,34 @@ PULLBACK_LC = build_spec("pullback-lc", ("u", "v"), [(-1, 1), (-1, 1)],
 HESSIAN_DUAL = build_spec("hessian-dual-exp2", ("u", "v"), [(-1, 1), (-1, 1)],
                           metric=[["exp(u)", "0"], ["0", "exp(v)"]],
                           connection="hessian-dual")
+# explicit Gammas that mix literal constants, constant expressions, which
+# the integrator evaluates once, and entries that depend on the coordinates
+MIXED_CONSTANTS2 = build_spec(
+    "mixed-constants2", ("u", "v"), [(-1, 1), (-1, 1)], metric=[["1", "0"], ["0", "1"]],
+    connection="explicit",
+    gamma=[[["2*0.5", "0"], ["0.25", "u*v"]], [["exp(0)", "-0.5"], ["0", "sin(u) - 2*0.5"]]])
+MIXED_CONSTANTS3 = build_spec(
+    "mixed-constants3", ("x", "y", "z"), [(-1, 1)] * 3,
+    metric=[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], connection="explicit",
+    gamma=[[["exp(0)", "0", "0"], ["0", "x*z", "0"], ["0.5", "0", "0"]],
+           [["-(2*0.5)", "0", "y"], ["0", "0", "0"], ["0", "0", "cos(z)"]],
+           [["0", "0.125", "0"], ["x - y", "0", "0"], ["0", "0", "exp(0)*2"]]])
+PULLBACK_CUBIC = load_spec(str(Path(__file__).parent.parent / "scripts" / "specs"
+                               / "pullback-cubic.json"))
 REFERENCE_SPECS = {
     "euclidean2": EUCLID, "hessian-exp2": HESSIAN, "pullback-flat": PULLBACK,
     "flat-skew-metric": corpus.example("flat-skew-metric"),
     **{name: spec_from_dict(GENERATED[name], name=name)
        for name in ("twisted3", "twisted4", "potential3", "potential4", "lc3")},
     "every-node": EVERY_NODE, "pullback-lc": PULLBACK_LC, "sphere2": SPHERE,
-    "hessian-dual-exp2": HESSIAN_DUAL,
+    "hessian-dual-exp2": HESSIAN_DUAL, "mixed-constants2": MIXED_CONSTANTS2,
+    "mixed-constants3": MIXED_CONSTANTS3, "pullback-cubic": PULLBACK_CUBIC,
 }
-# probes and RK4 steps of the connections derived from the metric, whose
-# Jet reference is slow
+# probes and RK4 steps of the connections derived from the metric, and of
+# the larger explicit one, whose Jet reference is slow
 METRIC_DERIVED = {"pullback-lc": (3, 64), "sphere2": (3, 16),
-                  "hessian-dual-exp2": (3, 64), "lc3": (2, 8)}
+                  "hessian-dual-exp2": (3, 64), "lc3": (2, 8),
+                  "mixed-constants3": (3, 32)}
 
 
 @pytest.mark.parametrize("name", list(REFERENCE_SPECS))
@@ -362,3 +387,237 @@ def test_batched_box_exit_reports_the_first_probe():
     with pytest.raises(BoxExitError) as batch:
         chart.probe_jets(points)
     assert (first.value.step, batch.value.step) == (24, 51)
+
+
+def test_pullback_cubic_is_witnessed():
+    # straight coordinates (u, v - u^2 - u^3): Gamma^1_00 = -2 - 6u depends
+    # on the position, so the integrator evaluates it at every stage
+    assert fields.connection_support(PULLBACK_CUBIC) == ((1, 0, 0),)
+    assert expr.free_coordinates(PULLBACK_CUBIC.gamma_exprs[1][0][0]) == {0}
+    for steps in (16, 64):
+        out = affine_chart_witness(PULLBACK_CUBIC, (0.0, 0.0), 6, 1.0, steps=steps)
+        assert out["witnessed"]
+        assert out["pushforward_residual"] == out["born_block_residual"] == 0.0
+
+
+# -- stacked gate and probe residuals ---------------------------------------
+
+def per_probe_transformed_connection(jac, sec, gamma):
+    """The per-probe transformed connection that the stacked one replaced."""
+    inv = np.linalg.inv(jac)
+    inner = np.einsum("ia,jb,kij->kab", jac, jac, gamma) + sec
+    return np.einsum("ck,kab->cab", inv, inner)
+
+
+def per_probe_block_residual(transformed, y):
+    """The per-probe I, J, K block residual that the stacked one replaced."""
+    n = len(y)
+    e = np.eye(2 * n)
+    e[n:, :n] = -np.einsum("kij,j->ki", transformed, y)
+    einv = e.copy()
+    einv[n:, :n] = -einv[n:, :n]
+    consts = _constant_blocks(n)
+    return np.stack([e @ consts[name] @ einv - consts[name] for name in "IJK"])
+
+
+def assert_same_bits(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("name", ["pullback-flat", "pullback-cubic", "sphere2",
+                                  "hessian-dual-exp2", "every-node", "twisted3",
+                                  "mixed-constants3"])
+def test_stacked_probe_residuals_equal_per_probe(name):
+    # the chart need not be affine: a curved or non-flat connection gives
+    # nonzero residuals whose bits the stack must keep
+    spec = REFERENCE_SPECS[name]
+    x0 = tuple(0.5 * (lo + hi) + 0.1 for lo, hi in spec.sample_box)
+    chart = ChartMap(spec, x0, steps=16, radius=0.25)
+    points = [tuple(0.25 * (2 * u - 1) / 2) for u in halton_points(7, spec.n, 5)]
+    y = sample_fibers(spec.n, 1, 1.0, 3)[0]
+    cj = chart.probe_jets(points).coeffs
+    n = spec.n
+    jac, sec = cj[:, :, 1:n + 1], cj[:, :, _second_columns(n)]
+    gamma = _connection_values(spec, cj[:, :, 0])
+    transformed = _transformed_connections(jac, sec, gamma, points)
+    blocks = _block_residuals(transformed, y)
+    for p in range(len(points)):
+        want = per_probe_transformed_connection(jac[p], sec[p], gamma[p])
+        assert_same_bits(transformed[p], want)
+        assert_same_bits(blocks[p], per_probe_block_residual(want, y))
+    push, block = _probe_residuals(spec, chart, points, y)
+    assert push == max(np.max(np.abs(t)) for t in transformed)
+    assert block == max(np.max(np.abs(b)) for b in blocks)
+
+
+def test_stacked_probe_residuals_equal_per_probe_on_random_stacks():
+    rng = np.random.default_rng(0)
+    for n in (2, 3, 4, 5):
+        for count in (1, 5, 12):
+            jac = np.eye(n) + rng.normal(size=(count, n, n)) * 0.1
+            sec, gamma = rng.normal(size=(2, count, n, n, n)) * 1e-3
+            gamma[rng.random(gamma.shape) < 0.5] = -0.0
+            y = rng.normal(size=n)
+            transformed = _transformed_connections(jac, sec, gamma, range(count))
+            blocks = _block_residuals(transformed, y)
+            for p in range(count):
+                want = per_probe_transformed_connection(jac[p], sec[p], gamma[p])
+                assert_same_bits(transformed[p], want)
+                assert_same_bits(blocks[p], per_probe_block_residual(want, y))
+
+
+@pytest.mark.parametrize("name", ["pullback-flat", "sphere2", "hessian-dual-exp2",
+                                  "every-node", "lc3", "mixed-constants3"])
+def test_gate_batch_equals_per_point(name):
+    spec = REFERENCE_SPECS[name]
+    points = [tuple(p) for p in sample_points(spec, GATE_POINTS, 42).tolist()]
+    gamma = _gate_connection(spec, points)
+    curvature, torsion = _curvature_of(gamma), _torsion_of(gamma[:, 0])
+    for p, x in enumerate(points):
+        assert_same_bits(curvature[p], curvature_at(spec, x))
+        assert_same_bits(torsion[p], torsion_at(spec, x))
+
+
+# -- error order ---------------------------------------------------------------
+
+def _disc_log(x, radius2):
+    # log of (distance to x)^2 - radius2: a domain error near x alone
+    return f"log((u - ({x[0]!r}))^2 + (v - ({x[1]!r}))^2 - {radius2!r})"
+
+
+def test_gate_raises_the_first_failing_point():
+    # the first expression fails at gate point 3, a later one at point 1: the
+    # batch meets point 3's error first, the per-point order point 1's
+    points = [tuple(p) for p in sample_points(EUCLID, GATE_POINTS, 42).tolist()]
+    gamma = [[["0", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]]
+    gamma[0][0][0] = _disc_log(points[3], 0.01)
+    gamma[1][0][1] = _disc_log(points[1], 0.02)
+    spec = build_spec("gate-order", ("u", "v"), [(-1, 1), (-1, 1)],
+                      metric=[["1", "0"], ["0", "1"]], connection="explicit", gamma=gamma)
+    with pytest.raises(EvalDomainError) as batch:
+        fields.connection_args(spec, jets.seed_batch(points, 1), 1)
+    with pytest.raises(EvalDomainError) as first:
+        connection_at(spec, points[1])
+    with pytest.raises(EvalDomainError) as gate:
+        exponential_chart(spec, (0.0, 0.0))
+    assert str(gate.value) == str(first.value) != str(batch.value)
+    assert "value -0.02 at" in str(gate.value) and "value -0.01 at" in str(batch.value)
+
+
+def test_gate_names_curvature_before_torsion():
+    # Gamma^0_01 overflows to inf off u = 0, so both the curvature and the
+    # torsion are not finite at the first gate point; curvature is named
+    spec = build_spec("gate-inf", ("u", "v"), [(-1, 1), (-1, 1)],
+                      metric=[["1", "0"], ["0", "1"]], connection="explicit",
+                      gamma=[[["0", "1e200*u*1e200"], ["0", "0"]], [["0", "0"], ["0", "0"]]])
+    points = [tuple(p) for p in sample_points(spec, GATE_POINTS, 42).tolist()]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(torsion_at(spec, points[0])).all()
+    with pytest.raises(SpecError, match=r"^curvature residual is not finite at "
+                       + re.escape(str(points[0]))):
+        exponential_chart(spec, (0.0, 0.0))
+
+
+def _pullback_with(entry):
+    gamma = [[["0", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]]
+    gamma[1][0][0] = entry
+    return gamma
+
+
+def test_constant_gamma_domain_error(tmp_path, capsys):
+    # the gate meets it first, in the CLI; the integrator alone raises it too
+    doc = {"dimension": 2, "coordinates": ["u", "v"],
+           "metric": {"components": [["1 + 4*u^2", "-2*u"], ["-2*u", "1"]]},
+           "connection": {"kind": "explicit", "gamma": _pullback_with("log(0 - 1)")},
+           "sample_box": [[-1, 1], [-1, 1]]}
+    path = tmp_path / "const-domain.json"
+    path.write_text(json.dumps(doc))
+    assert main(["affine-chart", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "error": {"kind": "EvalDomainError",
+                  "message": "log of non-positive value -1.0 at offset 0"},
+        "status": "error"}
+    chart = ChartMap(spec_from_dict(doc), (0.1, 0.0), radius=0.25)
+    with pytest.raises(EvalDomainError, match="value -1.0 at"):
+        chart.probe_jets([(0.1, 0.0), (0.0, 0.1)])
+
+
+def test_constant_gamma_domain_error_keeps_term_order():
+    # a coordinate-dependent term before it fails at the first stage too:
+    # its error comes first, as when every term was evaluated at every stage
+    gamma = _pullback_with("log(0 - 1)")
+    gamma[0][0][0] = "log(u - 5)"
+    spec = build_spec("two-failures", ("u", "v"), [(-1, 1), (-1, 1)],
+                      metric=[["1", "0"], ["0", "1"]], connection="explicit", gamma=gamma)
+    chart = ChartMap(spec, (0.1, 0.0), radius=0.25)
+    with pytest.raises(EvalDomainError, match=r"value -4\.9 at"):
+        chart.probe_jets([(0.1, 0.0), (0.0, 0.1)])
+
+
+class _HalfCollapsedChart(ChartMap):
+    """The identity map at probes with a[0] >= 0; sends the others to x0, so
+    their Jacobian is zero."""
+
+    def probe_jets(self, probes, order=2):
+        out = []
+        for a in probes:
+            coords = (jets.seed_embedded([c + s for c, s in zip(self.x0, a)], order,
+                                         self.spec.n, 0)
+                      if a[0] >= 0 else [Jet.constant(c, order, self.spec.n) for c in self.x0])
+            out.append(np.stack([jets.coefficients(c) for c in coords]))
+        return JetBatch(order, self.spec.n, np.stack(out))
+
+
+def test_singular_chart_jacobian_names_the_first_probe():
+    chart = _HalfCollapsedChart(EUCLID, (0.0, 0.0), radius=0.25)
+    points = [(0.1, 0.0), (-0.1, 0.05), (-0.2, 0.0)]
+    with pytest.raises(SpecError, match=re.escape("singular chart Jacobian at probe "
+                                                  "(-0.1, 0.05)")):
+        _probe_residuals(EUCLID, chart, points, (0.7, -0.4))
+    assert _probe_residuals(EUCLID, chart, points[:1], (0.7, -0.4)) == (0.0, 0.0)
+
+
+# -- work done once ------------------------------------------------------------
+
+def test_constant_gamma_is_evaluated_once_per_integration(monkeypatch):
+    const = PULLBACK.gamma_exprs[1][0][0]
+    assert fields.connection_support(PULLBACK) == ((1, 0, 0),)
+    assert not expr.free_coordinates(const)
+    rk4, evaluate = charts._rk4, expr.evaluate
+    counts, inside = {"rk4": 0, "in_rk4": 0}, [False]
+
+    def counted_rk4(*args):
+        counts["rk4"] += 1
+        inside[0] = True
+        try:
+            return rk4(*args)
+        finally:
+            inside[0] = False
+
+    def counted_evaluate(ast, args):
+        if inside[0] and ast is const:
+            counts["in_rk4"] += 1
+        return evaluate(ast, args)
+
+    monkeypatch.setattr(charts, "_rk4", counted_rk4)
+    monkeypatch.setattr(expr, "evaluate", counted_evaluate)
+    out = affine_chart_witness(PULLBACK, (0.0, 0.0), 6, 1.0)
+    assert out["witnessed"]
+    # one integration of all probes, and one evaluation in it, not 4 x 64
+    assert counts == {"rk4": 1, "in_rk4": 1}
+
+
+def test_gate_evaluates_the_connection_once(monkeypatch):
+    calls = []
+    connection_args = fields.connection_args
+
+    def counted(spec, args, order):
+        calls.append((len(args[0].coeffs), order))
+        return connection_args(spec, args, order)
+
+    monkeypatch.setattr(fields, "connection_args", counted)
+    exponential_chart(PULLBACK, (0.0, 0.0))
+    # one order-1 batch over the gate points, not curvature and torsion
+    # at each point one at a time
+    assert calls == [(GATE_POINTS, 1)]
