@@ -28,7 +28,8 @@ Exit codes: 0 all checks ran and no internal invariant failed, 1 spec or
 configuration error (including a domain error or an overflow while
 evaluating the spec's fields, a field value, first derivative or
 residual that is not finite at a sample point, a fiber radius that is not
-finite and positive, and a tolerance that is negative or not finite),
+finite and positive, a tolerance that is negative or not finite, and a
+spec file or ``--report`` path that cannot be read or written),
 2 internal invariant failure (the Hessian and integrability verdicts
 disagreed, the two-of-four residual pattern was impossible, or a
 construction identity broke) or internal fault (a jet misuse or a failed
@@ -38,10 +39,12 @@ being non-Hessian is a result, not a failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 from dataclasses import asdict, dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +92,8 @@ def load_spec(source: str) -> ManifoldSpec:
     except json.JSONDecodeError as e:
         raise SpecError(f"spec file {source}: invalid JSON at line {e.lineno}, "
                         f"column {e.colno}: {e.msg}") from e
+    except OSError as e:  # its message names the path
+        raise SpecError(f"cannot read spec file: {e}") from e
     return spec_from_dict(raw, name=path.stem)
 
 
@@ -117,20 +122,6 @@ def spec_from_dict(raw: dict, name: str = "") -> ManifoldSpec:
                           connection=kind, gamma=gamma)
     except (ParseError, ValueError) as e:
         raise SpecError(f"bad spec: {e}") from e
-
-
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return _jsonable(value.tolist())
-    if isinstance(value, np.bool_):
-        return bool(value)
-    return value
 
 
 def _spec_summary(spec: ManifoldSpec) -> dict:
@@ -228,11 +219,97 @@ def run(config: RunConfig) -> dict:
     report["status"] = "ok" if not failures else "invariant-failure"
     if failures:
         report["failures"] = failures
-    return _jsonable(report)
+    return report
 
 
-def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
+_FLOAT_TEXT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def report_to_json(value) -> str:
+    """``value`` as JSON text in the layout of ``json.dumps(value, indent=2)``,
+    plus a trailing newline: the same bytes for every value ``json.dumps``
+    accepts, and its ``TypeError`` for any other (a circular container is
+    not detected).  The pieces are appended to one list and joined once, and
+    a list of floats is written with one join, which the stdlib encoder's
+    indented, pure-Python path does not do."""
+    out: list[str] = []
+    _write(value, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _float_text(value: float) -> str:
+    text = float.__repr__(value)
+    return _FLOAT_TEXT.get(text, text)
+
+
+def _key_text(key) -> str:
+    # json's coercion of non-str keys, in its order of checks
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def _write(value, newline: str, out: list) -> None:
+    """Append the pieces of ``value``; ``newline`` is a newline followed by
+    the indentation of the line ``value`` starts on."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_float_text(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        separator = "," + inner
+        try:  # succeeds exactly when every item is a float
+            texts = list(map(float.__repr__, value))
+        except TypeError:
+            out.append("[")
+            for item in value:
+                out.append(inner)
+                _write(item, inner, out)
+                out.append(",")
+            out[-1] = newline + "]"
+            return
+        body = separator.join(texts)
+        if "n" in body:  # only nan, inf and -inf spell an n
+            body = separator.join(_FLOAT_TEXT.get(t, t) for t in texts)
+        out += ("[", inner, body, newline, "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        out.append("{")
+        for key, item in value.items():
+            out += (inner, encode_basestring_ascii(_key_text(key)), ": ")
+            _write(item, inner, out)
+            out.append(",")
+        out[-1] = newline + "}"
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} "
+                        f"is not JSON serializable")
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -260,7 +337,10 @@ def _cmd_check(args) -> int:
     report = run(config)
     text = report_to_json(report)
     if args.report:
-        Path(args.report).write_text(text)
+        try:
+            Path(args.report).write_text(text)
+        except OSError as e:  # its message names the path
+            raise SpecError(f"cannot write report: {e}") from e
         print(f"{report['spec']['name'] or args.spec}: hessian="
               f"{report['hessian']['is_hessian']} integrable="
               f"{report['integrability']['integrable']} agreement="
@@ -298,11 +378,13 @@ def _cmd_affine_chart(args) -> int:
     out = {"spec": spec.name or args.spec,
            **affine_chart_witness(spec, x0, args.probes, args.fiber_radius,
                                   args.steps, args.seed)}
-    sys.stdout.write(report_to_json(_jsonable(out)))
+    sys.stdout.write(report_to_json(out))
     return 0 if out["witnessed"] else 2
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call of :func:`main`."""
     parser = argparse.ArgumentParser(
         prog="bornbundle",
         description="Check the equivalence between the Hessian condition on a "
@@ -329,8 +411,11 @@ def main(argv=None) -> int:
     p_chart.add_argument("--probes", type=int, default=6)
     p_chart.add_argument("--fiber-radius", type=float, default=1.0)
     p_chart.add_argument("--seed", type=int, default=42)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.command == "list-examples":
             return _cmd_list_examples(args)

@@ -209,8 +209,9 @@ def integrability_verdict(spec: ManifoldSpec, base_count: int = 32,
     norms = np.array([_norm_factor(y) for y in fibers])
     rows = {key: (m.reshape(base_count, fiber_count) / norms).ravel()
             for key, m in finite_maxima(tensors, points).items()}
-    per_point = [{"x": list(x), "y": list(y), **{key: float(m[i]) for key, m in rows.items()}}
-                 for i, (x, y) in enumerate(points)]
+    columns = zip(*(m.tolist() for m in rows.values()))
+    per_point = [{"x": list(x), "y": list(y), **dict(zip(rows, values))}
+                 for (x, y), values in zip(points, columns)]
     maxima = {key: float(np.max(m)) for key, m in rows.items()}
     worst_born = {key: float(np.max(c)) for key, c in compat.items()}
     signature_ok = bool(np.all(np.array(rep.k_signature) == spec.n))

@@ -491,3 +491,125 @@ def test_chart_witness_runs_only_on_a_flat_verdict(scale, tol, is_hessian, tmp_p
     assert report["hessian"]["is_hessian"] == is_hessian
     assert "affine_chart" not in report
     assert report["status"] == "ok"
+
+
+# -- unreadable and unwritable paths -------------------------------------------
+
+def _error_of(argv, capsys):
+    code = main(argv)
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert out["status"] == "error"
+    return out["error"]
+
+
+def test_unwritable_report_path_is_an_error_json(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    error = _error_of(["check", "sphere2", "--points", "2", "--fiber-points", "1",
+                       "--report", str(target)], capsys)
+    assert error["kind"] == "SpecError"
+    assert error["message"].startswith("cannot write report: [Errno 2] ")
+    assert str(target) in error["message"]
+
+
+def test_spec_path_that_is_a_directory_is_an_error_json(tmp_path, capsys):
+    error = _error_of(["check", str(tmp_path)], capsys)
+    assert error == {"kind": "SpecError", "message": "cannot read spec file: "
+                     f"[Errno 21] Is a directory: {str(tmp_path)!r}"}
+
+
+def test_corpus_entry_that_is_a_directory_is_an_error_json(tmp_path, capsys):
+    (tmp_path / "x.json").mkdir()
+    error = _error_of(["theorem", "--corpus", str(tmp_path)], capsys)
+    assert error == {"kind": "SpecError", "message": "cannot read spec file: "
+                     f"[Errno 21] Is a directory: {str(tmp_path / 'x.json')!r}"}
+
+
+# -- reports hold only JSON-native values --------------------------------------
+
+def _assert_native(value, path="report"):
+    if isinstance(value, dict):
+        for key, item in value.items():
+            assert type(key) is str, f"{path}: key {key!r}"
+            _assert_native(item, f"{path}[{key!r}]")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _assert_native(item, f"{path}[{i}]")
+    else:
+        assert type(value) in (str, int, float, bool, type(None)), \
+            f"{path}: {type(value).__name__}"
+
+
+@pytest.mark.parametrize("source,failure,status", [
+    ("sphere2", None, "ok"),
+    ("pullback-flat", None, "ok"),
+    ("sphere2", "born-gate", "invariant-failure"),
+    ("pullback-flat", "witness", "invariant-failure"),
+])
+def test_reports_are_json_native_on_every_branch(source, failure, status,
+                                                 monkeypatch):
+    import bornbundle.charts as charts_mod
+    import bornbundle.cli as cli_mod
+    if failure == "born-gate":
+        monkeypatch.setattr(cli_mod, "BORN_GATE", -1.0)
+    if failure == "witness":
+        monkeypatch.setattr(charts_mod, "PUSHFORWARD_TOL", -1.0)
+    report = run(RunConfig(source, points=4, fiber_points=2))
+    _assert_native(report)
+    assert report["status"] == status
+    if failure == "witness":  # what the affine-chart command writes
+        witness = charts_mod.affine_chart_witness(load_spec(source), (0.0, 0.0),
+                                                  2, 1.0, 8)
+        _assert_native(witness)
+        assert witness["witnessed"] is False
+
+
+# -- the parser is built once per process --------------------------------------
+
+PARSER_COMMANDS = [
+    ["check", "sphere2", "--points", "2", "--fiber-points", "1", "--seed", "7"],
+    ["theorem", "--points", "2", "--fiber-points", "1"],
+    ["affine-chart", "euclidean2", "--probes", "2", "--steps", "4"],
+    ["list-examples"],
+    ["check", "--no-such-option"],
+    ["check", "sphere2", "--points", "2", "--fiber-points", "1"],
+]
+
+
+def _captured_main(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = ("exit", e.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    import bornbundle.cli as cli_mod
+    first = {}
+    for argv in PARSER_COMMANDS:  # each command as the first of its process
+        cli_mod._parser.cache_clear()
+        first[tuple(argv)] = _captured_main(argv, capsys)
+    cli_mod._parser.cache_clear()
+    for argv in PARSER_COMMANDS:  # the same commands in turn on one parser
+        assert _captured_main(argv, capsys) == first[tuple(argv)], argv
+    assert cli_mod._parser.cache_info().misses == 1
+    assert first[tuple(PARSER_COMMANDS[4])][0] == ("exit", 2)
+    seeds = [json.loads(first[tuple(PARSER_COMMANDS[i])][1])["config"]["seed"]
+             for i in (0, 5)]
+    assert seeds == [7, 42]  # --seed 7 does not leak into the next call
+
+
+def test_parser_is_not_built_at_import():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import bornbundle
+    src = str(Path(bornbundle.__file__).resolve().parents[1])
+    code = ("import bornbundle.cli as c; "
+            "assert c._parser.cache_info().currsize == 0")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
