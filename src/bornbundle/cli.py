@@ -290,7 +290,7 @@ def _write(value, newline: str, out: list) -> None:
                 out.append(inner)
                 _write(item, inner, out)
                 out.append(",")
-            out[-1] = newline + "]"
+            out[-1] = newline + "]"  # in place of the last item's comma
             return
         body = separator.join(texts)
         if "n" in body:  # only nan, inf and -inf spell an n
@@ -306,7 +306,7 @@ def _write(value, newline: str, out: list) -> None:
             out += (inner, encode_basestring_ascii(_key_text(key)), ": ")
             _write(item, inner, out)
             out.append(",")
-        out[-1] = newline + "}"
+        out[-1] = newline + "}"  # in place of the last item's comma
     else:
         raise TypeError(f"Object of type {value.__class__.__name__} "
                         f"is not JSON serializable")
