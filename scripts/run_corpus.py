@@ -19,17 +19,25 @@ from bornbundle import corpus
 from bornbundle.cli import RunConfig, report_to_json, run
 
 
-def main() -> int:
+def _cannot_write(error: OSError) -> int:
+    print(f"run_corpus.py: cannot write report: {error}", file=sys.stderr)
+    return 1
+
+
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--points", type=int, default=32)
     parser.add_argument("--fiber-points", type=int, default=8)
     parser.add_argument("--fiber-radius", type=float, default=1.0)
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--out", help="directory for per-spec JSON reports")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     if args.out:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
+        try:
+            Path(args.out).mkdir(parents=True, exist_ok=True)
+        except OSError as e:  # its message names the path
+            return _cannot_write(e)
 
     header = f"{'spec':18s} {'hessian':8s} {'integrable':11s} {'agreement':10s} dominant residual"
     print(header)
@@ -54,7 +62,10 @@ def main() -> int:
               f"{str(report['agreement']):10s} {dominant}")
         all_ok = all_ok and report["agreement"] and report["status"] == "ok"
         if args.out:
-            Path(args.out, f"{name}.json").write_text(report_to_json(report))
+            try:
+                Path(args.out, f"{name}.json").write_text(report_to_json(report))
+            except OSError as e:
+                return _cannot_write(e)
     print()
     print("all agree and no invariant failures" if all_ok
           else "DISAGREEMENT OR INVARIANT FAILURE (see reports)")

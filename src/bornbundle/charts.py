@@ -21,12 +21,32 @@ connection, the entries other than a literal 0 for an explicit one), in
 (k, i, j) order, and is a zero jet for a k without terms.  A skipped term
 is an exact +-0 jet, and adding +-0 to a nonzero float is exact, so
 skipping can change only the signs of zeros; every chart output passes
-through ``abs`` and ``max``, so the reports do not change.  An explicit
-coefficient whose expression has no coordinate is evaluated once per
-integration, as its jet does not depend on the position; the others, and
-the connections derived from the metric, are evaluated over the whole
-batch at every stage.  Every coefficient equals the per-probe Jet
-integration bit for bit.
+through ``abs`` and ``max``, so the reports do not change.
+
+The acceleration takes one of three forms, chosen once per integration;
+each keeps every coefficient equal to the per-probe Jet integration bit
+for bit, signs of zeros included:
+
+* Zero, for a connection without support (the flat built-ins euclidean2,
+  hessian-exp2 and flat-skew-metric, and the generated potential specs).
+  Every stage velocity is then ``w = u + 0.0``, and u becomes w after the
+  first step.  ``u + w*2`` equals ``w + w*2``, as u and w differ only
+  where u is -0.0 and ``-0.0 + 0.0`` is +0.0, so every step adds the same
+  increment ``(u + w*2 + w*2 + w) * (h/6)``, computed once.
+* Constant, when every support term is an explicit expression without a
+  coordinate (pullback-flat's ``-2``, every entry of the generated twisted
+  specs).  Gamma is evaluated once, and no stage forms a position, as
+  nothing reads it.  If Gamma's partials are all +-0, the first product
+  ``Gamma * u^i`` scales u^i by Gamma's value
+  (:func:`bornbundle.jets._scaled_coeffs`): for a finite u the split terms
+  it drops are +-0 * finite = +-0.  A u with an inf or NaN coefficient
+  takes the full product, so the NaNs fall where they did.
+* Varying, for every other connection.  Explicit terms without a
+  coordinate are evaluated once, the others and the connections derived
+  from the metric over the whole batch at every stage position.
+
+The sums stay elementwise in a fixed order; an einsum or matmul would
+round differently.
 
 The flatness gate evaluates Gamma with its first partials at its
 ``GATE_POINTS`` sample points as one batch, and the probe residuals (the
@@ -81,11 +101,12 @@ class FlatnessGateError(SpecError):
 
 
 def _connection_terms(spec: ManifoldSpec, support, order: int):
-    """Gamma's coefficients on ``support`` as a function of chart positions:
-    coefficients ``(B, n, K)`` of order-``order`` jets to ``(B, T, K)``,
-    evaluated over the whole batch.  An explicit connection evaluates its
-    support expressions alone, and those without a coordinate only here,
-    once: their jets do not depend on the position.  If one of those fails,
+    """Gamma's coefficients on ``support``: the ``(1, T, K)`` coefficients of
+    their order-``order`` jets when no term has a coordinate (their jets do
+    not depend on the position), else a function from chart positions,
+    ``(B, n, K)`` coefficients, to ``(B, T, K)``, evaluated over the whole
+    batch.  An explicit connection evaluates its support expressions alone,
+    and those without a coordinate only here, once.  If one of those fails,
     every term is evaluated at every stage, so that the first stage raises
     the error of the first failing term.  The connections derived from the
     metric go through :func:`bornbundle.fields.connection_args`."""
@@ -103,28 +124,34 @@ def _connection_terms(spec: ManifoldSpec, support, order: int):
                                     jets.seed_batch(np.zeros((1, n)), order)).coeffs
     except (SpecError, ArithmeticError):
         fixed = []
+    if len(fixed) == len(asts):
+        return const
     varying = [t for t in range(len(asts)) if t not in fixed]
 
     def gamma(x):
         out = np.empty((len(x), len(asts), x.shape[-1]))
         if fixed:
             out[:, fixed] = const
-        if varying:
-            out[:, varying] = fields.evaluate_all([asts[t] for t in varying],
-                                                  args(x)).coeffs
+        out[:, varying] = fields.evaluate_all([asts[t] for t in varying],
+                                              args(x)).coeffs
         return out
     return gamma
 
 
 def _acceleration(spec: ManifoldSpec, order: int):
-    """The geodesic acceleration -Gamma^k_ij u^i u^j as a function of the
-    state (x, u), both ``(B, n, K)``.  The products ``(Gamma * u^i) * u^j``
-    of all support terms are formed at once, then each k sums its terms in
-    support order; a k without terms gets a zero jet."""
+    """The geodesic acceleration -Gamma^k_ij u^i u^j, as a function
+    ``accel(u, x, du=None, c=0.0)`` of the velocity u at the position
+    ``x + du * c`` (x itself without du), both ``(B, n, K)``; None when it
+    is exactly zero, for a connection without support.  The position is
+    formed only for a Gamma that reads it.  The products ``(Gamma * u^i) *
+    u^j`` of all support terms are formed at once, then each k sums its
+    terms in support order; a k without terms gets a zero jet.  A constant
+    Gamma whose partials are all +-0 scales u for the first product (see
+    the module docstring), unless u holds a non-finite coefficient."""
     support = fields.connection_support(spec)
     if not support:
-        return lambda x, u: np.zeros(u.shape)
-    gamma_of = _connection_terms(spec, support, order)
+        return None
+    gamma = _connection_terms(spec, support, order)
     n, count = spec.n, len(support)
     _, i, j = np.array(support).T
     # each k's terms, padded with slot `count`, which holds -0.0: adding
@@ -133,10 +160,22 @@ def _acceleration(spec: ManifoldSpec, order: int):
     width = max(len(r) for r in rows)
     table = np.array([r + [count] * (width - len(r)) for r in rows])
 
-    def accel(x, u):
-        terms = np.full((len(x), count + 1, x.shape[-1]), -0.0)
-        gu = jets._product_coeffs(gamma_of(x), u[:, i], order, n)
-        terms[:, :count] = jets._product_coeffs(gu, u[:, j], order, n)
+    if callable(gamma):
+        def first(u, x, du, c):
+            position = x if du is None else x + du * c
+            return jets._product_coeffs(gamma(position), u[:, i], order, n)
+    else:
+        scale = gamma[0, :, :1] if not np.any(gamma[..., 1:]) else None
+
+        def first(u, x, du, c):
+            ui = u[:, i]
+            if scale is None or not np.isfinite(ui).all():
+                return jets._product_coeffs(gamma, ui, order, n)
+            return jets._scaled_coeffs(scale, ui)
+
+    def accel(u, x, du=None, c=0.0):
+        terms = np.full((len(u), count + 1, u.shape[-1]), -0.0)
+        terms[:, :count] = jets._product_coeffs(first(u, x, du, c), u[:, j], order, n)
         picked = terms[:, table]
         acc = picked[:, :, 0]
         for p in range(1, width):
@@ -152,7 +191,8 @@ def _rk4(spec: ManifoldSpec, x0, velocities: np.ndarray, order: int,
     ``order`` jets over the velocity components, as ``(B, n, K)``
     coefficients, and so are the endpoints it returns.  Raises BoxExitError
     for the first row to leave the sample box, at the first step where one
-    does."""
+    does.  Without acceleration every step adds the same increment (see
+    the module docstring)."""
     count, n = velocities.shape
     width = 1 + len(jets.partial_keys(order, n))
     x = np.zeros((count, n, width))
@@ -164,16 +204,22 @@ def _rk4(spec: ManifoldSpec, x0, velocities: np.ndarray, order: int,
     accel = _acceleration(spec, order)
     lo, hi = np.array(spec.sample_box, dtype=float).T
     h = 1.0 / steps
+    if accel is None:
+        w = u + 0.0
+        increment = (u + w * 2 + w * 2 + w) * (h / 6)
     for step in range(steps):
-        k1u = accel(x, u)
-        x2, u2 = x + u * (h / 2), u + k1u * (h / 2)
-        k2u = accel(x2, u2)
-        x3, u3 = x + u2 * (h / 2), u + k2u * (h / 2)
-        k3u = accel(x3, u3)
-        x4, u4 = x + u3 * h, u + k3u * h
-        k4u = accel(x4, u4)
-        x = x + (u + u2 * 2 + u3 * 2 + u4) * (h / 6)
-        u = u + (k1u + k2u * 2 + k3u * 2 + k4u) * (h / 6)
+        if accel is None:
+            x = x + increment
+        else:
+            k1u = accel(u, x)
+            u2 = u + k1u * (h / 2)
+            k2u = accel(u2, x, u, h / 2)
+            u3 = u + k2u * (h / 2)
+            k3u = accel(u3, x, u2, h / 2)
+            u4 = u + k3u * h
+            k4u = accel(u4, x, u3, h)
+            x = x + (u + u2 * 2 + u3 * 2 + u4) * (h / 6)
+            u = u + (k1u + k2u * 2 + k3u * 2 + k4u) * (h / 6)
         inside = np.all((lo <= x[:, :, 0]) & (x[:, :, 0] <= hi), axis=1)
         if not inside.all():
             values = tuple(x[int(np.argmin(inside)), :, 0].tolist())

@@ -390,6 +390,16 @@ def _product_coeffs(a: np.ndarray, b: np.ndarray, order: int, nvars: int) -> np.
     return out
 
 
+def _scaled_coeffs(value: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Coefficients of the product of a constant jet, with value ``value``
+    (broadcast against ``b[..., :1]``) and every partial +-0, by a finite b.
+    They equal :func:`_product_coeffs`: there each partial is ``0.0 +
+    value*fb`` plus terms +-0 * finite = +-0, which change no sum."""
+    out = b * value
+    out[..., 1:] += 0.0
+    return out
+
+
 @lru_cache(maxsize=None)
 def _chain_table(order: int, nvars: int) -> list:
     """For each multi-index length r >= 2: the columns of its partials and

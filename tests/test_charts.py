@@ -342,6 +342,17 @@ MIXED_CONSTANTS3 = build_spec(
     gamma=[[["exp(0)", "0", "0"], ["0", "x*z", "0"], ["0.5", "0", "0"]],
            [["-(2*0.5)", "0", "y"], ["0", "0", "0"], ["0", "0", "cos(z)"]],
            [["0", "0.125", "0"], ["x - y", "0", "0"], ["0", "0", "exp(0)*2"]]])
+# an explicit Gamma whose every term is a constant: partials of -0.0 from
+# the negations, and the values +0.0 and -0.0 from the zero products
+ALL_CONSTANTS2 = build_spec(
+    "all-constants2", ("u", "v"), [(-1, 1), (-1, 1)], metric=[["1", "0"], ["0", "1"]],
+    connection="explicit",
+    gamma=[[["-(2*0.5)", "0*2"], ["0", "0.25"]], [["exp(0)", "0"], ["-(0*2)", "-0.5"]]])
+# a constant Gamma whose partials are NaN: inf * 0 in the product rule
+NAN_PARTIALS2 = build_spec(
+    "nan-partials2", ("u", "v"), [(-1, 1), (-1, 1)], metric=[["1", "0"], ["0", "1"]],
+    connection="explicit",
+    gamma=[[["0", "0"], ["0", "0"]], [["1e200*1e200*2", "0"], ["0", "0"]]])
 PULLBACK_CUBIC = load_spec(str(Path(__file__).parent.parent / "scripts" / "specs"
                                / "pullback-cubic.json"))
 REFERENCE_SPECS = {
@@ -352,6 +363,7 @@ REFERENCE_SPECS = {
     "every-node": EVERY_NODE, "pullback-lc": PULLBACK_LC, "sphere2": SPHERE,
     "hessian-dual-exp2": HESSIAN_DUAL, "mixed-constants2": MIXED_CONSTANTS2,
     "mixed-constants3": MIXED_CONSTANTS3, "pullback-cubic": PULLBACK_CUBIC,
+    "all-constants2": ALL_CONSTANTS2,
 }
 # probes and RK4 steps of the connections derived from the metric, and of
 # the larger explicit one, whose Jet reference is slow
@@ -375,6 +387,76 @@ def test_batched_chart_equals_jet_reference(name):
                          for c in reference_chart_jets(spec, x0, a, steps=steps)])
         assert np.array_equal(got[b], want)
         assert np.array_equal(np.signbit(got[b]), np.signbit(want))
+
+
+@pytest.mark.parametrize("x0", [(0.1, -0.2), (-0.0, -0.0)])
+@pytest.mark.parametrize("name", ["euclidean2", "all-constants2", "pullback-flat"])
+def test_signed_zero_probes_equal_jet_reference(name, x0):
+    # a -0.0 velocity component turns +0.0 in the first step, whether the
+    # acceleration is zero (one increment per step) or from a constant Gamma
+    spec = REFERENCE_SPECS[name]
+    chart = ChartMap(spec, x0, steps=16, radius=0.25)
+    points = [(0.0, -0.0), (-0.0, 0.1), (0.05, -0.0), (-0.0, -0.0), (-0.1, 0.0)]
+    got = chart.probe_jets(points).coeffs
+    for b, a in enumerate(points):
+        want = np.stack([jets.coefficients(c)
+                         for c in reference_chart_jets(spec, x0, a, steps=16)])
+        assert_same_bits(got[b], want)
+
+
+def test_acceleration_cases():
+    # zero without support, a constant array when no term has a coordinate,
+    # else a function of the positions
+    assert charts._acceleration(EUCLID, 2) is None
+    for spec, constant in ((ALL_CONSTANTS2, True), (PULLBACK, True),
+                           (MIXED_CONSTANTS2, False), (SPHERE, False)):
+        terms = charts._connection_terms(spec, fields.connection_support(spec), 2)
+        assert callable(terms) is not constant
+
+
+def reference_constant_acceleration(spec, u, order):
+    """-Gamma^k_ij u^i u^j with both products through ``_product_coeffs``,
+    Gamma the constant terms broadcast over the batch."""
+    support = fields.connection_support(spec)
+    gamma = charts._connection_terms(spec, support, order)
+    assert not callable(gamma)
+    _, i, j = np.array(support).T
+    terms = jets._product_coeffs(jets._product_coeffs(gamma, u[:, i], order, spec.n),
+                                 u[:, j], order, spec.n)
+    acc = np.zeros(u.shape)
+    for k in range(spec.n):
+        rows = [t for t, kij in enumerate(support) if kij[0] == k]
+        if rows:
+            total = terms[:, rows[0]]
+            for t in rows[1:]:
+                total = total + terms[:, t]
+            acc[:, k] = -total
+    return acc
+
+
+@pytest.mark.parametrize("spec", [ALL_CONSTANTS2, PULLBACK, NAN_PARTIALS2])
+def test_constant_acceleration_equals_products_on_non_finite_states(spec):
+    # scaling u by Gamma's value is exact only for a finite u and +-0
+    # partials: +-0 * inf is NaN, so a state with an inf or NaN, or a Gamma
+    # with NaN partials, takes both products in full
+    rng = np.random.default_rng(1)
+    order, n = 2, spec.n
+    with np.errstate(over="ignore", invalid="ignore"):
+        accel = charts._acceleration(spec, order)
+    x = np.zeros((3, n, 6))
+    u = rng.normal(size=(3, n, 6))
+    u[rng.random(u.shape) < 0.3] = -0.0
+    states = [u]
+    for bad in (np.inf, -np.inf, np.nan):
+        for where in ((0, 0, 2), (1, 1, 0), (2, 0, 5)):
+            v = u.copy()
+            v[where] = bad
+            states.append(v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for v in states:
+            got, want = accel(v, x), reference_constant_acceleration(spec, v, order)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.isnan(accel(states[1], x)).any()
 
 
 def test_batched_box_exit_reports_the_first_probe():
@@ -606,6 +688,32 @@ def test_constant_gamma_is_evaluated_once_per_integration(monkeypatch):
     assert out["witnessed"]
     # one integration of all probes, and one evaluation in it, not 4 x 64
     assert counts == {"rk4": 1, "in_rk4": 1}
+
+
+# Gamma^1_00 = u - 2 varies with the position, and its evaluation takes no
+# jet product
+PULLBACK_LINEAR = build_spec(
+    "pullback-linear", ("u", "v"), [(-1, 1), (-1, 1)], metric=[["1", "0"], ["0", "1"]],
+    connection="explicit", gamma=_pullback_with("u - 2"))
+
+
+@pytest.mark.parametrize("spec,per_step", [(EUCLID, 0), (HESSIAN, 0), (PULLBACK, 4),
+                                           (ALL_CONSTANTS2, 4), (PULLBACK_LINEAR, 8)])
+def test_jet_products_per_step(spec, per_step, monkeypatch):
+    # no product without acceleration; the second product only at each of
+    # the four stages for a constant Gamma; both for a varying one
+    calls = []
+    product = jets._product_coeffs
+
+    def counted(*args):
+        calls.append(args)
+        return product(*args)
+
+    monkeypatch.setattr(jets, "_product_coeffs", counted)
+    steps = 8
+    velocities = np.array([[0.05, 0.02], [-0.03, 0.04], [0.0, -0.0]])
+    charts._rk4(spec, (0.1, 0.1), velocities, 2, steps)
+    assert len(calls) == per_step * steps
 
 
 def test_gate_evaluates_the_connection_once(monkeypatch):

@@ -71,6 +71,20 @@ def test_binary_ops_match_jets(order, nvars, op):
 
 
 @pytest.mark.parametrize("order,nvars", cases())
+def test_scaled_coeffs_equal_product_by_a_constant(order, nvars):
+    # a constant jet (partials +-0, value +-0 or not) times a finite jet
+    rng = np.random.default_rng(50 + order * 10 + nvars)
+    b = batch_of(random_jets(rng, order, nvars, BATCH)).coeffs
+    width = b.shape[-1]
+    for value in (1.5, -0.25, 0.0, -0.0):
+        const = np.where(rng.random((BATCH, width)) < 0.5, 0.0, -0.0)
+        const[:, 0] = value
+        got = jets._scaled_coeffs(const[:, :1], b)
+        want = jets._product_coeffs(const, b, order, nvars)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("order,nvars", cases())
 def test_negation_and_reflected_float_ops_match_jets(order, nvars):
     rng = np.random.default_rng(100 + order * 10 + nvars)
     a = random_jets(rng, order, nvars, BATCH)

@@ -1,0 +1,45 @@
+import importlib.util
+import json
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_corpus.py"
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("run_corpus", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+SMALL = ["--points", "2", "--fiber-points", "1"]
+
+
+def test_out_on_an_existing_file_is_one_line_error(tmp_path, capsys):
+    path = tmp_path / "reports"
+    path.write_text("not a directory")
+    assert load_script().main([*SMALL, "--out", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1
+    assert err.startswith("run_corpus.py: cannot write report: ") and str(path) in err
+
+
+def test_unwritable_report_is_one_line_error(tmp_path, capsys):
+    # the first built-in's report path is a directory
+    (tmp_path / "euclidean2.json").mkdir()
+    assert load_script().main([*SMALL, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1
+    assert str(tmp_path / "euclidean2.json") in err
+
+
+def test_writes_one_report_per_builtin(tmp_path, capsys):
+    script = load_script()
+    assert script.main([*SMALL, "--out", str(tmp_path / "out")]) == 0
+    written = sorted(p.stem for p in (tmp_path / "out").iterdir())
+    assert written == sorted(script.corpus.BUILTIN_BUILDERS)
+    for p in (tmp_path / "out").iterdir():
+        assert json.loads(p.read_text())["status"] == "ok"
+    assert "all agree" in capsys.readouterr().out
