@@ -25,14 +25,15 @@ P base points and F fiber vectors at once, as float arrays
 x^1..x^n and by y^1..y^n (the base fields' y-partials are zero); order-0
 base fields give the value row alone.  h and k, which are read as values
 only, always hold their value row alone, (P, F, 1, 2n, 2n).  Sums act row
-by row; a product has value a b and partials (0.0 + a b') + a' b, as Jet
-multiplication.  A block c + X Y is summed as (c + X_0 Y_0) + X_1 Y_1 +
-..., term m being column m of X times row m of Y, and X Y without c
-(A = -Gamma y, P, g (-A)) as X_0 Y_0 + X_1 Y_1 + ...: the order of the
-dense products E M E^-1 and E^-T M E^-1 and of a matmul over jets, so the
-arrays equal the jet arithmetic bit for bit.  Every operation is elementwise with broadcasting
-over the (P, F) axes, so each bundle point gets the bits of a one-point
-call.
+by row; a product has value a b and partials (0.0 + a b') + a' b, as the
+per-point reference jet multiplication in ``tests/jet_reference.py``.  A
+block c + X Y is summed as (c + X_0 Y_0) + X_1 Y_1 + ..., term m being
+column m of X times row m of Y, and X Y without c (A = -Gamma y, P,
+g (-A)) as X_0 Y_0 + X_1 Y_1 + ...: the order of the dense products
+E M E^-1 and E^-T M E^-1 and of a matmul over jets, so the arrays equal
+the jet arithmetic bit for bit.  Every operation is elementwise with
+broadcasting over the (P, F) axes, so each bundle point gets the bits of
+a one-point call.
 
 A :class:`BornFrame` holds the value matrices of one bundle point or of a
 stack of points along leading axes; :func:`born_compatibility_residuals`

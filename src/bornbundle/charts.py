@@ -24,8 +24,9 @@ skipping can change only the signs of zeros; every chart output passes
 through ``abs`` and ``max``, so the reports do not change.
 
 The acceleration takes one of three forms, chosen once per integration;
-each keeps every coefficient equal to the per-probe Jet integration bit
-for bit, signs of zeros included:
+each keeps every coefficient equal to the per-probe integration over the
+reference jets of ``tests/jet_reference.py`` bit for bit, signs of zeros
+included:
 
 * Zero, for a connection without support (the flat built-ins euclidean2,
   hessian-exp2 and flat-skew-metric, and the generated potential specs).

@@ -97,25 +97,69 @@ def load_spec(source: str) -> ManifoldSpec:
     return spec_from_dict(raw, name=path.stem)
 
 
+def _json_type(value) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    return {dict: "object", list: "array", str: "string"}.get(type(value),
+                                                            type(value).__name__)
+
+
+def _expect(value, kind: str, field: str):
+    """value, if it is a JSON ``kind``; else a SpecError naming the field."""
+    got = _json_type(value)
+    if got != kind:
+        raise SpecError(f"{field} must be a JSON {kind}, not {got}")
+    return value
+
+
+def _expect_grid(value, depth: int, field: str) -> None:
+    """Arrays nested ``depth`` deep whose entries are strings."""
+    if depth == 0:
+        _expect(value, "string", field)
+        return
+    for i, entry in enumerate(_expect(value, "array", field)):
+        _expect_grid(entry, depth - 1, f"{field}[{i}]")
+
+
 def spec_from_dict(raw: dict, name: str = "") -> ManifoldSpec:
+    _expect(raw, "object", "spec")
     try:
-        dimension = int(raw["dimension"])
-        coordinates = list(raw["coordinates"])
+        dimension = raw["dimension"]
+        coordinates = raw["coordinates"]
         metric = raw["metric"]
         connection = raw.get("connection", {"kind": "flat"})
         sample_box = raw["sample_box"]
     except (KeyError, TypeError) as e:
         raise SpecError(f"spec is missing required field: {e}") from e
+    if not float(_expect(dimension, "number", "dimension")).is_integer():
+        raise SpecError(f"dimension must be a whole number, not {dimension}")
+    dimension = int(dimension)
+    _expect_grid(coordinates, 1, "coordinates")
     if len(coordinates) != dimension:
         raise SpecError(f"dimension is {dimension} but {len(coordinates)} "
                         f"coordinates were given")
-    components = metric.get("components")
+    for i, interval in enumerate(_expect(sample_box, "array", "sample_box")):
+        if len(_expect(interval, "array", f"sample_box[{i}]")) != 2:
+            raise SpecError(f"sample_box[{i}] must be a [lo, hi] pair")
+        for j, bound in enumerate(interval):
+            _expect(bound, "number", f"sample_box[{i}][{j}]")
+    components = _expect(metric, "object", "metric").get("components")
     potential = metric.get("potential")
     if components is not None:
+        _expect_grid(components, 2, "metric.components")
         if len(components) != dimension or any(len(r) != dimension for r in components):
             raise SpecError(f"metric grid must be {dimension}x{dimension}")
-    kind = connection.get("kind", "flat")
+    if potential is not None:
+        _expect(potential, "string", "metric.potential")
+    kind = _expect(connection, "object", "connection").get("kind", "flat")
     gamma = connection.get("gamma")
+    _expect(kind, "string", "connection.kind")
+    if gamma is not None:
+        _expect_grid(gamma, 3, "connection.gamma")
     try:
         return build_spec(name or raw.get("name", ""), coordinates, sample_box,
                           metric=components, potential=potential,

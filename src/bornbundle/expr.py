@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 from . import jets
-from .jets import Jet, JetDomainError
+from .jets import JetBatch, JetDomainError
 
 
 class ParseError(ValueError):
@@ -222,9 +222,10 @@ def parse(text: str, coords: Sequence[str]) -> ExprAst:
     return _Parser(text, coords).parse()
 
 
-def evaluate(ast: ExprAst, args: Sequence[Jet]) -> Jet:
+def evaluate(ast: ExprAst, args: Sequence[JetBatch]) -> JetBatch:
     """Evaluate on jet-valued coordinates; derivative-correct through the
-    order of the arguments."""
+    order of the arguments.  Constants are made by the arguments' type, so
+    any jet type with the JetBatch operators and ``constant`` works."""
     if not args:
         raise jets.JetUsageError("evaluate needs at least one argument jet")
     order, nvars = args[0].order, args[0].nvars
@@ -234,9 +235,9 @@ def evaluate(ast: ExprAst, args: Sequence[Jet]) -> Jet:
     return _eval(ast, args, order, nvars)
 
 
-def _eval(node: ExprAst, args, order, nvars) -> Jet:
+def _eval(node: ExprAst, args, order, nvars) -> JetBatch:
     if isinstance(node, Const):
-        return Jet.constant(node.value, order, nvars)
+        return type(args[0]).constant(node.value, order, nvars)
     if isinstance(node, Var):
         if node.index >= len(args):
             raise jets.JetUsageError(

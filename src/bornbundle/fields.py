@@ -8,10 +8,11 @@ points (:func:`bornbundle.jets.seed_batch`); the chart builder passes
 jet-valued coordinates, for which derivative-based connections augment the
 arguments with fresh seed slots (see :func:`bornbundle.jets.augment`).
 Each expression is evaluated once over the batch; a constant one comes out
-as a scalar Jet and is broadcast.  :func:`jet_inv`, :func:`levi_civita_of`
-and :func:`dual_connection_of` act on all points at once in the operations
-and summation order of the same formulas on one point's Jets, so every
-coefficient equals the Jet result bit for bit; the two formulas take float
+as a one-point JetBatch and is broadcast.  :func:`jet_inv`,
+:func:`levi_civita_of` and :func:`dual_connection_of` act on all points at
+once in the operations and summation order of the same formulas on one
+point's jets, so every coefficient equals the per-point reference
+(``tests/jet_reference.py``) bit for bit; the two formulas take float
 arrays with leading stack axes as well.
 
 Derivative budget: jets stop at order 3, so a potential-based metric
@@ -41,7 +42,7 @@ def evaluate_all(asts: Sequence, args: Sequence[JetBatch],
     a = args[0]
     out = np.empty(a.shape + (len(asts), a.coeffs.shape[-1]))
     for t, ast in enumerate(asts):
-        out[..., t, :] = jets.coefficients(expr.evaluate(ast, args))
+        out[..., t, :] = expr.evaluate(ast, args).coeffs
     shape = (len(asts),) if shape is None else shape
     return JetBatch(a.order, a.nvars, out.reshape(a.shape + shape + out.shape[-1:]))
 

@@ -1,25 +1,17 @@
-"""Forward-mode truncated-Taylor (jet) arithmetic.
+"""Forward-mode truncated-Taylor (jet) arithmetic on coefficient arrays.
 
-A :class:`Jet` carries a scalar value together with every mixed partial
-derivative up to a fixed order (at most 3) with respect to a fixed set of
-seeded variables.  Partials are stored once per *sorted* multi-index, so
-equality of mixed partials under permutation of the differentiation
-indices is structural: looking up ``(i, j)`` and ``(j, i)`` hits the same
-cell.
-
-A :class:`JetBatch` holds jets of one order and arity at every point of a
-batch as one float array of shape ``(*batch, K)``: the value in column 0,
-then the K - 1 partials in :func:`partial_keys` order (Taylor-mode forward
-differentiation on coefficient arrays).  Its arithmetic reproduces the
-Jet's bit for bit: products sum their Leibniz splits in Jet order through
-gather tables, and the elementary functions take their derivative values
-from the same ``math`` calls, point by point, raising the same
-:class:`JetDomainError` as the Jet at the first failing point in C order.
-Seeding (:func:`seed_batch`), :func:`truncate`, :func:`augment` and
-:func:`extract_partial` act on JetBatches as column gathers.
-
-The module also provides :func:`fd_oracle`, a central-difference gradient
-used as an independent check on the jet first derivatives.
+A :class:`JetBatch` holds, at every point of a batch, a value together with
+every mixed partial derivative up to a fixed order (at most 3) with respect
+to a fixed set of seeded variables, as one float array of shape
+``(*batch, K)``: the value in column 0, then the K - 1 partials in
+:func:`partial_keys` order (Taylor-mode forward differentiation).  Partials
+are stored once per *sorted* multi-index, so equality of mixed partials
+under permutation of the differentiation indices is structural.  Products
+sum their Leibniz splits through gather tables, and the elementary
+functions take their derivative values from ``math`` calls, point by
+point, raising the :class:`JetDomainError` of the first failing point in
+C order.  Seeding (:func:`seed_batch`), :func:`truncate`, :func:`augment`
+and :func:`extract_partial` act on JetBatches as column gathers.
 """
 from __future__ import annotations
 
@@ -63,193 +55,20 @@ def _mul_splits(key: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], tuple[int,
     return tuple(splits)
 
 
-class Jet:
-    """Truncated Taylor value: f(x) plus partials of f up to ``order``."""
-
-    __slots__ = ("order", "nvars", "value", "partials")
-
-    def __init__(self, order: int, nvars: int, value: float = 0.0,
-                 partials: dict[tuple[int, ...], float] | None = None):
-        if not 0 <= order <= MAX_ORDER:
-            raise JetUsageError(f"unsupported jet order {order} (max {MAX_ORDER})")
-        if nvars < 1:
-            raise JetUsageError("jet needs at least one variable")
-        self.order = order
-        self.nvars = nvars
-        self.value = float(value)
-        if partials is None:
-            partials = {k: 0.0 for k in partial_keys(order, nvars)}
-        self.partials = partials
-
-    # -- construction -------------------------------------------------
-
-    @staticmethod
-    def constant(value: float, order: int, nvars: int) -> "Jet":
-        return Jet(order, nvars, value)
-
-    # -- lookup --------------------------------------------------------
-
-    def partial(self, *indices: int) -> float:
-        """Mixed partial for the given variable indices, in any order."""
-        return self.partials[tuple(sorted(indices))]
-
-    def gradient(self) -> list[float]:
-        return [self.partials[(i,)] for i in range(self.nvars)]
-
-    # -- arithmetic ----------------------------------------------------
-
-    def _coerce(self, other) -> "Jet":
-        if isinstance(other, Jet):
-            if other.order != self.order or other.nvars != self.nvars:
-                raise JetUsageError(
-                    f"jet mismatch: (order={self.order}, nvars={self.nvars}) vs "
-                    f"(order={other.order}, nvars={other.nvars})")
-            return other
-        if isinstance(other, (int, float)):
-            return Jet.constant(float(other), self.order, self.nvars)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        p = self.partials
-        q = o.partials
-        return Jet(self.order, self.nvars, self.value + o.value,
-                   {k: p[k] + q[k] for k in p})
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        p = self.partials
-        q = o.partials
-        return Jet(self.order, self.nvars, self.value - o.value,
-                   {k: p[k] - q[k] for k in p})
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __neg__(self):
-        return Jet(self.order, self.nvars, -self.value,
-                   {k: -v for k, v in self.partials.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            c = float(other)
-            return Jet(self.order, self.nvars, self.value * c,
-                       {k: v * c for k, v in self.partials.items()})
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        a = self.partials
-        b = o.partials
-        av, bv = self.value, o.value
-        out = {}
-        for key in a:
-            acc = 0.0
-            for left, right in _mul_splits(key):
-                fa = av if not left else a[left]
-                fb = bv if not right else b[right]
-                acc += fa * fb
-            out[key] = acc
-        return Jet(self.order, self.nvars, av * bv, out)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            if other == 0:
-                raise JetDomainError("division by zero")
-            return self * (1.0 / float(other))
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * _reciprocal(o)
-
-    def __rtruediv__(self, other):
-        rec = _reciprocal(self)
-        return rec * other
-
-    def __pow__(self, exponent):
-        if not isinstance(exponent, (int, float)):
-            return NotImplemented
-        return pow_const(self, float(exponent))
-
-    def __repr__(self):
-        firsts = ", ".join(f"d{i}={self.partials[(i,)]:.6g}" for i in range(self.nvars))
-        return f"Jet(order={self.order}, value={self.value:.6g}, {firsts})"
-
-
-def seed(point: Sequence[float], order: int) -> list[Jet]:
-    """Seed jets for the given coordinates: jet i has unit first derivative
-    with respect to variable i and zero for everything else."""
-    if order not in (1, 2, 3):
-        raise JetUsageError(f"unsupported order {order}: expected 1, 2 or 3")
-    m = len(point)
-    if m < 1:
-        raise JetUsageError("need at least one coordinate to seed")
-    return seed_embedded(point, order, m, 0)
-
-
-def seed_embedded(point: Sequence[float], order: int, nvars: int,
-                  offset: int = 0) -> list[Jet]:
-    """Like :func:`seed` but into a larger variable space, starting at
-    ``offset``.  Order 0 is allowed here for plain value evaluation."""
-    if offset + len(point) > nvars:
-        raise JetUsageError("seed does not fit into the requested variable space")
-    out = []
-    for i, x in enumerate(point):
-        j = Jet(order, nvars, float(x))
-        if order >= 1:
-            j.partials[(offset + i,)] = 1.0
-        out.append(j)
-    return out
-
-
 # -- elementary functions ----------------------------------------------
 #
 # Each function below is written as the values of f and its first three
 # derivatives at one float, or its JetDomainError there; :func:`_elementary`
-# lifts it to Jets and JetBatches alike, so both compute with the same
-# ``math`` calls and raise the same messages.
-
-def _chain(u: Jet, f: Sequence[float]) -> Jet:
-    """Compose a scalar function with derivative values ``f[0..order]`` at
-    u.value through the jet u (Faa di Bruno through order 3)."""
-    p = u.partials
-    out = {}
-    for key in p:
-        r = len(key)
-        if r == 1:
-            out[key] = f[1] * p[key]
-        elif r == 2:
-            i, j = key
-            out[key] = f[2] * p[(i,)] * p[(j,)] + f[1] * p[key]
-        else:
-            i, j, k = key
-            out[key] = (f[3] * p[(i,)] * p[(j,)] * p[(k,)]
-                        + f[2] * (p[(i,)] * p[(j, k)]
-                                  + p[(j,)] * p[(i, k)]
-                                  + p[(k,)] * p[(i, j)])
-                        + f[1] * p[key])
-    return Jet(u.order, u.nvars, f[0], out)
-
+# lifts it to any jet with a ``compose`` method, so a JetBatch and the
+# per-point reference jet compute with the same ``math`` calls and raise the
+# same messages.
 
 def _elementary(derivs: Callable[[float], Sequence[float]]):
     """The jet function whose derivative values ``derivs`` gives at one
-    float: on a Jet through :func:`_chain`, on a JetBatch through
-    :func:`_chain_coeffs`, calling ``derivs`` at each point in C order."""
+    float, applied through the jet's :meth:`~JetBatch.compose`."""
     @wraps(derivs)
     def apply(u):
-        if isinstance(u, JetBatch):
-            values = u.coeffs[..., 0]
-            f = np.array([derivs(v) for v in values.ravel().tolist()])
-            return u._new(_chain_coeffs(u.coeffs, f.reshape(values.shape + (4,)),
-                                        u.order, u.nvars))
-        return _chain(u, derivs(u.value))
+        return u.compose(derivs)
     return apply
 
 
@@ -316,7 +135,7 @@ def tanh(v: float) -> tuple:
 
 def pow_const(u, c: float):
     """u**c with a constant exponent."""
-    return _elementary(lambda v: _pow_derivs(v, c, u.order))(u)
+    return u.compose(lambda v: _pow_derivs(v, c, u.order))
 
 
 def _pow_derivs(v: float, c: float, order: int) -> list:
@@ -377,9 +196,8 @@ def _product_table(order: int, nvars: int):
 
 
 def _product_coeffs(a: np.ndarray, b: np.ndarray, order: int, nvars: int) -> np.ndarray:
-    """Coefficients of the jet product a * b, summed as :meth:`Jet.__mul__`
-    sums them: the value is ``av*bv``, and each partial is ``0.0 + fa*fb +
-    ...`` over its splits in mask order."""
+    """Coefficients of the jet product a * b: the value is ``av*bv``, and
+    each partial is ``0.0 + fa*fb + ...`` over its splits in mask order."""
     left, right, starts = _product_table(order, nvars)
     terms = a[..., left] * b[..., right]
     out = 0.0 + terms[..., 0]
@@ -403,7 +221,8 @@ def _scaled_coeffs(value: np.ndarray, b: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _chain_table(order: int, nvars: int) -> list:
     """For each multi-index length r >= 2: the columns of its partials and
-    the columns that :func:`_chain`'s formula for length r reads."""
+    the columns that the chain rule for length r reads (see
+    :func:`_chain_coeffs`)."""
     cols = _columns(order, nvars)
     tables = []
     for r in range(2, order + 1):
@@ -419,8 +238,9 @@ def _chain_table(order: int, nvars: int) -> list:
 
 
 def _chain_coeffs(p: np.ndarray, f: np.ndarray, order: int, nvars: int) -> np.ndarray:
-    """:func:`_chain` over coefficient arrays: p has shape ``(*batch, K)``
-    and f holds the derivative values, ``(*batch, 4)``."""
+    """Compose a scalar function with the jets p, ``(*batch, K)``, given
+    its derivative values f, ``(*batch, 4)``, at their values (Faa di Bruno
+    through order 3)."""
     out = np.empty(p.shape)
     out[..., 0] = f[..., 0]
     out[..., 1:] = f[..., 1:2] * p[..., 1:]
@@ -438,29 +258,20 @@ def _chain_coeffs(p: np.ndarray, f: np.ndarray, order: int, nvars: int) -> np.nd
     return out
 
 
-def coefficients(u) -> np.ndarray:
-    """The coefficient array of a JetBatch, or the coefficient vector of a
-    Jet: the value, then the partials in :func:`partial_keys` order."""
-    if isinstance(u, JetBatch):
-        return u.coeffs
-    return np.array([u.value, *(u.partials[k] for k in partial_keys(u.order, u.nvars))])
-
-
 class JetBatch:
     """Jets of one order and arity at every point of a batch, held as one
     float array ``coeffs`` of shape ``(*batch, K)``: the value in column 0,
     then the K - 1 partials in :func:`partial_keys` order.
 
-    The arithmetic mirrors :class:`Jet` operation by operation, so each
-    coefficient equals, bit for bit, what a Jet at that batch point
-    computes.  A product sums its Leibniz splits in the order of
-    :meth:`Jet.__mul__`.  A constant Jet on the left of an operator keeps
-    the left role, since at order 2 the split sum is not symmetric.  The
-    elementary functions take their derivative values from the Jet's own
-    ``math`` calls, and raise the JetDomainError of the first failing batch
-    point in C order.  numpy warns where Python floats overflow silently,
-    so callers that may overflow run under ``np.errstate``.
-    :func:`bornbundle.expr.evaluate` runs unchanged on batches.
+    Each coefficient equals, bit for bit, what the per-point reference jet
+    in ``tests/jet_reference.py`` computes at that batch point.  A product
+    sums its Leibniz splits in mask order (:func:`_mul_splits`), and an
+    operand on the left keeps the left role, since at order 2 the split sum
+    is not symmetric.  The elementary functions take their derivative
+    values from ``math`` calls, point by point, and raise the
+    JetDomainError of the first failing batch point in C order.  numpy
+    warns where Python floats overflow silently, so callers that may
+    overflow run under ``np.errstate``.
     """
 
     __slots__ = ("order", "nvars", "coeffs")
@@ -477,6 +288,11 @@ class JetBatch:
         self.order = order
         self.nvars = nvars
         self.coeffs = coeffs
+
+    @staticmethod
+    def constant(value: float, order: int, nvars: int) -> "Jet":
+        """The constant ``value`` as a one-point jet."""
+        return Jet(order, nvars, value)
 
     @property
     def value(self) -> np.ndarray:
@@ -496,23 +312,35 @@ class JetBatch:
         a, b = (axis % len(self.shape) for axis in (a, b))
         return self._new(self.coeffs.swapaxes(a, b))
 
+    def compose(self, derivs: Callable[[float], Sequence[float]]) -> "JetBatch":
+        """f(self) for the scalar function f whose value and first three
+        derivatives ``derivs`` gives at one float, called at each batch
+        point in C order."""
+        values = self.coeffs[..., 0]
+        f = np.array([derivs(v) for v in values.ravel().tolist()])
+        return self._new(_chain_coeffs(self.coeffs, f.reshape(values.shape + (4,)),
+                                       self.order, self.nvars))
+
     def _new(self, coeffs) -> "JetBatch":
         return JetBatch(self.order, self.nvars, coeffs)
 
     def _coerce(self, other):
-        """The coefficients of an operand: a float becomes a constant jet,
-        as in :meth:`Jet._coerce`; anything else gives NotImplemented."""
-        if isinstance(other, (Jet, JetBatch)):
+        """The coefficients of an operand: a float becomes a constant jet;
+        anything but a JetBatch or a number gives NotImplemented."""
+        if isinstance(other, JetBatch):
             if other.order != self.order or other.nvars != self.nvars:
                 raise JetUsageError(
                     f"jet mismatch: (order={self.order}, nvars={self.nvars}) vs "
                     f"(order={other.order}, nvars={other.nvars})")
-            return coefficients(other)
+            return other.coeffs
         if isinstance(other, (int, float)):
             out = np.zeros(self.coeffs.shape[-1])
             out[0] = other
             return out
         return NotImplemented
+
+    # A JetBatch on the left handles every JetBatch on the right, so the
+    # reflected operators below only ever see numbers.
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -527,10 +355,9 @@ class JetBatch:
         return NotImplemented if o is NotImplemented else self._new(self.coeffs - o)
 
     def __rsub__(self, other):
-        if isinstance(other, (int, float)):
-            return (-self).__add__(other)  # as Jet.__rsub__
-        o = self._coerce(other)
-        return NotImplemented if o is NotImplemented else self._new(o - self.coeffs)
+        if not isinstance(other, (int, float)):
+            return NotImplemented
+        return (-self).__add__(other)
 
     def __neg__(self):
         return self._new(-self.coeffs)
@@ -544,12 +371,7 @@ class JetBatch:
         return self._new(_product_coeffs(self.coeffs, o, self.order, self.nvars))
 
     def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return self * other
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self._new(_product_coeffs(o, self.coeffs, self.order, self.nvars))
+        return self * other if isinstance(other, (int, float)) else NotImplemented
 
     def __truediv__(self, other):
         if isinstance(other, (int, float)):
@@ -561,13 +383,21 @@ class JetBatch:
         return self * _reciprocal(other)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if not isinstance(other, (int, float)):
             return NotImplemented
-        if isinstance(other, (int, float)):
-            return _reciprocal(self) * other  # as Jet.__rtruediv__
-        return self._new(_product_coeffs(o, _reciprocal(self).coeffs,
-                                         self.order, self.nvars))
+        return _reciprocal(self) * other
+
+
+# A constant at one point: a JetBatch of batch shape () whose partials are
+# all zero, as :meth:`JetBatch.constant` makes for expression constants.
+# It overrides no operator: a subclass's reflected operator would win
+# Python's dispatch and swap the left and right roles of a product.
+class Jet(JetBatch):
+    __slots__ = ()
+
+    def __init__(self, order: int, nvars: int, value: float = 0.0):
+        super().__init__(order, nvars, np.zeros(len(_columns(order, nvars))))
+        self.coeffs[0] = value
 
 
 # -- seeding and derivative extraction ---------------------------------
@@ -582,8 +412,9 @@ def truncate(u: JetBatch, order: int) -> JetBatch:
 
 def seed_batch(points, order: int) -> list[JetBatch]:
     """The coordinates of every row of ``points`` as seeded jets, one
-    JetBatch of batch shape (len(points),) per coordinate, as
-    :func:`seed_embedded` seeds one point; order 0 gives the values alone."""
+    JetBatch of batch shape (len(points),) per coordinate: jet i has unit
+    first partial in variable i and every other partial zero; order 0 gives
+    the values alone."""
     points = np.asarray(points, dtype=float)
     n = points.shape[1]
     coeffs = np.zeros((n, len(points), len(_columns(order, n))))
@@ -638,19 +469,3 @@ def extract_partial(c: JetBatch, slots: Sequence[tuple], nvars: int,
         raise JetUsageError("augmented jet does not hold enough orders")
     return JetBatch(order, nvars,
                     c.coeffs[..., _extract_columns(c.order, c.nvars, slots, nvars, order)])
-
-
-# -- independent oracle --------------------------------------------------
-
-def fd_oracle(f: Callable[[Sequence[float]], float], point: Sequence[float],
-              h: float = 1e-5) -> list[float]:
-    """Central-difference gradient (f(x + h e_i) - f(x - h e_i)) / 2h."""
-    point = [float(x) for x in point]
-    grad = []
-    for i in range(len(point)):
-        hi = list(point)
-        lo = list(point)
-        hi[i] += h
-        lo[i] -= h
-        grad.append((f(hi) - f(lo)) / (2.0 * h))
-    return grad

@@ -64,6 +64,8 @@ class ManifoldSpec:
         if len(self.sample_box) != self.n:
             raise SpecError("sample_box must give one interval per coordinate")
         for lo, hi in self.sample_box:
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise SpecError(f"sample interval [{lo}, {hi}] is not finite")
             if not lo < hi:
                 raise SpecError(f"empty sample interval [{lo}, {hi}]")
         if (self.metric_exprs is None) == (self.potential is None):

@@ -1,20 +1,224 @@
-"""Per-point field evaluation over Jet objects, kept as the test reference.
+"""The per-point jet reference for the tests.
 
-This is the evaluation the batched :mod:`bornbundle.fields` replaced:
-numpy object arrays whose entries are :class:`~bornbundle.jets.Jet`, one
-point at a time, with a Gauss-Jordan inverse that pivots with
-``max(..., key=abs)``.  The batched fields must equal it bit for bit, the
-signs of zeros included.
+:class:`Jet` is a dict-per-scalar jet: a value together with every mixed
+partial up to a fixed order (at most 3), stored once per sorted
+multi-index, so ``partial(i, j)`` and ``partial(j, i)`` hit the same cell.
+Its arithmetic is written out point by point, independently of the dense
+coefficient arrays of :class:`bornbundle.jets.JetBatch`, whose every
+coefficient must equal it bit for bit, the signs of zeros included.  It
+shares only the elementary functions' derivative values with
+:mod:`bornbundle.jets`, through :meth:`Jet.compose`.
+
+The per-point field evaluation below is the one the batched
+:mod:`bornbundle.fields` replaced: numpy object arrays whose entries are
+Jets, one point at a time, with a Gauss-Jordan inverse that pivots with
+``max(..., key=abs)``.  :func:`fd_oracle`, a central-difference gradient,
+is the independent check on the jet first derivatives.
 """
 from __future__ import annotations
+
+from typing import Callable, Sequence
 
 import numpy as np
 
 from bornbundle import expr, jets
 from bornbundle.errors import SpecError, UnsupportedDerivativeError
-from bornbundle.jets import Jet, JetUsageError, partial_keys
+from bornbundle.jets import (JetBatch, JetDomainError, JetUsageError, _mul_splits,
+                             _reciprocal, partial_keys, pow_const)
 
 MAX_ORDER = jets.MAX_ORDER
+
+
+class Jet:
+    """Truncated Taylor value: f(x) plus partials of f up to ``order``."""
+
+    __slots__ = ("order", "nvars", "value", "partials")
+
+    def __init__(self, order: int, nvars: int, value: float = 0.0,
+                 partials: dict[tuple[int, ...], float] | None = None):
+        if not 0 <= order <= MAX_ORDER:
+            raise JetUsageError(f"unsupported jet order {order} (max {MAX_ORDER})")
+        if nvars < 1:
+            raise JetUsageError("jet needs at least one variable")
+        self.order = order
+        self.nvars = nvars
+        self.value = float(value)
+        if partials is None:
+            partials = {k: 0.0 for k in partial_keys(order, nvars)}
+        self.partials = partials
+
+    # -- construction -------------------------------------------------
+
+    @staticmethod
+    def constant(value: float, order: int, nvars: int) -> "Jet":
+        return Jet(order, nvars, value)
+
+    # -- lookup --------------------------------------------------------
+
+    def partial(self, *indices: int) -> float:
+        """Mixed partial for the given variable indices, in any order."""
+        return self.partials[tuple(sorted(indices))]
+
+    # -- arithmetic ----------------------------------------------------
+
+    def _coerce(self, other) -> "Jet":
+        if isinstance(other, Jet):
+            if other.order != self.order or other.nvars != self.nvars:
+                raise JetUsageError(
+                    f"jet mismatch: (order={self.order}, nvars={self.nvars}) vs "
+                    f"(order={other.order}, nvars={other.nvars})")
+            return other
+        if isinstance(other, (int, float)):
+            return Jet.constant(float(other), self.order, self.nvars)
+        return NotImplemented
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        p = self.partials
+        q = o.partials
+        return Jet(self.order, self.nvars, self.value + o.value,
+                   {k: p[k] + q[k] for k in p})
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        p = self.partials
+        q = o.partials
+        return Jet(self.order, self.nvars, self.value - o.value,
+                   {k: p[k] - q[k] for k in p})
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
+
+    def __neg__(self):
+        return Jet(self.order, self.nvars, -self.value,
+                   {k: -v for k, v in self.partials.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, (int, float)):
+            c = float(other)
+            return Jet(self.order, self.nvars, self.value * c,
+                       {k: v * c for k, v in self.partials.items()})
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        a = self.partials
+        b = o.partials
+        av, bv = self.value, o.value
+        out = {}
+        for key in a:
+            acc = 0.0
+            for left, right in _mul_splits(key):
+                fa = av if not left else a[left]
+                fb = bv if not right else b[right]
+                acc += fa * fb
+            out[key] = acc
+        return Jet(self.order, self.nvars, av * bv, out)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, (int, float)):
+            if other == 0:
+                raise JetDomainError("division by zero")
+            return self * (1.0 / float(other))
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return self * _reciprocal(o)
+
+    def __rtruediv__(self, other):
+        rec = _reciprocal(self)
+        return rec * other
+
+    def __pow__(self, exponent):
+        if not isinstance(exponent, (int, float)):
+            return NotImplemented
+        return pow_const(self, float(exponent))
+
+    def compose(self, derivs: Callable[[float], Sequence[float]]) -> "Jet":
+        """The elementary function whose derivative values ``derivs`` gives
+        at one float, applied to this jet."""
+        return _chain(self, derivs(self.value))
+
+    def __repr__(self):
+        firsts = ", ".join(f"d{i}={self.partials[(i,)]:.6g}" for i in range(self.nvars))
+        return f"Jet(order={self.order}, value={self.value:.6g}, {firsts})"
+
+
+def seed(point: Sequence[float], order: int) -> list[Jet]:
+    """Seed jets for the given coordinates: jet i has unit first derivative
+    with respect to variable i and zero for everything else."""
+    if order not in (1, 2, 3):
+        raise JetUsageError(f"unsupported order {order}: expected 1, 2 or 3")
+    m = len(point)
+    if m < 1:
+        raise JetUsageError("need at least one coordinate to seed")
+    return seed_embedded(point, order, m, 0)
+
+
+def seed_embedded(point: Sequence[float], order: int, nvars: int,
+                  offset: int = 0) -> list[Jet]:
+    """Like :func:`seed` but into a larger variable space, starting at
+    ``offset``.  Order 0 is allowed here for plain value evaluation."""
+    if offset + len(point) > nvars:
+        raise JetUsageError("seed does not fit into the requested variable space")
+    out = []
+    for i, x in enumerate(point):
+        j = Jet(order, nvars, float(x))
+        if order >= 1:
+            j.partials[(offset + i,)] = 1.0
+        out.append(j)
+    return out
+
+
+def _chain(u: Jet, f: Sequence[float]) -> Jet:
+    """Compose a scalar function with derivative values ``f[0..order]`` at
+    u.value through the jet u (Faa di Bruno through order 3)."""
+    p = u.partials
+    out = {}
+    for key in p:
+        r = len(key)
+        if r == 1:
+            out[key] = f[1] * p[key]
+        elif r == 2:
+            i, j = key
+            out[key] = f[2] * p[(i,)] * p[(j,)] + f[1] * p[key]
+        else:
+            i, j, k = key
+            out[key] = (f[3] * p[(i,)] * p[(j,)] * p[(k,)]
+                        + f[2] * (p[(i,)] * p[(j, k)]
+                                  + p[(j,)] * p[(i, k)]
+                                  + p[(k,)] * p[(i, j)])
+                        + f[1] * p[key])
+    return Jet(u.order, u.nvars, f[0], out)
+
+
+def coefficients(u) -> np.ndarray:
+    """The coefficient array of a JetBatch, or the coefficient vector of a
+    Jet: the value, then the partials in :func:`partial_keys` order."""
+    if isinstance(u, JetBatch):
+        return u.coeffs
+    return np.array([u.value, *(u.partials[k] for k in partial_keys(u.order, u.nvars))])
+
+
+def fd_oracle(f: Callable[[Sequence[float]], float], point: Sequence[float],
+              h: float = 1e-5) -> list[float]:
+    """Central-difference gradient (f(x + h e_i) - f(x - h e_i)) / 2h."""
+    point = [float(x) for x in point]
+    grad = []
+    for i in range(len(point)):
+        hi = list(point)
+        lo = list(point)
+        hi[i] += h
+        lo[i] -= h
+        grad.append((f(hi) - f(lo)) / (2.0 * h))
+    return grad
 
 
 # -- Jet extraction ---------------------------------------------------------
@@ -224,7 +428,7 @@ def connection_args(spec, args, order: int) -> np.ndarray:
 # -- per-point entry points ---------------------------------------------------
 
 def _seed(p, order):
-    return jets.seed_embedded(p, order, len(p), 0)
+    return seed_embedded(p, order, len(p), 0)
 
 
 def metric_jets(spec, p, order: int) -> np.ndarray:

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from bornbundle import corpus, expr, jets
+import jet_reference as ref
+from bornbundle import corpus, expr
 from bornbundle.bundle import (BundlePoint, _constant_blocks, _metric_blocks,
                                born_at, born_compatibility_residuals)
 from bornbundle.charts import (_probe_residuals, exponential_chart,
@@ -76,12 +77,12 @@ def test_acceptance_1_ad_soundness():
         hi = np.array([iv[1] for iv in box])
         for u in unit:
             p = tuple(lo + u * (hi - lo))
-            f = expr.evaluate(ast, jets.seed(p, 1))
+            f = expr.evaluate(ast, ref.seed(p, 1))
 
             def scalar(q):
-                return expr.evaluate(ast, jets.seed(q, 1)).value
+                return expr.evaluate(ast, ref.seed(q, 1)).value
 
-            grad = jets.fd_oracle(scalar, p, h=1e-5)
+            grad = ref.fd_oracle(scalar, p, h=1e-5)
             for i in range(len(coords)):
                 rel = abs(f.partial(i) - grad[i]) / max(1.0, abs(f.partial(i)))
                 worst = max(worst, rel)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import jet_reference as ref
-from bornbundle import bundle, corpus, jets
+from bornbundle import bundle, corpus
 from bornbundle.bundle import (BornFrame, BundlePoint, adapted_frame_at,
                                affine_chart_form_check, born_at,
                                born_compatibility_residuals, born_jets,
@@ -205,10 +205,10 @@ def born_reference(spec, x, y):
     product without a constant as an object matmul and c + X Y summed term
     by term."""
     n = spec.n
-    args = jets.seed_embedded(x, 1, 2 * n, 0)
+    args = ref.seed_embedded(x, 1, 2 * n, 0)
     gamma = ref.connection_args(spec, args, 1)
     g = ref.metric_args(spec, args, 1)
-    yj = np.array(jets.seed_embedded(y, 1, 2 * n, offset=n), dtype=object)
+    yj = np.array(ref.seed_embedded(y, 1, 2 * n, offset=n), dtype=object)
     one = ref.const_jet_array(np.eye(n), 1, 2 * n)
     zero = ref.const_jet_array(np.zeros((n, n)), 1, 2 * n)
 

@@ -82,6 +82,72 @@ def test_bad_expression_reported(tmp_path):
     assert "offset 0" in str(exc.value)
 
 
+def _malformed(field, value):
+    doc = {"dimension": 2, "coordinates": ["u", "v"],
+           "metric": {"components": [["1", "0"], ["0", "1"]]},
+           "connection": {"kind": "flat"}, "sample_box": [[-1, 1], [-1, 1]]}
+    *path, last = field.split(".")
+    target = doc
+    for key in path:
+        target = target[key]
+    target[last] = value
+    return doc
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("metric", [["1", "0"], ["0", "1"]], "metric must be a JSON object, not array"),
+    ("metric", "1", "metric must be a JSON object, not string"),
+    ("connection", "flat", "connection must be a JSON object, not string"),
+    ("metric.components", 5, "metric.components must be a JSON array, not number"),
+    ("metric.components", [1, 2], "metric.components[0] must be a JSON array, not number"),
+    ("metric.components", [[1, 0], [0, 1]],
+     "metric.components[0][0] must be a JSON string, not number"),
+    ("metric", {"potential": 5}, "metric.potential must be a JSON string, not number"),
+    ("connection", {"kind": "explicit", "gamma": 3},
+     "connection.gamma must be a JSON array, not number"),
+    ("connection", {"kind": 1}, "connection.kind must be a JSON string, not number"),
+    ("sample_box", None, "sample_box must be a JSON array, not null"),
+    ("sample_box", [[-1, 1], [-1, 1, 2]], "sample_box[1] must be a [lo, hi] pair"),
+    ("sample_box", [[-1, 1], [-1, "1"]], "sample_box[1][1] must be a JSON number, not string"),
+    ("coordinates", [1, 2], "coordinates[0] must be a JSON string, not number"),
+    ("dimension", "2", "dimension must be a JSON number, not string"),
+    ("dimension", 2.5, "dimension must be a whole number, not 2.5"),
+    ("dimension", float("inf"), "dimension must be a whole number, not inf"),
+], ids=["metric-array", "metric-string", "connection-string", "components-number",
+        "components-row-number", "components-entry-number", "potential-number",
+        "gamma-number", "kind-number", "sample-box-null", "sample-box-triple",
+        "sample-box-string-bound", "coordinates-numbers", "dimension-string",
+        "dimension-fraction", "dimension-inf"])
+@pytest.mark.parametrize("command", ["check", "affine-chart"])
+def test_malformed_spec_field_is_spec_error(command, field, value, message, tmp_path,
+                                            capsys):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(_malformed(field, value)))
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {
+        "error": {"kind": "SpecError", "message": message}, "status": "error"}
+    assert captured.err == ""
+
+
+def test_spec_must_be_an_object():
+    with pytest.raises(SpecError, match="spec must be a JSON object, not array"):
+        spec_from_dict([])
+
+
+@pytest.mark.parametrize("command", ["check", "affine-chart"])
+def test_infinite_sample_box_bound_is_spec_error(command, tmp_path, capsys):
+    # 1e400 parses as inf: the sweep sampled x = inf, the chart a base point at inf
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(_malformed("sample_box", [[-1, 1], [-1, 1]]))
+                    .replace("[[-1, 1], [-1, 1]]", "[[-1, 1e400], [-1, 1]]"))
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["error"] == {
+        "kind": "SpecError", "message": "sample interval [-1.0, inf] is not finite"}
+    assert captured.err == ""
+
+
 def test_run_euclidean_report_contents():
     report = run(small_config("euclidean2"))
     assert report["status"] == "ok"
@@ -263,6 +329,39 @@ def test_nan_residual_is_spec_error(command, tmp_path, capsys):
     assert out["error"]["kind"] == "SpecError"
     assert "curvature residual is not finite at (" in out["error"]["message"]
     assert "(value nan)" in out["error"]["message"]
+
+
+# constant subexpressions that overflow to inf and give NaN times 0: numpy
+# warns there, where Python floats do not, so every run must stay silent
+CONST_NAN_METRIC = _diag_spec(("1 + 0*(1e200*1e200)", "1"), box=OVERFLOW_BOX)
+CONST_NAN_GAMMA = _diag_spec(("1", "1"), "explicit", OVERFLOW_BOX,
+                             gamma=[[["0*(1e200*1e200)", "0"], ["0", "0"]],
+                                    [["0", "0"], ["0", "0"]]])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("spec,command,message", [
+    (CONST_NAN_METRIC, "check", "metric[0][0] or one of its derivatives is not finite"),
+    (CONST_NAN_METRIC, "theorem", "metric[0][0] or one of its derivatives is not finite"),
+    (CONST_NAN_GAMMA, "check", "gamma[0][0][0] or one of its derivatives is not finite"),
+    (CONST_NAN_GAMMA, "theorem", "gamma[0][0][0] or one of its derivatives is not finite"),
+    (CONST_NAN_GAMMA, "affine-chart", "curvature residual is not finite"),
+], ids=["metric-check", "metric-theorem", "gamma-check", "gamma-theorem",
+        "gamma-affine-chart"])
+def test_overflowing_constant_is_spec_error_without_warning(spec, command, message,
+                                                            tmp_path, capsys):
+    path = tmp_path / "const.json"
+    path.write_text(json.dumps(spec))
+    target = ["--corpus", str(tmp_path)] if command == "theorem" else [str(path)]
+    if command != "affine-chart":
+        target += ["--points", "4", "--fiber-points", "2"]
+    assert main([command, *target]) == 1
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
+    assert out["error"]["kind"] == "SpecError"
+    assert message in out["error"]["message"]
+    assert "(value nan)" in out["error"]["message"]
+    assert captured.err == ""
 
 
 def _chart_error(argv, capsys):

@@ -123,6 +123,6 @@ def test_seed_batch_matches_seed_embedded():
     for order in (0, 1, 2):
         args = jets.seed_batch(points, order)
         for p, x in enumerate(points):
-            want = jets.seed_embedded(tuple(x), order, 2)
+            want = ref.seed_embedded(tuple(x), order, 2)
             for a, w in zip(args, want):
-                assert_same_bits(a.coeffs[p], jets.coefficients(w))
+                assert_same_bits(a.coeffs[p], ref.coefficients(w))

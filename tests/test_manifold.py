@@ -34,7 +34,7 @@ def fd_metric(spec, p, h=1e-4):
     """Metric values by direct expression evaluation (no jets beyond values)."""
 
     def value(ast, q):
-        return expr.evaluate(ast, jets.seed_embedded(q, 0, spec.n)).value
+        return expr.evaluate(ast, ref.seed_embedded(q, 0, spec.n)).value
 
     n = spec.n
     g = np.empty((n, n))
@@ -54,7 +54,7 @@ def fd_metric(spec, p, h=1e-4):
                 lo[i] -= h
                 return (value(spec.potential, hi) - value(spec.potential, lo)) / (2 * h)
 
-            g[i, j] = jets.fd_oracle(dphi_i, p, h)[j]
+            g[i, j] = ref.fd_oracle(dphi_i, p, h)[j]
     return g
 
 
@@ -124,6 +124,14 @@ def test_asymmetric_grid_is_symmetrized_on_load():
 def test_point_outside_box_rejected():
     with pytest.raises(SpecError):
         metric_at(EUCLID, (2.0, 0.0))
+
+
+@pytest.mark.parametrize("box", [[(-1, math.inf), (-1, 1)], [(-1, 1), (-math.inf, 1)],
+                                 [(-1, 1), (math.nan, 1)]])
+def test_non_finite_sample_box_rejected(box):
+    # an infinite bound would put a sample point or a chart base point at inf
+    with pytest.raises(SpecError, match="is not finite"):
+        build_spec("inf-box", ("u", "v"), box, metric=[["1", "0"], ["0", "1"]])
 
 
 # -- connection ---------------------------------------------------------------
