@@ -58,17 +58,16 @@ call on it alone.
 
 Errors: probe radii are checked before any integration.  The loop runs
 under ``np.errstate``, since Python floats overflow to inf silently and
-numpy would warn.  If any probe fails (it leaves the box, or Gamma meets a
-domain error), the probes are integrated again one at a time, in order,
-and the first failure is raised.  Likewise, if the gate's batch fails, its
-points are evaluated one at a time to raise the first failing point's
-error, and a singular Jacobian names the first probe that has one.  The
-flatness gate and the probe residuals take their maxima through
+numpy would warn.  A box exit, a domain error or a singular Jacobian names
+the first failing probe or gate point through
+:func:`bornbundle.manifold._first_failure`.  The flatness gate and the
+probe residuals take their maxima through
 :func:`bornbundle.manifold.finite_maxima`, so a NaN or inf curvature,
 torsion or residual is a spec error naming it and its point.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -78,8 +77,8 @@ from . import expr, fields, jets
 from .bundle import _constant_blocks
 from .errors import SpecError
 from .jets import JetBatch
-from .manifold import (ManifoldSpec, _curvature_of, _require_inside, _torsion_of,
-                       curvature_at, finite_maxima, halton_points, sample_fibers,
+from .manifold import (ManifoldSpec, _curvature_of, _first_failure, _require_inside,
+                       _torsion_of, finite_maxima, halton_points, sample_fibers,
                        sample_points)
 
 FLATNESS_GATE_TOL = 1e-7
@@ -231,18 +230,12 @@ def _rk4(spec: ManifoldSpec, x0, velocities: np.ndarray, order: int,
 
 
 def _integrate(spec: ManifoldSpec, x0, velocities, order: int, steps: int) -> np.ndarray:
-    """:func:`_rk4` over all velocities at once.  If any of them fails (a
-    box exit or a domain error), they are integrated again one at a time,
-    in order, so that the first one's failure is raised."""
+    """:func:`_rk4` over all velocities at once; the first failing one is
+    named through :func:`~bornbundle.manifold._first_failure`."""
     velocities = np.array(velocities, dtype=float).reshape(len(velocities), spec.n)
     with np.errstate(over="ignore", invalid="ignore"):  # as Python floats
-        if len(velocities) > 1:
-            try:
-                return _rk4(spec, x0, velocities, order, steps)
-            except (SpecError, ArithmeticError):
-                pass
-        return np.concatenate([_rk4(spec, x0, v[None], order, steps)
-                               for v in velocities])
+        return _first_failure(lambda s: _rk4(spec, x0, velocities[s], order, steps),
+                              len(velocities))
 
 
 def geodesic_integrate(spec: ManifoldSpec, x0, v, steps: int = DEFAULT_STEPS) -> np.ndarray:
@@ -290,15 +283,11 @@ class ChartMap:
 
 def _gate_connection(spec: ManifoldSpec, points) -> np.ndarray:
     """Gamma with its first partials at the gate points, as one order-1
-    batch laid out as in :func:`bornbundle.manifold.base_jets`.  If the batch
-    fails, the points are evaluated one at a time only to raise the first
-    failing point's error (the batch error if none fails)."""
-    try:
-        gamma = fields.connection_args(spec, jets.seed_batch(points, 1), 1)
-    except (SpecError, ArithmeticError):
-        for p in points:
-            curvature_at(spec, p)
-        raise
+    batch laid out as in :func:`bornbundle.manifold.base_jets`; the first
+    failing point is named through :func:`~bornbundle.manifold._first_failure`."""
+    gamma = _first_failure(
+        lambda s: fields.connection_args(spec, jets.seed_batch(points[s], 1), 1),
+        len(points))
     return np.moveaxis(gamma.coeffs, -1, 1)
 
 
@@ -340,18 +329,15 @@ def _transformed_connections(jac: np.ndarray, sec: np.ndarray, gamma: np.ndarray
     Gamma at its images, stacked along the first axis:
     Gamma'^c_ab = (da^c/dx^k) [ (dx^i/da^a)(dx^j/da^b) Gamma^k_ij
     + d2 x^k / da^a da^b ].  A singular Jacobian is a spec error naming the
-    first probe that has one."""
-    try:
-        inv = np.linalg.inv(jac)
-    except np.linalg.LinAlgError:
-        for j, a in zip(jac, probes):
-            try:
-                np.linalg.inv(j)
-            except np.linalg.LinAlgError:
-                raise SpecError(f"singular chart Jacobian at probe {a}") from None
-        raise
-    inner = np.einsum("pia,pjb,pkij->pkab", jac, jac, gamma) + sec
-    return np.einsum("pck,pkab->pcab", inv, inner)
+    first probe that has one (:func:`~bornbundle.manifold._first_failure`)."""
+    def transform(s):
+        try:
+            inv = np.linalg.inv(jac[s])
+        except np.linalg.LinAlgError:
+            raise SpecError(f"singular chart Jacobian at probe {probes[s][0]}") from None
+        inner = np.einsum("pia,pjb,pkij->pkab", jac[s], jac[s], gamma[s]) + sec[s]
+        return np.einsum("pck,pkab->pcab", inv, inner)
+    return _first_failure(transform, len(probes))
 
 
 def _block_residuals(transformed: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -408,8 +394,9 @@ def affine_chart_witness(spec: ManifoldSpec, x0, probes: int, fiber_radius: floa
     chart = exponential_chart(spec, x0, steps=steps, seed=seed)
     if probes < 1:
         raise ValueError("need at least one chart probe")
-    unit = halton_points(probes, spec.n, seed)
-    points = [tuple(chart.radius * (2 * u - 1) / 2) for u in unit]
+    # the cube of half-width r/2 lies in the ball of radius r only for n <= 4
+    scale = chart.radius * min(1.0, 2.0 / math.sqrt(spec.n))
+    points = [tuple(scale * (2 * u - 1) / 2) for u in halton_points(probes, spec.n, seed)]
     fiber = sample_fibers(spec.n, 1, fiber_radius, seed)[0]
     push, blocks = _probe_residuals(spec, chart, points, fiber)
     return {

@@ -22,9 +22,9 @@ accept leading stack axes).  Its report carries the record, so that the
 two-of-four report of ``check`` reads it too.  A residual that is not
 finite at a sample point is a spec error naming it and the point
 (:func:`bornbundle.manifold.finite_maxima`); the first one is reported by
-base point, then fiber, then residual: N_I, N_J, N_K, d omega, and then the
-construction identities, which are solved only at the base points before
-the first with one of those four stacks not finite.
+base point, through :func:`bornbundle.manifold._first_failure`, then by
+fiber and residual: N_I, N_J, N_K, d omega, then the construction
+identities.
 """
 from __future__ import annotations
 
@@ -37,8 +37,8 @@ import numpy as np
 from .bundle import (BornFrame, BundlePoint, _frame_of, _require_point,
                      born_compatibility_residuals, born_jets, fiber_born_jets)
 from .manifold import (DEFAULT_TOL, BaseJets, HessianVerdict, ManifoldSpec,
-                       _curvature_of, _torsion_of, base_jets, finite_maxima,
-                       sample_fibers, sample_points)
+                       _curvature_of, _first_failure, _torsion_of, base_jets,
+                       finite_maxima, sample_fibers, sample_points)
 
 CROSS_TOL = 1e-7  # comparisons between two independent numeric pipelines
 
@@ -190,25 +190,21 @@ def integrability_verdict(spec: ManifoldSpec, base_count: int = 32,
     bases = base_jets(spec, sample_points(spec, base_count, seed))
     hv = HessianVerdict.of(bases, tol)  # its positivity gate precedes the Born identities
     fibers = sample_fibers(spec.n, fiber_count, fiber_radius, seed)
-    points = [(x, tuple(y)) for x in bases.x for y in fibers.tolist()]
-    with np.errstate(over="ignore", invalid="ignore"):  # finite_maxima checks
-        mats = fiber_born_jets(bases, fibers)
-        tensors = {"nijenhuis_" + name: _nijenhuis_of(mats[name]) for name in "IJK"}
-        tensors["d_omega"] = _d_omega_of(mats["omega"])
-        # a base point's identities come after its tensors: they are solved
-        # only at the base points before the first with a tensor that is not
-        # finite, so an error in them is raised before that tensor's, which
-        # finite_maxima raises below (else rep and compat cover every point)
-        finite = np.all([np.isfinite(t).reshape(base_count, -1).all(axis=1)
-                         for t in tensors.values()], axis=0)
-        solved = base_count if finite.all() else int(np.argmin(finite))
-        if solved:
+
+    def sweep(s):
+        points = [(x, tuple(y)) for x in bases[s].x for y in fibers.tolist()]
+        with np.errstate(over="ignore", invalid="ignore"):  # finite_maxima checks
+            mats = fiber_born_jets(bases[s], fibers)
+            tensors = {"nijenhuis_" + name: _nijenhuis_of(mats[name]) for name in "IJK"}
+            tensors["d_omega"] = _d_omega_of(mats["omega"])
+            worst = finite_maxima(tensors, points)
             rep = born_compatibility_residuals(
-                BornFrame.of({name: m[:solved, :, 0] for name, m in mats.items()}))
-            compat = finite_maxima(rep.residuals, points[:solved * fiber_count])
+                BornFrame.of({name: m[:, :, 0] for name, m in mats.items()}))
+            return points, worst, rep, finite_maxima(rep.residuals, points)
+    points, worst, rep, compat = _first_failure(sweep, base_count)
     norms = np.array([_norm_factor(y) for y in fibers])
     rows = {key: (m.reshape(base_count, fiber_count) / norms).ravel()
-            for key, m in finite_maxima(tensors, points).items()}
+            for key, m in worst.items()}
     columns = zip(*(m.tolist() for m in rows.values()))
     per_point = [{"x": list(x), "y": list(y), **dict(zip(rows, values))}
                  for (x, y), values in zip(points, columns)]

@@ -317,6 +317,21 @@ def finite_maxima(residuals: dict, points: Sequence) -> dict[str, np.ndarray]:
     return maxima
 
 
+def _first_failure(evaluate, count: int):
+    """``evaluate(slice(None))``, the batch of all ``count`` items.  If it
+    raises a spec or arithmetic error, the items are evaluated one at a time,
+    in order, so that the first failing item raises its own error (the batch
+    error if none fails alone).  Every batched evaluation of the package that
+    must name its first failing point or probe goes through here."""
+    try:
+        return evaluate(slice(None))
+    except (SpecError, ArithmeticError):
+        if count > 1:
+            for i in range(count):
+                evaluate(slice(i, i + 1))
+        raise
+
+
 def _base_batch(spec: ManifoldSpec, points, order: int, gamma_order: int) -> BaseJets:
     xs = [_require_inside(spec, x) for x in points]
     with np.errstate(over="ignore", invalid="ignore"):  # as Python floats
@@ -338,19 +353,13 @@ def base_jets(spec: ManifoldSpec, points, order: int = 1,
     in row 0 and, at order 1, the partial by coordinate d in row 1 + d; Gamma
     has ``gamma_order``, by default ``order``.  The Hessian verdict, the
     two-of-four report and the Born tensors of all bundle points are built
-    from them.  A value or derivative that is not finite is a spec error.
-    The points are evaluated as one batch; if it fails, they are evaluated
-    one at a time only to raise the first failing point's error, and at that
-    point one of Gamma before one of g (the batch error if none fails)."""
+    from them.  A value or derivative that is not finite is a spec error,
+    at a point one of Gamma before one of g; the first failing point is
+    named through :func:`_first_failure`."""
     gamma_order = order if gamma_order is None else gamma_order
     points = list(points)
-    try:
-        return _base_batch(spec, points, order, gamma_order)
-    except (SpecError, ArithmeticError):
-        if len(points) > 1:
-            for x in points:
-                _base_batch(spec, [x], order, gamma_order)
-        raise
+    return _first_failure(lambda s: _base_batch(spec, points[s], order, gamma_order),
+                          len(points))
 
 
 @dataclass(frozen=True)

@@ -165,6 +165,42 @@ def test_block_residual_probe_beyond_radius_rejected():
         affine_chart_witness(EUCLID, (0.0, 0.0), 0, 1.0)
 
 
+def _flat_doc(n):
+    coords = [f"x{i}" for i in range(n)]
+    return {"dimension": n, "coordinates": coords,
+            "metric": {"components": [["1" if i == j else "0" for j in range(n)]
+                                      for i in range(n)]},
+            "connection": {"kind": "flat"}, "sample_box": [[-1, 1]] * n}
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_witness_probes_lie_inside_the_radius(n, monkeypatch):
+    # a cube of half-width r/2 has corners beyond r for n > 4; at n = 6..8
+    # some of these seeds place a probe of that cube beyond r
+    spec = spec_from_dict(_flat_doc(n))
+    placed = []
+    residuals = charts._probe_residuals
+
+    def recorded(spec, chart, probes, y=None):
+        placed.append((chart.radius, probes))
+        return residuals(spec, chart, probes, y)
+
+    monkeypatch.setattr(charts, "_probe_residuals", recorded)
+    for seed in range(1, 41):
+        out = affine_chart_witness(spec, (0.0,) * n, 16, 1.0, seed=seed)
+        assert out["witnessed"]
+        radius, probes = placed.pop()
+        assert len(probes) == 16
+        assert all(float(np.linalg.norm(a)) <= radius for a in probes)
+
+
+def test_check_witnesses_an_eight_dimensional_flat_spec(tmp_path, capsys):
+    path = tmp_path / "flat8.json"
+    path.write_text(json.dumps(_flat_doc(8)))
+    assert main(["check", str(path), "--points", "4", "--fiber-points", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["affine_chart"]["witnessed"] is True
+
+
 def test_chart_jacobian_and_second_derivatives_pullback():
     chart = exponential_chart(PULLBACK, (0.0, 0.0))
     a = (0.2, 0.1)

@@ -7,7 +7,8 @@ import jet_reference as ref
 from bornbundle import corpus, expr, fields, jets
 from bornbundle.cli import spec_from_dict
 from bornbundle.errors import NotPositiveDefiniteError, SpecError
-from bornbundle.manifold import (DEFAULT_TOL, base_jets, build_spec,
+from bornbundle.jets import JetUsageError
+from bornbundle.manifold import (DEFAULT_TOL, _first_failure, base_jets, build_spec,
                                  connection_at, curvature_at,
                                  dual_and_levi_civita, dual_connection_at,
                                  finite_maxima, hessian_verdict, levi_civita_at,
@@ -484,3 +485,67 @@ def test_finite_maxima_names_first_non_finite(stacks, message):
     with pytest.raises(SpecError) as err:
         finite_maxima(stacks, ["p", "q", "r"])
     assert str(err.value) == message
+
+
+# -- first failure -----------------------------------------------------------------
+
+def _items(errors, count=5):
+    """An evaluation of items 0..count-1 that records the slices it is called
+    with.  A slice holding items of ``errors`` raises the error of the last
+    of them, as a batch may meet a later item's failure first."""
+    calls = []
+
+    def evaluate(s):
+        calls.append(s)
+        items = list(range(count))[s]
+        for i in reversed(items):
+            if i in errors:
+                raise errors[i]
+        return items
+    return evaluate, calls
+
+
+def test_first_failure_calls_once_on_success():
+    evaluate, calls = _items({})
+    assert _first_failure(evaluate, 5) == [0, 1, 2, 3, 4]
+    assert calls == [slice(None)]
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+@pytest.mark.parametrize("kind", [SpecError, ZeroDivisionError])
+def test_first_failure_raises_the_first_items_error(k, kind):
+    first, last = kind(f"item {k}"), SpecError("item 4")
+    evaluate, calls = _items({k: first, 4: last})
+    with pytest.raises(kind) as err:
+        _first_failure(evaluate, 5)
+    assert err.value is first
+    assert calls == [slice(None)] + [slice(i, i + 1) for i in range(k + 1)]
+
+
+def test_first_failure_reraises_the_batch_error_if_no_item_fails():
+    batch = OverflowError("batch")
+
+    def evaluate(s):
+        calls.append(s)
+        if s == slice(None):
+            raise batch
+    calls = []
+    with pytest.raises(OverflowError) as err:
+        _first_failure(evaluate, 3)
+    assert err.value is batch
+    assert calls == [slice(None), slice(0, 1), slice(1, 2), slice(2, 3)]
+    # one item is its own batch: no second call
+    calls.clear()
+    with pytest.raises(OverflowError):
+        _first_failure(evaluate, 1)
+    assert calls == [slice(None)]
+
+
+@pytest.mark.parametrize("fault", [JetUsageError("order mismatch"),
+                                   np.linalg.LinAlgError("Singular matrix")])
+def test_first_failure_does_not_retry_internal_faults(fault):
+    evaluate, calls = _items({2: fault})
+    with pytest.raises(type(fault)) as err:
+        _first_failure(evaluate, 5)
+    assert err.value is fault
+    assert calls == [slice(None)]
