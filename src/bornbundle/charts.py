@@ -9,19 +9,30 @@ an ODE).  Success criterion: the transformed connection coefficients
 vanish in the constructed chart, and so the I, J, K blocks built from them
 take their constant affine-chart form.
 
-All probes of a call are integrated together, once each, by one RK4
-loop over a ``(B, n, K)`` state: B probes, n coordinates, and K jet
-coefficients in the layout of :class:`bornbundle.jets.JetBatch` (the
-value, then the partials by the straight coordinates in
-:func:`bornbundle.jets.partial_keys` order).  The witness reads both
-residuals from one transformed connection per probe.  The geodesic
-acceleration sums only the coefficients of Gamma that are not structurally
-zero (:func:`bornbundle.fields.connection_support`: none for a flat
-connection, the entries other than a literal 0 for an explicit one), in
-(k, i, j) order, and is a zero jet for a k without terms.  A skipped term
-is an exact +-0 jet, and adding +-0 to a nonzero float is exact, so
-skipping can change only the signs of zeros; every chart output passes
-through ``abs`` and ``max``, so the reports do not change.
+All probes of a call are integrated together, once each, over a
+``(B, n, K)`` state: B probes, n coordinates, and K jet coefficients in
+the layout of :class:`bornbundle.jets.JetBatch` (the value, then the
+partials by the straight coordinates in :func:`bornbundle.jets.partial_keys`
+order).  When the acceleration reads the position, one RK4 loop advances
+velocity and position and checks the sample box at every step.  When it
+does not, the loop advances the velocity alone and records each step's
+position increment; the positions then follow by a scan over chunks of at
+most ``DEFAULT_STEPS`` steps, in one buffer of ``(m + 1, B, n, K)``: row 0
+the carried position, row r + 1 step r's increment, summed in order by
+``np.add.accumulate`` with one rounding per add, as ``x = x + increment``
+does.  One vectorised box check per chunk names the first step at which a
+probe is outside and, at that step, the first such probe, so the errors
+are those of the loop, and memory does not grow with the step count.
+
+The witness reads both residuals from one transformed connection per
+probe.  The geodesic acceleration sums only the coefficients of Gamma that
+are not structurally zero (:func:`bornbundle.fields.connection_support`:
+none for a flat connection, the entries other than a literal 0 for an
+explicit one), each k its terms in (k, i, j) order, and is a zero jet for
+a k without terms.  A skipped term is an exact +-0 jet, and adding +-0 to
+a nonzero float is exact, so skipping can change only the signs of zeros;
+every chart output passes through ``abs`` and ``max``, so the reports do
+not change.
 
 The acceleration takes one of three forms, chosen once per integration;
 each keeps every coefficient equal to the per-probe integration over the
@@ -33,18 +44,22 @@ included:
   Every stage velocity is then ``w = u + 0.0``, and u becomes w after the
   first step.  ``u + w*2`` equals ``w + w*2``, as u and w differ only
   where u is -0.0 and ``-0.0 + 0.0`` is +0.0, so every step adds the same
-  increment ``(u + w*2 + w*2 + w) * (h/6)``, computed once.
+  increment ``(u + w*2 + w*2 + w) * (h/6)``: every row of the scan is that
+  increment, and there is no per-step loop.
 * Constant, when every support term is an explicit expression without a
   coordinate (pullback-flat's ``-2``, every entry of the generated twisted
-  specs).  Gamma is evaluated once, and no stage forms a position, as
-  nothing reads it.  If Gamma's partials are all +-0, the first product
-  ``Gamma * u^i`` scales u^i by Gamma's value
-  (:func:`bornbundle.jets._scaled_coeffs`): for a finite u the split terms
-  it drops are +-0 * finite = +-0.  A u with an inf or NaN coefficient
-  takes the full product, so the NaNs fall where they did.
+  specs).  Gamma is evaluated once, and the scan forms the positions, as
+  no stage reads them.  If Gamma's partials are all +-0 and the state u is
+  finite, each stage takes both products ``(Gamma * u^i) * u^j`` of every
+  term from one gathered kernel, :func:`bornbundle.jets._constant_products`:
+  the split terms that ``Gamma * u^i`` would add are +-0 * finite = +-0.
+  Any other state or Gamma takes both full products, so the NaNs of an inf
+  or NaN coefficient fall where they did.
 * Varying, for every other connection.  Explicit terms without a
   coordinate are evaluated once, the others and the connections derived
-  from the metric over the whole batch at every stage position.
+  from the metric over the whole batch at every stage position, in the
+  per-step loop: the positions feed Gamma, and a domain error there must
+  not come before the box exit of an earlier step.
 
 The sums stay elementwise in a fixed order; an einsum or matmul would
 round differently.
@@ -143,45 +158,81 @@ def _acceleration(spec: ManifoldSpec, order: int):
     ``accel(u, x, du=None, c=0.0)`` of the velocity u at the position
     ``x + du * c`` (x itself without du), both ``(B, n, K)``; None when it
     is exactly zero, for a connection without support.  The position is
-    formed only for a Gamma that reads it.  The products ``(Gamma * u^i) *
-    u^j`` of all support terms are formed at once, then each k sums its
-    terms in support order; a k without terms gets a zero jet.  A constant
-    Gamma whose partials are all +-0 scales u for the first product (see
-    the module docstring), unless u holds a non-finite coefficient."""
+    formed only for a Gamma that reads it, and ``accel.reads_position``
+    says whether it does.  The products ``(Gamma * u^i) * u^j`` of all
+    support terms are formed at once, then each k sums its terms in support
+    order and negates the sum; a k without terms gets +0.0.  A constant
+    Gamma whose partials are all +-0 takes both products from one gathered
+    kernel (see the module docstring), unless u holds a non-finite
+    coefficient."""
     support = fields.connection_support(spec)
     if not support:
         return None
     gamma = _connection_terms(spec, support, order)
-    n, count = spec.n, len(support)
-    _, i, j = np.array(support).T
-    # each k's terms, padded with slot `count`, which holds -0.0: adding
-    # -0.0 leaves every float as it is, signed zeros included
-    rows = [[t for t, kij in enumerate(support) if kij[0] == k] for k in range(n)]
-    width = max(len(r) for r in rows)
-    table = np.array([r + [count] * (width - len(r)) for r in rows])
+    n = spec.n
+    # the terms in rank order: the first term of every k that has one, then
+    # every second term, and so on, the k with more terms first; adding each
+    # rank into the leading rows of the first sums each k in support order
+    k = [kt for kt, _, _ in support]
+    keys = sorted(sorted(set(k)), key=k.count, reverse=True)
+    rank = [t - k.index(kt) for t, kt in enumerate(k)]
+    perm = sorted(range(len(k)), key=lambda t: (rank[t], keys.index(k[t])))
+    _, i, j = (tuple(c) for c in np.array(support)[perm].T.tolist())
+    sizes = [rank.count(r) for r in range(max(rank) + 1)]
+    later = [(size, sum(sizes[:r])) for r, size in enumerate(sizes) if r]
 
+    def both_products(g, u):
+        return jets._product_coeffs(jets._product_coeffs(g, u[:, i], order, n),
+                                    u[:, j], order, n)
     if callable(gamma):
-        def first(u, x, du, c):
-            position = x if du is None else x + du * c
-            return jets._product_coeffs(gamma(position), u[:, i], order, n)
+        def products(u, x, du, c):
+            return both_products(gamma(x if du is None else x + du * c)[:, perm], u)
     else:
-        scale = gamma[0, :, :1] if not np.any(gamma[..., 1:]) else None
+        fixed = gamma[:, perm]
+        value = fixed[0, :, 0] if not np.any(fixed[..., 1:]) else None
 
-        def first(u, x, du, c):
-            ui = u[:, i]
-            if scale is None or not np.isfinite(ui).all():
-                return jets._product_coeffs(gamma, ui, order, n)
-            return jets._scaled_coeffs(scale, ui)
+        def products(u, x, du, c):
+            if value is not None and np.isfinite(u).all():
+                return jets._constant_products(u, value, i, j, order, n)
+            return both_products(fixed, u)
 
-    def accel(u, x, du=None, c=0.0):
-        terms = np.full((len(u), count + 1, u.shape[-1]), -0.0)
-        terms[:, :count] = jets._product_coeffs(first(u, x, du, c), u[:, j], order, n)
-        picked = terms[:, table]
-        acc = picked[:, :, 0]
-        for p in range(1, width):
-            acc = acc + picked[:, :, p]
-        return -acc
+    def accel(u, x=None, du=None, c=0.0):
+        terms = products(u, x, du, c)
+        total = terms[:, :sizes[0]]
+        for size, start in later:
+            total[:, :size] += terms[:, start:start + size]
+        acc = np.zeros(u.shape)
+        acc[:, keys] = -total
+        return acc
+    accel.reads_position = callable(gamma)
     return accel
+
+
+def _check_box(positions: np.ndarray, lo, hi, step: int, steps: int) -> None:
+    """Raise BoxExitError if a position of ``(m, B, n)``, those after steps
+    ``step + 1`` to ``step + m``, lies outside the sample box: at the first
+    of those steps where one does, naming the first such row."""
+    inside = np.all((lo <= positions) & (positions <= hi), axis=-1)
+    if not inside.all():
+        r = int(np.argmin(inside.all(axis=1)))
+        values = tuple(positions[r, int(np.argmin(inside[r]))].tolist())
+        raise BoxExitError(
+            f"geodesic left the sample box at step {step + r + 1}/{steps}, "
+            f"position {values}", step + r + 1)
+
+
+def _velocity_step(accel, u: np.ndarray, x, h: float):
+    """One RK4 step of the velocity u at position x: the stage sum
+    ``u + u2*2 + u3*2 + u4`` that the position advances by, times h/6, and
+    the next velocity."""
+    k1u = accel(u, x)
+    u2 = u + k1u * (h / 2)
+    k2u = accel(u2, x, u, h / 2)
+    u3 = u + k2u * (h / 2)
+    k3u = accel(u3, x, u2, h / 2)
+    u4 = u + k3u * h
+    k4u = accel(u4, x, u3, h)
+    return u + u2 * 2 + u3 * 2 + u4, u + (k1u + k2u * 2 + k3u * 2 + k4u) * (h / 6)
 
 
 def _rk4(spec: ManifoldSpec, x0, velocities: np.ndarray, order: int,
@@ -191,8 +242,9 @@ def _rk4(spec: ManifoldSpec, x0, velocities: np.ndarray, order: int,
     ``order`` jets over the velocity components, as ``(B, n, K)``
     coefficients, and so are the endpoints it returns.  Raises BoxExitError
     for the first row to leave the sample box, at the first step where one
-    does.  Without acceleration every step adds the same increment (see
-    the module docstring)."""
+    does.  An acceleration that does not read the position integrates the
+    velocity alone, and the positions follow by a chunked scan (see the
+    module docstring)."""
     count, n = velocities.shape
     width = 1 + len(jets.partial_keys(order, n))
     x = np.zeros((count, n, width))
@@ -204,29 +256,32 @@ def _rk4(spec: ManifoldSpec, x0, velocities: np.ndarray, order: int,
     accel = _acceleration(spec, order)
     lo, hi = np.array(spec.sample_box, dtype=float).T
     h = 1.0 / steps
+    if accel is not None and accel.reads_position:
+        for step in range(steps):
+            stages, u = _velocity_step(accel, u, x, h)
+            x = x + stages * (h / 6)
+            _check_box(x[None, :, :, 0], lo, hi, step, steps)
+        return x
     if accel is None:
         w = u + 0.0
-        increment = (u + w * 2 + w * 2 + w) * (h / 6)
-    for step in range(steps):
+        stages = u + w * 2 + w * 2 + w
+    # row 0 the carried position, row r + 1 step r's increment; the scan
+    # adds them in order, one rounding per add, as x = x + increment does
+    scan = np.empty((min(steps, DEFAULT_STEPS) + 1, count, n, width))
+    for step in range(0, steps, len(scan) - 1):
+        m = min(len(scan) - 1, steps - step)
+        scan[0] = x
+        rows = scan[1:m + 1]
         if accel is None:
-            x = x + increment
+            rows[...] = stages
         else:
-            k1u = accel(u, x)
-            u2 = u + k1u * (h / 2)
-            k2u = accel(u2, x, u, h / 2)
-            u3 = u + k2u * (h / 2)
-            k3u = accel(u3, x, u2, h / 2)
-            u4 = u + k3u * h
-            k4u = accel(u4, x, u3, h)
-            x = x + (u + u2 * 2 + u3 * 2 + u4) * (h / 6)
-            u = u + (k1u + k2u * 2 + k3u * 2 + k4u) * (h / 6)
-        inside = np.all((lo <= x[:, :, 0]) & (x[:, :, 0] <= hi), axis=1)
-        if not inside.all():
-            values = tuple(x[int(np.argmin(inside)), :, 0].tolist())
-            raise BoxExitError(
-                f"geodesic left the sample box at step {step + 1}/{steps}, "
-                f"position {values}", step + 1)
-    return x
+            for r in range(m):
+                rows[r], u = _velocity_step(accel, u, None, h)
+        rows *= h / 6
+        np.add.accumulate(scan[:m + 1], axis=0, out=scan[:m + 1])
+        _check_box(rows[..., 0], lo, hi, step, steps)
+        x = scan[m]
+    return x.copy()
 
 
 def _integrate(spec: ManifoldSpec, x0, velocities, order: int, steps: int) -> np.ndarray:

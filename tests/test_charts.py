@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -508,6 +509,95 @@ def test_batched_box_exit_reports_the_first_probe():
     assert (first.value.step, batch.value.step) == (24, 51)
 
 
+def reference_rk4(spec, x0, velocities, order, steps):
+    """The per-step RK4 loop that the chunked scan replaced, kept as the
+    reference: every step advances the position and checks the box."""
+    count, n = velocities.shape
+    width = 1 + len(jets.partial_keys(order, n))
+    x = np.zeros((count, n, width))
+    x[:, :, 0] = x0
+    u = np.zeros((count, n, width))
+    u[:, :, 0] = velocities
+    if order >= 1:
+        u[:, range(n), range(1, n + 1)] = 1.0
+    accel = charts._acceleration(spec, order)
+    lo, hi = np.array(spec.sample_box, dtype=float).T
+    h = 1.0 / steps
+    if accel is None:
+        w = u + 0.0
+        increment = (u + w * 2 + w * 2 + w) * (h / 6)
+    for step in range(steps):
+        if accel is None:
+            x = x + increment
+        else:
+            k1u = accel(u, x)
+            u2 = u + k1u * (h / 2)
+            k2u = accel(u2, x, u, h / 2)
+            u3 = u + k2u * (h / 2)
+            k3u = accel(u3, x, u2, h / 2)
+            u4 = u + k3u * h
+            k4u = accel(u4, x, u3, h)
+            x = x + (u + u2 * 2 + u3 * 2 + u4) * (h / 6)
+            u = u + (k1u + k2u * 2 + k3u * 2 + k4u) * (h / 6)
+        inside = np.all((lo <= x[:, :, 0]) & (x[:, :, 0] <= hi), axis=1)
+        if not inside.all():
+            values = tuple(x[int(np.argmin(inside)), :, 0].tolist())
+            raise BoxExitError(
+                f"geodesic left the sample box at step {step + 1}/{steps}, "
+                f"position {values}", step + 1)
+    return x
+
+
+def rk4_outcome(integrate, spec, x0, velocities, order, steps):
+    """The endpoint bytes, or the box exit's step and message."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return integrate(spec, x0, velocities, order, steps).tobytes()
+    except BoxExitError as exc:
+        return exc.step, str(exc)
+
+
+# velocities with -0.0 components; from (0.5, 0.4) the second batch leaves
+# the box at several steps, probes 1 and 2 first, at the same step
+SCAN_BATCHES = {
+    (0.1, -0.2): [(0.0, -0.0), (-0.0, 0.1), (0.05, -0.0), (-0.2, 0.15), (0.3, -0.1)],
+    (0.5, 0.4): [(0.3, -0.0), (1.5, 0.1), (1.5, -0.1), (-0.0, 0.9), (0.7, 0.0), (-0.4, -0.0)],
+}
+
+
+@pytest.mark.parametrize("steps", [1, 63, 64, 65, 200])
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("name", ["euclidean2", "pullback-flat", "twisted3",
+                                  "all-constants2", "pullback-cubic"])
+def test_chunked_scan_equals_per_step_loop(name, order, steps):
+    # zero acceleration, constant Gamma with one and with several terms per
+    # k, and a varying Gamma: the same bytes, or the same box exit
+    spec = REFERENCE_SPECS[name]
+    exits = 0
+    for x0, rows in SCAN_BATCHES.items():
+        x0 = x0 + (0.0,) * (spec.n - 2)
+        velocities = np.array([row + (-0.0,) * (spec.n - 2) for row in rows])
+        want = rk4_outcome(reference_rk4, spec, x0, velocities, order, steps)
+        assert rk4_outcome(charts._rk4, spec, x0, velocities, order, steps) == want
+        exits += isinstance(want, tuple)
+    assert exits == 1
+
+
+@pytest.mark.parametrize("spec,steps", [(EUCLID, 100_000), (PULLBACK, 5_000)])
+def test_rk4_memory_does_not_grow_with_steps(spec, steps):
+    # the positions are scanned in chunks of DEFAULT_STEPS steps; one scan
+    # over 100,000 steps of 6 order-2 probes would take about 58 MB
+    velocities = np.array(probes(0.5))
+    charts._rk4(spec, (0.1, 0.1), velocities, 2, 8)
+    tracemalloc.start()
+    try:
+        charts._rk4(spec, (0.1, 0.1), velocities, 2, steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 def test_pullback_cubic_is_witnessed():
     # straight coordinates (u, v - u^2 - u^3): Gamma^1_00 = -2 - 6u depends
     # on the position, so the integrator evaluates it at every stage
@@ -737,12 +827,13 @@ PULLBACK_LINEAR = build_spec(
 @pytest.mark.parametrize("spec,per_step", [(EUCLID, 0), (HESSIAN, 0), (PULLBACK, 4),
                                            (ALL_CONSTANTS2, 4), (PULLBACK_LINEAR, 8)])
 def test_jet_products_per_step(spec, per_step, monkeypatch):
-    # no product without acceleration; the second product only at each of
-    # the four stages for a constant Gamma; both for a varying one.  Only
-    # products on the probe batch count: evaluating Gamma folds its constant
-    # subexpressions (all-constants2's 2*0.5) once per integration.
+    # no product without acceleration; one gathered kernel call, for both
+    # products, at each of the four stages for a constant Gamma; both full
+    # products for a varying one.  Only products on the probe batch count:
+    # evaluating Gamma folds its constant subexpressions (all-constants2's
+    # 2*0.5) once per integration.
     calls = []
-    product = jets._product_coeffs
+    product, gathered = jets._product_coeffs, jets._constant_products
     velocities = np.array([[0.05, 0.02], [-0.03, 0.04], [0.0, -0.0]])
 
     def counted(a, b, *args):
@@ -750,7 +841,12 @@ def test_jet_products_per_step(spec, per_step, monkeypatch):
             calls.append(args)
         return product(a, b, *args)
 
+    def counted_gathered(u, *args):
+        calls.append(args)
+        return gathered(u, *args)
+
     monkeypatch.setattr(jets, "_product_coeffs", counted)
+    monkeypatch.setattr(jets, "_constant_products", counted_gathered)
     steps = 8
     charts._rk4(spec, (0.1, 0.1), velocities, 2, steps)
     assert len(calls) == per_step * steps
