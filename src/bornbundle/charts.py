@@ -13,16 +13,17 @@ All probes of a call are integrated together, once each, over a
 ``(B, n, K)`` state: B probes, n coordinates, and K jet coefficients in
 the layout of :class:`bornbundle.jets.JetBatch` (the value, then the
 partials by the straight coordinates in :func:`bornbundle.jets.partial_keys`
-order).  When the acceleration reads the position, one RK4 loop advances
-velocity and position and checks the sample box at every step.  When it
-does not, the loop advances the velocity alone and records each step's
-position increment; the positions then follow by a scan over chunks of at
-most ``DEFAULT_STEPS`` steps, in one buffer of ``(m + 1, B, n, K)``: row 0
-the carried position, row r + 1 step r's increment, summed in order by
-``np.add.accumulate`` with one rounding per add, as ``x = x + increment``
-does.  One vectorised box check per chunk names the first step at which a
-probe is outside and, at that step, the first such probe, so the errors
-are those of the loop, and memory does not grow with the step count.
+order).  A Varying acceleration (below) reads the position, so its RK4
+loop advances velocity and position and checks the sample box at every
+step.  A Zero or Constant one does not: the loop advances the velocity
+alone, and the positions follow in chunks of at most ``DEFAULT_STEPS``
+steps, in one ``(m + 1, B, n, K)`` buffer whose row 0 is the carried
+position and row r + 1 step r's increment.  ``np.add.accumulate`` adds
+the rows in order, one rounding per add, as ``x = x + increment`` does,
+and one box check per chunk names the first step at which a probe is
+outside and, at that step, the first such probe.  So the bits and errors
+are those of the per-step loop, and memory does not grow with the step
+count.
 
 The witness reads both residuals from one transformed connection per
 probe.  The geodesic acceleration sums only the coefficients of Gamma that
@@ -44,22 +45,22 @@ included:
   Every stage velocity is then ``w = u + 0.0``, and u becomes w after the
   first step.  ``u + w*2`` equals ``w + w*2``, as u and w differ only
   where u is -0.0 and ``-0.0 + 0.0`` is +0.0, so every step adds the same
-  increment ``(u + w*2 + w*2 + w) * (h/6)``: every row of the scan is that
-  increment, and there is no per-step loop.
+  increment ``(u + w*2 + w*2 + w) * (h/6)``, and every row of the scan is
+  that increment.
 * Constant, when every support term is an explicit expression without a
   coordinate (pullback-flat's ``-2``, every entry of the generated twisted
-  specs).  Gamma is evaluated once, and the scan forms the positions, as
-  no stage reads them.  If Gamma's partials are all +-0 and the state u is
-  finite, each stage takes both products ``(Gamma * u^i) * u^j`` of every
-  term from one gathered kernel, :func:`bornbundle.jets._constant_products`:
-  the split terms that ``Gamma * u^i`` would add are +-0 * finite = +-0.
+  specs).  Gamma is evaluated once.  If its partials are all +-0 and the
+  state u is finite, each stage takes both products ``(Gamma * u^i) * u^j``
+  of every term from one gathered kernel,
+  :func:`bornbundle.jets._constant_products`: the split terms that
+  ``Gamma * u^i`` would add are +-0 * finite = +-0.
   Any other state or Gamma takes both full products, so the NaNs of an inf
   or NaN coefficient fall where they did.
 * Varying, for every other connection.  Explicit terms without a
   coordinate are evaluated once, the others and the connections derived
   from the metric over the whole batch at every stage position, in the
-  per-step loop: the positions feed Gamma, and a domain error there must
-  not come before the box exit of an earlier step.
+  per-step loop, since a domain error there must not come before the box
+  exit of an earlier step.
 
 The sums stay elementwise in a fixed order; an einsum or matmul would
 round differently.
@@ -242,9 +243,8 @@ def _rk4(spec: ManifoldSpec, x0, velocities: np.ndarray, order: int,
     ``order`` jets over the velocity components, as ``(B, n, K)``
     coefficients, and so are the endpoints it returns.  Raises BoxExitError
     for the first row to leave the sample box, at the first step where one
-    does.  An acceleration that does not read the position integrates the
-    velocity alone, and the positions follow by a chunked scan (see the
-    module docstring)."""
+    does.  A position-free acceleration takes the chunked scan of the
+    module docstring."""
     count, n = velocities.shape
     width = 1 + len(jets.partial_keys(order, n))
     x = np.zeros((count, n, width))
@@ -265,8 +265,7 @@ def _rk4(spec: ManifoldSpec, x0, velocities: np.ndarray, order: int,
     if accel is None:
         w = u + 0.0
         stages = u + w * 2 + w * 2 + w
-    # row 0 the carried position, row r + 1 step r's increment; the scan
-    # adds them in order, one rounding per add, as x = x + increment does
+    # in-order adds, one rounding each: the bits of x = x + increment
     scan = np.empty((min(steps, DEFAULT_STEPS) + 1, count, n, width))
     for step in range(0, steps, len(scan) - 1):
         m = min(len(scan) - 1, steps - step)
