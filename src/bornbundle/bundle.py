@@ -150,10 +150,9 @@ def _fiber_blocks(bases: BaseJets, ys) -> tuple[np.ndarray, np.ndarray]:
     return a, np.broadcast_to(g, a.shape)
 
 
-def _frame_of(base: BaseJets, y) -> tuple[np.ndarray, np.ndarray]:
-    """(E, E^-1) at the one base point of ``base`` and fiber vector y: E with
-    the rows of the base fields, E^-1 as values."""
-    a = _fiber_blocks(base, [y])[0][0, 0]
+def _frame_of(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(E, E^-1) at one bundle point from A's rows (rows, n, n): E with those
+    rows, E^-1 as values."""
     n = a.shape[-1]
     e = np.zeros((len(a), 2 * n, 2 * n))
     e[0] = np.eye(2 * n)
@@ -167,7 +166,7 @@ def adapted_frame_at(spec: ManifoldSpec, bp: BundlePoint):
     """Change-of-basis pair (E, E^-1): columns of E are H_1..H_n, V_1..V_n
     in bundle coordinates, rows of E^-1 the dual coframe."""
     bp = _require_point(spec, bp)
-    e, einv = _frame_of(base_jets(spec, [bp.x], 0), bp.y)
+    e, einv = _frame_of(_fiber_blocks(base_jets(spec, [bp.x], 0), [bp.y])[0][0, 0])
     return e[0], einv
 
 
@@ -206,22 +205,22 @@ def born_jets(spec: ManifoldSpec, bp: BundlePoint) -> dict[str, np.ndarray]:
             fiber_born_jets(base_jets(spec, [bp.x]), [bp.y]).items()}
 
 
-def born_at(spec: ManifoldSpec, bp: BundlePoint, frame: str = "bundle-coordinate",
-            base: BaseJets | None = None) -> BornFrame:
-    """Evaluate the six tensors at a bundle point, in the requested frame,
-    from the base-point fields ``base`` of the one point bp.x if given (any
-    order: the values are the same bits)."""
+def _first_frame(mats: dict[str, np.ndarray]) -> BornFrame:
+    """The values at the first bundle point of :func:`fiber_born_jets`, copied."""
+    return BornFrame.of({name: m[0, 0, 0] for name, m in mats.items()})
+
+
+def born_at(spec: ManifoldSpec, bp: BundlePoint,
+            frame: str = "bundle-coordinate") -> BornFrame:
+    """Evaluate the six tensors at a bundle point, in the requested frame."""
     bp = _require_point(spec, bp)
     if frame not in FRAMES:
         raise ValueError(f"unknown frame {frame!r}")
-    base = base_jets(spec, [bp.x], 0) if base is None else base
+    base = base_jets(spec, [bp.x], 0)
     check_spd(base.g[:, 0], [bp.x])
     if frame == "adapted":
-        mats = _constant_blocks(spec.n)
-        mats.update(_metric_blocks(base.g[0, 0]))
-    else:
-        mats = {name: m[0, 0, 0] for name, m in fiber_born_jets(base, [bp.y]).items()}
-    return BornFrame.of(mats)
+        return BornFrame.of({**_constant_blocks(spec.n), **_metric_blocks(base.g[0, 0])})
+    return _first_frame(fiber_born_jets(base, [bp.y]))
 
 
 # -- compatibility ------------------------------------------------------------
@@ -285,14 +284,7 @@ def affine_chart_form_check(spec: ManifoldSpec, bp: BundlePoint) -> dict[str, fl
                 "connection coefficients do not vanish in this chart; "
                 f"max |Gamma| = {np.max(np.abs(gamma)):.3g} at {q}")
     base = base_jets(spec, [bp.x], 0)
-    bf = born_at(spec, bp, "bundle-coordinate", base)
-    want = _constant_blocks(spec.n)
-    want.update(_metric_blocks(base.g[0, 0]))
-    return {
-        "I": float(np.max(np.abs(bf.I - want["I"]))),
-        "J": float(np.max(np.abs(bf.J - want["J"]))),
-        "K": float(np.max(np.abs(bf.K - want["K"]))),
-        "h": float(np.max(np.abs(bf.h - want["h"]))),
-        "k": float(np.max(np.abs(bf.k - want["k"]))),
-        "omega": float(np.max(np.abs(bf.omega - want["omega"]))),
-    }
+    check_spd(base.g[:, 0], [bp.x])
+    bf = _first_frame(fiber_born_jets(base, [bp.y]))
+    want = {**_constant_blocks(spec.n), **_metric_blocks(base.g[0, 0])}
+    return {name: float(np.max(np.abs(getattr(bf, name) - m))) for name, m in want.items()}

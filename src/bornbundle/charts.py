@@ -444,14 +444,14 @@ def affine_chart_witness(spec: ManifoldSpec, x0, probes: int, fiber_radius: floa
     """Build the exponential chart at x0 and check, at ``probes`` Halton
     probes inside its validity radius, that the transformed connection and
     the I, J, K blocks at the first sampled fiber vector take their affine
-    form."""
-    chart = exponential_chart(spec, x0, steps=steps, seed=seed)
+    form; probes and fiber radius are checked before the flatness gate."""
     if probes < 1:
         raise ValueError("need at least one chart probe")
+    fiber = sample_fibers(spec.n, 1, fiber_radius, seed)[0]
+    chart = exponential_chart(spec, x0, steps=steps, seed=seed)
     # the cube of half-width r/2 lies in the ball of radius r only for n <= 4
     scale = chart.radius * min(1.0, 2.0 / math.sqrt(spec.n))
     points = [tuple(scale * (2 * u - 1) / 2) for u in halton_points(probes, spec.n, seed)]
-    fiber = sample_fibers(spec.n, 1, fiber_radius, seed)[0]
     push, blocks = _probe_residuals(spec, chart, points, fiber)
     return {
         "base_point": list(chart.x0),

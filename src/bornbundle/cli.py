@@ -18,8 +18,9 @@ Spec file format (JSON)::
 (i, j).  Expressions use the mini-language of :mod:`bornbundle.expr`.
 
 ``check`` takes the Hessian verdict, the two-of-four report, the
-integrability residuals and its probe point from one sweep over the sample
-points (:func:`~bornbundle.integrability.integrability_verdict`).  It runs
+integrability residuals, and the ``born_frame_sample`` and ``sign_conventions``
+of the sweep's first bundle point from one sweep over the sample points
+(:func:`~bornbundle.integrability.integrability_verdict`).  It runs
 the affine-chart witness when that Hessian verdict finds the curvature and
 torsion within its own tolerance (and within the chart's flatness gate,
 where ``--tol`` is looser than that gate).
@@ -50,13 +51,13 @@ from pathlib import Path
 import numpy as np
 
 from . import corpus
-from .bundle import BundlePoint, born_at
+# unused: bornbench's test_remove_restores_every_patched_attribute pins it (ROADMAP item 5)
+from .bundle import born_at
 from .charts import FLATNESS_GATE_TOL, affine_chart_witness
 from .errors import SpecError
 from .expr import EvalDomainError, ParseError
-from .integrability import (CROSS_TOL, frame_bracket_residuals,
-                            integrability_verdict,
-                            nijenhuis_J_identity_residuals, theorem_crosscheck)
+from .integrability import (CROSS_TOL, _proof_identities, integrability_verdict,
+                            theorem_crosscheck)
 from .jets import JetDomainError, JetUsageError
 from .manifold import DEFAULT_TOL, ManifoldSpec, TwoOfFourReport, build_spec
 
@@ -229,18 +230,15 @@ def run(config: RunConfig) -> dict:
     if not integ.hessian_agreement:
         failures.append("hessian/integrability verdicts disagree")
 
-    first = integ.per_point[0]  # the first bundle point of the sweep
-    probe = BundlePoint(tuple(first["x"]), tuple(first["y"]))
-    base = integ.bases[:1]  # the sweep's fields at probe.x
-    frame = born_at(spec, probe, "bundle-coordinate", base)
+    first = integ.first_point  # the first bundle point of the sweep
     report["born_frame_sample"] = {
-        "point": {"x": list(probe.x), "y": list(probe.y)},
+        "point": {"x": list(first["x"]), "y": list(first["y"])},
         "frame": "bundle-coordinate",
-        **{name: getattr(frame, name).tolist()
+        **{name: getattr(first["frame"], name).tolist()
            for name in ("I", "J", "K", "h", "k", "omega")},
     }
-    brackets = frame_bracket_residuals(spec, probe, base)
-    nj = nijenhuis_J_identity_residuals(spec, probe, base)
+    brackets, nj = _proof_identities(first["a"], first["nijenhuis_J"],
+                                     integ.bases.gamma[0], first["y"])
     report["sign_conventions"] = {
         "bracket_HH": brackets["HH"]["sign"],
         "bracket_HV": brackets["HV"]["sign"],

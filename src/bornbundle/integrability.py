@@ -24,17 +24,19 @@ finite at a sample point is a spec error naming it and the point
 (:func:`bornbundle.manifold.finite_maxima`); the first one is reported by
 base point, through :func:`bornbundle.manifold._first_failure`, then by
 fiber and residual: N_I, N_J, N_K, d omega, then the construction
-identities.
+identities.  ``check`` reads ``born_frame_sample`` and ``sign_conventions``
+off the report's copies of the first bundle point's arrays (the signs through
+:func:`_proof_identities`, as the one-point identity functions do).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .bundle import (BornFrame, BundlePoint, _frame_of, _require_point,
+from .bundle import (BornFrame, BundlePoint, _first_frame, _frame_of, _require_point,
                      born_compatibility_residuals, born_jets, fiber_born_jets)
 from .manifold import (DEFAULT_TOL, BaseJets, HessianVerdict, ManifoldSpec,
                        _curvature_of, _first_failure, _torsion_of, base_jets,
@@ -83,72 +85,71 @@ def _signed_residual(lhs: np.ndarray, rhs: np.ndarray, scale: float):
             "sign": sign, "residual": min(plus, minus)}
 
 
-def frame_bracket_residuals(spec: ManifoldSpec, bp: BundlePoint,
-                            base: BaseJets | None = None) -> dict:
-    """Brackets of the adapted frame fields, from E's first partials, against
-    [H_i, H_j] = -R^l_ijk y^k V_l, [V_i, V_j] = 0, [H_i, V_j] = -Gamma^k_ij V_k,
-    each up to a recorded global sign.  ``base`` is the order-1
-    :func:`~bornbundle.manifold.base_jets` of the one point bp.x, evaluated
-    if not given."""
-    bp = _require_point(spec, bp)
-    n = spec.n
-    base = base_jets(spec, [bp.x]) if base is None else base
+def _proof_identities(a: np.ndarray, nj: np.ndarray, gamma: np.ndarray,
+                      y) -> tuple[dict, dict]:
+    """The dicts of :func:`frame_bracket_residuals` and
+    :func:`nijenhuis_J_identity_residuals` at a bundle point (x, y), from A's
+    rows (1 + 2n, n, n), N_J (2n, 2n, 2n) and Gamma of order 1 at x."""
+    n = a.shape[-1]
+    e, einv = _frame_of(a)
+    r = _curvature_of(gamma)
+    t = _torsion_of(gamma[0])
+    ry = np.einsum("lijk,k->ijl", r, np.asarray(y))
+    scale = _norm_factor(y)
+
     # columns of E are the fields H_i and V_i; bracket every pair of columns:
     # [X_a, X_b]^m = X_a^v d_v X_b^m - X_b^v d_v X_a^m
-    e, _ = _frame_of(base, bp.y)
     half = np.einsum("va,vmb->abm", e[0], e[1:])
     brackets = half - half.transpose(1, 0, 2)
-    r = _curvature_of(base.gamma)[0]
-    y = np.asarray(bp.y)
-    scale = _norm_factor(bp.y)
-
     rhs_hh = np.zeros((n, n, 2 * n))
-    rhs_hh[:, :, n:] = -np.einsum("lijk,k->ijl", r, y)
+    rhs_hh[:, :, n:] = -ry
     rhs_hv = np.zeros((n, n, 2 * n))
-    rhs_hv[:, :, n:] = -np.einsum("kij->ijk", base.gamma[0, 0])
-
-    return {
+    rhs_hv[:, :, n:] = -np.einsum("kij->ijk", gamma[0])
+    bracket = {
         "HH": _signed_residual(brackets[:n, :n], rhs_hh, scale),
         "VV": {"residual": float(np.max(np.abs(brackets[n:, n:]))) / scale},
         "HV": _signed_residual(brackets[:n, n:], rhs_hv, scale),
     }
 
-
-def nijenhuis_J_identity_residuals(spec: ManifoldSpec, bp: BundlePoint,
-                                   base: BaseJets | None = None) -> dict:
-    """N_J on frame-field pairs against the curvature/torsion expressions
-    T^k_ij H_k - R^l_ijk y^k V_l (HH and VV pairs) and
-    R^l_ijk y^k H_l - T^k_ij V_k (HV pairs), up to a recorded global sign.
-    ``base`` is as for :func:`frame_bracket_residuals`."""
-    bp = _require_point(spec, bp)
-    n = spec.n
-    base = base_jets(spec, [bp.x]) if base is None else base
-    nj = _nijenhuis_of(fiber_born_jets(base, [bp.y])["J"][0, 0])
-    e, einv = _frame_of(base, bp.y)
     # N in the adapted frame: pull the value index back, feed frame vectors in
     nj_ad = np.einsum("cl,lmn,ma,nb->cab", einv, nj, e[0], e[0])
-
-    r = _curvature_of(base.gamma)[0]
-    t = _torsion_of(base.gamma[0, 0])
-    y = np.asarray(bp.y)
-    ry = np.einsum("lijk,k->ijl", r, y)
-    scale = _norm_factor(bp.y)
-
     rhs_hh = np.zeros((n, n, 2 * n))
     rhs_hh[:, :, :n] = np.einsum("kij->ijk", t)
     rhs_hh[:, :, n:] = -ry
     rhs_hv = np.zeros((n, n, 2 * n))
     rhs_hv[:, :, :n] = ry
     rhs_hv[:, :, n:] = -np.einsum("kij->ijk", t)
-
     lhs_hh = np.einsum("cab->abc", nj_ad[:, :n, :n])
     lhs_vv = np.einsum("cab->abc", nj_ad[:, n:, n:])
     lhs_hv = np.einsum("cab->abc", nj_ad[:, :n, n:])
-    return {
+    return bracket, {
         "HH": _signed_residual(lhs_hh, rhs_hh, scale),
         "VV": _signed_residual(lhs_vv, rhs_hh, scale),
         "HV": _signed_residual(lhs_hv, rhs_hv, scale),
     }
+
+
+def _identities_at(spec: ManifoldSpec, bp: BundlePoint) -> tuple[dict, dict]:
+    """:func:`_proof_identities` at bp from one evaluation of its tensors."""
+    bp = _require_point(spec, bp)
+    base = base_jets(spec, [bp.x])
+    mats = fiber_born_jets(base, [bp.y])
+    return _proof_identities(mats["I"][0, 0, :, :spec.n, :spec.n],
+                             _nijenhuis_of(mats["J"][0, 0]), base.gamma[0], bp.y)
+
+
+def frame_bracket_residuals(spec: ManifoldSpec, bp: BundlePoint) -> dict:
+    """Brackets of the adapted frame fields, from E's first partials, against
+    [H_i, H_j] = -R^l_ijk y^k V_l, [V_i, V_j] = 0, [H_i, V_j] = -Gamma^k_ij V_k,
+    each up to a recorded global sign."""
+    return _identities_at(spec, bp)[0]
+
+
+def nijenhuis_J_identity_residuals(spec: ManifoldSpec, bp: BundlePoint) -> dict:
+    """N_J on frame-field pairs against the curvature/torsion expressions
+    T^k_ij H_k - R^l_ijk y^k V_l (HH and VV pairs) and
+    R^l_ijk y^k H_l - T^k_ij V_k (HV pairs), up to a recorded global sign."""
+    return _identities_at(spec, bp)[1]
 
 
 # -- verdicts -------------------------------------------------------------------
@@ -165,8 +166,11 @@ class IntegrabilityReport:
     tol: float
     max_born_compat: dict  # worst defect of each construction identity
     k_signature_ok: bool   # k had signature (n, n) at every point
-    per_point: list = field(default_factory=list)
-    bases: BaseJets | None = None  # the sweep's base-point fields
+    per_point: list
+    bases: BaseJets  # the sweep's base-point fields
+    # the sweep's first bundle point, read by check's born_frame_sample and
+    # sign_conventions: "x", "y", A's rows "a", "nijenhuis_J", the BornFrame "frame"
+    first_point: dict
 
     def residual_table(self) -> dict:
         return {"nijenhuis_I": self.max_nijenhuis_I,
@@ -200,8 +204,12 @@ def integrability_verdict(spec: ManifoldSpec, base_count: int = 32,
             worst = finite_maxima(tensors, points)
             rep = born_compatibility_residuals(
                 BornFrame.of({name: m[:, :, 0] for name, m in mats.items()}))
-            return points, worst, rep, finite_maxima(rep.residuals, points)
-    points, worst, rep, compat = _first_failure(sweep, base_count)
+            # copies, so that the report does not keep the stacks alive
+            first = {"x": points[0][0], "y": points[0][1], "frame": _first_frame(mats),
+                     "a": mats["I"][0, 0, :, :spec.n, :spec.n].copy(),
+                     "nijenhuis_J": tensors["nijenhuis_J"][0, 0].copy()}
+            return points, worst, rep, finite_maxima(rep.residuals, points), first
+    points, worst, rep, compat, first = _first_failure(sweep, base_count)
     norms = np.array([_norm_factor(y) for y in fibers])
     rows = {key: (m.reshape(base_count, fiber_count) / norms).ravel()
             for key, m in worst.items()}
@@ -220,7 +228,8 @@ def integrability_verdict(spec: ManifoldSpec, base_count: int = 32,
         integrable=integrable,
         hessian_agreement=(integrable == hv.is_hessian),
         hessian=hv, tol=tol, max_born_compat=worst_born,
-        k_signature_ok=signature_ok, per_point=per_point, bases=bases)
+        k_signature_ok=signature_ok, per_point=per_point, bases=bases,
+        first_point=first)
 
 
 @dataclass(frozen=True)

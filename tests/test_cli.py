@@ -1,19 +1,25 @@
 import dataclasses
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bornbundle import corpus
+from bornbundle import bundle, corpus
 from bornbundle.bundle import (BundlePoint, born_at,
                                born_compatibility_residuals)
 from bornbundle.cli import (RunConfig, load_spec, main, report_to_json, run,
                             spec_from_dict)
 from bornbundle.errors import SpecError
 from bornbundle.jets import JetUsageError
-from bornbundle.integrability import CROSS_TOL, d_omega_at, nijenhuis_at
+from bornbundle.integrability import (CROSS_TOL, d_omega_at, frame_bracket_residuals,
+                                      nijenhuis_at, nijenhuis_J_identity_residuals)
 from bornbundle.manifold import (hessian_verdict, sample_fibers, sample_points,
                                  two_of_four_residuals)
+from test_manifold import GENERATED
+
+SPEC_FILES = sorted((Path(__file__).parent.parent / "scripts" / "specs").glob("*.json"))
 
 SMALL = dict(points=6, fiber_points=3)
 
@@ -465,9 +471,13 @@ def test_cli_affine_chart_rejects_curved(capsys):
                  id="at-short"),
     pytest.param(["--at", "0,0,0"], "chart base point has 3 coordinates, expected 2",
                  id="at-long"),
+    pytest.param(["--probes", "0"], "need at least one chart probe", id="probes-0"),
+    pytest.param(["--fiber-radius", "0"], "fiber radius must be finite and positive",
+                 id="fiber-radius-0"),
 ])
 def test_cli_affine_chart_rejects_bad_arguments(args, message, capsys):
-    code = main(["affine-chart", "euclidean2", *args])
+    # sphere2 fails the flatness gate: every argument is checked before it
+    code = main(["affine-chart", "sphere2", *args])
     assert code == 1
     out = json.loads(capsys.readouterr().out)
     assert out["status"] == "error"
@@ -563,6 +573,65 @@ def test_shared_sweep_matches_standalone_functions(source, tmp_path):
         "tol": hv.tol, "points": hv.points}
     assert report["two_of_four"] == dataclasses.asdict(
         two_of_four_residuals(spec, base, CROSS_TOL))
+
+
+def _source_of(name, tmp_path) -> str:
+    if name in GENERATED:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(GENERATED[name]))
+        return str(path)
+    return name
+
+
+@pytest.mark.parametrize("source", list(corpus.BUILTIN_BUILDERS) + list(GENERATED)
+                         + [str(path) for path in SPEC_FILES],
+                         ids=lambda source: Path(source).stem)
+def test_first_point_sections_equal_the_one_point_functions(source, tmp_path):
+    # born_frame_sample and sign_conventions are read off the sweep; they are
+    # what the one-point functions give at its first bundle point, bit for bit
+    source = _source_of(source, tmp_path)
+    report = run(small_config(source))
+    spec = load_spec(source)
+    sample = report["born_frame_sample"]
+    first = report["integrability"]["per_point"][0]
+    assert sample["point"] == {"x": first["x"], "y": first["y"]}
+    bp = BundlePoint(tuple(first["x"]), tuple(first["y"]))
+    frame = born_at(spec, bp)
+    for name in ("I", "J", "K", "h", "k", "omega"):
+        got, want = np.array(sample[name]), getattr(frame, name)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
+    brackets = frame_bracket_residuals(spec, bp)
+    nj = nijenhuis_J_identity_residuals(spec, bp)
+    assert report["sign_conventions"] == {
+        "bracket_HH": brackets["HH"]["sign"],
+        "bracket_HV": brackets["HV"]["sign"],
+        "nijenhuis_J_HH": nj["HH"]["sign"],
+        "nijenhuis_J_VV": nj["VV"]["sign"],
+        "nijenhuis_J_HV": nj["HV"]["sign"],
+    }
+
+
+def _count_calls(monkeypatch, func) -> list:
+    """Wrap ``func`` in every bornbundle module that binds it; the returned
+    list gains an item per call."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return func(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("bornbundle") and vars(module).get(func.__name__) is func:
+            monkeypatch.setattr(module, func.__name__, counted)
+    return calls
+
+
+def test_check_evaluates_the_born_tensors_once(monkeypatch):
+    born = _count_calls(monkeypatch, bundle.fiber_born_jets)
+    blocks = _count_calls(monkeypatch, bundle._fiber_blocks)
+    report = run(small_config("hessian-exp2"))
+    assert report["status"] == "ok"
+    assert (len(born), len(blocks)) == (1, 1)
 
 
 @pytest.mark.parametrize("scale,tol,is_hessian", [

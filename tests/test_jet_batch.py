@@ -57,7 +57,14 @@ BINARY = [operator.add, operator.sub, operator.mul, operator.truediv]
 @pytest.mark.parametrize("op", BINARY, ids=lambda op: op.__name__)
 def test_binary_ops_match_jets(order, nvars, op):
     rng = np.random.default_rng(order * 10 + nvars)
-    a, b = (random_jets(rng, order, nvars, BATCH) for _ in range(2))
+    # values of exact +-0 against values of either sign, so that the sign of
+    # a zero product's value is checked; a divisor keeps nonzero values
+    a_values, b_values = (rng.uniform(-2.0, 2.0, BATCH) for _ in range(2))
+    a_values[:3] = 0.0, -0.0, -0.0
+    if op is not operator.truediv:
+        b_values[:3] = -0.0, 0.0, -0.0
+    a, b = (random_jets(rng, order, nvars, BATCH, values=v.tolist())
+            for v in (a_values, b_values))
     const = random_jets(rng, order, nvars, 1)[0]
     ab, bb = batch_of(a), batch_of(b)
     assert_same(op(ab, bb), [op(x, y) for x, y in zip(a, b)])
