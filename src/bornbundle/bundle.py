@@ -151,14 +151,14 @@ def _fiber_blocks(bases: BaseJets, ys) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _frame_of(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(E, E^-1) at one bundle point from A's rows (rows, n, n): E with those
-    rows, E^-1 as values."""
+    """(E, E^-1) at one bundle point from A's rows (..., rows, n, n), any
+    leading axes a stack of points: E with those rows, E^-1 as values."""
     n = a.shape[-1]
-    e = np.zeros((len(a), 2 * n, 2 * n))
-    e[0] = np.eye(2 * n)
-    e[:, n:, :n] = a
-    einv = e[0].copy()
-    einv[n:, :n] = -a[0]
+    e = np.zeros((*a.shape[:-2], 2 * n, 2 * n))
+    e[..., 0, :, :] = np.eye(2 * n)
+    e[..., n:, :n] = a
+    einv = e[..., 0, :, :].copy()
+    einv[..., n:, :n] = -a[..., 0, :, :]
     return e, einv
 
 

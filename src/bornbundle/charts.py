@@ -13,17 +13,18 @@ All probes of a call are integrated together, once each, over a
 ``(B, n, K)`` state: B probes, n coordinates, and K jet coefficients in
 the layout of :class:`bornbundle.jets.JetBatch` (the value, then the
 partials by the straight coordinates in :func:`bornbundle.jets.partial_keys`
-order).  A Varying acceleration (below) reads the position, so its RK4
-loop advances velocity and position and checks the sample box at every
-step.  A Zero or Constant one does not: the loop advances the velocity
-alone, and the positions follow in chunks of at most ``DEFAULT_STEPS``
-steps, in one ``(m + 1, B, n, K)`` buffer whose row 0 is the carried
-position and row r + 1 step r's increment.  ``np.add.accumulate`` adds
-the rows in order, one rounding per add, as ``x = x + increment`` does,
-and one box check per chunk names the first step at which a probe is
-outside and, at that step, the first such probe.  So the bits and errors
-are those of the per-step loop, and memory does not grow with the step
-count.
+order).  One RK4 loop advances the velocity, and the positions follow in
+chunks of m steps, in one ``(m + 1, B, n, K)`` buffer whose row 0 is the
+carried position and row r + 1 step r's increment.  ``np.add.accumulate``
+adds the rows in order, one rounding per add, as ``x = x + increment``
+does, and one box check per chunk names the first step at which a probe
+is outside and, at that step, the first such probe.  A chunk is
+``DEFAULT_STEPS`` steps (fewer at the end) for a Zero or Constant
+acceleration (below), and one step for a Varying one, whose stages read
+the carried position: a domain error of Gamma then cannot come before the
+box exit of an earlier step.  So the bits and errors are those of a loop
+that adds one increment per step and checks the box after it, and memory
+does not grow with the step count.
 
 The witness reads both residuals from one transformed connection per
 probe.  The geodesic acceleration sums only the coefficients of Gamma that
@@ -56,11 +57,8 @@ included:
   ``Gamma * u^i`` would add are +-0 * finite = +-0.
   Any other state or Gamma takes both full products, so the NaNs of an inf
   or NaN coefficient fall where they did.
-* Varying, for every other connection.  Explicit terms without a
-  coordinate are evaluated once, the others and the connections derived
-  from the metric over the whole batch at every stage position, in the
-  per-step loop, since a domain error there must not come before the box
-  exit of an earlier step.
+* Varying, for every other connection: every support term over the whole
+  batch at every stage position, in one-step chunks.
 
 The sums stay elementwise in a fixed order; an einsum or matmul would
 round differently.
@@ -90,7 +88,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import expr, fields, jets
-from .bundle import _constant_blocks
+from .bundle import _constant_blocks, _frame_of
 from .errors import SpecError
 from .jets import JetBatch
 from .manifold import (ManifoldSpec, _curvature_of, _first_failure, _require_inside,
@@ -118,14 +116,14 @@ class FlatnessGateError(SpecError):
 
 def _connection_terms(spec: ManifoldSpec, support, order: int):
     """Gamma's coefficients on ``support``: the ``(1, T, K)`` coefficients of
-    their order-``order`` jets when no term has a coordinate (their jets do
-    not depend on the position), else a function from chart positions,
-    ``(B, n, K)`` coefficients, to ``(B, T, K)``, evaluated over the whole
-    batch.  An explicit connection evaluates its support expressions alone,
-    and those without a coordinate only here, once.  If one of those fails,
-    every term is evaluated at every stage, so that the first stage raises
-    the error of the first failing term.  The connections derived from the
-    metric go through :func:`bornbundle.fields.connection_args`."""
+    their order-``order`` jets, evaluated once, when every term is an
+    explicit expression without a coordinate (their jets do not depend on
+    the position), else a function from chart positions, ``(B, n, K)``
+    coefficients, to ``(B, T, K)``, which evaluates every term over the
+    whole batch.  If evaluating the constant terms fails, they take the
+    function too, so that the first stage raises the error of the first
+    failing term.  The connections derived from the metric go through
+    :func:`bornbundle.fields.connection_args`."""
     n = spec.n
 
     def args(x):
@@ -134,24 +132,12 @@ def _connection_terms(spec: ManifoldSpec, support, order: int):
         index = (slice(None), *np.array(support).T)
         return lambda x: fields.connection_args(spec, args(x), order).coeffs[index]
     asts = [spec.gamma_exprs[k][i][j] for k, i, j in support]
-    fixed = [t for t, ast in enumerate(asts) if not expr.free_coordinates(ast)]
-    try:
-        const = fields.evaluate_all([asts[t] for t in fixed],
-                                    jets.seed_batch(np.zeros((1, n)), order)).coeffs
-    except (SpecError, ArithmeticError):
-        fixed = []
-    if len(fixed) == len(asts):
-        return const
-    varying = [t for t in range(len(asts)) if t not in fixed]
-
-    def gamma(x):
-        out = np.empty((len(x), len(asts), x.shape[-1]))
-        if fixed:
-            out[:, fixed] = const
-        out[:, varying] = fields.evaluate_all([asts[t] for t in varying],
-                                              args(x)).coeffs
-        return out
-    return gamma
+    if not any(map(expr.free_coordinates, asts)):
+        try:
+            return fields.evaluate_all(asts, jets.seed_batch(np.zeros((1, n)), order)).coeffs
+        except (SpecError, ArithmeticError):
+            pass
+    return lambda x: fields.evaluate_all(asts, args(x)).coeffs
 
 
 def _acceleration(spec: ManifoldSpec, order: int):
@@ -197,7 +183,7 @@ def _acceleration(spec: ManifoldSpec, order: int):
                 return jets._constant_products(u, value, i, j, order, n)
             return both_products(fixed, u)
 
-    def accel(u, x=None, du=None, c=0.0):
+    def accel(u, x, du=None, c=0.0):
         terms = products(u, x, du, c)
         total = terms[:, :sizes[0]]
         for size, start in later:
@@ -222,20 +208,6 @@ def _check_box(positions: np.ndarray, lo, hi, step: int, steps: int) -> None:
             f"position {values}", step + r + 1)
 
 
-def _velocity_step(accel, u: np.ndarray, x, h: float):
-    """One RK4 step of the velocity u at position x: the stage sum
-    ``u + u2*2 + u3*2 + u4`` that the position advances by, times h/6, and
-    the next velocity."""
-    k1u = accel(u, x)
-    u2 = u + k1u * (h / 2)
-    k2u = accel(u2, x, u, h / 2)
-    u3 = u + k2u * (h / 2)
-    k3u = accel(u3, x, u2, h / 2)
-    u4 = u + k3u * h
-    k4u = accel(u4, x, u3, h)
-    return u + u2 * 2 + u3 * 2 + u4, u + (k1u + k2u * 2 + k3u * 2 + k4u) * (h / 6)
-
-
 def _rk4(spec: ManifoldSpec, x0, velocities: np.ndarray, order: int,
          steps: int) -> np.ndarray:
     """Integrate the geodesic equation over t in [0, 1] from x0 with each
@@ -243,39 +215,38 @@ def _rk4(spec: ManifoldSpec, x0, velocities: np.ndarray, order: int,
     ``order`` jets over the velocity components, as ``(B, n, K)``
     coefficients, and so are the endpoints it returns.  Raises BoxExitError
     for the first row to leave the sample box, at the first step where one
-    does.  A position-free acceleration takes the chunked scan of the
-    module docstring."""
-    count, n = velocities.shape
-    width = 1 + len(jets.partial_keys(order, n))
-    x = np.zeros((count, n, width))
+    does.  The positions follow in the chunked scan of the module
+    docstring."""
+    u = np.stack([s.coeffs for s in jets.seed_batch(velocities, order)], axis=1)
+    x = np.zeros(u.shape)
     x[:, :, 0] = x0
-    u = np.zeros((count, n, width))
-    u[:, :, 0] = velocities
-    if order >= 1:
-        u[:, range(n), range(1, n + 1)] = 1.0
     accel = _acceleration(spec, order)
     lo, hi = np.array(spec.sample_box, dtype=float).T
     h = 1.0 / steps
-    if accel is not None and accel.reads_position:
-        for step in range(steps):
-            stages, u = _velocity_step(accel, u, x, h)
-            x = x + stages * (h / 6)
-            _check_box(x[None, :, :, 0], lo, hi, step, steps)
-        return x
     if accel is None:
         w = u + 0.0
         stages = u + w * 2 + w * 2 + w
+    # one-step chunks when Gamma reads the carried position, row 0
+    chunk = 1 if accel is not None and accel.reads_position else min(steps, DEFAULT_STEPS)
     # in-order adds, one rounding each: the bits of x = x + increment
-    scan = np.empty((min(steps, DEFAULT_STEPS) + 1, count, n, width))
-    for step in range(0, steps, len(scan) - 1):
-        m = min(len(scan) - 1, steps - step)
+    scan = np.empty((chunk + 1, *u.shape))
+    for step in range(0, steps, chunk):
+        m = min(chunk, steps - step)
         scan[0] = x
-        rows = scan[1:m + 1]
+        x, rows = scan[0], scan[1:m + 1]
         if accel is None:
             rows[...] = stages
         else:
             for r in range(m):
-                rows[r], u = _velocity_step(accel, u, None, h)
+                k1u = accel(u, x)
+                u2 = u + k1u * (h / 2)
+                k2u = accel(u2, x, u, h / 2)
+                u3 = u + k2u * (h / 2)
+                k3u = accel(u3, x, u2, h / 2)
+                u4 = u + k3u * h
+                k4u = accel(u4, x, u3, h)
+                rows[r] = u + u2 * 2 + u3 * 2 + u4
+                u = u + (k1u + k2u * 2 + k3u * 2 + k4u) * (h / 6)
         rows *= h / 6
         np.add.accumulate(scan[:m + 1], axis=0, out=scan[:m + 1])
         _check_box(rows[..., 0], lo, hi, step, steps)
@@ -284,8 +255,18 @@ def _rk4(spec: ManifoldSpec, x0, velocities: np.ndarray, order: int,
 
 
 def _integrate(spec: ManifoldSpec, x0, velocities, order: int, steps: int) -> np.ndarray:
-    """:func:`_rk4` over all velocities at once; the first failing one is
-    named through :func:`~bornbundle.manifold._first_failure`."""
+    """:func:`_rk4` over all velocities at once, after checking the start
+    point and the velocities' dimension; the first failing one is named
+    through :func:`~bornbundle.manifold._first_failure`."""
+    x0 = tuple(float(c) for c in x0)
+    if len(x0) != spec.n:
+        raise SpecError(f"start point has {len(x0)} coordinates, expected {spec.n}")
+    if not spec.contains(x0):
+        raise SpecError(f"start point {x0} lies outside the sample box")
+    for v in velocities:
+        if np.size(v) != spec.n:
+            raise ValueError(f"velocity {tuple(np.ravel(v).tolist())} has {np.size(v)} "
+                             f"components, expected {spec.n}")
     velocities = np.array(velocities, dtype=float).reshape(len(velocities), spec.n)
     with np.errstate(over="ignore", invalid="ignore"):  # as Python floats
         return _first_failure(lambda s: _rk4(spec, x0, velocities[s], order, steps),
@@ -296,9 +277,6 @@ def geodesic_integrate(spec: ManifoldSpec, x0, v, steps: int = DEFAULT_STEPS) ->
     """Endpoint of the unit-time geodesic from x0 with initial velocity v."""
     if steps < 1:
         raise ValueError("need at least one integration step")
-    x0 = tuple(float(c) for c in x0)
-    if not spec.contains(x0):
-        raise SpecError(f"start point {x0} lies outside the sample box")
     return _integrate(spec, x0, [v], 0, steps)[0, :, 0]
 
 
@@ -398,14 +376,10 @@ def _block_residuals(transformed: np.ndarray, y: np.ndarray) -> np.ndarray:
     """I, J, K built from each transformed connection of the stack at fiber
     vector y, minus their constant affine-chart blocks, as (B, 3, 2n, 2n)."""
     y = np.asarray(y, dtype=float)
-    n = len(y)
-    e = np.tile(np.eye(2 * n), (len(transformed), 1, 1))
-    e[:, n:, :n] = -np.einsum("pkij,j->pki", transformed, y)
-    einv = e.copy()
-    einv[:, n:, :n] = -einv[:, n:, :n]
-    blocks = _constant_blocks(n)
+    e, einv = _frame_of(-np.einsum("pkij,j->pki", transformed, y)[:, None])
+    blocks = _constant_blocks(len(y))
     consts = np.stack([blocks[name] for name in "IJK"])
-    return e[:, None] @ consts @ einv[:, None] - consts
+    return e @ consts @ einv[:, None] - consts
 
 
 def _probe_residuals(spec: ManifoldSpec, chart: ChartMap, probes,

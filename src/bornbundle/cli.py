@@ -414,7 +414,10 @@ def _cmd_theorem(args) -> int:
 def _cmd_affine_chart(args) -> int:
     spec = load_spec(args.spec)
     if args.at:
-        x0 = tuple(float(v) for v in args.at.split(","))
+        try:
+            x0 = tuple(float(v) for v in args.at.split(","))
+        except ValueError:
+            raise SpecError(f"--at must be comma-separated numbers, not {args.at!r}") from None
     else:
         x0 = tuple(0.5 * (lo + hi) for lo, hi in spec.sample_box)
     out = {"spec": spec.name or args.spec,

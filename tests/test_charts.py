@@ -242,6 +242,17 @@ def test_singular_chart_jacobian_is_spec_error():
 def test_chart_base_point_must_be_inside():
     with pytest.raises(SpecError):
         exponential_chart(EUCLID, (3.0, 0.0))
+    # a start point or velocity of the wrong dimension is not broadcast
+    with pytest.raises(SpecError, match="start point has 1 coordinates, expected 2"):
+        geodesic_integrate(EUCLID, (0.1,), (0.1, 0.2))
+    with pytest.raises(ValueError, match=re.escape(
+            "velocity (0.1, 0.2, 0.3) has 3 components, expected 2")):
+        geodesic_integrate(EUCLID, (0.1, 0.1), (0.1, 0.2, 0.3))
+    chart = ChartMap(EUCLID, (0.0, 0.0), radius=0.25)
+    with pytest.raises(ValueError, match=re.escape("velocity (0.1,) has 1 components")):
+        chart.probe_jets([(0.1, 0.0), (0.1,)])
+    with pytest.raises(SpecError, match="start point has 3 coordinates, expected 2"):
+        ChartMap(EUCLID, (0.0, 0.0, 0.0), radius=0.25).probe_jets([(0.1, 0.0)])
 
 
 def test_exponential_chart_levi_civita_of_pullback_metric():
@@ -568,10 +579,13 @@ SCAN_BATCHES = {
 @pytest.mark.parametrize("steps", [1, 63, 64, 65, 200])
 @pytest.mark.parametrize("order", [0, 1, 2])
 @pytest.mark.parametrize("name", ["euclidean2", "pullback-flat", "twisted3",
-                                  "all-constants2", "pullback-cubic"])
+                                  "all-constants2", "pullback-cubic",
+                                  "mixed-constants2", "pullback-lc"])
 def test_chunked_scan_equals_per_step_loop(name, order, steps):
     # zero acceleration, constant Gamma with one and with several terms per
-    # k, and a varying Gamma: the same bytes, or the same box exit
+    # k, and varying Gammas in one-step chunks (explicit, mixing constant and
+    # coordinate terms, and derived from the metric): the same bytes, or the
+    # same box exit
     spec = REFERENCE_SPECS[name]
     exits = 0
     for x0, rows in SCAN_BATCHES.items():

@@ -471,6 +471,8 @@ def test_cli_affine_chart_rejects_curved(capsys):
                  id="at-short"),
     pytest.param(["--at", "0,0,0"], "chart base point has 3 coordinates, expected 2",
                  id="at-long"),
+    pytest.param(["--at", "abc"], "--at must be comma-separated numbers, not 'abc'",
+                 id="at-not-a-number"),
     pytest.param(["--probes", "0"], "need at least one chart probe", id="probes-0"),
     pytest.param(["--fiber-radius", "0"], "fiber radius must be finite and positive",
                  id="fiber-radius-0"),
