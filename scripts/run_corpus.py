@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Run the full verdict suite over the built-in corpus and print the
 Hessian/integrability agreement table, optionally writing one JSON report
-per spec.
+per spec.  The last column names the largest of the curvature, torsion,
+nabla g asymmetry and d omega maxima with its margin log10(residual / tol),
+e.g. ``curvature (+9.0)``, or ``-`` when all are within the tolerance.
 
 Usage:
     python3 scripts/run_corpus.py
@@ -17,6 +19,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from bornbundle import corpus
 from bornbundle.cli import RunConfig, report_to_json, run
+from bornbundle.integrability import log_margin
 
 
 def _cannot_write(error: OSError) -> int:
@@ -55,8 +58,11 @@ def main(argv=None) -> int:
             "d_omega": report["integrability"]["max_d_omega"],
         }
         dominant = max(residuals, key=residuals.get)
-        if residuals[dominant] <= report["hessian"]["tol"]:
+        tol = report["hessian"]["tol"]
+        if residuals[dominant] <= tol:
             dominant = "-"
+        else:
+            dominant += f" ({log_margin(residuals[dominant], tol):+.1f})"
         print(f"{name:18s} {str(report['hessian']['is_hessian']):8s} "
               f"{str(report['integrability']['integrable']):11s} "
               f"{str(report['agreement']):10s} {dominant}")

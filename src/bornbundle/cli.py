@@ -62,6 +62,7 @@ from .jets import JetDomainError, JetUsageError
 from .manifold import DEFAULT_TOL, ManifoldSpec, TwoOfFourReport, build_spec
 
 BORN_GATE = 1e-8  # construction identities must hold to this level
+REPORT_SCHEMA = 2  # layout version of the check report
 
 
 @dataclass(frozen=True)
@@ -186,6 +187,7 @@ def run(config: RunConfig) -> dict:
     chart only."""
     spec = load_spec(config.source)
     report: dict = {
+        "report_schema": REPORT_SCHEMA,
         "spec": _spec_summary(spec),
         "config": {
             "points": config.points,
@@ -224,7 +226,15 @@ def run(config: RunConfig) -> dict:
         "max_d_omega": integ.max_d_omega,
         "integrable": integ.integrable,
         "tol": integ.tol,
-        "per_point": integ.per_point,
+        "argmax": integ.argmax(),
+        # columnar: entry p*F + f of a residual's list is at
+        # (base_points[p], fiber_vectors[f]), so each list takes the writer's
+        # one-join path for floats
+        "per_point": {
+            "base_points": [list(x) for x in integ.bases.x],
+            "fiber_vectors": integ.fibers.tolist(),
+            **{name: m.ravel().tolist() for name, m in integ.per_point.items()},
+        },
     }
     report["agreement"] = integ.hessian_agreement
     if not integ.hessian_agreement:
@@ -413,7 +423,7 @@ def _cmd_theorem(args) -> int:
 
 def _cmd_affine_chart(args) -> int:
     spec = load_spec(args.spec)
-    if args.at:
+    if args.at is not None:
         try:
             x0 = tuple(float(v) for v in args.at.split(","))
         except ValueError:

@@ -19,11 +19,13 @@ fiber.  It builds the Born tensors of all P x F bundle points as one
 (P, F, 1 + 2n, 2n, 2n) stack and computes the Nijenhuis tensors, d omega
 and the construction identities once each on that stack (the formulas
 accept leading stack axes).  Its report carries the record, so that the
-two-of-four report of ``check`` reads it too.  A residual that is not
-finite at a sample point is a spec error naming it and the point
-(:func:`bornbundle.manifold.finite_maxima`); the first one is reported by
-base point, through :func:`bornbundle.manifold._first_failure`, then by
-fiber and residual: N_I, N_J, N_K, d omega, then the construction
+two-of-four report of ``check`` reads it too, and keeps the normalized
+residuals of every bundle point as (P, F) arrays, which ``check`` writes as
+its columnar ``per_point`` table and reduces to the ``argmax`` section.  A
+residual that is not finite at a sample point is a spec error naming it and
+the point (:func:`bornbundle.manifold.finite_maxima`); the first one is
+reported by base point, through :func:`bornbundle.manifold._first_failure`,
+then by fiber and residual: N_I, N_J, N_K, d omega, then the construction
 identities.  ``check`` reads ``born_frame_sample`` and ``sign_conventions``
 off the report's copies of the first bundle point's arrays (the signs through
 :func:`_proof_identities`, as the one-point identity functions do).
@@ -166,8 +168,11 @@ class IntegrabilityReport:
     tol: float
     max_born_compat: dict  # worst defect of each construction identity
     k_signature_ok: bool   # k had signature (n, n) at every point
-    per_point: list
+    # residual name -> (P, F) normalized residuals; entry [p, f] belongs to
+    # the bundle point (bases.x[p], fibers[f])
+    per_point: dict
     bases: BaseJets  # the sweep's base-point fields
+    fibers: np.ndarray  # (F, n) fiber vectors of the sweep
     # the sweep's first bundle point, read by check's born_frame_sample and
     # sign_conventions: "x", "y", A's rows "a", "nijenhuis_J", the BornFrame "frame"
     first_point: dict
@@ -177,6 +182,40 @@ class IntegrabilityReport:
                 "nijenhuis_J": self.max_nijenhuis_J,
                 "nijenhuis_K": self.max_nijenhuis_K,
                 "d_omega": self.max_d_omega}
+
+    def argmax(self) -> dict:
+        """Per residual, the first bundle point in sweep order where its
+        maximum sits ("x", "y") and the maximum's :func:`log_margin`."""
+        out = {}
+        for name, m in self.per_point.items():
+            p, f = divmod(int(np.argmax(m)), m.shape[1])
+            out[name] = {"x": list(self.bases.x[p]), "y": self.fibers[f].tolist(),
+                         "margin": log_margin(float(m[p, f]), self.tol)}
+        return out
+
+
+def log_margin(value: float, tol: float) -> float | None:
+    """log10(value / tol): the decades by which a residual sits above (> 0) or
+    below (< 0) its tolerance, None when either is 0.  Taken as a difference
+    of logarithms, so that it is finite for every finite positive pair."""
+    if value == 0 or tol == 0:
+        return None
+    return math.log10(value) - math.log10(tol)
+
+
+@dataclass(frozen=True)
+class _SweepPoints:
+    """The bundle points (x, y) of a sweep in its order, point p*F + f being
+    (xs[p], ys[f]); one is built only when an error names it."""
+    xs: tuple
+    ys: list
+
+    def __len__(self) -> int:
+        return len(self.xs) * len(self.ys)
+
+    def __getitem__(self, i):
+        p, f = divmod(i, len(self.ys))
+        return self.xs[p], self.ys[f]
 
 
 def integrability_verdict(spec: ManifoldSpec, base_count: int = 32,
@@ -194,9 +233,10 @@ def integrability_verdict(spec: ManifoldSpec, base_count: int = 32,
     bases = base_jets(spec, sample_points(spec, base_count, seed))
     hv = HessianVerdict.of(bases, tol)  # its positivity gate precedes the Born identities
     fibers = sample_fibers(spec.n, fiber_count, fiber_radius, seed)
+    ys = [tuple(y) for y in fibers.tolist()]
 
     def sweep(s):
-        points = [(x, tuple(y)) for x in bases[s].x for y in fibers.tolist()]
+        points = _SweepPoints(bases[s].x, ys)
         with np.errstate(over="ignore", invalid="ignore"):  # finite_maxima checks
             mats = fiber_born_jets(bases[s], fibers)
             tensors = {"nijenhuis_" + name: _nijenhuis_of(mats[name]) for name in "IJK"}
@@ -208,15 +248,12 @@ def integrability_verdict(spec: ManifoldSpec, base_count: int = 32,
             first = {"x": points[0][0], "y": points[0][1], "frame": _first_frame(mats),
                      "a": mats["I"][0, 0, :, :spec.n, :spec.n].copy(),
                      "nijenhuis_J": tensors["nijenhuis_J"][0, 0].copy()}
-            return points, worst, rep, finite_maxima(rep.residuals, points), first
-    points, worst, rep, compat, first = _first_failure(sweep, base_count)
+            return worst, rep, finite_maxima(rep.residuals, points), first
+    worst, rep, compat, first = _first_failure(sweep, base_count)
     norms = np.array([_norm_factor(y) for y in fibers])
-    rows = {key: (m.reshape(base_count, fiber_count) / norms).ravel()
-            for key, m in worst.items()}
-    columns = zip(*(m.tolist() for m in rows.values()))
-    per_point = [{"x": list(x), "y": list(y), **dict(zip(rows, values))}
-                 for (x, y), values in zip(points, columns)]
-    maxima = {key: float(np.max(m)) for key, m in rows.items()}
+    per_point = {key: m.reshape(base_count, fiber_count) / norms
+                 for key, m in worst.items()}
+    maxima = {key: float(np.max(m)) for key, m in per_point.items()}
     worst_born = {key: float(np.max(c)) for key, c in compat.items()}
     signature_ok = bool(np.all(np.array(rep.k_signature) == spec.n))
     integrable = all(v <= tol for v in maxima.values())
@@ -229,7 +266,7 @@ def integrability_verdict(spec: ManifoldSpec, base_count: int = 32,
         hessian_agreement=(integrable == hv.is_hessian),
         hessian=hv, tol=tol, max_born_compat=worst_born,
         k_signature_ok=signature_ok, per_point=per_point, bases=bases,
-        first_point=first)
+        fibers=fibers, first_point=first)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -15,8 +16,8 @@ from bornbundle.errors import SpecError
 from bornbundle.jets import JetUsageError
 from bornbundle.integrability import (CROSS_TOL, d_omega_at, frame_bracket_residuals,
                                       nijenhuis_at, nijenhuis_J_identity_residuals)
-from bornbundle.manifold import (hessian_verdict, sample_fibers, sample_points,
-                                 two_of_four_residuals)
+from bornbundle.manifold import (DEFAULT_TOL, hessian_verdict, sample_fibers,
+                                 sample_points, two_of_four_residuals)
 from test_manifold import GENERATED
 
 SPEC_FILES = sorted((Path(__file__).parent.parent / "scripts" / "specs").glob("*.json"))
@@ -166,7 +167,13 @@ def test_run_euclidean_report_contents():
     assert set(report["sign_conventions"]) == {
         "bracket_HH", "bracket_HV", "nijenhuis_J_HH",
         "nijenhuis_J_VV", "nijenhuis_J_HV"}
-    assert len(report["integrability"]["per_point"]) == 18
+    assert list(report)[0] == "report_schema" and report["report_schema"] == 2
+    table = report["integrability"]["per_point"]
+    assert list(table) == ["base_points", "fiber_vectors", *RESIDUALS]
+    assert len(table["base_points"]) == 6
+    assert len(table["fiber_vectors"]) == 3
+    for name in RESIDUALS:
+        assert len(table[name]) == 18
 
 
 def test_run_sphere_not_hessian_but_ok():
@@ -473,6 +480,8 @@ def test_cli_affine_chart_rejects_curved(capsys):
                  id="at-long"),
     pytest.param(["--at", "abc"], "--at must be comma-separated numbers, not 'abc'",
                  id="at-not-a-number"),
+    pytest.param(["--at", ""], "--at must be comma-separated numbers, not ''",
+                 id="at-empty"),
     pytest.param(["--probes", "0"], "need at least one chart probe", id="probes-0"),
     pytest.param(["--fiber-radius", "0"], "fiber radius must be finite and positive",
                  id="fiber-radius-0"),
@@ -535,6 +544,30 @@ LC3 = {
 }
 
 
+RESIDUALS = ("nijenhuis_I", "nijenhuis_J", "nijenhuis_K", "d_omega")
+
+
+def _sweep_grid(spec, config):
+    base = [tuple(x) for x in sample_points(spec, config.points, config.seed)]
+    fibers = sample_fibers(spec.n, config.fiber_points, config.fiber_radius,
+                           config.seed)
+    return base, fibers
+
+
+def _one_point_sweep(spec, base, fibers):
+    """(bundle point, its residuals over 1 + |y| from the one-point
+    functions) at every bundle point, in sweep order: point p*F + f is
+    (base[p], fibers[f])."""
+    for x in base:
+        for y in fibers:
+            bp = BundlePoint(x, tuple(y))
+            scale = 1 + float(np.linalg.norm(y))
+            want = {f"nijenhuis_{w}": float(np.max(np.abs(nijenhuis_at(spec, w, bp))))
+                    for w in "IJK"}
+            want["d_omega"] = float(np.max(np.abs(d_omega_at(spec, bp))))
+            yield bp, {key: val / scale for key, val in want.items()}
+
+
 @pytest.mark.parametrize("source", list(corpus.BUILTIN_BUILDERS) + ["lc3"])
 def test_shared_sweep_matches_standalone_functions(source, tmp_path):
     if source == "lc3":
@@ -544,26 +577,22 @@ def test_shared_sweep_matches_standalone_functions(source, tmp_path):
     config = RunConfig(source=source, points=4, fiber_points=2)
     report = run(config)
     spec = load_spec(source)
-    base = [tuple(x) for x in sample_points(spec, config.points, config.seed)]
-    fibers = sample_fibers(spec.n, config.fiber_points, config.fiber_radius,
-                           config.seed)
+    base, fibers = _sweep_grid(spec, config)
     worst: dict = {}
     signature_ok = True
-    rows = iter(report["integrability"]["per_point"])
-    for x in base:
-        for y in fibers:
-            bp = BundlePoint(x, tuple(y))
-            rep = born_compatibility_residuals(born_at(spec, bp))
-            for key, val in rep.residuals.items():
-                worst[key] = max(worst.get(key, 0.0), val)
-            signature_ok = signature_ok and rep.k_signature == (spec.n, spec.n)
-            scale = 1 + float(np.linalg.norm(y))
-            want = {f"nijenhuis_{w}": float(np.max(np.abs(nijenhuis_at(spec, w, bp))))
-                    for w in "IJK"}
-            want["d_omega"] = float(np.max(np.abs(d_omega_at(spec, bp))))
-            assert next(rows) == {"x": list(bp.x), "y": list(bp.y),
-                                  **{key: val / scale for key, val in want.items()}}
-    assert next(rows, None) is None
+    rows = list(_one_point_sweep(spec, base, fibers))
+    for bp, _ in rows:
+        rep = born_compatibility_residuals(born_at(spec, bp))
+        for key, val in rep.residuals.items():
+            worst[key] = max(worst.get(key, 0.0), val)
+        signature_ok = signature_ok and rep.k_signature == (spec.n, spec.n)
+    # entry p*F + f of each residual belongs to (base_points[p], fiber_vectors[f])
+    table = report["integrability"]["per_point"]
+    assert list(table) == ["base_points", "fiber_vectors", *RESIDUALS]
+    assert table["base_points"] == [list(x) for x in base]
+    assert table["fiber_vectors"] == fibers.tolist()
+    for key in RESIDUALS:
+        assert table[key] == [want[key] for _, want in rows]
     assert report["born_compat"]["max_residuals"] == worst
     assert list(report["born_compat"]["max_residuals"]) == list(worst)
     assert report["born_compat"]["k_signature_ok"] == signature_ok
@@ -575,6 +604,29 @@ def test_shared_sweep_matches_standalone_functions(source, tmp_path):
         "tol": hv.tol, "points": hv.points}
     assert report["two_of_four"] == dataclasses.asdict(
         two_of_four_residuals(spec, base, CROSS_TOL))
+
+
+@pytest.mark.parametrize("source,tol",
+                         [(name, DEFAULT_TOL) for name in
+                          [*corpus.BUILTIN_BUILDERS, "lc3", "twisted3"]]
+                         + [("sphere2", 0.0), ("sphere2", 5e-324)])
+def test_argmax_is_the_first_maximum_of_the_one_point_functions(source, tol, tmp_path):
+    source = _source_of(source, tmp_path)
+    config = RunConfig(source=source, points=4, fiber_points=2, tol=tol)
+    report = run(config)
+    spec = load_spec(source)
+    rows = list(_one_point_sweep(spec, *_sweep_grid(spec, config)))
+    argmax = report["integrability"]["argmax"]
+    assert list(argmax) == list(RESIDUALS)
+    for key in RESIDUALS:
+        values = [want[key] for _, want in rows]
+        top = max(values)
+        bp = rows[values.index(top)][0]  # the first point attaining it
+        # log10(top / tol), finite even where top / tol overflows
+        margin = None if top == 0 or tol == 0 else math.log10(top) - math.log10(tol)
+        assert argmax[key] == {"x": list(bp.x), "y": list(bp.y), "margin": margin}
+        assert report["integrability"][f"max_{key}"] == top
+    json.dumps(report, allow_nan=False)  # strict JSON: a margin is never inf or NaN
 
 
 def _source_of(name, tmp_path) -> str:
@@ -595,8 +647,9 @@ def test_first_point_sections_equal_the_one_point_functions(source, tmp_path):
     report = run(small_config(source))
     spec = load_spec(source)
     sample = report["born_frame_sample"]
-    first = report["integrability"]["per_point"][0]
-    assert sample["point"] == {"x": first["x"], "y": first["y"]}
+    table = report["integrability"]["per_point"]
+    first = {"x": table["base_points"][0], "y": table["fiber_vectors"][0]}
+    assert sample["point"] == first
     bp = BundlePoint(tuple(first["x"]), tuple(first["y"]))
     frame = born_at(spec, bp)
     for name in ("I", "J", "K", "h", "k", "omega"):

@@ -273,7 +273,9 @@ def test_verdict_euclidean():
     assert rep.integrable
     assert rep.hessian.is_hessian
     assert rep.hessian_agreement
-    assert len(rep.per_point) == 32
+    assert list(rep.per_point) == ["nijenhuis_I", "nijenhuis_J", "nijenhuis_K", "d_omega"]
+    assert all(m.shape == (8, 4) for m in rep.per_point.values())
+    assert rep.fibers.shape == (4, 2)
 
 
 def test_verdict_sphere():

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_corpus.py"
@@ -43,3 +44,19 @@ def test_writes_one_report_per_builtin(tmp_path, capsys):
     for p in (tmp_path / "out").iterdir():
         assert json.loads(p.read_text())["status"] == "ok"
     assert "all agree" in capsys.readouterr().out
+
+
+def test_dominant_residual_is_printed_with_its_margin(capsys):
+    script = load_script()
+    assert script.main(SMALL) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = {line.split()[0]: line for line in lines[2:2 + len(script.corpus.BUILTIN_BUILDERS)]}
+    for name, dominant, key in [("sphere2", "curvature", "max_curvature"),
+                                ("flat-torsionful", "torsion", "max_torsion"),
+                                ("flat-skew-metric", "nabla_g_asym", "max_nabla_g_asymmetry")]:
+        hessian = script.run(script.RunConfig(source=name, points=2, fiber_points=1))["hessian"]
+        margin = math.log10(hessian[key] / hessian["tol"])
+        assert margin > 0
+        assert rows[name].endswith(f" {dominant} ({margin:+.1f})")
+    for name in ("euclidean2", "hessian-exp2", "pullback-flat"):
+        assert rows[name].endswith(" -")
