@@ -37,7 +37,9 @@ a one-point call.
 
 A :class:`BornFrame` holds the value matrices of one bundle point or of a
 stack of points along leading axes; :func:`born_compatibility_residuals`
-returns a stack's residuals and signature counts per point.
+returns a stack's residuals and signature counts per point; its
+``omega_nondegenerate`` floor is in the thresholds table of
+:mod:`bornbundle.manifold`.
 """
 from __future__ import annotations
 
@@ -46,8 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SpecError
-from .manifold import (BaseJets, ManifoldSpec, base_jets, check_spd, connection_at,
-                       sample_points)
+from .manifold import (OMEGA_DET_FLOOR, BaseJets, ManifoldSpec, base_jets, check_spd,
+                       connection_at, sample_points)
 
 FRAMES = ("adapted", "bundle-coordinate")
 
@@ -260,7 +262,7 @@ def born_compatibility_residuals(bf: BornFrame) -> BornCompatReport:
         "anticommute_K_IJ": dev(bf.I @ bf.J + bf.K),
         "anticommute_K_JI": dev(bf.J @ bf.I - bf.K),
         "h_positive": np.maximum(0.0, -np.min(np.linalg.eigvalsh(bf.h), axis=-1)),
-        "omega_nondegenerate": np.maximum(0.0, 1e-12 - np.abs(np.linalg.det(bf.omega))),
+        "omega_nondegenerate": np.maximum(0.0, OMEGA_DET_FLOOR - np.abs(np.linalg.det(bf.omega))),
     }
     eigs = np.linalg.eigvalsh(bf.k)
     signature = (np.sum(eigs > 0, axis=-1), np.sum(eigs < 0, axis=-1))

@@ -77,7 +77,9 @@ the first failing probe or gate point through
 :func:`bornbundle.manifold._first_failure`.  The flatness gate and the
 probe residuals take their maxima through
 :func:`bornbundle.manifold.finite_maxima`, so a NaN or inf curvature,
-torsion or residual is a spec error naming it and its point.
+torsion or residual is a spec error naming it and its point.  The gate,
+the witness's tolerance and the probe-radius slack are in the thresholds
+table of :mod:`bornbundle.manifold`.
 """
 from __future__ import annotations
 
@@ -91,12 +93,11 @@ from . import expr, fields, jets
 from .bundle import _constant_blocks, _frame_of
 from .errors import SpecError
 from .jets import JetBatch
-from .manifold import (ManifoldSpec, _curvature_of, _first_failure, _require_inside,
+from .manifold import (FLATNESS_GATE_TOL, PROBE_RADIUS_SLACK, PUSHFORWARD_TOL,
+                       ManifoldSpec, _curvature_of, _first_failure, _require_inside,
                        _torsion_of, finite_maxima, halton_points, sample_fibers,
                        sample_points)
 
-FLATNESS_GATE_TOL = 1e-7
-PUSHFORWARD_TOL = 1e-6
 DEFAULT_STEPS = 64
 GATE_POINTS = 8  # sample points of the flatness gate
 
@@ -389,7 +390,7 @@ def _probe_residuals(spec: ManifoldSpec, chart: ChartMap, probes,
     residual over the probes (0.0 when y is None)."""
     probes = [tuple(float(c) for c in a) for a in probes]
     for a in probes:
-        if float(np.linalg.norm(a)) > chart.radius + 1e-12:
+        if float(np.linalg.norm(a)) > chart.radius + PROBE_RADIUS_SLACK:
             raise ValueError(
                 f"probe {a} lies beyond the chart validity radius {chart.radius:g}")
     cj = chart.probe_jets(probes, order=2).coeffs

@@ -35,7 +35,8 @@ spec file or ``--report`` path that cannot be read or written),
 disagreed, the two-of-four residual pattern was impossible, or a
 construction identity broke) or internal fault (a jet misuse or a failed
 linear solve, reported as a JSON error like a spec error).  A spec merely
-being non-Hessian is a result, not a failure.
+being non-Hessian is a result, not a failure.  The threshold behind each
+verdict, gate and exit code is in the table of :mod:`bornbundle.manifold`.
 """
 from __future__ import annotations
 
@@ -53,15 +54,14 @@ import numpy as np
 from . import corpus
 # unused: bornbench's test_remove_restores_every_patched_attribute pins it (ROADMAP item 5)
 from .bundle import born_at
-from .charts import FLATNESS_GATE_TOL, affine_chart_witness
+from .charts import affine_chart_witness
 from .errors import SpecError
 from .expr import EvalDomainError, ParseError
-from .integrability import (CROSS_TOL, _proof_identities, integrability_verdict,
-                            theorem_crosscheck)
+from .integrability import _proof_identities, integrability_verdict, theorem_crosscheck
 from .jets import JetDomainError, JetUsageError
-from .manifold import DEFAULT_TOL, ManifoldSpec, TwoOfFourReport, build_spec
+from .manifold import (BORN_GATE, CROSS_TOL, DEFAULT_TOL, FLATNESS_GATE_TOL, ManifoldSpec,
+                       TwoOfFourReport, build_spec)
 
-BORN_GATE = 1e-8  # construction identities must hold to this level
 REPORT_SCHEMA = 2  # layout version of the check report
 
 
@@ -220,12 +220,9 @@ def run(config: RunConfig) -> dict:
         failures.append("born construction identities")
 
     report["integrability"] = {
-        "max_nijenhuis_I": integ.max_nijenhuis_I,
-        "max_nijenhuis_J": integ.max_nijenhuis_J,
-        "max_nijenhuis_K": integ.max_nijenhuis_K,
-        "max_d_omega": integ.max_d_omega,
+        **{"max_" + name: value for name, value in integ.maxima.items()},
         "integrable": integ.integrable,
-        "tol": integ.tol,
+        "tol": hv.tol,
         "argmax": integ.argmax(),
         # columnar: entry p*F + f of a residual's list is at
         # (base_points[p], fiber_vectors[f]), so each list takes the writer's

@@ -28,7 +28,9 @@ reported by base point, through :func:`bornbundle.manifold._first_failure`,
 then by fiber and residual: N_I, N_J, N_K, d omega, then the construction
 identities.  ``check`` reads ``born_frame_sample`` and ``sign_conventions``
 off the report's copies of the first bundle point's arrays (the signs through
-:func:`_proof_identities`, as the one-point identity functions do).
+:func:`_proof_identities`, as the one-point identity functions do).  The
+verdict compares each maximum with the Hessian verdict's tolerance; the
+thresholds are in the table of :mod:`bornbundle.manifold`.
 """
 from __future__ import annotations
 
@@ -43,8 +45,6 @@ from .bundle import (BornFrame, BundlePoint, _first_frame, _frame_of, _require_p
 from .manifold import (DEFAULT_TOL, BaseJets, HessianVerdict, ManifoldSpec,
                        _curvature_of, _first_failure, _torsion_of, base_jets,
                        finite_maxima, sample_fibers, sample_points)
-
-CROSS_TOL = 1e-7  # comparisons between two independent numeric pipelines
 
 
 def _norm_factor(y) -> float:
@@ -158,14 +158,10 @@ def nijenhuis_J_identity_residuals(spec: ManifoldSpec, bp: BundlePoint) -> dict:
 
 @dataclass(frozen=True)
 class IntegrabilityReport:
-    max_nijenhuis_I: float
-    max_nijenhuis_J: float
-    max_nijenhuis_K: float
-    max_d_omega: float
-    integrable: bool
+    maxima: dict  # residual name -> its maximum in per_point
+    integrable: bool  # every maximum within hessian.tol, the verdicts' one tolerance
     hessian_agreement: bool
     hessian: HessianVerdict
-    tol: float
     max_born_compat: dict  # worst defect of each construction identity
     k_signature_ok: bool   # k had signature (n, n) at every point
     # residual name -> (P, F) normalized residuals; entry [p, f] belongs to
@@ -177,12 +173,6 @@ class IntegrabilityReport:
     # sign_conventions: "x", "y", A's rows "a", "nijenhuis_J", the BornFrame "frame"
     first_point: dict
 
-    def residual_table(self) -> dict:
-        return {"nijenhuis_I": self.max_nijenhuis_I,
-                "nijenhuis_J": self.max_nijenhuis_J,
-                "nijenhuis_K": self.max_nijenhuis_K,
-                "d_omega": self.max_d_omega}
-
     def argmax(self) -> dict:
         """Per residual, the first bundle point in sweep order where its
         maximum sits ("x", "y") and the maximum's :func:`log_margin`."""
@@ -190,7 +180,7 @@ class IntegrabilityReport:
         for name, m in self.per_point.items():
             p, f = divmod(int(np.argmax(m)), m.shape[1])
             out[name] = {"x": list(self.bases.x[p]), "y": self.fibers[f].tolist(),
-                         "margin": log_margin(float(m[p, f]), self.tol)}
+                         "margin": log_margin(float(m[p, f]), self.hessian.tol)}
         return out
 
 
@@ -258,13 +248,9 @@ def integrability_verdict(spec: ManifoldSpec, base_count: int = 32,
     signature_ok = bool(np.all(np.array(rep.k_signature) == spec.n))
     integrable = all(v <= tol for v in maxima.values())
     return IntegrabilityReport(
-        max_nijenhuis_I=maxima["nijenhuis_I"],
-        max_nijenhuis_J=maxima["nijenhuis_J"],
-        max_nijenhuis_K=maxima["nijenhuis_K"],
-        max_d_omega=maxima["d_omega"],
-        integrable=integrable,
+        maxima=maxima, integrable=integrable,
         hessian_agreement=(integrable == hv.is_hessian),
-        hessian=hv, tol=tol, max_born_compat=worst_born,
+        hessian=hv, max_born_compat=worst_born,
         k_signature_ok=signature_ok, per_point=per_point, bases=bases,
         fibers=fibers, first_point=first)
 
@@ -292,7 +278,7 @@ def theorem_crosscheck(specs: Sequence[ManifoldSpec], base_count: int = 32,
             "hessian": rep.hessian.is_hessian,
             "integrable": rep.integrable,
             "agreement": rep.hessian_agreement,
-            "residuals": rep.residual_table(),
+            "residuals": rep.maxima,
             "hessian_residuals": {
                 "curvature": rep.hessian.max_curvature,
                 "torsion": rep.hessian.max_torsion,

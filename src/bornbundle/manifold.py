@@ -18,6 +18,8 @@ functions evaluate the fields they need at their one point and return
 plain arrays.  Every verdict of the package, the chart witness's included,
 reduces its residuals to per-point maxima through :func:`finite_maxima`,
 which rejects a residual that is not finite at a point as a spec error.
+Every threshold that decides a verdict, a gate or an exit code is in the
+one table of thresholds below, which the other modules import.
 
 Curvature convention, fixed once for the whole package:
 ``R^l_ijk = d_i Gamma^l_jk - d_j Gamma^l_ik + Gamma^l_im Gamma^m_jk
@@ -38,7 +40,16 @@ from . import expr, fields, jets
 from .errors import NotPositiveDefiniteError, SpecError
 
 CONNECTION_KINDS = ("explicit", "flat", "levi-civita", "hessian-dual")
-DEFAULT_TOL = 1e-9
+
+# Thresholds: every number that decides a verdict, a gate or an exit code, each an absolute
+# bound (the README's "Thresholds" table).  Per entry: what it gates; what a breach gives.
+DEFAULT_TOL = 1e-9          # Hessian and integrability verdicts (--tol): a result, exit 0
+CROSS_TOL = 1e-7            # two-of-four "holds": two or three holding is exit 2
+BORN_GATE = 1e-8            # Born construction identities: exit 2
+OMEGA_DET_FLOOR = 1e-12     # |det omega| short of it: omega_nondegenerate, under BORN_GATE
+FLATNESS_GATE_TOL = 1e-7    # chart curvature and torsion: FlatnessGateError, exit 1
+PUSHFORWARD_TOL = 1e-6      # chart witness residuals: "witnessed": false, exit 2
+PROBE_RADIUS_SLACK = 1e-12  # chart probe norm over its radius: ValueError, exit 1
 
 
 @dataclass(frozen=True)

@@ -117,7 +117,7 @@ def test_acceptance_3_euclidean_reproduction():
         for name in ("I", "J", "K", "h", "k", "omega"):
             ok = ok and float(np.max(np.abs(getattr(bf, name) - want[name]))) <= 1e-12
     rep = integrability_verdict(spec, 8, 4)
-    for val in rep.residual_table().values():
+    for val in rep.maxima.values():
         ok = ok and val <= 1e-12
     _verdict(3, "Euclidean reproduction", ok)
 

@@ -14,9 +14,9 @@ from bornbundle.cli import (RunConfig, load_spec, main, report_to_json, run,
                             spec_from_dict)
 from bornbundle.errors import SpecError
 from bornbundle.jets import JetUsageError
-from bornbundle.integrability import (CROSS_TOL, d_omega_at, frame_bracket_residuals,
+from bornbundle.integrability import (d_omega_at, frame_bracket_residuals,
                                       nijenhuis_at, nijenhuis_J_identity_residuals)
-from bornbundle.manifold import (DEFAULT_TOL, hessian_verdict, sample_fibers,
+from bornbundle.manifold import (CROSS_TOL, DEFAULT_TOL, hessian_verdict, sample_fibers,
                                  sample_points, two_of_four_residuals)
 from test_manifold import GENERATED
 

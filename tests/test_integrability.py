@@ -8,14 +8,14 @@ from bornbundle.bundle import (BornFrame, BundlePoint, born_at,
                                born_compatibility_residuals, fiber_born_jets)
 from bornbundle.cli import spec_from_dict
 from bornbundle.errors import SpecError
-from bornbundle.integrability import (CROSS_TOL, _d_omega_of, _nijenhuis_of,
+from bornbundle.integrability import (_d_omega_of, _nijenhuis_of,
                                       d_omega_at, frame_bracket_residuals,
                                       integrability_verdict, nijenhuis_at,
                                       nijenhuis_J_identity_residuals,
                                       theorem_crosscheck)
-from bornbundle.manifold import (_curvature_of, _nabla_g_of, _torsion_of, base_jets,
-                                 build_spec, dual_connection_at, sample_fibers,
-                                 sample_points, torsion_at)
+from bornbundle.manifold import (CROSS_TOL, _curvature_of, _nabla_g_of, _torsion_of,
+                                 base_jets, build_spec, dual_connection_at,
+                                 sample_fibers, sample_points, torsion_at)
 from test_manifold import GENERATED, _diagonal, _gamma_00, _generated
 
 EUCLID = corpus.example("euclidean2")
@@ -281,17 +281,17 @@ def test_verdict_euclidean():
 def test_verdict_sphere():
     rep = integrability_verdict(SPHERE, 8, 4)
     assert not rep.integrable
-    assert rep.max_nijenhuis_K > rep.tol
+    assert rep.maxima["nijenhuis_K"] > rep.hessian.tol
     assert not rep.hessian.is_hessian
     assert rep.hessian_agreement
 
 
 def test_verdict_skew_metric_distinguishes_d_omega():
     rep = integrability_verdict(SKEW, 8, 4)
-    assert rep.max_nijenhuis_I <= rep.tol
-    assert rep.max_nijenhuis_J <= rep.tol
-    assert rep.max_nijenhuis_K <= rep.tol
-    assert rep.max_d_omega > rep.tol
+    assert rep.maxima["nijenhuis_I"] <= rep.hessian.tol
+    assert rep.maxima["nijenhuis_J"] <= rep.hessian.tol
+    assert rep.maxima["nijenhuis_K"] <= rep.hessian.tol
+    assert rep.maxima["d_omega"] > rep.hessian.tol
     assert not rep.integrable
     assert rep.hessian_agreement
 
@@ -299,10 +299,10 @@ def test_verdict_skew_metric_distinguishes_d_omega():
 def test_verdict_torsionful():
     rep = integrability_verdict(TORSIONFUL, 8, 4)
     assert not rep.integrable
-    assert rep.max_nijenhuis_I > rep.tol
-    assert rep.max_nijenhuis_J > rep.tol
-    assert rep.max_nijenhuis_K <= rep.tol
-    assert rep.max_d_omega <= rep.tol
+    assert rep.maxima["nijenhuis_I"] > rep.hessian.tol
+    assert rep.maxima["nijenhuis_J"] > rep.hessian.tol
+    assert rep.maxima["nijenhuis_K"] <= rep.hessian.tol
+    assert rep.maxima["d_omega"] <= rep.hessian.tol
     assert rep.hessian_agreement
 
 
