@@ -106,7 +106,7 @@ def _proof_identities(a: np.ndarray, nj: np.ndarray, gamma: np.ndarray,
     rhs_hh = np.zeros((n, n, 2 * n))
     rhs_hh[:, :, n:] = -ry
     rhs_hv = np.zeros((n, n, 2 * n))
-    rhs_hv[:, :, n:] = -np.einsum("kij->ijk", gamma[0])
+    rhs_hv[:, :, n:] = np.einsum("kij->ijk", gamma[0])
     bracket = {
         "HH": _signed_residual(brackets[:n, :n], rhs_hh, scale),
         "VV": {"residual": float(np.max(np.abs(brackets[n:, n:]))) / scale},
@@ -116,11 +116,11 @@ def _proof_identities(a: np.ndarray, nj: np.ndarray, gamma: np.ndarray,
     # N in the adapted frame: pull the value index back, feed frame vectors in
     nj_ad = np.einsum("cl,lmn,ma,nb->cab", einv, nj, e[0], e[0])
     rhs_hh = np.zeros((n, n, 2 * n))
-    rhs_hh[:, :, :n] = np.einsum("kij->ijk", t)
+    rhs_hh[:, :, :n] = -np.einsum("kij->ijk", t)
     rhs_hh[:, :, n:] = -ry
     rhs_hv = np.zeros((n, n, 2 * n))
     rhs_hv[:, :, :n] = ry
-    rhs_hv[:, :, n:] = -np.einsum("kij->ijk", t)
+    rhs_hv[:, :, n:] = np.einsum("kij->ijk", t)
     lhs_hh = np.einsum("cab->abc", nj_ad[:, :n, :n])
     lhs_vv = np.einsum("cab->abc", nj_ad[:, n:, n:])
     lhs_hv = np.einsum("cab->abc", nj_ad[:, :n, n:])
@@ -142,15 +142,15 @@ def _identities_at(spec: ManifoldSpec, bp: BundlePoint) -> tuple[dict, dict]:
 
 def frame_bracket_residuals(spec: ManifoldSpec, bp: BundlePoint) -> dict:
     """Brackets of the adapted frame fields, from E's first partials, against
-    [H_i, H_j] = -R^l_ijk y^k V_l, [V_i, V_j] = 0, [H_i, V_j] = -Gamma^k_ij V_k,
+    [H_i, H_j] = -R^l_ijk y^k V_l, [V_i, V_j] = 0, [H_i, V_j] = Gamma^k_ij V_k,
     each up to a recorded global sign."""
     return _identities_at(spec, bp)[0]
 
 
 def nijenhuis_J_identity_residuals(spec: ManifoldSpec, bp: BundlePoint) -> dict:
     """N_J on frame-field pairs against the curvature/torsion expressions
-    T^k_ij H_k - R^l_ijk y^k V_l (HH and VV pairs) and
-    R^l_ijk y^k H_l - T^k_ij V_k (HV pairs), up to a recorded global sign."""
+    -T^k_ij H_k - R^l_ijk y^k V_l (HH and VV pairs) and
+    R^l_ijk y^k H_l + T^k_ij V_k (HV pairs), up to a recorded global sign."""
     return _identities_at(spec, bp)[1]
 
 

@@ -666,6 +666,15 @@ def test_first_point_sections_equal_the_one_point_functions(source, tmp_path):
     }
 
 
+@pytest.mark.parametrize("source", list(corpus.BUILTIN_BUILDERS)
+                         + [str(path) for path in SPEC_FILES],
+                         ids=lambda source: Path(source).stem)
+def test_sign_conventions_are_all_plus_one(source):
+    # the closed forms carry their signs, so the better global sign is +1 on
+    # every spec, torsion and curvature both nonzero (tors-curv) included
+    assert set(run(small_config(source))["sign_conventions"].values()) == {1}
+
+
 def _count_calls(monkeypatch, func) -> list:
     """Wrap ``func`` in every bornbundle module that binds it; the returned
     list gains an item per call."""

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from bornbundle import corpus, expr
 from bornbundle.bundle import (BornFrame, BundlePoint, born_at,
                                born_compatibility_residuals, fiber_born_jets)
-from bornbundle.cli import spec_from_dict
+from bornbundle.cli import load_spec, spec_from_dict
 from bornbundle.errors import SpecError
 from bornbundle.integrability import (_d_omega_of, _nijenhuis_of,
                                       d_omega_at, frame_bracket_residuals,
@@ -25,6 +26,10 @@ SPHERE = corpus.example("sphere2")
 TORSIONFUL = corpus.example("flat-torsionful")
 PULLBACK = corpus.example("pullback-flat")
 ALL = [EUCLID, HESSIAN, SKEW, SPHERE, TORSIONFUL, PULLBACK]
+# identity metric, Gamma^0_01 = 1 and Gamma^1_00 = v: torsion and curvature both
+# nonzero, so no global sign can hide a wrong relative sign between them
+TORS_CURV = load_spec(str(Path(__file__).parent.parent / "scripts" / "specs"
+                          / "tors-curv.json"))
 
 
 def bundle_points(spec, n_base=3, n_fiber=3, radius=1.0, seed=5):
@@ -186,7 +191,7 @@ def test_nijenhuis_J_identities_sphere():
 
 
 def test_nijenhuis_J_identities_torsionful():
-    # with R = 0 the HV identity reduces to a pure V-part -T^k_ij V_k
+    # with R = 0 the HV identity reduces to a pure V-part T^k_ij V_k
     bp = BundlePoint((0.25, -0.5), (0.6, 0.8))
     res = nijenhuis_J_identity_residuals(TORSIONFUL, bp)
     for block in res.values():
@@ -195,6 +200,24 @@ def test_nijenhuis_J_identities_torsionful():
     t = torsion_at(TORSIONFUL, bp.x)
     assert np.max(np.abs(t)) == 1.0
     assert np.max(np.abs(nj)) >= 0.9  # the torsion shows up upstairs
+
+
+@pytest.mark.parametrize("spec", ALL + [TORS_CURV], ids=lambda spec: spec.name)
+def test_proof_identities_hold_at_the_plus_sign(spec):
+    for bp in bundle_points(spec, 3, 3):
+        brackets = frame_bracket_residuals(spec, bp)
+        nj = nijenhuis_J_identity_residuals(spec, bp)
+        for block in (brackets["HH"], brackets["HV"], *nj.values()):
+            assert block["residual_plus"] <= CROSS_TOL
+
+
+def test_nijenhuis_J_identity_needs_both_terms_on_tors_curv():
+    # the form with the T term negated missed here by 0.341 at its better sign
+    res = nijenhuis_J_identity_residuals(TORS_CURV, BundlePoint((0.1, 0.1), (0.3, -0.7)))
+    for block in res.values():
+        assert block["sign"] == 1
+        assert block["residual_plus"] <= CROSS_TOL
+        assert block["residual_minus"] > 1.0
 
 
 # -- d omega -----------------------------------------------------------------------
