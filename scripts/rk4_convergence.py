@@ -12,7 +12,8 @@ Exits 1 if a contraction falls outside [12, 20], and 2 with a one-line
 error (after argparse's usage line) for an argument that does not fit: an
 unknown --spec, an --x0 or --v that is not comma-separated numbers or has
 the wrong length, a start point outside the sample box or a geodesic that
-leaves it.  Above 256 steps the differences reach round-off and stop
+leaves it, or a --max-steps below 16, which measures no contraction (that
+takes the runs at 4, 8 and 16 steps).  Above 256 steps the differences reach round-off and stop
 contracting, so keep --max-steps at 256 or below.
 
 Usage:
@@ -51,6 +52,9 @@ def main(argv=None) -> int:
     parser.add_argument("--v", type=_numbers, default="0.35,0.5")
     parser.add_argument("--max-steps", type=int, default=256)
     args = parser.parse_args(argv)
+    if args.max_steps < 16:
+        parser.error(f"--max-steps must be at least 16 to measure a contraction, "
+                     f"not {args.max_steps}")
 
     spec = corpus.example(args.spec)
     counts = [4]

@@ -30,6 +30,10 @@ def test_sphere_contracts_fourth_order(capsys):
                  id="v-long"),
     pytest.param(["--v", "3,3"], "geodesic left the sample box at step 3/4", id="leaves-box"),
     pytest.param(["--spec", "nope"], "argument --spec: invalid choice: 'nope'", id="spec-unknown"),
+    # below 16 steps no contraction is measured, so the study would pass vacuously
+    *(pytest.param(["--max-steps", steps], f"--max-steps must be at least 16 to measure a "
+                   f"contraction, not {steps}", id=f"max-steps-{steps}")
+      for steps in ("15", "8", "4")),
 ])
 def test_bad_argument_is_one_line_error(args, message, capsys):
     with pytest.raises(SystemExit) as exc:
