@@ -10,7 +10,10 @@ runs every case and compares both.  The cases:
   the generated specs in ``tests/golden/specs`` (the benchmark's lc3,
   potential4 and twisted5 at spec seed 1, kept as files);
 * ``theorem --corpus builtin`` at its defaults;
-* ``affine-chart pullback-flat --probes 4 --steps 16``;
+* ``affine-chart pullback-flat`` at ``--probes 4 --steps 16``, at
+  ``--probes 3 --steps 130`` (two chunk boundaries of the position scan and
+  a 2-step tail) and from ``--at 0.9,0.9`` at ``--probes 30 --steps 400``
+  (a box exit at step 319/400, inside the fifth chunk, exit 1);
 * the error reports of an unknown spec and of a malformed one.
 
 A change that alters a golden file on purpose (a defect fix or a schema
@@ -49,6 +52,10 @@ def cases() -> dict[str, list[str]]:
     out["theorem-builtin.txt"] = ["theorem", "--corpus", "builtin"]
     out["affine-chart-pullback-flat.json"] = ["affine-chart", "pullback-flat",
                                               "--probes", "4", "--steps", "16"]
+    out["affine-chart-pullback-flat-130.json"] = ["affine-chart", "pullback-flat",
+                                                  "--probes", "3", "--steps", "130"]
+    out["affine-chart-pullback-flat-box-exit.json"] = [
+        "affine-chart", "pullback-flat", "--at", "0.9,0.9", "--probes", "30", "--steps", "400"]
     out["error-unknown-spec.json"] = ["check", "nosuch"]
     out["error-malformed-spec.json"] = ["check", str(GOLDEN / "specs" / "malformed.json")]
     return out
