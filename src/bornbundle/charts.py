@@ -13,18 +13,17 @@ All probes of a call are integrated together, once each, over a
 ``(B, n, K)`` state: B probes, n coordinates, and K jet coefficients in
 the layout of :class:`bornbundle.jets.JetBatch` (the value, then the
 partials by the straight coordinates in :func:`bornbundle.jets.partial_keys`
-order).  One RK4 loop advances the velocity, and the positions follow in
+order).  The velocity advances in RK4 steps, and the positions follow in
 chunks of m steps, in one ``(m + 1, B, n, K)`` buffer whose row 0 is the
 carried position and row r + 1 step r's increment.  ``np.add.accumulate``
 adds the rows in order, one rounding per add, as ``x = x + increment``
 does, and one box check per chunk names the first step at which a probe
 is outside and, at that step, the first such probe.  A chunk is
-``DEFAULT_STEPS`` steps (fewer at the end) for a Zero or Constant
-acceleration (below), and one step for a Varying one, whose stages read
-the carried position: a domain error of Gamma then cannot come before the
-box exit of an earlier step.  So the bits and errors are those of a loop
-that adds one increment per step and checks the box after it, and memory
-does not grow with the step count.
+``DEFAULT_STEPS`` steps (fewer at the end) for a Gamma that does not read
+the position (below), and one step for one that does: a domain error of
+Gamma then cannot come before the box exit of an earlier step.  So the
+bits and errors are those of a loop that adds one increment per step and
+checks the box after it, and memory does not grow with the step count.
 
 The witness reads both residuals from one transformed connection per
 probe.  The geodesic acceleration sums only the coefficients of Gamma that
@@ -36,29 +35,42 @@ a nonzero float is exact, so skipping can change only the signs of zeros;
 every chart output passes through ``abs`` and ``max``, so the reports do
 not change.
 
-The acceleration takes one of three forms, chosen once per integration;
-each keeps every coefficient equal to the per-probe integration over the
+Gamma is evaluated once per integration when every support term is an
+explicit expression without a coordinate (pullback-flat's ``-2``, every
+entry of the generated twisted specs).  If its partials are then all +-0
+and the state u is finite, each stage takes both products ``(Gamma * u^i)
+* u^j`` of every term from one gathered kernel,
+:func:`bornbundle.jets._constant_products`: the split terms that ``Gamma *
+u^i`` would add are +-0 * finite = +-0.  Any other state or Gamma takes
+both full products, so the NaNs of an inf or NaN coefficient fall where
+they did.  Every other connection evaluates every support term over the
+whole batch at every stage position.
+
+The integrator takes one of two forms, chosen once per integration; each
+keeps every coefficient equal to the per-probe integration over the
 reference jets of ``tests/jet_reference.py`` bit for bit, signs of zeros
 included:
 
-* Zero, for a connection without support (the flat built-ins euclidean2,
-  hessian-exp2 and flat-skew-metric, and the generated potential specs).
-  Every stage velocity is then ``w = u + 0.0``, and u becomes w after the
-  first step.  ``u + w*2`` equals ``w + w*2``, as u and w differ only
-  where u is -0.0 and ``-0.0 + 0.0`` is +0.0, so every step adds the same
-  increment ``(u + w*2 + w*2 + w) * (h/6)``, and every row of the scan is
-  that increment.
-* Constant, when every support term is an explicit expression without a
-  coordinate (pullback-flat's ``-2``, every entry of the generated twisted
-  specs).  Gamma is evaluated once.  If its partials are all +-0 and the
-  state u is finite, each stage takes both products ``(Gamma * u^i) * u^j``
-  of every term from one gathered kernel,
-  :func:`bornbundle.jets._constant_products`: the split terms that
-  ``Gamma * u^i`` would add are +-0 * finite = +-0.
-  Any other state or Gamma takes both full products, so the NaNs of an inf
-  or NaN coefficient fall where they did.
-* Varying, for every other connection: every support term over the whole
-  batch at every stage position, in one-step chunks.
+* Uniform, when the acceleration cannot change along the integration:
+  Gamma has no support (the flat built-ins euclidean2, hessian-exp2 and
+  flat-skew-metric, and the generated potential specs), or it is
+  constant and no velocity component that a term reads (its i and j) is
+  one that a term writes (its k): pullback-flat's only term reads u^0 and
+  writes u^1, and every twisted term reads u^0 and writes a later one.
+  The acceleration's rows that no term writes are +0.0, so the components
+  it reads only ever gain +0.0: there the first stage reads u0, and every
+  later stage u0 + 0.0 (a -0.0 turns +0.0, nothing else changes), so every
+  later stage has the acceleration a of the second, at u0 + k1*(h/2).
+  k1 and a are the only evaluations.  After step 0 the velocity gains the same
+  ``d = (a + a*2 + a*2 + a)*(h/6)`` each step, the velocities of a chunk
+  are one in-order ``np.add.accumulate`` of the carried velocity and
+  copies of d, and each step's ``u + u2*2 + u3*2 + u4``, with ``u2 = u3 =
+  u + a*(h/2)`` and ``u4 = u + a*h`` (step 0's u2 from k1), is formed over
+  the whole chunk at once.  When adding d leaves the bits of the velocity
+  after step 0 unchanged (a zero acceleration), every later step has the
+  row of step 1, formed once.
+* Per stage, for every other connection: the four stages of every step in
+  turn, each evaluating the acceleration.
 
 The sums stay elementwise in a fixed order; an einsum or matmul would
 round differently.
@@ -144,18 +156,23 @@ def _connection_terms(spec: ManifoldSpec, support, order: int):
 def _acceleration(spec: ManifoldSpec, order: int):
     """The geodesic acceleration -Gamma^k_ij u^i u^j, as a function
     ``accel(u, x, du=None, c=0.0)`` of the velocity u at the position
-    ``x + du * c`` (x itself without du), both ``(B, n, K)``; None when it
-    is exactly zero, for a connection without support.  The position is
-    formed only for a Gamma that reads it, and ``accel.reads_position``
-    says whether it does.  The products ``(Gamma * u^i) * u^j`` of all
-    support terms are formed at once, then each k sums its terms in support
-    order and negates the sum; a k without terms gets +0.0.  A constant
-    Gamma whose partials are all +-0 takes both products from one gathered
-    kernel (see the module docstring), unless u holds a non-finite
-    coefficient."""
+    ``x + du * c`` (x itself without du), both ``(B, n, K)``.  The position
+    is formed only for a Gamma that reads it, and ``accel.reads_position``
+    says whether it does.  ``accel.uniform`` says whether the acceleration
+    cannot change along the integration (see the module docstring): Gamma
+    has no support, or it is constant and no component that a term reads
+    (its i and j) is one that a term writes (its k).  The products
+    ``(Gamma * u^i) * u^j`` of all support terms are formed at once, then
+    each k sums its terms in support order and negates the sum; a k without
+    terms gets +0.0.  A constant Gamma whose partials are all +-0 takes both
+    products from one gathered kernel (see the module docstring), unless u
+    holds a non-finite coefficient."""
     support = fields.connection_support(spec)
     if not support:
-        return None
+        def zero(u, x, du=None, c=0.0):
+            return np.zeros(u.shape)
+        zero.reads_position, zero.uniform = False, True
+        return zero
     gamma = _connection_terms(spec, support, order)
     n = spec.n
     # the terms in rank order: the first term of every k that has one, then
@@ -193,6 +210,7 @@ def _acceleration(spec: ManifoldSpec, order: int):
         acc[:, keys] = -total
         return acc
     accel.reads_position = callable(gamma)
+    accel.uniform = not callable(gamma) and not set(k) & {*i, *j}
     return accel
 
 
@@ -207,6 +225,70 @@ def _check_box(positions: np.ndarray, lo, hi, step: int, steps: int) -> None:
         raise BoxExitError(
             f"geodesic left the sample box at step {step + r + 1}/{steps}, "
             f"position {values}", step + r + 1)
+
+
+def _stage_rows(accel, u, h: float):
+    """The RK4 loop, one stage at a time: a function that advances the
+    velocity u by ``len(rows)`` steps from the carried position x, writing
+    each step's ``u + u2*2 + u3*2 + u4`` into a row of ``rows``,
+    ``(m, B, n, K)``."""
+    def fill(rows, x):
+        nonlocal u
+        for r in range(len(rows)):
+            k1u = accel(u, x)
+            u2 = u + k1u * (h / 2)
+            k2u = accel(u2, x, u, h / 2)
+            u3 = u + k2u * (h / 2)
+            k3u = accel(u3, x, u2, h / 2)
+            u4 = u + k3u * h
+            k4u = accel(u4, x, u3, h)
+            rows[r] = u + u2 * 2 + u3 * 2 + u4
+            u = u + (k1u + k2u * 2 + k3u * 2 + k4u) * (h / 6)
+    return fill
+
+
+def _uniform_rows(accel, u, x, h: float, chunk: int):
+    """The rows of :func:`_stage_rows` for a uniform acceleration, a chunk
+    of at most ``chunk`` steps at a time, from two evaluations: k1 at u, and
+    a, which every later stage takes, at ``u + k1*(h/2)``.  The velocities
+    of a chunk come from one ``np.add.accumulate``, and its rows from
+    elementwise operations over the whole chunk (see the module
+    docstring)."""
+    k1 = accel(u, x)
+    a = accel(u + k1 * (h / 2), x)
+    half, full = a * (h / 2), a * h
+
+    def stages(v):  # v + u2*2 + u3*2 + u4, u2 = u3 = v + a*(h/2), u4 = v + a*h
+        w2 = (v + half) * 2
+        return v + w2 + w2 + (v + full)
+    first = u + (u + k1 * (h / 2)) * 2 + (u + half) * 2 + (u + full)
+    u1 = u + (k1 + a * 2 + a * 2 + a) * (h / 6)
+    d = (a + a * 2 + a * 2 + a) * (h / 6)
+    steady = u1 + d
+    steady = stages(u1) if np.array_equal(steady.view(np.uint64), u1.view(np.uint64)) else None
+    if steady is None:
+        # row 0 the carried velocity, the others d
+        carried = np.empty((chunk + 1, *u.shape))
+        carried[0], carried[1:] = u1, d
+        velocity = np.empty(carried.shape)
+        velocity[0] = u
+    at_start = True
+
+    def fill(rows, x):
+        nonlocal at_start
+        m = len(rows)
+        if steady is not None:
+            rows[...] = steady
+        else:
+            if at_start:  # u0, then u1, u1 + d, ...
+                np.add.accumulate(carried[:m], axis=0, out=velocity[1:m + 1])
+            else:
+                carried[0] = velocity[chunk]
+                np.add.accumulate(carried[:m + 1], axis=0, out=velocity[:m + 1])
+            rows[...] = stages(velocity[:m])
+        if at_start:
+            rows[0], at_start = first, False
+    return fill
 
 
 def _rk4(spec: ManifoldSpec, x0, velocities: np.ndarray, order: int,
@@ -224,30 +306,17 @@ def _rk4(spec: ManifoldSpec, x0, velocities: np.ndarray, order: int,
     accel = _acceleration(spec, order)
     lo, hi = np.array(spec.sample_box, dtype=float).T
     h = 1.0 / steps
-    if accel is None:
-        w = u + 0.0
-        stages = u + w * 2 + w * 2 + w
     # one-step chunks when Gamma reads the carried position, row 0
-    chunk = 1 if accel is not None and accel.reads_position else min(steps, DEFAULT_STEPS)
+    chunk = 1 if accel.reads_position else min(steps, DEFAULT_STEPS)
+    fill = (_uniform_rows(accel, u, x, h, chunk) if accel.uniform
+            else _stage_rows(accel, u, h))
     # in-order adds, one rounding each: the bits of x = x + increment
     scan = np.empty((chunk + 1, *u.shape))
     for step in range(0, steps, chunk):
         m = min(chunk, steps - step)
         scan[0] = x
         x, rows = scan[0], scan[1:m + 1]
-        if accel is None:
-            rows[...] = stages
-        else:
-            for r in range(m):
-                k1u = accel(u, x)
-                u2 = u + k1u * (h / 2)
-                k2u = accel(u2, x, u, h / 2)
-                u3 = u + k2u * (h / 2)
-                k3u = accel(u3, x, u2, h / 2)
-                u4 = u + k3u * h
-                k4u = accel(u4, x, u3, h)
-                rows[r] = u + u2 * 2 + u3 * 2 + u4
-                u = u + (k1u + k2u * 2 + k3u * 2 + k4u) * (h / 6)
+        fill(rows, x)
         rows *= h / 6
         np.add.accumulate(scan[:m + 1], axis=0, out=scan[:m + 1])
         _check_box(rows[..., 0], lo, hi, step, steps)

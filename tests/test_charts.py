@@ -402,6 +402,17 @@ NAN_PARTIALS2 = build_spec(
     "nan-partials2", ("u", "v"), [(-1, 1), (-1, 1)], metric=[["1", "0"], ["0", "1"]],
     connection="explicit",
     gamma=[[["0", "0"], ["0", "0"]], [["1e200*1e200*2", "0"], ["0", "0"]]])
+# the pullback of w_2 = z + x*y: Gamma^2_01 = Gamma^2_10 = 1 reads two
+# different components, so the sign of a zero product depends on which
+# factor is -0.0
+SHEAR3 = build_spec(
+    "shear3", ("x", "y", "z"), [(-1, 1)] * 3,
+    metric=[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], connection="explicit",
+    gamma=[[["0"] * 3] * 3, [["0"] * 3] * 3, [["0", "1", "0"], ["1", "0", "0"], ["0"] * 3]])
+# a constant Gamma whose terms each read a component that the other writes
+CROSS_FEEDING2 = build_spec(
+    "cross-feeding2", ("u", "v"), [(-1, 1), (-1, 1)], metric=[["1", "0"], ["0", "1"]],
+    connection="explicit", gamma=[[["0", "0"], ["0", "0.5"]], [["-1", "0"], ["0", "0"]]])
 PULLBACK_CUBIC = load_spec(str(Path(__file__).parent.parent / "scripts" / "specs"
                                / "pullback-cubic.json"))
 REFERENCE_SPECS = {
@@ -412,7 +423,7 @@ REFERENCE_SPECS = {
     "every-node": EVERY_NODE, "pullback-lc": PULLBACK_LC, "sphere2": SPHERE,
     "hessian-dual-exp2": HESSIAN_DUAL, "mixed-constants2": MIXED_CONSTANTS2,
     "mixed-constants3": MIXED_CONSTANTS3, "pullback-cubic": PULLBACK_CUBIC,
-    "all-constants2": ALL_CONSTANTS2,
+    "all-constants2": ALL_CONSTANTS2, "shear3": SHEAR3,
 }
 # probes and RK4 steps of the connections derived from the metric, and of
 # the larger explicit one, whose Jet reference is slow
@@ -439,28 +450,45 @@ def test_batched_chart_equals_jet_reference(name):
 
 
 @pytest.mark.parametrize("x0", [(0.1, -0.2), (-0.0, -0.0)])
-@pytest.mark.parametrize("name", ["euclidean2", "all-constants2", "pullback-flat"])
+@pytest.mark.parametrize("name", ["euclidean2", "all-constants2", "pullback-flat",
+                                  "twisted3", "shear3"])
 def test_signed_zero_probes_equal_jet_reference(name, x0):
     # a -0.0 velocity component turns +0.0 in the first step, whether the
-    # acceleration is zero (one increment per step) or from a constant Gamma
+    # acceleration is uniform (k1 at the first stage, then one value) or
+    # from a constant Gamma that reads what it writes; over one step, two,
+    # and a chunk boundary
     spec = REFERENCE_SPECS[name]
-    chart = ChartMap(spec, x0, steps=16, radius=0.25)
-    points = [(0.0, -0.0), (-0.0, 0.1), (0.05, -0.0), (-0.0, -0.0), (-0.1, 0.0)]
-    got = chart.probe_jets(points).coeffs
-    for b, a in enumerate(points):
-        want = np.stack([ref.coefficients(c)
-                         for c in reference_chart_jets(spec, x0, a, steps=16)])
-        assert_same_bits(got[b], want)
+    x0 = x0 + x0[1:] * (spec.n - 2)
+    points = [a + (-0.0,) * (spec.n - 2) for a in
+              [(0.0, -0.0), (-0.0, 0.1), (0.05, -0.0), (-0.0, -0.0), (-0.1, 0.0)]]
+    if spec.n > 2:
+        points += [(0.05, -0.0, 0.1), (-0.0, 0.05, -0.1)]
+    for steps in (1, 2, 65):
+        chart = ChartMap(spec, x0, steps=steps, radius=0.25)
+        got = chart.probe_jets(points).coeffs
+        for b, a in enumerate(points):
+            want = np.stack([ref.coefficients(c)
+                             for c in reference_chart_jets(spec, x0, a, steps=steps)])
+            assert_same_bits(got[b], want)
 
 
 def test_acceleration_cases():
-    # zero without support, a constant array when no term has a coordinate,
-    # else a function of the positions
-    assert charts._acceleration(EUCLID, 2) is None
+    # a constant array when no term has a coordinate, else a function of the
+    # positions; uniform without support, or for a constant Gamma that reads
+    # no component it writes
     for spec, constant in ((ALL_CONSTANTS2, True), (PULLBACK, True),
                            (MIXED_CONSTANTS2, False), (SPHERE, False)):
         terms = charts._connection_terms(spec, fields.connection_support(spec), 2)
         assert callable(terms) is not constant
+    uniform = [EUCLID, PULLBACK, REFERENCE_SPECS["twisted3"], REFERENCE_SPECS["twisted4"],
+               NAN_PARTIALS2, SHEAR3]
+    other = [ALL_CONSTANTS2, MIXED_CONSTANTS2, SPHERE, CROSS_FEEDING2, PULLBACK_CUBIC]
+    with np.errstate(over="ignore", invalid="ignore"):  # nan-partials2's inf
+        for spec in uniform + other:
+            accel = charts._acceleration(spec, 2)
+            assert accel.uniform is (spec in uniform), spec.name
+            assert accel.reads_position is (spec in (MIXED_CONSTANTS2, SPHERE,
+                                                     PULLBACK_CUBIC))
 
 
 def reference_constant_acceleration(spec, u, order):
@@ -520,9 +548,10 @@ def test_batched_box_exit_reports_the_first_probe():
     assert (first.value.step, batch.value.step) == (24, 51)
 
 
-def reference_rk4(spec, x0, velocities, order, steps):
+def reference_rk4(spec, x0, velocities, order, steps, box=True):
     """The per-step RK4 loop that the chunked scan replaced, kept as the
-    reference: every step advances the position and checks the box."""
+    reference: every stage evaluates the acceleration, and every step
+    advances the position and checks the box (unless ``box`` is false)."""
     count, n = velocities.shape
     width = 1 + len(jets.partial_keys(order, n))
     x = np.zeros((count, n, width))
@@ -534,24 +563,18 @@ def reference_rk4(spec, x0, velocities, order, steps):
     accel = charts._acceleration(spec, order)
     lo, hi = np.array(spec.sample_box, dtype=float).T
     h = 1.0 / steps
-    if accel is None:
-        w = u + 0.0
-        increment = (u + w * 2 + w * 2 + w) * (h / 6)
     for step in range(steps):
-        if accel is None:
-            x = x + increment
-        else:
-            k1u = accel(u, x)
-            u2 = u + k1u * (h / 2)
-            k2u = accel(u2, x, u, h / 2)
-            u3 = u + k2u * (h / 2)
-            k3u = accel(u3, x, u2, h / 2)
-            u4 = u + k3u * h
-            k4u = accel(u4, x, u3, h)
-            x = x + (u + u2 * 2 + u3 * 2 + u4) * (h / 6)
-            u = u + (k1u + k2u * 2 + k3u * 2 + k4u) * (h / 6)
+        k1u = accel(u, x)
+        u2 = u + k1u * (h / 2)
+        k2u = accel(u2, x, u, h / 2)
+        u3 = u + k2u * (h / 2)
+        k3u = accel(u3, x, u2, h / 2)
+        u4 = u + k3u * h
+        k4u = accel(u4, x, u3, h)
+        x = x + (u + u2 * 2 + u3 * 2 + u4) * (h / 6)
+        u = u + (k1u + k2u * 2 + k3u * 2 + k4u) * (h / 6)
         inside = np.all((lo <= x[:, :, 0]) & (x[:, :, 0] <= hi), axis=1)
-        if not inside.all():
+        if box and not inside.all():
             values = tuple(x[int(np.argmin(inside)), :, 0].tolist())
             raise BoxExitError(
                 f"geodesic left the sample box at step {step + 1}/{steps}, "
@@ -595,6 +618,21 @@ def test_chunked_scan_equals_per_step_loop(name, order, steps):
         assert rk4_outcome(charts._rk4, spec, x0, velocities, order, steps) == want
         exits += isinstance(want, tuple)
     assert exits == 1
+
+
+@pytest.mark.parametrize("steps", [1, 65])
+def test_uniform_rows_equal_per_stage_loop_on_nan_partials(steps, monkeypatch):
+    # nan-partials2's Gamma^1_00 is inf with NaN partials, so the positions
+    # turn NaN at the first step; without the box check the uniform chunk
+    # and the per-stage loop give the same bits, NaNs included
+    monkeypatch.setattr(charts, "_check_box", lambda *args: None)
+    velocities = np.array([(0.3, -0.0), (-0.0, 0.1), (0.0, 0.2), (-0.2, 0.05)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert charts._acceleration(NAN_PARTIALS2, 2).uniform
+        got = charts._rk4(NAN_PARTIALS2, (0.1, -0.2), velocities, 2, steps)
+        want = reference_rk4(NAN_PARTIALS2, (0.1, -0.2), velocities, 2, steps, box=False)
+    assert np.isnan(got).any() and np.isfinite(got).any()
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("spec,steps", [(EUCLID, 100_000), (PULLBACK, 5_000)])
@@ -838,17 +876,12 @@ PULLBACK_LINEAR = build_spec(
     connection="explicit", gamma=_pullback_with("u - 2"))
 
 
-@pytest.mark.parametrize("spec,per_step", [(EUCLID, 0), (HESSIAN, 0), (PULLBACK, 4),
-                                           (ALL_CONSTANTS2, 4), (PULLBACK_LINEAR, 8)])
-def test_jet_products_per_step(spec, per_step, monkeypatch):
-    # no product without acceleration; one gathered kernel call, for both
-    # products, at each of the four stages for a constant Gamma; both full
-    # products for a varying one.  Only products on the probe batch count:
-    # evaluating Gamma folds its constant subexpressions (all-constants2's
-    # 2*0.5) once per integration.
+def _count_products(monkeypatch):
+    """The jet product kernel calls on the probe batch, appended to a list:
+    evaluating Gamma folds its constant subexpressions (all-constants2's
+    2*0.5) once per integration, on (K,) coefficients, which do not count."""
     calls = []
     product, gathered = jets._product_coeffs, jets._constant_products
-    velocities = np.array([[0.05, 0.02], [-0.03, 0.04], [0.0, -0.0]])
 
     def counted(a, b, *args):
         if np.ndim(b) > 1:  # (B, T, K) on the probe batch, (K,) for a constant
@@ -861,9 +894,31 @@ def test_jet_products_per_step(spec, per_step, monkeypatch):
 
     monkeypatch.setattr(jets, "_product_coeffs", counted)
     monkeypatch.setattr(jets, "_constant_products", counted_gathered)
+    return calls
+
+
+PRODUCT_VELOCITIES = np.array([[0.05, 0.02], [-0.03, 0.04], [0.0, -0.0]])
+
+
+@pytest.mark.parametrize("spec,per_step", [(EUCLID, 0), (HESSIAN, 0), (CROSS_FEEDING2, 4),
+                                           (ALL_CONSTANTS2, 4), (PULLBACK_LINEAR, 8)])
+def test_jet_products_per_step(spec, per_step, monkeypatch):
+    # no product without acceleration; one gathered kernel call, for both
+    # products, at each of the four stages for a constant Gamma that reads a
+    # component it writes; both full products for a varying one
+    calls = _count_products(monkeypatch)
     steps = 8
-    charts._rk4(spec, (0.1, 0.1), velocities, 2, steps)
+    charts._rk4(spec, (0.1, 0.1), PRODUCT_VELOCITIES, 2, steps)
     assert len(calls) == per_step * steps
+
+
+@pytest.mark.parametrize("steps", [8, 64])
+def test_uniform_acceleration_takes_two_kernel_calls(steps, monkeypatch):
+    # pullback-flat's Gamma^1_00 reads u^0 and writes u^1: k1 and the one
+    # value of every later stage, whatever the number of steps
+    calls = _count_products(monkeypatch)
+    charts._rk4(PULLBACK, (0.1, 0.1), PRODUCT_VELOCITIES, 2, steps)
+    assert len(calls) == 2
 
 
 def test_gate_evaluates_the_connection_once(monkeypatch):
