@@ -20,6 +20,29 @@ def test_sphere_contracts_fourth_order(capsys):
     assert lines[-1].endswith("x")
 
 
+@pytest.mark.parametrize("spec", ["pullback-flat", "euclidean2"])
+def test_flat_geodesic_converges_to_round_off(spec, capsys):
+    # RK4 is exact on these quadratic geodesics: every difference is a few
+    # ulps, printed without a ratio, and the study passes
+    assert load_script().main(["--spec", spec, "--x0", "0,0", "--v", "0.3,0.2"]) == 0
+    captured = capsys.readouterr()
+    rows = captured.out.splitlines()[1:]
+    assert [row.split()[0] for row in rows] == ["4", "8", "16", "32", "64", "128"]
+    assert all(row.endswith("round-off") for row in rows)
+    assert captured.err == ""
+
+
+def test_sphere_contraction_is_still_checked(capsys):
+    # the sphere's differences are far above round-off, so a ratio outside
+    # the band still fails the study
+    script = load_script()
+    script.CONTRACTION = (16.25, 20.0)
+    assert script.main(["--max-steps", "64"]) == 1
+    captured = capsys.readouterr()
+    assert "round-off" not in captured.out
+    assert captured.err.startswith("contraction outside [16.25, 20]: 16.2x at 32 steps")
+
+
 @pytest.mark.parametrize("args,message", [
     pytest.param(["--x0", "1.0"], "start point has 1 coordinates, expected 2", id="x0-short"),
     pytest.param(["--x0", "abc"], "argument --x0: must be comma-separated numbers, not 'abc'",
