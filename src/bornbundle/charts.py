@@ -61,14 +61,14 @@ included:
   it reads only ever gain +0.0: there the first stage reads u0, and every
   later stage u0 + 0.0 (a -0.0 turns +0.0, nothing else changes), so every
   later stage has the acceleration a of the second, at u0 + k1*(h/2).
-  k1 and a are the only evaluations.  After step 0 the velocity gains the same
-  ``d = (a + a*2 + a*2 + a)*(h/6)`` each step, the velocities of a chunk
-  are one in-order ``np.add.accumulate`` of the carried velocity and
-  copies of d, and each step's ``u + u2*2 + u3*2 + u4``, with ``u2 = u3 =
-  u + a*(h/2)`` and ``u4 = u + a*h`` (step 0's u2 from k1), is formed over
-  the whole chunk at once.  When adding d leaves the bits of the velocity
-  after step 0 unchanged (a zero acceleration), every later step has the
-  row of step 1, formed once.
+  k1 and a are the only evaluations.  After step 0 the velocity gains
+  the same ``d = (a + a*2 + a*2 + a)*(h/6)`` each step, the velocities of
+  a chunk are one in-order ``np.add.accumulate`` of the carried velocity
+  and copies of d, and each step's ``u + u2*2 + u3*2 + u4``, with ``u2 =
+  u3 = u + a*(h/2)`` and ``u4 = u + a*h`` (step 0's u2 from k1), is
+  formed over the whole chunk at once.  When adding d leaves the bits of
+  the velocity after step 0 unchanged (a zero acceleration), every later
+  step has the row of step 1, formed once.
 * Per stage, for every other connection: the four stages of every step in
   turn, each evaluating the acceleration.
 
@@ -264,9 +264,10 @@ def _uniform_rows(accel, u, x, h: float, chunk: int):
     first = u + (u + k1 * (h / 2)) * 2 + (u + half) * 2 + (u + full)
     u1 = u + (k1 + a * 2 + a * 2 + a) * (h / 6)
     d = (a + a * 2 + a * 2 + a) * (h / 6)
-    steady = u1 + d
-    steady = stages(u1) if np.array_equal(steady.view(np.uint64), u1.view(np.uint64)) else None
-    if steady is None:
+    if np.array_equal((u1 + d).view(np.uint64), u1.view(np.uint64)):
+        steady = stages(u1)  # the row of every step after step 0
+    else:
+        steady = None
         # row 0 the carried velocity, the others d
         carried = np.empty((chunk + 1, *u.shape))
         carried[0], carried[1:] = u1, d
