@@ -14,6 +14,10 @@ runs every case and compares both.  The cases:
   ``--probes 3 --steps 130`` (two chunk boundaries of the position scan and
   a 2-step tail) and from ``--at 0.9,0.9`` at ``--probes 30 --steps 400``
   (a box exit at step 319/400, inside the fifth chunk, exit 1);
+* ``affine-chart scripts/specs/pullback-chain3.json``, a constant Gamma
+  integrated stage by stage, at ``--probes 3 --steps 130`` and from
+  ``--at 0.8,0.8,0.8`` at ``--probes 20 --steps 200`` (a box exit at step
+  150/200, exit 1);
 * the error reports of an unknown spec and of a malformed one.
 
 A change that alters a golden file on purpose (a defect fix or a schema
@@ -56,6 +60,11 @@ def cases() -> dict[str, list[str]]:
                                                   "--probes", "3", "--steps", "130"]
     out["affine-chart-pullback-flat-box-exit.json"] = [
         "affine-chart", "pullback-flat", "--at", "0.9,0.9", "--probes", "30", "--steps", "400"]
+    chain3 = str(ROOT / "scripts" / "specs" / "pullback-chain3.json")
+    out["affine-chart-pullback-chain3-130.json"] = ["affine-chart", chain3,
+                                                    "--probes", "3", "--steps", "130"]
+    out["affine-chart-pullback-chain3-box-exit.json"] = [
+        "affine-chart", chain3, "--at", "0.8,0.8,0.8", "--probes", "20", "--steps", "200"]
     out["error-unknown-spec.json"] = ["check", "nosuch"]
     out["error-malformed-spec.json"] = ["check", str(GOLDEN / "specs" / "malformed.json")]
     return out

@@ -415,6 +415,10 @@ CROSS_FEEDING2 = build_spec(
     connection="explicit", gamma=[[["0", "0"], ["0", "0.5"]], [["-1", "0"], ["0", "0"]]])
 PULLBACK_CUBIC = load_spec(str(Path(__file__).parent.parent / "scripts" / "specs"
                                / "pullback-cubic.json"))
+# a constant Gamma integrated stage by stage: Gamma^2_01 = Gamma^2_10 = 1
+# reads u^1, which Gamma^1_00 = -2 writes
+PULLBACK_CHAIN3 = load_spec(str(Path(__file__).parent.parent / "scripts" / "specs"
+                                / "pullback-chain3.json"))
 REFERENCE_SPECS = {
     "euclidean2": EUCLID, "hessian-exp2": HESSIAN, "pullback-flat": PULLBACK,
     "flat-skew-metric": corpus.example("flat-skew-metric"),
@@ -423,7 +427,7 @@ REFERENCE_SPECS = {
     "every-node": EVERY_NODE, "pullback-lc": PULLBACK_LC, "sphere2": SPHERE,
     "hessian-dual-exp2": HESSIAN_DUAL, "mixed-constants2": MIXED_CONSTANTS2,
     "mixed-constants3": MIXED_CONSTANTS3, "pullback-cubic": PULLBACK_CUBIC,
-    "all-constants2": ALL_CONSTANTS2, "shear3": SHEAR3,
+    "all-constants2": ALL_CONSTANTS2, "shear3": SHEAR3, "pullback-chain3": PULLBACK_CHAIN3,
 }
 # probes and RK4 steps of the connections derived from the metric, and of
 # the larger explicit one, whose Jet reference is slow
@@ -451,7 +455,7 @@ def test_batched_chart_equals_jet_reference(name):
 
 @pytest.mark.parametrize("x0", [(0.1, -0.2), (-0.0, -0.0)])
 @pytest.mark.parametrize("name", ["euclidean2", "all-constants2", "pullback-flat",
-                                  "twisted3", "shear3"])
+                                  "twisted3", "shear3", "pullback-chain3"])
 def test_signed_zero_probes_equal_jet_reference(name, x0):
     # a -0.0 velocity component turns +0.0 in the first step, whether the
     # acceleration is uniform (k1 at the first stage, then one value) or
@@ -482,7 +486,8 @@ def test_acceleration_cases():
         assert callable(terms) is not constant
     uniform = [EUCLID, PULLBACK, REFERENCE_SPECS["twisted3"], REFERENCE_SPECS["twisted4"],
                NAN_PARTIALS2, SHEAR3]
-    other = [ALL_CONSTANTS2, MIXED_CONSTANTS2, SPHERE, CROSS_FEEDING2, PULLBACK_CUBIC]
+    other = [ALL_CONSTANTS2, MIXED_CONSTANTS2, SPHERE, CROSS_FEEDING2, PULLBACK_CUBIC,
+             PULLBACK_CHAIN3]
     with np.errstate(over="ignore", invalid="ignore"):  # nan-partials2's inf
         for spec in uniform + other:
             accel = charts._acceleration(spec, 2)
@@ -602,7 +607,7 @@ SCAN_BATCHES = {
 @pytest.mark.parametrize("steps", [1, 63, 64, 65, 200])
 @pytest.mark.parametrize("order", [0, 1, 2])
 @pytest.mark.parametrize("name", ["euclidean2", "pullback-flat", "twisted3",
-                                  "all-constants2", "pullback-cubic",
+                                  "all-constants2", "pullback-chain3", "pullback-cubic",
                                   "mixed-constants2", "pullback-lc"])
 def test_chunked_scan_equals_per_step_loop(name, order, steps):
     # zero acceleration, constant Gamma with one and with several terms per
