@@ -19,9 +19,9 @@ carried position and row r + 1 step r's increment.  ``np.add.accumulate``
 adds the rows in order, one rounding per add, as ``x = x + increment``
 does, and one box check per chunk names the first step at which a probe
 is outside and, at that step, the first such probe.  A chunk is
-``DEFAULT_STEPS`` steps (fewer at the end) for a Gamma that does not read
-the position (below), and one step for one that does: a domain error of
-Gamma then cannot come before the box exit of an earlier step.  So the
+``DEFAULT_STEPS`` steps (fewer at the end) for a uniform acceleration
+(below), and one step otherwise: a domain error of a Gamma that reads the
+position then cannot come before the box exit of an earlier step.  So the
 bits and errors are those of a loop that adds one increment per step and
 checks the box after it, and memory does not grow with the step count.
 
@@ -37,14 +37,10 @@ not change.
 
 Gamma is evaluated once per integration when every support term is an
 explicit expression without a coordinate (pullback-flat's ``-2``, every
-entry of the generated twisted specs).  If its partials are then all +-0
-and the state u is finite, each stage takes both products ``(Gamma * u^i)
-* u^j`` of every term from one gathered kernel,
-:func:`bornbundle.jets._constant_products`: the split terms that ``Gamma *
-u^i`` would add are +-0 * finite = +-0.  Any other state or Gamma takes
-both full products, so the NaNs of an inf or NaN coefficient fall where
-they did.  Every other connection evaluates every support term over the
-whole batch at every stage position.
+entry of the generated twisted specs); every other connection evaluates
+every support term over the whole batch at every stage position.  Either
+way an evaluation of the acceleration takes both jet products ``(Gamma *
+u^i) * u^j`` of every term.
 
 The integrator takes one of two forms, chosen once per integration; each
 keeps every coefficient equal to the per-probe integration over the
@@ -70,7 +66,8 @@ included:
   the velocity after step 0 unchanged (a zero acceleration), every later
   step has the row of step 1, formed once.
 * Per stage, for every other connection: the four stages of every step in
-  turn, each evaluating the acceleration.
+  turn, each evaluating the acceleration at its stage position, one step
+  per chunk.
 
 The sums stay elementwise in a fixed order; an einsum or matmul would
 round differently.
@@ -155,23 +152,19 @@ def _connection_terms(spec: ManifoldSpec, support, order: int):
 
 def _acceleration(spec: ManifoldSpec, order: int):
     """The geodesic acceleration -Gamma^k_ij u^i u^j, as a function
-    ``accel(u, x, du=None, c=0.0)`` of the velocity u at the position
-    ``x + du * c`` (x itself without du), both ``(B, n, K)``.  The position
-    is formed only for a Gamma that reads it, and ``accel.reads_position``
-    says whether it does.  ``accel.uniform`` says whether the acceleration
-    cannot change along the integration (see the module docstring): Gamma
-    has no support, or it is constant and no component that a term reads
-    (its i and j) is one that a term writes (its k).  The products
-    ``(Gamma * u^i) * u^j`` of all support terms are formed at once, then
-    each k sums its terms in support order and negates the sum; a k without
-    terms gets +0.0.  A constant Gamma whose partials are all +-0 takes both
-    products from one gathered kernel (see the module docstring), unless u
-    holds a non-finite coefficient."""
+    ``accel(u, x)`` of the velocity u at the position x, both ``(B, n, K)``;
+    a constant Gamma does not read x.  ``accel.uniform`` says whether the
+    acceleration cannot change along the integration (see the module
+    docstring): Gamma has no support, or it is constant and no component
+    that a term reads (its i and j) is one that a term writes (its k).  The
+    products ``(Gamma * u^i) * u^j`` of all support terms are formed at
+    once, then each k sums its terms in support order and negates the sum;
+    a k without terms gets +0.0."""
     support = fields.connection_support(spec)
     if not support:
-        def zero(u, x, du=None, c=0.0):
+        def zero(u, x):
             return np.zeros(u.shape)
-        zero.reads_position, zero.uniform = False, True
+        zero.uniform = True
         return zero
     gamma = _connection_terms(spec, support, order)
     n = spec.n
@@ -185,32 +178,19 @@ def _acceleration(spec: ManifoldSpec, order: int):
     _, i, j = (tuple(c) for c in np.array(support)[perm].T.tolist())
     sizes = [rank.count(r) for r in range(max(rank) + 1)]
     later = [(size, sum(sizes[:r])) for r, size in enumerate(sizes) if r]
+    fixed = None if callable(gamma) else gamma[:, perm]
 
-    def both_products(g, u):
-        return jets._product_coeffs(jets._product_coeffs(g, u[:, i], order, n),
-                                    u[:, j], order, n)
-    if callable(gamma):
-        def products(u, x, du, c):
-            return both_products(gamma(x if du is None else x + du * c)[:, perm], u)
-    else:
-        fixed = gamma[:, perm]
-        value = fixed[0, :, 0] if not np.any(fixed[..., 1:]) else None
-
-        def products(u, x, du, c):
-            if value is not None and np.isfinite(u).all():
-                return jets._constant_products(u, value, i, j, order, n)
-            return both_products(fixed, u)
-
-    def accel(u, x, du=None, c=0.0):
-        terms = products(u, x, du, c)
+    def accel(u, x):
+        g = gamma(x)[:, perm] if fixed is None else fixed
+        terms = jets._product_coeffs(jets._product_coeffs(g, u[:, i], order, n),
+                                     u[:, j], order, n)
         total = terms[:, :sizes[0]]
         for size, start in later:
             total[:, :size] += terms[:, start:start + size]
         acc = np.zeros(u.shape)
         acc[:, keys] = -total
         return acc
-    accel.reads_position = callable(gamma)
-    accel.uniform = not callable(gamma) and not set(k) & {*i, *j}
+    accel.uniform = fixed is not None and not set(k) & {*i, *j}
     return accel
 
 
@@ -229,21 +209,21 @@ def _check_box(positions: np.ndarray, lo, hi, step: int, steps: int) -> None:
 
 def _stage_rows(accel, u, h: float):
     """The RK4 loop, one stage at a time: a function that advances the
-    velocity u by ``len(rows)`` steps from the carried position x, writing
-    each step's ``u + u2*2 + u3*2 + u4`` into a row of ``rows``,
-    ``(m, B, n, K)``."""
+    velocity u by one step from the carried position x, writing the step's
+    ``u + u2*2 + u3*2 + u4`` into ``rows``, ``(1, B, n, K)``.  The stages
+    after the first take the acceleration at ``x + u*(h/2)``, ``x +
+    u2*(h/2)`` and ``x + u3*h``."""
     def fill(rows, x):
         nonlocal u
-        for r in range(len(rows)):
-            k1u = accel(u, x)
-            u2 = u + k1u * (h / 2)
-            k2u = accel(u2, x, u, h / 2)
-            u3 = u + k2u * (h / 2)
-            k3u = accel(u3, x, u2, h / 2)
-            u4 = u + k3u * h
-            k4u = accel(u4, x, u3, h)
-            rows[r] = u + u2 * 2 + u3 * 2 + u4
-            u = u + (k1u + k2u * 2 + k3u * 2 + k4u) * (h / 6)
+        k1u = accel(u, x)
+        u2 = u + k1u * (h / 2)
+        k2u = accel(u2, x + u * (h / 2))
+        u3 = u + k2u * (h / 2)
+        k3u = accel(u3, x + u2 * (h / 2))
+        u4 = u + k3u * h
+        k4u = accel(u4, x + u3 * h)
+        rows[0] = u + u2 * 2 + u3 * 2 + u4
+        u = u + (k1u + k2u * 2 + k3u * 2 + k4u) * (h / 6)
     return fill
 
 
@@ -307,8 +287,9 @@ def _rk4(spec: ManifoldSpec, x0, velocities: np.ndarray, order: int,
     accel = _acceleration(spec, order)
     lo, hi = np.array(spec.sample_box, dtype=float).T
     h = 1.0 / steps
-    # one-step chunks when Gamma reads the carried position, row 0
-    chunk = 1 if accel.reads_position else min(steps, DEFAULT_STEPS)
+    # one-step chunks for the per-stage form, whose stages read the carried
+    # position, row 0
+    chunk = min(steps, DEFAULT_STEPS) if accel.uniform else 1
     fill = (_uniform_rows(accel, u, x, h, chunk) if accel.uniform
             else _stage_rows(accel, u, h))
     # in-order adds, one rounding each: the bits of x = x + increment
@@ -368,6 +349,10 @@ class ChartMap:
     x0: tuple
     steps: int = DEFAULT_STEPS
     radius: float = 0.0
+
+    def __post_init__(self):
+        if self.steps < 1:
+            raise ValueError("need at least one integration step")
 
     def point(self, a) -> np.ndarray:
         return geodesic_integrate(self.spec, self.x0, a, self.steps)

@@ -198,51 +198,16 @@ def _product_table(order: int, nvars: int):
     return left, right, starts, first
 
 
-def _split_sums(terms: np.ndarray, order: int, nvars: int) -> np.ndarray:
-    """A jet product from its split terms ``(*batch, K, S)``, laid out by
-    :func:`_product_table`: the value is the first term, and each partial is
-    ``0.0 + t0 + t1 + ...`` over its splits in mask order."""
-    _, _, starts, first = _product_table(order, nvars)
+def _product_coeffs(a: np.ndarray, b: np.ndarray, order: int, nvars: int) -> np.ndarray:
+    """Coefficients of the jet product a * b: the value is ``av*bv``, and
+    each partial is ``0.0 + fa*fb + ...`` over its splits in mask order."""
+    left, right, starts, first = _product_table(order, nvars)
+    terms = a.take(left, axis=-1) * b.take(right, axis=-1)
     out = terms[..., 0] + first
     for s in range(1, len(starts)):
         block = out[..., starts[s]:]
         block += terms[..., starts[s]:, s]
     return out
-
-
-def _product_coeffs(a: np.ndarray, b: np.ndarray, order: int, nvars: int) -> np.ndarray:
-    """Coefficients of the jet product a * b: the value is ``av*bv``, and
-    each partial is ``0.0 + fa*fb + ...`` over its splits in mask order."""
-    left, right, _, _ = _product_table(order, nvars)
-    return _split_sums(a.take(left, axis=-1) * b.take(right, axis=-1), order, nvars)
-
-
-@lru_cache(maxsize=None)
-def _gathered_table(order: int, nvars: int, i: tuple, j: tuple) -> tuple:
-    """The columns of the flattened ``(n, K)`` rows of a state that the
-    splits of :func:`_constant_products` read, ``(T, K, S)`` for each
-    factor."""
-    left, right, _, _ = _product_table(order, nvars)
-    width = len(left)
-    return (np.array(i)[:, None, None] * width + left,
-            np.array(j)[:, None, None] * width + right)
-
-
-def _constant_products(u: np.ndarray, value: np.ndarray, i: tuple, j: tuple,
-                       order: int, nvars: int) -> np.ndarray:
-    """Coefficients of the jet products ``(c_t * u[:, i[t]]) * u[:, j[t]]``
-    for every t, ``(B, T, K)``, where u holds ``(B, n, K)`` finite
-    coefficients and each c_t is a constant jet with value ``value[t]`` and
-    every partial +-0.  They equal both :func:`_product_coeffs` in turn.
-    Each partial of ``c_t * u^i`` there is ``0.0 + value*fu`` plus terms
-    +-0 * finite = +-0, which change no sum; here it is ``value*fu``, so a
-    split term of the second product can differ only in the sign of a zero.
-    Such a term only enters a partial's sum, which starts from 0.0 and so
-    is never -0.0, and that sum is the same for either zero."""
-    left, right = _gathered_table(order, nvars, i, j)
-    flat = u.reshape(len(u), -1)
-    return _split_sums(flat.take(left, axis=1) * value[:, None, None]
-                       * flat.take(right, axis=1), order, nvars)
 
 
 @lru_cache(maxsize=None)

@@ -255,6 +255,14 @@ def test_chart_base_point_must_be_inside():
         ChartMap(EUCLID, (0.0, 0.0, 0.0), radius=0.25).probe_jets([(0.1, 0.0)])
 
 
+@pytest.mark.parametrize("steps", [0, -3])
+def test_chart_map_needs_a_step(steps):
+    # checked on construction, not as a division by zero or a negative
+    # array dimension in the integrator
+    with pytest.raises(ValueError, match="^need at least one integration step$"):
+        ChartMap(PULLBACK, (0.0, 0.0), steps=steps)
+
+
 def test_exponential_chart_levi_civita_of_pullback_metric():
     # the Levi-Civita connection of the pulled-back Euclidean metric is the
     # pulled-back flat connection, so its exponential chart must recover the
@@ -492,8 +500,6 @@ def test_acceleration_cases():
         for spec in uniform + other:
             accel = charts._acceleration(spec, 2)
             assert accel.uniform is (spec in uniform), spec.name
-            assert accel.reads_position is (spec in (MIXED_CONSTANTS2, SPHERE,
-                                                     PULLBACK_CUBIC))
 
 
 def reference_constant_acceleration(spec, u, order):
@@ -571,11 +577,11 @@ def reference_rk4(spec, x0, velocities, order, steps, box=True):
     for step in range(steps):
         k1u = accel(u, x)
         u2 = u + k1u * (h / 2)
-        k2u = accel(u2, x, u, h / 2)
+        k2u = accel(u2, x + u * (h / 2))
         u3 = u + k2u * (h / 2)
-        k3u = accel(u3, x, u2, h / 2)
+        k3u = accel(u3, x + u2 * (h / 2))
         u4 = u + k3u * h
-        k4u = accel(u4, x, u3, h)
+        k4u = accel(u4, x + u3 * h)
         x = x + (u + u2 * 2 + u3 * 2 + u4) * (h / 6)
         u = u + (k1u + k2u * 2 + k3u * 2 + k4u) * (h / 6)
         inside = np.all((lo <= x[:, :, 0]) & (x[:, :, 0] <= hi), axis=1)
@@ -886,31 +892,26 @@ def _count_products(monkeypatch):
     evaluating Gamma folds its constant subexpressions (all-constants2's
     2*0.5) once per integration, on (K,) coefficients, which do not count."""
     calls = []
-    product, gathered = jets._product_coeffs, jets._constant_products
+    product = jets._product_coeffs
 
     def counted(a, b, *args):
         if np.ndim(b) > 1:  # (B, T, K) on the probe batch, (K,) for a constant
             calls.append(args)
         return product(a, b, *args)
 
-    def counted_gathered(u, *args):
-        calls.append(args)
-        return gathered(u, *args)
-
     monkeypatch.setattr(jets, "_product_coeffs", counted)
-    monkeypatch.setattr(jets, "_constant_products", counted_gathered)
     return calls
 
 
 PRODUCT_VELOCITIES = np.array([[0.05, 0.02], [-0.03, 0.04], [0.0, -0.0]])
 
 
-@pytest.mark.parametrize("spec,per_step", [(EUCLID, 0), (HESSIAN, 0), (CROSS_FEEDING2, 4),
-                                           (ALL_CONSTANTS2, 4), (PULLBACK_LINEAR, 8)])
+@pytest.mark.parametrize("spec,per_step", [(EUCLID, 0), (HESSIAN, 0), (CROSS_FEEDING2, 8),
+                                           (ALL_CONSTANTS2, 8), (PULLBACK_LINEAR, 8)])
 def test_jet_products_per_step(spec, per_step, monkeypatch):
-    # no product without acceleration; one gathered kernel call, for both
-    # products, at each of the four stages for a constant Gamma that reads a
-    # component it writes; both full products for a varying one
+    # no product without acceleration; both products at each of the four
+    # stages, for a constant Gamma that reads a component it writes and for
+    # a varying one
     calls = _count_products(monkeypatch)
     steps = 8
     charts._rk4(spec, (0.1, 0.1), PRODUCT_VELOCITIES, 2, steps)
@@ -920,10 +921,28 @@ def test_jet_products_per_step(spec, per_step, monkeypatch):
 @pytest.mark.parametrize("steps", [8, 64])
 def test_uniform_acceleration_takes_two_kernel_calls(steps, monkeypatch):
     # pullback-flat's Gamma^1_00 reads u^0 and writes u^1: k1 and the one
-    # value of every later stage, whatever the number of steps
+    # value of every later stage, two products each, whatever the number of
+    # steps
     calls = _count_products(monkeypatch)
     charts._rk4(PULLBACK, (0.1, 0.1), PRODUCT_VELOCITIES, 2, steps)
-    assert len(calls) == 2
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("spec,checks", [(PULLBACK, 3), (PULLBACK_CHAIN3, 130)])
+def test_box_checks_per_integration(spec, checks, monkeypatch):
+    # a uniform acceleration is scanned in chunks of DEFAULT_STEPS steps,
+    # here 64 + 64 + 2; the per-stage form one step at a time
+    calls = []
+    check_box = charts._check_box
+
+    def counted(*args):
+        calls.append(args[-2])
+        return check_box(*args)
+
+    monkeypatch.setattr(charts, "_check_box", counted)
+    velocities = np.array([(0.05, 0.02, -0.01), (-0.03, 0.04, 0.0)])[:, :spec.n]
+    charts._rk4(spec, (0.1,) * spec.n, velocities, 2, 130)
+    assert len(calls) == checks
 
 
 def test_gate_evaluates_the_connection_once(monkeypatch):

@@ -80,25 +80,6 @@ def test_binary_ops_match_jets(order, nvars, op):
 
 
 @pytest.mark.parametrize("order,nvars", cases())
-def test_scaled_coeffs_equal_product_by_a_constant(order, nvars):
-    # (c * u^i) * u^j from the gathered kernel, for constant jets c (partials
-    # +-0, value +-0 or not) and finite u, equals both full products
-    rng = np.random.default_rng(50 + order * 10 + nvars)
-    b = batch_of(random_jets(rng, order, nvars, BATCH)).coeffs
-    c = batch_of(random_jets(rng, order, nvars, BATCH)).coeffs
-    u = np.stack([b, c], axis=1)
-    width = b.shape[-1]
-    value = np.array([1.5, -0.25, 0.0, -0.0])
-    i, j = (0, 0, 1, 1), (0, 1, 0, 1)
-    const = np.where(rng.random((len(value), width)) < 0.5, 0.0, -0.0)
-    const[:, 0] = value
-    got = jets._constant_products(u, value, i, j, order, nvars)
-    want = jets._product_coeffs(jets._product_coeffs(const, u[:, i], order, nvars),
-                                u[:, j], order, nvars)
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
-
-@pytest.mark.parametrize("order,nvars", cases())
 def test_negation_and_reflected_float_ops_match_jets(order, nvars):
     rng = np.random.default_rng(100 + order * 10 + nvars)
     a = random_jets(rng, order, nvars, BATCH)
