@@ -936,7 +936,7 @@ def test_box_checks_per_integration(spec, checks, monkeypatch):
     check_box = charts._check_box
 
     def counted(*args):
-        calls.append(args[-2])
+        calls.append(args)
         return check_box(*args)
 
     monkeypatch.setattr(charts, "_check_box", counted)
