@@ -71,6 +71,19 @@ def test_division_by_zero_location():
     assert exc.value.offset == 1
 
 
+@pytest.mark.parametrize("text, point, offset", [
+    ("log(u)", (-1.0, 0.0), 0),       # Call
+    ("1/(u - 1)", (1.0, 0.0), 1),     # BinOp
+    ("(u - 1)^0.5", (0.0, 0.0), 7),   # Pow
+    ("2*log(u)", (-1.0, 0.0), 2),     # the failing child's offset, not the product's
+    ("-sqrt(u)", (-1.0, 0.0), 1),     # through Neg
+])
+def test_domain_error_offset_of_each_node_kind(text, point, offset):
+    with pytest.raises(EvalDomainError) as exc:
+        evaluate(parse(text, UV), ref.seed(point, 1))
+    assert exc.value.offset == offset
+
+
 @given(st.floats(min_value=-4.0, max_value=4.0, allow_nan=False))
 @settings(max_examples=50)
 def test_trig_identity(u):
