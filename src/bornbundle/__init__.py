@@ -1,8 +1,7 @@
 """Numerical checks relating Hessian structures on a manifold to the Born
 structure induced on its tangent bundle."""
 
-from .bundle import (BornFrame, BundlePoint, adapted_frame_at,
-                     affine_chart_form_check, born_at,
+from .bundle import (BornFrame, BundlePoint, adapted_frame_at, born_at,
                      born_compatibility_residuals)
 from .charts import (ChartMap, exponential_chart, geodesic_integrate,
                      pushforward_connection_residual)

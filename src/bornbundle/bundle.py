@@ -48,8 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SpecError
-from .manifold import (OMEGA_DET_FLOOR, BaseJets, ManifoldSpec, base_jets, check_spd,
-                       connection_at, sample_points)
+from .manifold import OMEGA_DET_FLOOR, BaseJets, ManifoldSpec, base_jets, check_spd
 
 FRAMES = ("adapted", "bundle-coordinate")
 
@@ -268,25 +267,3 @@ def born_compatibility_residuals(bf: BornFrame) -> BornCompatReport:
     signature = (np.sum(eigs > 0, axis=-1), np.sum(eigs < 0, axis=-1))
     return BornCompatReport(residuals=residuals, k_signature=signature)
 
-
-# -- affine-chart constant form -------------------------------------------------
-
-def affine_chart_form_check(spec: ManifoldSpec, bp: BundlePoint) -> dict[str, float]:
-    """Distance of the bundle-coordinate tensors from their affine-chart
-    form: constant blocks for I, J, K and metric blocks for h, k, omega.
-    Requires the connection coefficients to vanish identically in this
-    chart."""
-    bp = _require_point(spec, bp)
-    probes = [bp.x] + [tuple(0.5 * (lo + hi) for lo, hi in spec.sample_box)]
-    probes += [tuple(p) for p in sample_points(spec, 4, 1)]
-    for q in probes:
-        gamma = connection_at(spec, q)
-        if np.max(np.abs(gamma)) != 0.0:
-            raise SpecError(
-                "connection coefficients do not vanish in this chart; "
-                f"max |Gamma| = {np.max(np.abs(gamma)):.3g} at {q}")
-    base = base_jets(spec, [bp.x], 0)
-    check_spd(base.g[:, 0], [bp.x])
-    bf = _first_frame(fiber_born_jets(base, [bp.y]))
-    want = {**_constant_blocks(spec.n), **_metric_blocks(base.g[0, 0])}
-    return {name: float(np.max(np.abs(getattr(bf, name) - m))) for name, m in want.items()}

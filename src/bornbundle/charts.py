@@ -130,9 +130,9 @@ def _connection_terms(spec: ManifoldSpec, support, order: int):
     explicit expression without a coordinate (their jets do not depend on
     the position), else a function from chart positions, ``(B, n, K)``
     coefficients, to ``(B, T, K)``, which evaluates every term over the
-    whole batch.  If evaluating the constant terms fails, they take the
-    function too, so that the first stage raises the error of the first
-    failing term.  The connections derived from the metric go through
+    whole batch.  A constant term that fails raises from that one
+    evaluation, the error of the first failing term in support order.  The
+    connections derived from the metric go through
     :func:`bornbundle.fields.connection_args`."""
     n = spec.n
 
@@ -143,10 +143,7 @@ def _connection_terms(spec: ManifoldSpec, support, order: int):
         return lambda x: fields.connection_args(spec, args(x), order).coeffs[index]
     asts = [spec.gamma_exprs[k][i][j] for k, i, j in support]
     if not any(map(expr.free_coordinates, asts)):
-        try:
-            return fields.evaluate_all(asts, jets.seed_batch(np.zeros((1, n)), order)).coeffs
-        except (SpecError, ArithmeticError):
-            pass
+        return fields.evaluate_all(asts, jets.seed_batch(np.zeros((1, n)), order)).coeffs
     return lambda x: fields.evaluate_all(asts, args(x)).coeffs
 
 

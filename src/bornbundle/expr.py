@@ -246,10 +246,11 @@ def _eval(node: ExprAst, args, order, nvars) -> JetBatch:
         return args[node.index]
     if isinstance(node, Neg):
         return -_eval(node.child, args, order, nvars)
-    if isinstance(node, BinOp):
-        left = _eval(node.left, args, order, nvars)
-        right = _eval(node.right, args, order, nvars)
-        try:
+    # a child's domain error is already an EvalDomainError at its own offset
+    try:
+        if isinstance(node, BinOp):
+            left = _eval(node.left, args, order, nvars)
+            right = _eval(node.right, args, order, nvars)
             if node.op == "+":
                 return left + right
             if node.op == "-":
@@ -257,20 +258,12 @@ def _eval(node: ExprAst, args, order, nvars) -> JetBatch:
             if node.op == "*":
                 return left * right
             return left / right
-        except JetDomainError as e:
-            raise EvalDomainError(str(e), node.offset) from e
-    if isinstance(node, Pow):
-        base = _eval(node.base, args, order, nvars)
-        try:
-            return jets.pow_const(base, node.exponent)
-        except JetDomainError as e:
-            raise EvalDomainError(str(e), node.offset) from e
-    if isinstance(node, Call):
-        arg = _eval(node.arg, args, order, nvars)
-        try:
-            return FUNCTIONS[node.func](arg)
-        except JetDomainError as e:
-            raise EvalDomainError(str(e), node.offset) from e
+        if isinstance(node, Pow):
+            return jets.pow_const(_eval(node.base, args, order, nvars), node.exponent)
+        if isinstance(node, Call):
+            return FUNCTIONS[node.func](_eval(node.arg, args, order, nvars))
+    except JetDomainError as e:
+        raise EvalDomainError(str(e), node.offset) from e
     raise TypeError(f"not an expression node: {node!r}")
 
 

@@ -63,7 +63,7 @@ def nijenhuis_at(spec: ManifoldSpec, which: str, bp: BundlePoint) -> np.ndarray:
     """Nijenhuis tensor of the bundle-coordinate I, J or K at a bundle point."""
     if which not in ("I", "J", "K"):
         raise ValueError(f"which must be I, J or K, not {which!r}")
-    return _nijenhuis_of(born_jets(spec, _require_point(spec, bp))[which])
+    return _nijenhuis_of(born_jets(spec, bp)[which])
 
 
 def _d_omega_of(omega: np.ndarray) -> np.ndarray:
@@ -74,7 +74,7 @@ def _d_omega_of(omega: np.ndarray) -> np.ndarray:
 
 def d_omega_at(spec: ManifoldSpec, bp: BundlePoint) -> np.ndarray:
     """(d omega)_abc = d_a omega_bc + d_b omega_ca + d_c omega_ab."""
-    return _d_omega_of(born_jets(spec, _require_point(spec, bp))["omega"])
+    return _d_omega_of(born_jets(spec, bp)["omega"])
 
 
 # -- proof identities ---------------------------------------------------------
@@ -193,21 +193,6 @@ def log_margin(value: float, tol: float) -> float | None:
     return math.log10(value) - math.log10(tol)
 
 
-@dataclass(frozen=True)
-class _SweepPoints:
-    """The bundle points (x, y) of a sweep in its order, point p*F + f being
-    (xs[p], ys[f]); one is built only when an error names it."""
-    xs: tuple
-    ys: list
-
-    def __len__(self) -> int:
-        return len(self.xs) * len(self.ys)
-
-    def __getitem__(self, i):
-        p, f = divmod(i, len(self.ys))
-        return self.xs[p], self.ys[f]
-
-
 def integrability_verdict(spec: ManifoldSpec, base_count: int = 32,
                           fiber_count: int = 8, fiber_radius: float = 1.0,
                           tol: float = DEFAULT_TOL, seed: int = 42) -> IntegrabilityReport:
@@ -226,7 +211,7 @@ def integrability_verdict(spec: ManifoldSpec, base_count: int = 32,
     ys = [tuple(y) for y in fibers.tolist()]
 
     def sweep(s):
-        points = _SweepPoints(bases[s].x, ys)
+        points = [(x, y) for x in bases[s].x for y in ys]
         with np.errstate(over="ignore", invalid="ignore"):  # finite_maxima checks
             mats = fiber_born_jets(bases[s], fibers)
             tensors = {"nijenhuis_" + name: _nijenhuis_of(mats[name]) for name in "IJK"}

@@ -6,8 +6,7 @@ import pytest
 
 import jet_reference as ref
 from bornbundle import bundle, corpus
-from bornbundle.bundle import (BornFrame, BundlePoint, adapted_frame_at,
-                               affine_chart_form_check, born_at,
+from bornbundle.bundle import (BornFrame, BundlePoint, adapted_frame_at, born_at,
                                born_compatibility_residuals, born_jets,
                                fiber_born_jets)
 from bornbundle.cli import spec_from_dict
@@ -158,33 +157,12 @@ def test_structural_symmetries_exact():
         assert np.array_equal(bf.k, bf.k.T)
 
 
-def test_affine_chart_form_euclidean():
-    res = affine_chart_form_check(EUCLID, BundlePoint((0.2, 0.1), (0.4, 0.6)))
-    assert max(res.values()) == 0.0
-
-
-def test_affine_chart_form_skew_metric():
-    bp = BundlePoint((0.5, -0.3), (0.7, 0.2))
-    res = affine_chart_form_check(SKEW, bp)
-    assert res["I"] == res["J"] == res["K"] == 0.0
-    assert max(res.values()) <= 1e-14
+def test_born_at_carries_the_skew_metric():
     # the blocks themselves carry the metric at the base point
-    bf = born_at(SKEW, bp)
+    bf = born_at(SKEW, BundlePoint((0.5, -0.3), (0.7, 0.2)))
     g = np.diag([1.0, math.exp(0.5)])
     assert bf.h[:2, :2] == pytest.approx(g, abs=1e-12)
     assert bf.omega[:2, 2:] == pytest.approx(g, abs=1e-12)
-
-
-def test_affine_chart_form_potential_metric():
-    res = affine_chart_form_check(HESSIAN, BundlePoint((0.1, 0.2), (0.3, 0.4)))
-    assert res["I"] == res["J"] == res["K"] == 0.0
-
-
-def test_affine_chart_form_rejects_nonzero_connection():
-    with pytest.raises(SpecError):
-        affine_chart_form_check(SPHERE, BundlePoint((1.0, 1.0), (0.1, 0.2)))
-    with pytest.raises(SpecError):
-        affine_chart_form_check(PULLBACK, BundlePoint((0.0, 0.0), (0.1, 0.2)))
 
 
 def test_dimension_mismatch_rejected():
