@@ -33,7 +33,8 @@ finite and positive, a tolerance that is negative or not finite, and a
 spec file or ``--report`` path that cannot be read or written),
 2 internal invariant failure (the Hessian and integrability verdicts
 disagreed, the two-of-four residual pattern was impossible, or a
-construction identity broke) or internal fault (a jet misuse or a failed
+construction identity broke, which ``theorem`` checks too and names on
+stderr) or internal fault (a jet misuse or a failed
 linear solve, reported as a JSON error like a spec error).  A spec merely
 being non-Hessian is a result, not a failure.  The threshold behind each
 verdict, gate and exit code is in the table of :mod:`bornbundle.manifold`.
@@ -181,6 +182,12 @@ def _spec_summary(spec: ManifoldSpec) -> dict:
     }
 
 
+def _construction_broken(max_born_compat: dict, k_signature_ok: bool) -> bool:
+    """Whether a Born construction identity broke: a maximum above
+    ``BORN_GATE`` or k without signature (n, n) somewhere."""
+    return max(max_born_compat.values()) > BORN_GATE or not k_signature_ok
+
+
 def run(config: RunConfig) -> dict:
     """Full verdict suite for one spec.  Deterministic for a fixed (spec,
     config, seed); certifies behaviour on sampled points of this single
@@ -216,7 +223,7 @@ def run(config: RunConfig) -> dict:
         "k_signature_ok": integ.k_signature_ok,
         "gate": BORN_GATE,
     }
-    if max(integ.max_born_compat.values()) > BORN_GATE or not integ.k_signature_ok:
+    if _construction_broken(integ.max_born_compat, integ.k_signature_ok):
         failures.append("born construction identities")
 
     report["integrability"] = {
@@ -415,7 +422,11 @@ def _cmd_theorem(args) -> int:
         print(f"{row['name']:18s} {str(row['hessian']):8s} "
               f"{str(row['integrable']):11s} {row['agreement']}")
     print(f"agreement: {sum(r['agreement'] for r in rep.rows)}/{len(rep.rows)}")
-    return 0 if rep.all_agree else 2
+    broken = [row["name"] for row in rep.rows
+              if _construction_broken(row["max_born_compat"], row["k_signature_ok"])]
+    if broken:
+        print(f"born construction identities broke: {', '.join(broken)}", file=sys.stderr)
+    return 0 if rep.all_agree and not broken else 2
 
 
 def _cmd_affine_chart(args) -> int:

@@ -264,6 +264,8 @@ def theorem_crosscheck(specs: Sequence[ManifoldSpec], base_count: int = 32,
             "integrable": rep.integrable,
             "agreement": rep.hessian_agreement,
             "residuals": rep.maxima,
+            "max_born_compat": rep.max_born_compat,
+            "k_signature_ok": rep.k_signature_ok,
             "hessian_residuals": {
                 "curvature": rep.hessian.max_curvature,
                 "torsion": rep.hessian.max_torsion,

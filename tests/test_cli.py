@@ -515,6 +515,28 @@ def test_invariant_failure_exit_code(monkeypatch, capsys):
     assert any("disagree" in f for f in report["failures"])
 
 
+def test_theorem_exits_2_on_a_broken_construction_identity(monkeypatch, capsys):
+    import bornbundle.integrability as integrability_mod
+
+    argv = ["theorem", "--points", "4", "--fiber-points", "2"]
+    assert main(argv) == 0
+    intact = capsys.readouterr()
+    real = integrability_mod.born_compatibility_residuals
+
+    def broken(bf):
+        rep = real(bf)
+        return dataclasses.replace(
+            rep, residuals={**rep.residuals, "IJK": rep.residuals["IJK"] + 1.0})
+
+    monkeypatch.setattr(integrability_mod, "born_compatibility_residuals", broken)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1] == intact.out.splitlines()[-1] == "agreement: 6/6"
+    assert intact.err == ""
+    assert err.startswith("born construction identities broke: ")
+    assert "euclidean2" in err
+
+
 @pytest.mark.parametrize("error", [JetUsageError("jet mismatch"),
                                    np.linalg.LinAlgError("Singular matrix")],
                          ids=lambda e: type(e).__name__)

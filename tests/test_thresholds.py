@@ -1,13 +1,15 @@
 """The thresholds table of bornbundle.manifold: each value pinned, the
 README's table in step with it, and a spec whose verdicts turn between the
 default tolerance and a looser one."""
+import dataclasses
 import json
 import re
 from pathlib import Path
 
 import pytest
 
-from bornbundle import manifold
+from bornbundle import corpus, manifold
+from bornbundle.bundle import BundlePoint, born_at, born_compatibility_residuals
 from bornbundle.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -67,3 +69,14 @@ def test_two_of_four_band_exits_0(eps, tmp_path, capsys):
     path = tmp_path / "band.json"
     path.write_text(Path(NEAR_HESSIAN).read_text().replace("5e-7", eps))
     assert check([str(path)], capsys)[0] == 0
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1b: omega_nondegenerate is max(0, OMEGA_DET_FLOOR - |det omega|), "
+    "never above 1e-12, so the BORN_GATE of 1e-8 cannot flag a degenerate omega; "
+    "here it reads 1e-12 while I_vs_h_inv_omega reads 1.0"))
+def test_a_degenerate_omega_fails_its_own_identity():
+    frame = born_at(corpus.example("euclidean2"), BundlePoint((0.1, 0.2), (0.3, 0.4)))
+    degenerate = dataclasses.replace(frame, omega=frame.omega * 1e-7)
+    residuals = born_compatibility_residuals(degenerate).residuals
+    assert residuals["omega_nondegenerate"] > manifold.BORN_GATE
