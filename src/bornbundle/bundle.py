@@ -266,4 +266,3 @@ def born_compatibility_residuals(bf: BornFrame) -> BornCompatReport:
     eigs = np.linalg.eigvalsh(bf.k)
     signature = (np.sum(eigs > 0, axis=-1), np.sum(eigs < 0, axis=-1))
     return BornCompatReport(residuals=residuals, k_signature=signature)
-

@@ -39,5 +39,4 @@ def test_every_private_helper_and_constant_is_read():
     assert len(trees) >= 10
     read = set().union(*map(_read, trees.values()))
     defined = [(module, name) for module, tree in trees.items() for name in _defined(tree)]
-    assert defined
     assert [f"{module}: {name}" for module, name in defined if name not in read] == []
