@@ -9,7 +9,8 @@ runs every case and compares both.  The cases:
 * ``check`` at 4 x 2 points on the built-ins, on ``scripts/specs`` and on
   the generated specs in ``tests/golden/specs`` (the benchmark's lc3,
   potential4 and twisted5 at spec seed 1, kept as files);
-* ``theorem --corpus builtin`` at its defaults;
+* ``theorem --corpus builtin`` at its defaults, and ``theorem`` on
+  ``scripts/specs`` at 4 x 2 points;
 * ``affine-chart pullback-flat`` at ``--probes 4 --steps 16``, at
   ``--probes 3 --steps 130`` (two chunk boundaries of the position scan and
   a 2-step tail) and from ``--at 0.9,0.9`` at ``--probes 30 --steps 400``
@@ -54,6 +55,7 @@ def cases() -> dict[str, list[str]]:
                    for stem in ("lc3", "potential4", "twisted5"))]:
         out[f"check-{path.stem}.json"] = ["check", str(path), *SMALL]
     out["theorem-builtin.txt"] = ["theorem", "--corpus", "builtin"]
+    out["theorem-specs.txt"] = ["theorem", "--corpus", str(ROOT / "scripts" / "specs"), *SMALL]
     out["affine-chart-pullback-flat.json"] = ["affine-chart", "pullback-flat",
                                               "--probes", "4", "--steps", "16"]
     out["affine-chart-pullback-flat-130.json"] = ["affine-chart", "pullback-flat",

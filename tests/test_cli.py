@@ -537,6 +537,32 @@ def test_theorem_exits_2_on_a_broken_construction_identity(monkeypatch, capsys):
     assert "euclidean2" in err
 
 
+def test_theorem_exits_2_on_a_verdict_disagreement(monkeypatch, capsys):
+    # every Nijenhuis tensor off by 1.0: no spec is integrable, so the three
+    # Hessian ones disagree
+    import bornbundle.integrability as integrability_mod
+
+    real = integrability_mod._nijenhuis_of
+    monkeypatch.setattr(integrability_mod, "_nijenhuis_of", lambda a: real(a) + 1.0)
+    assert main(["theorem", "--points", "4", "--fiber-points", "2"]) == 2
+    out, err = capsys.readouterr()
+    rows = {line.split()[0]: line for line in out.splitlines()[1:-1]}
+    for name in ("euclidean2", "hessian-exp2", "pullback-flat"):
+        assert rows[name] == f"{name:18s} True     False       False"
+    for name in ("flat-skew-metric", "sphere2", "flat-torsionful"):
+        assert rows[name] == f"{name:18s} False    False       True"
+    assert out.splitlines()[-1] == "agreement: 3/6"
+    assert err == ""
+
+
+def test_theorem_on_an_empty_directory_is_a_spec_error(tmp_path, capsys):
+    assert main(["theorem", "--corpus", str(tmp_path)]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"error": {"kind": "SpecError",
+                             "message": f"no *.json specs found in {str(tmp_path)!r}"},
+                   "status": "error"}
+
+
 @pytest.mark.parametrize("error", [JetUsageError("jet mismatch"),
                                    np.linalg.LinAlgError("Singular matrix")],
                          ids=lambda e: type(e).__name__)
