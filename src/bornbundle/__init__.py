@@ -9,8 +9,7 @@ from .errors import NotPositiveDefiniteError, SpecError, UnsupportedDerivativeEr
 from .expr import evaluate, free_coordinates, parse, to_text
 from .integrability import (IntegrabilityReport, d_omega_at,
                             frame_bracket_residuals, integrability_verdict,
-                            nijenhuis_J_identity_residuals, nijenhuis_at,
-                            theorem_crosscheck)
+                            nijenhuis_J_identity_residuals, nijenhuis_at)
 from .manifold import (HessianVerdict, ManifoldSpec, build_spec, connection_at,
                        curvature_at, dual_connection_at, hessian_verdict,
                        levi_civita_at, metric_at, nabla_g_at, torsion_at,

@@ -435,22 +435,21 @@ def _block_residuals(transformed: np.ndarray, y: np.ndarray) -> np.ndarray:
     return e @ consts @ einv[:, None] - consts
 
 
-def _probe_residuals(spec: ManifoldSpec, chart: ChartMap, probes,
-                     y=None) -> tuple[float, float]:
+def _probe_residuals(chart: ChartMap, probes, y=None) -> tuple[float, float]:
     """Integrate the chart once over all probes and return the max-norm of
-    the transformed connection and, at fiber vector y, the max block
-    residual over the probes (0.0 when y is None)."""
+    the connection of ``chart.spec`` transformed into it and, at fiber
+    vector y, the max block residual over the probes (0.0 when y is None)."""
     probes = [tuple(float(c) for c in a) for a in probes]
     for a in probes:
         if float(np.linalg.norm(a)) > chart.radius + PROBE_RADIUS_SLACK:
             raise ValueError(
                 f"probe {a} lies beyond the chart validity radius {chart.radius:g}")
     cj = chart.probe_jets(probes, order=2).coeffs
-    n = spec.n
+    n = chart.spec.n
     with np.errstate(over="ignore", invalid="ignore"):  # finite_maxima checks
         transformed = _transformed_connections(
             cj[:, :, 1:n + 1], cj[:, :, _second_columns(n)],
-            _connection_values(spec, cj[:, :, 0]), probes)
+            _connection_values(chart.spec, cj[:, :, 0]), probes)
         stacks = {"pushforward_connection": transformed}
         if y is not None:
             stacks["born_block"] = _block_residuals(transformed, y)
@@ -459,11 +458,10 @@ def _probe_residuals(spec: ManifoldSpec, chart: ChartMap, probes,
             float(np.max(worst.get("born_block", 0.0))))
 
 
-def pushforward_connection_residual(spec: ManifoldSpec, chart: ChartMap,
-                                    probes) -> float:
-    """Max-norm of the connection coefficients transformed into the chart
-    over the probes."""
-    return _probe_residuals(spec, chart, probes)[0]
+def pushforward_connection_residual(chart: ChartMap, probes) -> float:
+    """Max-norm of the connection coefficients of ``chart.spec`` transformed
+    into the chart over the probes."""
+    return _probe_residuals(chart, probes)[0]
 
 
 def affine_chart_witness(spec: ManifoldSpec, x0, probes: int, fiber_radius: float,
@@ -479,7 +477,7 @@ def affine_chart_witness(spec: ManifoldSpec, x0, probes: int, fiber_radius: floa
     # the cube of half-width r/2 lies in the ball of radius r only for n <= 4
     scale = chart.radius * min(1.0, 2.0 / math.sqrt(spec.n))
     points = [tuple(scale * (2 * u - 1) / 2) for u in halton_points(probes, spec.n, seed)]
-    push, blocks = _probe_residuals(spec, chart, points, fiber)
+    push, blocks = _probe_residuals(chart, points, fiber)
     return {
         "base_point": list(chart.x0),
         "radius": chart.radius,

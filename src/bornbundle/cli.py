@@ -58,7 +58,7 @@ from .bundle import born_at
 from .charts import affine_chart_witness
 from .errors import SpecError
 from .expr import EvalDomainError, ParseError
-from .integrability import _proof_identities, integrability_verdict, theorem_crosscheck
+from .integrability import _proof_identities, integrability_verdict
 from .jets import JetDomainError, JetUsageError
 from .manifold import (BORN_GATE, CROSS_TOL, DEFAULT_TOL, FLATNESS_GATE_TOL, ManifoldSpec,
                        TwoOfFourReport, build_spec)
@@ -244,15 +244,16 @@ def run(config: RunConfig) -> dict:
     if not integ.hessian_agreement:
         failures.append("hessian/integrability verdicts disagree")
 
-    first = integ.first_point  # the first bundle point of the sweep
+    first = integ.first_point  # at (integ.bases.x[0], integ.fibers[0])
+    y0 = tuple(integ.fibers[0].tolist())
     report["born_frame_sample"] = {
-        "point": {"x": list(first["x"]), "y": list(first["y"])},
+        "point": {"x": list(integ.bases.x[0]), "y": list(y0)},
         "frame": "bundle-coordinate",
         **{name: getattr(first["frame"], name).tolist()
            for name in ("I", "J", "K", "h", "k", "omega")},
     }
     brackets, nj = _proof_identities(first["a"], first["nijenhuis_J"],
-                                     integ.bases.gamma[0], first["y"])
+                                     integ.bases.gamma[0], y0)
     report["sign_conventions"] = {
         "bracket_HH": brackets["HH"]["sign"],
         "bracket_HV": brackets["HV"]["sign"],
@@ -415,18 +416,20 @@ def _cmd_theorem(args) -> int:
         if not files:
             raise SpecError(f"no *.json specs found in {args.corpus!r}")
         specs = [load_spec(str(f)) for f in files]
-    rep = theorem_crosscheck(specs, args.points, args.fiber_points,
-                             args.fiber_radius, args.tol, args.seed)
+    reports = [integrability_verdict(spec, args.points, args.fiber_points,
+                                     args.fiber_radius, args.tol, args.seed)
+               for spec in specs]
     print(f"{'spec':18s} {'hessian':8s} {'integrable':11s} agreement")
-    for row in rep.rows:
-        print(f"{row['name']:18s} {str(row['hessian']):8s} "
-              f"{str(row['integrable']):11s} {row['agreement']}")
-    print(f"agreement: {sum(r['agreement'] for r in rep.rows)}/{len(rep.rows)}")
-    broken = [row["name"] for row in rep.rows
-              if _construction_broken(row["max_born_compat"], row["k_signature_ok"])]
+    for spec, rep in zip(specs, reports):
+        print(f"{spec.name:18s} {str(rep.hessian.is_hessian):8s} "
+              f"{str(rep.integrable):11s} {rep.hessian_agreement}")
+    agree = sum(rep.hessian_agreement for rep in reports)
+    print(f"agreement: {agree}/{len(reports)}")
+    broken = [spec.name for spec, rep in zip(specs, reports)
+              if _construction_broken(rep.max_born_compat, rep.k_signature_ok)]
     if broken:
         print(f"born construction identities broke: {', '.join(broken)}", file=sys.stderr)
-    return 0 if rep.all_agree and not broken else 2
+    return 0 if agree == len(reports) and not broken else 2
 
 
 def _cmd_affine_chart(args) -> int:

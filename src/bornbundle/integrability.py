@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -169,8 +168,9 @@ class IntegrabilityReport:
     per_point: dict
     bases: BaseJets  # the sweep's base-point fields
     fibers: np.ndarray  # (F, n) fiber vectors of the sweep
-    # the sweep's first bundle point, read by check's born_frame_sample and
-    # sign_conventions: "x", "y", A's rows "a", "nijenhuis_J", the BornFrame "frame"
+    # at the sweep's first bundle point (bases.x[0], fibers[0]), read by
+    # check's born_frame_sample and sign_conventions: A's rows "a",
+    # "nijenhuis_J" and the BornFrame "frame"
     first_point: dict
 
     def argmax(self) -> dict:
@@ -220,7 +220,7 @@ def integrability_verdict(spec: ManifoldSpec, base_count: int = 32,
             rep = born_compatibility_residuals(
                 BornFrame.of({name: m[:, :, 0] for name, m in mats.items()}))
             # copies, so that the report does not keep the stacks alive
-            first = {"x": points[0][0], "y": points[0][1], "frame": _first_frame(mats),
+            first = {"frame": _first_frame(mats),
                      "a": mats["I"][0, 0, :, :spec.n, :spec.n].copy(),
                      "nijenhuis_J": tensors["nijenhuis_J"][0, 0].copy()}
             return worst, rep, finite_maxima(rep.residuals, points), first
@@ -238,38 +238,3 @@ def integrability_verdict(spec: ManifoldSpec, base_count: int = 32,
         hessian=hv, max_born_compat=worst_born,
         k_signature_ok=signature_ok, per_point=per_point, bases=bases,
         fibers=fibers, first_point=first)
-
-
-@dataclass(frozen=True)
-class CrosscheckReport:
-    rows: list
-    all_agree: bool
-
-
-def theorem_crosscheck(specs: Sequence[ManifoldSpec], base_count: int = 32,
-                       fiber_count: int = 8, fiber_radius: float = 1.0,
-                       tol: float = DEFAULT_TOL, seed: int = 42) -> CrosscheckReport:
-    """Hessian verdict versus integrability verdict for every spec; the two
-    must agree for each one."""
-    specs = list(specs)
-    if not specs:
-        raise ValueError("crosscheck needs a non-empty corpus")
-    rows = []
-    for spec in specs:
-        rep = integrability_verdict(spec, base_count, fiber_count,
-                                    fiber_radius, tol, seed)
-        rows.append({
-            "name": spec.name or "<unnamed>",
-            "hessian": rep.hessian.is_hessian,
-            "integrable": rep.integrable,
-            "agreement": rep.hessian_agreement,
-            "residuals": rep.maxima,
-            "max_born_compat": rep.max_born_compat,
-            "k_signature_ok": rep.k_signature_ok,
-            "hessian_residuals": {
-                "curvature": rep.hessian.max_curvature,
-                "torsion": rep.hessian.max_torsion,
-                "nabla_g_asymmetry": rep.hessian.max_nabla_g_asymmetry,
-            },
-        })
-    return CrosscheckReport(rows=rows, all_agree=all(r["agreement"] for r in rows))

@@ -16,8 +16,7 @@ from bornbundle.charts import (_probe_residuals, exponential_chart,
 from bornbundle.cli import RunConfig, report_to_json, run
 from bornbundle.integrability import (d_omega_at, frame_bracket_residuals,
                                       integrability_verdict,
-                                      nijenhuis_J_identity_residuals,
-                                      theorem_crosscheck)
+                                      nijenhuis_J_identity_residuals)
 from bornbundle.manifold import (dual_connection_at, halton_points, sample_fibers,
                                  sample_points, two_of_four_residuals)
 
@@ -123,30 +122,30 @@ def test_acceptance_3_euclidean_reproduction():
 
 
 def test_acceptance_4_main_theorem_agreement():
-    rep = theorem_crosscheck(ALL, base_count=32, fiber_count=8,
-                             fiber_radius=1.0, tol=1e-9)
-    rows = {r["name"]: r for r in rep.rows}
-    ok = rep.all_agree and len(rep.rows) == 6
-    ok = ok and rows["hessian-exp2"]["hessian"] and rows["hessian-exp2"]["integrable"]
+    reps = {spec.name: integrability_verdict(spec, base_count=32, fiber_count=8,
+                                             fiber_radius=1.0, tol=1e-9)
+            for spec in ALL}
+    agree = sum(rep.hessian_agreement for rep in reps.values())
+    ok = agree == len(reps) == 6
+    ok = ok and reps["hessian-exp2"].hessian.is_hessian and reps["hessian-exp2"].integrable
     for name in ("sphere2", "flat-skew-metric", "flat-torsionful"):
-        ok = ok and not rows[name]["hessian"] and not rows[name]["integrable"]
+        ok = ok and not reps[name].hessian.is_hessian and not reps[name].integrable
     # expected dominant residuals
-    sphere = rows["sphere2"]
-    ok = ok and sphere["hessian_residuals"]["curvature"] > 1e-9
-    ok = ok and sphere["hessian_residuals"]["torsion"] <= 1e-9
-    ok = ok and sphere["residuals"]["nijenhuis_K"] > 1e-9
-    skew = rows["flat-skew-metric"]
-    ok = ok and skew["residuals"]["d_omega"] > 1e-9
-    ok = ok and all(skew["residuals"][f"nijenhuis_{w}"] <= 1e-9 for w in "IJK")
-    ok = ok and skew["hessian_residuals"]["nabla_g_asymmetry"] > 1e-9
-    tors = rows["flat-torsionful"]
-    ok = ok and tors["hessian_residuals"]["torsion"] > 1e-9
-    ok = ok and tors["hessian_residuals"]["curvature"] <= 1e-9
-    ok = ok and tors["residuals"]["nijenhuis_I"] > 1e-9
-    ok = ok and tors["residuals"]["nijenhuis_J"] > 1e-9
-    ok = ok and tors["residuals"]["nijenhuis_K"] <= 1e-9
-    ok = ok and tors["residuals"]["d_omega"] <= 1e-9
-    agree = sum(r["agreement"] for r in rep.rows)
+    sphere = reps["sphere2"]
+    ok = ok and sphere.hessian.max_curvature > 1e-9
+    ok = ok and sphere.hessian.max_torsion <= 1e-9
+    ok = ok and sphere.maxima["nijenhuis_K"] > 1e-9
+    skew = reps["flat-skew-metric"]
+    ok = ok and skew.maxima["d_omega"] > 1e-9
+    ok = ok and all(skew.maxima[f"nijenhuis_{w}"] <= 1e-9 for w in "IJK")
+    ok = ok and skew.hessian.max_nabla_g_asymmetry > 1e-9
+    tors = reps["flat-torsionful"]
+    ok = ok and tors.hessian.max_torsion > 1e-9
+    ok = ok and tors.hessian.max_curvature <= 1e-9
+    ok = ok and tors.maxima["nijenhuis_I"] > 1e-9
+    ok = ok and tors.maxima["nijenhuis_J"] > 1e-9
+    ok = ok and tors.maxima["nijenhuis_K"] <= 1e-9
+    ok = ok and tors.maxima["d_omega"] <= 1e-9
     print(f"  agreement {agree}/6")
     _verdict(4, "main-theorem agreement", ok)
 
@@ -216,8 +215,8 @@ def test_acceptance_8_affine_chart_witness():
     chart = exponential_chart(spec, (0.0, 0.0))
     unit = halton_points(6, 2, 31)
     probes = [tuple(chart.radius * (2 * u - 1) / 2) for u in unit]
-    push = pushforward_connection_residual(spec, chart, probes)
-    blocks = max(_probe_residuals(spec, chart, [a], (0.8, -0.5))[1] for a in probes)
+    push = pushforward_connection_residual(chart, probes)
+    blocks = max(_probe_residuals(chart, [a], (0.8, -0.5))[1] for a in probes)
     # contraction must be measured where RK4 has error to contract; the flat
     # corpus geodesics (straight or polynomial) are integrated exactly, so
     # the sphere provides the convergence-order evidence

@@ -94,10 +94,10 @@ def jacobian(chart, a):
     return chart.jets(a, order=1).coeffs[:, 1:]
 
 
-def chart_born_block_residual(spec, chart, a, y):
+def chart_born_block_residual(chart, a, y):
     """Distance of the I, J, K built from the transformed connection at a
     chart probe from their constant affine-chart blocks."""
-    return _probe_residuals(spec, chart, [a], y)[1]
+    return _probe_residuals(chart, [a], y)[1]
 
 
 def test_exponential_chart_euclidean_is_identity():
@@ -135,18 +135,18 @@ def test_flatness_gate_rejects_torsion():
 
 def test_pushforward_residual_euclidean_zero():
     chart = exponential_chart(EUCLID, (0.0, 0.0))
-    assert pushforward_connection_residual(EUCLID, chart, probes(chart.radius)) == 0.0
+    assert pushforward_connection_residual(chart, probes(chart.radius)) == 0.0
 
 
 def test_pushforward_residual_pullback():
     chart = exponential_chart(PULLBACK, (0.0, 0.0))
-    res = pushforward_connection_residual(PULLBACK, chart, probes(chart.radius))
+    res = pushforward_connection_residual(chart, probes(chart.radius))
     assert res <= 1e-6
 
 
 def test_pushforward_residual_hessian_translation_chart():
     chart = exponential_chart(HESSIAN, (0.2, -0.1))
-    res = pushforward_connection_residual(HESSIAN, chart, probes(chart.radius))
+    res = pushforward_connection_residual(chart, probes(chart.radius))
     assert res <= 1e-10
     a = (0.3, 0.1)
     assert chart.point(a) == pytest.approx([0.5, 0.0], abs=1e-12)
@@ -155,13 +155,13 @@ def test_pushforward_residual_hessian_translation_chart():
 def test_probe_beyond_radius_rejected():
     chart = exponential_chart(EUCLID, (0.0, 0.0))
     with pytest.raises(ValueError):
-        pushforward_connection_residual(EUCLID, chart, [(0.9, 0.0)])
+        pushforward_connection_residual(chart, [(0.9, 0.0)])
 
 
 def test_block_residual_probe_beyond_radius_rejected():
     chart = exponential_chart(EUCLID, (0.0, 0.0))
     with pytest.raises(ValueError, match="validity radius"):
-        chart_born_block_residual(EUCLID, chart, (0.9, 0.0), (0.7, -0.4))
+        chart_born_block_residual(chart, (0.9, 0.0), (0.7, -0.4))
     with pytest.raises(ValueError, match="at least one chart probe"):
         affine_chart_witness(EUCLID, (0.0, 0.0), 0, 1.0)
 
@@ -182,9 +182,9 @@ def test_witness_probes_lie_inside_the_radius(n, monkeypatch):
     placed = []
     residuals = charts._probe_residuals
 
-    def recorded(spec, chart, probes, y=None):
+    def recorded(chart, probes, y=None):
         placed.append((chart.radius, probes))
-        return residuals(spec, chart, probes, y)
+        return residuals(chart, probes, y)
 
     monkeypatch.setattr(charts, "_probe_residuals", recorded)
     for seed in range(1, 41):
@@ -218,7 +218,7 @@ def test_born_blocks_in_constructed_chart():
     for spec in (EUCLID, PULLBACK, HESSIAN):
         chart = exponential_chart(spec, (0.0, 0.0))
         for a in probes(chart.radius, 4):
-            res = chart_born_block_residual(spec, chart, a, (0.7, -0.4))
+            res = chart_born_block_residual(chart, a, (0.7, -0.4))
             assert res <= 1e-6
 
 
@@ -234,9 +234,9 @@ class _CollapsedChart(ChartMap):
 def test_singular_chart_jacobian_is_spec_error():
     chart = _CollapsedChart(EUCLID, (0.0, 0.0), radius=0.25)
     with pytest.raises(SpecError, match="singular chart Jacobian"):
-        pushforward_connection_residual(EUCLID, chart, [(0.1, 0.0)])
+        pushforward_connection_residual(chart, [(0.1, 0.0)])
     with pytest.raises(SpecError, match="singular chart Jacobian"):
-        chart_born_block_residual(EUCLID, chart, (0.1, 0.0), (0.7, -0.4))
+        chart_born_block_residual(chart, (0.1, 0.0), (0.7, -0.4))
 
 
 def test_chart_base_point_must_be_inside():
@@ -277,7 +277,7 @@ def test_exponential_chart_levi_civita_of_pullback_metric():
     for a in probes(chart.radius, 4):
         want = np.array([x0[0] + a[0], x0[1] + a[1] + a[0] ** 2])
         assert chart.point(a) == pytest.approx(want, abs=1e-8)
-    res = pushforward_connection_residual(spec, chart, probes(chart.radius, 4))
+    res = pushforward_connection_residual(chart, probes(chart.radius, 4))
     assert res <= 1e-6
 
 
@@ -331,9 +331,9 @@ def test_witness_integrates_each_probe_once(spec, monkeypatch):
               for u in halton_points(count, 2, seed)]
     fiber = sample_fibers(2, 1, 1.0, seed)[0]
     assert out["pushforward_residual"] == pushforward_connection_residual(
-        spec, chart, points)
+        chart, points)
     assert out["born_block_residual"] == max(
-        chart_born_block_residual(spec, chart, a, fiber) for a in points)
+        chart_born_block_residual(chart, a, fiber) for a in points)
 
 
 def reference_chart_jets(spec, x0, a, order=2, steps=64):
@@ -718,7 +718,7 @@ def test_stacked_probe_residuals_equal_per_probe(name):
         want = per_probe_transformed_connection(jac[p], sec[p], gamma[p])
         assert_same_bits(transformed[p], want)
         assert_same_bits(blocks[p], per_probe_block_residual(want, y))
-    push, block = _probe_residuals(spec, chart, points, y)
+    push, block = _probe_residuals(chart, points, y)
     assert push == max(np.max(np.abs(t)) for t in transformed)
     assert block == max(np.max(np.abs(b)) for b in blocks)
 
@@ -846,8 +846,8 @@ def test_singular_chart_jacobian_names_the_first_probe():
     points = [(0.1, 0.0), (-0.1, 0.05), (-0.2, 0.0)]
     with pytest.raises(SpecError, match=re.escape("singular chart Jacobian at probe "
                                                   "(-0.1, 0.05)")):
-        _probe_residuals(EUCLID, chart, points, (0.7, -0.4))
-    assert _probe_residuals(EUCLID, chart, points[:1], (0.7, -0.4)) == (0.0, 0.0)
+        _probe_residuals(chart, points, (0.7, -0.4))
+    assert _probe_residuals(chart, points[:1], (0.7, -0.4)) == (0.0, 0.0)
 
 
 # -- work done once ------------------------------------------------------------

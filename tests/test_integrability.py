@@ -12,8 +12,7 @@ from bornbundle.errors import SpecError
 from bornbundle.integrability import (_d_omega_of, _nijenhuis_of,
                                       d_omega_at, frame_bracket_residuals,
                                       integrability_verdict, nijenhuis_at,
-                                      nijenhuis_J_identity_residuals,
-                                      theorem_crosscheck)
+                                      nijenhuis_J_identity_residuals)
 from bornbundle.manifold import (CROSS_TOL, _curvature_of, _nabla_g_of, _torsion_of,
                                  base_jets, build_spec, dual_connection_at,
                                  sample_fibers, sample_points, torsion_at)
@@ -334,42 +333,30 @@ def test_verdict_counts_validated():
         integrability_verdict(EUCLID, 0, 4)
 
 
-def test_theorem_crosscheck_builtin():
-    rep = theorem_crosscheck(corpus.all_examples(), base_count=6, fiber_count=3)
-    assert rep.all_agree
-    assert len(rep.rows) == 6
-    by_name = {r["name"]: r for r in rep.rows}
-    assert by_name["euclidean2"]["hessian"] and by_name["euclidean2"]["integrable"]
-    assert by_name["hessian-exp2"]["hessian"] and by_name["hessian-exp2"]["integrable"]
-    assert by_name["pullback-flat"]["hessian"] and by_name["pullback-flat"]["integrable"]
+def test_theorem_builtin():
+    by_name = {spec.name: integrability_verdict(spec, base_count=6, fiber_count=3)
+               for spec in corpus.all_examples()}
+    assert len(by_name) == 6
+    assert all(rep.hessian_agreement for rep in by_name.values())
+    for name in ("euclidean2", "hessian-exp2", "pullback-flat"):
+        assert by_name[name].hessian.is_hessian and by_name[name].integrable
     for name in ("sphere2", "flat-skew-metric", "flat-torsionful"):
-        assert not by_name[name]["hessian"]
-        assert not by_name[name]["integrable"]
-
-
-def test_theorem_crosscheck_single_spec():
-    rep = theorem_crosscheck([EUCLID], base_count=4, fiber_count=2)
-    assert rep.all_agree
-
-
-def test_theorem_crosscheck_empty_corpus():
-    with pytest.raises(ValueError):
-        theorem_crosscheck([])
+        assert not by_name[name].hessian.is_hessian
+        assert not by_name[name].integrable
 
 
 @pytest.mark.parametrize("n", [5, 6])
 @pytest.mark.parametrize("metric", ["identity", "potential"])
-def test_theorem_crosscheck_beyond_four_dimensions(n, metric):
+def test_theorem_beyond_four_dimensions(n, metric):
     coords = [f"x{k}" for k in range(n)]
     if metric == "identity":
         kw = {"metric": [["1" if i == j else "0" for j in range(n)] for i in range(n)]}
     else:
         kw = {"potential": " + ".join(f"exp({c})" for c in coords)}
     spec = build_spec(f"{metric}{n}", coords, [(-1.0, 1.0)] * n, connection="flat", **kw)
-    rep = theorem_crosscheck([spec], base_count=2, fiber_count=1)
-    row = rep.rows[0]
-    assert rep.all_agree
-    assert row["hessian"] is True and row["integrable"] is True
+    rep = integrability_verdict(spec, base_count=2, fiber_count=1)
+    assert rep.hessian_agreement
+    assert rep.hessian.is_hessian is True and rep.integrable is True
 
 
 # -- the stacked sweep ----------------------------------------------------------

@@ -3,6 +3,8 @@ import json
 import math
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_corpus.py"
 
 
@@ -60,3 +62,21 @@ def test_dominant_residual_is_printed_with_its_margin(capsys):
         assert rows[name].endswith(f" {dominant} ({margin:+.1f})")
     for name in ("euclidean2", "hessian-exp2", "pullback-flat"):
         assert rows[name].endswith(" -")
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--points", "0"], "sample counts must be at least 1"),
+    (["--fiber-points", "-1"], "sample counts must be at least 1"),
+    (["--fiber-radius", "0"], "fiber radius must be finite and positive"),
+])
+def test_bad_sample_argument_is_one_line_error(args, message, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        load_script().main([*args, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    error = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(error) == 1
+    assert error[0].split(": error: ", 1)[1] == message
+    assert not (tmp_path / "out").exists()

@@ -9,7 +9,7 @@ import pytest
 from bornbundle import corpus, fields
 from bornbundle.bundle import BundlePoint, born_at, born_compatibility_residuals
 from bornbundle.errors import UnsupportedDerivativeError
-from bornbundle.integrability import integrability_verdict, theorem_crosscheck
+from bornbundle.integrability import integrability_verdict
 from bornbundle.manifold import (build_spec, curvature_at, connection_at,
                                  dual_connection_at, hessian_verdict,
                                  nabla_g_at, sample_points, torsion_at,
@@ -58,17 +58,16 @@ def test_hessian_dual_of_skew_metric_is_flat_but_torsionful():
 
 
 def test_theorem_holds_for_hessian_dual_specs():
-    rep = theorem_crosscheck([HD_EXP, HD_SKEW], base_count=6, fiber_count=3)
-    assert rep.all_agree
-    rows = {r["name"]: r for r in rep.rows}
-    assert rows["hd-exp"]["hessian"] and rows["hd-exp"]["integrable"]
-    assert not rows["hd-skew"]["hessian"] and not rows["hd-skew"]["integrable"]
+    exp, skew = (integrability_verdict(spec, base_count=6, fiber_count=3)
+                 for spec in (HD_EXP, HD_SKEW))
+    assert exp.hessian_agreement and skew.hessian_agreement
+    assert exp.hessian.is_hessian and exp.integrable
+    assert not skew.hessian.is_hessian and not skew.integrable
     # obstruction pattern: torsion upstairs in N_I/N_J, but the dual of the
     # dual is the original torsion-free flat connection, so d omega vanishes
-    skew = rows["hd-skew"]
-    assert skew["residuals"]["nijenhuis_I"] > 1e-9
-    assert skew["residuals"]["nijenhuis_K"] <= 1e-9
-    assert skew["residuals"]["d_omega"] <= 1e-9
+    assert skew.maxima["nijenhuis_I"] > 1e-9
+    assert skew.maxima["nijenhuis_K"] <= 1e-9
+    assert skew.maxima["d_omega"] <= 1e-9
 
 
 # -- three-dimensional spec ---------------------------------------------------
@@ -98,12 +97,12 @@ def test_three_dim_born_identities_and_signature():
 
 
 def test_three_dim_theorem_agreement():
-    rep = theorem_crosscheck([HESS3, SKEW3], base_count=4, fiber_count=2)
-    assert rep.all_agree
-    rows = {r["name"]: r for r in rep.rows}
-    assert rows["hess3"]["hessian"] and rows["hess3"]["integrable"]
-    assert not rows["skew3"]["hessian"]
-    assert rows["skew3"]["residuals"]["d_omega"] > 1e-9
+    hess, skew = (integrability_verdict(spec, base_count=4, fiber_count=2)
+                  for spec in (HESS3, SKEW3))
+    assert hess.hessian_agreement and skew.hessian_agreement
+    assert hess.hessian.is_hessian and hess.integrable
+    assert not skew.hessian.is_hessian
+    assert skew.maxima["d_omega"] > 1e-9
 
 
 def test_three_dim_two_of_four():
