@@ -8,6 +8,9 @@ e.g. ``curvature (+9.0)``, or ``-`` when all are within the tolerance.
 Usage:
     python3 scripts/run_corpus.py
     python3 scripts/run_corpus.py --points 64 --out reports/
+
+A sample count below 1 or a fiber radius that is not finite and positive
+exits 2 with one argparse error line.
 """
 from __future__ import annotations
 
@@ -19,6 +22,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from bornbundle import corpus
 from bornbundle.cli import RunConfig, report_to_json, run
+from bornbundle.errors import SpecError
 from bornbundle.integrability import log_margin
 
 
@@ -35,6 +39,13 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--out", help="directory for per-spec JSON reports")
     args = parser.parse_args(argv)
+    try:
+        configs = [RunConfig(source=name, points=args.points,
+                             fiber_points=args.fiber_points,
+                             fiber_radius=args.fiber_radius, seed=args.seed)
+                   for name in corpus.BUILTIN_BUILDERS]
+    except SpecError as e:  # a sample count or the fiber radius is out of range
+        parser.error(str(e))
 
     if args.out:
         try:
@@ -46,10 +57,8 @@ def main(argv=None) -> int:
     print(header)
     print("-" * len(header))
     all_ok = True
-    for name in corpus.BUILTIN_BUILDERS:
-        config = RunConfig(source=name, points=args.points,
-                           fiber_points=args.fiber_points,
-                           fiber_radius=args.fiber_radius, seed=args.seed)
+    for config in configs:
+        name = config.source
         report = run(config)
         residuals = {
             "curvature": report["hessian"]["max_curvature"],
