@@ -68,9 +68,6 @@ class BundlePoint:
     def n(self) -> int:
         return len(self.x)
 
-    def coords(self) -> tuple:
-        return self.x + self.y
-
 
 @dataclass(frozen=True)
 class BornFrame:
@@ -161,14 +158,6 @@ def _frame_of(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     einv = e[..., 0, :, :].copy()
     einv[..., n:, :n] = -a[..., 0, :, :]
     return e, einv
-
-
-def adapted_frame_at(spec: ManifoldSpec, bp: BundlePoint):
-    """Change-of-basis pair (E, E^-1): columns of E are H_1..H_n, V_1..V_n
-    in bundle coordinates, rows of E^-1 the dual coframe."""
-    bp = _require_point(spec, bp)
-    e, einv = _frame_of(_fiber_blocks(base_jets(spec, [bp.x], 0), [bp.y])[0][0, 0])
-    return e[0], einv
 
 
 def fiber_born_jets(bases: BaseJets, ys) -> dict[str, np.ndarray]:

@@ -351,9 +351,6 @@ class ChartMap:
         if self.steps < 1:
             raise ValueError("need at least one integration step")
 
-    def point(self, a) -> np.ndarray:
-        return geodesic_integrate(self.spec, self.x0, a, self.steps)
-
     def probe_jets(self, probes, order: int = 2) -> JetBatch:
         """Chart-map coordinates at every probe, as jets over the straight
         coordinates with batch shape (probes, n), from one integration."""
@@ -456,12 +453,6 @@ def _probe_residuals(chart: ChartMap, probes, y=None) -> tuple[float, float]:
     worst = finite_maxima(stacks, probes)
     return (float(np.max(worst["pushforward_connection"])),
             float(np.max(worst.get("born_block", 0.0))))
-
-
-def pushforward_connection_residual(chart: ChartMap, probes) -> float:
-    """Max-norm of the connection coefficients of ``chart.spec`` transformed
-    into the chart over the probes."""
-    return _probe_residuals(chart, probes)[0]
 
 
 def affine_chart_witness(spec: ManifoldSpec, x0, probes: int, fiber_radius: float,

@@ -184,11 +184,6 @@ def dual_of(spec, args: Sequence[JetBatch], gamma: JetBatch, order: int) -> JetB
     return dual_connection_of(gamma, g, dg, jet_inv(g))
 
 
-def dual_connection_args(spec, args: Sequence[JetBatch], order: int) -> JetBatch:
-    """Dual of the declared connection at jet-valued coordinates."""
-    return dual_of(spec, args, connection_args(spec, args, order), order)
-
-
 def connection_args(spec, args: Sequence[JetBatch], order: int) -> JetBatch:
     """Connection coefficients Gamma[..., k, i, j] of the declared connection
     at jet-valued coordinates."""

@@ -28,9 +28,9 @@ reported by base point, through :func:`bornbundle.manifold._first_failure`,
 then by fiber and residual: N_I, N_J, N_K, d omega, then the construction
 identities.  ``check`` reads ``born_frame_sample`` and ``sign_conventions``
 off the report's copies of the first bundle point's arrays (the signs through
-:func:`_proof_identities`, as the one-point identity functions do).  The
-verdict compares each maximum with the Hessian verdict's tolerance; the
-thresholds are in the table of :mod:`bornbundle.manifold`.
+:func:`_proof_identities`).  The verdict compares each maximum with the
+Hessian verdict's tolerance; the thresholds are in the table of
+:mod:`bornbundle.manifold`.
 """
 from __future__ import annotations
 
@@ -39,8 +39,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundle import (BornFrame, BundlePoint, _first_frame, _frame_of, _require_point,
-                     born_compatibility_residuals, born_jets, fiber_born_jets)
+from .bundle import (BornFrame, _first_frame, _frame_of, born_compatibility_residuals,
+                     fiber_born_jets)
+# unused: bornbench's test_remove_restores_every_patched_attribute pins it (ROADMAP item 5)
+from .bundle import born_jets
 from .manifold import (DEFAULT_TOL, BaseJets, HessianVerdict, ManifoldSpec,
                        _curvature_of, _first_failure, _torsion_of, base_jets,
                        finite_maxima, sample_fibers, sample_points)
@@ -58,22 +60,11 @@ def _nijenhuis_of(a: np.ndarray) -> np.ndarray:
     return half - half.swapaxes(-1, -2)
 
 
-def nijenhuis_at(spec: ManifoldSpec, which: str, bp: BundlePoint) -> np.ndarray:
-    """Nijenhuis tensor of the bundle-coordinate I, J or K at a bundle point."""
-    if which not in ("I", "J", "K"):
-        raise ValueError(f"which must be I, J or K, not {which!r}")
-    return _nijenhuis_of(born_jets(spec, bp)[which])
-
-
 def _d_omega_of(omega: np.ndarray) -> np.ndarray:
-    """:func:`d_omega_at` from an array of omega's values and first partials."""
+    """(d omega)_abc = d_a omega_bc + d_b omega_ca + d_c omega_ab, from a
+    (..., 1 + 2n, 2n, 2n) array of omega's values and first partials."""
     dw = omega[..., 1:, :, :]  # dw[a, b, c] = d_a omega_bc
     return dw + np.moveaxis(dw, -3, -1) + np.moveaxis(dw, -1, -3)
-
-
-def d_omega_at(spec: ManifoldSpec, bp: BundlePoint) -> np.ndarray:
-    """(d omega)_abc = d_a omega_bc + d_b omega_ca + d_c omega_ab."""
-    return _d_omega_of(born_jets(spec, bp)["omega"])
 
 
 # -- proof identities ---------------------------------------------------------
@@ -88,9 +79,13 @@ def _signed_residual(lhs: np.ndarray, rhs: np.ndarray, scale: float):
 
 def _proof_identities(a: np.ndarray, nj: np.ndarray, gamma: np.ndarray,
                       y) -> tuple[dict, dict]:
-    """The dicts of :func:`frame_bracket_residuals` and
-    :func:`nijenhuis_J_identity_residuals` at a bundle point (x, y), from A's
-    rows (1 + 2n, n, n), N_J (2n, 2n, 2n) and Gamma of order 1 at x."""
+    """The proof identities at a bundle point (x, y), from A's rows
+    (1 + 2n, n, n), N_J (2n, 2n, 2n) and Gamma of order 1 at x, as two dicts
+    keyed by frame-field pair.  The first holds the brackets of the adapted
+    frame fields, from E's first partials, against [H_i, H_j] = -R^l_ijk y^k
+    V_l, [V_i, V_j] = 0 and [H_i, V_j] = Gamma^k_ij V_k; the second N_J on
+    frame-field pairs against -T^k_ij H_k - R^l_ijk y^k V_l (HH and VV) and
+    R^l_ijk y^k H_l + T^k_ij V_k (HV).  Each is up to a recorded global sign."""
     n = a.shape[-1]
     e, einv = _frame_of(a)
     r = _curvature_of(gamma)
@@ -112,8 +107,12 @@ def _proof_identities(a: np.ndarray, nj: np.ndarray, gamma: np.ndarray,
         "HV": _signed_residual(brackets[:n, n:], rhs_hv, scale),
     }
 
-    # N in the adapted frame: pull the value index back, feed frame vectors in
-    nj_ad = np.einsum("cl,lmn,ma,nb->cab", einv, nj, e[0], e[0])
+    # N in the adapted frame: pull the value index back, feed frame vectors
+    # in, one operand at a time: a four-operand einsum loops over every
+    # index at once, (2n)^6 products against 3 (2n)^4
+    nj_ad = np.einsum("cl,lmn->cmn", einv, nj)
+    nj_ad = np.einsum("cmn,ma->can", nj_ad, e[0])
+    nj_ad = np.einsum("can,nb->cab", nj_ad, e[0])
     rhs_hh = np.zeros((n, n, 2 * n))
     rhs_hh[:, :, :n] = -np.einsum("kij->ijk", t)
     rhs_hh[:, :, n:] = -ry
@@ -128,29 +127,6 @@ def _proof_identities(a: np.ndarray, nj: np.ndarray, gamma: np.ndarray,
         "VV": _signed_residual(lhs_vv, rhs_hh, scale),
         "HV": _signed_residual(lhs_hv, rhs_hv, scale),
     }
-
-
-def _identities_at(spec: ManifoldSpec, bp: BundlePoint) -> tuple[dict, dict]:
-    """:func:`_proof_identities` at bp from one evaluation of its tensors."""
-    bp = _require_point(spec, bp)
-    base = base_jets(spec, [bp.x])
-    mats = fiber_born_jets(base, [bp.y])
-    return _proof_identities(mats["I"][0, 0, :, :spec.n, :spec.n],
-                             _nijenhuis_of(mats["J"][0, 0]), base.gamma[0], bp.y)
-
-
-def frame_bracket_residuals(spec: ManifoldSpec, bp: BundlePoint) -> dict:
-    """Brackets of the adapted frame fields, from E's first partials, against
-    [H_i, H_j] = -R^l_ijk y^k V_l, [V_i, V_j] = 0, [H_i, V_j] = Gamma^k_ij V_k,
-    each up to a recorded global sign."""
-    return _identities_at(spec, bp)[0]
-
-
-def nijenhuis_J_identity_residuals(spec: ManifoldSpec, bp: BundlePoint) -> dict:
-    """N_J on frame-field pairs against the curvature/torsion expressions
-    -T^k_ij H_k - R^l_ijk y^k V_l (HH and VV pairs) and
-    R^l_ijk y^k H_l + T^k_ij V_k (HV pairs), up to a recorded global sign."""
-    return _identities_at(spec, bp)[1]
 
 
 # -- verdicts -------------------------------------------------------------------

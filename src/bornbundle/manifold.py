@@ -1,9 +1,10 @@
 """Base-manifold tensor algebra.
 
-Holds the manifold description (:class:`ManifoldSpec`), pointwise tensor
-evaluation (metric, connection, torsion, curvature, dual connection,
-covariant derivative of the metric, Levi-Civita), the Hessian verdict and
-the four-residual torsion/duality/compatibility report.
+Holds the manifold description (:class:`ManifoldSpec`), the base-point
+fields of a sweep (metric and connection), the tensors built from them
+(torsion, curvature, dual connection, covariant derivative of the metric,
+Levi-Civita), the Hessian verdict and the four-residual
+torsion/duality/compatibility report.
 
 :func:`base_jets` evaluates Gamma and g at all P sample points of a sweep
 as one batch, held as one :class:`BaseJets` record of arrays stacked along
@@ -13,9 +14,7 @@ built from that record, by formulas that act on the leading axis; the
 latter takes the dual connection and Levi-Civita from the values of g and
 its first partials and one batched inverse of g, through the formulas of
 :mod:`bornbundle.fields`, so they equal the fields' own order-0 values bit
-for bit.  One-point callers use a record of one point.  The ``*_at``
-functions evaluate the fields they need at their one point and return
-plain arrays.  Every verdict of the package, the chart witness's included,
+for bit.  Every verdict of the package, the chart witness's included,
 reduces its residuals to per-point maxima through :func:`finite_maxima`,
 which rejects a residual that is not finite at a point as a spec error.
 Every threshold that decides a verdict, a gate or an exit code is in the
@@ -207,31 +206,6 @@ def _require_inside(spec: ManifoldSpec, p) -> tuple:
     return p
 
 
-def _at(field, spec: ManifoldSpec, p, order: int = 0) -> np.ndarray:
-    """A field of :mod:`bornbundle.fields` at the point p, from its seeded
-    coordinates: the values, or at order 1 the values and first partials
-    along the first axis."""
-    args = jets.seed_batch([_require_inside(spec, p)], order)
-    with np.errstate(over="ignore", invalid="ignore"):  # as Python floats
-        out = np.moveaxis(field(spec, args, order).coeffs[0], -1, 0)
-    return out if order else out[0]
-
-
-def metric_at(spec: ManifoldSpec, p) -> np.ndarray:
-    """Metric components at p, positivity-checked."""
-    values = _at(fields.metric_args, spec, p)
-    check_spd(values[None], [_require_inside(spec, p)])
-    return values
-
-
-def connection_at(spec: ManifoldSpec, p) -> np.ndarray:
-    return _at(fields.connection_args, spec, p)
-
-
-def levi_civita_at(spec: ManifoldSpec, p) -> np.ndarray:
-    return _at(fields.levi_civita_args, spec, p)
-
-
 def _curvature_of(gamma: np.ndarray) -> np.ndarray:
     """R^l_ijk from a Gamma array of order 1 (see :func:`base_jets`), with
     any leading stack axes."""
@@ -255,32 +229,9 @@ def _nabla_g_of(gamma_values: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np
     return ng, asym
 
 
-def torsion_at(spec: ManifoldSpec, p) -> np.ndarray:
-    """T^k_ij = Gamma^k_ij - Gamma^k_ji."""
-    return _torsion_of(connection_at(spec, p))
-
-
 def _torsion_of(gamma_values: np.ndarray) -> np.ndarray:
+    """T^k_ij = Gamma^k_ij - Gamma^k_ji, with any leading stack axes."""
     return gamma_values - gamma_values.swapaxes(-1, -2)
-
-
-def curvature_at(spec: ManifoldSpec, p) -> np.ndarray:
-    """R^l_ijk under the package convention (see module docstring)."""
-    return _curvature_of(_at(fields.connection_args, spec, p, 1))
-
-
-def dual_connection_at(spec: ManifoldSpec, p) -> np.ndarray:
-    """The unique connection pairing with the declared one so that the
-    metric is parallel for the pair: Gamma*^l_ik = g^{lj}(d_i g_jk -
-    Gamma^m_ij g_mk)."""
-    return _at(fields.dual_connection_args, spec, p)
-
-
-def nabla_g_at(spec: ManifoldSpec, p) -> tuple[np.ndarray, float]:
-    """Covariant derivative of the metric, indexed (direction; arguments),
-    and the worst asymmetry under index permutations."""
-    ng, asym = _nabla_g_of(connection_at(spec, p), _at(fields.metric_args, spec, p, 1))
-    return ng, float(asym)
 
 
 # -- base-point fields and the Hessian verdict ------------------------------------
@@ -401,16 +352,6 @@ class HessianVerdict:
                    max_nabla_g_asymmetry=max_a, tol=tol, points=len(bases.x))
 
 
-def hessian_verdict(spec: ManifoldSpec, points: Sequence[Sequence[float]],
-                    tol: float = DEFAULT_TOL) -> HessianVerdict:
-    """Flatness plus total symmetry of the metric derivative, checked on
-    sampled points of this chart (pointwise certificate only)."""
-    points = list(points)
-    if not points:
-        raise ValueError("need at least one sample point")
-    return HessianVerdict.of(base_jets(spec, points), tol)
-
-
 def dual_and_levi_civita(gamma: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Values of the dual of Gamma and of the Levi-Civita connection, from
     Gamma's values and a g array of order 1 (see :func:`base_jets`), both
@@ -450,13 +391,3 @@ class TwoOfFourReport:
         holds = {k: bool(v <= tol) for k, v in maxima.items()}
         return cls(residuals=maxima, holds=holds, tol=tol,
                    fact_violated=bool(sum(holds.values()) in (2, 3)))
-
-
-def two_of_four_residuals(spec: ManifoldSpec, points: Sequence[Sequence[float]],
-                          tol: float = DEFAULT_TOL) -> TwoOfFourReport:
-    """:meth:`TwoOfFourReport.of` with Gamma at order 0 and g at order 1, which
-    a potential metric with its Levi-Civita connection supports."""
-    points = [_require_inside(spec, p) for p in points]
-    if not points:
-        raise ValueError("need at least one sample point")
-    return TwoOfFourReport.of(base_jets(spec, points, 1, gamma_order=0), tol)

@@ -10,15 +10,13 @@ import jet_reference as ref
 from bornbundle import corpus, expr
 from bornbundle.bundle import (BundlePoint, _constant_blocks, _metric_blocks,
                                born_at, born_compatibility_residuals)
-from bornbundle.charts import (_probe_residuals, exponential_chart,
-                               geodesic_integrate,
-                               pushforward_connection_residual)
+from bornbundle.charts import _probe_residuals, exponential_chart, geodesic_integrate
 from bornbundle.cli import RunConfig, report_to_json, run
-from bornbundle.integrability import (d_omega_at, frame_bracket_residuals,
-                                      integrability_verdict,
-                                      nijenhuis_J_identity_residuals)
-from bornbundle.manifold import (dual_connection_at, halton_points, sample_fibers,
-                                 sample_points, two_of_four_residuals)
+from bornbundle.integrability import integrability_verdict
+from bornbundle.manifold import halton_points, sample_fibers, sample_points
+from point import (d_omega_at, dual_connection_at, frame_bracket_residuals,
+                   nijenhuis_J_identity_residuals, pushforward_connection_residual,
+                   two_of_four_residuals)
 
 ALL = corpus.all_examples()
 BY_NAME = {s.name: s for s in ALL}

@@ -6,14 +6,13 @@ import pytest
 
 import jet_reference as ref
 from bornbundle import bundle, corpus
-from bornbundle.bundle import (BornFrame, BundlePoint, adapted_frame_at, born_at,
-                               born_compatibility_residuals, born_jets,
-                               fiber_born_jets)
+from bornbundle.bundle import (BornFrame, BundlePoint, born_at,
+                               born_compatibility_residuals, born_jets, fiber_born_jets)
 from bornbundle.cli import spec_from_dict
 from bornbundle.errors import SpecError
-from bornbundle.manifold import (base_jets, build_spec, connection_at, metric_at,
-                                 sample_fibers, sample_points)
+from bornbundle.manifold import base_jets, build_spec, sample_fibers, sample_points
 from test_manifold import GENERATED
+from point import adapted_frame_at, connection_at, metric_at
 
 EUCLID = corpus.example("euclidean2")
 HESSIAN = corpus.example("hessian-exp2")
@@ -147,6 +146,23 @@ def test_euclidean_residuals_tiny():
     bp = BundlePoint((0.3, -0.4), (0.9, 0.1))
     rep = born_compatibility_residuals(born_at(EUCLID, bp))
     assert max_residual(rep) <= 1e-12
+
+
+def test_indefinite_h_reads_positive_residual():
+    bf = born_at(EUCLID, BundlePoint((0.3, -0.4), (0.9, 0.1)))
+    rep = born_compatibility_residuals(
+        dataclasses.replace(bf, h=np.diag([1.0, -1.0, 1.0, 1.0])))
+    assert rep.residuals["h_positive"] > 0
+
+
+def test_k_signature_counts_no_zero_eigenvalue(monkeypatch):
+    # this k is singular, so J_vs_k_inv_h has no exact solve; a least-squares
+    # one stands in, as only the signature is read
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.linalg.pinv(a) @ b)
+    bf = born_at(EUCLID, BundlePoint((0.3, -0.4), (0.9, 0.1)))
+    rep = born_compatibility_residuals(
+        dataclasses.replace(bf, k=np.diag([1.0, 0.0, -1.0, -1.0])))
+    assert rep.k_signature == (1, 2)
 
 
 def test_structural_symmetries_exact():

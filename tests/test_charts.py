@@ -13,18 +13,16 @@ from bornbundle.bundle import _constant_blocks
 from bornbundle.cli import load_spec, main, spec_from_dict
 from bornbundle.charts import (GATE_POINTS, BoxExitError, ChartMap, FlatnessGateError,
                                _block_residuals, _connection_values, _gate_connection,
-                               _probe_residuals, _second_columns,
-                               _transformed_connections, affine_chart_witness,
-                               exponential_chart, geodesic_integrate,
-                               pushforward_connection_residual)
+                               _probe_residuals, _second_columns, _transformed_connections,
+                               affine_chart_witness, exponential_chart, geodesic_integrate)
 from bornbundle.errors import SpecError
 from bornbundle.expr import EvalDomainError
 from bornbundle.jets import JetBatch
 from jet_reference import Jet
-from bornbundle.manifold import (_curvature_of, _torsion_of, build_spec, connection_at,
-                                 curvature_at, halton_points, sample_fibers,
-                                 sample_points, torsion_at)
+from bornbundle.manifold import (_curvature_of, _torsion_of, build_spec, halton_points,
+                                 sample_fibers, sample_points)
 from test_manifold import GENERATED
+from point import connection_at, curvature_at, pushforward_connection_residual, torsion_at
 
 EUCLID = corpus.example("euclidean2")
 HESSIAN = corpus.example("hessian-exp2")
@@ -103,8 +101,9 @@ def chart_born_block_residual(chart, a, y):
 def test_exponential_chart_euclidean_is_identity():
     chart = exponential_chart(EUCLID, (0.1, 0.2))
     a = (0.3, -0.4)
-    assert chart.point(a) == pytest.approx([0.4, -0.2], abs=1e-12)
-    assert chart.point((0.0, 0.0)) == pytest.approx([0.1, 0.2], abs=1e-15)
+    assert geodesic_integrate(chart.spec, chart.x0, a) == pytest.approx([0.4, -0.2], abs=1e-12)
+    assert geodesic_integrate(chart.spec, chart.x0, (0.0, 0.0)) == pytest.approx(
+        [0.1, 0.2], abs=1e-15)
     assert jacobian(chart, (0.0, 0.0)) == pytest.approx(np.eye(2), abs=1e-12)
 
 
@@ -118,7 +117,7 @@ def test_exponential_chart_pullback_recovers_straight_coordinates():
     chart = exponential_chart(PULLBACK, x0)
     for a in probes(chart.radius):
         want = np.array([x0[0] + a[0], x0[1] + a[1] + a[0] ** 2])
-        assert chart.point(a) == pytest.approx(want, abs=1e-10)
+        assert geodesic_integrate(chart.spec, chart.x0, a) == pytest.approx(want, abs=1e-10)
 
 
 def test_flatness_gate_rejects_sphere():
@@ -149,13 +148,31 @@ def test_pushforward_residual_hessian_translation_chart():
     res = pushforward_connection_residual(chart, probes(chart.radius))
     assert res <= 1e-10
     a = (0.3, 0.1)
-    assert chart.point(a) == pytest.approx([0.5, 0.0], abs=1e-12)
+    assert geodesic_integrate(chart.spec, chart.x0, a) == pytest.approx([0.5, 0.0], abs=1e-12)
 
 
 def test_probe_beyond_radius_rejected():
     chart = exponential_chart(EUCLID, (0.0, 0.0))
     with pytest.raises(ValueError):
         pushforward_connection_residual(chart, [(0.9, 0.0)])
+
+
+def test_probe_just_beyond_radius_rejected():
+    chart = exponential_chart(EUCLID, (0.0, 0.0))
+    with pytest.raises(ValueError, match="validity radius"):
+        _probe_residuals(chart, [(chart.radius * (1 + 1e-6), 0.0)])
+
+
+def test_block_residual_alone_fails_the_witness(monkeypatch, capsys):
+    # the pushforward residual stays tiny; a block residual of 1e-5 over
+    # PUSHFORWARD_TOL must still fail both the witness and check
+    blocks = charts._block_residuals
+    monkeypatch.setattr(charts, "_block_residuals", lambda *args: blocks(*args) + 1e-5)
+    assert main(["affine-chart", "pullback-flat"]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["pushforward_residual"] <= 1e-6 and out["witnessed"] is False
+    assert main(["check", "pullback-flat", "--points", "4", "--fiber-points", "2"]) == 2
+    assert "affine-chart witness residuals" in json.loads(capsys.readouterr().out)["failures"]
 
 
 def test_block_residual_probe_beyond_radius_rejected():
@@ -276,7 +293,7 @@ def test_exponential_chart_levi_civita_of_pullback_metric():
     chart = exponential_chart(spec, x0)
     for a in probes(chart.radius, 4):
         want = np.array([x0[0] + a[0], x0[1] + a[1] + a[0] ** 2])
-        assert chart.point(a) == pytest.approx(want, abs=1e-8)
+        assert geodesic_integrate(chart.spec, chart.x0, a) == pytest.approx(want, abs=1e-8)
     res = pushforward_connection_residual(chart, probes(chart.radius, 4))
     assert res <= 1e-6
 

@@ -7,10 +7,10 @@ from bornbundle.cli import spec_from_dict
 from bornbundle.errors import SpecError
 from bornbundle.expr import EvalDomainError
 from bornbundle.jets import JetBatch
-from bornbundle.manifold import (base_jets, build_spec, dual_and_levi_civita,
-                                 hessian_verdict, sample_points, two_of_four_residuals)
+from bornbundle.manifold import base_jets, build_spec, dual_and_levi_civita, sample_points
 from test_charts import EVERY_NODE
 from test_manifold import GENERATED
+from point import hessian_verdict, two_of_four_residuals
 
 BOX2 = [(-1.0, 1.0), (-1.0, 1.0)]
 HESSIAN_DUAL = build_spec("hessian-dual-exp2", ("u", "v"), BOX2,

@@ -9,14 +9,12 @@ from bornbundle.bundle import (BornFrame, BundlePoint, born_at,
                                born_compatibility_residuals, fiber_born_jets)
 from bornbundle.cli import load_spec, spec_from_dict
 from bornbundle.errors import SpecError
-from bornbundle.integrability import (_d_omega_of, _nijenhuis_of,
-                                      d_omega_at, frame_bracket_residuals,
-                                      integrability_verdict, nijenhuis_at,
-                                      nijenhuis_J_identity_residuals)
+from bornbundle.integrability import _d_omega_of, _nijenhuis_of, integrability_verdict
 from bornbundle.manifold import (CROSS_TOL, _curvature_of, _nabla_g_of, _torsion_of,
-                                 base_jets, build_spec, dual_connection_at,
-                                 sample_fibers, sample_points, torsion_at)
+                                 base_jets, build_spec, sample_fibers, sample_points)
 from test_manifold import GENERATED, _diagonal, _gamma_00, _generated
+from point import (d_omega_at, dual_connection_at, frame_bracket_residuals, nijenhuis_at,
+                   nijenhuis_J_identity_residuals, torsion_at)
 
 EUCLID = corpus.example("euclidean2")
 HESSIAN = corpus.example("hessian-exp2")
@@ -49,7 +47,7 @@ def nijenhuis_fd(spec, which, bp, h=1e-6):
         return getattr(born_at(spec, BundlePoint(tuple(z[:n]), tuple(z[n:])),
                                "bundle-coordinate"), which)
 
-    z0 = np.asarray(bp.coords(), dtype=float)
+    z0 = np.asarray(bp.x + bp.y, dtype=float)
     da = np.empty((nv, nv, nv))  # da[m, l, b] = d_m A^l_b
     for m in range(nv):
         hi = z0.copy()
@@ -239,7 +237,7 @@ def test_skew_metric_d_omega_component():
 
 def test_skew_metric_d_omega_fd_crosscheck():
     bp = BundlePoint((0.2, -0.1), (0.5, 0.5))
-    z0 = np.asarray(bp.coords())
+    z0 = np.asarray(bp.x + bp.y)
     h = 1e-6
 
     def omega(z):

@@ -9,12 +9,9 @@ from bornbundle.cli import spec_from_dict
 from bornbundle.errors import NotPositiveDefiniteError, SpecError
 from bornbundle.jets import JetUsageError
 from bornbundle.manifold import (DEFAULT_TOL, _first_failure, base_jets, build_spec,
-                                 connection_at, curvature_at,
-                                 dual_and_levi_civita, dual_connection_at,
-                                 finite_maxima, hessian_verdict, levi_civita_at,
-                                 metric_at,
-                                 nabla_g_at, sample_points, torsion_at,
-                                 two_of_four_residuals)
+                                 dual_and_levi_civita, finite_maxima, sample_points)
+from point import (connection_at, curvature_at, dual_connection_at, hessian_verdict,
+                   levi_civita_at, metric_at, nabla_g_at, torsion_at, two_of_four_residuals)
 
 EUCLID = corpus.example("euclidean2")
 HESSIAN = corpus.example("hessian-exp2")

@@ -10,10 +10,9 @@ from bornbundle import corpus, fields
 from bornbundle.bundle import BundlePoint, born_at, born_compatibility_residuals
 from bornbundle.errors import UnsupportedDerivativeError
 from bornbundle.integrability import integrability_verdict
-from bornbundle.manifold import (build_spec, curvature_at, connection_at,
-                                 dual_connection_at, hessian_verdict,
-                                 nabla_g_at, sample_points, torsion_at,
-                                 two_of_four_residuals)
+from bornbundle.manifold import build_spec, sample_points
+from point import (connection_at, curvature_at, dual_connection_at, hessian_verdict,
+                   nabla_g_at, torsion_at, two_of_four_residuals)
 
 BOX2 = [(-1.0, 1.0), (-1.0, 1.0)]
 
