@@ -24,22 +24,30 @@ P base points and F fiber vectors at once, as float arrays
 (P, F, 1 + 2n, 2n, 2n): values in row 0, then the first partials by
 x^1..x^n and by y^1..y^n (the base fields' y-partials are zero); order-0
 base fields give the value row alone.  h and k, which are read as values
-only, always hold their value row alone, (P, F, 1, 2n, 2n).  Sums act row
-by row; a product has value a b and partials (0.0 + a b') + a' b, as the
-per-point reference jet multiplication in ``tests/jet_reference.py``.  A
-block c + X Y is summed as (c + X_0 Y_0) + X_1 Y_1 + ..., term m being
-column m of X times row m of Y, and X Y without c (A = -Gamma y, P,
-g (-A)) as X_0 Y_0 + X_1 Y_1 + ...: the order of the dense products
-E M E^-1 and E^-T M E^-1 and of a matmul over jets, so the arrays equal
-the jet arithmetic bit for bit.  Every operation is elementwise with
-broadcasting over the (P, F) axes, so each bundle point gets the bits of
-a one-point call.
+only, always hold their value row alone, (P, F, 1, 2n, 2n).  These arrays
+are views of C-contiguous (rows, 2n, 2n, P, F) buffers: the (P, F) sample
+axes are innermost in memory, so every product, block and einsum over a
+stack runs its inner loop over the sample points, not over a matrix index
+of length 2n.  The stacks are built in that layout: a product writes its
+value row and partial rows into one new array, and the four n x n blocks
+of a tensor are assigned by slices into one zeroed array.
+
+Sums act row by row; a product has value a b and partials
+(0.0 + a b') + a' b, as the per-point reference jet multiplication in
+``tests/jet_reference.py``.  A block c + X Y is summed as
+(c + X_0 Y_0) + X_1 Y_1 + ..., term m being column m of X times row m of
+Y, and X Y without c (A = -Gamma y, P, g (-A)) as X_0 Y_0 + X_1 Y_1 + ...:
+the order of the dense products E M E^-1 and E^-T M E^-1 and of a matmul
+over jets, so the arrays equal the jet arithmetic bit for bit.  Every
+operation is elementwise with broadcasting over the (P, F) axes, so each
+bundle point gets the bits of a one-point call.
 
 A :class:`BornFrame` holds the value matrices of one bundle point or of a
-stack of points along leading axes; :func:`born_compatibility_residuals`
-returns a stack's residuals and signature counts per point; its
-``omega_nondegenerate`` floor is in the thresholds table of
-:mod:`bornbundle.manifold`.
+stack of points along leading axes, C-contiguous, so that the matmuls,
+solves and eigenvalues of :func:`born_compatibility_residuals` take their
+BLAS/LAPACK path; that function returns a stack's residuals and signature
+counts per point; its ``omega_nondegenerate`` floor is in the thresholds
+table of :mod:`bornbundle.manifold`.
 """
 from __future__ import annotations
 
@@ -85,7 +93,9 @@ class BornFrame:
     def of(cls, values: dict[str, np.ndarray]) -> "BornFrame":
         """The six tensors from their value matrices, or stacks of them."""
         # a structural zero can come out as -0.0; adding 0.0 makes it +0.0
-        return cls(**{name: m + 0.0 for name, m in values.items()})
+        # and makes each stack C-contiguous, for the BLAS/LAPACK path of matmul
+        # and solve
+        return cls(**{name: np.add(m, 0.0, order="C") for name, m in values.items()})
 
 
 def _require_point(spec: ManifoldSpec, bp: BundlePoint) -> BundlePoint:
@@ -117,35 +127,64 @@ def _metric_blocks(gv: np.ndarray) -> dict[str, np.ndarray]:
 
 # -- frames -----------------------------------------------------------------
 
+def _broadcast(*stacks: np.ndarray) -> tuple:
+    """The broadcast shape of stacks that differ only by axes of size 1; a
+    cheaper ``np.broadcast_shapes``, as the products below are many and small."""
+    return tuple(map(max, *(m.shape for m in stacks)))
+
+
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Entrywise product of arrays with rows on axis -3 (see module doc)."""
-    a0, b0 = a[..., :1, :, :], b[..., :1, :, :]
-    return np.concatenate([a0 * b0, (0.0 + a0 * b[..., 1:, :, :]) + a[..., 1:, :, :] * b0],
-                          axis=-3)
+    """Entrywise product of stacks with rows on axis 0 (see module doc), as one
+    new C-contiguous array."""
+    out = np.empty(_broadcast(a, b))
+    a0, b0, partials = a[:1], b[:1], out[1:]
+    np.multiply(a0, b0, out=out[:1])
+    np.multiply(a0, b[1:], out=partials)
+    partials += 0.0
+    partials += a[1:] * b0
+    return out
 
 
 def _madd(x: np.ndarray, y: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
-    """c + x @ y over the last two axes, summed as in the module doc."""
-    for m in range(x.shape[-1]):
-        term = _mul(x[..., m, None], y[..., None, m, :])
-        c = term if c is None else c + term
-    return c
+    """c + x @ y over the matrix axes 1 and 2, summed as in the module doc."""
+    terms = (_mul(x[:, :, m, None], y[:, None, m]) for m in range(x.shape[2]))
+    out = next(terms)
+    if c is not None:
+        np.add(c, out, out=out)
+    for term in terms:
+        out += term
+    return out
+
+
+def _block(grid: list) -> np.ndarray:
+    """The stack [[b00, b01], [b10, b11]] of (rows, n, n, ...) blocks, None a
+    zero block, assigned by slices into one zeroed (rows, 2n, 2n, ...) array."""
+    shape = _broadcast(*(b for row in grid for b in row if b is not None))
+    n = shape[1]
+    out = np.zeros((shape[0], 2 * n, 2 * n) + shape[3:])
+    for i, row in enumerate(grid):
+        for j, b in enumerate(row):
+            if b is not None:
+                out[:, i * n:(i + 1) * n, j * n:(j + 1) * n] = b
+    return out
 
 
 def _fiber_blocks(bases: BaseJets, ys) -> tuple[np.ndarray, np.ndarray]:
     """A[k, i] = -Gamma^k_ij y^j at the base points of ``bases`` and the fiber
-    vectors ``ys`` (F, n), and g, as (P, F, rows, n, n) arrays over the 2n
-    bundle coordinates."""
+    vectors ``ys`` (F, n) as a (rows, n, n, P, F) stack over the 2n bundle
+    coordinates, and g as (rows, n, n, P, 1)."""
     f, n = np.shape(ys)
-    count, rows = len(bases.x), 2 * bases.gamma.shape[1] - 1  # 1 + 2n, or 1 at order 0
-    gamma, g = (np.concatenate([m, np.zeros((count, rows - m.shape[1]) + m.shape[2:])],
-                               axis=1)[:, None] for m in (bases.gamma, bases.g))
-    y = np.zeros((f, rows, n, 1))
-    y[:, 0, :, 0] = ys
+    count, base_rows = bases.gamma.shape[:2]
+    rows = 2 * base_rows - 1  # 1 + 2n, or 1 at order 0
+    gamma, g = (np.zeros((rows,) + m.shape[2:] + (count, 1)) for m in (bases.gamma, bases.g))
+    gamma[:base_rows, ..., 0] = np.moveaxis(bases.gamma, 0, -1)
+    g[:base_rows, ..., 0] = np.moveaxis(bases.g, 0, -1)
+    y = np.zeros((rows, n, 1, 1, f))
+    y[0, :, 0, 0] = np.transpose(ys)
     if rows > 1:
-        y[:, 1 + n:, :, 0] = np.eye(n)
-    a = -_madd(gamma.reshape(count, 1, rows, n * n, n), y).reshape(count, f, rows, n, n)
-    return a, np.broadcast_to(g, a.shape)
+        y[1 + n:, :, 0, 0] = np.eye(n)[:, :, None]
+    a = _madd(gamma.reshape(rows, n * n, n, count, 1), y).reshape(rows, n, n, count, f)
+    return np.negative(a, out=a), g
 
 
 def _frame_of(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -166,24 +205,25 @@ def fiber_born_jets(bases: BaseJets, ys) -> dict[str, np.ndarray]:
     of values and first partials, h and k as their value rows alone (module
     doc)."""
     a, g = _fiber_blocks(bases, ys)
-    one = np.zeros(a.shape)
-    one[..., 0, :, :] = np.eye(a.shape[-1])
-    zero = np.zeros(a.shape)
+    one = np.zeros(a.shape[:3] + (1, 1))  # broadcast over the (P, F) axes
+    one[0, :, :, 0, 0] = np.eye(a.shape[1])
     na = -a
-    p = _madd(na.swapaxes(-1, -2), g)
+    p = _madd(na.swapaxes(1, 2), g)
     # a value row is computed from value rows alone
-    p0, na0, g0, zero0 = (m[..., :1, :, :] for m in (p, na, g, zero))
-    h = np.block([[_madd(p0, na0, g0), p0], [_madd(g0, na0), g0]])
-    k = np.block([[_madd(g0, na0, p0), g0], [g0, zero0]])
-    omega = np.block([[_madd(g, na, -p), g], [-g, zero]])
-    return {
-        "I": np.block([[a, -one], [_madd(na, na, one), na]]),
-        "J": np.block([[na, one], [_madd(a, na, one), a]]),
-        "K": np.block([[one, zero], [a * 2.0, -one]]),
-        "h": (h + h.swapaxes(-1, -2)) * 0.5,
-        "k": (k + k.swapaxes(-1, -2)) * 0.5,
-        "omega": (omega - omega.swapaxes(-1, -2)) * 0.5,
+    p0, na0, g0 = p[:1], na[:1], g[:1]
+    h = _block([[_madd(p0, na0, g0), p0], [_madd(g0, na0), g0]])
+    k = _block([[_madd(g0, na0, p0), g0], [g0, None]])
+    omega = _block([[_madd(g, na, -p), g], [-g, None]])
+    stacks = {
+        "I": _block([[a, -one], [_madd(na, na, one), na]]),
+        "J": _block([[na, one], [_madd(a, na, one), a]]),
+        "K": _block([[one, None], [a * 2.0, -one]]),
+        "h": (h + h.swapaxes(1, 2)) * 0.5,
+        "k": (k + k.swapaxes(1, 2)) * 0.5,
+        "omega": (omega - omega.swapaxes(1, 2)) * 0.5,
     }
+    # (P, F, rows, 2n, 2n) views that keep the sample axes innermost in memory
+    return {name: m.transpose(3, 4, 0, 1, 2) for name, m in stacks.items()}
 
 
 def born_jets(spec: ManifoldSpec, bp: BundlePoint) -> dict[str, np.ndarray]:
@@ -230,11 +270,12 @@ def born_compatibility_residuals(bf: BornFrame) -> BornCompatReport:
     def dev(m):
         return np.max(np.abs(m), axis=(-2, -1))
 
+    ij = bf.I @ bf.J
     residuals = {
         "I_squared": dev(bf.I @ bf.I + ident),
         "J_squared": dev(bf.J @ bf.J - ident),
         "K_squared": dev(bf.K @ bf.K - ident),
-        "IJK": dev(bf.I @ bf.J @ bf.K + ident),
+        "IJK": dev(ij @ bf.K + ident),
         # a form maps X to form(X, .); with the first argument on rows the
         # matrix of that map is the transpose of the component matrix
         "I_vs_h_inv_omega": dev(np.linalg.solve(ht, omegat) - bf.I),
@@ -247,7 +288,7 @@ def born_compatibility_residuals(bf: BornFrame) -> BornCompatReport:
         "anticommute_I_KJ": dev(bf.K @ bf.J + bf.I),
         "anticommute_J_KI": dev(bf.K @ bf.I + bf.J),
         "anticommute_J_IK": dev(bf.I @ bf.K - bf.J),
-        "anticommute_K_IJ": dev(bf.I @ bf.J + bf.K),
+        "anticommute_K_IJ": dev(ij + bf.K),
         "anticommute_K_JI": dev(bf.J @ bf.I - bf.K),
         "h_positive": np.maximum(0.0, -np.min(np.linalg.eigvalsh(bf.h), axis=-1)),
         "omega_nondegenerate": np.maximum(0.0, OMEGA_DET_FLOOR - np.abs(np.linalg.det(bf.omega))),

@@ -18,7 +18,9 @@ as one stacked record and uses it for the Hessian residuals and for every
 fiber.  It builds the Born tensors of all P x F bundle points as one
 (P, F, 1 + 2n, 2n, 2n) stack and computes the Nijenhuis tensors, d omega
 and the construction identities once each on that stack (the formulas
-accept leading stack axes).  Its report carries the record, so that the
+accept leading stack axes).  The stack holds its (P, F) axes innermost in
+memory, and einsum iterates in memory order, so the Nijenhuis einsum runs
+over the sample points in its inner loop.  Its report carries the record, so that the
 two-of-four report of ``check`` reads it too, and keeps the normalized
 residuals of every bundle point as (P, F) arrays, which ``check`` writes as
 its columnar ``per_point`` table and reduces to the ``argmax`` section.  A

@@ -386,7 +386,10 @@ def assert_same_bits(got, want):
                          + list(GENERATED5))
 def test_stacked_sweep_equals_one_base_point_at_a_time(source):
     # every array the sweep builds over all P x F bundle points equals the
-    # same functions called on one base point at a time, signs of zeros included
+    # same functions called on one base point at a time, signs of zeros
+    # included.  The Born stacks hold their (P, F) axes innermost in memory, so
+    # that einsums and block products loop over the sample points, and the
+    # tensors do not depend on that layout
     docs = {**GENERATED, **GENERATED5}
     spec = (spec_from_dict(docs[source], name=source) if source in docs
             else corpus.example(source))
@@ -394,10 +397,24 @@ def test_stacked_sweep_equals_one_base_point_at_a_time(source):
     fibers = sample_fibers(spec.n, 3, 1.0, 42)
     bases = base_jets(spec, points)
     mats = fiber_born_jets(bases, fibers)
+    for name, m in mats.items():
+        assert sorted(m.strides)[:2] == [m.strides[1], m.strides[0]], name
+        assert m.transpose(2, 3, 4, 0, 1).flags.c_contiguous, name
+    # structural zeros keep the sign of their block formula: the partials of
+    # -1 in I and K, and the y-partials of -g in omega, are -0.0
+    n = spec.n
+    for m in (mats["I"][:, :, 1:, :n, n:], mats["K"][:, :, 1:, n:, n:],
+              mats["omega"][:, :, 1 + n:, n:, :n]):
+        assert np.all(m == 0.0) and np.all(np.signbit(m))
     stacks = {"nijenhuis_" + name: _nijenhuis_of(mats[name]) for name in "IJK"}
     stacks["d_omega"] = _d_omega_of(mats["omega"])
-    compat = born_compatibility_residuals(
-        BornFrame.of({name: m[:, :, 0] for name, m in mats.items()}))
+    for name in "IJK":
+        assert_same_bits(stacks["nijenhuis_" + name],
+                         _nijenhuis_of(np.ascontiguousarray(mats[name])))
+    assert_same_bits(stacks["d_omega"], _d_omega_of(np.ascontiguousarray(mats["omega"])))
+    frame = BornFrame.of({name: m[:, :, 0] for name, m in mats.items()})
+    assert all(m.flags.c_contiguous for m in vars(frame).values())
+    compat = born_compatibility_residuals(frame)
     gamma = bases.gamma[:, 0]
     fields = {"curvature": _curvature_of(bases.gamma), "torsion": _torsion_of(gamma),
               "nabla_g_asymmetry": _nabla_g_of(gamma, bases.g)[1]}

@@ -7,6 +7,7 @@ import jet_reference as ref
 from bornbundle import corpus, expr, fields, jets
 from bornbundle.cli import spec_from_dict
 from bornbundle.errors import NotPositiveDefiniteError, SpecError
+from bornbundle.integrability import integrability_verdict
 from bornbundle.jets import JetUsageError
 from bornbundle.manifold import (DEFAULT_TOL, _first_failure, base_jets, build_spec,
                                  dual_and_levi_civita, finite_maxima, sample_points)
@@ -349,8 +350,10 @@ def test_hessian_verdict_sphere():
 
 
 def test_hessian_verdict_needs_points():
-    with pytest.raises(ValueError):
-        hessian_verdict(EUCLID, [])
+    # the package's guard: the sweep needs at least one base and one fiber point
+    for counts in ({"base_count": 0}, {"fiber_count": 0}):
+        with pytest.raises(ValueError, match="^sample counts must be at least 1$"):
+            integrability_verdict(EUCLID, **counts)
 
 
 def test_two_of_four_levi_civita_all_zero():
