@@ -7,8 +7,9 @@ fiber components.  The connection determines the adapted frame
 
 whose matrix E = [[1, 0], [A, 1]], with A[k, i] = -Gamma^k_ij y^j, has frame
 vectors as columns; E^-1 = [[1, 0], [-A, 1]].  In the adapted frame the six
-tensors take constant or metric-block form.  In bundle coordinates they are
-block formulas in the n x n blocks A and g, with P = (-A)^T g:
+tensors take constant or metric-block form.  The package builds them in
+bundle coordinates only, where they are block formulas in the n x n blocks
+A and g, with P = (-A)^T g:
 
     I = [[A, -1], [1 + A A, -A]]      J = [[-A, 1], [1 - A A, A]]
     K = [[1, 0], [2 A, -1]]
@@ -57,9 +58,6 @@ import numpy as np
 
 from .errors import SpecError
 from .manifold import OMEGA_DET_FLOOR, BaseJets, ManifoldSpec, base_jets, check_spd
-
-FRAMES = ("adapted", "bundle-coordinate")
-
 
 @dataclass(frozen=True)
 class BundlePoint:
@@ -113,15 +111,6 @@ def _constant_blocks(n: int) -> dict[str, np.ndarray]:
         "I": np.block([[zero, -one], [one, zero]]),
         "J": np.block([[zero, one], [one, zero]]),
         "K": np.block([[one, zero], [zero, -one]]),
-    }
-
-
-def _metric_blocks(gv: np.ndarray) -> dict[str, np.ndarray]:
-    zero = np.zeros_like(gv)
-    return {
-        "h": np.block([[gv, zero], [zero, gv]]),
-        "k": np.block([[zero, gv], [gv, zero]]),
-        "omega": np.block([[zero, gv], [-gv, zero]]),
     }
 
 
@@ -240,16 +229,11 @@ def _first_frame(mats: dict[str, np.ndarray]) -> BornFrame:
     return BornFrame.of({name: m[0, 0, 0] for name, m in mats.items()})
 
 
-def born_at(spec: ManifoldSpec, bp: BundlePoint,
-            frame: str = "bundle-coordinate") -> BornFrame:
-    """Evaluate the six tensors at a bundle point, in the requested frame."""
+def born_at(spec: ManifoldSpec, bp: BundlePoint) -> BornFrame:
+    """The six tensors at a bundle point, in bundle coordinates."""
     bp = _require_point(spec, bp)
-    if frame not in FRAMES:
-        raise ValueError(f"unknown frame {frame!r}")
     base = base_jets(spec, [bp.x], 0)
     check_spd(base.g[:, 0], [bp.x])
-    if frame == "adapted":
-        return BornFrame.of({**_constant_blocks(spec.n), **_metric_blocks(base.g[0, 0])})
     return _first_frame(fiber_born_jets(base, [bp.y]))
 
 

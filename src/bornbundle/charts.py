@@ -432,10 +432,10 @@ def _block_residuals(transformed: np.ndarray, y: np.ndarray) -> np.ndarray:
     return e @ consts @ einv[:, None] - consts
 
 
-def _probe_residuals(chart: ChartMap, probes, y=None) -> tuple[float, float]:
+def _probe_residuals(chart: ChartMap, probes, y) -> tuple[float, float]:
     """Integrate the chart once over all probes and return the max-norm of
     the connection of ``chart.spec`` transformed into it and, at fiber
-    vector y, the max block residual over the probes (0.0 when y is None)."""
+    vector y, the max block residual over the probes."""
     probes = [tuple(float(c) for c in a) for a in probes]
     for a in probes:
         if float(np.linalg.norm(a)) > chart.radius + PROBE_RADIUS_SLACK:
@@ -447,12 +447,11 @@ def _probe_residuals(chart: ChartMap, probes, y=None) -> tuple[float, float]:
         transformed = _transformed_connections(
             cj[:, :, 1:n + 1], cj[:, :, _second_columns(n)],
             _connection_values(chart.spec, cj[:, :, 0]), probes)
-        stacks = {"pushforward_connection": transformed}
-        if y is not None:
-            stacks["born_block"] = _block_residuals(transformed, y)
+        stacks = {"pushforward_connection": transformed,
+                  "born_block": _block_residuals(transformed, y)}
     worst = finite_maxima(stacks, probes)
     return (float(np.max(worst["pushforward_connection"])),
-            float(np.max(worst.get("born_block", 0.0))))
+            float(np.max(worst["born_block"])))
 
 
 def affine_chart_witness(spec: ManifoldSpec, x0, probes: int, fiber_radius: float,

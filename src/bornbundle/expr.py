@@ -1,4 +1,4 @@
-"""Scalar expression mini-language: parser, jet evaluator, pretty printer.
+"""Scalar expression mini-language: parser and jet evaluator.
 
 Grammar::
 
@@ -286,41 +286,3 @@ def _collect(node: ExprAst, out: set[int]) -> None:
         _collect(node.base, out)
     elif isinstance(node, Call):
         _collect(node.arg, out)
-
-
-# -- pretty printer ------------------------------------------------------
-
-def _fmt_number(v: float) -> str:
-    return repr(float(v))
-
-
-def to_text(ast: ExprAst) -> str:
-    """Canonical text form; parsing it back yields the same tree."""
-    return _print(ast, 0)
-
-
-# precedence levels: 1 additive, 2 multiplicative, 3 unary minus, 4 power/atom
-def _print(node: ExprAst, parent_prec: int) -> str:
-    if isinstance(node, Const):
-        text, prec = _fmt_number(node.value), 4
-    elif isinstance(node, Var):
-        text, prec = node.name, 4
-    elif isinstance(node, Call):
-        text, prec = f"{node.func}({_print(node.arg, 0)})", 4
-    elif isinstance(node, Pow):
-        base = _print(node.base, 4)
-        if isinstance(node.base, Pow):
-            base = f"({base})"
-        text, prec = f"{base}^{_fmt_number(node.exponent)}", 4
-    elif isinstance(node, Neg):
-        text, prec = f"-{_print(node.child, 3)}", 3
-    elif isinstance(node, BinOp):
-        prec = 1 if node.op in "+-" else 2
-        # right operand of - or / must bind tighter than the operator itself
-        left = _print(node.left, prec)
-        right = _print(node.right, prec + 1)
-        sep = f" {node.op} " if prec == 1 else node.op
-        text = f"{left}{sep}{right}"
-    else:
-        raise TypeError(f"not an expression node: {node!r}")
-    return f"({text})" if prec < parent_prec else text

@@ -71,9 +71,9 @@ def _potential(spec, args, order: int) -> JetBatch:
 def metric_args(spec, args: Sequence[JetBatch], order: int) -> JetBatch:
     """g_ij as jets of ``order`` at jet-valued coordinates."""
     if spec.potential is None:
-        if order > args[0].order:
-            raise jets.JetUsageError("metric order exceeds argument order")
-        return jets.truncate(_metric_grid(spec, args), order)
+        if order != args[0].order:
+            raise jets.JetUsageError("metric order differs from argument order")
+        return _metric_grid(spec, args)
     need = order + 2
     if need > MAX_ORDER:
         raise UnsupportedDerivativeError(
@@ -130,7 +130,7 @@ def jet_inv(mat: JetBatch) -> JetBatch:
         rows[:, col] = pivot
         rows[at, pivot] = col
         work = work[at[:, None], rows]
-        inv_p = (1.0 / JetBatch(order, nvars, work[:, col, col])).coeffs[:, None]
+        inv_p = jets._reciprocal(JetBatch(order, nvars, work[:, col, col])).coeffs[:, None]
         work[:, col] = jets._product_coeffs(work[:, col], inv_p, order, nvars)
         others = [row for row in range(n) if row != col]
         factor = work[:, others][:, :, None, col]
@@ -195,8 +195,10 @@ def connection_args(spec, args: Sequence[JetBatch], order: int) -> JetBatch:
             args[0].shape + (n, n, n, len(jets._columns(order, nvars)))))
         return zero if kind == "flat" else dual_of(spec, args, zero, order)
     if kind == "explicit":
+        if order != args[0].order:
+            raise jets.JetUsageError("connection order differs from argument order")
         asts = [ast for plane in spec.gamma_exprs for row in plane for ast in row]
-        return jets.truncate(evaluate_all(asts, args, (n, n, n)), order)
+        return evaluate_all(asts, args, (n, n, n))
     if kind == "levi-civita":
         return levi_civita_args(spec, args, order)
     raise SpecError(f"unknown connection kind {kind!r}")

@@ -45,13 +45,16 @@ from .bundle import (BornFrame, _first_frame, _frame_of, born_compatibility_resi
                      fiber_born_jets)
 # unused: bornbench's test_remove_restores_every_patched_attribute pins it (ROADMAP item 5)
 from .bundle import born_jets
+from .errors import SpecError
 from .manifold import (DEFAULT_TOL, BaseJets, HessianVerdict, ManifoldSpec,
                        _curvature_of, _first_failure, _torsion_of, base_jets,
                        finite_maxima, sample_fibers, sample_points)
 
 
 def _norm_factor(y) -> float:
-    return 1.0 + float(np.linalg.norm(y))
+    """1 + |y|; a norm that overflows comes out inf, without a numpy warning."""
+    with np.errstate(over="ignore"):
+        return 1.0 + float(np.linalg.norm(y))
 
 
 def _nijenhuis_of(a: np.ndarray) -> np.ndarray:
@@ -186,6 +189,10 @@ def integrability_verdict(spec: ManifoldSpec, base_count: int = 32,
     bases = base_jets(spec, sample_points(spec, base_count, seed))
     hv = HessianVerdict.of(bases, tol)  # its positivity gate precedes the Born identities
     fibers = sample_fibers(spec.n, fiber_count, fiber_radius, seed)
+    norms = np.array([_norm_factor(y) for y in fibers])
+    if not np.isfinite(norms).all():
+        raise SpecError(f"fiber radius {fiber_radius!r} is too large: the norm of "
+                        f"a sampled fiber vector overflows")
     ys = [tuple(y) for y in fibers.tolist()]
 
     def sweep(s):
@@ -203,7 +210,6 @@ def integrability_verdict(spec: ManifoldSpec, base_count: int = 32,
                      "nijenhuis_J": tensors["nijenhuis_J"][0, 0].copy()}
             return worst, rep, finite_maxima(rep.residuals, points), first
     worst, rep, compat, first = _first_failure(sweep, base_count)
-    norms = np.array([_norm_factor(y) for y in fibers])
     per_point = {key: m.reshape(base_count, fiber_count) / norms
                  for key, m in worst.items()}
     maxima = {key: float(np.max(m)) for key, m in per_point.items()}

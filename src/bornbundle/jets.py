@@ -10,8 +10,10 @@ under permutation of the differentiation indices is structural.  Products
 sum their Leibniz splits through gather tables, and the elementary
 functions take their derivative values from ``math`` calls, point by
 point, raising the :class:`JetDomainError` of the first failing point in
-C order.  Seeding (:func:`seed_batch`), :func:`truncate`, :func:`augment`
-and :func:`extract_partial` act on JetBatches as column gathers.
+C order.  Seeding (:func:`seed_batch`), :func:`augment` and
+:func:`extract_partial` act on JetBatches as column gathers.  Both operands
+of ``+``, ``-``, ``*`` and ``/`` are jets, apart from ``jet * float``, which
+scales every coefficient; a number on the left is not an operand.
 """
 from __future__ import annotations
 
@@ -317,39 +319,23 @@ class JetBatch:
         return JetBatch(self.order, self.nvars, coeffs)
 
     def _coerce(self, other):
-        """The coefficients of an operand: a float becomes a constant jet;
-        anything but a JetBatch or a number gives NotImplemented."""
-        if isinstance(other, JetBatch):
-            if other.order != self.order or other.nvars != self.nvars:
-                raise JetUsageError(
-                    f"jet mismatch: (order={self.order}, nvars={self.nvars}) vs "
-                    f"(order={other.order}, nvars={other.nvars})")
-            return other.coeffs
-        if isinstance(other, (int, float)):
-            out = np.zeros(self.coeffs.shape[-1])
-            out[0] = other
-            return out
-        return NotImplemented
-
-    # A JetBatch on the left handles every JetBatch on the right, so the
-    # reflected operators below only ever see numbers.
+        """The coefficients of a jet operand; anything but a JetBatch gives
+        NotImplemented."""
+        if not isinstance(other, JetBatch):
+            return NotImplemented
+        if other.order != self.order or other.nvars != self.nvars:
+            raise JetUsageError(
+                f"jet mismatch: (order={self.order}, nvars={self.nvars}) vs "
+                f"(order={other.order}, nvars={other.nvars})")
+        return other.coeffs
 
     def __add__(self, other):
         o = self._coerce(other)
         return NotImplemented if o is NotImplemented else self._new(self.coeffs + o)
 
-    def __radd__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is NotImplemented else self._new(o + self.coeffs)
-
     def __sub__(self, other):
         o = self._coerce(other)
         return NotImplemented if o is NotImplemented else self._new(self.coeffs - o)
-
-    def __rsub__(self, other):
-        if not isinstance(other, (int, float)):
-            return NotImplemented
-        return (-self).__add__(other)
 
     def __neg__(self):
         return self._new(-self.coeffs)
@@ -362,22 +348,10 @@ class JetBatch:
             return NotImplemented
         return self._new(_product_coeffs(self.coeffs, o, self.order, self.nvars))
 
-    def __rmul__(self, other):
-        return self * other if isinstance(other, (int, float)) else NotImplemented
-
     def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            if other == 0:
-                raise JetDomainError("division by zero")
-            return self * (1.0 / float(other))
         if self._coerce(other) is NotImplemented:
             return NotImplemented
         return self * _reciprocal(other)
-
-    def __rtruediv__(self, other):
-        if not isinstance(other, (int, float)):
-            return NotImplemented
-        return _reciprocal(self) * other
 
 
 # A constant at one point: a JetBatch of batch shape () whose partials are
@@ -393,14 +367,6 @@ class Jet(JetBatch):
 
 
 # -- seeding and derivative extraction ---------------------------------
-
-def truncate(u: JetBatch, order: int) -> JetBatch:
-    """Drop partials above ``order``: the first columns, since
-    :func:`partial_keys` lists the partials by increasing length."""
-    if order > u.order:
-        raise JetUsageError("cannot truncate to a higher order")
-    return JetBatch(order, u.nvars, u.coeffs[..., :len(_columns(order, u.nvars))])
-
 
 def seed_batch(points, order: int) -> list[JetBatch]:
     """The coordinates of every row of ``points`` as seeded jets, one

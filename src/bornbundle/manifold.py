@@ -294,11 +294,12 @@ def _first_failure(evaluate, count: int):
         raise
 
 
-def _base_batch(spec: ManifoldSpec, points, order: int, gamma_order: int) -> BaseJets:
+def _base_batch(spec: ManifoldSpec, points, order: int) -> BaseJets:
     xs = [_require_inside(spec, x) for x in points]
+    args = jets.seed_batch(xs, order)
     with np.errstate(over="ignore", invalid="ignore"):  # as Python floats
-        gamma = fields.connection_args(spec, jets.seed_batch(xs, gamma_order), gamma_order)
-        g = fields.metric_args(spec, jets.seed_batch(xs, order), order)
+        gamma = fields.connection_args(spec, args, order)
+        g = fields.metric_args(spec, args, order)
     bases = BaseJets(tuple(xs), *(np.moveaxis(f.coeffs, -1, 1) for f in (gamma, g)))
     finite = np.all([np.isfinite(f).reshape(len(xs), -1).all(axis=1)
                      for f in (bases.gamma, bases.g)], axis=0)
@@ -309,19 +310,15 @@ def _base_batch(spec: ManifoldSpec, points, order: int, gamma_order: int) -> Bas
     return bases
 
 
-def base_jets(spec: ManifoldSpec, points, order: int = 1,
-              gamma_order: int | None = None) -> BaseJets:
+def base_jets(spec: ManifoldSpec, points, order: int = 1) -> BaseJets:
     """Gamma and g at every base point of ``points``, stacked, with the values
-    in row 0 and, at order 1, the partial by coordinate d in row 1 + d; Gamma
-    has ``gamma_order``, by default ``order``.  The Hessian verdict, the
-    two-of-four report and the Born tensors of all bundle points are built
-    from them.  A value or derivative that is not finite is a spec error,
-    at a point one of Gamma before one of g; the first failing point is
-    named through :func:`_first_failure`."""
-    gamma_order = order if gamma_order is None else gamma_order
+    in row 0 and, at order 1, the partial by coordinate d in row 1 + d.  The
+    Hessian verdict, the two-of-four report and the Born tensors of all
+    bundle points are built from them.  A value or derivative that is not
+    finite is a spec error, at a point one of Gamma before one of g; the
+    first failing point is named through :func:`_first_failure`."""
     points = list(points)
-    return _first_failure(lambda s: _base_batch(spec, points[s], order, gamma_order),
-                          len(points))
+    return _first_failure(lambda s: _base_batch(spec, points[s], order), len(points))
 
 
 @dataclass(frozen=True)

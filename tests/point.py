@@ -5,8 +5,10 @@ F = 1 fiber vector and returns that point's arrays or dicts; none holds a
 tensor formula of its own.  The base fields go through :mod:`bornbundle.fields`
 at the point's seeded coordinates, not through ``base_jets``: that route
 returns a value that is not finite instead of rejecting it, evaluates only
-the field asked for, and its Levi-Civita and dual connection are the
-references for :func:`bornbundle.manifold.dual_and_levi_civita`.
+the field asked for at the order asked for (the two-of-four report of a
+potential metric with its Levi-Civita connection reads Gamma at order 0 and
+g at order 1), and its Levi-Civita and dual connection are the references
+for :func:`bornbundle.manifold.dual_and_levi_civita`.
 """
 from __future__ import annotations
 
@@ -16,17 +18,24 @@ from bornbundle import fields, jets
 from bornbundle.bundle import BundlePoint, _frame_of, _require_point, fiber_born_jets
 from bornbundle.charts import ChartMap, _probe_residuals
 from bornbundle.integrability import _d_omega_of, _nijenhuis_of, _proof_identities
-from bornbundle.manifold import (DEFAULT_TOL, HessianVerdict, ManifoldSpec,
+from bornbundle.manifold import (DEFAULT_TOL, BaseJets, HessianVerdict, ManifoldSpec,
                                  TwoOfFourReport, _curvature_of, _nabla_g_of,
                                  _require_inside, _torsion_of, base_jets, check_spd)
+
+
+def _stacked(field, spec: ManifoldSpec, points, order: int) -> np.ndarray:
+    """A field of :mod:`bornbundle.fields` at every point of ``points`` as
+    one batch, stacked along the first axis: the values in row 0 of the
+    second axis and, at order 1, the first partials in the rows after it."""
+    args = jets.seed_batch([_require_inside(spec, p) for p in points], order)
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python floats
+        return np.moveaxis(field(spec, args, order).coeffs, -1, 1)
 
 
 def _at(field, spec: ManifoldSpec, p, order: int = 0) -> np.ndarray:
     """A field of :mod:`bornbundle.fields` at the point p: the values, or at
     order 1 the values and first partials along the first axis."""
-    args = jets.seed_batch([_require_inside(spec, p)], order)
-    with np.errstate(over="ignore", invalid="ignore"):  # as Python floats
-        out = np.moveaxis(field(spec, args, order).coeffs[0], -1, 0)
+    out = _stacked(field, spec, [p], order)[0]
     return out if order else out[0]
 
 
@@ -72,11 +81,17 @@ def hessian_verdict(spec: ManifoldSpec, points, tol: float = DEFAULT_TOL) -> Hes
     return HessianVerdict.of(base_jets(spec, points), tol)
 
 
+def two_of_four_bases(spec: ManifoldSpec, points) -> BaseJets:
+    """Gamma at order 0 and g at order 1 at every point, which a potential
+    metric with its Levi-Civita connection supports, each as one batch."""
+    points = [_require_inside(spec, p) for p in points]
+    return BaseJets(tuple(points), _stacked(fields.connection_args, spec, points, 0),
+                    _stacked(fields.metric_args, spec, points, 1))
+
+
 def two_of_four_residuals(spec: ManifoldSpec, points,
                           tol: float = DEFAULT_TOL) -> TwoOfFourReport:
-    """The report with Gamma at order 0 and g at order 1, which a potential
-    metric with its Levi-Civita connection supports."""
-    return TwoOfFourReport.of(base_jets(spec, points, 1, gamma_order=0), tol)
+    return TwoOfFourReport.of(two_of_four_bases(spec, points), tol)
 
 
 def _born(spec: ManifoldSpec, bp: BundlePoint, order: int = 1):
@@ -115,4 +130,4 @@ def nijenhuis_J_identity_residuals(spec: ManifoldSpec, bp: BundlePoint) -> dict:
 
 
 def pushforward_connection_residual(chart: ChartMap, probes) -> float:
-    return _probe_residuals(chart, probes)[0]
+    return _probe_residuals(chart, probes, np.zeros(chart.spec.n))[0]

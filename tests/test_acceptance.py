@@ -8,12 +8,12 @@ import pytest
 
 import jet_reference as ref
 from bornbundle import corpus, expr
-from bornbundle.bundle import (BundlePoint, _constant_blocks, _metric_blocks,
-                               born_at, born_compatibility_residuals)
+from bornbundle.bundle import BundlePoint, born_at, born_compatibility_residuals
 from bornbundle.charts import _probe_residuals, exponential_chart, geodesic_integrate
 from bornbundle.cli import RunConfig, report_to_json, run
 from bornbundle.integrability import integrability_verdict
 from bornbundle.manifold import halton_points, sample_fibers, sample_points
+from test_bundle import standard_born_matrices
 from point import (d_omega_at, dual_connection_at, frame_bracket_residuals,
                    nijenhuis_J_identity_residuals, pushforward_connection_residual,
                    two_of_four_residuals)
@@ -107,10 +107,10 @@ def test_acceptance_2_born_identities():
 
 def test_acceptance_3_euclidean_reproduction():
     spec = BY_NAME["euclidean2"]
-    want = {**_constant_blocks(2), **_metric_blocks(np.eye(2))}
+    want = standard_born_matrices(2)
     ok = True
     for bp in bundle_grid(spec, 3, 4):
-        bf = born_at(spec, bp, "bundle-coordinate")
+        bf = born_at(spec, bp)
         for name in ("I", "J", "K", "h", "k", "omega"):
             ok = ok and float(np.max(np.abs(getattr(bf, name) - want[name]))) <= 1e-12
     rep = integrability_verdict(spec, 8, 4)

@@ -68,9 +68,19 @@ def test_frame_block_structure():
             assert einv[n:, :n] == pytest.approx(vstar, abs=1e-14)
 
 
+def adapted_born_matrices(g):
+    """The six tensors in the adapted frame at a point of metric g: I, J, K
+    constant and h, k, omega in metric-block form."""
+    zero = np.zeros_like(g)
+    return {**bundle._constant_blocks(len(g)),
+            "h": np.block([[g, zero], [zero, g]]),
+            "k": np.block([[zero, g], [g, zero]]),
+            "omega": np.block([[zero, g], [-g, zero]])}
+
+
 def standard_born_matrices(n):
     """The constant Born matrices of flat space (identity metric)."""
-    return {**bundle._constant_blocks(n), **bundle._metric_blocks(np.eye(n))}
+    return adapted_born_matrices(np.eye(n))
 
 
 def max_residual(rep):
@@ -80,33 +90,19 @@ def max_residual(rep):
 def test_euclidean_reproduces_standard_matrices():
     want = standard_born_matrices(2)
     for bp in bundle_points(EUCLID, 3, 3):
-        bf = born_at(EUCLID, bp, "bundle-coordinate")
+        bf = born_at(EUCLID, bp)
         for name in ("I", "J", "K", "h", "k", "omega"):
             got = getattr(bf, name if name != "omega" else "omega")
             assert np.max(np.abs(got - want[name])) <= 1e-12
 
 
-def test_adapted_frame_gives_constant_blocks_everywhere():
-    want = standard_born_matrices(2)
-    for spec in ALL:
-        bp = bundle_points(spec, 1, 1)[0]
-        bf = born_at(spec, bp, "adapted")
-        for name in ("I", "J", "K"):
-            assert np.array_equal(getattr(bf, name), want[name])
-        g = metric_at(spec, bp.x)
-        assert np.array_equal(bf.h[:2, :2], g)
-        assert np.array_equal(bf.h[2:, 2:], g)
-        assert np.array_equal(bf.k[:2, 2:], g)
-        assert np.array_equal(bf.omega[2:, :2], -g)
-
-
 def test_sphere_coordinate_frame_differs_but_conjugates():
     bp = BundlePoint((math.pi / 4, 0.0), (0.0, 1.0))
-    bf_ad = born_at(SPHERE, bp, "adapted")
-    bf_co = born_at(SPHERE, bp, "bundle-coordinate")
-    assert np.max(np.abs(bf_co.I - bf_ad.I)) > 0.1
+    adapted = adapted_born_matrices(metric_at(SPHERE, bp.x))
+    bf_co = born_at(SPHERE, bp)
+    assert np.max(np.abs(bf_co.I - adapted["I"])) > 0.1
     e, einv = adapted_frame_at(SPHERE, bp)
-    assert np.max(np.abs(e @ bf_ad.I @ einv - bf_co.I)) <= 1e-12
+    assert np.max(np.abs(e @ adapted["I"] @ einv - bf_co.I)) <= 1e-12
 
 
 @pytest.mark.parametrize("spec", ALL + [CURVED3], ids=lambda s: s.name)
@@ -114,12 +110,12 @@ def test_frame_conversion_consistency(spec):
     # conjugating / pulling back the adapted tensors reproduces the
     # bundle-coordinate ones for 20 bundle points per spec
     for bp in bundle_points(spec, 4, 5):
-        bf_ad = born_at(spec, bp, "adapted")
-        bf_co = born_at(spec, bp, "bundle-coordinate")
+        adapted = adapted_born_matrices(metric_at(spec, bp.x))
+        bf_co = born_at(spec, bp)
         e, einv = adapted_frame_at(spec, bp)
         for name, mixed in (("I", True), ("J", True), ("K", True),
                             ("h", False), ("k", False), ("omega", False)):
-            ad = getattr(bf_ad, name)
+            ad = adapted[name]
             co = getattr(bf_co, name)
             want = e @ ad @ einv if mixed else einv.T @ ad @ einv
             assert np.max(np.abs(co - want)) <= 1e-12

@@ -160,7 +160,7 @@ def test_probe_beyond_radius_rejected():
 def test_probe_just_beyond_radius_rejected():
     chart = exponential_chart(EUCLID, (0.0, 0.0))
     with pytest.raises(ValueError, match="validity radius"):
-        _probe_residuals(chart, [(chart.radius * (1 + 1e-6), 0.0)])
+        _probe_residuals(chart, [(chart.radius * (1 + 1e-6), 0.0)], (0.7, -0.4))
 
 
 def test_block_residual_alone_fails_the_witness(monkeypatch, capsys):
@@ -199,7 +199,7 @@ def test_witness_probes_lie_inside_the_radius(n, monkeypatch):
     placed = []
     residuals = charts._probe_residuals
 
-    def recorded(chart, probes, y=None):
+    def recorded(chart, probes, y):
         placed.append((chart.radius, probes))
         return residuals(chart, probes, y)
 

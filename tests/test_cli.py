@@ -415,6 +415,21 @@ def test_fiber_radius_must_be_finite_and_positive(command, radius, capsys):
     assert out["error"]["message"] == "fiber radius must be finite and positive"
 
 
+@pytest.mark.parametrize("command", ["check", "theorem"])
+def test_a_fiber_radius_whose_norms_overflow_is_an_error(command, capsys):
+    # |y| of a fiber vector this long overflows: an error naming the fiber
+    # radius, not a numpy warning and every residual divided by inf
+    target = ["euclidean2"] if command == "check" else []
+    code = main([command, *target, "--points", "3", "--fiber-points", "2",
+                 "--fiber-radius", "1e308"])
+    assert code == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"] == {
+        "kind": "SpecError",
+        "message": "fiber radius 1e+308 is too large: the norm of a sampled "
+                   "fiber vector overflows"}
+
+
 @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
 @pytest.mark.parametrize("command", ["check", "theorem"])
 def test_tolerance_must_be_finite_and_non_negative(command, tol, capsys):

@@ -5,12 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 import jet_reference as ref
 from bornbundle import expr
-from bornbundle.expr import (EvalDomainError, ParseError, evaluate,
-                             free_coordinates, parse, to_text)
+from bornbundle.expr import EvalDomainError, ParseError, evaluate, free_coordinates, parse
 
 UV = ("u", "v")
 
-# expressions exercised by the round-trip and fd properties
+# expressions exercised by the fd properties
 CORPUS = [
     "u^2 + 2*v",
     "exp(u)",
@@ -156,21 +155,6 @@ def test_coordinate_validation():
 
 def test_scientific_notation():
     assert ev("1e-2*u + 2.5e3", (100.0, 0.0)).value == pytest.approx(2501.0)
-
-
-@pytest.mark.parametrize("text", CORPUS)
-def test_pretty_print_round_trip(text):
-    once = to_text(parse(text, UV))
-    twice = to_text(parse(once, UV))
-    assert once == twice
-
-
-@pytest.mark.parametrize("text", CORPUS)
-def test_round_trip_preserves_value(text):
-    point = (0.37, -0.41)
-    a = ev(text, point)
-    b = ev(to_text(parse(text, UV)), point)
-    assert a.value == pytest.approx(b.value, rel=1e-15, abs=1e-300)
 
 
 @pytest.mark.parametrize("text", CORPUS)

@@ -7,10 +7,11 @@ from bornbundle.cli import spec_from_dict
 from bornbundle.errors import SpecError
 from bornbundle.expr import EvalDomainError
 from bornbundle.jets import JetBatch
-from bornbundle.manifold import base_jets, build_spec, dual_and_levi_civita, sample_points
+from bornbundle.manifold import (DEFAULT_TOL, TwoOfFourReport, base_jets, build_spec,
+                                 dual_and_levi_civita, sample_points)
 from test_charts import EVERY_NODE
 from test_manifold import GENERATED
-from point import hessian_verdict, two_of_four_residuals
+from point import hessian_verdict, two_of_four_bases
 
 BOX2 = [(-1.0, 1.0), (-1.0, 1.0)]
 HESSIAN_DUAL = build_spec("hessian-dual-exp2", ("u", "v"), BOX2,
@@ -50,7 +51,7 @@ def test_two_of_four_fields_equal_jet_reference(name):
     # one batched inverse over all bases, equal the per-point Jet path
     spec = SPECS[name]
     points = [tuple(p) for p in sample_points(spec, 16, 7)]
-    bases = base_jets(spec, points, 1, gamma_order=0)
+    bases = two_of_four_bases(spec, points)
     dual, lc = dual_and_levi_civita(bases.gamma[:, 0], bases.g)
     for p, x in enumerate(points):
         gamma, g = ref.base_fields(spec, x, 1, gamma_order=0)
@@ -87,6 +88,11 @@ def _first_failure_spec(metric00: str) -> object:
                       connection="explicit", gamma=gamma)
 
 
+def two_of_four_residuals(spec, points):
+    """The two-of-four report as ``check`` builds it, from ``base_jets``."""
+    return TwoOfFourReport.of(base_jets(spec, points), DEFAULT_TOL)
+
+
 @pytest.mark.parametrize("metric00,error,message", [
     # a non-finite g entry at the first point
     ("exp(400*v)*exp(400*v)", SpecError,
@@ -116,6 +122,18 @@ def test_batch_of_one_point_equals_the_batch_of_all():
         alone = base_jets(spec, [x])
         assert_same_bits(bases.gamma[p:p + 1], alone.gamma)
         assert_same_bits(bases.g[p:p + 1], alone.g)
+
+
+def test_an_explicit_field_at_another_order_than_its_arguments_is_usage_error():
+    # an explicit metric or Gamma comes at the order of its arguments; another
+    # order is an error, not a field of the wrong order
+    spec = _first_failure_spec("1")
+    args = jets.seed_batch([(0.5, 0.5)], 1)
+    for field in (fields.metric_args, fields.connection_args):
+        assert field(spec, args, 1).order == 1
+        for order in (0, 2):
+            with pytest.raises(jets.JetUsageError, match="order differs from argument order"):
+                field(spec, args, order)
 
 
 def test_seed_batch_matches_seed_embedded():

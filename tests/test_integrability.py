@@ -1,10 +1,11 @@
+import dataclasses
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bornbundle import corpus, expr
+from bornbundle import corpus
 from bornbundle.bundle import (BornFrame, BundlePoint, born_at,
                                born_compatibility_residuals, fiber_born_jets)
 from bornbundle.cli import load_spec, spec_from_dict
@@ -44,8 +45,7 @@ def nijenhuis_fd(spec, which, bp, h=1e-6):
     nv = 2 * n
 
     def a_mat(z):
-        return getattr(born_at(spec, BundlePoint(tuple(z[:n]), tuple(z[n:])),
-                               "bundle-coordinate"), which)
+        return getattr(born_at(spec, BundlePoint(tuple(z[:n]), tuple(z[n:]))), which)
 
     z0 = np.asarray(bp.x + bp.y, dtype=float)
     da = np.empty((nv, nv, nv))  # da[m, l, b] = d_m A^l_b
@@ -122,11 +122,8 @@ def test_tensoriality_spot_check(spec):
 def test_flat_connection_forces_vanishing_nijenhuis_for_any_metric():
     # rebuild every corpus metric over the flat connection
     for spec in ALL:
-        flat = build_spec("flat-variant", spec.coords, spec.sample_box,
-                          metric=None if spec.potential is not None else [
-                              [expr.to_text(e) for e in row] for row in spec.metric_exprs],
-                          potential=expr.to_text(spec.potential) if spec.potential is not None else None,
-                          connection="flat")
+        flat = dataclasses.replace(spec, name="flat-variant", connection_kind="flat",
+                                   gamma_exprs=None)
         for bp in bundle_points(flat, 2, 2):
             row = {"nijenhuis_" + which:
                    np.max(np.abs(nijenhuis_at(flat, which, bp))) / (1 + np.linalg.norm(bp.y))

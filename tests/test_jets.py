@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from bornbundle import jets
 from bornbundle.jets import (JetBatch, JetDomainError, JetUsageError, augment,
-                             extract_partial, truncate)
+                             extract_partial)
 from jet_reference import Jet, coefficients, fd_oracle, seed, seed_embedded
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -227,14 +227,6 @@ def partial(u: JetBatch, *indices: int) -> float:
     """A partial of a JetBatch of batch shape (), as Jet.partial reads it."""
     key = tuple(sorted(indices))
     return float(u.coeffs[jets._columns(u.order, u.nvars)[key]])
-
-
-def test_truncate():
-    (x,) = seed((2.0,), 3)
-    f = truncate(batch(x * x * x), 1)
-    assert f.order == 1
-    assert f.value == 8.0
-    assert partial(f, 0) == 12.0
 
 
 def test_augment_extract_on_nonseed_arguments():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -316,11 +317,8 @@ def test_nabla_g_hessian_potential_is_symmetric():
 
 @pytest.mark.parametrize("spec", ALL, ids=lambda s: s.name)
 def test_levi_civita_parallel_metric(spec):
-    lc_spec = build_spec("lc-variant", spec.coords,
-                         spec.sample_box, connection="levi-civita",
-                         metric=None if spec.potential is not None else [
-                             [expr.to_text(e) for e in row] for row in spec.metric_exprs],
-                         potential=expr.to_text(spec.potential) if spec.potential is not None else None)
+    lc_spec = dataclasses.replace(spec, name="lc-variant", connection_kind="levi-civita",
+                                  gamma_exprs=None)
     for p in points_of(lc_spec, 4):
         _, asym = nabla_g_at(lc_spec, p)
         ng, _ = nabla_g_at(lc_spec, p)

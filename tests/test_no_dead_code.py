@@ -1,9 +1,10 @@
 """Every private top-level function or class and every UPPER_CASE module
 constant of the package is read somewhere in it: as a name, an attribute or
 an import.  A helper whose last caller went away fails here, not in review.
-Every name that the package's ``__init__`` re-exports is read by one of its
-other modules or by a script under ``scripts/``: a public name that only the
-tests call is not library surface."""
+Every name that the package's ``__init__`` re-exports, and every public
+top-level function and class of its modules, is read by one of its other
+modules or by a script under ``scripts/``: a public name that only the tests
+call is not library surface."""
 import ast
 import re
 from pathlib import Path
@@ -75,3 +76,44 @@ def test_an_export_only_the_tests_call_fails(tmp_path):
     assert _unread_exports(package, scripts) == ["only_tested"]
     (scripts / "tool.py").write_text("from pkg import only_tested\n")
     assert _unread_exports(package, scripts) == []
+
+
+def _unread_public(package: Path, scripts: Path) -> list[str]:
+    """The public top-level functions and classes of the modules of
+    ``package`` that no script under ``scripts`` reads and no module of
+    ``package`` but ``__init__`` reads outside their own body, as
+    ``module.name``."""
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(package.glob("*.py")) if path.name != "__init__.py"}
+    # the names each top-level statement reads
+    reads = {module: [_read(node) for node in tree.body] for module, tree in trees.items()}
+    scripted = set().union(*(_read(ast.parse(path.read_text())) for path in scripts.glob("*.py")))
+    unread = []
+    for module, tree in trees.items():
+        elsewhere = scripted.union(*(r for other, rs in reads.items() if other != module
+                                     for r in rs))
+        for i, node in enumerate(tree.body):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                own = (r for j, r in enumerate(reads[module]) if j != i)
+                if node.name not in elsewhere and not any(node.name in r for r in own):
+                    unread.append(f"{module}.{node.name}")
+    return unread
+
+
+def test_every_public_function_and_class_is_read_outside_the_tests():
+    assert _unread_public(PACKAGE, SCRIPTS) == []
+
+
+def test_a_public_function_only_the_tests_call_fails(tmp_path):
+    package, scripts = tmp_path / "pkg", tmp_path / "scripts"
+    package.mkdir()
+    scripts.mkdir()
+    # the __init__'s export and a call from the function's own body are not reads
+    (package / "__init__.py").write_text("from .mod import only_tested\n")
+    (package / "mod.py").write_text("def used():\n    pass\n\n\ndef only_tested():\n"
+                                    "    return only_tested()\n\n\nHOOK = used\n")
+    (package / "other.py").write_text("class Unread:\n    pass\n")
+    assert _unread_public(package, scripts) == ["mod.only_tested", "other.Unread"]
+    (scripts / "tool.py").write_text("from pkg import only_tested\n")
+    (package / "user.py").write_text("from .other import Unread\n")
+    assert _unread_public(package, scripts) == []
