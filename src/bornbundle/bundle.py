@@ -39,19 +39,27 @@ Sums act row by row; a product has value a b and partials
 (c + X_0 Y_0) + X_1 Y_1 + ..., term m being column m of X times row m of
 Y, and X Y without c (A = -Gamma y, P, g (-A)) as X_0 Y_0 + X_1 Y_1 + ...:
 the order of the dense products E M E^-1 and E^-T M E^-1 and of a matmul
-over jets, so the arrays equal the jet arithmetic bit for bit.  Every
-operation is elementwise with broadcasting over the (P, F) axes, so each
-bundle point gets the bits of a one-point call.
+over jets, so the arrays equal the jet arithmetic bit for bit.  A block
+sum forms its n terms in one product and adds them in that order.  A is
+read off Gamma: no product touches the fiber seed's zero x-rows and unit
+y-rows or the base fields' zero y-rows, whose results are known, so A's
+value and x-rows are -(sum_j Gamma^k_ij y^j), an x-row's products made
++ 0.0 first, and its y^j-row is -(Gamma^k_ij + 0.0), the bits of the full
+jet product.  Every operation is elementwise with broadcasting over the
+(P, F) axes, so each bundle point gets the bits of a one-point call.
 
 A :class:`BornFrame` holds the value matrices of one bundle point or of a
 stack of points along leading axes, C-contiguous, so that the matmuls,
 solves and eigenvalues of :func:`born_compatibility_residuals` take their
 BLAS/LAPACK path; that function returns a stack's residuals and signature
-counts per point; its ``omega_nondegenerate`` floor is in the thresholds
-table of :mod:`bornbundle.manifold`.
+counts per point; a frame whose solve fails (h, k or omega singular to
+working precision) reads inf for that identity, so that the sweep names
+it as a residual that is not finite.  Its ``omega_nondegenerate`` floor is
+in the thresholds table of :mod:`bornbundle.manifold`.
 """
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,13 +143,18 @@ def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _madd(x: np.ndarray, y: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
-    """c + x @ y over the matrix axes 1 and 2, summed as in the module doc."""
-    terms = (_mul(x[:, :, m, None], y[:, None, m]) for m in range(x.shape[2]))
-    out = next(terms)
-    if c is not None:
-        np.add(c, out, out=out)
-    for term in terms:
-        out += term
+    """c + x @ y over the matrix axes 1 and 2, summed as in the module doc:
+    the terms are formed by one product and summed over m in order."""
+    return _sum_in_order(_mul(x[:, :, :, None], y[:, None]), c)
+
+
+def _sum_in_order(terms: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
+    """(c + terms[:, :, 0]) + terms[:, :, 1] + ..., summed over axis 2 in
+    order, as one new array."""
+    first = terms[:, :, 0]
+    out = first.copy() if c is None else np.add(c, first, order="C")
+    for m in range(1, terms.shape[2]):
+        out += terms[:, :, m]
     return out
 
 
@@ -165,14 +178,17 @@ def _fiber_blocks(bases: BaseJets, ys) -> tuple[np.ndarray, np.ndarray]:
     f, n = np.shape(ys)
     count, base_rows = bases.gamma.shape[:2]
     rows = 2 * base_rows - 1  # 1 + 2n, or 1 at order 0
-    gamma, g = (np.zeros((rows,) + m.shape[2:] + (count, 1)) for m in (bases.gamma, bases.g))
-    gamma[:base_rows, ..., 0] = np.moveaxis(bases.gamma, 0, -1)
+    g = np.zeros((rows, n, n, count, 1))
     g[:base_rows, ..., 0] = np.moveaxis(bases.g, 0, -1)
-    y = np.zeros((rows, n, 1, 1, f))
-    y[0, :, 0, 0] = np.transpose(ys)
+    # -A = Gamma y as a jet product with its known rows left out (module doc)
+    gamma = np.moveaxis(bases.gamma, 0, -1)  # (base rows, k, i, j, P)
+    terms = (gamma.reshape(base_rows, n * n, n, count, 1)
+             * np.asarray(ys, dtype=float).T[:, None, :])
+    terms[1:] += 0.0
+    a = np.empty((rows, n, n, count, f))
+    a[:base_rows] = _sum_in_order(terms).reshape(base_rows, n, n, count, f)
     if rows > 1:
-        y[1 + n:, :, 0, 0] = np.eye(n)[:, :, None]
-    a = _madd(gamma.reshape(rows, n * n, n, count, 1), y).reshape(rows, n, n, count, f)
+        a[base_rows:] = np.moveaxis(gamma[0], 2, 0)[..., None] + 0.0
     return np.negative(a, out=a), g
 
 
@@ -245,14 +261,36 @@ class BornCompatReport:
     k_signature: tuple
 
 
+def _per_frame(linalg, fill: float, shape: tuple, *stacks: np.ndarray) -> np.ndarray:
+    """``linalg`` (a numpy.linalg function) on stacks of frames, its result of
+    ``shape``.  If the batched call raises LinAlgError, it is called frame by
+    frame, and a frame on which it raises reads ``fill``."""
+    try:
+        return linalg(*stacks)
+    except np.linalg.LinAlgError:
+        out = np.full(shape, fill)
+        for index in np.ndindex(stacks[0].shape[:-2]):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                out[index] = linalg(*(m[index] for m in stacks))
+        return out
+
+
 def born_compatibility_residuals(bf: BornFrame) -> BornCompatReport:
     """Max-norm defect of every defining identity of the structure, plus the
-    eigenvalue-sign signature of k; per frame on a stack of frames."""
+    eigenvalue-sign signature of k; per frame on a stack of frames.  A frame
+    whose h, k or omega is numerically singular, so that a solve fails, reads
+    inf for that identity; one whose eigenvalues fail, NaN."""
     ident = np.eye(bf.I.shape[-1])
     ht, kt, omegat = (m.swapaxes(-1, -2) for m in (bf.h, bf.k, bf.omega))
 
     def dev(m):
         return np.max(np.abs(m), axis=(-2, -1))
+
+    def solve(a, b):
+        return _per_frame(np.linalg.solve, np.inf, b.shape, a, b)
+
+    def eigvalsh(m):
+        return _per_frame(np.linalg.eigvalsh, np.nan, m.shape[:-1], m)
 
     ij = bf.I @ bf.J
     residuals = {
@@ -262,9 +300,9 @@ def born_compatibility_residuals(bf: BornFrame) -> BornCompatReport:
         "IJK": dev(ij @ bf.K + ident),
         # a form maps X to form(X, .); with the first argument on rows the
         # matrix of that map is the transpose of the component matrix
-        "I_vs_h_inv_omega": dev(np.linalg.solve(ht, omegat) - bf.I),
-        "J_vs_k_inv_h": dev(np.linalg.solve(kt, ht) - bf.J),
-        "K_vs_omega_inv_k": dev(np.linalg.solve(omegat, kt) - bf.K),
+        "I_vs_h_inv_omega": dev(solve(ht, omegat) - bf.I),
+        "J_vs_k_inv_h": dev(solve(kt, ht) - bf.J),
+        "K_vs_omega_inv_k": dev(solve(omegat, kt) - bf.K),
         "h_symmetry": dev(bf.h - ht),
         "k_symmetry": dev(bf.k - kt),
         "omega_antisymmetry": dev(bf.omega + omegat),
@@ -274,9 +312,9 @@ def born_compatibility_residuals(bf: BornFrame) -> BornCompatReport:
         "anticommute_J_IK": dev(bf.I @ bf.K - bf.J),
         "anticommute_K_IJ": dev(ij + bf.K),
         "anticommute_K_JI": dev(bf.J @ bf.I - bf.K),
-        "h_positive": np.maximum(0.0, -np.min(np.linalg.eigvalsh(bf.h), axis=-1)),
+        "h_positive": np.maximum(0.0, -np.min(eigvalsh(bf.h), axis=-1)),
         "omega_nondegenerate": np.maximum(0.0, OMEGA_DET_FLOOR - np.abs(np.linalg.det(bf.omega))),
     }
-    eigs = np.linalg.eigvalsh(bf.k)
+    eigs = eigvalsh(bf.k)
     signature = (np.sum(eigs > 0, axis=-1), np.sum(eigs < 0, axis=-1))
     return BornCompatReport(residuals=residuals, k_signature=signature)

@@ -8,7 +8,11 @@ points (:func:`bornbundle.jets.seed_batch`); the chart builder passes
 jet-valued coordinates, for which derivative-based connections augment the
 arguments with fresh seed slots (see :func:`bornbundle.jets.augment`).
 Each expression is evaluated once over the batch; a constant one comes out
-as a one-point JetBatch and is broadcast.  :func:`jet_inv`,
+as a one-point JetBatch and is broadcast.  :func:`connection_metric_args`
+gives Gamma and g together: for a connection derived from a metric grid
+(Levi-Civita, or the dual of the flat connection) the grid is evaluated
+once, and g is read off the evaluation one order higher that gives its
+partials, which has the bits of :func:`metric_args`.  :func:`jet_inv`,
 :func:`levi_civita_of` and :func:`dual_connection_of` act on all points at
 once in the operations and summation order of the same formulas on one
 point's jets, so every coefficient equals the per-point reference
@@ -126,10 +130,11 @@ def jet_inv(mat: JetBatch) -> JetBatch:
             pivot = np.where(size[:, row] > size[at, pivot], row, pivot)
         if np.any(work[at, pivot, col, 0] == 0.0):
             raise SpecError("singular matrix while inverting metric")
-        rows = np.tile(np.arange(n), (count, 1))
-        rows[:, col] = pivot
-        rows[at, pivot] = col
-        work = work[at[:, None], rows]
+        if (pivot != col).any():
+            rows = np.tile(np.arange(n), (count, 1))
+            rows[:, col] = pivot
+            rows[at, pivot] = col
+            work = work[at[:, None], rows]
         inv_p = jets._reciprocal(JetBatch(order, nvars, work[:, col, col])).coeffs[:, None]
         work[:, col] = jets._product_coeffs(work[:, col], inv_p, order, nvars)
         others = [row for row in range(n) if row != col]
@@ -171,17 +176,20 @@ def dual_connection_of(gamma, g, dg, ginv):
     return acc
 
 
-def levi_civita_args(spec, args: Sequence[JetBatch], order: int) -> JetBatch:
-    """Christoffel symbols of the metric at jet-valued coordinates."""
-    g, dg = metric_dg_args(spec, args, order)
-    return levi_civita_of(dg, jet_inv(g))
+def _zero_connection(spec, args: Sequence[JetBatch], order: int) -> JetBatch:
+    nvars = args[0].nvars
+    return JetBatch(order, nvars, np.zeros(
+        args[0].shape + (spec.n,) * 3 + (len(jets._columns(order, nvars)),)))
 
 
-def dual_of(spec, args: Sequence[JetBatch], gamma: JetBatch, order: int) -> JetBatch:
-    """Dual of the given connection with respect to the metric at jet-valued
-    coordinates."""
+def _derived_connection(spec, args: Sequence[JetBatch], order: int):
+    """(Gamma, g) for a connection derived from the metric: Levi-Civita, or
+    the dual of the flat connection; g is the one of :func:`metric_dg_args`."""
     g, dg = metric_dg_args(spec, args, order)
-    return dual_connection_of(gamma, g, dg, jet_inv(g))
+    ginv = jet_inv(g)
+    if spec.connection_kind == "levi-civita":
+        return levi_civita_of(dg, ginv), g
+    return dual_connection_of(_zero_connection(spec, args, order), g, dg, ginv), g
 
 
 def connection_args(spec, args: Sequence[JetBatch], order: int) -> JetBatch:
@@ -189,19 +197,27 @@ def connection_args(spec, args: Sequence[JetBatch], order: int) -> JetBatch:
     at jet-valued coordinates."""
     n = spec.n
     kind = spec.connection_kind
-    if kind in ("flat", "hessian-dual"):
-        nvars = args[0].nvars
-        zero = JetBatch(order, nvars, np.zeros(
-            args[0].shape + (n, n, n, len(jets._columns(order, nvars)))))
-        return zero if kind == "flat" else dual_of(spec, args, zero, order)
+    if kind == "flat":
+        return _zero_connection(spec, args, order)
     if kind == "explicit":
         if order != args[0].order:
             raise jets.JetUsageError("connection order differs from argument order")
         asts = [ast for plane in spec.gamma_exprs for row in plane for ast in row]
         return evaluate_all(asts, args, (n, n, n))
-    if kind == "levi-civita":
-        return levi_civita_args(spec, args, order)
+    if kind in ("levi-civita", "hessian-dual"):
+        return _derived_connection(spec, args, order)[0]
     raise SpecError(f"unknown connection kind {kind!r}")
+
+
+def connection_metric_args(spec, args: Sequence[JetBatch],
+                           order: int) -> tuple[JetBatch, JetBatch]:
+    """(Gamma, g) as :func:`connection_args` and :func:`metric_args` give
+    them.  A metric grid from which the connection derives is evaluated
+    once: g is then the one of :func:`metric_dg_args`, which has the bits of
+    :func:`metric_args`."""
+    if spec.potential is None and spec.connection_kind in ("levi-civita", "hessian-dual"):
+        return _derived_connection(spec, args, order)
+    return connection_args(spec, args, order), metric_args(spec, args, order)
 
 
 def _is_literal_zero(ast) -> bool:

@@ -213,7 +213,7 @@ def integrability_verdict(spec: ManifoldSpec, base_count: int = 32,
     per_point = {key: m.reshape(base_count, fiber_count) / norms
                  for key, m in worst.items()}
     maxima = {key: float(np.max(m)) for key, m in per_point.items()}
-    worst_born = {key: float(np.max(c)) for key, c in compat.items()}
+    worst_born = dict(zip(compat, np.max(list(compat.values()), axis=1).tolist()))
     signature_ok = bool(np.all(np.array(rep.k_signature) == spec.n))
     integrable = all(v <= tol for v in maxima.values())
     return IntegrabilityReport(

@@ -7,7 +7,11 @@ to a fixed set of seeded variables, as one float array of shape
 :func:`partial_keys` order (Taylor-mode forward differentiation).  Partials
 are stored once per *sorted* multi-index, so equality of mixed partials
 under permutation of the differentiation indices is structural.  Products
-sum their Leibniz splits through gather tables, and the elementary
+sum their Leibniz splits through gather tables; a product with a constant
+(a one-point jet whose partials are all zero, as an expression constant
+and its negation are) skips them: it is a scaled copy with the same bits,
+unless the other operand has a coefficient that is not finite, where
+``0.0 * inf`` must still give NaN and the gather runs.  The elementary
 functions take their derivative values from ``math`` calls, point by
 point, raising the :class:`JetDomainError` of the first failing point in
 C order.  Seeding (:func:`seed_batch`), :func:`augment` and
@@ -212,6 +216,11 @@ def _product_coeffs(a: np.ndarray, b: np.ndarray, order: int, nvars: int) -> np.
     return out
 
 
+def _is_constant(c: np.ndarray) -> bool:
+    """Whether c holds a constant: one point, every partial zero."""
+    return c.ndim == 1 and not c[1:].any()
+
+
 @lru_cache(maxsize=None)
 def _chain_table(order: int, nvars: int) -> list:
     """For each multi-index length r >= 2: the columns of its partials and
@@ -316,7 +325,10 @@ class JetBatch:
                                        self.order, self.nvars))
 
     def _new(self, coeffs) -> "JetBatch":
-        return JetBatch(self.order, self.nvars, coeffs)
+        # coeffs come from this batch's own arithmetic: no shape check
+        out = object.__new__(JetBatch)
+        out.order, out.nvars, out.coeffs = self.order, self.nvars, coeffs
+        return out
 
     def _coerce(self, other):
         """The coefficients of a jet operand; anything but a JetBatch gives
@@ -346,7 +358,18 @@ class JetBatch:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self._new(_product_coeffs(self.coeffs, o, self.order, self.nvars))
+        a = self.coeffs
+        # a constant's value times the other jet, partials + 0.0: the bits of
+        # the Leibniz sum, whose other splits multiply the constant's zero
+        # partials by finite coefficients and so add signed zeros
+        if _is_constant(a) and np.isfinite(o).all():
+            out = a[0] * o
+        elif _is_constant(o) and np.isfinite(a).all():
+            out = a * o[0]
+        else:
+            return self._new(_product_coeffs(a, o, self.order, self.nvars))
+        out[..., 1:] += 0.0
+        return self._new(out)
 
     def __truediv__(self, other):
         if self._coerce(other) is NotImplemented:

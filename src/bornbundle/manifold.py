@@ -16,7 +16,11 @@ its first partials and one batched inverse of g, through the formulas of
 :mod:`bornbundle.fields`, so they equal the fields' own order-0 values bit
 for bit.  Every verdict of the package, the chart witness's included,
 reduces its residuals to per-point maxima through :func:`finite_maxima`,
-which rejects a residual that is not finite at a point as a spec error.
+which rejects a residual that is not finite at a point as a spec error;
+it reduces each stack over its trailing axes as it lies in memory, without
+copying a stack that holds its sample axes innermost.  The sample box is
+checked on the whole point array, and point by point only to name the
+first point outside it.
 Every threshold that decides a verdict, a gate or an exit code is in the
 one table of thresholds below, which the other modules import.
 
@@ -223,10 +227,9 @@ def _nabla_g_of(gamma_values: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np
     gv, dg = g[..., 0, :, :], g[..., 1:, :, :]  # dg[..., l, i, j] = d_l g_ij
     ng = (dg - np.einsum("...lij,...lk->...ijk", gamma_values, gv)
           - np.einsum("...lik,...jl->...ijk", gamma_values, gv))
-    asym = np.max([np.max(np.abs(ng - np.moveaxis(ng, [q - 3 for q in perm], [-3, -2, -1])),
-                          axis=(-3, -2, -1))
-                   for perm in itertools.permutations(range(3)) if perm != (0, 1, 2)], axis=0)
-    return ng, asym
+    permuted = np.stack([np.moveaxis(ng, [q - 3 for q in perm], [-3, -2, -1])
+                         for perm in itertools.permutations(range(3)) if perm != (0, 1, 2)])
+    return ng, np.max(np.abs(ng - permuted), axis=(0, -3, -2, -1))
 
 
 def _torsion_of(gamma_values: np.ndarray) -> np.ndarray:
@@ -260,6 +263,19 @@ def _require_finite(x: tuple, name: str, field: np.ndarray) -> None:
                         f"finite at {x} (value {float(field[(0, *idx)])!r})")
 
 
+def _point_maxima(r: np.ndarray, count: int) -> np.ndarray:
+    """max |r| per point, the ``count`` points running over the fewest
+    leading axes of r that hold them, reduced over the other axes in place
+    (a reshape would copy a stack that is not C-contiguous)."""
+    lead = 1
+    while lead < r.ndim and math.prod(r.shape[:lead]) != count:
+        lead += 1
+    size = np.abs(r)
+    if lead < r.ndim:
+        size = size.max(axis=tuple(range(lead, r.ndim)))
+    return size.reshape(count)
+
+
 def finite_maxima(residuals: dict, points: Sequence) -> dict[str, np.ndarray]:
     """Per-point max |residual| of each stack in ``residuals``, whose first
     axis runs over ``points``.  A maximum that is not finite (a NaN, which
@@ -268,7 +284,7 @@ def finite_maxima(residuals: dict, points: Sequence) -> dict[str, np.ndarray]:
     compute the residuals under ``np.errstate(over="ignore",
     invalid="ignore")``: a residual that overflows or is NaN reaches this
     check instead of printing a numpy warning."""
-    maxima = {name: np.max(np.abs(np.reshape(r, (len(points), -1))), axis=1)
+    maxima = {name: _point_maxima(np.asarray(r), len(points))
               for name, r in residuals.items()}
     bad = np.argwhere(~np.isfinite(np.stack(list(maxima.values()), axis=1)))
     if len(bad):
@@ -294,12 +310,27 @@ def _first_failure(evaluate, count: int):
         raise
 
 
+def _inside(spec: ManifoldSpec, points) -> np.ndarray:
+    """The points as a (P, n) float array, checked against the sample box as
+    one array; if that check fails, point by point through
+    :func:`_require_inside`, which names the first point it rejects."""
+    try:
+        xs = np.array(points, dtype=float)
+    except (TypeError, ValueError):  # a ragged list of points
+        xs = np.empty(0)
+    box = np.asarray(spec.sample_box)
+    if xs.ndim != 2 or xs.shape[1:] != (spec.n,) or not (
+            (box[:, 0] <= xs) & (xs <= box[:, 1])).all():
+        xs = np.array([_require_inside(spec, x) for x in points])
+    return xs
+
+
 def _base_batch(spec: ManifoldSpec, points, order: int) -> BaseJets:
-    xs = [_require_inside(spec, x) for x in points]
+    xs = _inside(spec, points)
     args = jets.seed_batch(xs, order)
     with np.errstate(over="ignore", invalid="ignore"):  # as Python floats
-        gamma = fields.connection_args(spec, args, order)
-        g = fields.metric_args(spec, args, order)
+        gamma, g = fields.connection_metric_args(spec, args, order)
+    xs = [tuple(x) for x in xs.tolist()]
     bases = BaseJets(tuple(xs), *(np.moveaxis(f.coeffs, -1, 1) for f in (gamma, g)))
     finite = np.all([np.isfinite(f).reshape(len(xs), -1).all(axis=1)
                      for f in (bases.gamma, bases.g)], axis=0)

@@ -50,13 +50,23 @@ def connection_at(spec: ManifoldSpec, p) -> np.ndarray:
     return _at(fields.connection_args, spec, p)
 
 
+def dual_of(spec: ManifoldSpec, args, gamma, order: int):
+    """Dual of the connection gamma with respect to the metric at jet-valued
+    coordinates, through the formula of :mod:`bornbundle.fields`."""
+    g, dg = fields.metric_dg_args(spec, args, order)
+    return fields.dual_connection_of(gamma, g, dg, fields.jet_inv(g))
+
+
 def levi_civita_at(spec: ManifoldSpec, p) -> np.ndarray:
-    return _at(fields.levi_civita_args, spec, p)
+    def levi_civita(spec, args, order):
+        g, dg = fields.metric_dg_args(spec, args, order)
+        return fields.levi_civita_of(dg, fields.jet_inv(g))
+    return _at(levi_civita, spec, p)
 
 
 def dual_connection_at(spec: ManifoldSpec, p) -> np.ndarray:
     def dual(spec, args, order):
-        return fields.dual_of(spec, args, fields.connection_args(spec, args, order), order)
+        return dual_of(spec, args, fields.connection_args(spec, args, order), order)
     return _at(dual, spec, p)
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import jet_reference as ref
 from bornbundle import bundle, corpus
 from bornbundle.bundle import (BornFrame, BundlePoint, born_at,
                                born_compatibility_residuals, born_jets, fiber_born_jets)
-from bornbundle.cli import spec_from_dict
+from bornbundle.cli import load_spec, spec_from_dict
 from bornbundle.errors import SpecError
 from bornbundle.manifold import base_jets, build_spec, sample_fibers, sample_points
 from test_manifold import GENERATED
@@ -21,6 +22,7 @@ SPHERE = corpus.example("sphere2")
 TORSIONFUL = corpus.example("flat-torsionful")
 PULLBACK = corpus.example("pullback-flat")
 ALL = [EUCLID, HESSIAN, SKEW, SPHERE, TORSIONFUL, PULLBACK]
+SPECS_DIR = Path(__file__).resolve().parent.parent / "scripts" / "specs"
 # curved, so A = -Gamma y does not vanish (the 3-D specs in test_variants are flat)
 CURVED3 = build_spec("curved3", ["u", "v", "w"], [[-1, 1]] * 3,
                      metric=[["1", "0", "0"], ["0", "exp(2*u)", "0"],
@@ -263,3 +265,155 @@ def test_stacked_compatibility_equals_per_frame(source):
         one = born_compatibility_residuals(bf)
         assert {key: val[i] for key, val in rep.residuals.items()} == one.residuals
         assert (rep.k_signature[0][i], rep.k_signature[1][i]) == one.k_signature
+
+
+# -- the generic construction, as an oracle for the Born stack -----------------
+#
+# Each product of the block formulas below is a full jet product over the
+# 2n bundle coordinates, A = -Gamma y included: the base fields are padded
+# with zero y-rows and the fiber vector is seeded with zero x-rows and unit
+# y-rows, and every block sum c + X Y adds its terms one product at a time.
+# fiber_born_jets skips the products whose result is known; it must give
+# these arrays bit for bit, every row and every sign of zero.
+
+def _oracle_mul(a, b):
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    np.multiply(a[:1], b[:1], out=out[:1])
+    np.multiply(a[:1], b[1:], out=out[1:])
+    out[1:] += 0.0
+    out[1:] += a[1:] * b[:1]
+    return out
+
+
+def _oracle_madd(x, y, c=None):
+    terms = (_oracle_mul(x[:, :, m, None], y[:, None, m]) for m in range(x.shape[2]))
+    out = next(terms)
+    if c is not None:
+        np.add(c, out, out=out)
+    for term in terms:
+        out += term
+    return out
+
+
+def _oracle_fiber_blocks(bases, ys):
+    f, n = np.shape(ys)
+    count, base_rows = bases.gamma.shape[:2]
+    rows = 2 * base_rows - 1
+    gamma, g = (np.zeros((rows,) + m.shape[2:] + (count, 1)) for m in (bases.gamma, bases.g))
+    gamma[:base_rows, ..., 0] = np.moveaxis(bases.gamma, 0, -1)
+    g[:base_rows, ..., 0] = np.moveaxis(bases.g, 0, -1)
+    y = np.zeros((rows, n, 1, 1, f))
+    y[0, :, 0, 0] = np.transpose(ys)
+    if rows > 1:
+        y[1 + n:, :, 0, 0] = np.eye(n)[:, :, None]
+    a = _oracle_madd(gamma.reshape(rows, n * n, n, count, 1), y).reshape(rows, n, n, count, f)
+    return -a, g
+
+
+def born_oracle(bases, ys):
+    """The six tensors as :func:`fiber_born_jets` lays them out, each
+    product formed in full."""
+    a, g = _oracle_fiber_blocks(bases, ys)
+    one = np.zeros(a.shape[:3] + (1, 1))
+    one[0, :, :, 0, 0] = np.eye(a.shape[1])
+    na = -a
+    p = _oracle_madd(na.swapaxes(1, 2), g)
+    p0, na0, g0 = p[:1], na[:1], g[:1]
+    block = bundle._block
+    h = block([[_oracle_madd(p0, na0, g0), p0], [_oracle_madd(g0, na0), g0]])
+    k = block([[_oracle_madd(g0, na0, p0), g0], [g0, None]])
+    omega = block([[_oracle_madd(g, na, -p), g], [-g, None]])
+    stacks = {
+        "I": block([[a, -one], [_oracle_madd(na, na, one), na]]),
+        "J": block([[na, one], [_oracle_madd(a, na, one), a]]),
+        "K": block([[one, None], [a * 2.0, -one]]),
+        "h": (h + h.swapaxes(1, 2)) * 0.5,
+        "k": (k + k.swapaxes(1, 2)) * 0.5,
+        "omega": (omega - omega.swapaxes(1, 2)) * 0.5,
+    }
+    return {name: m.transpose(3, 4, 0, 1, 2) for name, m in stacks.items()}
+
+
+def family_spec(family, n):
+    """A spec of the benchmark's generated families at dimension n: the
+    Levi-Civita connection of a curved diagonal metric, a flat connection
+    with a potential metric, and the straight coordinates
+    w_k = x_k + c_k x0^2 written in x."""
+    x = [f"x{i}" for i in range(n)]
+    doc = {"dimension": n, "coordinates": x, "sample_box": [[-1, 1]] * n,
+           "connection": {"kind": "flat"}}
+    diagonal = [["0"] * n for _ in range(n)]
+    if family == "lc":
+        for k in range(n):
+            diagonal[k][k] = f"exp({(-1) ** k * (0.4 + 0.1 * k):.2f}*{x[(k + 1) % n]})"
+        doc.update(metric={"components": diagonal}, connection={"kind": "levi-civita"})
+    elif family == "potential":
+        terms = [f"{2 + 0.2 * k:.1f}*exp({0.8 + 0.05 * k:.2f}*{x[k]})" for k in range(n)]
+        terms += [f"{0.01 * (i - j):.2f}*{x[i]}*{x[j]}"
+                  for i in range(n) for j in range(i + 1, n)]
+        doc["metric"] = {"potential": " + ".join(terms).replace("+ -", "- ")}
+    else:
+        c = [0.0] + [(-1) ** k * (0.3 + 0.1 * k) for k in range(1, n)]
+        d = [1.0 + 0.1 * k for k in range(n)]
+        grid = [row[:] for row in diagonal]
+        grid[0][0] = f"{d[0]} + {sum(4 * d[k] * c[k] ** 2 for k in range(n)):.6f}*x0^2"
+        for k in range(1, n):
+            grid[k][k] = str(d[k])
+            grid[0][k] = grid[k][0] = f"{2 * d[k] * c[k]:.6f}*x0"
+        gamma = [[["0"] * n for _ in range(n)] for _ in range(n)]
+        for k in range(1, n):
+            gamma[k][0][0] = f"{2 * c[k]:.6f}"
+        doc.update(metric={"components": grid},
+                   connection={"kind": "explicit", "gamma": gamma})
+    return spec_from_dict(doc, name=f"{family}{n}")
+
+
+# Gamma values and partials that are -0.0, which a product's + 0.0 turns
+# into +0.0
+SIGNED_ZEROS = build_spec("signed-zeros", ["u", "v"], [[-1, 1]] * 2,
+                          metric=[["1", "0"], ["0", "1"]], connection="explicit",
+                          gamma=[[["-0", "-0*u"], ["0*v", "u*v"]],
+                                 [["-u", "-0"], ["-0*v", "-0"]]])
+ORACLE_SPECS = (list(corpus.BUILTIN_BUILDERS)
+                + sorted(str(p) for p in SPECS_DIR.glob("*.json"))
+                + [f"{family}{n}" for family in ("lc", "potential", "twisted")
+                   for n in (3, 4, 5, 6)] + ["signed-zeros"])
+
+
+@pytest.mark.parametrize("size", [(7, 3), (1, 1)], ids=lambda s: "x".join(map(str, s)))
+@pytest.mark.parametrize("source", ORACLE_SPECS, ids=lambda s: Path(s).stem)
+def test_fiber_arrays_equal_the_generic_construction(source, size):
+    if source == "signed-zeros":
+        spec = SIGNED_ZEROS
+    elif source in corpus.BUILTIN_BUILDERS or source.endswith(".json"):
+        spec = load_spec(source)
+    else:
+        spec = family_spec(source.rstrip("3456"), int(source[-1]))
+    bases = base_jets(spec, sample_points(spec, size[0], 42))
+    fibers = sample_fibers(spec.n, size[1], 1.0, 42)
+    got = fiber_born_jets(bases, fibers)
+    want = born_oracle(bases, fibers)
+    assert got.keys() == want.keys()
+    for name, arr in want.items():
+        assert got[name].shape == arr.shape, name
+        assert np.array_equal(got[name].view(np.int64), arr.view(np.int64)), name
+
+
+def test_a_singular_h_reads_inf_and_keeps_the_other_frames():
+    # one frame's h is exactly singular: the batched solve raises, so the
+    # frames are solved one by one; that frame reads inf for h^-1 omega, and
+    # every other frame keeps the bits of the batched call
+    bases = base_jets(SPHERE, sample_points(SPHERE, 3, 42))
+    mats = fiber_born_jets(bases, sample_fibers(2, 2, 1.0, 42))
+    stack = BornFrame.of({name: m[:, :, 0] for name, m in mats.items()})
+    h = stack.h.copy()
+    h[1, 0] = 0.0
+    got = born_compatibility_residuals(dataclasses.replace(stack, h=h))
+    want = born_compatibility_residuals(stack)
+    assert got.residuals["I_vs_h_inv_omega"][1, 0] == np.inf
+    others = np.ones((3, 2), dtype=bool)
+    others[1, 0] = False
+    for name, m in want.residuals.items():
+        assert np.array_equal(got.residuals[name][others].view(np.int64),
+                              m[others].view(np.int64)), name
+    assert np.array_equal(got.k_signature, want.k_signature)

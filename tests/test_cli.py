@@ -430,6 +430,25 @@ def test_a_fiber_radius_whose_norms_overflow_is_an_error(command, capsys):
                    "fiber vector overflows"}
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "pullback-flat", "--fiber-radius", "1e8"],
+    ["check", "sphere2", "--fiber-radius", "1e12"],
+    ["theorem", "--points", "4", "--fiber-radius", "1e8"],
+], ids=["pullback-flat", "sphere2", "theorem"])
+def test_a_numerically_singular_born_tensor_is_an_error_naming_the_point(argv, capsys):
+    # at these radii h is singular to working precision at some bundle
+    # point, so its solve fails: that identity reads inf there, and the
+    # error names it and the point, not a bare LinAlgError (exit 2)
+    if argv[0] == "check":
+        argv = argv + ["--points", "3"]
+    code = main(argv + ["--fiber-points", "2"])
+    assert code == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["kind"] == "SpecError"
+    assert error["message"].startswith("I_vs_h_inv_omega residual is not finite at ((")
+    assert error["message"].endswith(" (value inf)")
+
+
 @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
 @pytest.mark.parametrize("command", ["check", "theorem"])
 def test_tolerance_must_be_finite_and_non_negative(command, tol, capsys):

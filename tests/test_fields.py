@@ -1,9 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import jet_reference as ref
 from bornbundle import corpus, fields, jets
-from bornbundle.cli import spec_from_dict
+from bornbundle.cli import load_spec, spec_from_dict
 from bornbundle.errors import SpecError
 from bornbundle.expr import EvalDomainError
 from bornbundle.jets import JetBatch
@@ -112,6 +114,27 @@ def test_batch_raises_the_first_points_failure(metric00, error, message, verdict
     with pytest.raises(error) as err:
         verdict(spec, [first, second])
     assert str(err.value) == message
+
+
+SCRIPT_SPECS = {path.stem: load_spec(str(path)) for path in
+                sorted((Path(__file__).parent.parent / "scripts" / "specs").glob("*.json"))}
+
+
+@pytest.mark.parametrize("name", list(SPECS) + list(SCRIPT_SPECS))
+def test_one_metric_evaluation_gives_the_metric_bits(name):
+    # g as metric_dg_args reads it off an evaluation one order higher is
+    # metric_args' g bit for bit, so a connection derived from a metric grid
+    # and g come from one evaluation; (Gamma, g) equal the two fields' own
+    spec = SPECS.get(name) or SCRIPT_SPECS[name]
+    for order in (0, 1):
+        args = jets.seed_batch(sample_points(spec, 20, 5), order)
+        with np.errstate(over="ignore", invalid="ignore"):
+            gamma, g = fields.connection_metric_args(spec, args, order)
+            assert_same_bits(g.coeffs, fields.metric_args(spec, args, order).coeffs)
+            assert_same_bits(gamma.coeffs, fields.connection_args(spec, args, order).coeffs)
+            if spec.potential is None:
+                assert_same_bits(fields.metric_dg_args(spec, args, order)[0].coeffs,
+                                 g.coeffs)
 
 
 def test_batch_of_one_point_equals_the_batch_of_all():

@@ -231,3 +231,36 @@ def test_constant_subexpressions_match_jets(text):
         assert got == want[0]
     else:
         assert_same(got, want)
+
+
+def _constants(order, nvars):
+    """Constant jets as expression evaluation makes them: values of either
+    sign and of zero, and negated constants, whose partials are -0.0."""
+    for value in (0.985, -0.6, 0.0, -0.0, 2.5e-300):
+        yield JetBatch.constant(value, order, nvars)
+        yield -JetBatch.constant(value, order, nvars)
+
+
+@pytest.mark.parametrize("order,nvars", cases())
+def test_a_constant_times_a_jet_is_the_leibniz_sum(order, nvars):
+    # the scalar path gives the bits of the full product, with the constant
+    # on either side, on operands whose partials include +-0.0 and inf or
+    # NaN coefficients (which take the full product: 0.0 * inf is NaN)
+    rng = np.random.default_rng(100 + order * 10 + nvars)
+    other = batch_of(random_jets(rng, order, nvars, BATCH, values=[
+        1.5, -0.0, 0.0, -2.0, float("inf"), float("nan"), 0.25]))
+    finite = batch_of(random_jets(rng, order, nvars, BATCH))
+    special = finite.coeffs.copy()
+    special[2, -1] = -np.inf
+    special[4, 0] = np.nan
+    for jet in (other, finite, JetBatch(order, nvars, special)):
+        for const in _constants(order, nvars):
+            with np.errstate(invalid="ignore"):  # 0.0 * inf, as the sum gives
+                for left, right in ((const, jet), (jet, const), (const, const)):
+                    got = (left * right).coeffs
+                    want = np.broadcast_to(jets._product_coeffs(
+                        left.coeffs, right.coeffs, order, nvars), got.shape)
+                    nan = np.isnan(want)
+                    assert np.array_equal(np.isnan(got), nan)
+                    assert np.array_equal(got[~nan].view(np.int64),
+                                          want[~nan].view(np.int64))

@@ -12,7 +12,7 @@ from bornbundle.integrability import integrability_verdict
 from bornbundle.jets import JetUsageError
 from bornbundle.manifold import (DEFAULT_TOL, _first_failure, base_jets, build_spec,
                                  dual_and_levi_civita, finite_maxima, sample_points)
-from point import (connection_at, curvature_at, dual_connection_at, hessian_verdict,
+from point import (connection_at, curvature_at, dual_connection_at, dual_of, hessian_verdict,
                    levi_civita_at, metric_at, nabla_g_at, torsion_at, two_of_four_residuals)
 
 EUCLID = corpus.example("euclidean2")
@@ -288,8 +288,8 @@ def test_dual_of_dual_returns_original(spec):
     for p in points_of(spec, 4):
         args = jets.seed_batch([p], 0)
         gamma = fields.connection_args(spec, args, 0)
-        first = fields.dual_of(spec, args, gamma, 0)
-        second = fields.dual_of(spec, args, first, 0)
+        first = dual_of(spec, args, gamma, 0)
+        second = dual_of(spec, args, first, 0)
         diff = second.value - gamma.value
         assert np.max(np.abs(diff)) <= 1e-10
 
@@ -464,11 +464,39 @@ def test_sample_points_inside_box_and_deterministic():
 
 # -- residual maxima ---------------------------------------------------------------
 
+@pytest.mark.parametrize("points,message", [
+    ([(0.5, 0.5), (2.0, 0.0), (0.0, -3.0)], r"point \(2\.0, 0\.0\) lies outside the sample box"),
+    ([(0.5, 0.5), (0.0, 0.0, 0.0), (2.0, 0.0)], "point has 3 coordinates, expected 2"),
+    ([(0.5, 0.5), (0.1,)], "point has 1 coordinates, expected 2"),
+    ([(0.5, math.nan)], r"point \(0\.5, nan\) lies outside the sample box"),
+], ids=["outside", "long", "short", "nan"])
+def test_base_jets_names_the_first_point_it_rejects(points, message):
+    # the box is checked on the whole point array; a point it rejects is
+    # named by the per-point check, with its own message
+    with pytest.raises(SpecError, match=message):
+        base_jets(EUCLID, points)
+
+
 def test_finite_maxima_per_point():
     got = finite_maxima({"a": [[1.0, -2.0], [0.5, -0.0]], "b": [3.0, -4.0]}, ["p", "q"])
     assert list(got) == ["a", "b"]
     assert got["a"].tolist() == [2.0, 0.5]
     assert got["b"].tolist() == [3.0, 4.0]
+
+
+def test_finite_maxima_over_a_point_grid_in_any_layout():
+    # points running over the leading (P, F) axes, in C order, of stacks held
+    # points last in memory, as the Born sweep holds them
+    rng = np.random.default_rng(4)
+    stack = rng.normal(size=(3, 5, 2, 3)).transpose(2, 3, 0, 1)  # (2, 3, 3, 5)
+    single = rng.normal(size=(7, 6, 1)).transpose(1, 2, 0)  # (6, 1, 7)
+    got = finite_maxima({"stack": stack, "single": single}, list(range(6)))
+    for name, r in (("stack", stack), ("single", single)):
+        want = np.max(np.abs(np.reshape(r, (6, -1))), axis=1)
+        assert got[name].shape == (6,)
+        assert np.array_equal(got[name], want)
+    one = finite_maxima({"one": np.ones((1, 1, 3))}, ["p"])
+    assert one["one"].tolist() == [1.0]
 
 
 @pytest.mark.parametrize("stacks,message", [
