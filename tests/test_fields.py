@@ -116,16 +116,17 @@ def test_batch_raises_the_first_points_failure(metric00, error, message, verdict
     assert str(err.value) == message
 
 
-SCRIPT_SPECS = {path.stem: load_spec(str(path)) for path in
-                sorted((Path(__file__).parent.parent / "scripts" / "specs").glob("*.json"))}
+# SPECS and the committed spec files, hessian-dual-exp2 once
+WITH_SCRIPT_SPECS = {**{path.stem: load_spec(str(path)) for path in sorted(
+    (Path(__file__).parent.parent / "scripts" / "specs").glob("*.json"))}, **SPECS}
 
 
-@pytest.mark.parametrize("name", list(SPECS) + list(SCRIPT_SPECS))
+@pytest.mark.parametrize("name", list(WITH_SCRIPT_SPECS))
 def test_one_metric_evaluation_gives_the_metric_bits(name):
     # g as metric_dg_args reads it off an evaluation one order higher is
     # metric_args' g bit for bit, so a connection derived from a metric grid
     # and g come from one evaluation; (Gamma, g) equal the two fields' own
-    spec = SPECS.get(name) or SCRIPT_SPECS[name]
+    spec = WITH_SCRIPT_SPECS[name]
     for order in (0, 1):
         args = jets.seed_batch(sample_points(spec, 20, 5), order)
         with np.errstate(over="ignore", invalid="ignore"):
