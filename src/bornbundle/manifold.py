@@ -278,12 +278,13 @@ def _point_maxima(r: np.ndarray, count: int) -> np.ndarray:
 
 def finite_maxima(residuals: dict, points: Sequence) -> dict[str, np.ndarray]:
     """Per-point max |residual| of each stack in ``residuals``, whose first
-    axis runs over ``points``.  A maximum that is not finite (a NaN, which
-    Python's ``max`` would skip, or inf) is a spec error naming the first one
-    by point, then by residual in the order given, and its point.  Callers
-    compute the residuals under ``np.errstate(over="ignore",
-    invalid="ignore")``: a residual that overflows or is NaN reaches this
-    check instead of printing a numpy warning."""
+    axis, or first axes in C order, run over ``points``.  A maximum that is
+    not finite (a NaN, which Python's ``max`` would skip, or inf) is a spec
+    error naming the first one by point, then by residual in the order
+    given, and its point.  Callers compute the residuals under
+    ``np.errstate(over="ignore", invalid="ignore")``: a residual that
+    overflows or is NaN reaches this check instead of printing a numpy
+    warning."""
     maxima = {name: _point_maxima(np.asarray(r), len(points))
               for name, r in residuals.items()}
     bad = np.argwhere(~np.isfinite(np.stack(list(maxima.values()), axis=1)))
