@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -112,14 +113,18 @@ def _require_point(spec: ManifoldSpec, bp: BundlePoint) -> BundlePoint:
     return bp
 
 
-def _constant_blocks(n: int) -> dict[str, np.ndarray]:
+@lru_cache(maxsize=None)
+def _constant_blocks(n: int) -> np.ndarray:
+    """The constant adapted-frame forms of I, J and K, stacked in that order
+    as (3, 2n, 2n): built once per n and read-only, as every caller shares
+    them."""
     one = np.eye(n)
     zero = np.zeros((n, n))
-    return {
-        "I": np.block([[zero, -one], [one, zero]]),
-        "J": np.block([[zero, one], [one, zero]]),
-        "K": np.block([[one, zero], [zero, -one]]),
-    }
+    blocks = np.stack([np.block([[zero, -one], [one, zero]]),
+                       np.block([[zero, one], [one, zero]]),
+                       np.block([[one, zero], [zero, -one]])])
+    blocks.flags.writeable = False
+    return blocks
 
 
 # -- frames -----------------------------------------------------------------

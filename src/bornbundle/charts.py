@@ -77,7 +77,10 @@ The flatness gate evaluates Gamma with its first partials at its
 transformed connection and the I, J, K blocks built from it) are computed
 for all probes as one stack, by one batched inverse, stacked einsums and
 stacked matmuls, each of which gives every point or probe the bits of a
-call on it alone.
+call on it alone.  The gate points are checked against the box as one
+array, the probes are placed by one array expression over the Halton
+points, and the constant I, J, K blocks the residuals compare with are
+built once per n (:func:`bornbundle.bundle._constant_blocks`).
 
 Errors: probe radii are checked before any integration.  The loop runs
 under ``np.errstate``, since Python floats overflow to inf silently and
@@ -103,7 +106,7 @@ from .bundle import _constant_blocks, _frame_of
 from .errors import SpecError
 from .jets import JetBatch
 from .manifold import (FLATNESS_GATE_TOL, PROBE_RADIUS_SLACK, PUSHFORWARD_TOL,
-                       ManifoldSpec, _curvature_of, _first_failure, _require_inside,
+                       ManifoldSpec, _curvature_of, _first_failure, _inside,
                        _torsion_of, finite_maxima, halton_points, sample_fibers,
                        sample_points)
 
@@ -384,7 +387,7 @@ def exponential_chart(spec: ManifoldSpec, x0, steps: int = DEFAULT_STEPS,
         raise SpecError(f"chart base point has {len(x0)} coordinates, expected {spec.n}")
     if not spec.contains(x0):
         raise SpecError(f"chart base point {x0} lies outside the sample box")
-    points = [_require_inside(spec, p) for p in sample_points(spec, GATE_POINTS, seed)]
+    points = [tuple(p) for p in _inside(spec, sample_points(spec, GATE_POINTS, seed)).tolist()]
     with np.errstate(over="ignore", invalid="ignore"):  # finite_maxima checks
         gamma = _gate_connection(spec, points)
         residuals = {"curvature": _curvature_of(gamma), "torsion": _torsion_of(gamma[:, 0])}
@@ -427,8 +430,7 @@ def _block_residuals(transformed: np.ndarray, y: np.ndarray) -> np.ndarray:
     vector y, minus their constant affine-chart blocks, as (B, 3, 2n, 2n)."""
     y = np.asarray(y, dtype=float)
     e, einv = _frame_of(-np.einsum("pkij,j->pki", transformed, y)[:, None])
-    blocks = _constant_blocks(len(y))
-    consts = np.stack([blocks[name] for name in "IJK"])
+    consts = _constant_blocks(len(y))
     return e @ consts @ einv[:, None] - consts
 
 
@@ -466,7 +468,7 @@ def affine_chart_witness(spec: ManifoldSpec, x0, probes: int, fiber_radius: floa
     chart = exponential_chart(spec, x0, steps=steps, seed=seed)
     # the cube of half-width r/2 lies in the ball of radius r only for n <= 4
     scale = chart.radius * min(1.0, 2.0 / math.sqrt(spec.n))
-    points = [tuple(scale * (2 * u - 1) / 2) for u in halton_points(probes, spec.n, seed)]
+    points = (scale * (2 * halton_points(probes, spec.n, seed) - 1) / 2).tolist()
     push, blocks = _probe_residuals(chart, points, fiber)
     return {
         "base_point": list(chart.x0),

@@ -120,12 +120,26 @@ def _expect(value, kind: str, field: str):
 
 
 def _expect_grid(value, depth: int, field: str) -> None:
-    """Arrays nested ``depth`` deep whose entries are strings."""
+    """Arrays nested ``depth`` deep whose entries are strings: checked level
+    by level in one pass, and walked entry by entry only to name the first
+    bad one."""
+    level = [value]
+    for _ in range(depth):
+        if any(type(v) is not list for v in level):
+            break
+        level = [entry for v in level for entry in v]
+    else:
+        if all(type(v) is str for v in level):
+            return
+    _walk_grid(value, depth, field)
+
+
+def _walk_grid(value, depth: int, field: str) -> None:
     if depth == 0:
         _expect(value, "string", field)
         return
     for i, entry in enumerate(_expect(value, "array", field)):
-        _expect_grid(entry, depth - 1, f"{field}[{i}]")
+        _walk_grid(entry, depth - 1, f"{field}[{i}]")
 
 
 def spec_from_dict(raw: dict, name: str = "") -> ManifoldSpec:

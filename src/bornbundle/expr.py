@@ -226,13 +226,18 @@ def evaluate(ast: ExprAst, args: Sequence[JetBatch]) -> JetBatch:
     """Evaluate on jet-valued coordinates; derivative-correct through the
     order of the arguments.  Constants are made by the arguments' type, so
     any jet type with the JetBatch operators and ``constant`` works."""
+    _check_args(args)
+    return _eval(ast, args, args[0].order, args[0].nvars)
+
+
+def _check_args(args: Sequence[JetBatch]) -> None:
+    """Reject an empty argument list or jets of differing order or arity."""
     if not args:
         raise jets.JetUsageError("evaluate needs at least one argument jet")
     order, nvars = args[0].order, args[0].nvars
     for a in args:
         if a.order != order or a.nvars != nvars:
             raise jets.JetUsageError("argument jets must share order and arity")
-    return _eval(ast, args, order, nvars)
 
 
 def _eval(node: ExprAst, args, order, nvars) -> JetBatch:

@@ -7,8 +7,10 @@ shape (P, n, n).  The sample sweep passes the seeded coordinates of all its
 points (:func:`bornbundle.jets.seed_batch`); the chart builder passes
 jet-valued coordinates, for which derivative-based connections augment the
 arguments with fresh seed slots (see :func:`bornbundle.jets.augment`).
-Each expression is evaluated once over the batch; a constant one comes out
-as a one-point JetBatch and is broadcast.  :func:`connection_metric_args`
+Each expression is evaluated once over the batch, except a literal
+constant (an explicit Gamma grid is mostly ``"0"``): :func:`evaluate_all`
+writes its value into the zeroed slot, with no jet built, which has the
+bits of its constant jet broadcast.  :func:`connection_metric_args`
 gives Gamma and g together: for a connection derived from a metric grid
 (Levi-Civita, or the dual of the flat connection) the grid is evaluated
 once, and g is read off the evaluation one order higher that gives its
@@ -42,11 +44,19 @@ def evaluate_all(asts: Sequence, args: Sequence[JetBatch],
                  shape: tuple | None = None) -> JetBatch:
     """The expressions ``asts`` over the batch of the arguments, as one
     JetBatch of batch shape ``(*batch, *shape)``: ``shape`` is that of the
-    grid whose entries ``asts`` lists in C order, by default (len(asts),)."""
+    grid whose entries ``asts`` lists in C order, by default (len(asts),).
+    A literal constant is written as its value over +0.0 partials, the bits
+    of its constant jet, with no jet built; ``Neg(Const)`` is evaluated, as
+    its partials are -0.0.  The arguments are checked once, as
+    :func:`bornbundle.expr.evaluate` checks them, constants or not."""
+    expr._check_args(args)
     a = args[0]
-    out = np.empty(a.shape + (len(asts), a.coeffs.shape[-1]))
+    out = np.zeros(a.shape + (len(asts), a.coeffs.shape[-1]))
     for t, ast in enumerate(asts):
-        out[..., t, :] = expr.evaluate(ast, args).coeffs
+        if isinstance(ast, expr.Const):
+            out[..., t, 0] = ast.value
+        else:
+            out[..., t, :] = expr.evaluate(ast, args).coeffs
     shape = (len(asts),) if shape is None else shape
     return JetBatch(a.order, a.nvars, out.reshape(a.shape + shape + out.shape[-1:]))
 

@@ -107,17 +107,26 @@ def build_spec(name: str, coordinates: Sequence[str], sample_box,
                potential: str | None = None,
                connection: str = "flat",
                gamma: Sequence[Sequence[Sequence[str]]] | None = None) -> ManifoldSpec:
-    """Parse expression strings into a validated spec."""
+    """Parse expression strings into a validated spec.  Each distinct text
+    is parsed once and its frozen tree shared by every entry that spells it
+    (an explicit Gamma grid is mostly the literal ``"0"``); the memo lives
+    for this one build."""
     coords = tuple(coordinates)
     n = len(coords)
+    trees: dict = {}
+
+    def parse(text):
+        tree = trees.get(text)
+        if tree is None:
+            tree = trees[text] = expr.parse(text, coords)
+        return tree
     metric_exprs = None
     if metric is not None:
-        metric_exprs = tuple(tuple(expr.parse(e, coords) for e in row) for row in metric)
-    potential_ast = expr.parse(potential, coords) if potential is not None else None
+        metric_exprs = tuple(tuple(map(parse, row)) for row in metric)
+    potential_ast = parse(potential) if potential is not None else None
     gamma_exprs = None
     if gamma is not None:
-        gamma_exprs = tuple(tuple(tuple(expr.parse(e, coords) for e in row)
-                                  for row in plane) for plane in gamma)
+        gamma_exprs = tuple(tuple(tuple(map(parse, row)) for row in plane) for plane in gamma)
     box = tuple((float(lo), float(hi)) for lo, hi in sample_box)
     return ManifoldSpec(n=n, coords=coords, sample_box=box,
                         connection_kind=connection, metric_exprs=metric_exprs,

@@ -74,7 +74,7 @@ def adapted_born_matrices(g):
     """The six tensors in the adapted frame at a point of metric g: I, J, K
     constant and h, k, omega in metric-block form."""
     zero = np.zeros_like(g)
-    return {**bundle._constant_blocks(len(g)),
+    return {**dict(zip("IJK", bundle._constant_blocks(len(g)))),
             "h": np.block([[g, zero], [zero, g]]),
             "k": np.block([[zero, g], [g, zero]]),
             "omega": np.block([[zero, g], [-g, zero]])}
@@ -87,6 +87,20 @@ def standard_born_matrices(n):
 
 def max_residual(rep):
     return float(np.max(list(rep.residuals.values())))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_constant_blocks_are_built_once_per_n_and_read_only(n):
+    blocks = bundle._constant_blocks(n)
+    assert bundle._constant_blocks(n) is blocks
+    one, zero = np.eye(n), np.zeros((n, n))
+    want = [np.block([[zero, -one], [one, zero]]), np.block([[zero, one], [one, zero]]),
+            np.block([[one, zero], [zero, -one]])]
+    assert np.array_equal(blocks, want)
+    with pytest.raises(ValueError, match="read-only"):
+        blocks[0, 0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        blocks[1] *= 2.0
 
 
 def test_euclidean_reproduces_standard_matrices():

@@ -705,8 +705,7 @@ def per_probe_block_residual(transformed, y):
     e[n:, :n] = -np.einsum("kij,j->ki", transformed, y)
     einv = e.copy()
     einv[n:, :n] = -einv[n:, :n]
-    consts = _constant_blocks(n)
-    return np.stack([e @ consts[name] @ einv - consts[name] for name in "IJK"])
+    return np.stack([e @ c @ einv - c for c in _constant_blocks(n)])
 
 
 def assert_same_bits(got, want):
@@ -975,3 +974,31 @@ def test_gate_evaluates_the_connection_once(monkeypatch):
     # one order-1 batch over the gate points, not curvature and torsion
     # at each point one at a time
     assert calls == [(GATE_POINTS, 1)]
+
+
+@pytest.mark.parametrize("name,probes,seed", [("pullback-flat", 12, 42), ("twisted3", 3, 7),
+                                              ("potential4", 1, 3), ("twisted5", 9, 11)])
+def test_witness_places_probes_and_gate_points_as_the_per_point_loops(name, probes, seed,
+                                                                    monkeypatch):
+    # the array expressions give the bits of the per-point loops they replaced;
+    # at n = 5 the probe cube is shrunk by 2/sqrt(n)
+    spec = REFERENCE_SPECS.get(name) or load_spec(
+        str(Path(__file__).parent / "golden" / "specs" / f"{name}.json"))
+    seen = {}
+
+    def record(key, fn):  # fn's second argument is the points it is given
+        def wrapper(first, points, *rest):
+            seen[key] = points
+            return fn(first, points, *rest)
+        monkeypatch.setattr(charts, fn.__name__, wrapper)
+    record("gate", charts._gate_connection)
+    record("probes", charts._probe_residuals)
+    x0 = tuple(0.5 * (lo + hi) for lo, hi in spec.sample_box)
+    affine_chart_witness(spec, x0, probes, 1.0, steps=4, seed=seed)
+    scale = min((hi - lo) / 2.0 for lo, hi in spec.sample_box) / 2.0 * min(
+        1.0, 2.0 / math.sqrt(spec.n))
+    want_probes = [tuple(scale * (2 * u - 1) / 2) for u in halton_points(probes, spec.n, seed)]
+    want_gate = [tuple(float(c) for c in p) for p in sample_points(spec, GATE_POINTS, seed)]
+    for got, want in ((seen["probes"], want_probes), (seen["gate"], want_gate)):
+        assert all(type(p) in (list, tuple) and type(p[0]) is float for p in got)
+        assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))

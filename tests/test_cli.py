@@ -112,6 +112,15 @@ def _malformed(field, value):
     ("connection", {"kind": "explicit", "gamma": 3},
      "connection.gamma must be a JSON array, not number"),
     ("connection", {"kind": 1}, "connection.kind must be a JSON string, not number"),
+    ("connection", {"kind": "explicit", "gamma": [
+        [["0"] * 3] * 3, [["0", "0", 0.5]] + [["0"] * 3] * 2, [["0"] * 3] * 3]},
+     "connection.gamma[1][0][2] must be a JSON string, not number"),
+    ("connection", {"kind": "explicit", "gamma": [[["0", None]], "0"]},
+     "connection.gamma[0][0][1] must be a JSON string, not null"),
+    ("connection", {"kind": "explicit", "gamma": [[["0", "0"], "0"], [["0", "0"]] * 2]},
+     "connection.gamma[0][1] must be a JSON array, not string"),
+    ("metric.components", [["1", "0"], ["0", ["1"]]],
+     "metric.components[1][1] must be a JSON string, not array"),
     ("sample_box", None, "sample_box must be a JSON array, not null"),
     ("sample_box", [[-1, 1], [-1, 1, 2]], "sample_box[1] must be a [lo, hi] pair"),
     ("sample_box", [[-1, 1], [-1, "1"]], "sample_box[1][1] must be a JSON number, not string"),
@@ -121,7 +130,8 @@ def _malformed(field, value):
     ("dimension", float("inf"), "dimension must be a whole number, not inf"),
 ], ids=["metric-array", "metric-string", "connection-string", "components-number",
         "components-row-number", "components-entry-number", "potential-number",
-        "gamma-number", "kind-number", "sample-box-null", "sample-box-triple",
+        "gamma-number", "kind-number", "gamma-entry-number", "gamma-first-in-order",
+        "gamma-row-string", "components-entry-array", "sample-box-null", "sample-box-triple",
         "sample-box-string-bound", "coordinates-numbers", "dimension-string",
         "dimension-fraction", "dimension-inf"])
 @pytest.mark.parametrize("command", ["check", "affine-chart"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import jet_reference as ref
-from bornbundle import corpus, fields, jets
+from bornbundle import corpus, expr, fields, jets
 from bornbundle.cli import load_spec, spec_from_dict
 from bornbundle.errors import SpecError
 from bornbundle.expr import EvalDomainError
@@ -168,3 +168,41 @@ def test_seed_batch_matches_seed_embedded():
             want = ref.seed_embedded(tuple(x), order, 2)
             for a, w in zip(args, want):
                 assert_same_bits(a.coeffs[p], ref.coefficients(w))
+
+
+EVALUATE_ALL_TEXTS = ["0", "-1.226", "2.5", "u", "-0", "u*v - 0.5", "3e-2", "-v"]
+
+
+@pytest.mark.parametrize("order", range(jets.MAX_ORDER + 1))
+@pytest.mark.parametrize("batch", [(5,), (3, 2)], ids=["P", "B-n"])
+def test_evaluate_all_writes_constants_with_the_bits_of_evaluate(order, batch, monkeypatch):
+    # a literal constant is written as its value over +0.0 partials, with no
+    # jet built; Neg(Const) ("-1.226", "-0") keeps the evaluated -0.0 partials
+    asts = [expr.parse(text, ("u", "v")) for text in EVALUATE_ALL_TEXTS]
+    rng = np.random.default_rng(order)
+    width = len(jets._columns(order, 2))
+    args = [JetBatch(order, 2, rng.uniform(-1, 1, batch + (width,))) for _ in range(2)]
+    want = np.stack([np.broadcast_to(expr.evaluate(ast, args).coeffs, batch + (width,))
+                     for ast in asts], axis=-2)
+    calls = []
+    evaluate = expr.evaluate
+    monkeypatch.setattr(expr, "evaluate", lambda ast, a: calls.append(ast) or evaluate(ast, a))
+    got = fields.evaluate_all(asts, args).coeffs
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert calls == [ast for ast in asts if not isinstance(ast, expr.Const)]
+    if order:
+        const, neg = EVALUATE_ALL_TEXTS.index("2.5"), EVALUATE_ALL_TEXTS.index("-1.226")
+        assert not np.signbit(got[..., const, 1:]).any()
+        assert np.signbit(got[..., neg, 1:]).all()
+
+
+def test_evaluate_all_checks_the_arguments_of_an_all_constant_grid():
+    asts = [expr.parse(text, ("u", "v")) for text in ("0", "1.5", "0")]
+    point = np.zeros((1, 2))
+    mixed = [jets.seed_batch(point, 1)[0], jets.seed_batch(point, 2)[1]]
+    with pytest.raises(jets.JetUsageError, match="share order and arity"):
+        fields.evaluate_all(asts, mixed)
+    with pytest.raises(jets.JetUsageError, match="at least one argument jet"):
+        fields.evaluate_all(asts, [])

@@ -575,3 +575,34 @@ def test_first_failure_does_not_retry_internal_faults(fault):
         _first_failure(evaluate, 5)
     assert err.value is fault
     assert calls == [slice(None)]
+
+
+def test_build_spec_parses_each_distinct_text_once(monkeypatch):
+    # an explicit Gamma grid is mostly "0": each distinct text is parsed once
+    # and its tree shared, equal to the tree of a parse of its own
+    coords = ("u", "v", "w")
+    gamma = [[["0", "0", "0"], ["0", "u*v", "0"], ["0", "0", "-1.5"]],
+             [["0", "-1.5", "0"], ["0", "0", "0"], ["u*v", "0", "0"]],
+             [["0", "0", "0"], ["0", "0", "0"], ["0", "0", "2"]]]
+    metric = [["1", "0", "0"], ["0", "exp(u)", "0"], ["0", "0", "1"]]
+    texts = ([e for plane in gamma for row in plane for e in row]
+             + [e for row in metric for e in row])
+    calls = []
+    parse = expr.parse
+    monkeypatch.setattr(expr, "parse", lambda text, c: calls.append(text) or parse(text, c))
+    spec = build_spec("shared", coords, [(-1, 1)] * 3, metric=metric,
+                      connection="explicit", gamma=gamma)
+    assert sorted(calls) == sorted(set(texts))
+    for got, text in zip([e for plane in spec.gamma_exprs for row in plane for e in row]
+                         + [e for row in spec.metric_exprs for e in row], texts):
+        assert got == parse(text, coords)
+    assert spec.gamma_exprs[0][0][0] is spec.metric_exprs[0][1]
+
+
+def test_build_spec_reports_a_repeated_bad_text_as_a_lone_parse_does():
+    with pytest.raises(expr.ParseError) as alone:
+        expr.parse("u +* 1", ("u", "v"))
+    metric = [["u +* 1", "0"], ["0", "u +* 1"]]
+    with pytest.raises(expr.ParseError) as built:
+        build_spec("bad", ("u", "v"), [(-1, 1)] * 2, metric=metric)
+    assert (str(built.value), built.value.offset) == (str(alone.value), alone.value.offset)
