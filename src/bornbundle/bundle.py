@@ -245,17 +245,13 @@ def born_jets(spec: ManifoldSpec, bp: BundlePoint) -> dict[str, np.ndarray]:
             fiber_born_jets(base_jets(spec, [bp.x]), [bp.y]).items()}
 
 
-def _first_frame(mats: dict[str, np.ndarray]) -> BornFrame:
-    """The values at the first bundle point of :func:`fiber_born_jets`, copied."""
-    return BornFrame.of({name: m[0, 0, 0] for name, m in mats.items()})
-
-
 def born_at(spec: ManifoldSpec, bp: BundlePoint) -> BornFrame:
     """The six tensors at a bundle point, in bundle coordinates."""
     bp = _require_point(spec, bp)
     base = base_jets(spec, [bp.x], 0)
     check_spd(base.g[:, 0], [bp.x])
-    return _first_frame(fiber_born_jets(base, [bp.y]))
+    return BornFrame.of({name: m[0, 0, 0] for name, m in
+                         fiber_born_jets(base, [bp.y]).items()})
 
 
 # -- compatibility ------------------------------------------------------------

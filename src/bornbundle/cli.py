@@ -17,9 +17,8 @@ Spec file format (JSON)::
 ``gamma[k][i][j]`` is the coefficient with upper index k and lower indices
 (i, j).  Expressions use the mini-language of :mod:`bornbundle.expr`.
 
-``check`` takes the Hessian verdict, the two-of-four report, the
-integrability residuals, and the ``born_frame_sample`` and ``sign_conventions``
-of the sweep's first bundle point from one sweep over the sample points
+``check`` takes the Hessian verdict, the two-of-four report and the
+integrability residuals from one sweep over the sample points
 (:func:`~bornbundle.integrability.integrability_verdict`).  It runs
 the affine-chart witness when that Hessian verdict finds the curvature and
 torsion within its own tolerance (and within the chart's flatness gate,
@@ -58,12 +57,12 @@ from .bundle import born_at
 from .charts import affine_chart_witness
 from .errors import SpecError
 from .expr import EvalDomainError, ParseError
-from .integrability import _proof_identities, integrability_verdict
+from .integrability import integrability_verdict
 from .jets import JetDomainError, JetUsageError
 from .manifold import (BORN_GATE, CROSS_TOL, DEFAULT_TOL, FLATNESS_GATE_TOL, ManifoldSpec,
                        TwoOfFourReport, build_spec)
 
-REPORT_SCHEMA = 2  # layout version of the check report
+REPORT_SCHEMA = 3  # layout version of the check report
 
 
 @dataclass(frozen=True)
@@ -257,24 +256,6 @@ def run(config: RunConfig) -> dict:
     report["agreement"] = integ.hessian_agreement
     if not integ.hessian_agreement:
         failures.append("hessian/integrability verdicts disagree")
-
-    first = integ.first_point  # at (integ.bases.x[0], integ.fibers[0])
-    y0 = tuple(integ.fibers[0].tolist())
-    report["born_frame_sample"] = {
-        "point": {"x": list(integ.bases.x[0]), "y": list(y0)},
-        "frame": "bundle-coordinate",
-        **{name: getattr(first["frame"], name).tolist()
-           for name in ("I", "J", "K", "h", "k", "omega")},
-    }
-    brackets, nj = _proof_identities(first["a"], first["nijenhuis_J"],
-                                     integ.bases.gamma[0], y0)
-    report["sign_conventions"] = {
-        "bracket_HH": brackets["HH"]["sign"],
-        "bracket_HV": brackets["HV"]["sign"],
-        "nijenhuis_J_HH": nj["HH"]["sign"],
-        "nijenhuis_J_VV": nj["VV"]["sign"],
-        "nijenhuis_J_HV": nj["HV"]["sign"],
-    }
 
     # the chart refuses curvature or torsion above its own gate, so a looser
     # tolerance does not start the witness

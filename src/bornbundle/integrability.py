@@ -7,11 +7,9 @@ brackets; for a (1,1)-tensor A the components reduce to
     N^l_ab = A^m_a d_m A^l_b - A^m_b d_m A^l_a - A^l_m (d_a A^m_b - d_b A^m_a)
 
 with derivatives over all 2n bundle coordinates read from the float
-arrays of values and first partials that :mod:`bornbundle.bundle` builds.  The
-frame-bracket and Nijenhuis identities that tie these to curvature and
-torsion are checked against both global signs and the better-matching sign
-is recorded, never assumed.  Residuals of identities that grow linearly in
-the fiber coordinate are normalized by (1 + |y|).
+arrays of values and first partials that :mod:`bornbundle.bundle` builds.
+Residuals of identities that grow linearly in the fiber coordinate are
+normalized by (1 + |y|).
 
 :func:`integrability_verdict` evaluates Gamma and g at all P base points
 as one stacked record and uses it for the Hessian residuals and for every
@@ -28,11 +26,8 @@ residual that is not finite at a sample point is a spec error naming it and
 the point (:func:`bornbundle.manifold.finite_maxima`); the first one is
 reported by base point, through :func:`bornbundle.manifold._first_failure`,
 then by fiber and residual: N_I, N_J, N_K, d omega, then the construction
-identities.  ``check`` reads ``born_frame_sample`` and ``sign_conventions``
-off the report's copies of the first bundle point's arrays (the signs through
-:func:`_proof_identities`).  The verdict compares each maximum with the
-Hessian verdict's tolerance; the thresholds are in the table of
-:mod:`bornbundle.manifold`.
+identities.  The verdict compares each maximum with the Hessian verdict's
+tolerance; the thresholds are in the table of :mod:`bornbundle.manifold`.
 """
 from __future__ import annotations
 
@@ -41,14 +36,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundle import (BornFrame, _first_frame, _frame_of, born_compatibility_residuals,
-                     fiber_born_jets)
+from .bundle import BornFrame, born_compatibility_residuals, fiber_born_jets
 # unused: bornbench's test_remove_restores_every_patched_attribute pins it (ROADMAP item 5)
 from .bundle import born_jets
 from .errors import SpecError
 from .manifold import (DEFAULT_TOL, BaseJets, HessianVerdict, ManifoldSpec,
-                       _curvature_of, _first_failure, _torsion_of, base_jets,
-                       finite_maxima, sample_fibers, sample_points)
+                       _first_failure, base_jets, finite_maxima, sample_fibers,
+                       sample_points)
 
 
 def _norm_factor(y) -> float:
@@ -72,68 +66,6 @@ def _d_omega_of(omega: np.ndarray) -> np.ndarray:
     return dw + np.moveaxis(dw, -3, -1) + np.moveaxis(dw, -1, -3)
 
 
-# -- proof identities ---------------------------------------------------------
-
-def _signed_residual(lhs: np.ndarray, rhs: np.ndarray, scale: float):
-    plus = float(np.max(np.abs(lhs - rhs))) / scale
-    minus = float(np.max(np.abs(lhs + rhs))) / scale
-    sign = 1 if plus <= minus else -1
-    return {"residual_plus": plus, "residual_minus": minus,
-            "sign": sign, "residual": min(plus, minus)}
-
-
-def _proof_identities(a: np.ndarray, nj: np.ndarray, gamma: np.ndarray,
-                      y) -> tuple[dict, dict]:
-    """The proof identities at a bundle point (x, y), from A's rows
-    (1 + 2n, n, n), N_J (2n, 2n, 2n) and Gamma of order 1 at x, as two dicts
-    keyed by frame-field pair.  The first holds the brackets of the adapted
-    frame fields, from E's first partials, against [H_i, H_j] = -R^l_ijk y^k
-    V_l, [V_i, V_j] = 0 and [H_i, V_j] = Gamma^k_ij V_k; the second N_J on
-    frame-field pairs against -T^k_ij H_k - R^l_ijk y^k V_l (HH and VV) and
-    R^l_ijk y^k H_l + T^k_ij V_k (HV).  Each is up to a recorded global sign."""
-    n = a.shape[-1]
-    e, einv = _frame_of(a)
-    r = _curvature_of(gamma)
-    t = _torsion_of(gamma[0])
-    ry = np.einsum("lijk,k->ijl", r, np.asarray(y))
-    scale = _norm_factor(y)
-
-    # columns of E are the fields H_i and V_i; bracket every pair of columns:
-    # [X_a, X_b]^m = X_a^v d_v X_b^m - X_b^v d_v X_a^m
-    half = np.einsum("va,vmb->abm", e[0], e[1:])
-    brackets = half - half.transpose(1, 0, 2)
-    rhs_hh = np.zeros((n, n, 2 * n))
-    rhs_hh[:, :, n:] = -ry
-    rhs_hv = np.zeros((n, n, 2 * n))
-    rhs_hv[:, :, n:] = np.einsum("kij->ijk", gamma[0])
-    bracket = {
-        "HH": _signed_residual(brackets[:n, :n], rhs_hh, scale),
-        "VV": {"residual": float(np.max(np.abs(brackets[n:, n:]))) / scale},
-        "HV": _signed_residual(brackets[:n, n:], rhs_hv, scale),
-    }
-
-    # N in the adapted frame: pull the value index back, feed frame vectors
-    # in, one operand at a time: a four-operand einsum loops over every
-    # index at once, (2n)^6 products against 3 (2n)^4
-    nj_ad = np.einsum("cl,lmn->cmn", einv, nj)
-    nj_ad = np.einsum("cmn,ma->can", nj_ad, e[0])
-    nj_ad = np.einsum("can,nb->cab", nj_ad, e[0])
-    rhs_hh = np.zeros((n, n, 2 * n))
-    rhs_hh[:, :, :n] = -np.einsum("kij->ijk", t)
-    rhs_hh[:, :, n:] = -ry
-    rhs_hv = np.zeros((n, n, 2 * n))
-    rhs_hv[:, :, :n] = ry
-    rhs_hv[:, :, n:] = np.einsum("kij->ijk", t)
-    lhs_hh = np.einsum("cab->abc", nj_ad[:, :n, :n])
-    lhs_vv = np.einsum("cab->abc", nj_ad[:, n:, n:])
-    lhs_hv = np.einsum("cab->abc", nj_ad[:, :n, n:])
-    return bracket, {
-        "HH": _signed_residual(lhs_hh, rhs_hh, scale),
-        "VV": _signed_residual(lhs_vv, rhs_hh, scale),
-        "HV": _signed_residual(lhs_hv, rhs_hv, scale),
-    }
-
-
 # -- verdicts -------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -149,10 +81,6 @@ class IntegrabilityReport:
     per_point: dict
     bases: BaseJets  # the sweep's base-point fields
     fibers: np.ndarray  # (F, n) fiber vectors of the sweep
-    # at the sweep's first bundle point (bases.x[0], fibers[0]), read by
-    # check's born_frame_sample and sign_conventions: A's rows "a",
-    # "nijenhuis_J" and the BornFrame "frame"
-    first_point: dict
 
     def argmax(self) -> dict:
         """Per residual, the first bundle point in sweep order where its
@@ -204,12 +132,8 @@ def integrability_verdict(spec: ManifoldSpec, base_count: int = 32,
             worst = finite_maxima(tensors, points)
             rep = born_compatibility_residuals(
                 BornFrame.of({name: m[:, :, 0] for name, m in mats.items()}))
-            # copies, so that the report does not keep the stacks alive
-            first = {"frame": _first_frame(mats),
-                     "a": mats["I"][0, 0, :, :spec.n, :spec.n].copy(),
-                     "nijenhuis_J": tensors["nijenhuis_J"][0, 0].copy()}
-            return worst, rep, finite_maxima(rep.residuals, points), first
-    worst, rep, compat, first = _first_failure(sweep, base_count)
+            return worst, rep, finite_maxima(rep.residuals, points)
+    worst, rep, compat = _first_failure(sweep, base_count)
     per_point = {key: m.reshape(base_count, fiber_count) / norms
                  for key, m in worst.items()}
     maxima = {key: float(np.max(m)) for key, m in per_point.items()}
@@ -221,4 +145,4 @@ def integrability_verdict(spec: ManifoldSpec, base_count: int = 32,
         hessian_agreement=(integrable == hv.is_hessian),
         hessian=hv, max_born_compat=worst_born,
         k_signature_ok=signature_ok, per_point=per_point, bases=bases,
-        fibers=fibers, first_point=first)
+        fibers=fibers)

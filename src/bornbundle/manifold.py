@@ -26,9 +26,7 @@ one table of thresholds below, which the other modules import.
 
 Curvature convention, fixed once for the whole package:
 ``R^l_ijk = d_i Gamma^l_jk - d_j Gamma^l_ik + Gamma^l_im Gamma^m_jk
-- Gamma^l_jm Gamma^m_ik``.  Identities involving the curvature are checked
-against both global signs elsewhere; the matching sign is recorded, never
-assumed.
+- Gamma^l_jm Gamma^m_ik``.
 """
 from __future__ import annotations
 

@@ -1,8 +1,11 @@
 """One-point wrappers over the package's stacked sweep, for tests.
 
 Each helper calls the package's stacked functions at P = 1 base point and
-F = 1 fiber vector and returns that point's arrays or dicts; none holds a
-tensor formula of its own.  The base fields go through :mod:`bornbundle.fields`
+F = 1 fiber vector and returns that point's arrays or dicts.  Only
+:func:`_proof_identities` holds tensor formulas of its own: the frame
+brackets and N_J in the adapted frame against the closed forms of the
+paper's proof, each residual taken at both global signs, so that a test
+sees which sign matched.  The base fields go through :mod:`bornbundle.fields`
 at the point's seeded coordinates, not through ``base_jets``: that route
 returns a value that is not finite instead of rejecting it, evaluates only
 the field asked for at the order asked for (the two-of-four report of a
@@ -17,7 +20,7 @@ import numpy as np
 from bornbundle import fields, jets
 from bornbundle.bundle import BundlePoint, _frame_of, _require_point, fiber_born_jets
 from bornbundle.charts import ChartMap, _probe_residuals
-from bornbundle.integrability import _d_omega_of, _nijenhuis_of, _proof_identities
+from bornbundle.integrability import _d_omega_of, _nijenhuis_of, _norm_factor
 from bornbundle.manifold import (DEFAULT_TOL, BaseJets, HessianVerdict, ManifoldSpec,
                                  TwoOfFourReport, _curvature_of, _nabla_g_of,
                                  _require_inside, _torsion_of, base_jets, check_spd)
@@ -123,6 +126,66 @@ def nijenhuis_at(spec: ManifoldSpec, which: str, bp: BundlePoint) -> np.ndarray:
 
 def d_omega_at(spec: ManifoldSpec, bp: BundlePoint) -> np.ndarray:
     return _d_omega_of(_born(spec, bp)[1]["omega"])
+
+
+def _signed_residual(lhs: np.ndarray, rhs: np.ndarray, scale: float):
+    plus = float(np.max(np.abs(lhs - rhs))) / scale
+    minus = float(np.max(np.abs(lhs + rhs))) / scale
+    sign = 1 if plus <= minus else -1
+    return {"residual_plus": plus, "residual_minus": minus,
+            "sign": sign, "residual": min(plus, minus)}
+
+
+def _proof_identities(a: np.ndarray, nj: np.ndarray, gamma: np.ndarray,
+                      y) -> tuple[dict, dict]:
+    """The proof identities at a bundle point (x, y), from A's rows
+    (1 + 2n, n, n), N_J (2n, 2n, 2n) and Gamma of order 1 at x, as two dicts
+    keyed by frame-field pair.  The first holds the brackets of the adapted
+    frame fields, from E's first partials, against [H_i, H_j] = -R^l_ijk y^k
+    V_l, [V_i, V_j] = 0 and [H_i, V_j] = Gamma^k_ij V_k; the second N_J on
+    frame-field pairs against -T^k_ij H_k - R^l_ijk y^k V_l (HH and VV) and
+    R^l_ijk y^k H_l + T^k_ij V_k (HV).  Each is up to a recorded global sign."""
+    n = a.shape[-1]
+    e, einv = _frame_of(a)
+    r = _curvature_of(gamma)
+    t = _torsion_of(gamma[0])
+    ry = np.einsum("lijk,k->ijl", r, np.asarray(y))
+    scale = _norm_factor(y)
+
+    # columns of E are the fields H_i and V_i; bracket every pair of columns:
+    # [X_a, X_b]^m = X_a^v d_v X_b^m - X_b^v d_v X_a^m
+    half = np.einsum("va,vmb->abm", e[0], e[1:])
+    brackets = half - half.transpose(1, 0, 2)
+    rhs_hh = np.zeros((n, n, 2 * n))
+    rhs_hh[:, :, n:] = -ry
+    rhs_hv = np.zeros((n, n, 2 * n))
+    rhs_hv[:, :, n:] = np.einsum("kij->ijk", gamma[0])
+    bracket = {
+        "HH": _signed_residual(brackets[:n, :n], rhs_hh, scale),
+        "VV": {"residual": float(np.max(np.abs(brackets[n:, n:]))) / scale},
+        "HV": _signed_residual(brackets[:n, n:], rhs_hv, scale),
+    }
+
+    # N in the adapted frame: pull the value index back, feed frame vectors
+    # in, one operand at a time: a four-operand einsum loops over every
+    # index at once, (2n)^6 products against 3 (2n)^4
+    nj_ad = np.einsum("cl,lmn->cmn", einv, nj)
+    nj_ad = np.einsum("cmn,ma->can", nj_ad, e[0])
+    nj_ad = np.einsum("can,nb->cab", nj_ad, e[0])
+    rhs_hh = np.zeros((n, n, 2 * n))
+    rhs_hh[:, :, :n] = -np.einsum("kij->ijk", t)
+    rhs_hh[:, :, n:] = -ry
+    rhs_hv = np.zeros((n, n, 2 * n))
+    rhs_hv[:, :, :n] = ry
+    rhs_hv[:, :, n:] = np.einsum("kij->ijk", t)
+    lhs_hh = np.einsum("cab->abc", nj_ad[:, :n, :n])
+    lhs_vv = np.einsum("cab->abc", nj_ad[:, n:, n:])
+    lhs_hv = np.einsum("cab->abc", nj_ad[:, :n, n:])
+    return bracket, {
+        "HH": _signed_residual(lhs_hh, rhs_hh, scale),
+        "VV": _signed_residual(lhs_vv, rhs_hh, scale),
+        "HV": _signed_residual(lhs_hv, rhs_hv, scale),
+    }
 
 
 def _identities_at(spec: ManifoldSpec, bp: BundlePoint) -> tuple[dict, dict]:

@@ -28,6 +28,13 @@ ALL = [EUCLID, HESSIAN, SKEW, SPHERE, TORSIONFUL, PULLBACK]
 # nonzero, so no global sign can hide a wrong relative sign between them
 TORS_CURV = load_spec(str(Path(__file__).parent.parent / "scripts" / "specs"
                           / "tors-curv.json"))
+# n = 5, where N_J is contracted into the adapted frame at 2n = 10: the
+# Levi-Civita connection of a curved diagonal metric, and a flat torsion-free
+# explicit connection whose only nonzero entries are constant Gamma^k_00
+LC5 = spec_from_dict(_generated(5, {"components": _diagonal(
+    ["exp(0.6*x1)", "exp(-0.9*x2)", "exp(0.4*x3)", "exp(-0.7*x4)", "exp(0.5*x0)"])},
+    {"kind": "levi-civita"}), name="lc5")
+TWISTED5 = load_spec(str(Path(__file__).parent / "golden" / "specs" / "twisted5.json"))
 
 
 def bundle_points(spec, n_base=3, n_fiber=3, radius=1.0, seed=5):
@@ -196,7 +203,7 @@ def test_nijenhuis_J_identities_torsionful():
     assert np.max(np.abs(nj)) >= 0.9  # the torsion shows up upstairs
 
 
-@pytest.mark.parametrize("spec", ALL + [TORS_CURV], ids=lambda spec: spec.name)
+@pytest.mark.parametrize("spec", ALL + [TORS_CURV, LC5, TWISTED5], ids=lambda spec: spec.name)
 def test_proof_identities_hold_at_the_plus_sign(spec):
     for bp in bundle_points(spec, 3, 3):
         brackets = frame_bracket_residuals(spec, bp)
