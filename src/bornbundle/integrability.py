@@ -18,14 +18,27 @@ fiber.  It builds the Born tensors of all P x F bundle points as one
 and the construction identities once each on that stack (the formulas
 accept leading stack axes).  The stack holds its (P, F) axes innermost in
 memory, and einsum iterates in memory order, so the Nijenhuis einsum runs
-over the sample points in its inner loop.  Its report carries the record, so that the
-two-of-four report of ``check`` reads it too, and keeps the normalized
-residuals of every bundle point as (P, F) arrays, which ``check`` writes as
-its columnar ``per_point`` table and reduces to the ``argmax`` section.  A
-residual that is not finite at a sample point is a spec error naming it and
-the point (:func:`bornbundle.manifold.finite_maxima`); the first one is
-reported by base point, through :func:`bornbundle.manifold._first_failure`,
-then by fiber and residual: N_I, N_J, N_K, d omega, then the construction
+over the sample points in its inner loop.
+
+The structure depends on the fiber only through the block A = -Gamma y.
+When every value and first partial of the record's Gamma is zero (a flat
+connection in affine coordinates, or the Levi-Civita or dual connection of
+a constant metric), the sweep builds the stack at the first fiber alone,
+(P, 1, ...), and its (P, 1) maxima stand for all F fibers before the
+division by (1 + |y|).  The report bits cannot move: between fibers A's
+value row differs only in signs of zeros, its partial rows are equal,
+:meth:`BornFrame.of` makes every zero of the frames +0.0, and every
+residual passes ``abs`` and ``max`` before it is reported; a residual that
+is not finite is so at every fiber, and is named at the first.
+
+The report carries the record, so that the two-of-four report of ``check``
+reads it too, and keeps the normalized residuals of every bundle point as
+(P, F) arrays, which ``check`` writes as its columnar ``per_point`` table
+and reduces to the ``argmax`` section.  A residual that is not finite at a
+sample point is a spec error naming it and the point
+(:func:`bornbundle.manifold.finite_maxima`); the first one is reported by
+base point, through :func:`bornbundle.manifold._first_failure`, then by
+fiber and residual: N_I, N_J, N_K, d omega, then the construction
 identities.  The verdict compares each maximum with the Hessian verdict's
 tolerance; the thresholds are in the table of :mod:`bornbundle.manifold`.
 """
@@ -121,12 +134,15 @@ def integrability_verdict(spec: ManifoldSpec, base_count: int = 32,
     if not np.isfinite(norms).all():
         raise SpecError(f"fiber radius {fiber_radius!r} is too large: the norm of "
                         f"a sampled fiber vector overflows")
-    ys = [tuple(y) for y in fibers.tolist()]
+    # Gamma with all values and partials zero: every fiber carries the
+    # structure of the first (module doc)
+    swept = fibers if bases.gamma.any() else fibers[:1]
+    ys = [tuple(y) for y in swept.tolist()]
 
     def sweep(s):
         points = [(x, y) for x in bases[s].x for y in ys]
         with np.errstate(over="ignore", invalid="ignore"):  # finite_maxima checks
-            mats = fiber_born_jets(bases[s], fibers)
+            mats = fiber_born_jets(bases[s], swept)
             tensors = {"nijenhuis_" + name: _nijenhuis_of(mats[name]) for name in "IJK"}
             tensors["d_omega"] = _d_omega_of(mats["omega"])
             worst = finite_maxima(tensors, points)
@@ -134,7 +150,8 @@ def integrability_verdict(spec: ManifoldSpec, base_count: int = 32,
                 BornFrame.of({name: m[:, :, 0] for name, m in mats.items()}))
             return worst, rep, finite_maxima(rep.residuals, points)
     worst, rep, compat = _first_failure(sweep, base_count)
-    per_point = {key: m.reshape(base_count, fiber_count) / norms
+    # (P, 1) maxima of the one-fiber sweep broadcast over the F norms
+    per_point = {key: m.reshape(base_count, len(swept)) / norms
                  for key, m in worst.items()}
     maxima = {key: float(np.max(m)) for key, m in per_point.items()}
     worst_born = dict(zip(compat, np.max(list(compat.values()), axis=1).tolist()))

@@ -1,18 +1,21 @@
 import dataclasses
+import itertools
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bornbundle import corpus
+from bornbundle import corpus, integrability
 from bornbundle.bundle import (BornFrame, BundlePoint, born_at,
                                born_compatibility_residuals, fiber_born_jets)
 from bornbundle.cli import load_spec, spec_from_dict
 from bornbundle.errors import SpecError
-from bornbundle.integrability import _d_omega_of, _nijenhuis_of, integrability_verdict
+from bornbundle.integrability import (_d_omega_of, _nijenhuis_of, _norm_factor,
+                                      integrability_verdict)
 from bornbundle.manifold import (CROSS_TOL, _curvature_of, _nabla_g_of, _torsion_of,
-                                 base_jets, build_spec, sample_fibers, sample_points)
+                                 base_jets, build_spec, finite_maxima, sample_fibers,
+                                 sample_points)
 from test_manifold import GENERATED, _diagonal, _gamma_00, _generated
 from point import (d_omega_at, dual_connection_at, frame_bracket_residuals, nijenhuis_at,
                    nijenhuis_J_identity_residuals, torsion_at)
@@ -441,6 +444,114 @@ def test_stacked_sweep_equals_one_base_point_at_a_time(source):
                           ("torsion", _torsion_of(one_gamma)),
                           ("nabla_g_asymmetry", _nabla_g_of(one_gamma, one.g)[1])):
             assert_same_bits(fields[key][p], want[0])
+
+
+# -- the one-fiber sweep of a vanishing Gamma -------------------------------------
+
+# every value and first partial of Gamma is zero: a flat connection with a
+# potential metric, an explicit all-"0" Gamma, and the Levi-Civita and dual
+# connections of a constant metric
+CONSTANT_METRIC = {"components": [["2", "0.5", "0"], ["0.5", "1", "0.1"], ["0", "0.1", "3"]]}
+VANISHING_GAMMA = {
+    "potential3": GENERATED["potential3"],
+    "potential4": GENERATED["potential4"],
+    "potential5": GENERATED5["potential5"],
+    "zero-explicit": _generated(2, {"components": _diagonal(["exp(x0)", "1 + 0.3*x0"])},
+                                {"kind": "explicit", "gamma": [[["0"] * 2] * 2] * 2}),
+    "constant-levi-civita": _generated(3, CONSTANT_METRIC, {"kind": "levi-civita"}),
+    "constant-dual": _generated(3, CONSTANT_METRIC, {"kind": "hessian-dual"}),
+}
+ONE_FIBER = ["euclidean2", "hessian-exp2", "flat-skew-metric", *VANISHING_GAMMA]
+
+
+def _spec_of(source):
+    docs = {**GENERATED, **GENERATED5, **VANISHING_GAMMA}
+    return (spec_from_dict(docs[source], name=source) if source in docs
+            else corpus.example(source))
+
+
+def _full_stack_verdict(spec, base_count, fiber_count, radius, seed):
+    """per_point, max_born_compat and k_signature_ok of the P x F stack built
+    by the stacked functions on all F fibers, as the sweep of any Gamma."""
+    bases = base_jets(spec, sample_points(spec, base_count, seed))
+    fibers = sample_fibers(spec.n, fiber_count, radius, seed)
+    points = [(x, y) for x in bases.x for y in map(tuple, fibers.tolist())]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mats = fiber_born_jets(bases, fibers)
+        tensors = {"nijenhuis_" + name: _nijenhuis_of(mats[name]) for name in "IJK"}
+        tensors["d_omega"] = _d_omega_of(mats["omega"])
+        worst = finite_maxima(tensors, points)
+        rep = born_compatibility_residuals(
+            BornFrame.of({name: m[:, :, 0] for name, m in mats.items()}))
+        compat = finite_maxima(rep.residuals, points)
+    norms = np.array([_norm_factor(y) for y in fibers])
+    per_point = {key: m.reshape(base_count, fiber_count) / norms
+                 for key, m in worst.items()}
+    worst_born = {key: float(np.max(m)) for key, m in compat.items()}
+    return per_point, worst_born, bool(np.all(np.array(rep.k_signature) == spec.n))
+
+
+@pytest.mark.parametrize("source", ONE_FIBER)
+def test_one_fiber_verdict_equals_the_full_stack(source):
+    # a vanishing Gamma makes A = -Gamma y zero at every fiber, so the verdict
+    # sweeps one fiber; its report must carry the bits of the full P x F
+    # stack, at fibers of mixed signs from tiny to huge radii
+    spec = _spec_of(source)
+    for fiber_count, seed, radius in itertools.product(
+            (1, 2, 8), (42, 7), (1e-10, 1.0, 1e3, 1e150)):
+        rep = integrability_verdict(spec, base_count=6, fiber_count=fiber_count,
+                                    fiber_radius=radius, seed=seed)
+        assert not rep.bases.gamma.any()
+        if fiber_count == 8:
+            assert (rep.fibers < 0).any() and (rep.fibers > 0).any()
+        per_point, worst_born, signature_ok = _full_stack_verdict(
+            spec, 6, fiber_count, radius, seed)
+        assert list(rep.per_point) == list(per_point)
+        for key, m in per_point.items():
+            assert rep.per_point[key].shape == (6, fiber_count)
+            assert np.array_equal(rep.per_point[key].view(np.int64), m.view(np.int64))
+        assert list(rep.max_born_compat) == list(worst_born)
+        assert np.array_equal(np.array(list(rep.max_born_compat.values())).view(np.int64),
+                              np.array(list(worst_born.values())).view(np.int64))
+        assert rep.k_signature_ok is signature_ok
+        assert rep.argmax() == dataclasses.replace(rep, per_point=per_point).argmax()
+
+
+def _swept_fiber_counts(monkeypatch) -> list:
+    """The number of fiber vectors of every ``fiber_born_jets`` call of the
+    verdict."""
+    counts = []
+
+    def spy(bases, ys):
+        counts.append(len(ys))
+        return fiber_born_jets(bases, ys)
+
+    monkeypatch.setattr(integrability, "fiber_born_jets", spy)
+    return counts
+
+
+@pytest.mark.parametrize("source", ONE_FIBER + ["pullback-flat", "flat-torsionful",
+                                                "sphere2", "twisted3"])
+def test_only_a_vanishing_gamma_sweeps_one_fiber(source, monkeypatch):
+    counts = _swept_fiber_counts(monkeypatch)
+    integrability_verdict(_spec_of(source), base_count=4, fiber_count=8)
+    assert counts == [1 if source in ONE_FIBER else 8]
+
+
+def test_a_gamma_with_one_nonzero_partial_sweeps_every_fiber(monkeypatch):
+    # Gamma's values zero but d_0 Gamma^0_00 = 1: A's x-rows are -y^0 there,
+    # so the fibers differ and all F are swept
+    def perturbed(spec, points):
+        bases = base_jets(spec, points)
+        gamma = bases.gamma.copy()
+        gamma[:, 1, 0, 0, 0] = 1.0
+        return dataclasses.replace(bases, gamma=gamma)
+
+    monkeypatch.setattr(integrability, "base_jets", perturbed)
+    counts = _swept_fiber_counts(monkeypatch)
+    rep = integrability_verdict(EUCLID, base_count=4, fiber_count=8)
+    assert not rep.bases.gamma[:, 0].any() and rep.bases.gamma.any()
+    assert counts == [8]
 
 
 def test_error_order_is_by_base_point_then_tensors_then_identities():
