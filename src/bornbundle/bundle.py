@@ -294,6 +294,10 @@ def born_compatibility_residuals(bf: BornFrame) -> BornCompatReport:
         return _per_frame(np.linalg.eigvalsh, np.nan, m.shape[:-1], m)
 
     ij = bf.I @ bf.J
+    # det goes through logarithms: a determinant that underflows is the
+    # log of zero, -inf, and reads 0, with no divide warning
+    with np.errstate(divide="ignore"):
+        det = np.linalg.det(bf.omega)
     residuals = {
         "I_squared": dev(bf.I @ bf.I + ident),
         "J_squared": dev(bf.J @ bf.J - ident),
@@ -314,7 +318,7 @@ def born_compatibility_residuals(bf: BornFrame) -> BornCompatReport:
         "anticommute_K_IJ": dev(ij + bf.K),
         "anticommute_K_JI": dev(bf.J @ bf.I - bf.K),
         "h_positive": np.maximum(0.0, -np.min(eigvalsh(bf.h), axis=-1)),
-        "omega_nondegenerate": np.maximum(0.0, OMEGA_DET_FLOOR - np.abs(np.linalg.det(bf.omega))),
+        "omega_nondegenerate": np.maximum(0.0, OMEGA_DET_FLOOR - np.abs(det)),
     }
     eigs = eigvalsh(bf.k)
     signature = (np.sum(eigs > 0, axis=-1), np.sum(eigs < 0, axis=-1))

@@ -9,6 +9,16 @@ an ODE).  Success criterion: the transformed connection coefficients
 vanish in the constructed chart, and so the I, J, K blocks built from them
 take their constant affine-chart form.
 
+The measurement, :func:`chart_witness`, takes a built chart, whose
+validity radius the sample box fixes.  The ``affine-chart`` command goes
+through :func:`affine_chart_witness`: its argument checks, then
+:func:`exponential_chart`, whose flatness gate samples ``GATE_POINTS``
+points of its own.  ``check`` builds the :class:`ChartMap` at the box
+center and calls :func:`chart_witness` with its sweep's first fiber
+vector, with no gate: its sweep's Hessian verdict has already found the
+curvature and torsion within the gate at every point of its own sample,
+so Gamma is evaluated at those points once.
+
 All probes of a call are integrated together, once each, over a
 ``(B, n, K)`` state: B probes, n coordinates, and K jet coefficients in
 the layout of :class:`bornbundle.jets.JetBatch` (the value, then the
@@ -343,16 +353,22 @@ def _second_columns(n: int) -> np.ndarray:
 @dataclass(frozen=True)
 class ChartMap:
     """Forward map from straight coordinates to the original chart,
-    realized by geodesic integration from ``x0``."""
+    realized by geodesic integration from ``x0``; probes lie within its
+    :attr:`radius`, which the spec's sample box fixes."""
 
     spec: ManifoldSpec
     x0: tuple
     steps: int = DEFAULT_STEPS
-    radius: float = 0.0
 
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("need at least one integration step")
+
+    @property
+    def radius(self) -> float:
+        """The validity radius of the probes: half the inradius of the
+        sample box."""
+        return min((hi - lo) / 2.0 for lo, hi in self.spec.sample_box) / 2.0
 
     def probe_jets(self, probes, order: int = 2) -> JetBatch:
         """Chart-map coordinates at every probe, as jets over the straight
@@ -398,8 +414,7 @@ def exponential_chart(spec: ManifoldSpec, x0, steps: int = DEFAULT_STEPS,
             "exponential map is affine only for flat torsion-free connections: "
             f"max |curvature| = {max_r:.3g}, max |torsion| = {max_t:.3g} "
             f"(gate {FLATNESS_GATE_TOL:g})")
-    inradius = min((hi - lo) / 2.0 for lo, hi in spec.sample_box)
-    return ChartMap(spec=spec, x0=x0, steps=steps, radius=inradius / 2.0)
+    return ChartMap(spec=spec, x0=x0, steps=steps)
 
 
 def _connection_values(spec: ManifoldSpec, x: np.ndarray) -> np.ndarray:
@@ -456,19 +471,16 @@ def _probe_residuals(chart: ChartMap, probes, y) -> tuple[float, float]:
             float(np.max(worst["born_block"])))
 
 
-def affine_chart_witness(spec: ManifoldSpec, x0, probes: int, fiber_radius: float,
-                         steps: int = DEFAULT_STEPS, seed: int = 42) -> dict:
-    """Build the exponential chart at x0 and check, at ``probes`` Halton
-    probes inside its validity radius, that the transformed connection and
-    the I, J, K blocks at the first sampled fiber vector take their affine
-    form; probes and fiber radius are checked before the flatness gate."""
-    if probes < 1:
-        raise ValueError("need at least one chart probe")
-    fiber = sample_fibers(spec.n, 1, fiber_radius, seed)[0]
-    chart = exponential_chart(spec, x0, steps=steps, seed=seed)
+def chart_witness(chart: ChartMap, probes: int, fiber, seed: int) -> dict:
+    """Check, at ``probes`` (at least one) Halton probes inside the chart's
+    validity radius, that the connection transformed into the chart and
+    the I, J, K blocks at fiber vector ``fiber`` take their affine form.
+    The chart is not gated here: its caller has found the connection flat
+    and torsion-free."""
+    n = chart.spec.n
     # the cube of half-width r/2 lies in the ball of radius r only for n <= 4
-    scale = chart.radius * min(1.0, 2.0 / math.sqrt(spec.n))
-    points = (scale * (2 * halton_points(probes, spec.n, seed) - 1) / 2).tolist()
+    scale = chart.radius * min(1.0, 2.0 / math.sqrt(n))
+    points = (scale * (2 * halton_points(probes, n, seed) - 1) / 2).tolist()
     push, blocks = _probe_residuals(chart, points, fiber)
     return {
         "base_point": list(chart.x0),
@@ -479,3 +491,15 @@ def affine_chart_witness(spec: ManifoldSpec, x0, probes: int, fiber_radius: floa
         "born_block_residual": blocks,
         "witnessed": bool(push <= PUSHFORWARD_TOL and blocks <= PUSHFORWARD_TOL),
     }
+
+
+def affine_chart_witness(spec: ManifoldSpec, x0, probes: int, fiber_radius: float,
+                         steps: int = DEFAULT_STEPS, seed: int = 42) -> dict:
+    """:func:`chart_witness` of the exponential chart at x0, at the first
+    sampled fiber vector, after the chart's flatness gate; probes and fiber
+    radius are checked before the gate."""
+    if probes < 1:
+        raise ValueError("need at least one chart probe")
+    fiber = sample_fibers(spec.n, 1, fiber_radius, seed)[0]
+    return chart_witness(exponential_chart(spec, x0, steps=steps, seed=seed),
+                         probes, fiber, seed)

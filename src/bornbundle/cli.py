@@ -19,17 +19,21 @@ Spec file format (JSON)::
 
 ``check`` takes the Hessian verdict, the two-of-four report and the
 integrability residuals from one sweep over the sample points
-(:func:`~bornbundle.integrability.integrability_verdict`).  It runs
-the affine-chart witness when that Hessian verdict finds the curvature and
-torsion within its own tolerance (and within the chart's flatness gate,
-where ``--tol`` is looser than that gate).
+(:func:`~bornbundle.integrability.integrability_verdict`); the two-of-four
+report reads the torsion and asymmetry off that Hessian verdict.  The
+verdict's curvature and torsion are also the chart's flatness gate: when
+both are within ``--tol`` and ``FLATNESS_GATE_TOL``, ``check`` measures
+the affine-chart witness on the chart at the box center and the sweep's
+first fiber vector (:func:`~bornbundle.charts.chart_witness`), with no
+gate points of its own.  The ``affine-chart`` command keeps its gate.
 
 Exit codes: 0 all checks ran and no internal invariant failed, 1 spec or
 configuration error (including a domain error or an overflow while
 evaluating the spec's fields, a field value, first derivative or
 residual that is not finite at a sample point, a fiber radius that is not
 finite and positive, a tolerance that is negative or not finite, and a
-spec file or ``--report`` path that cannot be read or written),
+spec file or ``--report`` path that cannot be read or written, and
+``affine-chart`` on a connection that fails its flatness gate),
 2 internal invariant failure (the Hessian and integrability verdicts
 disagreed, the two-of-four residual pattern was impossible, or a
 construction identity broke, which ``theorem`` checks too and names on
@@ -54,7 +58,7 @@ import numpy as np
 from . import corpus
 # unused: bornbench's test_remove_restores_every_patched_attribute pins it (ROADMAP item 5)
 from .bundle import born_at
-from .charts import affine_chart_witness
+from .charts import DEFAULT_STEPS, ChartMap, affine_chart_witness, chart_witness
 from .errors import SpecError
 from .expr import EvalDomainError, ParseError
 from .integrability import integrability_verdict
@@ -226,7 +230,7 @@ def run(config: RunConfig) -> dict:
     hv = integ.hessian
     report["hessian"] = asdict(hv)
 
-    two = TwoOfFourReport.of(integ.bases, CROSS_TOL)
+    two = TwoOfFourReport.of(integ.bases, hv, CROSS_TOL)
     report["two_of_four"] = asdict(two)
     if two.fact_violated:
         failures.append("two_of_four pattern (exactly two or three conditions hold)")
@@ -257,12 +261,11 @@ def run(config: RunConfig) -> dict:
     if not integ.hessian_agreement:
         failures.append("hessian/integrability verdicts disagree")
 
-    # the chart refuses curvature or torsion above its own gate, so a looser
-    # tolerance does not start the witness
+    # the sweep's curvature and torsion are the chart's flatness gate; a
+    # tolerance looser than the gate does not start the witness
     if max(hv.max_curvature, hv.max_torsion) <= min(hv.tol, FLATNESS_GATE_TOL):
         x0 = tuple(0.5 * (lo + hi) for lo, hi in spec.sample_box)
-        witness = affine_chart_witness(spec, x0, 6, config.fiber_radius,
-                                       seed=config.seed)
+        witness = chart_witness(ChartMap(spec, x0), 6, integ.fibers[0], config.seed)
         del witness["probes"]
         report["affine_chart"] = witness
         if not report["affine_chart"]["witnessed"]:
@@ -468,7 +471,7 @@ def _parser() -> argparse.ArgumentParser:
     p_chart = sub.add_parser("affine-chart", help="build and verify an affine chart")
     p_chart.add_argument("spec")
     p_chart.add_argument("--at", help="comma-separated base point (default: box center)")
-    p_chart.add_argument("--steps", type=int, default=64)
+    p_chart.add_argument("--steps", type=int, default=DEFAULT_STEPS)
     p_chart.add_argument("--probes", type=int, default=6)
     p_chart.add_argument("--fiber-radius", type=float, default=1.0)
     p_chart.add_argument("--seed", type=int, default=42)

@@ -14,7 +14,8 @@ unless the other operand has a coefficient that is not finite, where
 ``0.0 * inf`` must still give NaN and the gather runs.  The elementary
 functions take their derivative values from ``math`` calls, point by
 point, raising the :class:`JetDomainError` of the first failing point in
-C order.  Seeding (:func:`seed_batch`), :func:`augment` and
+C order; a derivative that the jet's order does not read cannot reject a
+point.  Seeding (:func:`seed_batch`), :func:`augment` and
 :func:`extract_partial` act on JetBatches as column gathers.  Both operands
 of ``+``, ``-``, ``*`` and ``/`` are jets, apart from ``jet * float``, which
 scales every coefficient; a number on the left is not an operand.
@@ -64,14 +65,18 @@ def _mul_splits(key: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], tuple[int,
 # -- elementary functions ----------------------------------------------
 #
 # Each function below is written as the values of f and its first three
-# derivatives at one float, or its JetDomainError there; :func:`_elementary`
-# lifts it to any jet with a ``compose`` method, so a JetBatch and the
-# per-point reference jet compute with the same ``math`` calls and raise the
-# same messages.
+# derivatives at one float, or its JetDomainError there, given the order of
+# the jet it is applied to: a derivative that can fail is computed only
+# when that order reads it (0.0 stands in for it otherwise), so one that the
+# order does not read cannot reject the point.  :func:`_elementary` lifts it
+# to any jet with a ``compose`` method, so a JetBatch and the per-point
+# reference jet compute with the same ``math`` calls and raise the same
+# messages.
 
-def _elementary(derivs: Callable[[float], Sequence[float]]):
+def _elementary(derivs: Callable[[float, int], Sequence[float]]):
     """The jet function whose derivative values ``derivs`` gives at one
-    float, applied through the jet's :meth:`~JetBatch.compose`."""
+    float and the jet's order, applied through the jet's
+    :meth:`~JetBatch.compose`."""
     @wraps(derivs)
     def apply(u):
         return u.compose(derivs)
@@ -79,18 +84,19 @@ def _elementary(derivs: Callable[[float], Sequence[float]]):
 
 
 @_elementary
-def _reciprocal(v: float) -> tuple:
+def _reciprocal(v: float, order: int) -> tuple:
     if v == 0.0:
         raise JetDomainError("division by zero")
     inv = 1.0 / v
     try:
-        return (inv, -inv * inv, 2.0 * inv ** 3, -6.0 * inv ** 4)
+        return (inv, -inv * inv, 2.0 * inv ** 3 if order > 1 else 0.0,
+                -6.0 * inv ** 4 if order > 2 else 0.0)
     except OverflowError:
         raise JetDomainError(f"reciprocal of {v} overflows") from None
 
 
 @_elementary
-def exp(v: float) -> tuple:
+def exp(v: float, order: int) -> tuple:
     try:
         e = math.exp(v)
     except OverflowError:
@@ -99,41 +105,42 @@ def exp(v: float) -> tuple:
 
 
 @_elementary
-def log(v: float) -> tuple:
+def log(v: float, order: int) -> tuple:
     if v <= 0.0:
         raise JetDomainError(f"log of non-positive value {v}")
     inv = 1.0 / v
     try:
-        return (math.log(v), inv, -inv * inv, 2.0 * inv ** 3)
+        return (math.log(v), inv, -inv * inv, 2.0 * inv ** 3 if order > 2 else 0.0)
     except OverflowError:
         raise JetDomainError(f"derivatives of log at {v} overflow") from None
 
 
 @_elementary
-def sqrt(v: float) -> tuple:
+def sqrt(v: float, order: int) -> tuple:
     if v <= 0.0:
         raise JetDomainError(f"sqrt of non-positive value {v}")
     s = math.sqrt(v)
     try:
-        return (s, 0.5 / s, -0.25 / (s * v), 0.375 / (s * v * v))
+        return (s, 0.5 / s, -0.25 / (s * v) if order > 1 else 0.0,
+                0.375 / (s * v * v) if order > 2 else 0.0)
     except ZeroDivisionError:  # s * v or s * v * v underflows to 0
         raise JetDomainError(f"derivatives of sqrt at {v} overflow") from None
 
 
 @_elementary
-def sin(v: float) -> tuple:
+def sin(v: float, order: int) -> tuple:
     s, c = math.sin(v), math.cos(v)
     return (s, c, -s, -c)
 
 
 @_elementary
-def cos(v: float) -> tuple:
+def cos(v: float, order: int) -> tuple:
     s, c = math.sin(v), math.cos(v)
     return (c, -s, -c, s)
 
 
 @_elementary
-def tanh(v: float) -> tuple:
+def tanh(v: float, order: int) -> tuple:
     t = math.tanh(v)
     d = 1.0 - t * t
     return (t, d, -2.0 * t * d, d * (6.0 * t * t - 2.0))
@@ -141,7 +148,7 @@ def tanh(v: float) -> tuple:
 
 def pow_const(u, c: float):
     """u**c with a constant exponent."""
-    return u.compose(lambda v: _pow_derivs(v, c, u.order))
+    return u.compose(lambda v, order: _pow_derivs(v, c, order))
 
 
 def _pow_derivs(v: float, c: float, order: int) -> list:
@@ -315,12 +322,13 @@ class JetBatch:
         a, b = (axis % len(self.shape) for axis in (a, b))
         return self._new(self.coeffs.swapaxes(a, b))
 
-    def compose(self, derivs: Callable[[float], Sequence[float]]) -> "JetBatch":
+    def compose(self, derivs: Callable[[float, int], Sequence[float]]) -> "JetBatch":
         """f(self) for the scalar function f whose value and first three
-        derivatives ``derivs`` gives at one float, called at each batch
-        point in C order."""
+        derivatives ``derivs`` gives at one float and this batch's order,
+        called at each batch point in C order."""
         values = self.coeffs[..., 0]
-        f = np.array([derivs(v) for v in values.ravel().tolist()])
+        order = self.order
+        f = np.array([derivs(v, order) for v in values.ravel().tolist()])
         return self._new(_chain_coeffs(self.coeffs, f.reshape(values.shape + (4,)),
                                        self.order, self.nvars))
 

@@ -11,8 +11,9 @@ as one batch, held as one :class:`BaseJets` record of arrays stacked along
 a leading point axis, and rejects a value or derivative that is not finite
 as a spec error.  The Hessian verdict and the two-of-four report are both
 built from that record, by formulas that act on the leading axis; the
-latter takes the dual connection and Levi-Civita from the values of g and
-its first partials and one batched inverse of g, through the formulas of
+latter reads the torsion and the asymmetry off the Hessian verdict, and
+takes the dual connection and Levi-Civita from the values of g and its
+first partials and one batched inverse of g, through the formulas of
 :mod:`bornbundle.fields`, so they equal the fields' own order-0 values bit
 for bit.  Every verdict of the package, the chart witness's included,
 reduces its residuals to per-point maxima through :func:`finite_maxima`,
@@ -48,7 +49,7 @@ DEFAULT_TOL = 1e-9          # Hessian and integrability verdicts (--tol): a resu
 CROSS_TOL = 1e-7            # two-of-four "holds": two or three holding is exit 2
 BORN_GATE = 1e-8            # Born construction identities: exit 2
 OMEGA_DET_FLOOR = 1e-12     # |det omega| short of it: omega_nondegenerate, under BORN_GATE
-FLATNESS_GATE_TOL = 1e-7    # chart curvature and torsion: FlatnessGateError, exit 1
+FLATNESS_GATE_TOL = 1e-7    # chart curvature and torsion: FlatnessGateError (exit 1), or no witness
 PUSHFORWARD_TOL = 1e-6      # chart witness residuals: "witnessed": false, exit 2
 PROBE_RADIUS_SLACK = 1e-12  # chart probe norm over its radius: ValueError, exit 1
 
@@ -411,19 +412,21 @@ class TwoOfFourReport:
     fact_violated: bool
 
     @classmethod
-    def of(cls, bases: BaseJets, tol: float) -> "TwoOfFourReport":
-        """The report over base-point fields: Gamma of any order, g of order 1."""
+    def of(cls, bases: BaseJets, hessian: HessianVerdict, tol: float) -> "TwoOfFourReport":
+        """The report over base-point fields, Gamma of any order and g of
+        order 1.  The torsion and the asymmetry are the maxima of the
+        Hessian verdict over the same fields; the dual torsion and the mean's
+        distance from Levi-Civita are computed here."""
         gamma = bases.gamma[:, 0]
         with np.errstate(over="ignore", invalid="ignore"):  # finite_maxima checks
             dual, lc = dual_and_levi_civita(gamma, bases.g)
-            residuals = {
-                "torsion": _torsion_of(gamma),
-                "dual_torsion": _torsion_of(dual),
-                "nabla_g_asymmetry": _nabla_g_of(gamma, bases.g)[1],
-                "mean_vs_levi_civita": 0.5 * (gamma + dual) - lc,
-            }
+            residuals = {"dual_torsion": _torsion_of(dual),
+                         "mean_vs_levi_civita": 0.5 * (gamma + dual) - lc}
         worst = finite_maxima(residuals, bases.x)
-        maxima = {k: float(np.max(v)) for k, v in worst.items()}
+        dual_torsion, mean = (float(np.max(m)) for m in worst.values())
+        maxima = {"torsion": hessian.max_torsion, "dual_torsion": dual_torsion,
+                  "nabla_g_asymmetry": hessian.max_nabla_g_asymmetry,
+                  "mean_vs_levi_civita": mean}
         holds = {k: bool(v <= tol) for k, v in maxima.items()}
         return cls(residuals=maxima, holds=holds, tol=tol,
                    fact_violated=bool(sum(holds.values()) in (2, 3)))

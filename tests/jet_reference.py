@@ -141,10 +141,10 @@ class Jet:
             return NotImplemented
         return pow_const(self, float(exponent))
 
-    def compose(self, derivs: Callable[[float], Sequence[float]]) -> "Jet":
+    def compose(self, derivs: Callable[[float, int], Sequence[float]]) -> "Jet":
         """The elementary function whose derivative values ``derivs`` gives
-        at one float, applied to this jet."""
-        return _chain(self, derivs(self.value))
+        at one float and this jet's order, applied to this jet."""
+        return _chain(self, derivs(self.value, self.order))
 
     def __repr__(self):
         firsts = ", ".join(f"d{i}={self.partials[(i,)]:.6g}" for i in range(self.nvars))

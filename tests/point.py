@@ -15,6 +15,8 @@ for :func:`bornbundle.manifold.dual_and_levi_civita`.
 """
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from bornbundle import fields, jets
@@ -23,7 +25,8 @@ from bornbundle.charts import ChartMap, _probe_residuals
 from bornbundle.integrability import _d_omega_of, _nijenhuis_of, _norm_factor
 from bornbundle.manifold import (DEFAULT_TOL, BaseJets, HessianVerdict, ManifoldSpec,
                                  TwoOfFourReport, _curvature_of, _nabla_g_of,
-                                 _require_inside, _torsion_of, base_jets, check_spd)
+                                 _require_inside, _torsion_of, base_jets, check_spd,
+                                 finite_maxima)
 
 
 def _stacked(field, spec: ManifoldSpec, points, order: int) -> np.ndarray:
@@ -104,7 +107,18 @@ def two_of_four_bases(spec: ManifoldSpec, points) -> BaseJets:
 
 def two_of_four_residuals(spec: ManifoldSpec, points,
                           tol: float = DEFAULT_TOL) -> TwoOfFourReport:
-    return TwoOfFourReport.of(two_of_four_bases(spec, points), tol)
+    """The report over :func:`two_of_four_bases`.  Its torsion and asymmetry
+    maxima, which ``check`` reads off the Hessian verdict of an order-1
+    record, are computed here from the same order-0 Gamma."""
+    bases = two_of_four_bases(spec, points)
+    gamma = bases.gamma[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):  # finite_maxima checks
+        residuals = {"torsion": _torsion_of(gamma),
+                     "nabla_g_asymmetry": _nabla_g_of(gamma, bases.g)[1]}
+    worst = finite_maxima(residuals, bases.x)
+    maxima = SimpleNamespace(max_torsion=float(np.max(worst["torsion"])),
+                             max_nabla_g_asymmetry=float(np.max(worst["nabla_g_asymmetry"])))
+    return TwoOfFourReport.of(bases, maxima, tol)
 
 
 def _born(spec: ManifoldSpec, bp: BundlePoint, order: int = 1):

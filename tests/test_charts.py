@@ -249,7 +249,7 @@ class _CollapsedChart(ChartMap):
 
 
 def test_singular_chart_jacobian_is_spec_error():
-    chart = _CollapsedChart(EUCLID, (0.0, 0.0), radius=0.25)
+    chart = _CollapsedChart(EUCLID, (0.0, 0.0))
     with pytest.raises(SpecError, match="singular chart Jacobian"):
         pushforward_connection_residual(chart, [(0.1, 0.0)])
     with pytest.raises(SpecError, match="singular chart Jacobian"):
@@ -265,11 +265,11 @@ def test_chart_base_point_must_be_inside():
     with pytest.raises(ValueError, match=re.escape(
             "velocity (0.1, 0.2, 0.3) has 3 components, expected 2")):
         geodesic_integrate(EUCLID, (0.1, 0.1), (0.1, 0.2, 0.3))
-    chart = ChartMap(EUCLID, (0.0, 0.0), radius=0.25)
+    chart = ChartMap(EUCLID, (0.0, 0.0))
     with pytest.raises(ValueError, match=re.escape("velocity (0.1,) has 1 components")):
         chart.probe_jets([(0.1, 0.0), (0.1,)])
     with pytest.raises(SpecError, match="start point has 3 coordinates, expected 2"):
-        ChartMap(EUCLID, (0.0, 0.0, 0.0), radius=0.25).probe_jets([(0.1, 0.0)])
+        ChartMap(EUCLID, (0.0, 0.0, 0.0)).probe_jets([(0.1, 0.0)])
 
 
 @pytest.mark.parametrize("steps", [0, -3])
@@ -468,7 +468,7 @@ def test_batched_chart_equals_jet_reference(name):
     spec = REFERENCE_SPECS[name]
     x0 = tuple(0.5 * (lo + hi) + 0.1 for lo, hi in spec.sample_box)
     count, steps = METRIC_DERIVED.get(name, (6, 64))
-    chart = ChartMap(spec, x0, steps=steps, radius=0.25)
+    chart = ChartMap(spec, x0, steps=steps)
     points = [tuple(0.25 * (2 * u - 1) / 2) for u in halton_points(count, spec.n, 5)]
     got = chart.probe_jets(points).coeffs
     for b, a in enumerate(points):
@@ -493,7 +493,7 @@ def test_signed_zero_probes_equal_jet_reference(name, x0):
     if spec.n > 2:
         points += [(0.05, -0.0, 0.1), (-0.0, 0.05, -0.1)]
     for steps in (1, 2, 65):
-        chart = ChartMap(spec, x0, steps=steps, radius=0.25)
+        chart = ChartMap(spec, x0, steps=steps)
         got = chart.probe_jets(points).coeffs
         for b, a in enumerate(points):
             want = np.stack([ref.coefficients(c)
@@ -721,7 +721,7 @@ def test_stacked_probe_residuals_equal_per_probe(name):
     # nonzero residuals whose bits the stack must keep
     spec = REFERENCE_SPECS[name]
     x0 = tuple(0.5 * (lo + hi) + 0.1 for lo, hi in spec.sample_box)
-    chart = ChartMap(spec, x0, steps=16, radius=0.25)
+    chart = ChartMap(spec, x0, steps=16)
     points = [tuple(0.25 * (2 * u - 1) / 2) for u in halton_points(7, spec.n, 5)]
     y = sample_fibers(spec.n, 1, 1.0, 3)[0]
     cj = chart.probe_jets(points).coeffs
@@ -826,7 +826,7 @@ def test_constant_gamma_domain_error(tmp_path, capsys):
         "error": {"kind": "EvalDomainError",
                   "message": "log of non-positive value -1.0 at offset 0"},
         "status": "error"}
-    chart = ChartMap(spec_from_dict(doc), (0.1, 0.0), radius=0.25)
+    chart = ChartMap(spec_from_dict(doc), (0.1, 0.0))
     with pytest.raises(EvalDomainError, match="value -1.0 at"):
         chart.probe_jets([(0.1, 0.0), (0.0, 0.1)])
 
@@ -838,7 +838,7 @@ def test_constant_gamma_domain_error_keeps_term_order():
     gamma[0][0][0] = "log(u - 5)"
     spec = build_spec("two-failures", ("u", "v"), [(-1, 1), (-1, 1)],
                       metric=[["1", "0"], ["0", "1"]], connection="explicit", gamma=gamma)
-    chart = ChartMap(spec, (0.1, 0.0), radius=0.25)
+    chart = ChartMap(spec, (0.1, 0.0))
     with pytest.raises(EvalDomainError, match=r"value -4\.9 at"):
         chart.probe_jets([(0.1, 0.0), (0.0, 0.1)])
 
@@ -858,7 +858,7 @@ class _HalfCollapsedChart(ChartMap):
 
 
 def test_singular_chart_jacobian_names_the_first_probe():
-    chart = _HalfCollapsedChart(EUCLID, (0.0, 0.0), radius=0.25)
+    chart = _HalfCollapsedChart(EUCLID, (0.0, 0.0))
     points = [(0.1, 0.0), (-0.1, 0.05), (-0.2, 0.0)]
     with pytest.raises(SpecError, match=re.escape("singular chart Jacobian at probe "
                                                   "(-0.1, 0.05)")):

@@ -14,9 +14,12 @@ from bornbundle.cli import (RunConfig, load_spec, main, report_to_json, run,
                             spec_from_dict)
 from bornbundle.errors import SpecError
 from bornbundle.jets import JetUsageError
-from bornbundle.manifold import CROSS_TOL, DEFAULT_TOL, sample_fibers, sample_points
+from bornbundle.manifold import (CROSS_TOL, DEFAULT_TOL, FLATNESS_GATE_TOL, sample_fibers,
+                                 sample_points)
 from test_manifold import GENERATED
-from point import d_omega_at, hessian_verdict, nijenhuis_at, two_of_four_residuals
+from point import (connection_at, d_omega_at, dual_connection_at, hessian_verdict,
+                   levi_civita_at, nabla_g_at, nijenhuis_at, torsion_at,
+                   two_of_four_residuals)
 
 SMALL = dict(points=6, fiber_points=3)
 
@@ -283,9 +286,11 @@ GAMMA_OVERFLOW = [[["exp(500*u)*exp(500*u)", "0"], ["0", "0"]],
     # exp(1000*u) overflows in the expression
     pytest.param(_diag_spec(("exp(1000*u)", "1"), box=OVERFLOW_BOX),
                  "EvalDomainError", "overflows", id="flat-0-EvalDomainError"),
-    # 1/g_uu overflows inverting g
+    # the first partial of 1/g_uu, which the order-1 Gamma reads, overflows
+    # inverting g
     pytest.param(_diag_spec(("exp(1000*u)", "1"), "levi-civita", OVERFLOW_BOX),
-                 "JetDomainError", "overflows", id="levi-civita-0-JetDomainError"),
+                 "SpecError", "gamma[0][0][0] or one of its derivatives is not finite",
+                 id="levi-civita-0-SpecError"),
     # a product of finite factors overflows to inf
     pytest.param(_diag_spec(("exp(500*u)*exp(500*u)", "1")),
                  "SpecError", "metric[0][0] or one of its derivatives is not finite",
@@ -310,14 +315,24 @@ def test_overflowing_metric_is_spec_error(spec, kind, message, tmp_path, capsys)
     assert message in out["error"]["message"]
 
 
+def _tiny_argument_spec(func: str, metric: str) -> dict:
+    """A flat spec on u in [-0.01, 0.01], where u^60 + 1e-300 is about
+    1e-138: log's third derivative there overflows (1/v^3), and sqrt's
+    divides by v^2 sqrt(v), which underflows.  ``metric`` says whether the
+    function enters a metric entry, which the sweep reads to order 1, or
+    the potential, which it reads to order 3."""
+    tiny = f"{func}(u^60 + 1e-300)^2"
+    spec = _diag_spec((f"1 + {tiny}", "1"), box=((-0.01, 0.01), (-1, 1)))
+    if metric == "potential":
+        spec["metric"] = {"potential": f"u^2/2 + v^2/2 + {tiny}"}
+    return spec
+
+
 @pytest.mark.parametrize("func", ["log", "sqrt"])
 def test_tiny_log_or_sqrt_argument_is_spec_error(func, tmp_path, capsys):
-    # at u^60 + 1e-300 ~ 1e-138 the third derivative of log overflows
-    # (1/v^3) and the one of sqrt divides by v^2 sqrt(v), which underflows
-    spec = _diag_spec((f"1 + {func}(u^60 + 1e-300)^2", "1"),
-                      box=((-0.01, 0.01), (-1, 1)))
+    # the potential's metric reads the third derivatives that fail
     path = tmp_path / "tiny.json"
-    path.write_text(json.dumps(spec))
+    path.write_text(json.dumps(_tiny_argument_spec(func, "potential")))
     code = main(["check", str(path), "--points", "4", "--fiber-points", "2"])
     assert code == 1
     captured = capsys.readouterr()
@@ -326,6 +341,45 @@ def test_tiny_log_or_sqrt_argument_is_spec_error(func, tmp_path, capsys):
     assert out["error"]["kind"] == "EvalDomainError"
     assert out["error"]["message"].startswith(f"derivatives of {func} at ")
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("func", ["log", "sqrt"])
+def test_a_derivative_the_sweep_does_not_read_rejects_no_point(func, tmp_path, capsys):
+    # a metric entry is read to order 1, so the failing third derivative is
+    # never computed: the same function exits 0
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(_tiny_argument_spec(func, "components")))
+    code = main(["check", str(path), "--points", "4", "--fiber-points", "2"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert json.loads(captured.out)["status"] == "ok"
+
+
+def test_metric_whose_reciprocal_cubed_overflows_is_checked(tmp_path, capsys):
+    # 1/1e-150 and its square are finite, so g^-1 at order 1 is; its third
+    # power, which only an order-2 inverse reads, is not
+    path = tmp_path / "diag.json"
+    path.write_text(json.dumps(_diag_spec(("1e150", "1e-150"), box=OVERFLOW_BOX)))
+    code = main(["check", str(path), "--points", "4", "--fiber-points", "3"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    report = json.loads(captured.out)
+    assert report["status"] == "ok" and report["affine_chart"]["witnessed"] is True
+
+
+def test_an_underflowing_omega_determinant_warns_nothing(tmp_path, capsys):
+    # det(omega) of g_00 = 4e-320 underflows through det's logarithms, a
+    # divide warning that the repo's filterwarnings turns into an error; the
+    # spec is still rejected for its non-finite identity
+    zero = [[["0", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]]
+    spec = _diag_spec(("4e-320", "1"), "explicit", ((-1, 0), (-1, 0)), gamma=zero)
+    path = tmp_path / "det.json"
+    path.write_text(json.dumps(spec))
+    code = main(["check", str(path), "--points", "4", "--fiber-points", "3"])
+    assert code == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"]["kind"] == "SpecError"
+    assert out["error"]["message"].startswith("I_vs_h_inv_omega residual is not finite at ")
 
 
 # finite fields whose curvature is inf - inf = NaN at every sample point
@@ -505,10 +559,15 @@ def test_cli_affine_chart(capsys):
 
 
 def test_cli_affine_chart_rejects_curved(capsys):
-    code = main(["affine-chart", "sphere2"])
-    assert code == 1
-    out = json.loads(capsys.readouterr().out)
-    assert out["status"] == "error"
+    # valid arguments reach the flatness gate, which only affine-chart runs
+    for args in ([], ["--steps", "1", "--probes", "1", "--fiber-radius", "2"]):
+        code = main(["affine-chart", "sphere2", *args])
+        assert code == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["status"] == "error"
+        assert out["error"]["kind"] == "FlatnessGateError"
+        assert out["error"]["message"].startswith(
+            "exponential map is affine only for flat torsion-free connections")
 
 
 @pytest.mark.parametrize("args,message", [
@@ -533,6 +592,33 @@ def test_cli_affine_chart_rejects_bad_arguments(args, message, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["status"] == "error"
     assert out["error"]["message"] == message
+
+
+# Gamma^0_00 a narrow bump at the 6th of 8 Halton points of seed 42 (curvature
+# 6.5e-7 there, round-off elsewhere); every other entry and the metric flat
+BUMP = _diag_spec(("1", "1"), "explicit", OVERFLOW_BOX, gamma=[
+    [["exp(-((u+0.87255859)^2 + (v+0.71711629)^2)/0.01)", "0"], ["0", "0"]],
+    [["0", "0"], ["0", "0"]]])
+
+
+@pytest.mark.parametrize("points,hessian", [(4, True), (8, False)])
+def test_check_gates_the_witness_at_its_own_sample_points(points, hessian, tmp_path,
+                                                          capsys):
+    # 4 points miss the bump: Hessian, and the witness runs, with no gate at
+    # points outside the sample; 8 points see it: not Hessian, no witness
+    path = tmp_path / "bump.json"
+    path.write_text(json.dumps(BUMP))
+    code = main(["check", str(path), "--points", str(points), "--fiber-points", "2"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    report = json.loads(captured.out)
+    assert report["hessian"]["is_hessian"] is hessian
+    assert report["integrability"]["integrable"] is hessian
+    if hessian:
+        assert report["affine_chart"]["witnessed"] is True
+    else:
+        assert report["hessian"]["max_curvature"] > FLATNESS_GATE_TOL
+        assert "affine_chart" not in report
 
 
 def test_invariant_failure_exit_code(monkeypatch, capsys):
@@ -692,6 +778,31 @@ def test_shared_sweep_matches_standalone_functions(source, tmp_path):
         "tol": hv.tol, "points": hv.points}
     assert report["two_of_four"] == dataclasses.asdict(
         two_of_four_residuals(spec, base, CROSS_TOL))
+
+
+@pytest.mark.parametrize("source", ["sphere2", "lc3", "hessian-exp2", "potential3",
+                                    "pullback-flat", "flat-torsionful", "twisted3"])
+def test_two_of_four_maxima_equal_a_direct_recomputation(source, tmp_path):
+    # the report reads torsion and asymmetry off the Hessian verdict and
+    # computes the other two; each equals its maximum over the sample points
+    # of the one-point functions, for Levi-Civita, potential and explicit specs
+    source = _source_of(source, tmp_path)
+    report = run(small_config(source))
+    spec = load_spec(source)
+    points = [tuple(x) for x in sample_points(spec, SMALL["points"], 42)]
+    rows = []
+    for x in points:
+        gamma, dual = connection_at(spec, x), dual_connection_at(spec, x)
+        rows.append({"torsion": np.max(np.abs(torsion_at(spec, x))),
+                     "dual_torsion": np.max(np.abs(dual - np.swapaxes(dual, 1, 2))),
+                     "nabla_g_asymmetry": nabla_g_at(spec, x)[1],
+                     "mean_vs_levi_civita": np.max(np.abs(
+                         0.5 * (gamma + dual) - levi_civita_at(spec, x)))})
+    want = {key: float(max(row[key] for row in rows)) for key in rows[0]}
+    assert report["two_of_four"]["residuals"] == want
+    assert list(report["two_of_four"]["residuals"]) == list(want)
+    assert want["torsion"] == report["hessian"]["max_torsion"]
+    assert want["nabla_g_asymmetry"] == report["hessian"]["max_nabla_g_asymmetry"]
 
 
 @pytest.mark.parametrize("source,tol",

@@ -9,8 +9,8 @@ from bornbundle.cli import load_spec, spec_from_dict
 from bornbundle.errors import SpecError
 from bornbundle.expr import EvalDomainError
 from bornbundle.jets import JetBatch
-from bornbundle.manifold import (DEFAULT_TOL, TwoOfFourReport, base_jets, build_spec,
-                                 dual_and_levi_civita, sample_points)
+from bornbundle.manifold import (DEFAULT_TOL, HessianVerdict, TwoOfFourReport, base_jets,
+                                 build_spec, dual_and_levi_civita, sample_points)
 from test_charts import EVERY_NODE
 from test_manifold import GENERATED
 from point import hessian_verdict, two_of_four_bases
@@ -92,7 +92,8 @@ def _first_failure_spec(metric00: str) -> object:
 
 def two_of_four_residuals(spec, points):
     """The two-of-four report as ``check`` builds it, from ``base_jets``."""
-    return TwoOfFourReport.of(base_jets(spec, points), DEFAULT_TOL)
+    bases = base_jets(spec, points)
+    return TwoOfFourReport.of(bases, HessianVerdict.of(bases, DEFAULT_TOL), DEFAULT_TOL)
 
 
 @pytest.mark.parametrize("metric00,error,message", [

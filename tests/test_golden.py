@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from bornbundle import charts
+
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "golden.py"
 
 
@@ -33,3 +35,16 @@ def test_every_golden_file_is_a_case():
     files = {p.name for p in GOLDEN.GOLDEN.iterdir() if p.is_file()}
     assert files == {*CASES, GOLDEN.EXIT_CODES.name}
     assert set(EXIT_CODES) == set(CASES)
+
+
+@pytest.mark.parametrize("name", [name for name in CASES if name.startswith("check-")])
+def test_check_runs_no_chart_gate(name, monkeypatch):
+    # check reads flatness off its own sweep: the chart's gate-point
+    # evaluation is never reached, and every report keeps its bytes
+    def gate(*args):
+        raise AssertionError("check evaluated the chart's gate points")
+
+    monkeypatch.setattr(charts, "_gate_connection", gate)
+    code, text = GOLDEN.run_case(CASES[name])
+    assert text == (GOLDEN.GOLDEN / name).read_text()
+    assert code == EXIT_CODES[name]

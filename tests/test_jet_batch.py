@@ -1,6 +1,7 @@
 """JetBatch against the Jet reference: every coefficient of a batched
 operation must equal, sign of zero included, what the Jet at that batch
 point computes, and a domain error must carry the Jet's message."""
+import math
 import operator
 
 import numpy as np
@@ -141,8 +142,47 @@ def jet_error(fn, x):
 def test_domain_errors_carry_the_jet_message(order, fn, values):
     rng = np.random.default_rng(order)
     a = random_jets(rng, order, 2, len(values), values=values)
-    first = next(jet_error(fn, x) for x in a if _raises(fn, x))
-    assert jet_error(fn, batch_of(a)) == first
+    failing = [x for x in a if _raises(fn, x)]
+    if failing:
+        assert jet_error(fn, batch_of(a)) == jet_error(fn, failing[0])
+    else:  # the tiny cases below order 3 (2 for sqrt) read no failing derivative
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_same(fn(batch_of(a)), [fn(x) for x in a])
+
+
+# at a tiny value, the first derivative that fails (overflows, or for sqrt
+# divides by a product that underflows to 0), and f with its derivatives
+# below it, by the formulas of bornbundle.jets
+UNREAD = [
+    pytest.param(jets._reciprocal, 1e-150, 2, "reciprocal of 1e-150 overflows",
+                 lambda v: (1.0 / v, -(1.0 / v) * (1.0 / v)), id="reciprocal"),
+    pytest.param(jets.log, 1e-150, 3, "derivatives of log at 1e-150 overflow",
+                 lambda v: (math.log(v), 1.0 / v, -(1.0 / v) * (1.0 / v)), id="log"),
+    pytest.param(jets.sqrt, 1e-300, 2, "derivatives of sqrt at 1e-300 overflow",
+                 lambda v: (math.sqrt(v), 0.5 / math.sqrt(v)), id="sqrt-second"),
+    pytest.param(jets.sqrt, 1e-200, 3, "derivatives of sqrt at 1e-200 overflow",
+                 lambda v: (math.sqrt(v), 0.5 / math.sqrt(v), -0.25 / (math.sqrt(v) * v)),
+                 id="sqrt-third"),
+]
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("fn,value,fails_from,message,derivs", UNREAD)
+def test_only_a_derivative_the_order_reads_rejects_a_point(order, fn, value, fails_from,
+                                                          message, derivs):
+    # a jet of order below fails_from never computes the failing derivative:
+    # the batch and the reference read the same coefficients, whose bits are
+    # those of the formulas; from fails_from on both raise its message
+    (x,) = seed_embedded([value], order, 1)
+    a = [Jet.constant(2.0, order, 1), x, Jet.constant(0.5, order, 1)]
+    if order >= fails_from:
+        assert jet_error(fn, x) == message
+        assert jet_error(fn, batch_of(a)) == message
+        return
+    got = fn(batch_of(a))
+    assert_same(got, [fn(y) for y in a])
+    # the seeded jet's coefficients are f and its derivatives at the value
+    assert np.array_equal(got.coeffs[1], np.array(derivs(value)[:order + 1]))
 
 
 def _raises(fn, x):
