@@ -48,25 +48,32 @@ value and x-rows are -(sum_j Gamma^k_ij y^j), an x-row's products made
 jet product.  Every operation is elementwise with broadcasting over the
 (P, F) axes, so each bundle point gets the bits of a one-point call.
 
-A :class:`BornFrame` holds the value matrices of one bundle point or of a
-stack of points along leading axes, C-contiguous, so that the matmuls,
-solves and eigenvalues of :func:`born_compatibility_residuals` take their
-BLAS/LAPACK path; that function returns a stack's residuals and signature
-counts per point; a frame whose solve fails (h, k or omega singular to
-working precision) reads inf for that identity, so that the sweep names
-it as a residual that is not finite.  Its ``omega_nondegenerate`` floor is
-in the thresholds table of :mod:`bornbundle.manifold`.
+:func:`fiber_born_jets` also returns the blocks A and g it built the
+tensors from.  :func:`adapted_frame_residuals` checks the construction
+against them in the adapted frame, where every tensor has its defining
+form: E^-1 I E, E^-1 J E and E^-1 K E the constant blocks
+[[0, -1], [1, 0]], [[0, 1], [1, 0]] and [[1, 0], [0, -1]], and E^T h E,
+E^T k E and E^T omega E the g-blocks [[g, 0], [0, g]], [[0, g], [g, 0]]
+and [[0, g], [-g, 0]].  Each difference is taken relative to the size of
+its terms: over (1 + max|A|)^2, and over max|g| as well for the forms.
+For a positive definite g (:func:`bornbundle.manifold.check_spd`) these
+six imply every other identity of the structure: I^2 = -1, J^2 = K^2 = 1,
+the anticommutation relations, I = h^-1 omega, J = k^-1 h, K = omega^-1 k,
+h > 0, k of signature (n, n) and det omega = det(g)^2 hold in the adapted
+frame and carry over by congruence.  A :class:`BornFrame` holds the value
+matrices of one bundle point or of a stack of points along leading axes,
+C-contiguous, so that the check's matmuls take their BLAS path and give
+every point of a stack the bits of a call on it alone.
 """
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import SpecError
-from .manifold import OMEGA_DET_FLOOR, BaseJets, ManifoldSpec, base_jets, check_spd
+from .manifold import BaseJets, ManifoldSpec, base_jets, check_spd
 
 @dataclass(frozen=True)
 class BundlePoint:
@@ -100,8 +107,7 @@ class BornFrame:
     def of(cls, values: dict[str, np.ndarray]) -> "BornFrame":
         """The six tensors from their value matrices, or stacks of them."""
         # a structural zero can come out as -0.0; adding 0.0 makes it +0.0
-        # and makes each stack C-contiguous, for the BLAS/LAPACK path of matmul
-        # and solve
+        # and makes each stack C-contiguous, for the BLAS path of matmul
         return cls(**{name: np.add(m, 0.0, order="C") for name, m in values.items()})
 
 
@@ -209,11 +215,13 @@ def _frame_of(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e, einv
 
 
-def fiber_born_jets(bases: BaseJets, ys) -> dict[str, np.ndarray]:
+def fiber_born_jets(bases: BaseJets,
+                    ys) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
     """The six tensors in bundle coordinates at (x, y) for every base point x
     of ``bases`` and fiber vector y of ``ys``, as (P, F, rows, 2n, 2n) arrays
     of values and first partials, h and k as their value rows alone (module
-    doc)."""
+    doc); and the blocks they are built from, A as (P, F, rows, n, n) and g
+    as (P, 1, rows, n, n)."""
     a, g = _fiber_blocks(bases, ys)
     one = np.zeros(a.shape[:3] + (1, 1))  # broadcast over the (P, F) axes
     one[0, :, :, 0, 0] = np.eye(a.shape[1])
@@ -232,8 +240,9 @@ def fiber_born_jets(bases: BaseJets, ys) -> dict[str, np.ndarray]:
         "k": (k + k.swapaxes(1, 2)) * 0.5,
         "omega": (omega - omega.swapaxes(1, 2)) * 0.5,
     }
-    # (P, F, rows, 2n, 2n) views that keep the sample axes innermost in memory
-    return {name: m.transpose(3, 4, 0, 1, 2) for name, m in stacks.items()}
+    # (P, F, rows, ...) views that keep the sample axes innermost in memory
+    return ({name: m.transpose(3, 4, 0, 1, 2) for name, m in stacks.items()},
+            a.transpose(3, 4, 0, 1, 2), g.transpose(3, 4, 0, 1, 2))
 
 
 def born_jets(spec: ManifoldSpec, bp: BundlePoint) -> dict[str, np.ndarray]:
@@ -242,7 +251,7 @@ def born_jets(spec: ManifoldSpec, bp: BundlePoint) -> dict[str, np.ndarray]:
     row alone, (1, 2n, 2n)."""
     bp = _require_point(spec, bp)
     return {name: m[0, 0] for name, m in
-            fiber_born_jets(base_jets(spec, [bp.x]), [bp.y]).items()}
+            fiber_born_jets(base_jets(spec, [bp.x]), [bp.y])[0].items()}
 
 
 def born_at(spec: ManifoldSpec, bp: BundlePoint) -> BornFrame:
@@ -251,75 +260,30 @@ def born_at(spec: ManifoldSpec, bp: BundlePoint) -> BornFrame:
     base = base_jets(spec, [bp.x], 0)
     check_spd(base.g[:, 0], [bp.x])
     return BornFrame.of({name: m[0, 0, 0] for name, m in
-                         fiber_born_jets(base, [bp.y]).items()})
+                         fiber_born_jets(base, [bp.y])[0].items()})
 
 
-# -- compatibility ------------------------------------------------------------
+# -- the construction in the adapted frame ------------------------------------
 
-@dataclass(frozen=True)
-class BornCompatReport:
-    residuals: dict
-    k_signature: tuple
-
-
-def _per_frame(linalg, fill: float, shape: tuple, *stacks: np.ndarray) -> np.ndarray:
-    """``linalg`` (a numpy.linalg function) on stacks of frames, its result of
-    ``shape``.  If the batched call raises LinAlgError, it is called frame by
-    frame, and a frame on which it raises reads ``fill``."""
-    try:
-        return linalg(*stacks)
-    except np.linalg.LinAlgError:
-        out = np.full(shape, fill)
-        for index in np.ndindex(stacks[0].shape[:-2]):
-            with contextlib.suppress(np.linalg.LinAlgError):
-                out[index] = linalg(*(m[index] for m in stacks))
-        return out
-
-
-def born_compatibility_residuals(bf: BornFrame) -> BornCompatReport:
-    """Max-norm defect of every defining identity of the structure, plus the
-    eigenvalue-sign signature of k; per frame on a stack of frames.  A frame
-    whose h, k or omega is numerically singular, so that a solve fails, reads
-    inf for that identity; one whose eigenvalues fail, NaN."""
-    ident = np.eye(bf.I.shape[-1])
-    ht, kt, omegat = (m.swapaxes(-1, -2) for m in (bf.h, bf.k, bf.omega))
-
-    def dev(m):
-        return np.max(np.abs(m), axis=(-2, -1))
-
-    def solve(a, b):
-        return _per_frame(np.linalg.solve, np.inf, b.shape, a, b)
-
-    def eigvalsh(m):
-        return _per_frame(np.linalg.eigvalsh, np.nan, m.shape[:-1], m)
-
-    ij = bf.I @ bf.J
-    # det goes through logarithms: a determinant that underflows is the
-    # log of zero, -inf, and reads 0, with no divide warning
-    with np.errstate(divide="ignore"):
-        det = np.linalg.det(bf.omega)
-    residuals = {
-        "I_squared": dev(bf.I @ bf.I + ident),
-        "J_squared": dev(bf.J @ bf.J - ident),
-        "K_squared": dev(bf.K @ bf.K - ident),
-        "IJK": dev(ij @ bf.K + ident),
-        # a form maps X to form(X, .); with the first argument on rows the
-        # matrix of that map is the transpose of the component matrix
-        "I_vs_h_inv_omega": dev(solve(ht, omegat) - bf.I),
-        "J_vs_k_inv_h": dev(solve(kt, ht) - bf.J),
-        "K_vs_omega_inv_k": dev(solve(omegat, kt) - bf.K),
-        "h_symmetry": dev(bf.h - ht),
-        "k_symmetry": dev(bf.k - kt),
-        "omega_antisymmetry": dev(bf.omega + omegat),
-        "anticommute_I_JK": dev(bf.J @ bf.K - bf.I),
-        "anticommute_I_KJ": dev(bf.K @ bf.J + bf.I),
-        "anticommute_J_KI": dev(bf.K @ bf.I + bf.J),
-        "anticommute_J_IK": dev(bf.I @ bf.K - bf.J),
-        "anticommute_K_IJ": dev(ij + bf.K),
-        "anticommute_K_JI": dev(bf.J @ bf.I - bf.K),
-        "h_positive": np.maximum(0.0, -np.min(eigvalsh(bf.h), axis=-1)),
-        "omega_nondegenerate": np.maximum(0.0, OMEGA_DET_FLOOR - np.abs(det)),
-    }
-    eigs = eigvalsh(bf.k)
-    signature = (np.sum(eigs > 0, axis=-1), np.sum(eigs < 0, axis=-1))
-    return BornCompatReport(residuals=residuals, k_signature=signature)
+def adapted_frame_residuals(frame: BornFrame, a: np.ndarray,
+                            g: np.ndarray) -> dict[str, np.ndarray]:
+    """Per bundle point, the relative defect of each tensor of ``frame`` in
+    the adapted frame of A's values ``a`` (..., n, n) against its defining
+    form in g's values ``g`` (module doc); the leading axes of the three
+    broadcast.  A and g come from the blocks the tensors were built from,
+    not from the tensors: an A read off K would pass any K."""
+    n = a.shape[-1]
+    e, einv = _frame_of(a[..., None, :, :])
+    e = e[..., 0, :, :]
+    et = e.swapaxes(-1, -2)
+    zero = np.zeros_like(g)
+    defects = {name: einv @ getattr(frame, name) @ e - c
+               for name, c in zip("IJK", _constant_blocks(n))}
+    defects.update(h=et @ frame.h @ e - np.block([[g, zero], [zero, g]]),
+                   k=et @ frame.k @ e - np.block([[zero, g], [g, zero]]),
+                   omega=et @ frame.omega @ e - np.block([[zero, g], [-g, zero]]))
+    scale = np.square(1.0 + np.max(np.abs(a), axis=(-2, -1)))
+    form_scale = scale * np.max(np.abs(g), axis=(-2, -1))
+    return {name + "_in_frame": np.max(np.abs(d), axis=(-2, -1))
+            / (scale if name in ("I", "J", "K") else form_scale)
+            for name, d in defects.items()}

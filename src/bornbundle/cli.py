@@ -30,14 +30,16 @@ gate points of its own.  The ``affine-chart`` command keeps its gate.
 Exit codes: 0 all checks ran and no internal invariant failed, 1 spec or
 configuration error (including a domain error or an overflow while
 evaluating the spec's fields, a field value, first derivative or
-residual that is not finite at a sample point, a fiber radius that is not
-finite and positive, a tolerance that is negative or not finite, and a
-spec file or ``--report`` path that cannot be read or written, and
-``affine-chart`` on a connection that fails its flatness gate),
+residual that is not finite at a sample point, a metric that is not
+positive definite or is singular to working precision there, a fiber
+radius that is not finite and positive, a tolerance that is negative or
+not finite, and a spec file or ``--report`` path that cannot be read or
+written, and ``affine-chart`` on a connection that fails its flatness
+gate),
 2 internal invariant failure (the Hessian and integrability verdicts
-disagreed, the two-of-four residual pattern was impossible, or a
-construction identity broke, which ``theorem`` checks too and names on
-stderr) or internal fault (a jet misuse or a failed
+disagreed, the two-of-four residual pattern was impossible, or the
+Born construction broke in the adapted frame, which ``theorem`` checks
+too and names on stderr) or internal fault (a jet misuse or a failed
 linear solve, reported as a JSON error like a spec error).  A spec merely
 being non-Hessian is a result, not a failure.  The threshold behind each
 verdict, gate and exit code is in the table of :mod:`bornbundle.manifold`.
@@ -66,7 +68,7 @@ from .jets import JetDomainError, JetUsageError
 from .manifold import (BORN_GATE, CROSS_TOL, DEFAULT_TOL, FLATNESS_GATE_TOL, ManifoldSpec,
                        TwoOfFourReport, build_spec)
 
-REPORT_SCHEMA = 3  # layout version of the check report
+REPORT_SCHEMA = 4  # layout version of the check report
 
 
 @dataclass(frozen=True)
@@ -199,10 +201,10 @@ def _spec_summary(spec: ManifoldSpec) -> dict:
     }
 
 
-def _construction_broken(max_born_compat: dict, k_signature_ok: bool) -> bool:
-    """Whether a Born construction identity broke: a maximum above
-    ``BORN_GATE`` or k without signature (n, n) somewhere."""
-    return max(max_born_compat.values()) > BORN_GATE or not k_signature_ok
+def _construction_broken(max_born_compat: dict) -> bool:
+    """Whether the Born construction broke: a relative adapted-frame
+    residual above ``BORN_GATE`` somewhere."""
+    return max(max_born_compat.values()) > BORN_GATE
 
 
 def run(config: RunConfig) -> dict:
@@ -235,12 +237,8 @@ def run(config: RunConfig) -> dict:
     if two.fact_violated:
         failures.append("two_of_four pattern (exactly two or three conditions hold)")
 
-    report["born_compat"] = {
-        "max_residuals": integ.max_born_compat,
-        "k_signature_ok": integ.k_signature_ok,
-        "gate": BORN_GATE,
-    }
-    if _construction_broken(integ.max_born_compat, integ.k_signature_ok):
+    report["born_compat"] = {"max_residuals": integ.max_born_compat, "gate": BORN_GATE}
+    if _construction_broken(integ.max_born_compat):
         failures.append("born construction identities")
 
     report["integrability"] = {
@@ -424,7 +422,7 @@ def _cmd_theorem(args) -> int:
     agree = sum(rep.hessian_agreement for rep in reports)
     print(f"agreement: {agree}/{len(reports)}")
     broken = [spec.name for spec, rep in zip(specs, reports)
-              if _construction_broken(rep.max_born_compat, rep.k_signature_ok)]
+              if _construction_broken(rep.max_born_compat)]
     if broken:
         print(f"born construction identities broke: {', '.join(broken)}", file=sys.stderr)
     return 0 if agree == len(reports) and not broken else 2

@@ -15,10 +15,12 @@ normalized by (1 + |y|).
 as one stacked record and uses it for the Hessian residuals and for every
 fiber.  It builds the Born tensors of all P x F bundle points as one
 (P, F, 1 + 2n, 2n, 2n) stack and computes the Nijenhuis tensors, d omega
-and the construction identities once each on that stack (the formulas
-accept leading stack axes).  The stack holds its (P, F) axes innermost in
-memory, and einsum iterates in memory order, so the Nijenhuis einsum runs
-over the sample points in its inner loop.
+and the six relative residuals of the construction in the adapted frame
+(:func:`bornbundle.bundle.adapted_frame_residuals`, from the A and g
+blocks that built the stack) once each on that stack; the formulas accept
+leading stack axes.  The stack holds its (P, F) axes innermost in memory,
+and einsum iterates in memory order, so the Nijenhuis einsum runs over the
+sample points in its inner loop.
 
 The structure depends on the fiber only through the block A = -Gamma y.
 When every value and first partial of the record's Gamma is zero (a flat
@@ -38,8 +40,8 @@ and reduces to the ``argmax`` section.  A residual that is not finite at a
 sample point is a spec error naming it and the point
 (:func:`bornbundle.manifold.finite_maxima`); the first one is reported by
 base point, through :func:`bornbundle.manifold._first_failure`, then by
-fiber and residual: N_I, N_J, N_K, d omega, then the construction
-identities.  The verdict compares each maximum with the Hessian verdict's
+fiber and residual: N_I, N_J, N_K, d omega, then the adapted-frame
+residuals.  The verdict compares each maximum with the Hessian verdict's
 tolerance; the thresholds are in the table of :mod:`bornbundle.manifold`.
 """
 from __future__ import annotations
@@ -49,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundle import BornFrame, born_compatibility_residuals, fiber_born_jets
+from .bundle import BornFrame, adapted_frame_residuals, fiber_born_jets
 # unused: bornbench's test_remove_restores_every_patched_attribute pins it (ROADMAP item 5)
 from .bundle import born_jets
 from .errors import SpecError
@@ -87,8 +89,7 @@ class IntegrabilityReport:
     integrable: bool  # every maximum within hessian.tol, the verdicts' one tolerance
     hessian_agreement: bool
     hessian: HessianVerdict
-    max_born_compat: dict  # worst defect of each construction identity
-    k_signature_ok: bool   # k had signature (n, n) at every point
+    max_born_compat: dict  # worst relative defect of each tensor in the adapted frame
     # residual name -> (P, F) normalized residuals; entry [p, f] belongs to
     # the bundle point (bases.x[p], fibers[f])
     per_point: dict
@@ -142,24 +143,22 @@ def integrability_verdict(spec: ManifoldSpec, base_count: int = 32,
     def sweep(s):
         points = [(x, y) for x in bases[s].x for y in ys]
         with np.errstate(over="ignore", invalid="ignore"):  # finite_maxima checks
-            mats = fiber_born_jets(bases[s], swept)
+            mats, a, g = fiber_born_jets(bases[s], swept)
             tensors = {"nijenhuis_" + name: _nijenhuis_of(mats[name]) for name in "IJK"}
             tensors["d_omega"] = _d_omega_of(mats["omega"])
             worst = finite_maxima(tensors, points)
-            rep = born_compatibility_residuals(
-                BornFrame.of({name: m[:, :, 0] for name, m in mats.items()}))
-            return worst, rep, finite_maxima(rep.residuals, points)
-    worst, rep, compat = _first_failure(sweep, base_count)
+            frame = BornFrame.of({name: m[:, :, 0] for name, m in mats.items()})
+            compat = adapted_frame_residuals(frame, a[:, :, 0], g[:, :, 0])
+            return worst, finite_maxima(compat, points)
+    worst, compat = _first_failure(sweep, base_count)
     # (P, 1) maxima of the one-fiber sweep broadcast over the F norms
     per_point = {key: m.reshape(base_count, len(swept)) / norms
                  for key, m in worst.items()}
     maxima = {key: float(np.max(m)) for key, m in per_point.items()}
     worst_born = dict(zip(compat, np.max(list(compat.values()), axis=1).tolist()))
-    signature_ok = bool(np.all(np.array(rep.k_signature) == spec.n))
     integrable = all(v <= tol for v in maxima.values())
     return IntegrabilityReport(
         maxima=maxima, integrable=integrable,
         hessian_agreement=(integrable == hv.is_hessian),
-        hessian=hv, max_born_compat=worst_born,
-        k_signature_ok=signature_ok, per_point=per_point, bases=bases,
-        fibers=fibers)
+        hessian=hv, max_born_compat=worst_born, per_point=per_point,
+        bases=bases, fibers=fibers)

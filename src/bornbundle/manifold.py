@@ -44,11 +44,11 @@ from .errors import NotPositiveDefiniteError, SpecError
 CONNECTION_KINDS = ("explicit", "flat", "levi-civita", "hessian-dual")
 
 # Thresholds: every number that decides a verdict, a gate or an exit code, each an absolute
-# bound (the README's "Thresholds" table).  Per entry: what it gates; what a breach gives.
+# bound but BORN_GATE (the README's "Thresholds" table).  Per entry: what it gates; what a
+# breach gives.
 DEFAULT_TOL = 1e-9          # Hessian and integrability verdicts (--tol): a result, exit 0
 CROSS_TOL = 1e-7            # two-of-four "holds": two or three holding is exit 2
-BORN_GATE = 1e-8            # Born construction identities: exit 2
-OMEGA_DET_FLOOR = 1e-12     # |det omega| short of it: omega_nondegenerate, under BORN_GATE
+BORN_GATE = 1e-8            # Born construction in the adapted frame, relative: exit 2
 FLATNESS_GATE_TOL = 1e-7    # chart curvature and torsion: FlatnessGateError (exit 1), or no witness
 PUSHFORWARD_TOL = 1e-6      # chart witness residuals: "witnessed": false, exit 2
 PROBE_RADIUS_SLACK = 1e-12  # chart probe norm over its radius: ValueError, exit 1
@@ -190,8 +190,9 @@ def sample_fibers(n: int, count: int, radius: float, seed: int) -> np.ndarray:
 
 def check_spd(g: np.ndarray, points: Sequence) -> None:
     """Cholesky-style positivity check of the metric stack ``g`` (P, n, n) at
-    ``points``: the first point with a pivot that is not positive is an
-    error naming it and that pivot."""
+    ``points``: the first point with a pivot that is not positive, or that
+    is positive but below the smallest normal float (singular to working
+    precision), is an error naming it and that pivot."""
     a = np.array(g, dtype=float)
     pivots = np.empty(a.shape[:-1])
     with np.errstate(divide="ignore", invalid="ignore"):  # past a failed pivot
@@ -200,10 +201,13 @@ def check_spd(g: np.ndarray, points: Sequence) -> None:
             for j in range(i + 1, a.shape[-1]):
                 factor = a[:, j, i] / pivots[:, i]
                 a[:, j, i:] -= factor[:, None] * a[:, i, i:]
-    bad = pivots <= 0.0
+    bad = pivots < np.finfo(float).tiny
     if bad.any():
         p = int(np.argmax(bad.any(axis=1)))
         pivot = float(pivots[p, np.argmax(bad[p])])
+        if pivot > 0.0:
+            raise SpecError(f"metric is singular to working precision at "
+                            f"{tuple(points[p])}: pivot {pivot!r}")
         raise NotPositiveDefiniteError(
             f"metric is not positive definite at {tuple(points[p])}: "
             f"smallest pivot {pivot:.6g}", pivot)

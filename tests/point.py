@@ -1,11 +1,16 @@
 """One-point wrappers over the package's stacked sweep, for tests.
 
 Each helper calls the package's stacked functions at P = 1 base point and
-F = 1 fiber vector and returns that point's arrays or dicts.  Only
-:func:`_proof_identities` holds tensor formulas of its own: the frame
-brackets and N_J in the adapted frame against the closed forms of the
-paper's proof, each residual taken at both global signs, so that a test
-sees which sign matched.  The base fields go through :mod:`bornbundle.fields`
+F = 1 fiber vector and returns that point's arrays or dicts.  Two
+functions hold tensor formulas of their own.  :func:`_proof_identities`
+checks the frame brackets and N_J in the adapted frame against the closed
+forms of the paper's proof, each residual taken at both global signs, so
+that a test sees which sign matched.  :func:`born_compatibility_residuals`
+checks the defining identities of the Born structure in bundle
+coordinates (I^2 = -1, I = h^-1 omega, h > 0, det omega and the others)
+and counts k's signature, on a frame or a stack of frames: the facts that
+the package's relative adapted-frame check implies for a positive
+definite g.  The base fields go through :mod:`bornbundle.fields`
 at the point's seeded coordinates, not through ``base_jets``: that route
 returns a value that is not finite instead of rejecting it, evaluates only
 the field asked for at the order asked for (the two-of-four report of a
@@ -15,12 +20,15 @@ for :func:`bornbundle.manifold.dual_and_levi_civita`.
 """
 from __future__ import annotations
 
+import contextlib
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
 from bornbundle import fields, jets
-from bornbundle.bundle import BundlePoint, _frame_of, _require_point, fiber_born_jets
+from bornbundle.bundle import (BornFrame, BundlePoint, _frame_of, _require_point,
+                               adapted_frame_residuals, fiber_born_jets)
 from bornbundle.charts import ChartMap, _probe_residuals
 from bornbundle.integrability import _d_omega_of, _nijenhuis_of, _norm_factor
 from bornbundle.manifold import (DEFAULT_TOL, BaseJets, HessianVerdict, ManifoldSpec,
@@ -125,7 +133,89 @@ def _born(spec: ManifoldSpec, bp: BundlePoint, order: int = 1):
     """The base fields at bp.x and the Born tensors at bp."""
     bp = _require_point(spec, bp)
     base = base_jets(spec, [bp.x], order)
-    return base, {name: m[0, 0] for name, m in fiber_born_jets(base, [bp.y]).items()}
+    return base, {name: m[0, 0] for name, m in fiber_born_jets(base, [bp.y])[0].items()}
+
+
+def frame_residuals_at(spec: ManifoldSpec, bp: BundlePoint) -> dict:
+    """The six relative adapted-frame residuals of the construction at bp."""
+    bp = _require_point(spec, bp)
+    mats, a, g = fiber_born_jets(base_jets(spec, [bp.x], 0), [bp.y])
+    frame = BornFrame.of({name: m[0, 0, 0] for name, m in mats.items()})
+    return {key: float(r) for key, r in
+            adapted_frame_residuals(frame, a[0, 0, 0], g[0, 0, 0]).items()}
+
+
+# the floor of omega_nondegenerate below, as the package's thresholds table had it
+OMEGA_DET_FLOOR = 1e-12
+
+
+@dataclass(frozen=True)
+class BornCompatReport:
+    residuals: dict
+    k_signature: tuple
+
+
+def _per_frame(linalg, fill: float, shape: tuple, *stacks: np.ndarray) -> np.ndarray:
+    """``linalg`` (a numpy.linalg function) on stacks of frames, its result of
+    ``shape``.  If the batched call raises LinAlgError, it is called frame by
+    frame, and a frame on which it raises reads ``fill``."""
+    try:
+        return linalg(*stacks)
+    except np.linalg.LinAlgError:
+        out = np.full(shape, fill)
+        for index in np.ndindex(stacks[0].shape[:-2]):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                out[index] = linalg(*(m[index] for m in stacks))
+        return out
+
+
+def born_compatibility_residuals(bf: BornFrame) -> BornCompatReport:
+    """Max-norm defect of every defining identity of the structure, plus the
+    eigenvalue-sign signature of k; per frame on a stack of frames.  A frame
+    whose h, k or omega is numerically singular, so that a solve fails, reads
+    inf for that identity; one whose eigenvalues fail, NaN."""
+    ident = np.eye(bf.I.shape[-1])
+    ht, kt, omegat = (m.swapaxes(-1, -2) for m in (bf.h, bf.k, bf.omega))
+
+    def dev(m):
+        return np.max(np.abs(m), axis=(-2, -1))
+
+    def solve(a, b):
+        return _per_frame(np.linalg.solve, np.inf, b.shape, a, b)
+
+    def eigvalsh(m):
+        return _per_frame(np.linalg.eigvalsh, np.nan, m.shape[:-1], m)
+
+    ij = bf.I @ bf.J
+    # det goes through logarithms: a determinant that underflows is the
+    # log of zero, -inf, and reads 0, with no divide warning
+    with np.errstate(divide="ignore"):
+        det = np.linalg.det(bf.omega)
+    residuals = {
+        "I_squared": dev(bf.I @ bf.I + ident),
+        "J_squared": dev(bf.J @ bf.J - ident),
+        "K_squared": dev(bf.K @ bf.K - ident),
+        "IJK": dev(ij @ bf.K + ident),
+        # a form maps X to form(X, .); with the first argument on rows the
+        # matrix of that map is the transpose of the component matrix
+        "I_vs_h_inv_omega": dev(solve(ht, omegat) - bf.I),
+        "J_vs_k_inv_h": dev(solve(kt, ht) - bf.J),
+        "K_vs_omega_inv_k": dev(solve(omegat, kt) - bf.K),
+        "h_symmetry": dev(bf.h - ht),
+        "k_symmetry": dev(bf.k - kt),
+        "omega_antisymmetry": dev(bf.omega + omegat),
+        "anticommute_I_JK": dev(bf.J @ bf.K - bf.I),
+        "anticommute_I_KJ": dev(bf.K @ bf.J + bf.I),
+        "anticommute_J_KI": dev(bf.K @ bf.I + bf.J),
+        "anticommute_J_IK": dev(bf.I @ bf.K - bf.J),
+        "anticommute_K_IJ": dev(ij + bf.K),
+        "anticommute_K_JI": dev(bf.J @ bf.I - bf.K),
+        "h_positive": np.maximum(0.0, -np.min(eigvalsh(bf.h), axis=-1)),
+        "omega_nondegenerate": np.maximum(0.0, OMEGA_DET_FLOOR - np.abs(det)),
+    }
+    eigs = eigvalsh(bf.k)
+    signature = (np.sum(eigs > 0, axis=-1), np.sum(eigs < 0, axis=-1))
+    return BornCompatReport(residuals=residuals, k_signature=signature)
 
 
 def adapted_frame_at(spec: ManifoldSpec, bp: BundlePoint):

@@ -4,16 +4,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import jet_reference as ref
 from bornbundle import bundle, corpus
-from bornbundle.bundle import (BornFrame, BundlePoint, born_at,
-                               born_compatibility_residuals, born_jets, fiber_born_jets)
+from bornbundle.bundle import (BornFrame, BundlePoint, adapted_frame_residuals, born_at,
+                               born_jets, fiber_born_jets)
 from bornbundle.cli import load_spec, spec_from_dict
 from bornbundle.errors import SpecError
-from bornbundle.manifold import base_jets, build_spec, sample_fibers, sample_points
+from bornbundle.manifold import BaseJets, base_jets, build_spec, sample_fibers, sample_points
 from test_manifold import GENERATED
-from point import adapted_frame_at, connection_at, metric_at
+from point import adapted_frame_at, born_compatibility_residuals, connection_at, metric_at
 
 EUCLID = corpus.example("euclidean2")
 HESSIAN = corpus.example("hessian-exp2")
@@ -251,7 +253,7 @@ def test_fiber_arrays_equal_jet_reference(source):
         spec = corpus.example(source)
     fibers = sample_fibers(spec.n, 4, 1.0, 42)
     points = sample_points(spec, 8, 42)
-    got = fiber_born_jets(base_jets(spec, points), fibers)
+    got = fiber_born_jets(base_jets(spec, points), fibers)[0]
     for p, x in enumerate(points):
         for f, y in enumerate(fibers):
             want = born_reference(spec, tuple(x), tuple(y))
@@ -405,12 +407,17 @@ def test_fiber_arrays_equal_the_generic_construction(source, size):
         spec = family_spec(source.rstrip("3456"), int(source[-1]))
     bases = base_jets(spec, sample_points(spec, size[0], 42))
     fibers = sample_fibers(spec.n, size[1], 1.0, 42)
-    got = fiber_born_jets(bases, fibers)
+    got, a, g = fiber_born_jets(bases, fibers)
     want = born_oracle(bases, fibers)
     assert got.keys() == want.keys()
     for name, arr in want.items():
         assert got[name].shape == arr.shape, name
         assert np.array_equal(got[name].view(np.int64), arr.view(np.int64)), name
+    # the blocks returned with the tensors are the ones that built them
+    for got_block, want_block in zip((a, g), _oracle_fiber_blocks(bases, fibers)):
+        want_block = want_block.transpose(3, 4, 0, 1, 2)
+        assert got_block.shape == want_block.shape
+        assert np.array_equal(got_block.view(np.int64), want_block.view(np.int64))
 
 
 def test_a_singular_h_reads_inf_and_keeps_the_other_frames():
@@ -418,7 +425,7 @@ def test_a_singular_h_reads_inf_and_keeps_the_other_frames():
     # frames are solved one by one; that frame reads inf for h^-1 omega, and
     # every other frame keeps the bits of the batched call
     bases = base_jets(SPHERE, sample_points(SPHERE, 3, 42))
-    mats = fiber_born_jets(bases, sample_fibers(2, 2, 1.0, 42))
+    mats = fiber_born_jets(bases, sample_fibers(2, 2, 1.0, 42))[0]
     stack = BornFrame.of({name: m[:, :, 0] for name, m in mats.items()})
     h = stack.h.copy()
     h[1, 0] = 0.0
@@ -431,3 +438,56 @@ def test_a_singular_h_reads_inf_and_keeps_the_other_frames():
         assert np.array_equal(got.residuals[name][others].view(np.int64),
                               m[others].view(np.int64)), name
     assert np.array_equal(got.k_signature, want.k_signature)
+
+
+# -- the identities of the block formulas, at random A and g -------------------
+
+def born_of_blocks(a, g):
+    """The frame that fiber_born_jets builds from the blocks A and g at one
+    bundle point (Gamma^k_i0 = -A[k, i], fiber vector e_0), and the blocks
+    it returns with it."""
+    n = len(g)
+    gamma = np.zeros((1, 1, n, n, n))
+    gamma[0, 0, :, :, 0] = -a
+    mats, got_a, got_g = fiber_born_jets(BaseJets(((0.0,) * n,), gamma, g[None, None]),
+                                         [np.eye(n)[0]])
+    frame = BornFrame.of({name: m[0, 0, 0] for name, m in mats.items()})
+    return frame, got_a[0, 0, 0], got_g[0, 0, 0]
+
+
+@st.composite
+def blocks(draw):
+    """A random A and a random positive definite g at n = 1..4, with
+    condition numbers below about 1e3."""
+    n = draw(st.integers(1, 4))
+    entries = hnp.arrays(float, (n, n), elements=st.floats(-3.0, 3.0))
+    a, b = draw(entries), draw(entries)
+    return a, b @ b.T + draw(st.floats(0.1, 2.0)) * np.eye(n)
+
+
+@given(blocks())
+@settings(max_examples=300, deadline=None)
+def test_the_block_formulas_satisfy_every_identity_to_round_off(blocks):
+    # the facts the relative adapted-frame check implies for a positive
+    # definite g: the 18 identities in bundle coordinates, each within a
+    # few units of round-off of the size of its terms, k of signature
+    # (n, n) and det omega = det(g)^2
+    a, g = blocks
+    n = len(g)
+    frame, got_a, got_g = born_of_blocks(a, g)
+    assert np.array_equal(got_a, a) and np.array_equal(got_g, g)
+    unit = 8 * n * np.finfo(float).eps  # a few units of round-off per sum of 2n terms
+    size = (1.0 + np.max(np.abs(a))) ** 2  # of the entries of I, J and K
+    cond = np.linalg.cond(g)
+    bound = dict.fromkeys(["h_symmetry", "k_symmetry", "omega_antisymmetry",
+                           "h_positive", "omega_nondegenerate"], 0.0)
+    for key in ("I_vs_h_inv_omega", "J_vs_k_inv_h", "K_vs_omega_inv_k"):
+        bound[key] = unit * size ** 3 * cond
+    rep = born_compatibility_residuals(frame)
+    for key, r in rep.residuals.items():
+        assert r <= bound.get(key, unit * size ** 2), key
+    assert rep.k_signature == (n, n)
+    det = np.linalg.det(g) ** 2
+    assert abs(np.linalg.det(frame.omega) - det) <= 4 * unit * size ** 2 * cond * det
+    residuals = adapted_frame_residuals(frame, got_a, got_g)
+    assert max(residuals.values()) <= 2 * unit

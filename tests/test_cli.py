@@ -8,17 +8,16 @@ import numpy as np
 import pytest
 
 from bornbundle import bundle, corpus
-from bornbundle.bundle import (BundlePoint, born_at,
-                               born_compatibility_residuals)
+from bornbundle.bundle import BundlePoint
 from bornbundle.cli import (RunConfig, load_spec, main, report_to_json, run,
                             spec_from_dict)
 from bornbundle.errors import SpecError
 from bornbundle.jets import JetUsageError
-from bornbundle.manifold import (CROSS_TOL, DEFAULT_TOL, FLATNESS_GATE_TOL, sample_fibers,
-                                 sample_points)
+from bornbundle.manifold import (BORN_GATE, CROSS_TOL, DEFAULT_TOL, FLATNESS_GATE_TOL,
+                                 sample_fibers, sample_points)
 from test_manifold import GENERATED
-from point import (connection_at, d_omega_at, dual_connection_at, hessian_verdict,
-                   levi_civita_at, nabla_g_at, nijenhuis_at, torsion_at,
+from point import (connection_at, d_omega_at, dual_connection_at, frame_residuals_at,
+                   hessian_verdict, levi_civita_at, nabla_g_at, nijenhuis_at, torsion_at,
                    two_of_four_residuals)
 
 SMALL = dict(points=6, fiber_points=3)
@@ -170,13 +169,16 @@ def test_run_euclidean_report_contents():
     assert report["agreement"] is True
     assert report["hessian"]["is_hessian"] is True
     assert report["integrability"]["integrable"] is True
-    assert report["born_compat"]["k_signature_ok"] is True
+    assert list(report["born_compat"]) == ["max_residuals", "gate"]
+    assert list(report["born_compat"]["max_residuals"]) == [
+        "I_in_frame", "J_in_frame", "K_in_frame", "h_in_frame", "k_in_frame",
+        "omega_in_frame"]
     assert max(report["born_compat"]["max_residuals"].values()) <= 1e-10
     assert report["affine_chart"]["witnessed"] is True
     assert list(report) == ["report_schema", "spec", "config", "scope", "hessian",
                             "two_of_four", "born_compat", "integrability", "agreement",
                             "affine_chart", "status"]
-    assert report["report_schema"] == 3
+    assert report["report_schema"] == 4
     table = report["integrability"]["per_point"]
     assert list(table) == ["base_points", "fiber_vectors", *RESIDUALS]
     assert len(table["base_points"]) == 6
@@ -368,18 +370,23 @@ def test_metric_whose_reciprocal_cubed_overflows_is_checked(tmp_path, capsys):
 
 
 def test_an_underflowing_omega_determinant_warns_nothing(tmp_path, capsys):
-    # det(omega) of g_00 = 4e-320 underflows through det's logarithms, a
-    # divide warning that the repo's filterwarnings turns into an error; the
-    # spec is still rejected for its non-finite identity
+    # g_00 = 4e-320 is a subnormal pivot: the metric is singular to working
+    # precision, an error naming the point and the pivot before any Born
+    # tensor is built; with an explicit zero Gamma and with a flat connection
     zero = [[["0", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]]
-    spec = _diag_spec(("4e-320", "1"), "explicit", ((-1, 0), (-1, 0)), gamma=zero)
-    path = tmp_path / "det.json"
-    path.write_text(json.dumps(spec))
-    code = main(["check", str(path), "--points", "4", "--fiber-points", "3"])
-    assert code == 1
-    out = json.loads(capsys.readouterr().out)
-    assert out["error"]["kind"] == "SpecError"
-    assert out["error"]["message"].startswith("I_vs_h_inv_omega residual is not finite at ")
+    for kind, gamma in (("explicit", zero), ("flat", None)):
+        spec = _diag_spec(("4e-320", "1"), kind, ((-1, 0), (-1, 0)), gamma=gamma)
+        path = tmp_path / f"det-{kind}.json"
+        path.write_text(json.dumps(spec))
+        code = main(["check", str(path), "--points", "4", "--fiber-points", "3"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        out = json.loads(captured.out)
+        assert out["error"]["kind"] == "SpecError"
+        assert out["error"]["message"] == (
+            "metric is singular to working precision at "
+            "(-0.248779296875, -0.35238530711781746): pivot 4e-320")
 
 
 # finite fields whose curvature is inf - inf = NaN at every sample point
@@ -496,18 +503,33 @@ def test_a_fiber_radius_whose_norms_overflow_is_an_error(command, capsys):
     ["check", "sphere2", "--fiber-radius", "1e12"],
     ["theorem", "--points", "4", "--fiber-radius", "1e8"],
 ], ids=["pullback-flat", "sphere2", "theorem"])
-def test_a_numerically_singular_born_tensor_is_an_error_naming_the_point(argv, capsys):
-    # at these radii h is singular to working precision at some bundle
-    # point, so its solve fails: that identity reads inf there, and the
-    # error names it and the point, not a bare LinAlgError (exit 2)
+def test_a_large_fiber_radius_passes_the_construction_check(argv, capsys):
+    # h = E^-T diag(g, g) E^-1 has determinant det(g)^2, never 0, and the
+    # adapted-frame check solves nothing: at these radii, where h is
+    # numerically singular in bundle coordinates, every verdict still agrees
     if argv[0] == "check":
         argv = argv + ["--points", "3"]
     code = main(argv + ["--fiber-points", "2"])
-    assert code == 1
-    error = json.loads(capsys.readouterr().out)["error"]
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    if argv[0] == "check":
+        report = json.loads(captured.out)
+        assert report["agreement"] is True and report["status"] == "ok"
+        assert max(report["born_compat"]["max_residuals"].values()) <= 1e-15
+    else:
+        assert captured.out.splitlines()[-1] == "agreement: 6/6"
+
+
+def test_a_residual_that_overflows_is_an_error_naming_the_point(capsys):
+    # at radius 1e150 the Nijenhuis tensor of sphere2 overflows to NaN: an
+    # error naming the residual and the bundle point
+    code = main(["check", "sphere2", "--points", "3", "--fiber-points", "2",
+                 "--fiber-radius", "1e150"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    error = json.loads(captured.out)["error"]
     assert error["kind"] == "SpecError"
-    assert error["message"].startswith("I_vs_h_inv_omega residual is not finite at ((")
-    assert error["message"].endswith(" (value inf)")
+    assert error["message"].startswith("nijenhuis_I residual is not finite at ((")
 
 
 @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
@@ -621,6 +643,17 @@ def test_check_gates_the_witness_at_its_own_sample_points(points, hessian, tmp_p
         assert "affine_chart" not in report
 
 
+def test_affine_chart_gates_the_bump_at_its_own_gate_points(tmp_path, capsys):
+    # the affine-chart gate samples GATE_POINTS = 8 Halton points, and the
+    # 6th sees the bump: with fewer gate points it would witness the chart
+    path = tmp_path / "bump.json"
+    path.write_text(json.dumps(BUMP))
+    code = main(["affine-chart", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    assert json.loads(captured.out)["error"]["kind"] == "FlatnessGateError"
+
+
 def test_invariant_failure_exit_code(monkeypatch, capsys):
     # a verdict disagreement cannot arise from a correct build, so force one
     # to check the exit-code contract
@@ -641,20 +674,41 @@ def test_invariant_failure_exit_code(monkeypatch, capsys):
     assert any("disagree" in f for f in report["failures"])
 
 
-def test_theorem_exits_2_on_a_broken_construction_identity(monkeypatch, capsys):
+def _corrupt_born_tensor(monkeypatch, name: str) -> None:
+    """Scale one Born tensor that the sweep builds by 1 + 1e-6, values and
+    partials: a relative defect of about 1e-6 in the adapted frame, which
+    leaves every verdict as it was."""
     import bornbundle.integrability as integrability_mod
 
+    real = integrability_mod.fiber_born_jets
+
+    def corrupted(bases, ys):
+        mats, a, g = real(bases, ys)
+        return {**mats, name: mats[name] * (1.0 + 1e-6)}, a, g
+
+    monkeypatch.setattr(integrability_mod, "fiber_born_jets", corrupted)
+
+
+@pytest.mark.parametrize("name", ["I", "J", "K", "h", "k", "omega"])
+def test_check_exits_2_on_a_corrupted_born_tensor(name, monkeypatch, capsys):
+    argv = ["check", "sphere2", "--points", "4", "--fiber-points", "2"]
+    assert main(argv) == 0
+    intact = json.loads(capsys.readouterr().out)
+    _corrupt_born_tensor(monkeypatch, name)
+    assert main(argv) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["failures"] == ["born construction identities"]
+    worst = report["born_compat"]["max_residuals"]
+    assert worst[name + "_in_frame"] > BORN_GATE
+    assert all(v <= 1e-15 for key, v in worst.items() if key != name + "_in_frame")
+    assert report["agreement"] is intact["agreement"] is True
+
+
+def test_theorem_exits_2_on_a_broken_construction_identity(monkeypatch, capsys):
     argv = ["theorem", "--points", "4", "--fiber-points", "2"]
     assert main(argv) == 0
     intact = capsys.readouterr()
-    real = integrability_mod.born_compatibility_residuals
-
-    def broken(bf):
-        rep = real(bf)
-        return dataclasses.replace(
-            rep, residuals={**rep.residuals, "IJK": rep.residuals["IJK"] + 1.0})
-
-    monkeypatch.setattr(integrability_mod, "born_compatibility_residuals", broken)
+    _corrupt_born_tensor(monkeypatch, "K")
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out.splitlines()[-1] == intact.out.splitlines()[-1] == "agreement: 6/6"
@@ -753,13 +807,10 @@ def test_shared_sweep_matches_standalone_functions(source, tmp_path):
     spec = load_spec(source)
     base, fibers = _sweep_grid(spec, config)
     worst: dict = {}
-    signature_ok = True
     rows = list(_one_point_sweep(spec, base, fibers))
     for bp, _ in rows:
-        rep = born_compatibility_residuals(born_at(spec, bp))
-        for key, val in rep.residuals.items():
+        for key, val in frame_residuals_at(spec, bp).items():
             worst[key] = max(worst.get(key, 0.0), val)
-        signature_ok = signature_ok and rep.k_signature == (spec.n, spec.n)
     # entry p*F + f of each residual belongs to (base_points[p], fiber_vectors[f])
     table = report["integrability"]["per_point"]
     assert list(table) == ["base_points", "fiber_vectors", *RESIDUALS]
@@ -767,9 +818,8 @@ def test_shared_sweep_matches_standalone_functions(source, tmp_path):
     assert table["fiber_vectors"] == fibers.tolist()
     for key in RESIDUALS:
         assert table[key] == [want[key] for _, want in rows]
-    assert report["born_compat"]["max_residuals"] == worst
+    assert report["born_compat"] == {"max_residuals": worst, "gate": BORN_GATE}
     assert list(report["born_compat"]["max_residuals"]) == list(worst)
-    assert report["born_compat"]["k_signature_ok"] == signature_ok
     hv = hessian_verdict(spec, base, config.tol)
     assert report["hessian"] == {
         "is_hessian": hv.is_hessian, "max_curvature": hv.max_curvature,

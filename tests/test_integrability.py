@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from bornbundle import corpus, integrability
-from bornbundle.bundle import (BornFrame, BundlePoint, born_at,
-                               born_compatibility_residuals, fiber_born_jets)
+from bornbundle.bundle import (BornFrame, BundlePoint, adapted_frame_residuals, born_at,
+                               fiber_born_jets)
 from bornbundle.cli import load_spec, spec_from_dict
 from bornbundle.errors import SpecError
 from bornbundle.integrability import (_d_omega_of, _nijenhuis_of, _norm_factor,
@@ -403,7 +403,7 @@ def test_stacked_sweep_equals_one_base_point_at_a_time(source):
     points = sample_points(spec, 5, 42)
     fibers = sample_fibers(spec.n, 3, 1.0, 42)
     bases = base_jets(spec, points)
-    mats = fiber_born_jets(bases, fibers)
+    mats, a, g = fiber_born_jets(bases, fibers)
     for name, m in mats.items():
         assert sorted(m.strides)[:2] == [m.strides[1], m.strides[0]], name
         assert m.transpose(2, 3, 4, 0, 1).flags.c_contiguous, name
@@ -421,24 +421,23 @@ def test_stacked_sweep_equals_one_base_point_at_a_time(source):
     assert_same_bits(stacks["d_omega"], _d_omega_of(np.ascontiguousarray(mats["omega"])))
     frame = BornFrame.of({name: m[:, :, 0] for name, m in mats.items()})
     assert all(m.flags.c_contiguous for m in vars(frame).values())
-    compat = born_compatibility_residuals(frame)
+    compat = adapted_frame_residuals(frame, a[:, :, 0], g[:, :, 0])
     gamma = bases.gamma[:, 0]
     fields = {"curvature": _curvature_of(bases.gamma), "torsion": _torsion_of(gamma),
               "nabla_g_asymmetry": _nabla_g_of(gamma, bases.g)[1]}
     for p, x in enumerate(points):
         one = base_jets(spec, [x])
-        one_mats = fiber_born_jets(one, fibers)
+        one_mats, one_a, one_g = fiber_born_jets(one, fibers)
         for name, m in one_mats.items():
             assert_same_bits(mats[name][p], m[0])
         for name in "IJK":
             assert_same_bits(stacks["nijenhuis_" + name][p], _nijenhuis_of(one_mats[name])[0])
         assert_same_bits(stacks["d_omega"][p], _d_omega_of(one_mats["omega"])[0])
-        one_compat = born_compatibility_residuals(
-            BornFrame.of({name: m[0, :, 0] for name, m in one_mats.items()}))
-        for key, r in compat.residuals.items():
-            assert_same_bits(r[p], one_compat.residuals[key])
-        for got, want in zip(compat.k_signature, one_compat.k_signature):
-            assert np.array_equal(got[p], want)
+        one_compat = adapted_frame_residuals(
+            BornFrame.of({name: m[0, :, 0] for name, m in one_mats.items()}),
+            one_a[0, :, 0], one_g[0, :, 0])
+        for key, r in compat.items():
+            assert_same_bits(r[p], one_compat[key])
         one_gamma = one.gamma[:, 0]
         for key, want in (("curvature", _curvature_of(one.gamma)),
                           ("torsion", _torsion_of(one_gamma)),
@@ -471,24 +470,24 @@ def _spec_of(source):
 
 
 def _full_stack_verdict(spec, base_count, fiber_count, radius, seed):
-    """per_point, max_born_compat and k_signature_ok of the P x F stack built
-    by the stacked functions on all F fibers, as the sweep of any Gamma."""
+    """per_point and max_born_compat of the P x F stack built by the
+    stacked functions on all F fibers, as the sweep of any Gamma."""
     bases = base_jets(spec, sample_points(spec, base_count, seed))
     fibers = sample_fibers(spec.n, fiber_count, radius, seed)
     points = [(x, y) for x in bases.x for y in map(tuple, fibers.tolist())]
     with np.errstate(over="ignore", invalid="ignore"):
-        mats = fiber_born_jets(bases, fibers)
+        mats, a, g = fiber_born_jets(bases, fibers)
         tensors = {"nijenhuis_" + name: _nijenhuis_of(mats[name]) for name in "IJK"}
         tensors["d_omega"] = _d_omega_of(mats["omega"])
         worst = finite_maxima(tensors, points)
-        rep = born_compatibility_residuals(
-            BornFrame.of({name: m[:, :, 0] for name, m in mats.items()}))
-        compat = finite_maxima(rep.residuals, points)
+        frame = BornFrame.of({name: m[:, :, 0] for name, m in mats.items()})
+        compat = finite_maxima(adapted_frame_residuals(frame, a[:, :, 0], g[:, :, 0]),
+                               points)
     norms = np.array([_norm_factor(y) for y in fibers])
     per_point = {key: m.reshape(base_count, fiber_count) / norms
                  for key, m in worst.items()}
     worst_born = {key: float(np.max(m)) for key, m in compat.items()}
-    return per_point, worst_born, bool(np.all(np.array(rep.k_signature) == spec.n))
+    return per_point, worst_born
 
 
 @pytest.mark.parametrize("source", ONE_FIBER)
@@ -504,7 +503,7 @@ def test_one_fiber_verdict_equals_the_full_stack(source):
         assert not rep.bases.gamma.any()
         if fiber_count == 8:
             assert (rep.fibers < 0).any() and (rep.fibers > 0).any()
-        per_point, worst_born, signature_ok = _full_stack_verdict(
+        per_point, worst_born = _full_stack_verdict(
             spec, 6, fiber_count, radius, seed)
         assert list(rep.per_point) == list(per_point)
         for key, m in per_point.items():
@@ -513,7 +512,6 @@ def test_one_fiber_verdict_equals_the_full_stack(source):
         assert list(rep.max_born_compat) == list(worst_born)
         assert np.array_equal(np.array(list(rep.max_born_compat.values())).view(np.int64),
                               np.array(list(worst_born.values())).view(np.int64))
-        assert rep.k_signature_ok is signature_ok
         assert rep.argmax() == dataclasses.replace(rep, per_point=per_point).argmax()
 
 
@@ -557,9 +555,10 @@ def test_a_gamma_with_one_nonzero_partial_sweeps_every_fiber(monkeypatch):
 def test_error_order_is_by_base_point_then_tensors_then_identities():
     # on [0, 1]^2 at seed 42 the first base point has u = 0.7512..., where
     # Gamma^0_00 ~ 1e10 and g ~ 1e290: its tensors are finite but h = g A A
-    # overflows, so only an identity fails there; at the second (u = 0.1262...)
-    # Gamma^0_00 ~ 1e80 and g ~ 1, so its Nijenhuis tensors overflow.  The
-    # first base point's identity error is the one raised.
+    # overflows, so only the adapted-frame residual of h fails there; at the
+    # second (u = 0.1262...) Gamma^0_00 ~ 1e80 and g ~ 1, so its Nijenhuis
+    # tensors overflow.  The first base point's construction error is the
+    # one raised.
     metric = "exp(1067*u - 134.7)"
     spec = build_spec("error-order", ("u", "v"), [(0.0, 1.0), (0.0, 1.0)],
                       metric=[[metric, "0"], ["0", metric]], connection="explicit",
@@ -569,12 +568,12 @@ def test_error_order_is_by_base_point_then_tensors_then_identities():
     fibers = sample_fibers(2, 4, 1.0, 42)
     for p, tensors_finite in ((0, True), (1, False)):
         with np.errstate(over="ignore", invalid="ignore"):
-            mats = fiber_born_jets(base_jets(spec, points[p:p + 1]), fibers)
+            mats = fiber_born_jets(base_jets(spec, points[p:p + 1]), fibers)[0]
             assert np.isfinite(_nijenhuis_of(mats["I"])).all() == tensors_finite
     with pytest.raises(SpecError) as err:
         integrability_verdict(spec, 2, 4)
     assert str(err.value) == (
-        "J_vs_k_inv_h residual is not finite at ((0.751220703125, 0.6476146928821825), "
+        "h_in_frame residual is not finite at ((0.751220703125, 0.6476146928821825), "
         "(0.39456, -0.6150413518176951)) (value nan)")
     # the second base point alone fails in N_I
     with pytest.raises(SpecError, match="^nijenhuis_I residual is not finite"):
