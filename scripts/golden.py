@@ -9,6 +9,9 @@ runs every case and compares both.  The cases:
 * ``check`` at 4 x 2 points on the built-ins, on ``scripts/specs`` and on
   the generated specs in ``tests/golden/specs`` (the benchmark's lc3,
   potential4 and twisted5 at spec seed 1, kept as files);
+* ``check`` at the benchmark's sizes: ``sphere2`` and ``pullback-flat`` at
+  16 x 8, lc3 at 12 x 4 and potential4 at 4 x 4, whose Gamma vanishes, so
+  its sweep builds one fiber per base point;
 * ``theorem --corpus builtin`` at its defaults, and ``theorem`` on
   ``scripts/specs`` at 4 x 2 points;
 * ``affine-chart pullback-flat`` at ``--probes 4 --steps 16``, at
@@ -54,6 +57,11 @@ def cases() -> dict[str, list[str]]:
                  *(GOLDEN / "specs" / f"{stem}.json"
                    for stem in ("lc3", "potential4", "twisted5"))]:
         out[f"check-{path.stem}.json"] = ["check", str(path), *SMALL]
+    for name, points, fibers in (("sphere2", 16, 8), ("pullback-flat", 16, 8),
+                                 (str(GOLDEN / "specs" / "lc3.json"), 12, 4),
+                                 (str(GOLDEN / "specs" / "potential4.json"), 4, 4)):
+        out[f"check-{Path(name).stem}-{points}x{fibers}.json"] = [
+            "check", name, "--points", str(points), "--fiber-points", str(fibers)]
     out["theorem-builtin.txt"] = ["theorem", "--corpus", "builtin"]
     out["theorem-specs.txt"] = ["theorem", "--corpus", str(ROOT / "scripts" / "specs"), *SMALL]
     out["affine-chart-pullback-flat.json"] = ["affine-chart", "pullback-flat",
