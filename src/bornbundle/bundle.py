@@ -20,18 +20,16 @@ A and g, with P = (-A)^T g:
 with sym M = (M + M^T) / 2 and antisym M = (M - M^T) / 2.  Row index of a
 bilinear form is its first argument.
 
-:func:`fiber_born_jets` builds the tensors at all P x F bundle points of
-P base points and F fiber vectors at once, as float arrays
-(P, F, 1 + 2n, 2n, 2n): values in row 0, then the first partials by
-x^1..x^n and by y^1..y^n (the base fields' y-partials are zero); order-0
-base fields give the value row alone.  h and k, which are read as values
-only, always hold their value row alone, (P, F, 1, 2n, 2n).  These arrays
-are views of C-contiguous (rows, 2n, 2n, P, F) buffers: the (P, F) sample
-axes are innermost in memory, so every product, block and einsum over a
-stack runs its inner loop over the sample points, not over a matrix index
-of length 2n.  The stacks are built in that layout: a product writes its
-value row and partial rows into one new array, and the four n x n blocks
-of a tensor are assigned by slices into one zeroed array.
+:func:`fiber_born_jets` builds the tensors at all P x F bundle points at
+once, in two zeroed float stacks filled by slice assignment: I, J, K and
+omega in (4, rows, 2n, 2n, P, F), rows being the values and the first
+partials by x^1..x^n, y^1..y^n (the value row alone for order-0 base
+fields), and h and k, read as values only, in (2, 1, 2n, 2n, P, F).  With
+the (P, F) axes innermost in memory, every product, block and einsum
+loops over the sample points; g, the same at every fiber, is broadcast
+over F once, before any product, so that those loops run over all P x F
+points and not over F at a time.  Each tensor is also a named
+(P, F, rows, 2n, 2n) view into its stack.
 
 Sums act row by row; a product has value a b and partials
 (0.0 + a b') + a' b, as the per-point reference jet multiplication in
@@ -40,30 +38,30 @@ Sums act row by row; a product has value a b and partials
 Y, and X Y without c (A = -Gamma y, P, g (-A)) as X_0 Y_0 + X_1 Y_1 + ...:
 the order of the dense products E M E^-1 and E^-T M E^-1 and of a matmul
 over jets, so the arrays equal the jet arithmetic bit for bit.  A block
-sum forms its n terms in one product and adds them in that order.  A is
-read off Gamma: no product touches the fiber seed's zero x-rows and unit
-y-rows or the base fields' zero y-rows, whose results are known, so A's
-value and x-rows are -(sum_j Gamma^k_ij y^j), an x-row's products made
-+ 0.0 first, and its y^j-row is -(Gamma^k_ij + 0.0), the bits of the full
-jet product.  Every operation is elementwise with broadcasting over the
-(P, F) axes, so each bundle point gets the bits of a one-point call.
+sum forms its n terms in one product (those of g (-A) once, for omega, h
+and k) and adds them in that order.  A is read off Gamma: no product
+touches the fiber seed's zero x-rows and unit y-rows or the base fields'
+zero y-rows, whose results are known, so A's value and x-rows are
+-(sum_j Gamma^k_ij y^j), an x-row's products made + 0.0 first, and its
+y^j-row is -(Gamma^k_ij + 0.0), the bits of the full jet product.  Every
+operation is elementwise with broadcasting over the (P, F) axes, so each
+bundle point gets the bits of a one-point call.
 
-:func:`fiber_born_jets` also returns the blocks A and g it built the
-tensors from.  :func:`adapted_frame_residuals` checks the construction
-against them in the adapted frame, where every tensor has its defining
-form: E^-1 I E, E^-1 J E and E^-1 K E the constant blocks
-[[0, -1], [1, 0]], [[0, 1], [1, 0]] and [[1, 0], [0, -1]], and E^T h E,
-E^T k E and E^T omega E the g-blocks [[g, 0], [0, g]], [[0, g], [g, 0]]
-and [[0, g], [-g, 0]].  Each difference is taken relative to the size of
-its terms: over (1 + max|A|)^2, and over max|g| as well for the forms.
-For a positive definite g (:func:`bornbundle.manifold.check_spd`) these
-six imply every other identity of the structure: I^2 = -1, J^2 = K^2 = 1,
-the anticommutation relations, I = h^-1 omega, J = k^-1 h, K = omega^-1 k,
-h > 0, k of signature (n, n) and det omega = det(g)^2 hold in the adapted
-frame and carry over by congruence.  A :class:`BornFrame` holds the value
-matrices of one bundle point or of a stack of points along leading axes,
-C-contiguous, so that the check's matmuls take their BLAS path and give
-every point of a stack the bits of a call on it alone.
+:func:`adapted_frame_residuals` checks the construction in the adapted
+frame of the blocks A and g it was built from, where each tensor has its
+defining form: E^-1 I E, E^-1 J E, E^-1 K E the constant blocks
+[[0, -1], [1, 0]], [[0, 1], [1, 0]], [[1, 0], [0, -1]], and E^T h E,
+E^T k E, E^T omega E the g-blocks [[g, 0], [0, g]], [[0, g], [g, 0]],
+[[0, g], [-g, 0]].  It takes the values as two C-contiguous stacks,
+(I, J, K) and (h, k, omega), so that its two matmul chains take their
+BLAS path and give every point the bits of a call on it alone.  Each
+difference is relative to the size of its terms: over (1 + max|A|)^2,
+and over max|g| as well for the forms.  For a positive definite g
+(:func:`bornbundle.manifold.check_spd`) these six imply every other
+identity of the structure (I^2 = -1, J^2 = K^2 = 1, the anticommutation
+relations, I = h^-1 omega, J = k^-1 h, K = omega^-1 k, h > 0, k of
+signature (n, n), det omega = det(g)^2): they hold in the adapted frame
+and carry over by congruence.
 """
 from __future__ import annotations
 
@@ -135,16 +133,10 @@ def _constant_blocks(n: int) -> np.ndarray:
 
 # -- frames -----------------------------------------------------------------
 
-def _broadcast(*stacks: np.ndarray) -> tuple:
-    """The broadcast shape of stacks that differ only by axes of size 1; a
-    cheaper ``np.broadcast_shapes``, as the products below are many and small."""
-    return tuple(map(max, *(m.shape for m in stacks)))
-
-
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Entrywise product of stacks with rows on axis 0 (see module doc), as one
     new C-contiguous array."""
-    out = np.empty(_broadcast(a, b))
+    out = np.empty(tuple(map(max, a.shape, b.shape)))  # a cheap broadcast_shapes
     a0, b0, partials = a[:1], b[:1], out[1:]
     np.multiply(a0, b0, out=out[:1])
     np.multiply(a0, b[1:], out=partials)
@@ -169,28 +161,15 @@ def _sum_in_order(terms: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _block(grid: list) -> np.ndarray:
-    """The stack [[b00, b01], [b10, b11]] of (rows, n, n, ...) blocks, None a
-    zero block, assigned by slices into one zeroed (rows, 2n, 2n, ...) array."""
-    shape = _broadcast(*(b for row in grid for b in row if b is not None))
-    n = shape[1]
-    out = np.zeros((shape[0], 2 * n, 2 * n) + shape[3:])
-    for i, row in enumerate(grid):
-        for j, b in enumerate(row):
-            if b is not None:
-                out[:, i * n:(i + 1) * n, j * n:(j + 1) * n] = b
-    return out
-
-
 def _fiber_blocks(bases: BaseJets, ys) -> tuple[np.ndarray, np.ndarray]:
     """A[k, i] = -Gamma^k_ij y^j at the base points of ``bases`` and the fiber
     vectors ``ys`` (F, n) as a (rows, n, n, P, F) stack over the 2n bundle
-    coordinates, and g as (rows, n, n, P, 1)."""
+    coordinates, and g the same at every fiber, broadcast once (module doc)."""
     f, n = np.shape(ys)
     count, base_rows = bases.gamma.shape[:2]
     rows = 2 * base_rows - 1  # 1 + 2n, or 1 at order 0
-    g = np.zeros((rows, n, n, count, 1))
-    g[:base_rows, ..., 0] = np.moveaxis(bases.g, 0, -1)
+    g = np.zeros((rows, n, n, count, f))
+    g[:base_rows] = np.moveaxis(bases.g, 0, -1)[..., None]
     # -A = Gamma y as a jet product with its known rows left out (module doc)
     gamma = np.moveaxis(bases.gamma, 0, -1)  # (base rows, k, i, j, P)
     terms = (gamma.reshape(base_rows, n * n, n, count, 1)
@@ -215,43 +194,65 @@ def _frame_of(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e, einv
 
 
-def fiber_born_jets(bases: BaseJets,
-                    ys) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
-    """The six tensors in bundle coordinates at (x, y) for every base point x
-    of ``bases`` and fiber vector y of ``ys``, as (P, F, rows, 2n, 2n) arrays
-    of values and first partials, h and k as their value rows alone (module
-    doc); and the blocks they are built from, A as (P, F, rows, n, n) and g
-    as (P, 1, rows, n, n)."""
+@dataclass(frozen=True)
+class BornStacks:
+    """The Born tensors of P x F bundle points as two stacks and as named views
+    (module doc), and their blocks A (P, F, rows, n, n) and g (P, 1, rows, n, n)."""
+
+    tensors: dict
+    ijkw: np.ndarray  # (4, P, F, rows, 2n, 2n): I, J, K and omega
+    hk: np.ndarray  # (2, P, F, 1, 2n, 2n): h and k
+    a: np.ndarray
+    g: np.ndarray
+
+    def values(self) -> tuple[np.ndarray, np.ndarray]:
+        """The values of (I, J, K) and (h, k, omega) as two C-contiguous stacks."""
+        ijkw, hk = (m[:, :, :, 0].transpose(1, 2, 0, 3, 4) for m in (self.ijkw, self.hk))
+        ops = np.ascontiguousarray(ijkw[:, :, :3])
+        return ops, np.concatenate([hk, ijkw[:, :, 3:]], 2, out=np.empty(ops.shape))
+
+
+def fiber_born_jets(bases: BaseJets, ys) -> BornStacks:
+    """The six tensors with their first partials (h and k as values) in bundle
+    coordinates at (x, y), x a base point of ``bases`` and y of ``ys``."""
     a, g = _fiber_blocks(bases, ys)
+    rows, n = a.shape[:2]
     one = np.zeros(a.shape[:3] + (1, 1))  # broadcast over the (P, F) axes
-    one[0, :, :, 0, 0] = np.eye(a.shape[1])
+    one[0, :, :, 0, 0] = np.eye(n)
     na = -a
     p = _madd(na.swapaxes(1, 2), g)
-    # a value row is computed from value rows alone
-    p0, na0, g0 = p[:1], na[:1], g[:1]
-    h = _block([[_madd(p0, na0, g0), p0], [_madd(g0, na0), g0]])
-    k = _block([[_madd(g0, na0, p0), g0], [g0, None]])
-    omega = _block([[_madd(g, na, -p), g], [-g, None]])
-    stacks = {
-        "I": _block([[a, -one], [_madd(na, na, one), na]]),
-        "J": _block([[na, one], [_madd(a, na, one), a]]),
-        "K": _block([[one, None], [a * 2.0, -one]]),
-        "h": (h + h.swapaxes(1, 2)) * 0.5,
-        "k": (k + k.swapaxes(1, 2)) * 0.5,
-        "omega": (omega - omega.swapaxes(1, 2)) * 0.5,
-    }
+    gna = _mul(g[:, :, :, None], na[:, None])  # the terms of g (-A)
+    p0, na0, g0 = p[:1], na[:1], g[:1]  # a value row is computed from value rows alone
+    ijkw = np.zeros((4, rows, 2 * n, 2 * n) + a.shape[3:])
+    hk = np.zeros((2, 1, 2 * n, 2 * n) + a.shape[3:])
+    halves = (slice(0, n), slice(n, 2 * n))
+    for stack, m, blocks in (
+            (ijkw, 0, ((a, -one), (_madd(na, na, one), na))),  # I
+            (ijkw, 1, ((na, one), (_madd(a, na, one), a))),  # J
+            (ijkw, 2, ((one, None), (a * 2.0, -one))),  # K
+            (ijkw, 3, ((_sum_in_order(gna, -p), g), (-g, None))),  # omega
+            (hk, 0, ((_madd(p0, na0, g0), p0), (_sum_in_order(gna[:1]), g0))),  # h
+            (hk, 1, ((_sum_in_order(gna[:1], p0), g0), (g0, None)))):  # k
+        for i, row in zip(halves, blocks):
+            for j, b in zip(halves, row):
+                if b is not None:
+                    stack[m, :, i, j] = b
+    omega = ijkw[3]
+    np.subtract(omega, omega.swapaxes(1, 2), out=omega)
+    omega *= 0.5
+    hk = (hk + hk.swapaxes(2, 3)) * 0.5
     # (P, F, rows, ...) views that keep the sample axes innermost in memory
-    return ({name: m.transpose(3, 4, 0, 1, 2) for name, m in stacks.items()},
-            a.transpose(3, 4, 0, 1, 2), g.transpose(3, 4, 0, 1, 2))
+    ijkw, hk = (m.transpose(0, 4, 5, 1, 2, 3) for m in (ijkw, hk))
+    return BornStacks(dict(zip(("I", "J", "K", "omega"), ijkw), h=hk[0], k=hk[1]), ijkw, hk,
+                      a.transpose(3, 4, 0, 1, 2), g[..., :1].transpose(3, 4, 0, 1, 2))
 
 
 def born_jets(spec: ManifoldSpec, bp: BundlePoint) -> dict[str, np.ndarray]:
-    """The six tensors in bundle coordinates with their first partials over
-    the 2n coordinates, as (1 + 2n, 2n, 2n) arrays; h and k as their value
-    row alone, (1, 2n, 2n)."""
+    """The six tensors in bundle coordinates with their first partials, as
+    (1 + 2n, 2n, 2n) arrays; h and k as their value row alone, (1, 2n, 2n)."""
     bp = _require_point(spec, bp)
     return {name: m[0, 0] for name, m in
-            fiber_born_jets(base_jets(spec, [bp.x]), [bp.y])[0].items()}
+            fiber_born_jets(base_jets(spec, [bp.x]), [bp.y]).tensors.items()}
 
 
 def born_at(spec: ManifoldSpec, bp: BundlePoint) -> BornFrame:
@@ -260,30 +261,31 @@ def born_at(spec: ManifoldSpec, bp: BundlePoint) -> BornFrame:
     base = base_jets(spec, [bp.x], 0)
     check_spd(base.g[:, 0], [bp.x])
     return BornFrame.of({name: m[0, 0, 0] for name, m in
-                         fiber_born_jets(base, [bp.y])[0].items()})
+                         fiber_born_jets(base, [bp.y]).tensors.items()})
 
 
 # -- the construction in the adapted frame ------------------------------------
 
-def adapted_frame_residuals(frame: BornFrame, a: np.ndarray,
+def adapted_frame_residuals(ops: np.ndarray, forms: np.ndarray, a: np.ndarray,
                             g: np.ndarray) -> dict[str, np.ndarray]:
-    """Per bundle point, the relative defect of each tensor of ``frame`` in
-    the adapted frame of A's values ``a`` (..., n, n) against its defining
-    form in g's values ``g`` (module doc); the leading axes of the three
-    broadcast.  A and g come from the blocks the tensors were built from,
-    not from the tensors: an A read off K would pass any K."""
+    """Per bundle point, the relative defect of each tensor of the C-contiguous
+    (..., 3, 2n, 2n) value stacks ``ops`` (I, J, K) and ``forms`` (h, k,
+    omega) in the adapted frame of A's values ``a`` (..., n, n) against its
+    defining form in g's values ``g`` (module doc); leading axes broadcast.
+    A and g are the blocks that built the tensors: an A read off K would
+    pass any K."""
     n = a.shape[-1]
-    e, einv = _frame_of(a[..., None, :, :])
-    e = e[..., 0, :, :]
-    et = e.swapaxes(-1, -2)
-    zero = np.zeros_like(g)
-    defects = {name: einv @ getattr(frame, name) @ e - c
-               for name, c in zip("IJK", _constant_blocks(n))}
-    defects.update(h=et @ frame.h @ e - np.block([[g, zero], [zero, g]]),
-                   k=et @ frame.k @ e - np.block([[zero, g], [g, zero]]),
-                   omega=et @ frame.omega @ e - np.block([[zero, g], [-g, zero]]))
-    scale = np.square(1.0 + np.max(np.abs(a), axis=(-2, -1)))
-    form_scale = scale * np.max(np.abs(g), axis=(-2, -1))
-    return {name + "_in_frame": np.max(np.abs(d), axis=(-2, -1))
-            / (scale if name in ("I", "J", "K") else form_scale)
-            for name, d in defects.items()}
+    e, einv = _frame_of(a[..., None, :, :])  # e as (..., 1, 2n, 2n)
+    op_defects = einv[..., None, :, :] @ ops @ e
+    op_defects -= _constant_blocks(n)
+    form_defects = e.swapaxes(-1, -2) @ forms @ e
+    top, bottom = slice(0, n), slice(n, 2 * n)
+    for m, i, j, target in ((0, top, top, g), (0, bottom, bottom, g), (1, top, bottom, g),
+                            (1, bottom, top, g), (2, top, bottom, g), (2, bottom, top, -g)):
+        form_defects[..., m, i, j] -= target
+    scale = np.square(1.0 + np.max(np.abs(a), axis=(-2, -1)))[..., None]
+    form_scale = scale * np.max(np.abs(g), axis=(-2, -1))[..., None]
+    r = np.concatenate([np.max(np.abs(op_defects), axis=(-2, -1)) / scale,
+                        np.max(np.abs(form_defects), axis=(-2, -1)) / form_scale], axis=-1)
+    return {name + "_in_frame": r[..., m]
+            for m, name in enumerate(("I", "J", "K", "h", "k", "omega"))}

@@ -120,11 +120,13 @@ def metric_dg_args(spec, args: Sequence[JetBatch], order: int):
     return _slot_partials(phi, m, n, 2, order), _slot_partials(phi, m, n, 3, order)
 
 
-def jet_inv(mat: JetBatch) -> JetBatch:
+def jet_inv(mat: JetBatch, points=None) -> JetBatch:
     """Inverse of every matrix of ``mat`` (batch shape ``(*batch, n, n)``) by
     Gauss-Jordan with value pivoting on [mat | 1].  Each matrix pivots on
     the first row of largest |value| in the column, as ``max(..., key=abs)``
-    picks it, and swaps its own rows; a zero pivot is a spec error."""
+    picks it, and swaps its own rows; a zero pivot is a spec error, which
+    names the point of the first matrix that has one if ``points`` gives
+    the coordinates of every batch point, ``(*batch, m)``."""
     order, nvars = mat.order, mat.nvars
     n = mat.shape[-1]
     work = mat.coeffs.reshape((-1, n, n, mat.coeffs.shape[-1]))
@@ -138,8 +140,11 @@ def jet_inv(mat: JetBatch) -> JetBatch:
         pivot = np.full(count, col)
         for row in range(col + 1, n):
             pivot = np.where(size[:, row] > size[at, pivot], row, pivot)
-        if np.any(work[at, pivot, col, 0] == 0.0):
-            raise SpecError("singular matrix while inverting metric")
+        zero = work[at, pivot, col, 0] == 0.0
+        if zero.any():
+            where = ("" if points is None else
+                     f" at {tuple(points.reshape(count, -1)[np.argmax(zero)].tolist())}")
+            raise SpecError("singular matrix while inverting metric" + where)
         if (pivot != col).any():
             rows = np.tile(np.arange(n), (count, 1))
             rows[:, col] = pivot
@@ -196,7 +201,7 @@ def _derived_connection(spec, args: Sequence[JetBatch], order: int):
     """(Gamma, g) for a connection derived from the metric: Levi-Civita, or
     the dual of the flat connection; g is the one of :func:`metric_dg_args`."""
     g, dg = metric_dg_args(spec, args, order)
-    ginv = jet_inv(g)
+    ginv = jet_inv(g, np.stack([x.value for x in args], axis=-1))
     if spec.connection_kind == "levi-civita":
         return levi_civita_of(dg, ginv), g
     return dual_connection_of(_zero_connection(spec, args, order), g, dg, ginv), g

@@ -12,37 +12,31 @@ Residuals of identities that grow linearly in the fiber coordinate are
 normalized by (1 + |y|).
 
 :func:`integrability_verdict` evaluates Gamma and g at all P base points
-as one stacked record and uses it for the Hessian residuals and for every
-fiber.  It builds the Born tensors of all P x F bundle points as one
-(P, F, 1 + 2n, 2n, 2n) stack and computes the Nijenhuis tensors, d omega
-and the six relative residuals of the construction in the adapted frame
-(:func:`bornbundle.bundle.adapted_frame_residuals`, from the A and g
-blocks that built the stack) once each on that stack; the formulas accept
-leading stack axes.  The stack holds its (P, F) axes innermost in memory,
-and einsum iterates in memory order, so the Nijenhuis einsum runs over the
-sample points in its inner loop.
+as one stacked record, used for the Hessian residuals and for every
+fiber.  It builds the Born tensors of all P x F bundle points as the two
+stacks of :func:`bornbundle.bundle.fiber_born_jets` and runs each step
+once per stack: the three Nijenhuis tensors as one einsum over (I, J, K),
+which loops over the sample points, innermost in memory; d omega; and the
+adapted-frame residuals as two matmul chains
+(:func:`bornbundle.bundle.adapted_frame_residuals`).  Each family is
+reduced to per-point maxima by one ``abs`` and ``max``.
 
-The structure depends on the fiber only through the block A = -Gamma y.
-When every value and first partial of the record's Gamma is zero (a flat
-connection in affine coordinates, or the Levi-Civita or dual connection of
-a constant metric), the sweep builds the stack at the first fiber alone,
-(P, 1, ...), and its (P, 1) maxima stand for all F fibers before the
-division by (1 + |y|).  The report bits cannot move: between fibers A's
-value row differs only in signs of zeros, its partial rows are equal,
-:meth:`BornFrame.of` makes every zero of the frames +0.0, and every
-residual passes ``abs`` and ``max`` before it is reported; a residual that
-is not finite is so at every fiber, and is named at the first.
+When every value and first partial of Gamma is zero (a flat connection in
+affine coordinates, or the Levi-Civita or dual connection of a constant
+metric), A = -Gamma y is the same at every fiber but for signs of zeros,
+which ``abs`` removes: the sweep builds the first fiber alone, and its
+(P, 1) maxima stand for all F fibers before the division by (1 + |y|); a
+residual that is not finite there is named at the first fiber.
 
-The report carries the record, so that the two-of-four report of ``check``
-reads it too, and keeps the normalized residuals of every bundle point as
-(P, F) arrays, which ``check`` writes as its columnar ``per_point`` table
-and reduces to the ``argmax`` section.  A residual that is not finite at a
-sample point is a spec error naming it and the point
-(:func:`bornbundle.manifold.finite_maxima`); the first one is reported by
-base point, through :func:`bornbundle.manifold._first_failure`, then by
-fiber and residual: N_I, N_J, N_K, d omega, then the adapted-frame
-residuals.  The verdict compares each maximum with the Hessian verdict's
-tolerance; the thresholds are in the table of :mod:`bornbundle.manifold`.
+The report carries the record, which the two-of-four report of ``check``
+reads too, and the normalized residuals of every bundle point as (P, F)
+arrays, which ``check`` writes as its ``per_point`` table and reduces to
+its ``argmax`` section.  A maximum that is not finite is a spec error
+naming the residual and its bundle point, the first by base point
+(:func:`bornbundle.manifold._first_failure`), then by fiber and residual:
+N_I, N_J, N_K, d omega, then the adapted-frame residuals; the list of
+bundle points that names it is built only then.  The verdict compares
+each maximum with the Hessian verdict's tolerance.
 """
 from __future__ import annotations
 
@@ -51,9 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundle import BornFrame, adapted_frame_residuals, fiber_born_jets
-# unused: bornbench's test_remove_restores_every_patched_attribute pins it (ROADMAP item 5)
-from .bundle import born_jets
+# born_jets is unused: bornbench's test_remove_restores_every_patched_attribute pins it
+from .bundle import adapted_frame_residuals, born_jets, fiber_born_jets
 from .errors import SpecError
 from .manifold import (DEFAULT_TOL, BaseJets, HessianVerdict, ManifoldSpec,
                        _first_failure, base_jets, finite_maxima, sample_fibers,
@@ -69,8 +62,8 @@ def _norm_factor(y) -> float:
 def _nijenhuis_of(a: np.ndarray) -> np.ndarray:
     """N_A from a (..., 1 + 2n, 2n, 2n) array of A's values and first partials."""
     av, da = a[..., 0, :, :], a[..., 1:, :, :]  # da[m, l, b] = d_m A^l_b
-    half = (np.einsum("...ma,...mlb->...lab", av, da)
-            - np.einsum("...lm,...amb->...lab", av, da))
+    half = np.einsum("...ma,...mlb->...lab", av, da)
+    half -= np.einsum("...lm,...amb->...lab", av, da)
     return half - half.swapaxes(-1, -2)
 
 
@@ -138,24 +131,23 @@ def integrability_verdict(spec: ManifoldSpec, base_count: int = 32,
     # Gamma with all values and partials zero: every fiber carries the
     # structure of the first (module doc)
     swept = fibers if bases.gamma.any() else fibers[:1]
-    ys = [tuple(y) for y in swept.tolist()]
 
     def sweep(s):
-        points = [(x, y) for x in bases[s].x for y in ys]
-        with np.errstate(over="ignore", invalid="ignore"):  # finite_maxima checks
-            mats, a, g = fiber_born_jets(bases[s], swept)
-            tensors = {"nijenhuis_" + name: _nijenhuis_of(mats[name]) for name in "IJK"}
-            tensors["d_omega"] = _d_omega_of(mats["omega"])
-            worst = finite_maxima(tensors, points)
-            frame = BornFrame.of({name: m[:, :, 0] for name, m in mats.items()})
-            compat = adapted_frame_residuals(frame, a[:, :, 0], g[:, :, 0])
-            return worst, finite_maxima(compat, points)
+        with np.errstate(over="ignore", invalid="ignore"):  # named below if not finite
+            born = fiber_born_jets(bases[s], swept)
+            nijenhuis = np.max(np.abs(_nijenhuis_of(born.ijkw[:3])), axis=(-3, -2, -1))
+            worst = {"nijenhuis_" + name: m for name, m in zip("IJK", nijenhuis)}
+            worst["d_omega"] = np.max(np.abs(_d_omega_of(born.ijkw[3])), axis=(-3, -2, -1))
+            compat = adapted_frame_residuals(*born.values(), born.a[:, :, 0], born.g[:, :, 0])
+        for family in (worst, compat):
+            if not np.isfinite(list(family.values())).all():
+                finite_maxima(family, [(x, tuple(y)) for x in bases[s].x
+                                       for y in swept.tolist()])
+        return worst, compat
     worst, compat = _first_failure(sweep, base_count)
-    # (P, 1) maxima of the one-fiber sweep broadcast over the F norms
-    per_point = {key: m.reshape(base_count, len(swept)) / norms
-                 for key, m in worst.items()}
+    per_point = {key: m / norms for key, m in worst.items()}  # (P, 1) broadcast over F
     maxima = {key: float(np.max(m)) for key, m in per_point.items()}
-    worst_born = dict(zip(compat, np.max(list(compat.values()), axis=1).tolist()))
+    worst_born = dict(zip(compat, np.max(list(compat.values()), axis=(1, 2)).tolist()))
     integrable = all(v <= tol for v in maxima.values())
     return IntegrabilityReport(
         maxima=maxima, integrable=integrable,

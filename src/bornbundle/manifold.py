@@ -16,10 +16,11 @@ takes the dual connection and Levi-Civita from the values of g and its
 first partials and one batched inverse of g, through the formulas of
 :mod:`bornbundle.fields`, so they equal the fields' own order-0 values bit
 for bit.  Every verdict of the package, the chart witness's included,
-reduces its residuals to per-point maxima through :func:`finite_maxima`,
-which rejects a residual that is not finite at a point as a spec error;
-it reduces each stack over its trailing axes as it lies in memory, without
-copying a stack that holds its sample axes innermost.  The sample box is
+rejects a residual that is not finite at a point as a spec error through
+:func:`finite_maxima`, which reduces each stack to per-point maxima over
+its trailing axes as it lies in memory, without copying a stack that
+holds its sample axes innermost; the Born sweep reduces its own stacks
+and calls it only on a maximum that is not finite.  The sample box is
 checked on the whole point array, and point by point only to name the
 first point outside it.
 Every threshold that decides a verdict, a gate or an exit code is in the
@@ -239,7 +240,7 @@ def _nabla_g_of(gamma_values: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np
     gv, dg = g[..., 0, :, :], g[..., 1:, :, :]  # dg[..., l, i, j] = d_l g_ij
     ng = (dg - np.einsum("...lij,...lk->...ijk", gamma_values, gv)
           - np.einsum("...lik,...jl->...ijk", gamma_values, gv))
-    permuted = np.stack([np.moveaxis(ng, [q - 3 for q in perm], [-3, -2, -1])
+    permuted = np.stack([ng.transpose(*range(ng.ndim - 3), *(q - 3 for q in perm))
                          for perm in itertools.permutations(range(3)) if perm != (0, 1, 2)])
     return ng, np.max(np.abs(ng - permuted), axis=(0, -3, -2, -1))
 
@@ -299,13 +300,13 @@ def finite_maxima(residuals: dict, points: Sequence) -> dict[str, np.ndarray]:
     warning."""
     maxima = {name: _point_maxima(np.asarray(r), len(points))
               for name, r in residuals.items()}
-    bad = np.argwhere(~np.isfinite(np.stack(list(maxima.values()), axis=1)))
-    if len(bad):
-        p, r = bad[0]
-        name = list(maxima)[r]
-        raise SpecError(f"{name} residual is not finite at {points[p]} "
-                        f"(value {float(maxima[name][p])!r})")
-    return maxima
+    finite = np.isfinite(list(maxima.values()))  # (residual, point)
+    if finite.all():
+        return maxima
+    p, r = np.argwhere(~finite.T)[0]
+    name = list(maxima)[r]
+    raise SpecError(f"{name} residual is not finite at {points[p]} "
+                    f"(value {float(maxima[name][p])!r})")
 
 
 def _first_failure(evaluate, count: int):

@@ -133,16 +133,23 @@ def _born(spec: ManifoldSpec, bp: BundlePoint, order: int = 1):
     """The base fields at bp.x and the Born tensors at bp."""
     bp = _require_point(spec, bp)
     base = base_jets(spec, [bp.x], order)
-    return base, {name: m[0, 0] for name, m in fiber_born_jets(base, [bp.y])[0].items()}
+    return base, {name: m[0, 0] for name, m in fiber_born_jets(base, [bp.y]).tensors.items()}
 
 
 def frame_residuals_at(spec: ManifoldSpec, bp: BundlePoint) -> dict:
     """The six relative adapted-frame residuals of the construction at bp."""
     bp = _require_point(spec, bp)
-    mats, a, g = fiber_born_jets(base_jets(spec, [bp.x], 0), [bp.y])
-    frame = BornFrame.of({name: m[0, 0, 0] for name, m in mats.items()})
-    return {key: float(r) for key, r in
-            adapted_frame_residuals(frame, a[0, 0, 0], g[0, 0, 0]).items()}
+    born = fiber_born_jets(base_jets(spec, [bp.x], 0), [bp.y])
+    ops, forms = born.values()
+    return {key: float(r[0, 0]) for key, r in
+            adapted_frame_residuals(ops, forms, born.a[:, :, 0], born.g[:, :, 0]).items()}
+
+
+def frame_stacks(frame: BornFrame) -> tuple[np.ndarray, np.ndarray]:
+    """The values of (I, J, K) and of (h, k, omega) of ``frame`` as the two
+    stacks that :func:`adapted_frame_residuals` takes."""
+    return (np.stack([frame.I, frame.J, frame.K], axis=-3),
+            np.stack([frame.h, frame.k, frame.omega], axis=-3))
 
 
 # the floor of omega_nondegenerate below, as the package's thresholds table had it

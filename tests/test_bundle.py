@@ -15,7 +15,8 @@ from bornbundle.cli import load_spec, spec_from_dict
 from bornbundle.errors import SpecError
 from bornbundle.manifold import BaseJets, base_jets, build_spec, sample_fibers, sample_points
 from test_manifold import GENERATED
-from point import adapted_frame_at, born_compatibility_residuals, connection_at, metric_at
+from point import (adapted_frame_at, born_compatibility_residuals, connection_at, frame_stacks,
+                   metric_at)
 
 EUCLID = corpus.example("euclidean2")
 HESSIAN = corpus.example("hessian-exp2")
@@ -253,7 +254,7 @@ def test_fiber_arrays_equal_jet_reference(source):
         spec = corpus.example(source)
     fibers = sample_fibers(spec.n, 4, 1.0, 42)
     points = sample_points(spec, 8, 42)
-    got = fiber_born_jets(base_jets(spec, points), fibers)[0]
+    got = fiber_born_jets(base_jets(spec, points), fibers).tensors
     for p, x in enumerate(points):
         for f, y in enumerate(fibers):
             want = born_reference(spec, tuple(x), tuple(y))
@@ -326,6 +327,19 @@ def _oracle_fiber_blocks(bases, ys):
     return -a, g
 
 
+def _oracle_block(grid):
+    """The stack [[b00, b01], [b10, b11]] of (rows, n, n, ...) blocks, None a
+    zero block, assigned by slices into one zeroed (rows, 2n, 2n, ...) array."""
+    shape = np.broadcast_shapes(*(b.shape for row in grid for b in row if b is not None))
+    n = shape[1]
+    out = np.zeros((shape[0], 2 * n, 2 * n) + shape[3:])
+    for i, row in enumerate(grid):
+        for j, b in enumerate(row):
+            if b is not None:
+                out[:, i * n:(i + 1) * n, j * n:(j + 1) * n] = b
+    return out
+
+
 def born_oracle(bases, ys):
     """The six tensors as :func:`fiber_born_jets` lays them out, each
     product formed in full."""
@@ -335,7 +349,7 @@ def born_oracle(bases, ys):
     na = -a
     p = _oracle_madd(na.swapaxes(1, 2), g)
     p0, na0, g0 = p[:1], na[:1], g[:1]
-    block = bundle._block
+    block = _oracle_block
     h = block([[_oracle_madd(p0, na0, g0), p0], [_oracle_madd(g0, na0), g0]])
     k = block([[_oracle_madd(g0, na0, p0), g0], [g0, None]])
     omega = block([[_oracle_madd(g, na, -p), g], [-g, None]])
@@ -407,7 +421,8 @@ def test_fiber_arrays_equal_the_generic_construction(source, size):
         spec = family_spec(source.rstrip("3456"), int(source[-1]))
     bases = base_jets(spec, sample_points(spec, size[0], 42))
     fibers = sample_fibers(spec.n, size[1], 1.0, 42)
-    got, a, g = fiber_born_jets(bases, fibers)
+    born = fiber_born_jets(bases, fibers)
+    got, a, g = born.tensors, born.a, born.g
     want = born_oracle(bases, fibers)
     assert got.keys() == want.keys()
     for name, arr in want.items():
@@ -425,7 +440,7 @@ def test_a_singular_h_reads_inf_and_keeps_the_other_frames():
     # frames are solved one by one; that frame reads inf for h^-1 omega, and
     # every other frame keeps the bits of the batched call
     bases = base_jets(SPHERE, sample_points(SPHERE, 3, 42))
-    mats = fiber_born_jets(bases, sample_fibers(2, 2, 1.0, 42))[0]
+    mats = fiber_born_jets(bases, sample_fibers(2, 2, 1.0, 42)).tensors
     stack = BornFrame.of({name: m[:, :, 0] for name, m in mats.items()})
     h = stack.h.copy()
     h[1, 0] = 0.0
@@ -449,10 +464,9 @@ def born_of_blocks(a, g):
     n = len(g)
     gamma = np.zeros((1, 1, n, n, n))
     gamma[0, 0, :, :, 0] = -a
-    mats, got_a, got_g = fiber_born_jets(BaseJets(((0.0,) * n,), gamma, g[None, None]),
-                                         [np.eye(n)[0]])
-    frame = BornFrame.of({name: m[0, 0, 0] for name, m in mats.items()})
-    return frame, got_a[0, 0, 0], got_g[0, 0, 0]
+    born = fiber_born_jets(BaseJets(((0.0,) * n,), gamma, g[None, None]), [np.eye(n)[0]])
+    frame = BornFrame.of({name: m[0, 0, 0] for name, m in born.tensors.items()})
+    return frame, born.a[0, 0, 0], born.g[0, 0, 0]
 
 
 @st.composite
@@ -489,5 +503,5 @@ def test_the_block_formulas_satisfy_every_identity_to_round_off(blocks):
     assert rep.k_signature == (n, n)
     det = np.linalg.det(g) ** 2
     assert abs(np.linalg.det(frame.omega) - det) <= 4 * unit * size ** 2 * cond * det
-    residuals = adapted_frame_residuals(frame, got_a, got_g)
+    residuals = adapted_frame_residuals(*frame_stacks(frame), got_a, got_g)
     assert max(residuals.values()) <= 2 * unit

@@ -683,8 +683,9 @@ def _corrupt_born_tensor(monkeypatch, name: str) -> None:
     real = integrability_mod.fiber_born_jets
 
     def corrupted(bases, ys):
-        mats, a, g = real(bases, ys)
-        return {**mats, name: mats[name] * (1.0 + 1e-6)}, a, g
+        born = real(bases, ys)
+        born.tensors[name] *= 1.0 + 1e-6  # a view into the stack the sweep reads
+        return born
 
     monkeypatch.setattr(integrability_mod, "fiber_born_jets", corrupted)
 

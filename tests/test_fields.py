@@ -78,8 +78,26 @@ def test_batched_inverse_pivots_per_matrix():
 
 def test_batched_inverse_of_a_singular_matrix_is_spec_error():
     mats = np.array([[[1.0, 0.0], [0.0, 1.0]], [[1.0, 2.0], [2.0, 4.0]]])
-    with pytest.raises(SpecError, match="singular matrix while inverting metric"):
+    with pytest.raises(SpecError, match="^singular matrix while inverting metric$"):
         fields.jet_inv(JetBatch(0, 1, mats[..., None]))
+    # given the coordinates of the batch points, it names the first singular one's
+    with pytest.raises(SpecError) as err:
+        fields.jet_inv(JetBatch(0, 1, mats[..., None]), np.array([[0.0, 1.0], [2.0, 3.0]]))
+    assert str(err.value) == "singular matrix while inverting metric at (2.0, 3.0)"
+
+
+def test_a_metric_singular_at_a_point_names_it():
+    # exp(1000 u) underflows to 0.0 from u = -0.7452 down; the Levi-Civita
+    # connection inverts g at the base points, and the first sampled point
+    # where g is singular is named, as the batch is narrowed to it
+    spec = build_spec("underflow", ("u", "v"), BOX2,
+                      metric=[["exp(1000*u)", "0"], ["0", "1"]], connection="levi-civita")
+    with pytest.raises(SpecError) as err:
+        base_jets(spec, sample_points(spec, 32, 42))
+    assert str(err.value) == ("singular matrix while inverting metric at "
+                              "(-0.74755859375, 0.9618960524310316)")
+    with pytest.raises(SpecError, match=r"metric at \(-0\.74755859375, "):
+        base_jets(spec, [(0.5, 0.5), (-0.74755859375, 0.9618960524310316)])
 
 
 def _first_failure_spec(metric00: str) -> object:

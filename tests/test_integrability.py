@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from bornbundle import corpus, integrability
-from bornbundle.bundle import (BornFrame, BundlePoint, adapted_frame_residuals, born_at,
-                               fiber_born_jets)
+from bornbundle.bundle import BundlePoint, adapted_frame_residuals, born_at, fiber_born_jets
 from bornbundle.cli import load_spec, spec_from_dict
 from bornbundle.errors import SpecError
 from bornbundle.integrability import (_d_omega_of, _nijenhuis_of, _norm_factor,
@@ -403,7 +402,8 @@ def test_stacked_sweep_equals_one_base_point_at_a_time(source):
     points = sample_points(spec, 5, 42)
     fibers = sample_fibers(spec.n, 3, 1.0, 42)
     bases = base_jets(spec, points)
-    mats, a, g = fiber_born_jets(bases, fibers)
+    born = fiber_born_jets(bases, fibers)
+    mats = born.tensors
     for name, m in mats.items():
         assert sorted(m.strides)[:2] == [m.strides[1], m.strides[0]], name
         assert m.transpose(2, 3, 4, 0, 1).flags.c_contiguous, name
@@ -415,29 +415,30 @@ def test_stacked_sweep_equals_one_base_point_at_a_time(source):
         assert np.all(m == 0.0) and np.all(np.signbit(m))
     stacks = {"nijenhuis_" + name: _nijenhuis_of(mats[name]) for name in "IJK"}
     stacks["d_omega"] = _d_omega_of(mats["omega"])
-    for name in "IJK":
-        assert_same_bits(stacks["nijenhuis_" + name],
-                         _nijenhuis_of(np.ascontiguousarray(mats[name])))
+    # the sweep computes the three Nijenhuis tensors on one stack
+    for name, m in zip("IJK", _nijenhuis_of(born.ijkw[:3])):
+        assert_same_bits(stacks["nijenhuis_" + name], m)
+        assert_same_bits(m, _nijenhuis_of(np.ascontiguousarray(mats[name])))
     assert_same_bits(stacks["d_omega"], _d_omega_of(np.ascontiguousarray(mats["omega"])))
-    frame = BornFrame.of({name: m[:, :, 0] for name, m in mats.items()})
-    assert all(m.flags.c_contiguous for m in vars(frame).values())
-    compat = adapted_frame_residuals(frame, a[:, :, 0], g[:, :, 0])
+    values = born.values()
+    assert all(m.flags.c_contiguous for m in values)
+    compat = adapted_frame_residuals(*values, born.a[:, :, 0], born.g[:, :, 0])
     gamma = bases.gamma[:, 0]
     fields = {"curvature": _curvature_of(bases.gamma), "torsion": _torsion_of(gamma),
               "nabla_g_asymmetry": _nabla_g_of(gamma, bases.g)[1]}
     for p, x in enumerate(points):
         one = base_jets(spec, [x])
-        one_mats, one_a, one_g = fiber_born_jets(one, fibers)
+        one_born = fiber_born_jets(one, fibers)
+        one_mats = one_born.tensors
         for name, m in one_mats.items():
             assert_same_bits(mats[name][p], m[0])
         for name in "IJK":
             assert_same_bits(stacks["nijenhuis_" + name][p], _nijenhuis_of(one_mats[name])[0])
         assert_same_bits(stacks["d_omega"][p], _d_omega_of(one_mats["omega"])[0])
-        one_compat = adapted_frame_residuals(
-            BornFrame.of({name: m[0, :, 0] for name, m in one_mats.items()}),
-            one_a[0, :, 0], one_g[0, :, 0])
+        one_compat = adapted_frame_residuals(*one_born.values(), one_born.a[:, :, 0],
+                                             one_born.g[:, :, 0])
         for key, r in compat.items():
-            assert_same_bits(r[p], one_compat[key])
+            assert_same_bits(r[p], one_compat[key][0])
         one_gamma = one.gamma[:, 0]
         for key, want in (("curvature", _curvature_of(one.gamma)),
                           ("torsion", _torsion_of(one_gamma)),
@@ -476,13 +477,13 @@ def _full_stack_verdict(spec, base_count, fiber_count, radius, seed):
     fibers = sample_fibers(spec.n, fiber_count, radius, seed)
     points = [(x, y) for x in bases.x for y in map(tuple, fibers.tolist())]
     with np.errstate(over="ignore", invalid="ignore"):
-        mats, a, g = fiber_born_jets(bases, fibers)
+        born = fiber_born_jets(bases, fibers)
+        mats = born.tensors
         tensors = {"nijenhuis_" + name: _nijenhuis_of(mats[name]) for name in "IJK"}
         tensors["d_omega"] = _d_omega_of(mats["omega"])
         worst = finite_maxima(tensors, points)
-        frame = BornFrame.of({name: m[:, :, 0] for name, m in mats.items()})
-        compat = finite_maxima(adapted_frame_residuals(frame, a[:, :, 0], g[:, :, 0]),
-                               points)
+        compat = finite_maxima(adapted_frame_residuals(*born.values(), born.a[:, :, 0],
+                                                       born.g[:, :, 0]), points)
     norms = np.array([_norm_factor(y) for y in fibers])
     per_point = {key: m.reshape(base_count, fiber_count) / norms
                  for key, m in worst.items()}
@@ -513,6 +514,24 @@ def test_one_fiber_verdict_equals_the_full_stack(source):
         assert np.array_equal(np.array(list(rep.max_born_compat.values())).view(np.int64),
                               np.array(list(worst_born.values())).view(np.int64))
         assert rep.argmax() == dataclasses.replace(rep, per_point=per_point).argmax()
+
+
+def test_a_one_fiber_error_names_the_first_fiber(monkeypatch):
+    # the one-fiber sweep stands for every fiber at the first: a residual
+    # that is not finite at base point 0 is named at the first sampled fiber
+    real = integrability._d_omega_of
+
+    def broken(omega):
+        out = real(omega)
+        out[0] = np.nan
+        return out
+
+    monkeypatch.setattr(integrability, "_d_omega_of", broken)
+    with pytest.raises(SpecError) as err:
+        integrability_verdict(EUCLID, base_count=4, fiber_count=4)
+    assert str(err.value) == (
+        "d_omega residual is not finite at ((0.50244140625, 0.2952293857643651), "
+        "(0.39456, -0.6150413518176951)) (value nan)")
 
 
 def _swept_fiber_counts(monkeypatch) -> list:
@@ -568,7 +587,7 @@ def test_error_order_is_by_base_point_then_tensors_then_identities():
     fibers = sample_fibers(2, 4, 1.0, 42)
     for p, tensors_finite in ((0, True), (1, False)):
         with np.errstate(over="ignore", invalid="ignore"):
-            mats = fiber_born_jets(base_jets(spec, points[p:p + 1]), fibers)[0]
+            mats = fiber_born_jets(base_jets(spec, points[p:p + 1]), fibers).tensors
             assert np.isfinite(_nijenhuis_of(mats["I"])).all() == tensors_finite
     with pytest.raises(SpecError) as err:
         integrability_verdict(spec, 2, 4)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from bornbundle import corpus, manifold
-from bornbundle.bundle import BornFrame, adapted_frame_residuals, fiber_born_jets
+from bornbundle.bundle import adapted_frame_residuals, fiber_born_jets
 from bornbundle.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -86,10 +86,10 @@ def test_a_degenerate_omega_fails_its_own_identity():
     # omega scaled by 1e-7 is nearly degenerate: in the adapted frame it is
     # 1e-7 times its g-block form, a relative defect of about 1
     spec = corpus.example("euclidean2")
-    mats, a, g = fiber_born_jets(manifold.base_jets(spec, [(0.1, 0.2)], 0), [(0.3, 0.4)])
-    values = {name: m[0, 0, 0] for name, m in mats.items()}
-    frame = BornFrame.of({**values, "omega": values["omega"] * 1e-7})
-    residuals = adapted_frame_residuals(frame, a[0, 0, 0], g[0, 0, 0])
+    born = fiber_born_jets(manifold.base_jets(spec, [(0.1, 0.2)], 0), [(0.3, 0.4)])
+    ops, forms = born.values()
+    forms[..., 2, :, :] *= 1e-7
+    residuals = adapted_frame_residuals(ops, forms, born.a[0, 0, 0], born.g[0, 0, 0])
     assert residuals["omega_in_frame"] > manifold.BORN_GATE
     assert residuals["omega_in_frame"] == pytest.approx(1.0)
     assert max(v for key, v in residuals.items() if key != "omega_in_frame") == 0.0
