@@ -169,16 +169,16 @@ def _fiber_blocks(bases: BaseJets, ys) -> tuple[np.ndarray, np.ndarray]:
     count, base_rows = bases.gamma.shape[:2]
     rows = 2 * base_rows - 1  # 1 + 2n, or 1 at order 0
     g = np.zeros((rows, n, n, count, f))
-    g[:base_rows] = np.moveaxis(bases.g, 0, -1)[..., None]
+    g[:base_rows] = bases.g.transpose(1, 2, 3, 0)[..., None]
     # -A = Gamma y as a jet product with its known rows left out (module doc)
-    gamma = np.moveaxis(bases.gamma, 0, -1)  # (base rows, k, i, j, P)
+    gamma = bases.gamma.transpose(1, 2, 3, 4, 0)  # (base rows, k, i, j, P)
     terms = (gamma.reshape(base_rows, n * n, n, count, 1)
              * np.asarray(ys, dtype=float).T[:, None, :])
     terms[1:] += 0.0
     a = np.empty((rows, n, n, count, f))
     a[:base_rows] = _sum_in_order(terms).reshape(base_rows, n, n, count, f)
     if rows > 1:
-        a[base_rows:] = np.moveaxis(gamma[0], 2, 0)[..., None] + 0.0
+        a[base_rows:] = gamma[0].transpose(2, 0, 1, 3)[..., None] + 0.0
     return np.negative(a, out=a), g
 
 
@@ -196,14 +196,13 @@ def _frame_of(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class BornStacks:
-    """The Born tensors of P x F bundle points as two stacks and as named views
-    (module doc), and their blocks A (P, F, rows, n, n) and g (P, 1, rows, n, n)."""
+    """The Born tensors of a sweep as two stacks and named views (module doc)."""
 
-    tensors: dict
+    tensors: dict  # name -> (P, F, rows, 2n, 2n) view into ijkw or hk
     ijkw: np.ndarray  # (4, P, F, rows, 2n, 2n): I, J, K and omega
     hk: np.ndarray  # (2, P, F, 1, 2n, 2n): h and k
-    a: np.ndarray
-    g: np.ndarray
+    a: np.ndarray  # (P, F, rows, n, n), the block A they are built from
+    g: np.ndarray  # (P, 1, rows, n, n), the block g
 
     def values(self) -> tuple[np.ndarray, np.ndarray]:
         """The values of (I, J, K) and (h, k, omega) as two C-contiguous stacks."""
@@ -283,9 +282,9 @@ def adapted_frame_residuals(ops: np.ndarray, forms: np.ndarray, a: np.ndarray,
     for m, i, j, target in ((0, top, top, g), (0, bottom, bottom, g), (1, top, bottom, g),
                             (1, bottom, top, g), (2, top, bottom, g), (2, bottom, top, -g)):
         form_defects[..., m, i, j] -= target
-    scale = np.square(1.0 + np.max(np.abs(a), axis=(-2, -1)))[..., None]
-    form_scale = scale * np.max(np.abs(g), axis=(-2, -1))[..., None]
-    r = np.concatenate([np.max(np.abs(op_defects), axis=(-2, -1)) / scale,
-                        np.max(np.abs(form_defects), axis=(-2, -1)) / form_scale], axis=-1)
+    scale = np.square(1.0 + np.abs(a).max(axis=(-2, -1)))[..., None]
+    form_scale = scale * np.abs(g).max(axis=(-2, -1))[..., None]
+    r = np.concatenate([np.abs(op_defects).max(axis=(-2, -1)) / scale,
+                        np.abs(form_defects).max(axis=(-2, -1)) / form_scale], axis=-1)
     return {name + "_in_frame": r[..., m]
             for m, name in enumerate(("I", "J", "K", "h", "k", "omega"))}

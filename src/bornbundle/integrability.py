@@ -71,7 +71,8 @@ def _d_omega_of(omega: np.ndarray) -> np.ndarray:
     """(d omega)_abc = d_a omega_bc + d_b omega_ca + d_c omega_ab, from a
     (..., 1 + 2n, 2n, 2n) array of omega's values and first partials."""
     dw = omega[..., 1:, :, :]  # dw[a, b, c] = d_a omega_bc
-    return dw + np.moveaxis(dw, -3, -1) + np.moveaxis(dw, -1, -3)
+    lead = range(dw.ndim - 3)
+    return dw + dw.transpose(*lead, -2, -1, -3) + dw.transpose(*lead, -1, -3, -2)
 
 
 # -- verdicts -------------------------------------------------------------------
@@ -135,9 +136,9 @@ def integrability_verdict(spec: ManifoldSpec, base_count: int = 32,
     def sweep(s):
         with np.errstate(over="ignore", invalid="ignore"):  # named below if not finite
             born = fiber_born_jets(bases[s], swept)
-            nijenhuis = np.max(np.abs(_nijenhuis_of(born.ijkw[:3])), axis=(-3, -2, -1))
+            nijenhuis = np.abs(_nijenhuis_of(born.ijkw[:3])).max(axis=(-3, -2, -1))
             worst = {"nijenhuis_" + name: m for name, m in zip("IJK", nijenhuis)}
-            worst["d_omega"] = np.max(np.abs(_d_omega_of(born.ijkw[3])), axis=(-3, -2, -1))
+            worst["d_omega"] = np.abs(_d_omega_of(born.ijkw[3])).max(axis=(-3, -2, -1))
             compat = adapted_frame_residuals(*born.values(), born.a[:, :, 0], born.g[:, :, 0])
         for family in (worst, compat):
             if not np.isfinite(list(family.values())).all():
@@ -146,7 +147,7 @@ def integrability_verdict(spec: ManifoldSpec, base_count: int = 32,
         return worst, compat
     worst, compat = _first_failure(sweep, base_count)
     per_point = {key: m / norms for key, m in worst.items()}  # (P, 1) broadcast over F
-    maxima = {key: float(np.max(m)) for key, m in per_point.items()}
+    maxima = {key: float(m.max()) for key, m in per_point.items()}
     worst_born = dict(zip(compat, np.max(list(compat.values()), axis=(1, 2)).tolist()))
     integrable = all(v <= tol for v in maxima.values())
     return IntegrabilityReport(

@@ -242,7 +242,7 @@ def _nabla_g_of(gamma_values: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np
           - np.einsum("...lik,...jl->...ijk", gamma_values, gv))
     permuted = np.stack([ng.transpose(*range(ng.ndim - 3), *(q - 3 for q in perm))
                          for perm in itertools.permutations(range(3)) if perm != (0, 1, 2)])
-    return ng, np.max(np.abs(ng - permuted), axis=(0, -3, -2, -1))
+    return ng, np.abs(ng - permuted).max(axis=(0, -3, -2, -1))
 
 
 def _torsion_of(gamma_values: np.ndarray) -> np.ndarray:
@@ -344,8 +344,8 @@ def _base_batch(spec: ManifoldSpec, points, order: int) -> BaseJets:
     args = jets.seed_batch(xs, order)
     with np.errstate(over="ignore", invalid="ignore"):  # as Python floats
         gamma, g = fields.connection_metric_args(spec, args, order)
-    xs = [tuple(x) for x in xs.tolist()]
-    bases = BaseJets(tuple(xs), *(np.moveaxis(f.coeffs, -1, 1) for f in (gamma, g)))
+    xs = tuple(map(tuple, xs.tolist()))
+    bases = BaseJets(xs, gamma.coeffs.transpose(0, 4, 1, 2, 3), g.coeffs.transpose(0, 3, 1, 2))
     finite = np.all([np.isfinite(f).reshape(len(xs), -1).all(axis=1)
                      for f in (bases.gamma, bases.g)], axis=0)
     if not finite.all():
@@ -388,7 +388,7 @@ class HessianVerdict:
                 "nabla_g_asymmetry": _nabla_g_of(gamma, bases.g)[1],
             }
         worst = finite_maxima(residuals, bases.x)
-        max_r, max_t, max_a = (float(np.max(m)) for m in worst.values())
+        max_r, max_t, max_a = (float(m.max()) for m in worst.values())
         return cls(is_hessian=bool(max_r <= tol and max_t <= tol and max_a <= tol),
                    max_curvature=max_r, max_torsion=max_t,
                    max_nabla_g_asymmetry=max_a, tol=tol, points=len(bases.x))
@@ -428,7 +428,7 @@ class TwoOfFourReport:
             residuals = {"dual_torsion": _torsion_of(dual),
                          "mean_vs_levi_civita": 0.5 * (gamma + dual) - lc}
         worst = finite_maxima(residuals, bases.x)
-        dual_torsion, mean = (float(np.max(m)) for m in worst.values())
+        dual_torsion, mean = (float(m.max()) for m in worst.values())
         maxima = {"torsion": hessian.max_torsion, "dual_torsion": dual_torsion,
                   "nabla_g_asymmetry": hessian.max_nabla_g_asymmetry,
                   "mean_vs_levi_civita": mean}
