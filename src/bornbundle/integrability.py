@@ -13,13 +13,13 @@ normalized by (1 + |y|).
 
 :func:`integrability_verdict` evaluates Gamma and g at all P base points
 as one stacked record, used for the Hessian residuals and for every
-fiber.  It builds the Born tensors of all P x F bundle points as the two
-stacks of :func:`bornbundle.bundle.fiber_born_jets` and runs each step
-once per stack: the three Nijenhuis tensors as one einsum over (I, J, K),
-which loops over the sample points, innermost in memory; d omega; and the
-adapted-frame residuals as two matmul chains
-(:func:`bornbundle.bundle.adapted_frame_residuals`).  Each family is
-reduced to per-point maxima by one ``abs`` and ``max``.
+fiber, and the Born tensors of all P x F bundle points as the two stacks
+of :func:`bornbundle.bundle.fiber_born_jets`.  N_I, N_J and N_K are taken
+slice by slice off their stack, each reduced to per-point maxima at once,
+so that the einsum temporaries stay a third of the stack; the einsums
+loop over the sample points, innermost in memory.  d omega is one more
+slice, and the adapted-frame residuals are two matmul chains over the
+value stacks (:func:`bornbundle.bundle.adapted_frame_residuals`).
 
 When every value and first partial of Gamma is zero (a flat connection in
 affine coordinates, or the Levi-Civita or dual connection of a constant
@@ -136,8 +136,8 @@ def integrability_verdict(spec: ManifoldSpec, base_count: int = 32,
     def sweep(s):
         with np.errstate(over="ignore", invalid="ignore"):  # named below if not finite
             born = fiber_born_jets(bases[s], swept)
-            nijenhuis = np.abs(_nijenhuis_of(born.ijkw[:3])).max(axis=(-3, -2, -1))
-            worst = {"nijenhuis_" + name: m for name, m in zip("IJK", nijenhuis)}
+            worst = {"nijenhuis_" + name: np.abs(_nijenhuis_of(m)).max(axis=(-3, -2, -1))
+                     for name, m in zip("IJK", born.ijkw)}
             worst["d_omega"] = np.abs(_d_omega_of(born.ijkw[3])).max(axis=(-3, -2, -1))
             compat = adapted_frame_residuals(*born.values(), born.a[:, :, 0], born.g[:, :, 0])
         for family in (worst, compat):
