@@ -97,9 +97,10 @@ under ``np.errstate``, since Python floats overflow to inf silently and
 numpy would warn.  A box exit, a domain error or a singular Jacobian names
 the first failing probe or gate point through
 :func:`bornbundle.manifold._first_failure`.  The flatness gate and the
-probe residuals take their maxima through
-:func:`bornbundle.manifold.finite_maxima`, so a NaN or inf curvature,
-torsion or residual is a spec error naming it and its point.  The gate,
+probe residuals are each one :class:`~bornbundle.manifold.Residuals`
+record, reduced through :func:`bornbundle.manifold.finite_maxima`, so a
+NaN or inf curvature, torsion or residual is a spec error naming it and
+its point.  The gate,
 the witness's tolerance and the probe-radius slack are in the thresholds
 table of :mod:`bornbundle.manifold`.
 """
@@ -116,7 +117,7 @@ from .bundle import _constant_blocks, _frame_of
 from .errors import SpecError
 from .jets import JetBatch
 from .manifold import (FLATNESS_GATE_TOL, PROBE_RADIUS_SLACK, PUSHFORWARD_TOL,
-                       ManifoldSpec, _curvature_of, _first_failure, _inside,
+                       ManifoldSpec, Residuals, _curvature_of, _first_failure, _inside,
                        _torsion_of, finite_maxima, halton_points, sample_fibers,
                        sample_points)
 
@@ -407,13 +408,12 @@ def exponential_chart(spec: ManifoldSpec, x0, steps: int = DEFAULT_STEPS,
     with np.errstate(over="ignore", invalid="ignore"):  # finite_maxima checks
         gamma = _gate_connection(spec, points)
         residuals = {"curvature": _curvature_of(gamma), "torsion": _torsion_of(gamma[:, 0])}
-    worst = finite_maxima(residuals, points)
-    max_r, max_t = (float(np.max(m)) for m in worst.values())
-    if max_r > FLATNESS_GATE_TOL or max_t > FLATNESS_GATE_TOL:
+    gate = Residuals(finite_maxima(residuals, points), FLATNESS_GATE_TOL)
+    if not gate.within:
         raise FlatnessGateError(
             "exponential map is affine only for flat torsion-free connections: "
-            f"max |curvature| = {max_r:.3g}, max |torsion| = {max_t:.3g} "
-            f"(gate {FLATNESS_GATE_TOL:g})")
+            f"max |curvature| = {gate.maxima['curvature']:.3g}, "
+            f"max |torsion| = {gate.maxima['torsion']:.3g} (gate {gate.tol:g})")
     return ChartMap(spec=spec, x0=x0, steps=steps)
 
 
@@ -449,10 +449,10 @@ def _block_residuals(transformed: np.ndarray, y: np.ndarray) -> np.ndarray:
     return e @ consts @ einv[:, None] - consts
 
 
-def _probe_residuals(chart: ChartMap, probes, y) -> tuple[float, float]:
-    """Integrate the chart once over all probes and return the max-norm of
-    the connection of ``chart.spec`` transformed into it and, at fiber
-    vector y, the max block residual over the probes."""
+def _probe_residuals(chart: ChartMap, probes, y) -> Residuals:
+    """Integrate the chart once over all probes and return, at
+    ``PUSHFORWARD_TOL``, the connection of ``chart.spec`` transformed into
+    it and, at fiber vector y, the block residuals, per probe."""
     probes = [tuple(float(c) for c in a) for a in probes]
     for a in probes:
         if float(np.linalg.norm(a)) > chart.radius + PROBE_RADIUS_SLACK:
@@ -466,9 +466,7 @@ def _probe_residuals(chart: ChartMap, probes, y) -> tuple[float, float]:
             _connection_values(chart.spec, cj[:, :, 0]), probes)
         stacks = {"pushforward_connection": transformed,
                   "born_block": _block_residuals(transformed, y)}
-    worst = finite_maxima(stacks, probes)
-    return (float(np.max(worst["pushforward_connection"])),
-            float(np.max(worst["born_block"])))
+    return Residuals(finite_maxima(stacks, probes), PUSHFORWARD_TOL)
 
 
 def chart_witness(chart: ChartMap, probes: int, fiber, seed: int) -> dict:
@@ -481,15 +479,15 @@ def chart_witness(chart: ChartMap, probes: int, fiber, seed: int) -> dict:
     # the cube of half-width r/2 lies in the ball of radius r only for n <= 4
     scale = chart.radius * min(1.0, 2.0 / math.sqrt(n))
     points = (scale * (2 * halton_points(probes, n, seed) - 1) / 2).tolist()
-    push, blocks = _probe_residuals(chart, points, fiber)
+    witness = _probe_residuals(chart, points, fiber)
     return {
         "base_point": list(chart.x0),
         "radius": chart.radius,
         "steps": chart.steps,
         "probes": probes,
-        "pushforward_residual": push,
-        "born_block_residual": blocks,
-        "witnessed": bool(push <= PUSHFORWARD_TOL and blocks <= PUSHFORWARD_TOL),
+        "pushforward_residual": witness.maxima["pushforward_connection"],
+        "born_block_residual": witness.maxima["born_block"],
+        "witnessed": witness.within,
     }
 
 

@@ -17,15 +17,18 @@ Spec file format (JSON)::
 ``gamma[k][i][j]`` is the coefficient with upper index k and lower indices
 (i, j).  Expressions use the mini-language of :mod:`bornbundle.expr`.
 
-``check`` takes the Hessian verdict, the two-of-four report and the
+``check`` takes the Hessian verdict, the two-of-four residuals and the
 integrability residuals from one sweep over the sample points
 (:func:`~bornbundle.integrability.integrability_verdict`); the two-of-four
-report reads the torsion and asymmetry off that Hessian verdict.  The
-verdict's curvature and torsion are also the chart's flatness gate: when
-both are within ``--tol`` and ``FLATNESS_GATE_TOL``, ``check`` measures
-the affine-chart witness on the chart at the box center and the sweep's
-first fiber vector (:func:`~bornbundle.charts.chart_witness`), with no
-gate points of its own.  The ``affine-chart`` command keeps its gate.
+residuals reuse the torsion and asymmetry of that Hessian verdict.  Each
+report section is a projection of one :class:`~bornbundle.manifold.Residuals`
+record, and ``failures`` comes from one table of (breached, message) pairs.
+The verdict's curvature and torsion are also the chart's flatness gate:
+when both are within ``--tol`` and ``FLATNESS_GATE_TOL``, ``check``
+measures the affine-chart witness on the chart at the box center and the
+sweep's first fiber vector (:func:`~bornbundle.charts.chart_witness`),
+with no gate points of its own.  The ``affine-chart`` command keeps its
+gate.
 
 Exit codes: 0 all checks ran and no internal invariant failed, 1 spec or
 configuration error (including a domain error or an overflow while
@@ -51,7 +54,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -65,8 +68,8 @@ from .errors import SpecError
 from .expr import EvalDomainError, ParseError
 from .integrability import integrability_verdict
 from .jets import JetDomainError, JetUsageError
-from .manifold import (BORN_GATE, CROSS_TOL, DEFAULT_TOL, FLATNESS_GATE_TOL, ManifoldSpec,
-                       TwoOfFourReport, build_spec)
+from .manifold import (CROSS_TOL, DEFAULT_TOL, FLATNESS_GATE_TOL, ManifoldSpec, build_spec,
+                       pattern_violated, two_of_four_residuals)
 
 REPORT_SCHEMA = 4  # layout version of the check report
 
@@ -201,12 +204,6 @@ def _spec_summary(spec: ManifoldSpec) -> dict:
     }
 
 
-def _construction_broken(max_born_compat: dict) -> bool:
-    """Whether the Born construction broke: a relative adapted-frame
-    residual above ``BORN_GATE`` somewhere."""
-    return max(max_born_compat.values()) > BORN_GATE
-
-
 def run(config: RunConfig) -> dict:
     """Full verdict suite for one spec.  Deterministic for a fixed (spec,
     config, seed); certifies behaviour on sampled points of this single
@@ -225,26 +222,21 @@ def run(config: RunConfig) -> dict:
         },
         "scope": "verdicts certify sampled points of a single chart",
     }
-    failures = []
-
     integ = integrability_verdict(spec, config.points, config.fiber_points,
                                   config.fiber_radius, config.tol, config.seed)
     hv = integ.hessian
-    report["hessian"] = asdict(hv)
-
-    two = TwoOfFourReport.of(integ.bases, hv, CROSS_TOL)
-    report["two_of_four"] = asdict(two)
-    if two.fact_violated:
-        failures.append("two_of_four pattern (exactly two or three conditions hold)")
-
-    report["born_compat"] = {"max_residuals": integ.max_born_compat, "gate": BORN_GATE}
-    if _construction_broken(integ.max_born_compat):
-        failures.append("born construction identities")
-
+    report["hessian"] = {"is_hessian": hv.within,
+                         **{"max_" + name: value for name, value in hv.maxima.items()},
+                         "tol": hv.tol, "points": len(integ.bases.x)}
+    two = two_of_four_residuals(integ.bases, hv, CROSS_TOL)
+    report["two_of_four"] = {"residuals": two.maxima, "holds": two.holds, "tol": two.tol,
+                             "fact_violated": pattern_violated(two)}
+    report["born_compat"] = {"max_residuals": integ.construction.maxima,
+                             "gate": integ.construction.tol}
     report["integrability"] = {
-        **{"max_" + name: value for name, value in integ.maxima.items()},
-        "integrable": integ.integrable,
-        "tol": hv.tol,
+        **{"max_" + name: value for name, value in integ.born.maxima.items()},
+        "integrable": integ.born.within,
+        "tol": integ.born.tol,
         "argmax": integ.argmax(),
         # columnar: entry p*F + f of a residual's list is at
         # (base_points[p], fiber_vectors[f]), so each list takes the writer's
@@ -252,23 +244,26 @@ def run(config: RunConfig) -> dict:
         "per_point": {
             "base_points": [list(x) for x in integ.bases.x],
             "fiber_vectors": integ.fibers.tolist(),
-            **{name: m.ravel().tolist() for name, m in integ.per_point.items()},
+            **{name: m.ravel().tolist() for name, m in integ.born.per_point.items()},
         },
     }
-    report["agreement"] = integ.hessian_agreement
-    if not integ.hessian_agreement:
-        failures.append("hessian/integrability verdicts disagree")
+    report["agreement"] = integ.agreement
 
     # the sweep's curvature and torsion are the chart's flatness gate; a
     # tolerance looser than the gate does not start the witness
-    if max(hv.max_curvature, hv.max_torsion) <= min(hv.tol, FLATNESS_GATE_TOL):
+    if max(hv.maxima["curvature"], hv.maxima["torsion"]) <= min(hv.tol, FLATNESS_GATE_TOL):
         x0 = tuple(0.5 * (lo + hi) for lo, hi in spec.sample_box)
         witness = chart_witness(ChartMap(spec, x0), 6, integ.fibers[0], config.seed)
         del witness["probes"]
         report["affine_chart"] = witness
-        if not report["affine_chart"]["witnessed"]:
-            failures.append("affine-chart witness residuals")
 
+    failures = [message for breached, message in (
+        (pattern_violated(two), "two_of_four pattern (exactly two or three conditions hold)"),
+        (not integ.construction.within, "born construction identities"),
+        (not integ.agreement, "hessian/integrability verdicts disagree"),
+        ("affine_chart" in report and not report["affine_chart"]["witnessed"],
+         "affine-chart witness residuals"),
+    ) if breached]
     report["status"] = "ok" if not failures else "invariant-failure"
     if failures:
         report["failures"] = failures
@@ -417,12 +412,12 @@ def _cmd_theorem(args) -> int:
                for spec in specs]
     print(f"{'spec':18s} {'hessian':8s} {'integrable':11s} agreement")
     for spec, rep in zip(specs, reports):
-        print(f"{spec.name:18s} {str(rep.hessian.is_hessian):8s} "
-              f"{str(rep.integrable):11s} {rep.hessian_agreement}")
-    agree = sum(rep.hessian_agreement for rep in reports)
+        print(f"{spec.name:18s} {str(rep.hessian.within):8s} "
+              f"{str(rep.born.within):11s} {rep.agreement}")
+    agree = sum(rep.agreement for rep in reports)
     print(f"agreement: {agree}/{len(reports)}")
     broken = [spec.name for spec, rep in zip(specs, reports)
-              if _construction_broken(rep.max_born_compat)]
+              if not rep.construction.within]
     if broken:
         print(f"born construction identities broke: {', '.join(broken)}", file=sys.stderr)
     return 0 if agree == len(reports) and not broken else 2

@@ -28,15 +28,17 @@ which ``abs`` removes: the sweep builds the first fiber alone, and its
 (P, 1) maxima stand for all F fibers before the division by (1 + |y|); a
 residual that is not finite there is named at the first fiber.
 
-The report carries the record, which the two-of-four report of ``check``
-reads too, and the normalized residuals of every bundle point as (P, F)
-arrays, which ``check`` writes as its ``per_point`` table and reduces to
-its ``argmax`` section.  A maximum that is not finite is a spec error
-naming the residual and its bundle point, the first by base point
-(:func:`bornbundle.manifold._first_failure`), then by fiber and residual:
-N_I, N_J, N_K, d omega, then the adapted-frame residuals; the list of
-bundle points that names it is built only then.  The verdict compares
-each maximum with the Hessian verdict's tolerance.
+The report carries the base-point record, which the two-of-four
+residuals of ``check`` read too, and three
+:class:`~bornbundle.manifold.Residuals`: the Hessian verdict; the Born
+record, the normalized residuals of every bundle point as (P, F) arrays
+at the same tolerance, which ``check`` writes as its ``per_point`` table
+and reduces to its ``argmax`` section; and the construction record, the
+adapted-frame residuals at ``BORN_GATE``.  A maximum that is not finite
+is a spec error naming the residual and its bundle point, the first by
+base point (:func:`bornbundle.manifold._first_failure`), then by fiber and
+residual: N_I, N_J, N_K, d omega, then the adapted-frame residuals; the
+list of bundle points that names it is built only then.
 """
 from __future__ import annotations
 
@@ -48,9 +50,9 @@ import numpy as np
 # born_jets is unused: bornbench's test_remove_restores_every_patched_attribute pins it
 from .bundle import adapted_frame_residuals, born_jets, fiber_born_jets
 from .errors import SpecError
-from .manifold import (DEFAULT_TOL, BaseJets, HessianVerdict, ManifoldSpec,
-                       _first_failure, base_jets, finite_maxima, sample_fibers,
-                       sample_points)
+from .manifold import (BORN_GATE, DEFAULT_TOL, BaseJets, ManifoldSpec, Residuals,
+                       _first_failure, base_jets, finite_maxima, hessian_verdict,
+                       sample_fibers, sample_points)
 
 
 def _norm_factor(y) -> float:
@@ -79,25 +81,27 @@ def _d_omega_of(omega: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IntegrabilityReport:
-    maxima: dict  # residual name -> its maximum in per_point
-    integrable: bool  # every maximum within hessian.tol, the verdicts' one tolerance
-    hessian_agreement: bool
-    hessian: HessianVerdict
-    max_born_compat: dict  # worst relative defect of each tensor in the adapted frame
-    # residual name -> (P, F) normalized residuals; entry [p, f] belongs to
-    # the bundle point (bases.x[p], fibers[f])
-    per_point: dict
+    hessian: Residuals  # curvature, torsion and asymmetry per base point
+    # the normalized residuals as (P, F) stacks, entry [p, f] at the bundle
+    # point (bases.x[p], fibers[f]), at the Hessian verdict's tolerance
+    born: Residuals
+    construction: Residuals  # relative adapted-frame defects, at BORN_GATE
     bases: BaseJets  # the sweep's base-point fields
     fibers: np.ndarray  # (F, n) fiber vectors of the sweep
+
+    @property
+    def agreement(self) -> bool:
+        """Whether the Hessian and integrability verdicts agree."""
+        return self.born.within == self.hessian.within
 
     def argmax(self) -> dict:
         """Per residual, the first bundle point in sweep order where its
         maximum sits ("x", "y") and the maximum's :func:`log_margin`."""
         out = {}
-        for name, m in self.per_point.items():
+        for name, m in self.born.per_point.items():
             p, f = divmod(int(np.argmax(m)), m.shape[1])
             out[name] = {"x": list(self.bases.x[p]), "y": self.fibers[f].tolist(),
-                         "margin": log_margin(float(m[p, f]), self.hessian.tol)}
+                         "margin": log_margin(float(m[p, f]), self.born.tol)}
         return out
 
 
@@ -123,7 +127,7 @@ def integrability_verdict(spec: ManifoldSpec, base_count: int = 32,
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tolerance must be finite and non-negative, not {tol!r}")
     bases = base_jets(spec, sample_points(spec, base_count, seed))
-    hv = HessianVerdict.of(bases, tol)  # its positivity gate precedes the Born identities
+    hessian = hessian_verdict(bases, tol)  # its positivity gate precedes the Born identities
     fibers = sample_fibers(spec.n, fiber_count, fiber_radius, seed)
     norms = np.array([_norm_factor(y) for y in fibers])
     if not np.isfinite(norms).all():
@@ -146,12 +150,7 @@ def integrability_verdict(spec: ManifoldSpec, base_count: int = 32,
                                        for y in swept.tolist()])
         return worst, compat
     worst, compat = _first_failure(sweep, base_count)
-    per_point = {key: m / norms for key, m in worst.items()}  # (P, 1) broadcast over F
-    maxima = {key: float(m.max()) for key, m in per_point.items()}
-    worst_born = dict(zip(compat, np.max(list(compat.values()), axis=(1, 2)).tolist()))
-    integrable = all(v <= tol for v in maxima.values())
-    return IntegrabilityReport(
-        maxima=maxima, integrable=integrable,
-        hessian_agreement=(integrable == hv.is_hessian),
-        hessian=hv, max_born_compat=worst_born, per_point=per_point,
-        bases=bases, fibers=fibers)
+    born = {key: m / norms for key, m in worst.items()}  # (P, 1) broadcast over F
+    return IntegrabilityReport(hessian=hessian, born=Residuals(born, tol),
+                               construction=Residuals(compat, BORN_GATE),
+                               bases=bases, fibers=fibers)

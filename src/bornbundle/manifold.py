@@ -3,28 +3,28 @@
 Holds the manifold description (:class:`ManifoldSpec`), the base-point
 fields of a sweep (metric and connection), the tensors built from them
 (torsion, curvature, dual connection, covariant derivative of the metric,
-Levi-Civita), the Hessian verdict and the four-residual
-torsion/duality/compatibility report.
+Levi-Civita), the Hessian verdict and the two-of-four residuals of
+torsion, duality and compatibility.
 
 :func:`base_jets` evaluates Gamma and g at all P sample points of a sweep
 as one batch, held as one :class:`BaseJets` record of arrays stacked along
 a leading point axis, and rejects a value or derivative that is not finite
-as a spec error.  The Hessian verdict and the two-of-four report are both
-built from that record, by formulas that act on the leading axis; the
-latter reads the torsion and the asymmetry off the Hessian verdict, and
-takes the dual connection and Levi-Civita from the values of g and its
+as a spec error.  The Hessian verdict and the two-of-four residuals are
+both built from that record, by formulas that act on the leading axis;
+the latter reuse the Hessian verdict's per-point torsion and asymmetry,
+and take the dual connection and Levi-Civita from the values of g and its
 first partials and one batched inverse of g, through the formulas of
 :mod:`bornbundle.fields`, so they equal the fields' own order-0 values bit
-for bit.  Every verdict of the package, the chart witness's included,
-rejects a residual that is not finite at a point as a spec error through
-:func:`finite_maxima`, which reduces each stack to per-point maxima over
-its trailing axes as it lies in memory, without copying a stack that
-holds its sample axes innermost; the Born sweep reduces its own stacks
-and calls it only on a maximum that is not finite.  The sample box is
-checked on the whole point array, and point by point only to name the
-first point outside it.
-Every threshold that decides a verdict, a gate or an exit code is in the
-one table of thresholds below, which the other modules import.
+for bit.  Every verdict and gate of the package, the chart witness's
+included, is one :class:`Residuals` record: per-point maxima by name, read
+against one entry of the table of thresholds below, which the other
+modules import.  A residual that is not finite at a point is a spec error
+through :func:`finite_maxima`, which reduces each stack to per-point
+maxima over its trailing axes as it lies in memory, without copying a
+stack that holds its sample axes innermost; the Born sweep reduces its
+own stacks and calls it only on a maximum that is not finite.  The sample
+box is checked on the whole point array, and point by point only to name
+the first point outside it.
 
 Curvature convention, fixed once for the whole package:
 ``R^l_ijk = d_i Gamma^l_jk - d_j Gamma^l_ik + Gamma^l_im Gamma^m_jk
@@ -35,6 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -309,6 +310,32 @@ def finite_maxima(residuals: dict, points: Sequence) -> dict[str, np.ndarray]:
                     f"(value {float(maxima[name][p])!r})")
 
 
+@dataclass(frozen=True)
+class Residuals:
+    """Named residuals read against one threshold of the table above: per
+    name, the maxima of its stack at each sample point, reduced once (by
+    :func:`finite_maxima`, or by the Born sweep, which checks its own), and
+    ``tol``.  Every verdict and gate of the package is one of these records."""
+
+    per_point: dict  # name -> per-point maxima, axes over the sample points
+    tol: float
+
+    @cached_property
+    def maxima(self) -> dict[str, float]:
+        """Per name, the maximum over every point."""
+        return {name: float(m.max()) for name, m in self.per_point.items()}
+
+    @property
+    def holds(self) -> dict[str, bool]:
+        """Per name, whether its maximum is within ``tol``."""
+        return {name: m <= self.tol for name, m in self.maxima.items()}
+
+    @property
+    def within(self) -> bool:
+        """Whether every maximum is within ``tol``."""
+        return all(self.holds.values())
+
+
 def _first_failure(evaluate, count: int):
     """``evaluate(slice(None))``, the batch of all ``count`` items.  If it
     raises a spec or arithmetic error, the items are evaluated one at a time,
@@ -366,32 +393,19 @@ def base_jets(spec: ManifoldSpec, points, order: int = 1) -> BaseJets:
     return _first_failure(lambda s: _base_batch(spec, points[s], order), len(points))
 
 
-@dataclass(frozen=True)
-class HessianVerdict:
-    is_hessian: bool
-    max_curvature: float
-    max_torsion: float
-    max_nabla_g_asymmetry: float
-    tol: float
-    points: int
-
-    @classmethod
-    def of(cls, bases: BaseJets, tol: float) -> "HessianVerdict":
-        """The verdict over base-point fields of order 1, after the metric's
-        positivity gate at every point."""
-        check_spd(bases.g[:, 0], bases.x)
-        gamma = bases.gamma[:, 0]
-        with np.errstate(over="ignore", invalid="ignore"):  # finite_maxima checks
-            residuals = {
-                "curvature": _curvature_of(bases.gamma),
-                "torsion": _torsion_of(gamma),
-                "nabla_g_asymmetry": _nabla_g_of(gamma, bases.g)[1],
-            }
-        worst = finite_maxima(residuals, bases.x)
-        max_r, max_t, max_a = (float(m.max()) for m in worst.values())
-        return cls(is_hessian=bool(max_r <= tol and max_t <= tol and max_a <= tol),
-                   max_curvature=max_r, max_torsion=max_t,
-                   max_nabla_g_asymmetry=max_a, tol=tol, points=len(bases.x))
+def hessian_verdict(bases: BaseJets, tol: float) -> Residuals:
+    """The Hessian verdict's curvature, torsion and asymmetry over base-point
+    fields of order 1, at ``tol``, after the metric's positivity gate at
+    every point."""
+    check_spd(bases.g[:, 0], bases.x)
+    gamma = bases.gamma[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):  # finite_maxima checks
+        residuals = {
+            "curvature": _curvature_of(bases.gamma),
+            "torsion": _torsion_of(gamma),
+            "nabla_g_asymmetry": _nabla_g_of(gamma, bases.g)[1],
+        }
+    return Residuals(finite_maxima(residuals, bases.x), tol)
 
 
 def dual_and_levi_civita(gamma: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -404,34 +418,26 @@ def dual_and_levi_civita(gamma: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, 
     return fields.dual_connection_of(gamma, gv, dg, ginv), fields.levi_civita_of(dg, ginv)
 
 
-@dataclass(frozen=True)
-class TwoOfFourReport:
-    """Max residuals of: torsion of the connection, torsion of its dual,
-    asymmetry of the metric derivative, and distance of the connection/dual
-    mean from Levi-Civita.  Any two vanishing forces all four, so observing
-    exactly two or three below tolerance indicates an internal bug."""
+def two_of_four_residuals(bases: BaseJets, hessian: Residuals, tol: float) -> Residuals:
+    """Torsion of the connection, torsion of its dual, asymmetry of the
+    metric derivative and distance of the connection/dual mean from
+    Levi-Civita, at ``tol``, over base-point fields, Gamma of any order and g
+    of order 1.  The torsion and the asymmetry are the per-point maxima of
+    the Hessian verdict over the same fields; the other two are computed
+    here."""
+    gamma = bases.gamma[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):  # finite_maxima checks
+        dual, lc = dual_and_levi_civita(gamma, bases.g)
+        residuals = {"dual_torsion": _torsion_of(dual),
+                     "mean_vs_levi_civita": 0.5 * (gamma + dual) - lc}
+    worst = finite_maxima(residuals, bases.x)
+    return Residuals({"torsion": hessian.per_point["torsion"],
+                      "dual_torsion": worst["dual_torsion"],
+                      "nabla_g_asymmetry": hessian.per_point["nabla_g_asymmetry"],
+                      "mean_vs_levi_civita": worst["mean_vs_levi_civita"]}, tol)
 
-    residuals: dict
-    holds: dict
-    tol: float
-    fact_violated: bool
 
-    @classmethod
-    def of(cls, bases: BaseJets, hessian: HessianVerdict, tol: float) -> "TwoOfFourReport":
-        """The report over base-point fields, Gamma of any order and g of
-        order 1.  The torsion and the asymmetry are the maxima of the
-        Hessian verdict over the same fields; the dual torsion and the mean's
-        distance from Levi-Civita are computed here."""
-        gamma = bases.gamma[:, 0]
-        with np.errstate(over="ignore", invalid="ignore"):  # finite_maxima checks
-            dual, lc = dual_and_levi_civita(gamma, bases.g)
-            residuals = {"dual_torsion": _torsion_of(dual),
-                         "mean_vs_levi_civita": 0.5 * (gamma + dual) - lc}
-        worst = finite_maxima(residuals, bases.x)
-        dual_torsion, mean = (float(m.max()) for m in worst.values())
-        maxima = {"torsion": hessian.max_torsion, "dual_torsion": dual_torsion,
-                  "nabla_g_asymmetry": hessian.max_nabla_g_asymmetry,
-                  "mean_vs_levi_civita": mean}
-        holds = {k: bool(v <= tol) for k, v in maxima.items()}
-        return cls(residuals=maxima, holds=holds, tol=tol,
-                   fact_violated=bool(sum(holds.values()) in (2, 3)))
+def pattern_violated(two_of_four: Residuals) -> bool:
+    """Whether exactly two or three of the four residuals hold: any two
+    vanishing forces all four, so that pattern indicates an internal bug."""
+    return sum(two_of_four.holds.values()) in (2, 3)

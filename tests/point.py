@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
-from types import SimpleNamespace
-
 import numpy as np
 
 from bornbundle import fields, jets
@@ -31,10 +29,11 @@ from bornbundle.bundle import (BornFrame, BundlePoint, _frame_of, _require_point
                                adapted_frame_residuals, fiber_born_jets)
 from bornbundle.charts import ChartMap, _probe_residuals
 from bornbundle.integrability import _d_omega_of, _nijenhuis_of, _norm_factor
-from bornbundle.manifold import (DEFAULT_TOL, BaseJets, HessianVerdict, ManifoldSpec,
-                                 TwoOfFourReport, _curvature_of, _nabla_g_of,
-                                 _require_inside, _torsion_of, base_jets, check_spd,
-                                 finite_maxima)
+from bornbundle.manifold import (DEFAULT_TOL, BaseJets, ManifoldSpec, Residuals,
+                                 _curvature_of, _nabla_g_of, _require_inside, _torsion_of,
+                                 base_jets, check_spd, finite_maxima)
+from bornbundle.manifold import hessian_verdict as _hessian_verdict
+from bornbundle.manifold import two_of_four_residuals as _two_of_four_residuals
 
 
 def _stacked(field, spec: ManifoldSpec, points, order: int) -> np.ndarray:
@@ -98,11 +97,11 @@ def nabla_g_at(spec: ManifoldSpec, p) -> tuple[np.ndarray, float]:
     return ng, float(asym)
 
 
-def hessian_verdict(spec: ManifoldSpec, points, tol: float = DEFAULT_TOL) -> HessianVerdict:
+def hessian_verdict(spec: ManifoldSpec, points, tol: float = DEFAULT_TOL) -> Residuals:
     points = list(points)
     if not points:
         raise ValueError("need at least one sample point")
-    return HessianVerdict.of(base_jets(spec, points), tol)
+    return _hessian_verdict(base_jets(spec, points), tol)
 
 
 def two_of_four_bases(spec: ManifoldSpec, points) -> BaseJets:
@@ -114,19 +113,17 @@ def two_of_four_bases(spec: ManifoldSpec, points) -> BaseJets:
 
 
 def two_of_four_residuals(spec: ManifoldSpec, points,
-                          tol: float = DEFAULT_TOL) -> TwoOfFourReport:
-    """The report over :func:`two_of_four_bases`.  Its torsion and asymmetry
-    maxima, which ``check`` reads off the Hessian verdict of an order-1
-    record, are computed here from the same order-0 Gamma."""
+                          tol: float = DEFAULT_TOL) -> Residuals:
+    """The record over :func:`two_of_four_bases`.  Its torsion and asymmetry,
+    which ``check`` reads off the Hessian verdict of an order-1 record, are
+    computed here from the same order-0 Gamma, as a record of their own."""
     bases = two_of_four_bases(spec, points)
     gamma = bases.gamma[:, 0]
     with np.errstate(over="ignore", invalid="ignore"):  # finite_maxima checks
         residuals = {"torsion": _torsion_of(gamma),
                      "nabla_g_asymmetry": _nabla_g_of(gamma, bases.g)[1]}
-    worst = finite_maxima(residuals, bases.x)
-    maxima = SimpleNamespace(max_torsion=float(np.max(worst["torsion"])),
-                             max_nabla_g_asymmetry=float(np.max(worst["nabla_g_asymmetry"])))
-    return TwoOfFourReport.of(bases, maxima, tol)
+    hessian = Residuals(finite_maxima(residuals, bases.x), tol)
+    return _two_of_four_residuals(bases, hessian, tol)
 
 
 def _born(spec: ManifoldSpec, bp: BundlePoint, order: int = 1):
@@ -314,4 +311,5 @@ def nijenhuis_J_identity_residuals(spec: ManifoldSpec, bp: BundlePoint) -> dict:
 
 
 def pushforward_connection_residual(chart: ChartMap, probes) -> float:
-    return _probe_residuals(chart, probes, np.zeros(chart.spec.n))[0]
+    witness = _probe_residuals(chart, probes, np.zeros(chart.spec.n))
+    return witness.maxima["pushforward_connection"]

@@ -12,7 +12,7 @@ from bornbundle.bundle import BundlePoint, born_at
 from bornbundle.charts import _probe_residuals, exponential_chart, geodesic_integrate
 from bornbundle.cli import RunConfig, report_to_json, run
 from bornbundle.integrability import integrability_verdict
-from bornbundle.manifold import halton_points, sample_fibers, sample_points
+from bornbundle.manifold import halton_points, pattern_violated, sample_fibers, sample_points
 from test_bundle import standard_born_matrices
 from point import (born_compatibility_residuals, d_omega_at, dual_connection_at,
                    frame_bracket_residuals, nijenhuis_J_identity_residuals,
@@ -114,7 +114,7 @@ def test_acceptance_3_euclidean_reproduction():
         for name in ("I", "J", "K", "h", "k", "omega"):
             ok = ok and float(np.max(np.abs(getattr(bf, name) - want[name]))) <= 1e-12
     rep = integrability_verdict(spec, 8, 4)
-    for val in rep.maxima.values():
+    for val in rep.born.maxima.values():
         ok = ok and val <= 1e-12
     _verdict(3, "Euclidean reproduction", ok)
 
@@ -123,27 +123,27 @@ def test_acceptance_4_main_theorem_agreement():
     reps = {spec.name: integrability_verdict(spec, base_count=32, fiber_count=8,
                                              fiber_radius=1.0, tol=1e-9)
             for spec in ALL}
-    agree = sum(rep.hessian_agreement for rep in reps.values())
+    agree = sum(rep.agreement for rep in reps.values())
     ok = agree == len(reps) == 6
-    ok = ok and reps["hessian-exp2"].hessian.is_hessian and reps["hessian-exp2"].integrable
+    ok = ok and reps["hessian-exp2"].hessian.within and reps["hessian-exp2"].born.within
     for name in ("sphere2", "flat-skew-metric", "flat-torsionful"):
-        ok = ok and not reps[name].hessian.is_hessian and not reps[name].integrable
+        ok = ok and not reps[name].hessian.within and not reps[name].born.within
     # expected dominant residuals
     sphere = reps["sphere2"]
-    ok = ok and sphere.hessian.max_curvature > 1e-9
-    ok = ok and sphere.hessian.max_torsion <= 1e-9
-    ok = ok and sphere.maxima["nijenhuis_K"] > 1e-9
+    ok = ok and sphere.hessian.maxima["curvature"] > 1e-9
+    ok = ok and sphere.hessian.maxima["torsion"] <= 1e-9
+    ok = ok and sphere.born.maxima["nijenhuis_K"] > 1e-9
     skew = reps["flat-skew-metric"]
-    ok = ok and skew.maxima["d_omega"] > 1e-9
-    ok = ok and all(skew.maxima[f"nijenhuis_{w}"] <= 1e-9 for w in "IJK")
-    ok = ok and skew.hessian.max_nabla_g_asymmetry > 1e-9
+    ok = ok and skew.born.maxima["d_omega"] > 1e-9
+    ok = ok and all(skew.born.maxima[f"nijenhuis_{w}"] <= 1e-9 for w in "IJK")
+    ok = ok and skew.hessian.maxima["nabla_g_asymmetry"] > 1e-9
     tors = reps["flat-torsionful"]
-    ok = ok and tors.hessian.max_torsion > 1e-9
-    ok = ok and tors.hessian.max_curvature <= 1e-9
-    ok = ok and tors.maxima["nijenhuis_I"] > 1e-9
-    ok = ok and tors.maxima["nijenhuis_J"] > 1e-9
-    ok = ok and tors.maxima["nijenhuis_K"] <= 1e-9
-    ok = ok and tors.maxima["d_omega"] <= 1e-9
+    ok = ok and tors.hessian.maxima["torsion"] > 1e-9
+    ok = ok and tors.hessian.maxima["curvature"] <= 1e-9
+    ok = ok and tors.born.maxima["nijenhuis_I"] > 1e-9
+    ok = ok and tors.born.maxima["nijenhuis_J"] > 1e-9
+    ok = ok and tors.born.maxima["nijenhuis_K"] <= 1e-9
+    ok = ok and tors.born.maxima["d_omega"] <= 1e-9
     print(f"  agreement {agree}/6")
     _verdict(4, "main-theorem agreement", ok)
 
@@ -199,12 +199,12 @@ def test_acceptance_7_two_of_four():
     for name in ("hessian-exp2", "sphere2"):  # sphere2 is the levi-civita spec
         spec = BY_NAME[name]
         rep = two_of_four_residuals(spec, [tuple(p) for p in sample_points(spec, 8, 29)])
-        ok = ok and all(v <= 1e-7 for v in rep.residuals.values())
+        ok = ok and all(v <= 1e-7 for v in rep.maxima.values())
     for spec in ALL:
         rep = two_of_four_residuals(spec, [tuple(p) for p in sample_points(spec, 8, 29)])
-        below = sum(1 for v in rep.residuals.values() if v <= 1e-9)
+        below = sum(1 for v in rep.maxima.values() if v <= 1e-9)
         ok = ok and below != 3
-        ok = ok and not rep.fact_violated
+        ok = ok and not pattern_violated(rep)
     _verdict(7, "two-of-four residual pattern", ok)
 
 
@@ -214,7 +214,8 @@ def test_acceptance_8_affine_chart_witness():
     unit = halton_points(6, 2, 31)
     probes = [tuple(chart.radius * (2 * u - 1) / 2) for u in unit]
     push = pushforward_connection_residual(chart, probes)
-    blocks = max(_probe_residuals(chart, [a], (0.8, -0.5))[1] for a in probes)
+    blocks = max(_probe_residuals(chart, [a], (0.8, -0.5)).maxima["born_block"]
+                 for a in probes)
     # contraction must be measured where RK4 has error to contract; the flat
     # corpus geodesics (straight or polynomial) are integrated exactly, so
     # the sphere provides the convergence-order evidence

@@ -95,7 +95,7 @@ def jacobian(chart, a):
 def chart_born_block_residual(chart, a, y):
     """Distance of the I, J, K built from the transformed connection at a
     chart probe from their constant affine-chart blocks."""
-    return _probe_residuals(chart, [a], y)[1]
+    return _probe_residuals(chart, [a], y).maxima["born_block"]
 
 
 def test_exponential_chart_euclidean_is_identity():
@@ -734,9 +734,9 @@ def test_stacked_probe_residuals_equal_per_probe(name):
         want = per_probe_transformed_connection(jac[p], sec[p], gamma[p])
         assert_same_bits(transformed[p], want)
         assert_same_bits(blocks[p], per_probe_block_residual(want, y))
-    push, block = _probe_residuals(chart, points, y)
-    assert push == max(np.max(np.abs(t)) for t in transformed)
-    assert block == max(np.max(np.abs(b)) for b in blocks)
+    maxima = _probe_residuals(chart, points, y).maxima
+    assert maxima["pushforward_connection"] == max(np.max(np.abs(t)) for t in transformed)
+    assert maxima["born_block"] == max(np.max(np.abs(b)) for b in blocks)
 
 
 def test_stacked_probe_residuals_equal_per_probe_on_random_stacks():
@@ -863,7 +863,8 @@ def test_singular_chart_jacobian_names_the_first_probe():
     with pytest.raises(SpecError, match=re.escape("singular chart Jacobian at probe "
                                                   "(-0.1, 0.05)")):
         _probe_residuals(chart, points, (0.7, -0.4))
-    assert _probe_residuals(chart, points[:1], (0.7, -0.4)) == (0.0, 0.0)
+    assert _probe_residuals(chart, points[:1], (0.7, -0.4)).maxima == {
+        "pushforward_connection": 0.0, "born_block": 0.0}
 
 
 # -- work done once ------------------------------------------------------------

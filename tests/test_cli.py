@@ -14,7 +14,7 @@ from bornbundle.cli import (RunConfig, load_spec, main, report_to_json, run,
 from bornbundle.errors import SpecError
 from bornbundle.jets import JetUsageError
 from bornbundle.manifold import (BORN_GATE, CROSS_TOL, DEFAULT_TOL, FLATNESS_GATE_TOL,
-                                 sample_fibers, sample_points)
+                                 pattern_violated, sample_fibers, sample_points)
 from test_manifold import GENERATED
 from point import (connection_at, d_omega_at, dual_connection_at, frame_residuals_at,
                    hessian_verdict, levi_civita_at, nabla_g_at, nijenhuis_at, torsion_at,
@@ -663,8 +663,8 @@ def test_invariant_failure_exit_code(monkeypatch, capsys):
 
     def broken(spec, *args, **kwargs):
         rep = real(spec, *args, **kwargs)
-        return dataclasses.replace(rep, integrable=not rep.integrable,
-                                   hessian_agreement=False)
+        # read against a negative tolerance, no Born residual is within it
+        return dataclasses.replace(rep, born=dataclasses.replace(rep.born, tol=-1.0))
 
     monkeypatch.setattr(cli_mod, "integrability_verdict", broken)
     code = main(["check", "euclidean2", "--points", "4", "--fiber-points", "2"])
@@ -703,6 +703,35 @@ def test_check_exits_2_on_a_corrupted_born_tensor(name, monkeypatch, capsys):
     assert worst[name + "_in_frame"] > BORN_GATE
     assert all(v <= 1e-15 for key, v in worst.items() if key != name + "_in_frame")
     assert report["agreement"] is intact["agreement"] is True
+
+
+def test_failures_list_every_broken_invariant_in_order(monkeypatch, capsys):
+    # all four invariants of check broken at once: the failures list names
+    # each, in the order of the report's sections
+    import bornbundle.charts as charts_mod
+    import bornbundle.integrability as integrability_mod
+    import bornbundle.manifold as manifold_mod
+
+    real_lc = manifold_mod.dual_and_levi_civita
+
+    def shifted_lc(gamma, g):
+        dual, lc = real_lc(gamma, g)
+        return dual, lc + 1.0
+    monkeypatch.setattr(manifold_mod, "dual_and_levi_civita", shifted_lc)
+    _corrupt_born_tensor(monkeypatch, "K")
+    real_n = integrability_mod._nijenhuis_of
+    monkeypatch.setattr(integrability_mod, "_nijenhuis_of", lambda a: real_n(a) + 1.0)
+    real_b = charts_mod._block_residuals
+    monkeypatch.setattr(charts_mod, "_block_residuals", lambda t, y: real_b(t, y) + 1e-5)
+    assert main(["check", "euclidean2", "--points", "4", "--fiber-points", "2"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "invariant-failure"
+    assert report["failures"] == [
+        "two_of_four pattern (exactly two or three conditions hold)",
+        "born construction identities",
+        "hessian/integrability verdicts disagree",
+        "affine-chart witness residuals",
+    ]
 
 
 def test_theorem_exits_2_on_a_broken_construction_identity(monkeypatch, capsys):
@@ -754,7 +783,7 @@ def test_internal_fault_exit_code(monkeypatch, capsys, error):
     def broken(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr(cli_mod.TwoOfFourReport, "of", broken)
+    monkeypatch.setattr(cli_mod, "two_of_four_residuals", broken)
     code = main(["check", "euclidean2", "--points", "2", "--fiber-points", "1"])
     assert code == 2
     out = json.loads(capsys.readouterr().out)
@@ -823,12 +852,13 @@ def test_shared_sweep_matches_standalone_functions(source, tmp_path):
     assert list(report["born_compat"]["max_residuals"]) == list(worst)
     hv = hessian_verdict(spec, base, config.tol)
     assert report["hessian"] == {
-        "is_hessian": hv.is_hessian, "max_curvature": hv.max_curvature,
-        "max_torsion": hv.max_torsion,
-        "max_nabla_g_asymmetry": hv.max_nabla_g_asymmetry,
-        "tol": hv.tol, "points": hv.points}
-    assert report["two_of_four"] == dataclasses.asdict(
-        two_of_four_residuals(spec, base, CROSS_TOL))
+        "is_hessian": hv.within, "max_curvature": hv.maxima["curvature"],
+        "max_torsion": hv.maxima["torsion"],
+        "max_nabla_g_asymmetry": hv.maxima["nabla_g_asymmetry"],
+        "tol": hv.tol, "points": len(base)}
+    two = two_of_four_residuals(spec, base, CROSS_TOL)
+    assert report["two_of_four"] == {"residuals": two.maxima, "holds": two.holds,
+                                     "tol": two.tol, "fact_violated": pattern_violated(two)}
 
 
 @pytest.mark.parametrize("source", ["sphere2", "lc3", "hessian-exp2", "potential3",
@@ -993,9 +1023,9 @@ def _assert_native(value, path="report"):
 def test_reports_are_json_native_on_every_branch(source, failure, status,
                                                  monkeypatch):
     import bornbundle.charts as charts_mod
-    import bornbundle.cli as cli_mod
+    import bornbundle.integrability as integrability_mod
     if failure == "born-gate":
-        monkeypatch.setattr(cli_mod, "BORN_GATE", -1.0)
+        monkeypatch.setattr(integrability_mod, "BORN_GATE", -1.0)
     if failure == "witness":
         monkeypatch.setattr(charts_mod, "PUSHFORWARD_TOL", -1.0)
     report = run(RunConfig(source, points=4, fiber_points=2))

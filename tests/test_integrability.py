@@ -12,9 +12,9 @@ from bornbundle.cli import load_spec, spec_from_dict
 from bornbundle.errors import SpecError
 from bornbundle.integrability import (_d_omega_of, _nijenhuis_of, _norm_factor,
                                       integrability_verdict)
-from bornbundle.manifold import (CROSS_TOL, _curvature_of, _nabla_g_of, _torsion_of,
-                                 base_jets, build_spec, finite_maxima, sample_fibers,
-                                 sample_points)
+from bornbundle.manifold import (CROSS_TOL, Residuals, _curvature_of, _nabla_g_of,
+                                 _torsion_of, base_jets, build_spec, finite_maxima,
+                                 sample_fibers, sample_points)
 from test_manifold import GENERATED, _diagonal, _gamma_00, _generated
 from point import (d_omega_at, dual_connection_at, frame_bracket_residuals, nijenhuis_at,
                    nijenhuis_J_identity_residuals, torsion_at)
@@ -296,40 +296,40 @@ def test_d_omega_iff_dual_torsion_free(spec):
 
 def test_verdict_euclidean():
     rep = integrability_verdict(EUCLID, 8, 4)
-    assert rep.integrable
-    assert rep.hessian.is_hessian
-    assert rep.hessian_agreement
-    assert list(rep.per_point) == ["nijenhuis_I", "nijenhuis_J", "nijenhuis_K", "d_omega"]
-    assert all(m.shape == (8, 4) for m in rep.per_point.values())
+    assert rep.born.within
+    assert rep.hessian.within
+    assert rep.agreement
+    assert list(rep.born.per_point) == ["nijenhuis_I", "nijenhuis_J", "nijenhuis_K", "d_omega"]
+    assert all(m.shape == (8, 4) for m in rep.born.per_point.values())
     assert rep.fibers.shape == (4, 2)
 
 
 def test_verdict_sphere():
     rep = integrability_verdict(SPHERE, 8, 4)
-    assert not rep.integrable
-    assert rep.maxima["nijenhuis_K"] > rep.hessian.tol
-    assert not rep.hessian.is_hessian
-    assert rep.hessian_agreement
+    assert not rep.born.within
+    assert rep.born.maxima["nijenhuis_K"] > rep.hessian.tol
+    assert not rep.hessian.within
+    assert rep.agreement
 
 
 def test_verdict_skew_metric_distinguishes_d_omega():
     rep = integrability_verdict(SKEW, 8, 4)
-    assert rep.maxima["nijenhuis_I"] <= rep.hessian.tol
-    assert rep.maxima["nijenhuis_J"] <= rep.hessian.tol
-    assert rep.maxima["nijenhuis_K"] <= rep.hessian.tol
-    assert rep.maxima["d_omega"] > rep.hessian.tol
-    assert not rep.integrable
-    assert rep.hessian_agreement
+    assert rep.born.maxima["nijenhuis_I"] <= rep.hessian.tol
+    assert rep.born.maxima["nijenhuis_J"] <= rep.hessian.tol
+    assert rep.born.maxima["nijenhuis_K"] <= rep.hessian.tol
+    assert rep.born.maxima["d_omega"] > rep.hessian.tol
+    assert not rep.born.within
+    assert rep.agreement
 
 
 def test_verdict_torsionful():
     rep = integrability_verdict(TORSIONFUL, 8, 4)
-    assert not rep.integrable
-    assert rep.maxima["nijenhuis_I"] > rep.hessian.tol
-    assert rep.maxima["nijenhuis_J"] > rep.hessian.tol
-    assert rep.maxima["nijenhuis_K"] <= rep.hessian.tol
-    assert rep.maxima["d_omega"] <= rep.hessian.tol
-    assert rep.hessian_agreement
+    assert not rep.born.within
+    assert rep.born.maxima["nijenhuis_I"] > rep.hessian.tol
+    assert rep.born.maxima["nijenhuis_J"] > rep.hessian.tol
+    assert rep.born.maxima["nijenhuis_K"] <= rep.hessian.tol
+    assert rep.born.maxima["d_omega"] <= rep.hessian.tol
+    assert rep.agreement
 
 
 def test_verdict_counts_validated():
@@ -341,12 +341,12 @@ def test_theorem_builtin():
     by_name = {spec.name: integrability_verdict(spec, base_count=6, fiber_count=3)
                for spec in corpus.all_examples()}
     assert len(by_name) == 6
-    assert all(rep.hessian_agreement for rep in by_name.values())
+    assert all(rep.agreement for rep in by_name.values())
     for name in ("euclidean2", "hessian-exp2", "pullback-flat"):
-        assert by_name[name].hessian.is_hessian and by_name[name].integrable
+        assert by_name[name].hessian.within and by_name[name].born.within
     for name in ("sphere2", "flat-skew-metric", "flat-torsionful"):
-        assert not by_name[name].hessian.is_hessian
-        assert not by_name[name].integrable
+        assert not by_name[name].hessian.within
+        assert not by_name[name].born.within
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -359,8 +359,8 @@ def test_theorem_beyond_four_dimensions(n, metric):
         kw = {"potential": " + ".join(f"exp({c})" for c in coords)}
     spec = build_spec(f"{metric}{n}", coords, [(-1.0, 1.0)] * n, connection="flat", **kw)
     rep = integrability_verdict(spec, base_count=2, fiber_count=1)
-    assert rep.hessian_agreement
-    assert rep.hessian.is_hessian is True and rep.integrable is True
+    assert rep.agreement
+    assert rep.hessian.within is True and rep.born.within is True
 
 
 # -- the stacked sweep ----------------------------------------------------------
@@ -470,8 +470,9 @@ def _spec_of(source):
 
 
 def _full_stack_verdict(spec, base_count, fiber_count, radius, seed):
-    """per_point and max_born_compat of the P x F stack built by the
-    stacked functions on all F fibers, as the sweep of any Gamma."""
+    """The Born record's per-point residuals and the construction maxima of
+    the P x F stack built by the stacked functions on all F fibers, as the
+    sweep of any Gamma."""
     bases = base_jets(spec, sample_points(spec, base_count, seed))
     fibers = sample_fibers(spec.n, fiber_count, radius, seed)
     points = [(x, y) for x in bases.x for y in map(tuple, fibers.tolist())]
@@ -505,14 +506,15 @@ def test_one_fiber_verdict_equals_the_full_stack(source):
             assert (rep.fibers < 0).any() and (rep.fibers > 0).any()
         per_point, worst_born = _full_stack_verdict(
             spec, 6, fiber_count, radius, seed)
-        assert list(rep.per_point) == list(per_point)
+        assert list(rep.born.per_point) == list(per_point)
         for key, m in per_point.items():
-            assert rep.per_point[key].shape == (6, fiber_count)
-            assert np.array_equal(rep.per_point[key].view(np.int64), m.view(np.int64))
-        assert list(rep.max_born_compat) == list(worst_born)
-        assert np.array_equal(np.array(list(rep.max_born_compat.values())).view(np.int64),
+            assert rep.born.per_point[key].shape == (6, fiber_count)
+            assert np.array_equal(rep.born.per_point[key].view(np.int64), m.view(np.int64))
+        assert list(rep.construction.maxima) == list(worst_born)
+        assert np.array_equal(np.array(list(rep.construction.maxima.values())).view(np.int64),
                               np.array(list(worst_born.values())).view(np.int64))
-        assert rep.argmax() == dataclasses.replace(rep, per_point=per_point).argmax()
+        assert rep.argmax() == dataclasses.replace(
+            rep, born=Residuals(per_point, rep.born.tol)).argmax()
 
 
 def test_a_one_fiber_error_names_the_first_fiber(monkeypatch):

@@ -11,7 +11,8 @@ from bornbundle.errors import NotPositiveDefiniteError, SpecError
 from bornbundle.integrability import integrability_verdict
 from bornbundle.jets import JetUsageError
 from bornbundle.manifold import (DEFAULT_TOL, _first_failure, base_jets, build_spec,
-                                 dual_and_levi_civita, finite_maxima, sample_points)
+                                 dual_and_levi_civita, finite_maxima, pattern_violated,
+                                 sample_points)
 from point import (connection_at, curvature_at, dual_connection_at, dual_of, hessian_verdict,
                    levi_civita_at, metric_at, nabla_g_at, torsion_at, two_of_four_residuals)
 
@@ -329,22 +330,22 @@ def test_levi_civita_parallel_metric(spec):
 
 def test_hessian_verdict_euclidean():
     v = hessian_verdict(EUCLID, points_of(EUCLID, 8))
-    assert v.is_hessian
-    assert v.max_curvature == v.max_torsion == v.max_nabla_g_asymmetry == 0.0
+    assert v.within
+    assert v.maxima["curvature"] == v.maxima["torsion"] == v.maxima["nabla_g_asymmetry"] == 0.0
 
 
 def test_hessian_verdict_skew_metric():
     pts = points_of(SKEW, 8)
     v = hessian_verdict(SKEW, pts)
-    assert not v.is_hessian
+    assert not v.within
     expected = max(math.exp(p[0]) for p in pts)
-    assert v.max_nabla_g_asymmetry == pytest.approx(expected, rel=1e-10)
+    assert v.maxima["nabla_g_asymmetry"] == pytest.approx(expected, rel=1e-10)
 
 
 def test_hessian_verdict_sphere():
     v = hessian_verdict(SPHERE, points_of(SPHERE, 8))
-    assert not v.is_hessian
-    assert v.max_curvature >= 0.1
+    assert not v.within
+    assert v.maxima["curvature"] >= 0.1
 
 
 def test_hessian_verdict_needs_points():
@@ -356,32 +357,32 @@ def test_hessian_verdict_needs_points():
 
 def test_two_of_four_levi_civita_all_zero():
     rep = two_of_four_residuals(SPHERE, points_of(SPHERE, 6))
-    assert all(v <= 1e-10 for v in rep.residuals.values())
+    assert all(v <= 1e-10 for v in rep.maxima.values())
     assert all(rep.holds.values())
-    assert not rep.fact_violated
+    assert not pattern_violated(rep)
 
 
 def test_two_of_four_hessian_potential():
     rep = two_of_four_residuals(HESSIAN, points_of(HESSIAN, 6))
-    assert all(v <= 1e-10 for v in rep.residuals.values())
-    assert not rep.fact_violated
+    assert all(v <= 1e-10 for v in rep.maxima.values())
+    assert not pattern_violated(rep)
 
 
 def test_two_of_four_torsionful():
     rep = two_of_four_residuals(TORSIONFUL, points_of(TORSIONFUL, 6))
-    assert rep.residuals["torsion"] > 0.5
-    others = [v for k, v in rep.residuals.items() if k != "torsion"]
+    assert rep.maxima["torsion"] > 0.5
+    others = [v for k, v in rep.maxima.items() if k != "torsion"]
     assert sum(1 for v in others if v > DEFAULT_TOL) >= 1
-    assert not rep.fact_violated
+    assert not pattern_violated(rep)
 
 
 @pytest.mark.parametrize("spec", ALL, ids=lambda s: s.name)
 def test_fact_two_of_four_pattern(spec):
     rep = two_of_four_residuals(spec, points_of(spec, 6))
-    below = sum(1 for v in rep.residuals.values() if v <= 1e-9)
+    below = sum(1 for v in rep.maxima.values() if v <= 1e-9)
     if below >= 2:
-        assert all(v <= 1e-7 for v in rep.residuals.values())
-    assert not rep.fact_violated
+        assert all(v <= 1e-7 for v in rep.maxima.values())
+    assert not pattern_violated(rep)
 
 
 def _diagonal(entries):

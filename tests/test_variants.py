@@ -10,7 +10,7 @@ from bornbundle import corpus, fields
 from bornbundle.bundle import BundlePoint, born_at
 from bornbundle.errors import UnsupportedDerivativeError
 from bornbundle.integrability import integrability_verdict
-from bornbundle.manifold import build_spec, sample_points
+from bornbundle.manifold import build_spec, pattern_violated, sample_points
 from point import (born_compatibility_residuals, connection_at, curvature_at,
                    dual_connection_at, hessian_verdict, nabla_g_at, torsion_at,
                    two_of_four_residuals)
@@ -47,7 +47,7 @@ def test_hessian_dual_of_hessian_pair_is_hessian():
     # dually flat pairs come in dual pairs: the dual of the flat side of a
     # potential metric is again flat, torsion-free and metric-symmetric
     v = hessian_verdict(HD_EXP, pts(HD_EXP, 8))
-    assert v.is_hessian, (v.max_curvature, v.max_torsion, v.max_nabla_g_asymmetry)
+    assert v.within, v.maxima
 
 
 def test_hessian_dual_of_skew_metric_is_flat_but_torsionful():
@@ -60,14 +60,14 @@ def test_hessian_dual_of_skew_metric_is_flat_but_torsionful():
 def test_theorem_holds_for_hessian_dual_specs():
     exp, skew = (integrability_verdict(spec, base_count=6, fiber_count=3)
                  for spec in (HD_EXP, HD_SKEW))
-    assert exp.hessian_agreement and skew.hessian_agreement
-    assert exp.hessian.is_hessian and exp.integrable
-    assert not skew.hessian.is_hessian and not skew.integrable
+    assert exp.agreement and skew.agreement
+    assert exp.hessian.within and exp.born.within
+    assert not skew.hessian.within and not skew.born.within
     # obstruction pattern: torsion upstairs in N_I/N_J, but the dual of the
     # dual is the original torsion-free flat connection, so d omega vanishes
-    assert skew.maxima["nijenhuis_I"] > 1e-9
-    assert skew.maxima["nijenhuis_K"] <= 1e-9
-    assert skew.maxima["d_omega"] <= 1e-9
+    assert skew.born.maxima["nijenhuis_I"] > 1e-9
+    assert skew.born.maxima["nijenhuis_K"] <= 1e-9
+    assert skew.born.maxima["d_omega"] <= 1e-9
 
 
 # -- three-dimensional spec ---------------------------------------------------
@@ -83,7 +83,7 @@ SKEW3 = build_spec("skew3", ("u", "v", "w"), BOX3,
 
 def test_three_dim_hessian_verdict():
     v = hessian_verdict(HESS3, pts(HESS3, 6))
-    assert v.is_hessian
+    assert v.within
     _, asym = nabla_g_at(HESS3, (0.2, -0.3, 0.4))
     assert asym <= 1e-12
 
@@ -99,16 +99,16 @@ def test_three_dim_born_identities_and_signature():
 def test_three_dim_theorem_agreement():
     hess, skew = (integrability_verdict(spec, base_count=4, fiber_count=2)
                   for spec in (HESS3, SKEW3))
-    assert hess.hessian_agreement and skew.hessian_agreement
-    assert hess.hessian.is_hessian and hess.integrable
-    assert not skew.hessian.is_hessian
-    assert skew.maxima["d_omega"] > 1e-9
+    assert hess.agreement and skew.agreement
+    assert hess.hessian.within and hess.born.within
+    assert not skew.hessian.within
+    assert skew.born.maxima["d_omega"] > 1e-9
 
 
 def test_three_dim_two_of_four():
     rep = two_of_four_residuals(HESS3, pts(HESS3, 4))
-    assert all(v <= 1e-10 for v in rep.residuals.values())
-    assert not rep.fact_violated
+    assert all(v <= 1e-10 for v in rep.maxima.values())
+    assert not pattern_violated(rep)
 
 
 # -- derivative budget of potential metrics -----------------------------------
@@ -122,7 +122,7 @@ def test_potential_levi_civita_values_work():
     _, asym = nabla_g_at(spec, (0.3, -0.2))
     assert asym <= 1e-12  # Levi-Civita makes the metric parallel
     rep = two_of_four_residuals(spec, pts(spec, 4))
-    assert all(rep.holds.values()) and not rep.fact_violated
+    assert all(rep.holds.values()) and not pattern_violated(rep)
 
 
 def test_potential_levi_civita_curvature_exceeds_budget():
