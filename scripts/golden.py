@@ -19,9 +19,9 @@ runs every case and compares both.  The cases:
   a 2-step tail) and from ``--at 0.9,0.9`` at ``--probes 30 --steps 400``
   (a box exit at step 319/400, inside the fifth chunk, exit 1);
 * ``affine-chart scripts/specs/pullback-chain3.json``, a constant Gamma
-  integrated stage by stage, at ``--probes 3 --steps 130`` and from
-  ``--at 0.8,0.8,0.8`` at ``--probes 20 --steps 200`` (a box exit at step
-  150/200, exit 1);
+  integrated stage by stage in chunks of 64 steps, at ``--probes 3 --steps
+  130`` and from ``--at 0.8,0.8,0.8`` at ``--probes 20 --steps 200`` (a
+  box exit at step 150/200, inside the third chunk, exit 1);
 * the error reports of an unknown spec and of a malformed one.
 
 A change that alters a golden file on purpose (a defect fix or a schema

@@ -1,0 +1,104 @@
+"""Fixed source-text mutants, each paired with the test files that should
+kill it.
+
+Each mutant replaces one exact text of a package file, which must occur
+there exactly once, in a temporary copy of the repository (the README
+included, as some tests read it), then runs ``python -m pytest -x -q`` on
+its test files in that copy.  A mutant is killed when the tests fail, and
+survives when they pass.  The script prints one line per mutant and exits 1
+if any survives, or if a mutant's text is missing or its tests cannot run.
+
+Usage: ``python scripts/mutants.py [NAME ...]``, all mutants by default.
+Standard library and pytest only.
+"""
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+BUNDLE = "src/bornbundle/bundle.py"
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to the repository root
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    # check starts the chart witness only within the tighter of --tol and the gate
+    Mutant("witness-max", "src/bornbundle/cli.py", "min(hv.tol, FLATNESS_GATE_TOL)",
+           "max(hv.tol, FLATNESS_GATE_TOL)", ("tests/test_cli.py",)),
+    Mutant("gate-points", "src/bornbundle/charts.py", "GATE_POINTS = 8", "GATE_POINTS = 4",
+           ("tests/test_cli.py",)),
+    # the one-fiber sweep of a vanishing Gamma stands at the first fiber
+    Mutant("last-fiber", "src/bornbundle/integrability.py", "fibers[:1]", "fibers[-1:]",
+           ("tests/test_integrability.py",)),
+    # the block formulas of fiber_born_jets
+    Mutant("I-sign-of-A", BUNDLE, "(ijkw, 0, ((a, -one),", "(ijkw, 0, ((na, -one),",
+           ("tests/test_bundle.py",)),
+    Mutant("K-two", BUNDLE, "(a * 2.0, -one)", "(a * 1.0, -one)", ("tests/test_bundle.py",)),
+    Mutant("h-transposed-P", BUNDLE, "((_madd(p0, na0, g0), p0),",
+           "((_madd(p0, na0, g0), p0.swapaxes(1, 2)),", ("tests/test_bundle.py",)),
+    Mutant("k-sign-of-P", BUNDLE, "_sum_in_order(gna[:1], p0)", "_sum_in_order(gna[:1], -p0)",
+           ("tests/test_bundle.py",)),
+    Mutant("omega-sign-of-P", BUNDLE, "_sum_in_order(gna, -p)", "_sum_in_order(gna, p)",
+           ("tests/test_bundle.py",)),
+    Mutant("J-sign-of-AA", BUNDLE, "(_madd(a, na, one), a)", "(_madd(a, a, one), a)",
+           ("tests/test_bundle.py",)),
+)
+
+IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache",
+                                ".bornbench", ".benchmarks")
+
+
+def run(mutant: Mutant) -> str:
+    """'killed', 'survived', or an error naming what kept the mutant from running."""
+    with tempfile.TemporaryDirectory(prefix=f"mutant-{mutant.name}-") as tmp:
+        tree = Path(tmp) / "repo"
+        shutil.copytree(ROOT, tree, ignore=IGNORE)
+        target = tree / mutant.path
+        text = target.read_text()
+        if text.count(mutant.old) != 1:
+            return f"error: {mutant.old!r} occurs {text.count(mutant.old)} times in {mutant.path}"
+        target.write_text(text.replace(mutant.old, mutant.new))
+        env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+        done = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                               *mutant.tests], cwd=tree, env=env, capture_output=True, text=True)
+    if done.returncode == 0:
+        return "survived"
+    if done.returncode == 1:  # pytest: some test failed
+        return "killed"
+    tail = (done.stdout + done.stderr).strip().splitlines()[-1:]
+    return f"error: pytest exited {done.returncode} ({' '.join(tail)})"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    args = parser.parse_args(argv)
+    by_name = {m.name: m for m in MUTANTS}
+    unknown = [name for name in args.names if name not in by_name]
+    if unknown:
+        parser.error(f"unknown mutant {unknown[0]!r} (known: {', '.join(by_name)})")
+    names = args.names or list(by_name)
+    outcomes = [run(by_name[name]) for name in names]
+    for name, outcome in zip(names, outcomes):
+        print(f"{name:18s} {outcome}")
+    killed = outcomes.count("killed")
+    print(f"{killed}/{len(outcomes)} killed")
+    return 0 if killed == len(outcomes) else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -1,7 +1,6 @@
 """Numerical checks relating Hessian structures on a manifold to the Born
 structure induced on its tangent bundle."""
 
-from .bundle import BornFrame, BundlePoint, born_at
 from .charts import ChartMap, exponential_chart, geodesic_integrate
 from .errors import NotPositiveDefiniteError, SpecError, UnsupportedDerivativeError
 from .expr import evaluate, free_coordinates, parse

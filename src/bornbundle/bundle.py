@@ -22,14 +22,13 @@ bilinear form is its first argument.
 
 :func:`fiber_born_jets` builds the tensors at all P x F bundle points at
 once, in two zeroed float stacks filled by slice assignment: I, J, K and
-omega in (4, rows, 2n, 2n, P, F), rows being the values and the first
-partials by x^1..x^n, y^1..y^n (the value row alone for order-0 base
-fields), and h and k, read as values only, in (2, 1, 2n, 2n, P, F).  With
-the (P, F) axes innermost in memory, every product, block and einsum
-loops over the sample points; g, the same at every fiber, is broadcast
-over F once, before any product, so that those loops run over all P x F
-points and not over F at a time.  Each tensor is also a named
-(P, F, rows, 2n, 2n) view into its stack.
+omega in (4, 1 + 2n, 2n, 2n, P, F), the rows being the values and the
+first partials by x^1..x^n, y^1..y^n, and h and k, read as values only,
+in (2, 1, 2n, 2n, P, F).  With the (P, F) axes innermost in memory, every
+product, block and einsum loops over the sample points; g, the same at
+every fiber, is broadcast over F once, before any product, so that those
+loops run over all P x F points and not over F at a time.  Each tensor
+is also a named (P, F, rows, 2n, 2n) view into its stack.
 
 Sums act row by row; a product has value a b and partials
 (0.0 + a b') + a' b, as the per-point reference jet multiplication in
@@ -109,14 +108,6 @@ class BornFrame:
         return cls(**{name: np.add(m, 0.0, order="C") for name, m in values.items()})
 
 
-def _require_point(spec: ManifoldSpec, bp: BundlePoint) -> BundlePoint:
-    if bp.n != spec.n:
-        raise SpecError(f"bundle point dimension {bp.n} does not match spec {spec.n}")
-    if not spec.contains(bp.x):
-        raise SpecError(f"base point {bp.x} lies outside the sample box")
-    return bp
-
-
 @lru_cache(maxsize=None)
 def _constant_blocks(n: int) -> np.ndarray:
     """The constant adapted-frame forms of I, J and K, stacked in that order
@@ -163,22 +154,20 @@ def _sum_in_order(terms: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
 
 def _fiber_blocks(bases: BaseJets, ys) -> tuple[np.ndarray, np.ndarray]:
     """A[k, i] = -Gamma^k_ij y^j at the base points of ``bases`` and the fiber
-    vectors ``ys`` (F, n) as a (rows, n, n, P, F) stack over the 2n bundle
+    vectors ``ys`` (F, n) as a (1 + 2n, n, n, P, F) stack over the 2n bundle
     coordinates, and g the same at every fiber, broadcast once (module doc)."""
     f, n = np.shape(ys)
     count, base_rows = bases.gamma.shape[:2]
-    rows = 2 * base_rows - 1  # 1 + 2n, or 1 at order 0
-    g = np.zeros((rows, n, n, count, f))
+    g = np.zeros((1 + 2 * n, n, n, count, f))
     g[:base_rows] = bases.g.transpose(1, 2, 3, 0)[..., None]
     # -A = Gamma y as a jet product with its known rows left out (module doc)
     gamma = bases.gamma.transpose(1, 2, 3, 4, 0)  # (base rows, k, i, j, P)
     terms = (gamma.reshape(base_rows, n * n, n, count, 1)
              * np.asarray(ys, dtype=float).T[:, None, :])
     terms[1:] += 0.0
-    a = np.empty((rows, n, n, count, f))
+    a = np.empty(g.shape)
     a[:base_rows] = _sum_in_order(terms).reshape(base_rows, n, n, count, f)
-    if rows > 1:
-        a[base_rows:] = gamma[0].transpose(2, 0, 1, 3)[..., None] + 0.0
+    a[base_rows:] = gamma[0].transpose(2, 0, 1, 3)[..., None] + 0.0
     return np.negative(a, out=a), g
 
 
@@ -249,16 +238,15 @@ def fiber_born_jets(bases: BaseJets, ys) -> BornStacks:
 def born_jets(spec: ManifoldSpec, bp: BundlePoint) -> dict[str, np.ndarray]:
     """The six tensors in bundle coordinates with their first partials, as
     (1 + 2n, 2n, 2n) arrays; h and k as their value row alone, (1, 2n, 2n)."""
-    bp = _require_point(spec, bp)
     return {name: m[0, 0] for name, m in
             fiber_born_jets(base_jets(spec, [bp.x]), [bp.y]).tensors.items()}
 
 
 def born_at(spec: ManifoldSpec, bp: BundlePoint) -> BornFrame:
-    """The six tensors at a bundle point, in bundle coordinates."""
-    bp = _require_point(spec, bp)
-    base = base_jets(spec, [bp.x], 0)
-    check_spd(base.g[:, 0], [bp.x])
+    """The six tensors at a bundle point, in bundle coordinates: the value
+    rows of :func:`fiber_born_jets`."""
+    base = base_jets(spec, [bp.x])
+    check_spd(base.g[:, 0], base.x)
     return BornFrame.of({name: m[0, 0, 0] for name, m in
                          fiber_born_jets(base, [bp.y]).tensors.items()})
 

@@ -28,12 +28,13 @@ chunks of m steps, in one ``(m + 1, B, n, K)`` buffer whose row 0 is the
 carried position and row r + 1 step r's increment.  ``np.add.accumulate``
 adds the rows in order, one rounding per add, as ``x = x + increment``
 does, and one box check per chunk names the first step at which a probe
-is outside and, at that step, the first such probe.  A chunk is
-``DEFAULT_STEPS`` steps (fewer at the end) for a uniform acceleration
-(below), and one step otherwise: a domain error of a Gamma that reads the
-position then cannot come before the box exit of an earlier step.  So the
-bits and errors are those of a loop that adds one increment per step and
-checks the box after it, and memory does not grow with the step count.
+is outside and, at that step, the first such probe.  A chunk is one step
+when the acceleration reads the position, so that a domain error of such
+a Gamma cannot come before the box exit of an earlier step, and
+``DEFAULT_STEPS`` steps (fewer at the end) when it does not: Gamma has no
+support or is constant.  So the bits and errors are those of a loop that
+adds one increment per step and checks the box after it, and memory does
+not grow with the step count.
 
 The witness reads both residuals from one transformed connection per
 probe.  The geodesic acceleration sums only the coefficients of Gamma that
@@ -76,8 +77,10 @@ included:
   the velocity after step 0 unchanged (a zero acceleration), every later
   step has the row of step 1, formed once.
 * Per stage, for every other connection: the four stages of every step in
-  turn, each evaluating the acceleration at its stage position, one step
-  per chunk.
+  turn.  A Gamma that reads the position is evaluated at each stage
+  position, one step per chunk; a constant one (``scripts/specs``'s
+  pullback-chain3) reads none, so no stage position is formed, and a
+  whole chunk is filled at a time.
 
 The sums stay elementwise in a fixed order; an einsum or matmul would
 round differently.
@@ -175,7 +178,7 @@ def _acceleration(spec: ManifoldSpec, order: int):
     if not support:
         def zero(u, x):
             return np.zeros(u.shape)
-        zero.uniform = True
+        zero.uniform, zero.reads_position = True, False
         return zero
     gamma = _connection_terms(spec, support, order)
     n = spec.n
@@ -202,6 +205,7 @@ def _acceleration(spec: ManifoldSpec, order: int):
         acc[:, keys] = -total
         return acc
     accel.uniform = fixed is not None and not set(k) & {*i, *j}
+    accel.reads_position = fixed is None
     return accel
 
 
@@ -220,21 +224,27 @@ def _check_box(positions: np.ndarray, lo, hi, step: int, steps: int) -> None:
 
 def _stage_rows(accel, u, h: float):
     """The RK4 loop, one stage at a time: a function that advances the
-    velocity u by one step from the carried position x, writing the step's
-    ``u + u2*2 + u3*2 + u4`` into ``rows``, ``(1, B, n, K)``.  The stages
-    after the first take the acceleration at ``x + u*(h/2)``, ``x +
-    u2*(h/2)`` and ``x + u3*h``."""
+    velocity u by one step per row of ``rows``, ``(m, B, n, K)``, writing
+    each step's ``u + u2*2 + u3*2 + u4`` into its row.  An acceleration
+    that reads the position gets one row, whose stages after the first take
+    it at ``x + u*(h/2)``, ``x + u2*(h/2)`` and ``x + u3*h`` from the
+    carried position x; any other gets a whole chunk, and its stages the
+    carried position, unread, in place of positions never formed."""
+    def at(x, v, t):
+        return x + v * t if accel.reads_position else x
+
     def fill(rows, x):
         nonlocal u
-        k1u = accel(u, x)
-        u2 = u + k1u * (h / 2)
-        k2u = accel(u2, x + u * (h / 2))
-        u3 = u + k2u * (h / 2)
-        k3u = accel(u3, x + u2 * (h / 2))
-        u4 = u + k3u * h
-        k4u = accel(u4, x + u3 * h)
-        rows[0] = u + u2 * 2 + u3 * 2 + u4
-        u = u + (k1u + k2u * 2 + k3u * 2 + k4u) * (h / 6)
+        for row in rows:
+            k1u = accel(u, x)
+            u2 = u + k1u * (h / 2)
+            k2u = accel(u2, at(x, u, h / 2))
+            u3 = u + k2u * (h / 2)
+            k3u = accel(u3, at(x, u2, h / 2))
+            u4 = u + k3u * h
+            k4u = accel(u4, at(x, u3, h))
+            row[...] = u + u2 * 2 + u3 * 2 + u4
+            u = u + (k1u + k2u * 2 + k3u * 2 + k4u) * (h / 6)
     return fill
 
 
@@ -298,9 +308,8 @@ def _rk4(spec: ManifoldSpec, x0, velocities: np.ndarray, order: int,
     accel = _acceleration(spec, order)
     lo, hi = np.array(spec.sample_box, dtype=float).T
     h = 1.0 / steps
-    # one-step chunks for the per-stage form, whose stages read the carried
-    # position, row 0
-    chunk = min(steps, DEFAULT_STEPS) if accel.uniform else 1
+    # one-step chunks when the stages read the carried position, row 0
+    chunk = 1 if accel.reads_position else min(steps, DEFAULT_STEPS)
     fill = (_uniform_rows(accel, u, x, h, chunk) if accel.uniform
             else _stage_rows(accel, u, h))
     # in-order adds, one rounding each: the bits of x = x + increment

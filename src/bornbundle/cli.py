@@ -276,10 +276,12 @@ _FLOAT_TEXT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 def report_to_json(value) -> str:
     """``value`` as JSON text in the layout of ``json.dumps(value, indent=2)``,
     plus a trailing newline: the same bytes for every value ``json.dumps``
-    accepts, and its ``TypeError`` for any other (a circular container is
-    not detected).  The pieces are appended to one list and joined once, and
-    a list of floats is written with one join, which the stdlib encoder's
-    indented, pure-Python path does not do."""
+    accepts whose dict keys are str, as in every document the CLI writes,
+    and a ``TypeError`` for any other, a key that ``json.dumps`` would
+    coerce included (a circular container is not detected).  The pieces
+    are appended to one list and joined once, and a list of floats is
+    written with one join, which the stdlib encoder's indented, pure-Python
+    path does not do."""
     out: list[str] = []
     _write(value, "\n", out)
     out.append("\n")
@@ -289,24 +291,6 @@ def report_to_json(value) -> str:
 def _float_text(value: float) -> str:
     text = float.__repr__(value)
     return _FLOAT_TEXT.get(text, text)
-
-
-def _key_text(key) -> str:
-    # json's coercion of non-str keys, in its order of checks
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _float_text(key)
-    if key is True:
-        return "true"
-    if key is False:
-        return "false"
-    if key is None:
-        return "null"
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {key.__class__.__name__}")
 
 
 def _write(value, newline: str, out: list) -> None:
@@ -351,7 +335,9 @@ def _write(value, newline: str, out: list) -> None:
         inner = newline + "  "
         out.append("{")
         for key, item in value.items():
-            out += (inner, encode_basestring_ascii(_key_text(key)), ": ")
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {key.__class__.__name__}")
+            out += (inner, encode_basestring_ascii(key), ": ")
             _write(item, inner, out)
             out.append(",")
         out[-1] = newline + "}"  # in place of the last item's comma

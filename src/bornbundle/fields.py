@@ -124,9 +124,11 @@ def jet_inv(mat: JetBatch, points=None) -> JetBatch:
     """Inverse of every matrix of ``mat`` (batch shape ``(*batch, n, n)``) by
     Gauss-Jordan with value pivoting on [mat | 1].  Each matrix pivots on
     the first row of largest |value| in the column, as ``max(..., key=abs)``
-    picks it, and swaps its own rows; a zero pivot is a spec error, which
-    names the point of the first matrix that has one if ``points`` gives
-    the coordinates of every batch point, ``(*batch, m)``."""
+    picks it, and swaps its own rows.  A pivot below the smallest normal
+    float in size, zero or subnormal, is singular to working precision, as
+    in :func:`bornbundle.manifold.check_spd`: a spec error, which names the
+    point of the first matrix that has one if ``points`` gives the
+    coordinates of every batch point, ``(*batch, m)``."""
     order, nvars = mat.order, mat.nvars
     n = mat.shape[-1]
     work = mat.coeffs.reshape((-1, n, n, mat.coeffs.shape[-1]))
@@ -140,7 +142,7 @@ def jet_inv(mat: JetBatch, points=None) -> JetBatch:
         pivot = np.full(count, col)
         for row in range(col + 1, n):
             pivot = np.where(size[:, row] > size[at, pivot], row, pivot)
-        zero = work[at, pivot, col, 0] == 0.0
+        zero = size[at, pivot] < np.finfo(float).tiny
         if zero.any():
             where = ("" if points is None else
                      f" at {tuple(points.reshape(count, -1)[np.argmax(zero)].tolist())}")
@@ -219,9 +221,8 @@ def connection_args(spec, args: Sequence[JetBatch], order: int) -> JetBatch:
             raise jets.JetUsageError("connection order differs from argument order")
         asts = [ast for plane in spec.gamma_exprs for row in plane for ast in row]
         return evaluate_all(asts, args, (n, n, n))
-    if kind in ("levi-civita", "hessian-dual"):
-        return _derived_connection(spec, args, order)[0]
-    raise SpecError(f"unknown connection kind {kind!r}")
+    # levi-civita or hessian-dual: ManifoldSpec rejects every other kind
+    return _derived_connection(spec, args, order)[0]
 
 
 def connection_metric_args(spec, args: Sequence[JetBatch],

@@ -366,11 +366,11 @@ def _inside(spec: ManifoldSpec, points) -> np.ndarray:
     return xs
 
 
-def _base_batch(spec: ManifoldSpec, points, order: int) -> BaseJets:
+def _base_batch(spec: ManifoldSpec, points) -> BaseJets:
     xs = _inside(spec, points)
-    args = jets.seed_batch(xs, order)
+    args = jets.seed_batch(xs, 1)
     with np.errstate(over="ignore", invalid="ignore"):  # as Python floats
-        gamma, g = fields.connection_metric_args(spec, args, order)
+        gamma, g = fields.connection_metric_args(spec, args, 1)
     xs = tuple(map(tuple, xs.tolist()))
     bases = BaseJets(xs, gamma.coeffs.transpose(0, 4, 1, 2, 3), g.coeffs.transpose(0, 3, 1, 2))
     finite = np.all([np.isfinite(f).reshape(len(xs), -1).all(axis=1)
@@ -382,15 +382,15 @@ def _base_batch(spec: ManifoldSpec, points, order: int) -> BaseJets:
     return bases
 
 
-def base_jets(spec: ManifoldSpec, points, order: int = 1) -> BaseJets:
+def base_jets(spec: ManifoldSpec, points) -> BaseJets:
     """Gamma and g at every base point of ``points``, stacked, with the values
-    in row 0 and, at order 1, the partial by coordinate d in row 1 + d.  The
+    in row 0 and the partial by coordinate d in row 1 + d.  The
     Hessian verdict, the two-of-four report and the Born tensors of all
     bundle points are built from them.  A value or derivative that is not
     finite is a spec error, at a point one of Gamma before one of g; the
     first failing point is named through :func:`_first_failure`."""
     points = list(points)
-    return _first_failure(lambda s: _base_batch(spec, points[s], order), len(points))
+    return _first_failure(lambda s: _base_batch(spec, points[s]), len(points))
 
 
 def hessian_verdict(bases: BaseJets, tol: float) -> Residuals:

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from bornbundle import fields, jets
-from bornbundle.bundle import (BornFrame, BundlePoint, _frame_of, _require_point,
-                               adapted_frame_residuals, fiber_born_jets)
+from bornbundle.bundle import (BornFrame, BundlePoint, _frame_of, adapted_frame_residuals,
+                               fiber_born_jets)
 from bornbundle.charts import ChartMap, _probe_residuals
 from bornbundle.integrability import _d_omega_of, _nijenhuis_of, _norm_factor
 from bornbundle.manifold import (DEFAULT_TOL, BaseJets, ManifoldSpec, Residuals,
@@ -126,17 +126,15 @@ def two_of_four_residuals(spec: ManifoldSpec, points,
     return _two_of_four_residuals(bases, hessian, tol)
 
 
-def _born(spec: ManifoldSpec, bp: BundlePoint, order: int = 1):
+def _born(spec: ManifoldSpec, bp: BundlePoint):
     """The base fields at bp.x and the Born tensors at bp."""
-    bp = _require_point(spec, bp)
-    base = base_jets(spec, [bp.x], order)
+    base = base_jets(spec, [bp.x])
     return base, {name: m[0, 0] for name, m in fiber_born_jets(base, [bp.y]).tensors.items()}
 
 
 def frame_residuals_at(spec: ManifoldSpec, bp: BundlePoint) -> dict:
     """The six relative adapted-frame residuals of the construction at bp."""
-    bp = _require_point(spec, bp)
-    born = fiber_born_jets(base_jets(spec, [bp.x], 0), [bp.y])
+    born = fiber_born_jets(base_jets(spec, [bp.x]), [bp.y])
     ops, forms = born.values()
     return {key: float(r[0, 0]) for key, r in
             adapted_frame_residuals(ops, forms, born.a[:, :, 0], born.g[:, :, 0]).items()}
@@ -224,7 +222,7 @@ def born_compatibility_residuals(bf: BornFrame) -> BornCompatReport:
 
 def adapted_frame_at(spec: ManifoldSpec, bp: BundlePoint):
     """(E, E^-1): columns of E are H_1..H_n, V_1..V_n in bundle coordinates."""
-    e, einv = _frame_of(_born(spec, bp, 0)[1]["I"][:, :spec.n, :spec.n])
+    e, einv = _frame_of(_born(spec, bp)[1]["I"][:, :spec.n, :spec.n])
     return e[0], einv
 
 

@@ -7,38 +7,57 @@ torsion-free and Codazzi for g; its curvature is (1 - alpha^2) times one
 fixed tensor.  So (Gamma, g) is Hessian exactly at alpha = +-1, and by the
 theorem its Born structure is integrable exactly there.  The scaling is a
 wrapper around the derived connection, so the spec format is unchanged.
+The same law holds for the Fisher metric of every categorical family,
+g = diag(p) - p p^T with p_i = exp(x_i) / (1 + sum_j exp(x_j)), checked at
+n = 3, 4 and 5 on the sweep alone: ``check`` there would spend seconds on
+the chart witness of the flat ends, whose derived Gamma it integrates.
 """
 import json
 
 import pytest
 
 from bornbundle import fields
-from bornbundle.cli import main
+from bornbundle.cli import main, spec_from_dict
+from bornbundle.integrability import integrability_verdict
 from bornbundle.jets import JetBatch
 
-Z = "(1 + exp(u) + exp(v))"
-FISHER = {
-    "dimension": 2,
-    "coordinates": ["u", "v"],
-    "metric": {"components": [[f"exp(u)*(1+exp(v))/{Z}^2", f"-exp(u)*exp(v)/{Z}^2"],
-                              [f"-exp(u)*exp(v)/{Z}^2", f"exp(v)*(1+exp(u))/{Z}^2"]]},
-    "connection": {"kind": "hessian-dual"},
-    "sample_box": [[-1, 1], [-1, 1]],
-}
+
+def fisher(coords, kind="hessian-dual") -> dict:
+    """The spec of the categorical Fisher grid over ``coords`` on [-1, 1]^n:
+    g_ii = e_i (1 + sum of the other e_j) / Z^2 and g_ij = -e_i e_j / Z^2,
+    with e_i = exp(x_i) and Z = 1 + sum_j e_j."""
+    e = [f"exp({x})" for x in coords]
+    z = "(1 + " + " + ".join(e) + ")"
+
+    def entry(i, j):
+        if i != j:
+            return f"-{e[min(i, j)]}*{e[max(i, j)]}/{z}^2"
+        return f"{e[i]}*(1+{' + '.join(e[:i] + e[i + 1:])})/{z}^2"
+    n = len(coords)
+    return {"dimension": n, "coordinates": list(coords),
+            "metric": {"components": [[entry(i, j) for j in range(n)] for i in range(n)]},
+            "connection": {"kind": kind}, "sample_box": [[-1, 1]] * n}
+
+
+FISHER = fisher(["u", "v"])
 ROUND_OFF = 1e-14
 BORN = ("nijenhuis_I", "nijenhuis_J", "nijenhuis_K", "d_omega")
+DERIVED = fields._derived_connection
+
+
+def scale_gamma(monkeypatch, c):
+    """Scale the derived connection's Gamma by c, from now on in the test."""
+    def scaled(spec, args, order):
+        gamma, g = DERIVED(spec, args, order)
+        return JetBatch(gamma.order, gamma.nvars, gamma.coeffs * c), g
+    monkeypatch.setattr(fields, "_derived_connection", scaled)
 
 
 def check(tmp_path, monkeypatch, capsys, c=None, kind="hessian-dual"):
     """(exit code, report) of ``check`` at the default sampling on the
     Fisher grid with the connection ``kind``, its Gamma scaled by c."""
     if c is not None:
-        real = fields._derived_connection
-
-        def scaled(spec, args, order):
-            gamma, g = real(spec, args, order)
-            return JetBatch(gamma.order, gamma.nvars, gamma.coeffs * c), g
-        monkeypatch.setattr(fields, "_derived_connection", scaled)
+        scale_gamma(monkeypatch, c)
     path = tmp_path / f"fisher-{kind}.json"
     path.write_text(json.dumps({**FISHER, "connection": {"kind": kind}}))
     code = main(["check", str(path)])
@@ -93,3 +112,55 @@ def test_both_verdicts_flip_at_the_same_alpha(c, tmp_path, monkeypatch, capsys):
     code, report = check(tmp_path, monkeypatch, capsys, c)
     assert report.get("failures") is None
     assert code == 0 and report["agreement"] is True
+
+
+# -- the categorical Fisher grid at n = 3, 4 and 5 -------------------------------
+
+DIMS = [3, 4, 5]
+
+
+def coords(n):
+    return [f"x{i}" for i in range(n)]
+
+
+def sweep(n, kind="hessian-dual"):
+    """The sweep of ``check`` at the default sampling on the n-dimensional
+    Fisher grid with the connection ``kind``."""
+    return integrability_verdict(spec_from_dict(fisher(coords(n), kind)))
+
+
+@pytest.mark.parametrize("n", DIMS)
+@pytest.mark.parametrize("alpha", [-1.0, 1.0])
+def test_the_dually_flat_ends_in_n_dimensions(alpha, n, tmp_path, monkeypatch, capsys):
+    scale_gamma(monkeypatch, (1 - alpha) / 2)
+    (tmp_path / f"fisher{n}.json").write_text(json.dumps(fisher(coords(n))))
+    assert main(["theorem", "--corpus", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split() == [f"fisher{n}"] + ["True"] * 3
+
+
+@pytest.mark.parametrize("n", DIMS)
+def test_curvature_follows_one_minus_alpha_squared_in_n_dimensions(n, monkeypatch):
+    # max curvature / (1 - alpha^2) and max N_K / max curvature, per alpha,
+    # equal to 5 significant digits at least (they agree to round-off)
+    laws = []
+    for alpha in (-0.5, 0.0, 0.5, 0.9):
+        scale_gamma(monkeypatch, (1 - alpha) / 2)
+        report = sweep(n)
+        hessian, born = report.hessian.maxima, report.born.maxima
+        assert report.agreement and not report.hessian.within
+        assert hessian["torsion"] <= ROUND_OFF
+        assert hessian["nabla_g_asymmetry"] <= ROUND_OFF
+        laws.append((hessian["curvature"] / (1 - alpha**2),
+                     born["nijenhuis_K"] / hessian["curvature"]))
+    for law in laws[1:]:
+        assert law == pytest.approx(laws[0], rel=5e-6)
+
+
+@pytest.mark.parametrize("n", DIMS)
+def test_alpha_zero_is_the_levi_civita_connection_in_n_dimensions(n, monkeypatch):
+    levi_civita = sweep(n, "levi-civita")
+    scale_gamma(monkeypatch, 0.5)
+    alpha0 = sweep(n)
+    for want, got in ((levi_civita.hessian, alpha0.hessian), (levi_civita.born, alpha0.born)):
+        assert got.maxima == pytest.approx(want.maxima, rel=1e-12, abs=ROUND_OFF)
+    assert levi_civita.hessian.maxima["curvature"] > 0.05

@@ -459,12 +459,14 @@ def test_a_singular_h_reads_inf_and_keeps_the_other_frames():
 
 def born_of_blocks(a, g):
     """The frame that fiber_born_jets builds from the blocks A and g at one
-    bundle point (Gamma^k_i0 = -A[k, i], fiber vector e_0), and the blocks
-    it returns with it."""
+    bundle point (Gamma^k_i0 = -A[k, i], fiber vector e_0, Gamma and g with
+    zero first partials), and the blocks it returns with it."""
     n = len(g)
-    gamma = np.zeros((1, 1, n, n, n))
+    gamma = np.zeros((1, 1 + n, n, n, n))
     gamma[0, 0, :, :, 0] = -a
-    born = fiber_born_jets(BaseJets(((0.0,) * n,), gamma, g[None, None]), [np.eye(n)[0]])
+    metric = np.zeros((1, 1 + n, n, n))
+    metric[0, 0] = g
+    born = fiber_born_jets(BaseJets(((0.0,) * n,), gamma, metric), [np.eye(n)[0]])
     frame = BornFrame.of({name: m[0, 0, 0] for name, m in born.tensors.items()})
     return frame, born.a[0, 0, 0], born.g[0, 0, 0]
 

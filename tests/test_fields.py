@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 import jet_reference as ref
 from bornbundle import corpus, expr, fields, jets, manifold
-from bornbundle.cli import load_spec, spec_from_dict
+from bornbundle.cli import load_spec, main, spec_from_dict
 from bornbundle.errors import SpecError
 from bornbundle.expr import EvalDomainError
 from bornbundle.jets import JetBatch
@@ -98,6 +99,36 @@ def test_a_metric_singular_at_a_point_names_it():
                               "(-0.74755859375, 0.9618960524310316)")
     with pytest.raises(SpecError, match=r"metric at \(-0\.74755859375, "):
         base_jets(spec, [(0.5, 0.5), (-0.74755859375, 0.9618960524310316)])
+
+
+def test_a_subnormal_pivot_is_singular_to_working_precision():
+    # a pivot below the smallest normal float in size is a zero pivot; one
+    # at it is inverted
+    tiny = np.finfo(float).tiny
+    for pivot in (0.0, 4e-320, tiny / 2, -tiny / 2):
+        mats = np.array([[[1.0, 0.0], [0.0, 1.0]], [[pivot, 0.0], [0.0, 1.0]]])
+        with pytest.raises(SpecError) as err:
+            fields.jet_inv(JetBatch(0, 1, mats[..., None]), np.array([[0.0, 1.0], [2.0, 3.0]]))
+        assert str(err.value) == "singular matrix while inverting metric at (2.0, 3.0)"
+    mats = np.array([[[tiny, 0.0], [0.0, 1.0]]])
+    assert fields.jet_inv(JetBatch(0, 1, mats[..., None])).value[0, 0, 0] == 1 / tiny
+
+
+@pytest.mark.parametrize("kind", ["levi-civita", "hessian-dual"])
+def test_a_subnormal_metric_entry_is_a_singular_metric(kind, tmp_path, capsys):
+    # diag(4e-320, 1) passes check_spd's sign test, but the derived
+    # connection inverts g first: exit 1 naming the first sample point, not
+    # a Gamma that the inverse's jets turned into NaN
+    path = tmp_path / f"subnormal-{kind}.json"
+    path.write_text(json.dumps({
+        "dimension": 2, "coordinates": ["u", "v"],
+        "metric": {"components": [["4e-320", "0"], ["0", "1"]]},
+        "connection": {"kind": kind}, "sample_box": [[-1, 1], [-1, 1]]}))
+    assert main(["check", str(path)]) == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"kind": "SpecError",
+                     "message": "singular matrix while inverting metric at "
+                                "(0.50244140625, 0.2952293857643651)"}
 
 
 def _first_failure_spec(metric00: str) -> object:

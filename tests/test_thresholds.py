@@ -86,7 +86,7 @@ def test_a_degenerate_omega_fails_its_own_identity():
     # omega scaled by 1e-7 is nearly degenerate: in the adapted frame it is
     # 1e-7 times its g-block form, a relative defect of about 1
     spec = corpus.example("euclidean2")
-    born = fiber_born_jets(manifold.base_jets(spec, [(0.1, 0.2)], 0), [(0.3, 0.4)])
+    born = fiber_born_jets(manifold.base_jets(spec, [(0.1, 0.2)]), [(0.3, 0.4)])
     ops, forms = born.values()
     forms[..., 2, :, :] *= 1e-7
     residuals = adapted_frame_residuals(ops, forms, born.a[0, 0, 0], born.g[0, 0, 0])
