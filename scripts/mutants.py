@@ -24,6 +24,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BUNDLE = "src/bornbundle/bundle.py"
+EXPR = "src/bornbundle/expr.py"
+FIELDS = "src/bornbundle/fields.py"
 
 
 @dataclass(frozen=True)
@@ -56,6 +58,25 @@ MUTANTS = (
            ("tests/test_bundle.py",)),
     Mutant("J-sign-of-AA", BUNDLE, "(_madd(a, na, one), a)", "(_madd(a, a, one), a)",
            ("tests/test_bundle.py",)),
+    # value numbering: the key holds the operation, and a shared instruction
+    # keeps the offset of its first occurrence
+    Mutant("key-without-op", EXPR, "self.term()\n                node = self.emit((text, node,",
+           "self.term()\n                node = self.emit((node,", ("tests/test_expr.py",)),
+    Mutant("last-offset", EXPR, "        return slot\n\n    def peek",
+           "        self.code[slot - len(self.coords)] = (fn, operands, offset)\n"
+           "        return slot\n\n    def peek", ("tests/test_expr.py",)),
+    # index swaps in the tensor formulas
+    Mutant("nijenhuis-swap", "src/bornbundle/integrability.py",
+           '"...lm,...amb->...lab"', '"...ml,...amb->...lab"', ("tests/test_integrability.py",)),
+    Mutant("levi-civita-swap", FIELDS, "d = dg[..., :, l, :]", "d = dg[..., l, :, :]",
+           ("tests/test_fields.py",)),
+    Mutant("dual-swap", FIELDS, "inner = dg[..., :, j, :]", "inner = dg[..., j, :, :]",
+           ("tests/test_fields.py",)),
+    Mutant("curvature-swap", "src/bornbundle/manifold.py", '"...lim,...mjk->...lijk"',
+           '"...ilm,...mjk->...lijk"', ("tests/test_manifold.py",)),
+    # a maximum equal to its threshold holds
+    Mutant("holds-strict", "src/bornbundle/manifold.py", "m <= self.tol for name",
+           "m < self.tol for name", ("tests/test_manifold.py",)),
 )
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache",

@@ -115,7 +115,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import expr, fields, jets
+from . import fields, jets
 from .bundle import _constant_blocks, _frame_of
 from .errors import SpecError
 from .jets import JetBatch
@@ -158,10 +158,10 @@ def _connection_terms(spec: ManifoldSpec, support, order: int):
     if spec.connection_kind != "explicit":
         index = (slice(None), *np.array(support).T)
         return lambda x: fields.connection_args(spec, args(x), order).coeffs[index]
-    asts = [spec.gamma_exprs[k][i][j] for k, i, j in support]
-    if not any(map(expr.free_coordinates, asts)):
-        return fields.evaluate_all(asts, jets.seed_batch(np.zeros((1, n)), order)).coeffs
-    return lambda x: fields.evaluate_all(asts, args(x)).coeffs
+    terms = spec.gamma_exprs._only([(k * n + i) * n + j for k, i, j in support])
+    if not any(terms.free):
+        return fields.evaluate_all(terms, jets.seed_batch(np.zeros((1, n)), order)).coeffs
+    return lambda x: fields.evaluate_all(terms, args(x)).coeffs
 
 
 def _acceleration(spec: ManifoldSpec, order: int):

@@ -1,4 +1,5 @@
-"""Scalar expression mini-language: parser and jet evaluator.
+"""Scalar expression mini-language: a compiler to value-numbered
+instruction lists, and their jet evaluator.
 
 Grammar::
 
@@ -11,12 +12,26 @@ Grammar::
 minus, so ``-u^2`` reads as ``-(u^2)``.  Function names (sin, cos, exp,
 log, sqrt, tanh) are reserved; any other name must be a declared
 coordinate.  Numbers are decimal with an optional exponent part.
+
+:func:`parse` compiles one text, or a sequence of texts such as the
+entries of a grid, into one :class:`Program` with an output per text; each
+distinct text is parsed once.  The parser emits every node as an
+instruction to a compiler that numbers values (Ershov 1958): an
+instruction is keyed by its operation and its operands, a number by its
+float bits, so that 0.0 and -0.0 stay apart, and a node that occurs again,
+in the same text or another, reads the value of its first occurrence and
+keeps that occurrence's offset.  The instructions lie in the order of
+their first occurrence, each text's in post-order, so :func:`evaluate`
+meets the first failing node where a walk of each text's tree in turn
+would.  Every instruction sees the operands and operation of the tree's
+node, so every coefficient keeps the bits of the tree walk.
 """
 from __future__ import annotations
 
+import operator
 import re
-from dataclasses import dataclass
-from typing import Sequence, Union
+from functools import cached_property, partial
+from typing import Sequence
 
 from . import jets
 from .jets import JetBatch, JetDomainError
@@ -36,49 +51,6 @@ class EvalDomainError(ArithmeticError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
-class Const:
-    value: float
-    offset: int = 0
-
-
-@dataclass(frozen=True)
-class Var:
-    index: int
-    name: str
-    offset: int = 0
-
-
-@dataclass(frozen=True)
-class Neg:
-    child: "ExprAst"
-    offset: int = 0
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of + - * /
-    left: "ExprAst"
-    right: "ExprAst"
-    offset: int = 0
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: "ExprAst"
-    exponent: float
-    offset: int = 0
-
-
-@dataclass(frozen=True)
-class Call:
-    func: str
-    arg: "ExprAst"
-    offset: int = 0
-
-
-ExprAst = Union[Const, Var, Neg, BinOp, Pow, Call]
-
 FUNCTIONS = {
     "sin": jets.sin,
     "cos": jets.cos,
@@ -87,6 +59,7 @@ FUNCTIONS = {
     "sqrt": jets.sqrt,
     "tanh": jets.tanh,
 }
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
@@ -119,12 +92,79 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str, coords: Sequence[str]):
-        self.text = text
+def _constant(value: float, like):
+    """``value`` as a constant jet of the type, order and arity of ``like``."""
+    return type(like).constant(value, like.order, like.nvars)
+
+
+class Program:
+    """Expression texts compiled against n coordinates.  Slots 0..n-1 hold
+    the coordinate jets; each instruction ``(function, operand slots,
+    offset)`` writes the next slot, a number's reading slot 0 for the type,
+    order and arity of its constant.  Per output: its slot, its value if
+    the text is a bare number (``literals``, else None), and the
+    coordinates it reads (``free``, bit i for coordinate i).  ``len``
+    counts the outputs."""
+
+    def __init__(self, arity: int, code, outputs, literals, free):
+        self._arity, self._code, self._outputs = arity, tuple(code), tuple(outputs)
+        self.literals, self.free = tuple(literals), tuple(free)
+        # the slots each instruction is the last to read, outputs aside: the
+        # evaluation drops them there, so that its working set stays that of a
+        # tree walk (holding every value made the order-3 evaluation of a
+        # 47-instruction potential a third slower)
+        last = {s: k for k, (_, operands, _) in enumerate(self._code) for s in operands}
+        self._dead = [[] for _ in self._code]
+        for s in sorted(last.keys() - set(self._outputs)):
+            self._dead[last[s]].append(s)
+
+    def __len__(self) -> int:
+        return len(self._outputs)
+
+    def _only(self, picks: Sequence[int]) -> "Program":
+        """The outputs ``picks`` alone, with the instructions they read, in
+        this program's order."""
+        n = self._arity
+        live = {self._outputs[t] for t in picks}
+        for slot in range(n + len(self._code) - 1, n - 1, -1):
+            if slot in live:
+                live.update(self._code[slot - n][1])
+        renumber, code = {s: s for s in range(n)}, []
+        for slot, (fn, operands, offset) in enumerate(self._code, n):
+            if slot in live:
+                renumber[slot] = n + len(code)
+                code.append((fn, tuple(renumber[s] for s in operands), offset))
+        return Program(n, code, [renumber[self._outputs[t]] for t in picks],
+                       [self.literals[t] for t in picks], [self.free[t] for t in picks])
+
+    @cached_property
+    def _computed(self) -> tuple[list[int], "Program"]:
+        """The outputs that are not bare numbers, and their program."""
+        picks = [t for t, value in enumerate(self.literals) if value is None]
+        return picks, self if len(picks) == len(self) else self._only(picks)
+
+
+class _Compiler:
+    """Recursive descent over expression texts against one list of
+    coordinates.  Each rule emits its node as an instruction once per key,
+    a repeated key reading the slot of its first occurrence, and returns
+    the node's slot."""
+
+    def __init__(self, coords: Sequence[str]):
         self.coords = list(coords)
-        self.tokens = _tokenize(text)
-        self.pos = 0
+        self.code: list = []
+        self.slots: dict = {}
+        self.free = [1 << i for i in range(len(self.coords))]  # coordinates read, as bits
+        self.numbers: dict[int, float] = {}
+
+    def emit(self, key: tuple, fn, operands: tuple, offset: int) -> int:
+        slot = self.slots.get(key)
+        if slot is None:
+            slot = self.slots[key] = len(self.free)
+            self.code.append((fn, operands, offset))
+            # every operation has one or two operands
+            self.free.append(self.free[operands[0]] | self.free[operands[-1]])
+        return slot
 
     def peek(self):
         return self.tokens[self.pos]
@@ -140,38 +180,52 @@ class _Parser:
             raise ParseError(f"expected {op!r}", offset)
         return self.advance()
 
-    def parse(self) -> ExprAst:
+    def parse(self, text: str) -> int:
+        if not self.slots:  # the names, checked before the first instruction
+            if not self.coords:
+                raise ValueError("coordinate list must be non-empty")
+            if len(set(self.coords)) != len(self.coords):
+                raise ValueError("coordinate names must be distinct")
+            for name in self.coords:
+                if not _NAME_RE.fullmatch(name):
+                    raise ValueError(f"invalid coordinate name {name!r}")
+                if name in FUNCTIONS:
+                    raise ValueError(f"coordinate name {name!r} shadows a function")
+        self.tokens, self.pos = _tokenize(text), 0
         node = self.expr()
         kind, text, offset = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected token {text!r}", offset)
         return node
 
-    def expr(self) -> ExprAst:
+    def expr(self) -> int:
         node = self.term()
         while True:
             kind, text, offset = self.peek()
             if kind == "op" and text in "+-":
                 self.advance()
-                node = BinOp(text, node, self.term(), offset)
+                right = self.term()
+                node = self.emit((text, node, right), _BINARY[text], (node, right), offset)
             else:
                 return node
 
-    def term(self) -> ExprAst:
+    def term(self) -> int:
         node = self.factor()
         while True:
             kind, text, offset = self.peek()
             if kind == "op" and text in "*/":
                 self.advance()
-                node = BinOp(text, node, self.factor(), offset)
+                right = self.factor()
+                node = self.emit((text, node, right), _BINARY[text], (node, right), offset)
             else:
                 return node
 
-    def factor(self) -> ExprAst:
+    def factor(self) -> int:
         kind, text, offset = self.peek()
         if kind == "op" and text == "-":
             self.advance()
-            return Neg(self.factor(), offset)
+            child = self.factor()
+            return self.emit(("neg", child), operator.neg, (child,), offset)
         node = self.atom()
         kind, text, offset = self.peek()
         if kind == "op" and text == "^":
@@ -182,13 +236,18 @@ class _Parser:
             if kind != "number":
                 raise ParseError("exponent must be a numeric literal", off2)
             self.advance()
-            node = Pow(node, float(text), offset)
+            exponent = float(text)
+            node = self.emit(("^", node, exponent.hex()), partial(jets.pow_const, c=exponent),
+                             (node,), offset)
         return node
 
-    def atom(self) -> ExprAst:
+    def atom(self) -> int:
         kind, text, offset = self.advance()
         if kind == "number":
-            return Const(float(text), offset)
+            value = float(text)
+            slot = self.emit(("number", value.hex()), partial(_constant, value), (0,), offset)
+            self.free[slot], self.numbers[slot] = 0, value
+            return slot
         if kind == "name":
             if text in FUNCTIONS:
                 k2, t2, o2 = self.peek()
@@ -197,9 +256,9 @@ class _Parser:
                 self.advance()
                 arg = self.expr()
                 self.expect_op(")")
-                return Call(text, arg, offset)
+                return self.emit((text, arg), FUNCTIONS[text], (arg,), offset)
             if text in self.coords:
-                return Var(self.coords.index(text), text, offset)
+                return self.coords.index(text)
             raise ParseError(f"unknown identifier {text!r}", offset)
         if kind == "op" and text == "(":
             node = self.expr()
@@ -208,86 +267,40 @@ class _Parser:
         raise ParseError(f"unexpected token {text!r}" if text else "unexpected end of input", offset)
 
 
-def parse(text: str, coords: Sequence[str]) -> ExprAst:
-    """Parse ``text`` against the declared coordinate names."""
-    if not coords:
-        raise ValueError("coordinate list must be non-empty")
-    if len(set(coords)) != len(coords):
-        raise ValueError("coordinate names must be distinct")
-    for name in coords:
-        if not _NAME_RE.fullmatch(name):
-            raise ValueError(f"invalid coordinate name {name!r}")
-        if name in FUNCTIONS:
-            raise ValueError(f"coordinate name {name!r} shadows a function")
-    return _Parser(text, coords).parse()
+def parse(texts: str | Sequence[str], coords: Sequence[str]) -> Program:
+    """Compile one expression text, or a sequence of them, against the
+    declared coordinate names into one program with an output per text.
+    The names are checked as the first text is parsed."""
+    compiler, slots = _Compiler(coords), {}
+    outputs = [slots[t] if t in slots else slots.setdefault(t, compiler.parse(t))
+               for t in ([texts] if isinstance(texts, str) else texts)]
+    return Program(len(coords), compiler.code, outputs,
+                   [compiler.numbers.get(slot) for slot in outputs],
+                   [compiler.free[slot] for slot in outputs])
 
 
-def evaluate(ast: ExprAst, args: Sequence[JetBatch]) -> JetBatch:
-    """Evaluate on jet-valued coordinates; derivative-correct through the
-    order of the arguments.  Constants are made by the arguments' type, so
-    any jet type with the JetBatch operators and ``constant`` works."""
-    _check_args(args)
-    return _eval(ast, args, args[0].order, args[0].nvars)
-
-
-def _check_args(args: Sequence[JetBatch]) -> None:
-    """Reject an empty argument list or jets of differing order or arity."""
+def evaluate(program: Program, args: Sequence[JetBatch]) -> list:
+    """Every output of ``program`` on jet-valued coordinates, one jet per
+    output; derivative-correct through the order of the arguments.  One
+    loop runs the instructions in order.  Constants are made by the
+    arguments' type, so any jet type with the JetBatch operators and
+    ``constant`` works.  A domain error is an EvalDomainError at the offset
+    of the failing instruction.  An empty argument list, jets of differing
+    order or arity, or fewer jets than coordinates is a usage error."""
     if not args:
         raise jets.JetUsageError("evaluate needs at least one argument jet")
     order, nvars = args[0].order, args[0].nvars
     for a in args:
         if a.order != order or a.nvars != nvars:
             raise jets.JetUsageError("argument jets must share order and arity")
-
-
-def _eval(node: ExprAst, args, order, nvars) -> JetBatch:
-    if isinstance(node, Const):
-        return type(args[0]).constant(node.value, order, nvars)
-    if isinstance(node, Var):
-        if node.index >= len(args):
-            raise jets.JetUsageError(
-                f"coordinate {node.name!r} has index {node.index} but only "
-                f"{len(args)} arguments were supplied")
-        return args[node.index]
-    if isinstance(node, Neg):
-        return -_eval(node.child, args, order, nvars)
-    # a child's domain error is already an EvalDomainError at its own offset
-    try:
-        if isinstance(node, BinOp):
-            left = _eval(node.left, args, order, nvars)
-            right = _eval(node.right, args, order, nvars)
-            if node.op == "+":
-                return left + right
-            if node.op == "-":
-                return left - right
-            if node.op == "*":
-                return left * right
-            return left / right
-        if isinstance(node, Pow):
-            return jets.pow_const(_eval(node.base, args, order, nvars), node.exponent)
-        if isinstance(node, Call):
-            return FUNCTIONS[node.func](_eval(node.arg, args, order, nvars))
-    except JetDomainError as e:
-        raise EvalDomainError(str(e), node.offset) from e
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def free_coordinates(ast: ExprAst) -> set[int]:
-    """Indices of the coordinates appearing in the tree."""
-    out: set[int] = set()
-    _collect(ast, out)
-    return out
-
-
-def _collect(node: ExprAst, out: set[int]) -> None:
-    if isinstance(node, Var):
-        out.add(node.index)
-    elif isinstance(node, Neg):
-        _collect(node.child, out)
-    elif isinstance(node, BinOp):
-        _collect(node.left, out)
-        _collect(node.right, out)
-    elif isinstance(node, Pow):
-        _collect(node.base, out)
-    elif isinstance(node, Call):
-        _collect(node.arg, out)
+    if len(args) < program._arity:
+        raise jets.JetUsageError(f"{program._arity} coordinates need as many argument jets")
+    values = list(args[:program._arity])
+    for (fn, operands, offset), dead in zip(program._code, program._dead):
+        try:
+            values.append(fn(*map(values.__getitem__, operands)))
+        except JetDomainError as e:
+            raise EvalDomainError(str(e), offset) from e
+        for s in dead:
+            values[s] = None
+    return [values[s] for s in program._outputs]

@@ -7,19 +7,20 @@ shape (P, n, n).  The sample sweep passes the seeded coordinates of all its
 points (:func:`bornbundle.jets.seed_batch`); the chart builder passes
 jet-valued coordinates, for which derivative-based connections augment the
 arguments with fresh seed slots (see :func:`bornbundle.jets.augment`).
-Each expression is evaluated once over the batch, except a literal
-constant (an explicit Gamma grid is mostly ``"0"``): :func:`evaluate_all`
-writes its value into the zeroed slot, with no jet built, which has the
-bits of its constant jet broadcast.  :func:`connection_metric_args`
-gives Gamma and g together: for a connection derived from a metric grid
-(Levi-Civita, or the dual of the flat connection) the grid is evaluated
-once, and g is read off the evaluation one order higher that gives its
-partials, which has the bits of :func:`metric_args`.  :func:`jet_inv`,
-:func:`levi_civita_of` and :func:`dual_connection_of` act on all points at
-once in the operations and summation order of the same formulas on one
-point's jets, so every coefficient equals the per-point reference
-(``tests/jet_reference.py``) bit for bit; the two formulas take float
-arrays with leading stack axes as well.
+Each grid is one :class:`bornbundle.expr.Program`, evaluated once over
+the batch, except its bare numbers (an explicit Gamma grid is mostly
+``"0"``): :func:`evaluate_all` writes their values into the zeroed
+slots, with no jet built, which has the bits of their constant jets
+broadcast.  :func:`connection_metric_args` gives Gamma and g together:
+for a connection derived from a metric grid (Levi-Civita, or the dual of
+the flat connection) the grid is evaluated once, and g is read off the
+evaluation one order higher that gives its partials, which has the bits
+of :func:`metric_args`.  :func:`jet_inv`, :func:`levi_civita_of` and
+:func:`dual_connection_of` act on all points at once in the operations
+and summation order of the same formulas on one point's jets, so every
+coefficient equals the per-point reference (``tests/jet_reference.py``)
+bit for bit; the two formulas take float arrays with leading stack axes
+as well.
 
 Derivative budget: jets stop at order 3, so a potential-based metric
 (g = second partials of the potential) exposes at most one order of
@@ -40,24 +41,26 @@ from .jets import JetBatch
 MAX_ORDER = jets.MAX_ORDER
 
 
-def evaluate_all(asts: Sequence, args: Sequence[JetBatch],
+def evaluate_all(program: expr.Program, args: Sequence[JetBatch],
                  shape: tuple | None = None) -> JetBatch:
-    """The expressions ``asts`` over the batch of the arguments, as one
+    """The outputs of ``program`` over the batch of the arguments, as one
     JetBatch of batch shape ``(*batch, *shape)``: ``shape`` is that of the
-    grid whose entries ``asts`` lists in C order, by default (len(asts),).
-    A literal constant is written as its value over +0.0 partials, the bits
-    of its constant jet, with no jet built; ``Neg(Const)`` is evaluated, as
-    its partials are -0.0.  The arguments are checked once, as
-    :func:`bornbundle.expr.evaluate` checks them, constants or not."""
-    expr._check_args(args)
+    grid whose entries the program's outputs list in C order, by default
+    (len(program),).  A bare number is written as its value over +0.0
+    partials, the bits of its constant jet, with no jet built; ``-2`` is
+    evaluated, as its partials are -0.0.  The other outputs come from one
+    :func:`bornbundle.expr.evaluate`, which checks the arguments, bare
+    numbers or not."""
+    picks, computed = program._computed
+    values = expr.evaluate(computed, args)
     a = args[0]
-    out = np.zeros(a.shape + (len(asts), a.coeffs.shape[-1]))
-    for t, ast in enumerate(asts):
-        if isinstance(ast, expr.Const):
-            out[..., t, 0] = ast.value
-        else:
-            out[..., t, :] = expr.evaluate(ast, args).coeffs
-    shape = (len(asts),) if shape is None else shape
+    out = np.zeros(a.shape + (len(program), a.coeffs.shape[-1]))
+    for t, value in enumerate(program.literals):
+        if value is not None:
+            out[..., t, 0] = value
+    for t, jet in zip(picks, values):
+        out[..., t, :] = jet.coeffs
+    shape = (len(program),) if shape is None else shape
     return JetBatch(a.order, a.nvars, out.reshape(a.shape + shape + out.shape[-1:]))
 
 
@@ -73,13 +76,8 @@ def _slot_partials(c: JetBatch, m: int, n: int, depth: int, order: int) -> JetBa
 # -- metric ---------------------------------------------------------------
 
 def _metric_grid(spec, args) -> JetBatch:
-    grid = evaluate_all([ast for row in spec.metric_exprs for ast in row], args,
-                        (spec.n, spec.n))
+    grid = evaluate_all(spec.metric_exprs, args, (spec.n, spec.n))
     return (grid + grid.swapaxes(-1, -2)) * 0.5
-
-
-def _potential(spec, args, order: int) -> JetBatch:
-    return evaluate_all([spec.potential], jets.augment(args, order), ())
 
 
 def metric_args(spec, args: Sequence[JetBatch], order: int) -> JetBatch:
@@ -93,7 +91,8 @@ def metric_args(spec, args: Sequence[JetBatch], order: int) -> JetBatch:
         raise UnsupportedDerivativeError(
             f"potential-based metric with order-{order} jets needs order-{need} "
             f"jets of the potential (max {MAX_ORDER}); use an explicit metric")
-    return _slot_partials(_potential(spec, args, need), args[0].nvars, spec.n, 2, order)
+    phi = evaluate_all(spec.potential, jets.augment(args, need), ())
+    return _slot_partials(phi, args[0].nvars, spec.n, 2, order)
 
 
 def metric_dg_args(spec, args: Sequence[JetBatch], order: int):
@@ -115,7 +114,7 @@ def metric_dg_args(spec, args: Sequence[JetBatch], order: int):
             f"derivatives of a potential-based metric at jet order {order} need "
             f"order-{need} jets of the potential (max {MAX_ORDER}); "
             f"use an explicit metric")
-    phi = _potential(spec, args, need)
+    phi = evaluate_all(spec.potential, jets.augment(args, need), ())
     # the third partials of phi are symmetric in (l, i, j)
     return _slot_partials(phi, m, n, 2, order), _slot_partials(phi, m, n, 3, order)
 
@@ -219,8 +218,7 @@ def connection_args(spec, args: Sequence[JetBatch], order: int) -> JetBatch:
     if kind == "explicit":
         if order != args[0].order:
             raise jets.JetUsageError("connection order differs from argument order")
-        asts = [ast for plane in spec.gamma_exprs for row in plane for ast in row]
-        return evaluate_all(asts, args, (n, n, n))
+        return evaluate_all(spec.gamma_exprs, args, (n, n, n))
     # levi-civita or hessian-dual: ManifoldSpec rejects every other kind
     return _derived_connection(spec, args, order)[0]
 
@@ -236,10 +234,6 @@ def connection_metric_args(spec, args: Sequence[JetBatch],
     return connection_args(spec, args, order), metric_args(spec, args, order)
 
 
-def _is_literal_zero(ast) -> bool:
-    return isinstance(ast, expr.Const) and ast.value == 0.0
-
-
 def connection_support(spec) -> tuple[tuple[int, int, int], ...]:
     """The (k, i, j) of every coefficient that is not structurally zero, in
     (k, i, j) order: none for a flat connection, the entries whose
@@ -250,6 +244,6 @@ def connection_support(spec) -> tuple[tuple[int, int, int], ...]:
         return ()
     every = tuple(np.ndindex(spec.n, spec.n, spec.n))
     if kind == "explicit":
-        return tuple((k, i, j) for k, i, j in every
-                     if not _is_literal_zero(spec.gamma_exprs[k][i][j]))
+        return tuple(kij for kij, value in zip(every, spec.gamma_exprs.literals)
+                     if value != 0.0)
     return every

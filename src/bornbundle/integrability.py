@@ -56,9 +56,15 @@ from .manifold import (BORN_GATE, DEFAULT_TOL, BaseJets, ManifoldSpec, Residuals
 
 
 def _norm_factor(y) -> float:
-    """1 + |y|; a norm that overflows comes out inf, without a numpy warning."""
+    """1 + |y|.  Where ``np.linalg.norm`` overflows, |y| is s |y / s| with
+    s = max |y_i|, which overflows only if |y| does; a norm that overflows
+    comes out inf, without a numpy warning."""
     with np.errstate(over="ignore"):
-        return 1.0 + float(np.linalg.norm(y))
+        norm = float(np.linalg.norm(y))
+        if math.isinf(norm):
+            s = float(np.max(np.abs(y)))
+            norm = s * float(np.linalg.norm(np.divide(y, s)))
+        return 1.0 + norm
 
 
 def _nijenhuis_of(a: np.ndarray) -> np.ndarray:

@@ -66,9 +66,9 @@ class ManifoldSpec:
     coords: tuple[str, ...]
     sample_box: tuple[tuple[float, float], ...]
     connection_kind: str
-    metric_exprs: tuple | None = None
-    potential: expr.ExprAst | None = None
-    gamma_exprs: tuple | None = None
+    metric_exprs: expr.Program | None = None  # n x n entries in C order
+    potential: expr.Program | None = None  # one output
+    gamma_exprs: expr.Program | None = None  # n x n x n entries in C order
     name: str = ""
 
     def __post_init__(self):
@@ -85,18 +85,13 @@ class ManifoldSpec:
                 raise SpecError(f"empty sample interval [{lo}, {hi}]")
         if (self.metric_exprs is None) == (self.potential is None):
             raise SpecError("exactly one of metric grid and potential is required")
-        if self.metric_exprs is not None and (
-                len(self.metric_exprs) != self.n
-                or any(len(row) != self.n for row in self.metric_exprs)):
+        if self.metric_exprs is not None and len(self.metric_exprs) != self.n ** 2:
             raise SpecError("metric grid must be n x n")
         if self.connection_kind not in CONNECTION_KINDS:
             raise SpecError(f"unknown connection kind {self.connection_kind!r}")
         if (self.connection_kind == "explicit") != (self.gamma_exprs is not None):
             raise SpecError("explicit connections need a gamma grid, others must not have one")
-        if self.gamma_exprs is not None and (
-                len(self.gamma_exprs) != self.n
-                or any(len(plane) != self.n for plane in self.gamma_exprs)
-                or any(len(row) != self.n for plane in self.gamma_exprs for row in plane)):
+        if self.gamma_exprs is not None and len(self.gamma_exprs) != self.n ** 3:
             raise SpecError("gamma grid must be n x n x n")
 
     def contains(self, p: Sequence[float]) -> bool:
@@ -108,30 +103,28 @@ def build_spec(name: str, coordinates: Sequence[str], sample_box,
                potential: str | None = None,
                connection: str = "flat",
                gamma: Sequence[Sequence[Sequence[str]]] | None = None) -> ManifoldSpec:
-    """Parse expression strings into a validated spec.  Each distinct text
-    is parsed once and its frozen tree shared by every entry that spells it
-    (an explicit Gamma grid is mostly the literal ``"0"``); the memo lives
-    for this one build."""
+    """Compile the expression strings of a validated spec: the metric grid,
+    the potential and the Gamma grid each become one program with an
+    output per entry, in C order (:func:`bornbundle.expr.parse`)."""
     coords = tuple(coordinates)
     n = len(coords)
-    trees: dict = {}
 
-    def parse(text):
-        tree = trees.get(text)
-        if tree is None:
-            tree = trees[text] = expr.parse(text, coords)
-        return tree
-    metric_exprs = None
-    if metric is not None:
-        metric_exprs = tuple(tuple(map(parse, row)) for row in metric)
-    potential_ast = parse(potential) if potential is not None else None
-    gamma_exprs = None
-    if gamma is not None:
-        gamma_exprs = tuple(tuple(tuple(map(parse, row)) for row in plane) for plane in gamma)
+    def compile_grid(grid, depth):
+        # a grid of another shape than n^depth compiles to no outputs, which
+        # ManifoldSpec rejects in the order of its checks
+        entries, shaped = [grid], True
+        for _ in range(depth):
+            shaped = shaped and all(len(e) == n for e in entries)
+            entries = [x for e in entries for x in e]
+        program = expr.parse(entries, coords)
+        return program if shaped else program._only(())
+    metric_exprs = None if metric is None else compile_grid(metric, 2)
+    potential_program = None if potential is None else expr.parse(potential, coords)
+    gamma_exprs = None if gamma is None else compile_grid(gamma, 3)
     box = tuple((float(lo), float(hi)) for lo, hi in sample_box)
     return ManifoldSpec(n=n, coords=coords, sample_box=box,
                         connection_kind=connection, metric_exprs=metric_exprs,
-                        potential=potential_ast, gamma_exprs=gamma_exprs, name=name)
+                        potential=potential_program, gamma_exprs=gamma_exprs, name=name)
 
 
 # -- sampling --------------------------------------------------------------

@@ -310,12 +310,11 @@ def jet_inv(mat: np.ndarray) -> np.ndarray:
 
 # -- fields -----------------------------------------------------------------
 
-def _eval_grid(asts, args) -> np.ndarray:
-    grid = np.empty((len(asts), len(asts[0])), dtype=object)
-    for i, row in enumerate(asts):
-        for j, ast in enumerate(row):
-            grid[i, j] = expr.evaluate(ast, args)
-    return grid
+def _eval_grid(program, args, n: int, depth: int = 2) -> np.ndarray:
+    grid = np.empty(len(program), dtype=object)
+    for t, jet in enumerate(expr.evaluate(program, args)):
+        grid[t] = jet
+    return grid.reshape((n,) * depth)
 
 
 def _symmetrize(grid: np.ndarray) -> np.ndarray:
@@ -330,14 +329,14 @@ def _symmetrize(grid: np.ndarray) -> np.ndarray:
 def metric_args(spec, args, order: int) -> np.ndarray:
     n = spec.n
     if spec.potential is None:
-        grid = _eval_grid(spec.metric_exprs, args)
+        grid = _eval_grid(spec.metric_exprs, args, n)
         grid = np.array([[truncate(grid[i, j], order) for j in range(n)]
                          for i in range(n)], dtype=object)
         return _symmetrize(grid)
     need = order + 2
     if need > MAX_ORDER:
         raise UnsupportedDerivativeError(f"potential needs order {need}")
-    phi = expr.evaluate(spec.potential, augment(args, need))
+    (phi,) = expr.evaluate(spec.potential, augment(args, need))
     m = args[0].nvars
     grid = np.empty((n, n), dtype=object)
     for i in range(n):
@@ -355,7 +354,7 @@ def metric_dg_args(spec, args, order: int):
         need = order + 1
         if need > MAX_ORDER:
             raise UnsupportedDerivativeError(f"metric derivatives need order {need}")
-        grid = _symmetrize(_eval_grid(spec.metric_exprs, augment(args, need)))
+        grid = _symmetrize(_eval_grid(spec.metric_exprs, augment(args, need), n))
         for i in range(n):
             for j in range(n):
                 g[i, j] = extract_partial(grid[i, j], (), m, order)
@@ -365,7 +364,7 @@ def metric_dg_args(spec, args, order: int):
     need = order + 3
     if need > MAX_ORDER:
         raise UnsupportedDerivativeError(f"potential derivatives need order {need}")
-    phi = expr.evaluate(spec.potential, augment(args, need))
+    (phi,) = expr.evaluate(spec.potential, augment(args, need))
     for i in range(n):
         for j in range(n):
             g[i, j] = extract_partial(phi, (m + i, m + j), m, order)
@@ -418,9 +417,10 @@ def connection_args(spec, args, order: int) -> np.ndarray:
         zero = const_jet_array(np.zeros((n, n, n)), order, args[0].nvars)
         return zero if kind == "flat" else dual_of(spec, args, zero, order)
     if kind == "explicit":
+        grid = _eval_grid(spec.gamma_exprs, args, n, 3)
         out = np.empty((n, n, n), dtype=object)
-        for k, i, j in np.ndindex(n, n, n):
-            out[k, i, j] = truncate(expr.evaluate(spec.gamma_exprs[k][i][j], args), order)
+        for kij in np.ndindex(n, n, n):
+            out[kij] = truncate(grid[kij], order)
         return out
     return levi_civita_args(spec, args, order)
 

@@ -39,18 +39,16 @@ def _verdict(num, name, ok):
 
 
 def _corpus_expressions():
-    """(ast, coords, box) for every expression in the built-in corpus."""
+    """(program, coords, box) for every expression in the built-in corpus,
+    one program per grid entry."""
     out = []
     for spec in ALL:
-        if spec.potential is not None:
-            out.append((spec.potential, spec.coords, spec.sample_box))
-        else:
-            for row in spec.metric_exprs:
-                out.extend((e, spec.coords, spec.sample_box) for e in row)
+        grids = [spec.metric_exprs if spec.potential is None else spec.potential]
         if spec.gamma_exprs is not None:
-            for plane in spec.gamma_exprs:
-                for row in plane:
-                    out.extend((e, spec.coords, spec.sample_box) for e in row)
+            grids.append(spec.gamma_exprs)
+        for grid in grids:
+            out.extend((grid._only([t]), spec.coords, spec.sample_box)
+                       for t in range(len(grid)))
     box = ((-1.0, 1.0), (-1.0, 1.0))
     for text in EXTRA_EXPRESSIONS:
         out.append((expr.parse(text, ("u", "v")), ("u", "v"), box))
@@ -74,10 +72,10 @@ def test_acceptance_1_ad_soundness():
         hi = np.array([iv[1] for iv in box])
         for u in unit:
             p = tuple(lo + u * (hi - lo))
-            f = expr.evaluate(ast, ref.seed(p, 1))
+            (f,) = expr.evaluate(ast, ref.seed(p, 1))
 
             def scalar(q):
-                return expr.evaluate(ast, ref.seed(q, 1)).value
+                return expr.evaluate(ast, ref.seed(q, 1))[0].value
 
             grad = ref.fd_oracle(scalar, p, h=1e-5)
             for i in range(len(coords)):

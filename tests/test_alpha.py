@@ -164,3 +164,14 @@ def test_alpha_zero_is_the_levi_civita_connection_in_n_dimensions(n, monkeypatch
     for want, got in ((levi_civita.hessian, alpha0.hessian), (levi_civita.born, alpha0.born)):
         assert got.maxima == pytest.approx(want.maxima, rel=1e-12, abs=ROUND_OFF)
     assert levi_civita.hessian.maxima["curvature"] > 0.05
+
+
+@pytest.mark.parametrize("c", [1e-9, pytest.param(2e-9, marks=BAND),
+                               pytest.param(3e-9, marks=BAND),
+                               pytest.param(4e-9, marks=BAND), 5e-9])
+def test_both_verdicts_flip_at_the_same_alpha_in_three_dimensions(c, monkeypatch):
+    # the unit-scale band on the sweep of check at n = 3: at 2e-9 to 4e-9 the
+    # Hessian side reads the structure as Hessian, the Born side not
+    scale_gamma(monkeypatch, c)
+    report = sweep(3)
+    assert report.agreement, (report.hessian.within, report.born.within)

@@ -682,7 +682,7 @@ def test_pullback_cubic_is_witnessed():
     # straight coordinates (u, v - u^2 - u^3): Gamma^1_00 = -2 - 6u depends
     # on the position, so the integrator evaluates it at every stage
     assert fields.connection_support(PULLBACK_CUBIC) == ((1, 0, 0),)
-    assert expr.free_coordinates(PULLBACK_CUBIC.gamma_exprs[1][0][0]) == {0}
+    assert PULLBACK_CUBIC.gamma_exprs.free[4] == 0b01  # (1, 0, 0) reads u alone
     for steps in (16, 64):
         out = affine_chart_witness(PULLBACK_CUBIC, (0.0, 0.0), 6, 1.0, steps=steps)
         assert out["witnessed"]
@@ -870,9 +870,8 @@ def test_singular_chart_jacobian_names_the_first_probe():
 # -- work done once ------------------------------------------------------------
 
 def test_constant_gamma_is_evaluated_once_per_integration(monkeypatch):
-    const = PULLBACK.gamma_exprs[1][0][0]
     assert fields.connection_support(PULLBACK) == ((1, 0, 0),)
-    assert not expr.free_coordinates(const)
+    assert not PULLBACK.gamma_exprs.free[4]  # (1, 0, 0)
     rk4, evaluate = charts._rk4, expr.evaluate
     counts, inside = {"rk4": 0, "in_rk4": 0}, [False]
 
@@ -884,10 +883,11 @@ def test_constant_gamma_is_evaluated_once_per_integration(monkeypatch):
         finally:
             inside[0] = False
 
-    def counted_evaluate(ast, args):
-        if inside[0] and ast is const:
+    def counted_evaluate(program, args):
+        if inside[0]:
+            assert len(program) == 1  # the one support term
             counts["in_rk4"] += 1
-        return evaluate(ast, args)
+        return evaluate(program, args)
 
     monkeypatch.setattr(charts, "_rk4", counted_rk4)
     monkeypatch.setattr(expr, "evaluate", counted_evaluate)

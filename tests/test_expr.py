@@ -1,11 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import jet_reference as ref
-from bornbundle import expr
-from bornbundle.expr import EvalDomainError, ParseError, evaluate, free_coordinates, parse
+from bornbundle import expr, jets
+from bornbundle.expr import EvalDomainError, ParseError, evaluate, parse
+from bornbundle.jets import JetBatch
 
 UV = ("u", "v")
 
@@ -30,8 +32,7 @@ CORPUS = [
 
 
 def ev(text, point, order=1, coords=UV):
-    ast = parse(text, coords)
-    return evaluate(ast, ref.seed(point, order))
+    return evaluate(parse(text, coords), ref.seed(point, order))[0]
 
 
 def test_basic_arithmetic():
@@ -91,9 +92,7 @@ def test_trig_identity(u):
 
 
 def test_free_coordinates():
-    assert free_coordinates(parse("u^2 + 2*v", UV)) == {0, 1}
-    assert free_coordinates(parse("3.5", UV)) == set()
-    assert free_coordinates(parse("exp(v)", UV)) == {1}
+    assert parse(["u^2 + 2*v", "3.5", "exp(v)"], UV).free == (0b11, 0, 0b10)
 
 
 def test_unary_minus_binds_looser_than_power():
@@ -162,10 +161,10 @@ def test_order1_matches_fd_oracle(text):
     ast = parse(text, UV)
     points = [(0.31, 0.77), (-0.52, 0.11), (0.9, -0.6)]
     for p in points:
-        f = evaluate(ast, ref.seed(p, 1))
+        (f,) = evaluate(ast, ref.seed(p, 1))
 
         def scalar(q):
-            return evaluate(ast, ref.seed(q, 1)).value
+            return evaluate(ast, ref.seed(q, 1))[0].value
 
         grad = ref.fd_oracle(scalar, p)
         for i in range(2):
@@ -175,7 +174,111 @@ def test_order1_matches_fd_oracle(text):
 
 def test_evaluation_is_reentrant():
     ast = parse("u*v + sin(u)", UV)
-    a = evaluate(ast, ref.seed((1.0, 2.0), 1))
-    b = evaluate(ast, ref.seed((1.0, 2.0), 1))
+    (a,) = evaluate(ast, ref.seed((1.0, 2.0), 1))
+    (b,) = evaluate(ast, ref.seed((1.0, 2.0), 1))
     assert a.value == b.value
     assert a is not b
+
+
+# -- the value-numbered program --------------------------------------------------
+
+def fisher_texts(coords):
+    # the categorical Fisher grid, whose entries repeat exp(x_i) and Z
+    e = [f"exp({x})" for x in coords]
+    z = "(1 + " + " + ".join(e) + ")"
+    return [f"-{e[min(i, j)]}*{e[max(i, j)]}/{z}^2" if i != j
+            else f"{e[i]}*(1+{' + '.join(e[:i] + e[i + 1:])})/{z}^2"
+            for i in range(len(coords)) for j in range(len(coords))]
+
+
+SHARING = [
+    ["exp(u)*exp(v)", "exp(u) + exp(v)", "exp(u)*exp(v)", "-exp(u)"],
+    ["u + v", "u*v", "u - v", "u/v", "v + u"],
+    ["(u + 1)^2", "(u + 1)^3", "(u + 1)^2 - (u + 1)", "0", "-0", "2", "2.0"],
+    ["sin(u)", "cos(u)", "sin(u)*sin(u) + cos(u)*cos(u)", "tanh(sin(u))"],
+    fisher_texts(UV),
+    fisher_texts(("u", "v", "w")),
+]
+
+
+def _batch(order, nvars, seed):
+    rng = np.random.default_rng(seed)
+    width = len(jets._columns(order, nvars))
+    return [JetBatch(order, nvars, rng.uniform(0.2, 0.9, (4, width))) for _ in range(nvars)]
+
+
+@pytest.mark.parametrize("order", range(jets.MAX_ORDER + 1))
+@pytest.mark.parametrize("texts", SHARING, ids=range(len(SHARING)))
+def test_a_grid_program_has_the_bits_of_each_text_alone(texts, order):
+    # every output reads the instructions of its first occurrences, which see
+    # the operands and operation of its own tree: the bits of a lone parse
+    coords = ("u", "v", "w") if len(texts) == 9 else UV
+    args = _batch(order, len(coords), order)
+    got = evaluate(parse(texts, coords), args)
+    for text, jet in zip(texts, got, strict=True):
+        (want,) = evaluate(parse(text, coords), args)
+        assert np.array_equal(jet.coeffs.view(np.int64), want.coeffs.view(np.int64)), text
+
+
+def test_equal_subexpressions_become_one_instruction():
+    # keyed by operation and operands: exp(u), exp(v), the product, the sum
+    # and the negation, whatever text they occur in
+    assert len(parse(SHARING[0], UV)._code) == 5
+    # + - * / on the same operands stay five instructions, v + u a sixth
+    assert len(parse(SHARING[1], UV)._code) == 5
+    # numbers by their bits: 2 and 2.0 are one, 0 is another; -0 negates 0
+    program = parse(["2", "2.0", "20e-1", "0", "-0"], UV)
+    assert len(program._code) == 3
+    assert program.literals == (2.0, 2.0, 2.0, 0.0, None)
+    # the Fisher grids: 62 and 174 tree nodes, 2 + 14 and 3 + 25 values
+    assert [len(parse(fisher_texts(c), c)._code) for c in (UV, ("u", "v", "w"))] == [14, 25]
+
+
+def test_each_operation_keeps_its_own_value():
+    # a key without the operation would give u*v the value of u + v
+    outs = evaluate(parse(SHARING[1], UV), ref.seed((3.0, 2.0), 1))
+    assert [f.value for f in outs] == [5.0, 6.0, 1.0, 1.5, 5.0]
+
+
+@pytest.mark.parametrize("texts, offset", [
+    (["1 + log(u - 2)", "log(u - 2)"], 4),
+    (["log(u - 2)", "1 + log(u - 2)"], 0),
+    (["u", "2*(u - 2)^0.5", "(u - 2)^0.5"], 9),
+    (["(u - 2)^0.5 + log(u - 2)", "log(u - 2)"], 7),
+])
+def test_a_shared_failing_node_fails_at_its_first_offset(texts, offset):
+    # the first failing instruction is the node the tree walk of the texts in
+    # turn fails at, with the offset of its first occurrence
+    with pytest.raises(EvalDomainError) as exc:
+        evaluate(parse(texts, UV), ref.seed((0.0, 0.0), 1))
+    assert exc.value.offset == offset
+    alone = next(t for t in texts if "log" in t or "^0.5" in t)
+    with pytest.raises(EvalDomainError) as first:
+        evaluate(parse(alone, UV), ref.seed((0.0, 0.0), 1))
+    assert str(exc.value) == str(first.value)
+
+
+def test_a_picked_program_keeps_the_picked_outputs_and_their_order():
+    program = parse(SHARING[2], UV)
+    args = _batch(2, 2, 5)
+    every = evaluate(program, args)
+    picked = program._only([2, 0])
+    assert picked.literals == (None, None) and picked.free == (1, 1)
+    for jet, t in zip(evaluate(picked, args), [2, 0], strict=True):
+        assert np.array_equal(jet.coeffs.view(np.int64), every[t].coeffs.view(np.int64))
+    # 1, u + 1, its square and the difference; not the cube or the numbers
+    assert (len(picked._code), len(program._code)) == (4, 8)
+    assert len(program._only(())) == 0
+
+
+def test_too_few_argument_jets_is_a_usage_error():
+    with pytest.raises(jets.JetUsageError, match="2 coordinates need as many argument jets"):
+        evaluate(parse("u", UV), ref.seed((1.0,), 1))
+
+
+def test_each_value_is_dropped_after_its_last_reader():
+    # u, v, exp(u), exp(v), the product, the sum and the negation: exp(v)
+    # goes after the sum, exp(u) after the negation, the outputs never
+    program = parse(SHARING[0], UV)
+    assert program._outputs == (4, 5, 4, 6)
+    assert program._dead == [[0], [1], [], [3], [2]]

@@ -227,22 +227,25 @@ EVALUATE_ALL_TEXTS = ["0", "-1.226", "2.5", "u", "-0", "u*v - 0.5", "3e-2", "-v"
 @pytest.mark.parametrize("order", range(jets.MAX_ORDER + 1))
 @pytest.mark.parametrize("batch", [(5,), (3, 2)], ids=["P", "B-n"])
 def test_evaluate_all_writes_constants_with_the_bits_of_evaluate(order, batch, monkeypatch):
-    # a literal constant is written as its value over +0.0 partials, with no
-    # jet built; Neg(Const) ("-1.226", "-0") keeps the evaluated -0.0 partials
-    asts = [expr.parse(text, ("u", "v")) for text in EVALUATE_ALL_TEXTS]
+    # a bare number is written as its value over +0.0 partials, with no jet
+    # built; a negated one ("-1.226", "-0") keeps the evaluated -0.0 partials;
+    # the other outputs come from one evaluation of their program
+    program = expr.parse(EVALUATE_ALL_TEXTS, ("u", "v"))
     rng = np.random.default_rng(order)
     width = len(jets._columns(order, 2))
     args = [JetBatch(order, 2, rng.uniform(-1, 1, batch + (width,))) for _ in range(2)]
-    want = np.stack([np.broadcast_to(expr.evaluate(ast, args).coeffs, batch + (width,))
-                     for ast in asts], axis=-2)
+    want = np.stack([np.broadcast_to(expr.evaluate(expr.parse(text, ("u", "v")), args)[0].coeffs,
+                                     batch + (width,))
+                     for text in EVALUATE_ALL_TEXTS], axis=-2)
     calls = []
     evaluate = expr.evaluate
-    monkeypatch.setattr(expr, "evaluate", lambda ast, a: calls.append(ast) or evaluate(ast, a))
-    got = fields.evaluate_all(asts, args).coeffs
+    monkeypatch.setattr(expr, "evaluate", lambda p, a: calls.append(p) or evaluate(p, a))
+    got = fields.evaluate_all(program, args).coeffs
     assert got.shape == want.shape
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert np.array_equal(np.signbit(got), np.signbit(want))
-    assert calls == [ast for ast in asts if not isinstance(ast, expr.Const)]
+    assert [p.literals for p in calls] == [(None,) * 5]
+    assert program.literals == (0.0, None, 2.5, None, None, None, 3e-2, None)
     if order:
         const, neg = EVALUATE_ALL_TEXTS.index("2.5"), EVALUATE_ALL_TEXTS.index("-1.226")
         assert not np.signbit(got[..., const, 1:]).any()
@@ -250,10 +253,10 @@ def test_evaluate_all_writes_constants_with_the_bits_of_evaluate(order, batch, m
 
 
 def test_evaluate_all_checks_the_arguments_of_an_all_constant_grid():
-    asts = [expr.parse(text, ("u", "v")) for text in ("0", "1.5", "0")]
+    program = expr.parse(["0", "1.5", "0"], ("u", "v"))
     point = np.zeros((1, 2))
     mixed = [jets.seed_batch(point, 1)[0], jets.seed_batch(point, 2)[1]]
     with pytest.raises(jets.JetUsageError, match="share order and arity"):
-        fields.evaluate_all(asts, mixed)
+        fields.evaluate_all(program, mixed)
     with pytest.raises(jets.JetUsageError, match="at least one argument jet"):
-        fields.evaluate_all(asts, [])
+        fields.evaluate_all(program, [])

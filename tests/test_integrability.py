@@ -602,3 +602,25 @@ def test_error_order_is_by_base_point_then_tensors_then_identities():
             metric=[[metric, "0"], ["0", metric]], connection="explicit",
             gamma=[[["exp(216.5 - 257.6*u)", "0"], ["0", "0"]],
                    [["0", "0"], ["0", "0"]]]), 1, 4)
+
+
+def test_norm_factor_scales_a_norm_that_overflows():
+    # where np.linalg.norm is finite it is kept, so every report keeps its
+    # bytes; where it overflows, s |y / s| with s = max |y_i| is the norm
+    for y in [(3.0, 4.0), (0.0, -0.0), (1e150, -2e150, 3.0), (-5e-324, 0.0)]:
+        assert _norm_factor(y) == 1.0 + float(np.linalg.norm(y))
+    assert _norm_factor((1e200, -1e200)) == 1.0 + 1e200 * math.sqrt(2.0)
+    assert _norm_factor((1e308, 1e308)) == 1e308 * math.sqrt(2.0)
+    assert _norm_factor((1.7e308, 0.0)) == 1.7e308
+    with np.errstate(over="raise"):
+        assert _norm_factor((1.5e308, 1.5e308)) == math.inf
+
+
+def test_a_fiber_norm_that_overflows_even_scaled_is_an_error(monkeypatch):
+    # |y| itself beyond the largest float: every residual would be divided by
+    # inf, so the fiber radius is named as too large
+    monkeypatch.setattr(integrability, "sample_fibers",
+                        lambda n, count, radius, seed: np.full((count, n), 1.5e308))
+    with pytest.raises(SpecError, match=r"fiber radius 1\.7e\+308 is too large: the norm "
+                                        r"of a sampled fiber vector overflows"):
+        integrability_verdict(EUCLID, 2, 2, 1.7e308)

@@ -10,9 +10,9 @@ from bornbundle.cli import spec_from_dict
 from bornbundle.errors import NotPositiveDefiniteError, SpecError
 from bornbundle.integrability import integrability_verdict
 from bornbundle.jets import JetUsageError
-from bornbundle.manifold import (DEFAULT_TOL, _first_failure, base_jets, build_spec,
-                                 dual_and_levi_civita, finite_maxima, pattern_violated,
-                                 sample_points)
+from bornbundle.manifold import (DEFAULT_TOL, Residuals, _first_failure, base_jets,
+                                 build_spec, dual_and_levi_civita, finite_maxima,
+                                 pattern_violated, sample_points)
 from point import (connection_at, curvature_at, dual_connection_at, dual_of, hessian_verdict,
                    levi_civita_at, metric_at, nabla_g_at, torsion_at, two_of_four_residuals)
 
@@ -34,16 +34,16 @@ def points_of(spec, count=6, seed=7):
 def fd_metric(spec, p, h=1e-4):
     """Metric values by direct expression evaluation (no jets beyond values)."""
 
-    def value(ast, q):
-        return expr.evaluate(ast, ref.seed_embedded(q, 0, spec.n)).value
+    def values(program, q):
+        return [f.value for f in expr.evaluate(program, ref.seed_embedded(q, 0, spec.n))]
 
     n = spec.n
     g = np.empty((n, n))
     if spec.potential is None:
+        grid = np.reshape(values(spec.metric_exprs, p), (n, n))
         for i in range(n):
             for j in range(n):
-                g[i, j] = 0.5 * (value(spec.metric_exprs[i][j], p)
-                                 + value(spec.metric_exprs[j][i], p))
+                g[i, j] = 0.5 * (grid[i, j] + grid[j, i])
         return g
     # second central differences of the potential
     for i in range(n):
@@ -53,7 +53,7 @@ def fd_metric(spec, p, h=1e-4):
                 lo = list(q)
                 hi[i] += h
                 lo[i] -= h
-                return (value(spec.potential, hi) - value(spec.potential, lo)) / (2 * h)
+                return (values(spec.potential, hi)[0] - values(spec.potential, lo)[0]) / (2 * h)
 
             g[i, j] = ref.fd_oracle(dphi_i, p, h)[j]
     return g
@@ -485,6 +485,15 @@ def test_finite_maxima_per_point():
     assert got["b"].tolist() == [3.0, 4.0]
 
 
+def test_a_maximum_equal_to_its_threshold_holds():
+    # every verdict and gate reads "within" as max <= tol, --tol 0 included
+    record = Residuals({"at": np.array([5e-10, 1e-9]), "over": np.array([0.0, 2e-9]),
+                        "zero": np.zeros(2)}, 1e-9)
+    assert record.holds == {"at": True, "over": False, "zero": True}
+    assert not record.within
+    assert Residuals({"zero": np.zeros(3)}, 0.0).within
+
+
 def test_finite_maxima_over_a_point_grid_in_any_layout():
     # points running over the leading (P, F) axes, in C order, of stacks held
     # points last in memory, as the Born sweep holds them
@@ -579,25 +588,33 @@ def test_first_failure_does_not_retry_internal_faults(fault):
 
 
 def test_build_spec_parses_each_distinct_text_once(monkeypatch):
-    # an explicit Gamma grid is mostly "0": each distinct text is parsed once
-    # and its tree shared, equal to the tree of a parse of its own
+    # an explicit Gamma grid is mostly "0": each distinct text of a grid is
+    # tokenized once, its entries share one output slot, and every entry has
+    # the bits of a parse of its own
     coords = ("u", "v", "w")
     gamma = [[["0", "0", "0"], ["0", "u*v", "0"], ["0", "0", "-1.5"]],
              [["0", "-1.5", "0"], ["0", "0", "0"], ["u*v", "0", "0"]],
              [["0", "0", "0"], ["0", "0", "0"], ["0", "0", "2"]]]
     metric = [["1", "0", "0"], ["0", "exp(u)", "0"], ["0", "0", "1"]]
-    texts = ([e for plane in gamma for row in plane for e in row]
-             + [e for row in metric for e in row])
+    gamma_texts = [e for plane in gamma for row in plane for e in row]
+    metric_texts = [e for row in metric for e in row]
     calls = []
-    parse = expr.parse
-    monkeypatch.setattr(expr, "parse", lambda text, c: calls.append(text) or parse(text, c))
+    tokenize = expr._tokenize
+    monkeypatch.setattr(expr, "_tokenize", lambda text: calls.append(text) or tokenize(text))
     spec = build_spec("shared", coords, [(-1, 1)] * 3, metric=metric,
                       connection="explicit", gamma=gamma)
-    assert sorted(calls) == sorted(set(texts))
-    for got, text in zip([e for plane in spec.gamma_exprs for row in plane for e in row]
-                         + [e for row in spec.metric_exprs for e in row], texts):
-        assert got == parse(text, coords)
-    assert spec.gamma_exprs[0][0][0] is spec.metric_exprs[0][1]
+    monkeypatch.undo()
+    assert calls == list(dict.fromkeys(metric_texts)) + list(dict.fromkeys(gamma_texts))
+    args = ref.seed((0.25, -0.5, 0.75), 1)
+    for program, texts in ((spec.gamma_exprs, gamma_texts), (spec.metric_exprs, metric_texts)):
+        assert len(program) == len(texts)
+        slots = dict(zip(texts, program._outputs))
+        assert [slots[text] for text in texts] == list(program._outputs)
+        for got, text in zip(expr.evaluate(program, args), texts):
+            (want,) = expr.evaluate(expr.parse(text, coords), args)
+            assert ref.coefficients(got).tobytes() == ref.coefficients(want).tobytes()
+    # 0, u*v (reading u and v), 1.5, its negation and 2
+    assert len(spec.gamma_exprs._code) == 5
 
 
 def test_build_spec_reports_a_repeated_bad_text_as_a_lone_parse_does():
