@@ -74,6 +74,20 @@ MUTANTS = (
            ("tests/test_fields.py",)),
     Mutant("curvature-swap", "src/bornbundle/manifold.py", '"...lim,...mjk->...lijk"',
            '"...ilm,...mjk->...lijk"', ("tests/test_manifold.py",)),
+    # transposes and signs in the same formulas
+    Mutant("curvature-transpose", "src/bornbundle/manifold.py", "half - half.swapaxes(-3, -2)",
+           "half - half.swapaxes(-2, -1)", ("tests/test_manifold.py",)),
+    Mutant("nijenhuis-sign", "src/bornbundle/integrability.py", "return half - half.swapaxes",
+           "return half + half.swapaxes", ("tests/test_integrability.py",)),
+    Mutant("levi-civita-doubled", FIELDS, "d + d.swapaxes(-1, -2)", "d + d",
+           ("tests/test_fields.py",)),
+    # equivalent on a torsion-free Gamma, so its tests need a torsionful one
+    Mutant("dual-transpose", FIELDS, "gamma[..., m, :, j, None]", "gamma[..., m, j, :, None]",
+           ("tests/test_fields.py",)),
+    Mutant("d-omega-cycle", "src/bornbundle/integrability.py", "dw.transpose(*lead, -1, -3, -2)",
+           "dw.transpose(*lead, -1, -2, -3)", ("tests/test_integrability.py",)),
+    Mutant("uniform-rows-sign", "src/bornbundle/charts.py", "(v + half)", "(v - half)",
+           ("tests/test_charts.py",)),
     # a maximum equal to its threshold holds
     Mutant("holds-strict", "src/bornbundle/manifold.py", "m <= self.tol for name",
            "m < self.tol for name", ("tests/test_manifold.py",)),
@@ -115,7 +129,7 @@ def main(argv=None) -> int:
     names = args.names or list(by_name)
     outcomes = [run(by_name[name]) for name in names]
     for name, outcome in zip(names, outcomes):
-        print(f"{name:18s} {outcome}")
+        print(f"{name:20s} {outcome}")
     killed = outcomes.count("killed")
     print(f"{killed}/{len(outcomes)} killed")
     return 0 if killed == len(outcomes) else 1

@@ -27,8 +27,9 @@ first partials by x^1..x^n, y^1..y^n, and h and k, read as values only,
 in (2, 1, 2n, 2n, P, F).  With the (P, F) axes innermost in memory, every
 product, block and einsum loops over the sample points; g, the same at
 every fiber, is broadcast over F once, before any product, so that those
-loops run over all P x F points and not over F at a time.  Each tensor
-is also a named (P, F, rows, 2n, 2n) view into its stack.
+loops run over all P x F points and not over F at a time.
+:func:`born_jets` and :func:`born_at` read one bundle point off a sweep of
+P = F = 1.
 
 Sums act row by row; a product has value a b and partials
 (0.0 + a b') + a' b, as the per-point reference jet multiplication in
@@ -71,42 +72,6 @@ import numpy as np
 
 from .errors import SpecError
 from .manifold import BaseJets, ManifoldSpec, base_jets, check_spd
-
-@dataclass(frozen=True)
-class BundlePoint:
-    x: tuple
-    y: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", tuple(float(v) for v in self.x))
-        object.__setattr__(self, "y", tuple(float(v) for v in self.y))
-        if len(self.x) != len(self.y):
-            raise SpecError("fiber vector length must match base dimension")
-
-    @property
-    def n(self) -> int:
-        return len(self.x)
-
-
-@dataclass(frozen=True)
-class BornFrame:
-    """The six tensors at one bundle point or, along leading axes, a stack of
-    points.  I, J, K map vectors to vectors; h, k, omega are bilinear forms."""
-
-    I: np.ndarray
-    J: np.ndarray
-    K: np.ndarray
-    h: np.ndarray
-    k: np.ndarray
-    omega: np.ndarray
-
-    @classmethod
-    def of(cls, values: dict[str, np.ndarray]) -> "BornFrame":
-        """The six tensors from their value matrices, or stacks of them."""
-        # a structural zero can come out as -0.0; adding 0.0 makes it +0.0
-        # and makes each stack C-contiguous, for the BLAS path of matmul
-        return cls(**{name: np.add(m, 0.0, order="C") for name, m in values.items()})
-
 
 @lru_cache(maxsize=None)
 def _constant_blocks(n: int) -> np.ndarray:
@@ -185,9 +150,8 @@ def _frame_of(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class BornStacks:
-    """The Born tensors of a sweep as two stacks and named views (module doc)."""
+    """The Born tensors of a sweep as two stacks (module doc)."""
 
-    tensors: dict  # name -> (P, F, rows, 2n, 2n) view into ijkw or hk
     ijkw: np.ndarray  # (4, P, F, rows, 2n, 2n): I, J, K and omega
     hk: np.ndarray  # (2, P, F, 1, 2n, 2n): h and k
     a: np.ndarray  # (P, F, rows, n, n), the block A they are built from
@@ -231,24 +195,36 @@ def fiber_born_jets(bases: BaseJets, ys) -> BornStacks:
     hk = (hk + hk.swapaxes(2, 3)) * 0.5
     # (P, F, rows, ...) views that keep the sample axes innermost in memory
     ijkw, hk = (m.transpose(0, 4, 5, 1, 2, 3) for m in (ijkw, hk))
-    return BornStacks(dict(zip(("I", "J", "K", "omega"), ijkw), h=hk[0], k=hk[1]), ijkw, hk,
-                      a.transpose(3, 4, 0, 1, 2), g[..., :1].transpose(3, 4, 0, 1, 2))
+    return BornStacks(ijkw, hk, a.transpose(3, 4, 0, 1, 2), g[..., :1].transpose(3, 4, 0, 1, 2))
 
 
-def born_jets(spec: ManifoldSpec, bp: BundlePoint) -> dict[str, np.ndarray]:
-    """The six tensors in bundle coordinates with their first partials, as
-    (1 + 2n, 2n, 2n) arrays; h and k as their value row alone, (1, 2n, 2n)."""
-    return {name: m[0, 0] for name, m in
-            fiber_born_jets(base_jets(spec, [bp.x]), [bp.y]).tensors.items()}
+def _one_point(spec: ManifoldSpec, x, y, positive: bool) -> dict[str, np.ndarray]:
+    """The six tensors at the bundle point (x, y) by name, each its rows of
+    a sweep at that point alone; the metric at x checked first if
+    ``positive``."""
+    if len(x) != len(y):
+        raise SpecError("fiber vector length must match base dimension")
+    base = base_jets(spec, [x])
+    if positive:
+        check_spd(base.g[:, 0], base.x)
+    born = fiber_born_jets(base, [y])
+    return dict(zip(("I", "J", "K", "omega", "h", "k"), (*born.ijkw[:, 0, 0], *born.hk[:, 0, 0])))
 
 
-def born_at(spec: ManifoldSpec, bp: BundlePoint) -> BornFrame:
-    """The six tensors at a bundle point, in bundle coordinates: the value
-    rows of :func:`fiber_born_jets`."""
-    base = base_jets(spec, [bp.x])
-    check_spd(base.g[:, 0], base.x)
-    return BornFrame.of({name: m[0, 0, 0] for name, m in
-                         fiber_born_jets(base, [bp.y]).tensors.items()})
+def born_jets(spec: ManifoldSpec, x, y) -> dict[str, np.ndarray]:
+    """The six tensors at (x, y) in bundle coordinates with their first
+    partials, as (1 + 2n, 2n, 2n) arrays; h and k as their value row alone,
+    (1, 2n, 2n)."""
+    return _one_point(spec, x, y, positive=False)
+
+
+def born_at(spec: ManifoldSpec, x, y) -> dict[str, np.ndarray]:
+    """The six tensors' value matrices at (x, y) in bundle coordinates, for
+    a positive definite metric at x."""
+    # a structural zero can come out as -0.0; adding 0.0 makes it +0.0 and
+    # makes each matrix C-contiguous, for the BLAS path of matmul
+    return {name: np.add(m[0], 0.0, order="C")
+            for name, m in _one_point(spec, x, y, positive=True).items()}
 
 
 # -- the construction in the adapted frame ------------------------------------

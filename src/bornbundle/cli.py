@@ -127,6 +127,14 @@ def _expect(value, kind: str, field: str):
     return value
 
 
+def _number(value, field: str) -> float:
+    """value as a float, if it is a JSON number that fits one."""
+    try:
+        return float(_expect(value, "number", field))
+    except OverflowError as e:  # a JSON integer beyond the float range
+        raise SpecError(f"{field} does not fit a float") from e
+
+
 def _expect_grid(value, depth: int, field: str) -> None:
     """Arrays nested ``depth`` deep whose entries are strings: checked level
     by level in one pass, and walked entry by entry only to name the first
@@ -160,7 +168,7 @@ def spec_from_dict(raw: dict, name: str = "") -> ManifoldSpec:
         sample_box = raw["sample_box"]
     except (KeyError, TypeError) as e:
         raise SpecError(f"spec is missing required field: {e}") from e
-    if not float(_expect(dimension, "number", "dimension")).is_integer():
+    if not _number(dimension, "dimension").is_integer():
         raise SpecError(f"dimension must be a whole number, not {dimension}")
     dimension = int(dimension)
     _expect_grid(coordinates, 1, "coordinates")
@@ -171,7 +179,7 @@ def spec_from_dict(raw: dict, name: str = "") -> ManifoldSpec:
         if len(_expect(interval, "array", f"sample_box[{i}]")) != 2:
             raise SpecError(f"sample_box[{i}] must be a [lo, hi] pair")
         for j, bound in enumerate(interval):
-            _expect(bound, "number", f"sample_box[{i}][{j}]")
+            _number(bound, f"sample_box[{i}][{j}]")
     components = _expect(metric, "object", "metric").get("components")
     potential = metric.get("potential")
     if components is not None:

@@ -83,6 +83,8 @@ class ManifoldSpec:
                 raise SpecError(f"sample interval [{lo}, {hi}] is not finite")
             if not lo < hi:
                 raise SpecError(f"empty sample interval [{lo}, {hi}]")
+            if not math.isfinite(hi - lo):
+                raise SpecError(f"sample interval [{lo}, {hi}] is wider than the largest float")
         if (self.metric_exprs is None) == (self.potential is None):
             raise SpecError("exactly one of metric grid and potential is required")
         if self.metric_exprs is not None and len(self.metric_exprs) != self.n ** 2:

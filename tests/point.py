@@ -1,11 +1,13 @@
 """One-point wrappers over the package's stacked sweep, for tests.
 
 Each helper calls the package's stacked functions at P = 1 base point and
-F = 1 fiber vector and returns that point's arrays or dicts.  Two
-functions hold tensor formulas of their own.  :func:`_proof_identities`
-checks the frame brackets and N_J in the adapted frame against the closed
-forms of the paper's proof, each residual taken at both global signs, so
-that a test sees which sign matched.  :func:`born_compatibility_residuals`
+F = 1 fiber vector and returns that point's arrays or dicts; a bundle point
+is a :class:`BundlePoint` and the six value matrices there a
+:class:`BornFrame`.  Two functions hold tensor formulas of their own.
+:func:`_proof_identities` checks the frame brackets and N_J in the adapted
+frame against the closed forms of the paper's proof, each residual taken
+at both global signs, so that a test sees which sign matched.
+:func:`born_compatibility_residuals`
 checks the defining identities of the Born structure in bundle
 coordinates (I^2 = -1, I = h^-1 omega, h > 0, det omega and the others)
 and counts k's signature, on a frame or a stack of frames: the facts that
@@ -24,16 +26,65 @@ import contextlib
 from dataclasses import dataclass
 import numpy as np
 
-from bornbundle import fields, jets
-from bornbundle.bundle import (BornFrame, BundlePoint, _frame_of, adapted_frame_residuals,
-                               fiber_born_jets)
+from bornbundle import bundle, fields, jets
+from bornbundle.bundle import BornStacks, _frame_of, adapted_frame_residuals, fiber_born_jets
 from bornbundle.charts import ChartMap, _probe_residuals
+from bornbundle.errors import SpecError
 from bornbundle.integrability import _d_omega_of, _nijenhuis_of, _norm_factor
 from bornbundle.manifold import (DEFAULT_TOL, BaseJets, ManifoldSpec, Residuals,
                                  _curvature_of, _nabla_g_of, _require_inside, _torsion_of,
                                  base_jets, check_spd, finite_maxima)
 from bornbundle.manifold import hessian_verdict as _hessian_verdict
 from bornbundle.manifold import two_of_four_residuals as _two_of_four_residuals
+
+
+@dataclass(frozen=True)
+class BundlePoint:
+    x: tuple
+    y: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "x", tuple(float(v) for v in self.x))
+        object.__setattr__(self, "y", tuple(float(v) for v in self.y))
+        if len(self.x) != len(self.y):
+            raise SpecError("fiber vector length must match base dimension")
+
+    @property
+    def n(self) -> int:
+        return len(self.x)
+
+
+@dataclass(frozen=True)
+class BornFrame:
+    """The six tensors at one bundle point or, along leading axes, a stack of
+    points.  I, J, K map vectors to vectors; h, k, omega are bilinear forms."""
+
+    I: np.ndarray
+    J: np.ndarray
+    K: np.ndarray
+    h: np.ndarray
+    k: np.ndarray
+    omega: np.ndarray
+
+    @classmethod
+    def of(cls, values: dict[str, np.ndarray]) -> "BornFrame":
+        """The six tensors from their value matrices, or stacks of them, each
+        made +0.0 at a zero and C-contiguous, as :func:`bundle.born_at`."""
+        return cls(**{name: np.add(m, 0.0, order="C") for name, m in values.items()})
+
+
+def named_tensors(born: BornStacks) -> dict[str, np.ndarray]:
+    """The six tensors of a sweep by name, each a (P, F, rows, 2n, 2n) view
+    into its stack."""
+    return dict(zip(("I", "J", "K", "omega"), born.ijkw), h=born.hk[0], k=born.hk[1])
+
+
+def born_jets(spec: ManifoldSpec, bp: BundlePoint) -> dict[str, np.ndarray]:
+    return bundle.born_jets(spec, bp.x, bp.y)
+
+
+def born_at(spec: ManifoldSpec, bp: BundlePoint) -> BornFrame:
+    return BornFrame(**bundle.born_at(spec, bp.x, bp.y))
 
 
 def _stacked(field, spec: ManifoldSpec, points, order: int) -> np.ndarray:
@@ -129,7 +180,8 @@ def two_of_four_residuals(spec: ManifoldSpec, points,
 def _born(spec: ManifoldSpec, bp: BundlePoint):
     """The base fields at bp.x and the Born tensors at bp."""
     base = base_jets(spec, [bp.x])
-    return base, {name: m[0, 0] for name, m in fiber_born_jets(base, [bp.y]).tensors.items()}
+    return base, {name: m[0, 0] for name, m in
+                  named_tensors(fiber_born_jets(base, [bp.y])).items()}
 
 
 def frame_residuals_at(spec: ManifoldSpec, bp: BundlePoint) -> dict:

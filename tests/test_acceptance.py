@@ -8,14 +8,13 @@ import pytest
 
 import jet_reference as ref
 from bornbundle import corpus, expr
-from bornbundle.bundle import BundlePoint, born_at
 from bornbundle.charts import _probe_residuals, exponential_chart, geodesic_integrate
 from bornbundle.cli import RunConfig, report_to_json, run
 from bornbundle.integrability import integrability_verdict
 from bornbundle.manifold import halton_points, pattern_violated, sample_fibers, sample_points
 from test_bundle import standard_born_matrices
-from point import (born_compatibility_residuals, d_omega_at, dual_connection_at,
-                   frame_bracket_residuals, nijenhuis_J_identity_residuals,
+from point import (BundlePoint, born_at, born_compatibility_residuals, d_omega_at,
+                   dual_connection_at, frame_bracket_residuals, nijenhuis_J_identity_residuals,
                    pushforward_connection_residual, two_of_four_residuals)
 
 ALL = corpus.all_examples()

@@ -9,14 +9,13 @@ from hypothesis.extra import numpy as hnp
 
 import jet_reference as ref
 from bornbundle import bundle, corpus
-from bornbundle.bundle import (BornFrame, BundlePoint, adapted_frame_residuals, born_at,
-                               born_jets, fiber_born_jets)
+from bornbundle.bundle import adapted_frame_residuals, fiber_born_jets
 from bornbundle.cli import load_spec, spec_from_dict
 from bornbundle.errors import SpecError
 from bornbundle.manifold import BaseJets, base_jets, build_spec, sample_fibers, sample_points
 from test_manifold import GENERATED
-from point import (adapted_frame_at, born_compatibility_residuals, connection_at, frame_stacks,
-                   metric_at)
+from point import (BornFrame, BundlePoint, adapted_frame_at, born_at, born_compatibility_residuals,
+                   born_jets, connection_at, frame_stacks, metric_at, named_tensors)
 
 EUCLID = corpus.example("euclidean2")
 HESSIAN = corpus.example("hessian-exp2")
@@ -140,6 +139,22 @@ def test_frame_conversion_consistency(spec):
             assert np.max(np.abs(co - want)) <= 1e-12
 
 
+@pytest.mark.parametrize("spec", ALL + [CURVED3], ids=lambda s: s.name)
+def test_born_at_is_the_value_rows_of_born_jets(spec):
+    # born_jets keeps every row; born_at its value rows, each +0.0 at a zero
+    # and C-contiguous
+    size = 2 * spec.n
+    for bp in bundle_points(spec, 2, 2):
+        jets, frame = born_jets(spec, bp), born_at(spec, bp)
+        assert {name: m.shape for name, m in jets.items()} == {
+            **dict.fromkeys(("I", "J", "K", "omega"), (1 + size, size, size)),
+            "h": (1, size, size), "k": (1, size, size)}
+        for name, m in jets.items():
+            got = getattr(frame, name)
+            assert got.flags.c_contiguous, name
+            assert np.array_equal(got.view(np.int64), (m[0] + 0.0).view(np.int64)), name
+
+
 def test_structural_zeros_are_positive():
     # reports print these matrices; a structural zero must not read -0.0
     for bp in bundle_points(CURVED3, 4, 5):
@@ -201,6 +216,9 @@ def test_dimension_mismatch_rejected():
         born_at(EUCLID, BundlePoint((0.0, 0.0, 0.0), (0.0, 0.0, 0.0)))
     with pytest.raises(SpecError):
         BundlePoint((0.0, 0.0), (0.0,))
+    for one_point in (bundle.born_jets, bundle.born_at):
+        with pytest.raises(SpecError, match="^fiber vector length must match base dimension$"):
+            one_point(EUCLID, (0.0, 0.0), (0.0,))
 
 
 def test_base_point_outside_box_rejected():
@@ -254,7 +272,7 @@ def test_fiber_arrays_equal_jet_reference(source):
         spec = corpus.example(source)
     fibers = sample_fibers(spec.n, 4, 1.0, 42)
     points = sample_points(spec, 8, 42)
-    got = fiber_born_jets(base_jets(spec, points), fibers).tensors
+    got = named_tensors(fiber_born_jets(base_jets(spec, points), fibers))
     for p, x in enumerate(points):
         for f, y in enumerate(fibers):
             want = born_reference(spec, tuple(x), tuple(y))
@@ -422,7 +440,7 @@ def test_fiber_arrays_equal_the_generic_construction(source, size):
     bases = base_jets(spec, sample_points(spec, size[0], 42))
     fibers = sample_fibers(spec.n, size[1], 1.0, 42)
     born = fiber_born_jets(bases, fibers)
-    got, a, g = born.tensors, born.a, born.g
+    got, a, g = named_tensors(born), born.a, born.g
     want = born_oracle(bases, fibers)
     assert got.keys() == want.keys()
     for name, arr in want.items():
@@ -440,7 +458,7 @@ def test_a_singular_h_reads_inf_and_keeps_the_other_frames():
     # frames are solved one by one; that frame reads inf for h^-1 omega, and
     # every other frame keeps the bits of the batched call
     bases = base_jets(SPHERE, sample_points(SPHERE, 3, 42))
-    mats = fiber_born_jets(bases, sample_fibers(2, 2, 1.0, 42)).tensors
+    mats = named_tensors(fiber_born_jets(bases, sample_fibers(2, 2, 1.0, 42)))
     stack = BornFrame.of({name: m[:, :, 0] for name, m in mats.items()})
     h = stack.h.copy()
     h[1, 0] = 0.0
@@ -467,7 +485,7 @@ def born_of_blocks(a, g):
     metric = np.zeros((1, 1 + n, n, n))
     metric[0, 0] = g
     born = fiber_born_jets(BaseJets(((0.0,) * n,), gamma, metric), [np.eye(n)[0]])
-    frame = BornFrame.of({name: m[0, 0, 0] for name, m in born.tensors.items()})
+    frame = BornFrame.of({name: m[0, 0, 0] for name, m in named_tensors(born).items()})
     return frame, born.a[0, 0, 0], born.g[0, 0, 0]
 
 

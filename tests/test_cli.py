@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from bornbundle import bundle, corpus
-from bornbundle.bundle import BundlePoint
 from bornbundle.cli import (RunConfig, load_spec, main, report_to_json, run,
                             spec_from_dict)
 from bornbundle.errors import SpecError
@@ -16,9 +15,9 @@ from bornbundle.jets import JetUsageError
 from bornbundle.manifold import (BORN_GATE, CROSS_TOL, DEFAULT_TOL, FLATNESS_GATE_TOL,
                                  pattern_violated, sample_fibers, sample_points)
 from test_manifold import GENERATED
-from point import (connection_at, d_omega_at, dual_connection_at, frame_residuals_at,
-                   hessian_verdict, levi_civita_at, nabla_g_at, nijenhuis_at, torsion_at,
-                   two_of_four_residuals)
+from point import (BundlePoint, connection_at, d_omega_at, dual_connection_at,
+                   frame_residuals_at, hessian_verdict, levi_civita_at, nabla_g_at,
+                   named_tensors, nijenhuis_at, torsion_at, two_of_four_residuals)
 
 SMALL = dict(points=6, fiber_points=3)
 
@@ -127,12 +126,18 @@ def _malformed(field, value):
     ("dimension", "2", "dimension must be a JSON number, not string"),
     ("dimension", 2.5, "dimension must be a whole number, not 2.5"),
     ("dimension", float("inf"), "dimension must be a whole number, not inf"),
+    # JSON integers that a float cannot hold, and a width that overflows
+    ("dimension", 10 ** 400, "dimension does not fit a float"),
+    ("sample_box", [[-1, 10 ** 400], [-1, 1]], "sample_box[0][1] does not fit a float"),
+    ("sample_box", [[-1e308, 1e308], [-1, 1]],
+     "sample interval [-1e+308, 1e+308] is wider than the largest float"),
 ], ids=["metric-array", "metric-string", "connection-string", "components-number",
         "components-row-number", "components-entry-number", "potential-number",
         "gamma-number", "kind-number", "gamma-entry-number", "gamma-first-in-order",
         "gamma-row-string", "components-entry-array", "sample-box-null", "sample-box-triple",
         "sample-box-string-bound", "coordinates-numbers", "dimension-string",
-        "dimension-fraction", "dimension-inf"])
+        "dimension-fraction", "dimension-inf", "dimension-huge", "sample-box-huge-bound",
+        "sample-box-wide"])
 @pytest.mark.parametrize("command", ["check", "affine-chart"])
 def test_malformed_spec_field_is_spec_error(command, field, value, message, tmp_path,
                                             capsys):
@@ -686,7 +691,7 @@ def _corrupt_born_tensor(monkeypatch, name: str) -> None:
 
     def corrupted(bases, ys):
         born = real(bases, ys)
-        born.tensors[name] *= 1.0 + 1e-6  # a view into the stack the sweep reads
+        named_tensors(born)[name] *= 1.0 + 1e-6  # a view into the stack the sweep reads
         return born
 
     monkeypatch.setattr(integrability_mod, "fiber_born_jets", corrupted)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bornbundle import corpus, integrability
-from bornbundle.bundle import BundlePoint, adapted_frame_residuals, born_at, fiber_born_jets
+from bornbundle.bundle import adapted_frame_residuals, fiber_born_jets
 from bornbundle.cli import load_spec, spec_from_dict
 from bornbundle.errors import SpecError
 from bornbundle.integrability import (_d_omega_of, _nijenhuis_of, _norm_factor,
@@ -16,7 +16,8 @@ from bornbundle.manifold import (CROSS_TOL, Residuals, _curvature_of, _nabla_g_o
                                  _torsion_of, base_jets, build_spec, finite_maxima,
                                  sample_fibers, sample_points)
 from test_manifold import GENERATED, _diagonal, _gamma_00, _generated
-from point import (d_omega_at, dual_connection_at, frame_bracket_residuals, nijenhuis_at,
+from point import (BundlePoint, born_at, d_omega_at, dual_connection_at,
+                   frame_bracket_residuals, named_tensors, nijenhuis_at,
                    nijenhuis_J_identity_residuals, torsion_at)
 
 EUCLID = corpus.example("euclidean2")
@@ -403,7 +404,7 @@ def test_stacked_sweep_equals_one_base_point_at_a_time(source):
     fibers = sample_fibers(spec.n, 3, 1.0, 42)
     bases = base_jets(spec, points)
     born = fiber_born_jets(bases, fibers)
-    mats = born.tensors
+    mats = named_tensors(born)
     for name, m in mats.items():
         assert sorted(m.strides)[:2] == [m.strides[1], m.strides[0]], name
         assert m.transpose(2, 3, 4, 0, 1).flags.c_contiguous, name
@@ -428,7 +429,7 @@ def test_stacked_sweep_equals_one_base_point_at_a_time(source):
     for p, x in enumerate(points):
         one = base_jets(spec, [x])
         one_born = fiber_born_jets(one, fibers)
-        one_mats = one_born.tensors
+        one_mats = named_tensors(one_born)
         for name, m in one_mats.items():
             assert_same_bits(mats[name][p], m[0])
         for name in "IJK":
@@ -478,7 +479,7 @@ def _full_stack_verdict(spec, base_count, fiber_count, radius, seed):
     points = [(x, y) for x in bases.x for y in map(tuple, fibers.tolist())]
     with np.errstate(over="ignore", invalid="ignore"):
         born = fiber_born_jets(bases, fibers)
-        mats = born.tensors
+        mats = named_tensors(born)
         tensors = {"nijenhuis_" + name: _nijenhuis_of(mats[name]) for name in "IJK"}
         tensors["d_omega"] = _d_omega_of(mats["omega"])
         worst = finite_maxima(tensors, points)
@@ -588,7 +589,7 @@ def test_error_order_is_by_base_point_then_tensors_then_identities():
     fibers = sample_fibers(2, 4, 1.0, 42)
     for p, tensors_finite in ((0, True), (1, False)):
         with np.errstate(over="ignore", invalid="ignore"):
-            mats = fiber_born_jets(base_jets(spec, points[p:p + 1]), fibers).tensors
+            mats = named_tensors(fiber_born_jets(base_jets(spec, points[p:p + 1]), fibers))
             assert np.isfinite(_nijenhuis_of(mats["I"])).all() == tensors_finite
     with pytest.raises(SpecError) as err:
         integrability_verdict(spec, 2, 4)

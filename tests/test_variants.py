@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 
 from bornbundle import corpus, fields
-from bornbundle.bundle import BundlePoint, born_at
 from bornbundle.errors import UnsupportedDerivativeError
 from bornbundle.integrability import integrability_verdict
 from bornbundle.manifold import build_spec, pattern_violated, sample_points
-from point import (born_compatibility_residuals, connection_at, curvature_at,
-                   dual_connection_at, hessian_verdict, nabla_g_at, torsion_at,
+from point import (BundlePoint, born_at, born_compatibility_residuals, connection_at,
+                   curvature_at, dual_connection_at, hessian_verdict, nabla_g_at, torsion_at,
                    two_of_four_residuals)
 
 BOX2 = [(-1.0, 1.0), (-1.0, 1.0)]
