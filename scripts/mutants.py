@@ -88,6 +88,12 @@ MUTANTS = (
            "dw.transpose(*lead, -1, -2, -3)", ("tests/test_integrability.py",)),
     Mutant("uniform-rows-sign", "src/bornbundle/charts.py", "(v + half)", "(v - half)",
            ("tests/test_charts.py",)),
+    # the chart gathers Gamma^k_ij of each support term from the whole grid
+    Mutant("gamma-gather", "src/bornbundle/charts.py", "(k * n + i) * n + j",
+           "(i * n + k) * n + j", ("tests/test_charts.py",)),
+    # every grid entry is gathered from the distinct value it reads
+    Mutant("shared-write", FIELDS, "np.take(distinct, program._reads,",
+           "np.take(distinct, sorted(program._reads),", ("tests/test_fields.py",)),
     # a maximum equal to its threshold holds
     Mutant("holds-strict", "src/bornbundle/manifold.py", "m <= self.tol for name",
            "m < self.tol for name", ("tests/test_manifold.py",)),

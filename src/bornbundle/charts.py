@@ -46,12 +46,14 @@ a nonzero float is exact, so skipping can change only the signs of zeros;
 every chart output passes through ``abs`` and ``max``, so the reports do
 not change.
 
-Gamma is evaluated once per integration when every support term is an
-explicit expression without a coordinate (pullback-flat's ``-2``, every
-entry of the generated twisted specs); every other connection evaluates
-every support term over the whole batch at every stage position.  Either
-way an evaluation of the acceleration takes both jet products ``(Gamma *
-u^i) * u^j`` of every term.
+Every connection kind gives Gamma on one path: one
+:func:`bornbundle.fields.connection_args` over the whole batch, from whose
+n^3 coefficients the support terms are gathered once, in the order the
+acceleration sums them.  Gamma is evaluated once per integration when it
+is an explicit grid without a coordinate (pullback-flat's ``-2``, every
+entry of the generated twisted specs), and at every stage position
+otherwise.  Either way an evaluation of the acceleration takes both jet
+products ``(Gamma * u^i) * u^j`` of the support terms only.
 
 The integrator takes one of two forms, chosen once per integration; each
 keeps every coefficient equal to the per-probe integration over the
@@ -121,7 +123,7 @@ from .errors import SpecError
 from .jets import JetBatch
 from .manifold import (FLATNESS_GATE_TOL, PROBE_RADIUS_SLACK, PUSHFORWARD_TOL,
                        ManifoldSpec, Residuals, _curvature_of, _first_failure, _inside,
-                       _torsion_of, finite_maxima, halton_points, sample_fibers,
+                       _require_inside, _torsion_of, finite_maxima, halton_points, sample_fibers,
                        sample_points)
 
 DEFAULT_STEPS = 64
@@ -142,26 +144,22 @@ class FlatnessGateError(SpecError):
 
 
 def _connection_terms(spec: ManifoldSpec, support, order: int):
-    """Gamma's coefficients on ``support``: the ``(1, T, K)`` coefficients of
-    their order-``order`` jets, evaluated once, when every term is an
-    explicit expression without a coordinate (their jets do not depend on
-    the position), else a function from chart positions, ``(B, n, K)``
-    coefficients, to ``(B, T, K)``, which evaluates every term over the
-    whole batch.  A constant term that fails raises from that one
-    evaluation, the error of the first failing term in support order.  The
-    connections derived from the metric go through
-    :func:`bornbundle.fields.connection_args`."""
+    """Gamma's coefficients on ``support``, in its order: the ``(1, T, K)``
+    coefficients of their order-``order`` jets, evaluated once, when Gamma
+    is an explicit grid without a coordinate (its jets do not depend on the
+    position), else a function from chart positions, ``(B, n, K)``
+    coefficients, to ``(B, T, K)``.  Either way Gamma comes from one
+    :func:`bornbundle.fields.connection_args` over the batch, and the
+    support is gathered from its n^3 coefficients once."""
     n = spec.n
+    index = np.array([(k * n + i) * n + j for k, i, j in support])
 
-    def args(x):
-        return [JetBatch(order, n, x[:, c]) for c in range(n)]
-    if spec.connection_kind != "explicit":
-        index = (slice(None), *np.array(support).T)
-        return lambda x: fields.connection_args(spec, args(x), order).coeffs[index]
-    terms = spec.gamma_exprs._only([(k * n + i) * n + j for k, i, j in support])
-    if not any(terms.free):
-        return fields.evaluate_all(terms, jets.seed_batch(np.zeros((1, n)), order)).coeffs
-    return lambda x: fields.evaluate_all(terms, args(x)).coeffs
+    def gamma(x):
+        args = [JetBatch(order, n, x[:, c]) for c in range(n)]
+        return fields.connection_args(spec, args).coeffs.reshape(len(x), n ** 3, -1)[:, index]
+    if spec.connection_kind == "explicit" and not any(spec.gamma_exprs.free):
+        return gamma(np.zeros((1, n, len(jets._columns(order, n)))))
+    return gamma
 
 
 def _acceleration(spec: ManifoldSpec, order: int):
@@ -171,7 +169,8 @@ def _acceleration(spec: ManifoldSpec, order: int):
     acceleration cannot change along the integration (see the module
     docstring): Gamma has no support, or it is constant and no component
     that a term reads (its i and j) is one that a term writes (its k).  The
-    products ``(Gamma * u^i) * u^j`` of all support terms are formed at
+    support terms are gathered by :func:`_connection_terms` in the order
+    they are summed, their products ``(Gamma * u^i) * u^j`` are formed at
     once, then each k sums its terms in support order and negates the sum;
     a k without terms gets +0.0."""
     support = fields.connection_support(spec)
@@ -180,7 +179,6 @@ def _acceleration(spec: ManifoldSpec, order: int):
             return np.zeros(u.shape)
         zero.uniform, zero.reads_position = True, False
         return zero
-    gamma = _connection_terms(spec, support, order)
     n = spec.n
     # the terms in rank order: the first term of every k that has one, then
     # every second term, and so on, the k with more terms first; adding each
@@ -189,13 +187,15 @@ def _acceleration(spec: ManifoldSpec, order: int):
     keys = sorted(sorted(set(k)), key=k.count, reverse=True)
     rank = [t - k.index(kt) for t, kt in enumerate(k)]
     perm = sorted(range(len(k)), key=lambda t: (rank[t], keys.index(k[t])))
-    _, i, j = (tuple(c) for c in np.array(support)[perm].T.tolist())
+    ranked = [support[t] for t in perm]
+    _, i, j = zip(*ranked)
     sizes = [rank.count(r) for r in range(max(rank) + 1)]
     later = [(size, sum(sizes[:r])) for r, size in enumerate(sizes) if r]
-    fixed = None if callable(gamma) else gamma[:, perm]
+    gamma = _connection_terms(spec, ranked, order)
+    fixed = None if callable(gamma) else gamma
 
     def accel(u, x):
-        g = gamma(x)[:, perm] if fixed is None else fixed
+        g = gamma(x) if fixed is None else fixed
         terms = jets._product_coeffs(jets._product_coeffs(g, u[:, i], order, n),
                                      u[:, j], order, n)
         total = terms[:, :sizes[0]]
@@ -330,11 +330,7 @@ def _integrate(spec: ManifoldSpec, x0, velocities, order: int, steps: int) -> np
     """:func:`_rk4` over all velocities at once, after checking the start
     point and the velocities' dimension; the first failing one is named
     through :func:`~bornbundle.manifold._first_failure`."""
-    x0 = tuple(float(c) for c in x0)
-    if len(x0) != spec.n:
-        raise SpecError(f"start point has {len(x0)} coordinates, expected {spec.n}")
-    if not spec.contains(x0):
-        raise SpecError(f"start point {x0} lies outside the sample box")
+    x0 = _require_inside(spec, x0, "start point")
     for v in velocities:
         if np.size(v) != spec.n:
             raise ValueError(f"velocity {tuple(np.ravel(v).tolist())} has {np.size(v)} "
@@ -397,7 +393,7 @@ def _gate_connection(spec: ManifoldSpec, points) -> np.ndarray:
     batch laid out as in :func:`bornbundle.manifold.base_jets`; the first
     failing point is named through :func:`~bornbundle.manifold._first_failure`."""
     gamma = _first_failure(
-        lambda s: fields.connection_args(spec, jets.seed_batch(points[s], 1), 1),
+        lambda s: fields.connection_args(spec, jets.seed_batch(points[s], 1)),
         len(points))
     return np.moveaxis(gamma.coeffs, -1, 1)
 
@@ -408,11 +404,7 @@ def exponential_chart(spec: ManifoldSpec, x0, steps: int = DEFAULT_STEPS,
     torsion vanish on sampled points (otherwise the map is not affine)."""
     if steps < 1:
         raise ValueError("need at least one integration step")
-    x0 = tuple(float(c) for c in x0)
-    if len(x0) != spec.n:
-        raise SpecError(f"chart base point has {len(x0)} coordinates, expected {spec.n}")
-    if not spec.contains(x0):
-        raise SpecError(f"chart base point {x0} lies outside the sample box")
+    x0 = _require_inside(spec, x0, "chart base point")
     points = [tuple(p) for p in _inside(spec, sample_points(spec, GATE_POINTS, seed)).tolist()]
     with np.errstate(over="ignore", invalid="ignore"):  # finite_maxima checks
         gamma = _gate_connection(spec, points)
@@ -428,7 +420,7 @@ def exponential_chart(spec: ManifoldSpec, x0, steps: int = DEFAULT_STEPS,
 
 def _connection_values(spec: ManifoldSpec, x: np.ndarray) -> np.ndarray:
     """Gamma^k_ij at each row of positions x, ``(B, n)``, as ``(B, n, n, n)``."""
-    return fields.connection_args(spec, jets.seed_batch(x, 0), 0).value
+    return fields.connection_args(spec, jets.seed_batch(x, 0)).value
 
 
 def _transformed_connections(jac: np.ndarray, sec: np.ndarray, gamma: np.ndarray,

@@ -20,7 +20,8 @@ instruction to a compiler that numbers values (Ershov 1958): an
 instruction is keyed by its operation and its operands, a number by its
 float bits, so that 0.0 and -0.0 stay apart, and a node that occurs again,
 in the same text or another, reads the value of its first occurrence and
-keeps that occurrence's offset.  The instructions lie in the order of
+keeps that occurrence's offset; outputs whose texts are one value read
+one slot.  The instructions lie in the order of
 their first occurrence, each text's in post-order, so :func:`evaluate`
 meets the first failing node where a walk of each text's tree in turn
 would.  Every instruction sees the operands and operation of the tree's
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import operator
 import re
-from functools import cached_property, partial
+from functools import partial
 from typing import Sequence
 
 from . import jets
@@ -103,8 +104,10 @@ class Program:
     offset)`` writes the next slot, a number's reading slot 0 for the type,
     order and arity of its constant.  Per output: its slot, its value if
     the text is a bare number (``literals``, else None), and the
-    coordinates it reads (``free``, bit i for coordinate i).  ``len``
-    counts the outputs."""
+    coordinates it reads (``free``, bit i for coordinate i).  Outputs that
+    read one slot share its value: ``_reads`` numbers each output's value
+    among the distinct ones, and ``_firsts`` gives the first output to read
+    each.  ``len`` counts the outputs."""
 
     def __init__(self, arity: int, code, outputs, literals, free):
         self._arity, self._code, self._outputs = arity, tuple(code), tuple(outputs)
@@ -117,31 +120,14 @@ class Program:
         self._dead = [[] for _ in self._code]
         for s in sorted(last.keys() - set(self._outputs)):
             self._dead[last[s]].append(s)
+        # per output, the index of the value it reads among the distinct
+        # output values, and the first output to read each of them
+        index: dict[int, int] = {}
+        self._reads = [index.setdefault(s, len(index)) for s in self._outputs]
+        self._firsts = [self._outputs.index(s) for s in index]
 
     def __len__(self) -> int:
         return len(self._outputs)
-
-    def _only(self, picks: Sequence[int]) -> "Program":
-        """The outputs ``picks`` alone, with the instructions they read, in
-        this program's order."""
-        n = self._arity
-        live = {self._outputs[t] for t in picks}
-        for slot in range(n + len(self._code) - 1, n - 1, -1):
-            if slot in live:
-                live.update(self._code[slot - n][1])
-        renumber, code = {s: s for s in range(n)}, []
-        for slot, (fn, operands, offset) in enumerate(self._code, n):
-            if slot in live:
-                renumber[slot] = n + len(code)
-                code.append((fn, tuple(renumber[s] for s in operands), offset))
-        return Program(n, code, [renumber[self._outputs[t]] for t in picks],
-                       [self.literals[t] for t in picks], [self.free[t] for t in picks])
-
-    @cached_property
-    def _computed(self) -> tuple[list[int], "Program"]:
-        """The outputs that are not bare numbers, and their program."""
-        picks = [t for t, value in enumerate(self.literals) if value is None]
-        return picks, self if len(picks) == len(self) else self._only(picks)
 
 
 class _Compiler:

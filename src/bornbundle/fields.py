@@ -7,11 +7,11 @@ shape (P, n, n).  The sample sweep passes the seeded coordinates of all its
 points (:func:`bornbundle.jets.seed_batch`); the chart builder passes
 jet-valued coordinates, for which derivative-based connections augment the
 arguments with fresh seed slots (see :func:`bornbundle.jets.augment`).
-Each grid is one :class:`bornbundle.expr.Program`, evaluated once over
-the batch, except its bare numbers (an explicit Gamma grid is mostly
-``"0"``): :func:`evaluate_all` writes their values into the zeroed
-slots, with no jet built, which has the bits of their constant jets
-broadcast.  :func:`connection_metric_args` gives Gamma and g together:
+Every field reads its jet order off its arguments.  Each grid is one
+:class:`bornbundle.expr.Program`, evaluated whole once over the batch:
+:func:`evaluate_all` writes each distinct value once and gathers every
+entry from the value it reads (an explicit Gamma grid is mostly ``"0"``,
+one constant jet).  :func:`connection_metric_args` gives Gamma and g together:
 for a connection derived from a metric grid (Levi-Civita, or the dual of
 the flat connection) the grid is evaluated once, and g is read off the
 evaluation one order higher that gives its partials, which has the bits
@@ -41,26 +41,18 @@ from .jets import JetBatch
 MAX_ORDER = jets.MAX_ORDER
 
 
-def evaluate_all(program: expr.Program, args: Sequence[JetBatch],
-                 shape: tuple | None = None) -> JetBatch:
+def evaluate_all(program: expr.Program, args: Sequence[JetBatch], shape: tuple) -> JetBatch:
     """The outputs of ``program`` over the batch of the arguments, as one
     JetBatch of batch shape ``(*batch, *shape)``: ``shape`` is that of the
-    grid whose entries the program's outputs list in C order, by default
-    (len(program),).  A bare number is written as its value over +0.0
-    partials, the bits of its constant jet, with no jet built; ``-2`` is
-    evaluated, as its partials are -0.0.  The other outputs come from one
-    :func:`bornbundle.expr.evaluate`, which checks the arguments, bare
-    numbers or not."""
-    picks, computed = program._computed
-    values = expr.evaluate(computed, args)
+    grid whose entries the program's outputs list in C order.  One
+    :func:`bornbundle.expr.evaluate` gives every output; each distinct
+    value is written once, and every output gathered from the one it reads."""
+    values = expr.evaluate(program, args)
     a = args[0]
-    out = np.zeros(a.shape + (len(program), a.coeffs.shape[-1]))
-    for t, value in enumerate(program.literals):
-        if value is not None:
-            out[..., t, 0] = value
-    for t, jet in zip(picks, values):
-        out[..., t, :] = jet.coeffs
-    shape = (len(program),) if shape is None else shape
+    distinct = np.empty(a.shape + (len(program._firsts), a.coeffs.shape[-1]))
+    for d, t in enumerate(program._firsts):
+        distinct[..., d, :] = values[t].coeffs
+    out = np.take(distinct, program._reads, axis=-2)
     return JetBatch(a.order, a.nvars, out.reshape(a.shape + shape + out.shape[-1:]))
 
 
@@ -80,12 +72,11 @@ def _metric_grid(spec, args) -> JetBatch:
     return (grid + grid.swapaxes(-1, -2)) * 0.5
 
 
-def metric_args(spec, args: Sequence[JetBatch], order: int) -> JetBatch:
-    """g_ij as jets of ``order`` at jet-valued coordinates."""
+def metric_args(spec, args: Sequence[JetBatch]) -> JetBatch:
+    """g_ij as jets at jet-valued coordinates, of the arguments' order."""
     if spec.potential is None:
-        if order != args[0].order:
-            raise jets.JetUsageError("metric order differs from argument order")
         return _metric_grid(spec, args)
+    order = args[0].order
     need = order + 2
     if need > MAX_ORDER:
         raise UnsupportedDerivativeError(
@@ -95,10 +86,11 @@ def metric_args(spec, args: Sequence[JetBatch], order: int) -> JetBatch:
     return _slot_partials(phi, args[0].nvars, spec.n, 2, order)
 
 
-def metric_dg_args(spec, args: Sequence[JetBatch], order: int):
-    """(g, dg) as jets of ``order``, with dg[..., l, i, j] the l-partial of g_ij."""
+def metric_dg_args(spec, args: Sequence[JetBatch]):
+    """(g, dg) as jets of the arguments' order, with dg[..., l, i, j] the
+    l-partial of g_ij."""
     n = spec.n
-    m = args[0].nvars
+    order, m = args[0].order, args[0].nvars
     if spec.potential is None:
         need = order + 1
         if need > MAX_ORDER:
@@ -192,46 +184,42 @@ def dual_connection_of(gamma, g, dg, ginv):
     return acc
 
 
-def _zero_connection(spec, args: Sequence[JetBatch], order: int) -> JetBatch:
-    nvars = args[0].nvars
-    return JetBatch(order, nvars, np.zeros(
-        args[0].shape + (spec.n,) * 3 + (len(jets._columns(order, nvars)),)))
+def _zero_connection(spec, args: Sequence[JetBatch]) -> JetBatch:
+    a = args[0]
+    return JetBatch(a.order, a.nvars, np.zeros(a.shape + (spec.n,) * 3 + a.coeffs.shape[-1:]))
 
 
-def _derived_connection(spec, args: Sequence[JetBatch], order: int):
+def _derived_connection(spec, args: Sequence[JetBatch]):
     """(Gamma, g) for a connection derived from the metric: Levi-Civita, or
     the dual of the flat connection; g is the one of :func:`metric_dg_args`."""
-    g, dg = metric_dg_args(spec, args, order)
+    g, dg = metric_dg_args(spec, args)
     ginv = jet_inv(g, np.stack([x.value for x in args], axis=-1))
     if spec.connection_kind == "levi-civita":
         return levi_civita_of(dg, ginv), g
-    return dual_connection_of(_zero_connection(spec, args, order), g, dg, ginv), g
+    return dual_connection_of(_zero_connection(spec, args), g, dg, ginv), g
 
 
-def connection_args(spec, args: Sequence[JetBatch], order: int) -> JetBatch:
+def connection_args(spec, args: Sequence[JetBatch]) -> JetBatch:
     """Connection coefficients Gamma[..., k, i, j] of the declared connection
-    at jet-valued coordinates."""
+    at jet-valued coordinates, of the arguments' order."""
     n = spec.n
     kind = spec.connection_kind
     if kind == "flat":
-        return _zero_connection(spec, args, order)
+        return _zero_connection(spec, args)
     if kind == "explicit":
-        if order != args[0].order:
-            raise jets.JetUsageError("connection order differs from argument order")
         return evaluate_all(spec.gamma_exprs, args, (n, n, n))
     # levi-civita or hessian-dual: ManifoldSpec rejects every other kind
-    return _derived_connection(spec, args, order)[0]
+    return _derived_connection(spec, args)[0]
 
 
-def connection_metric_args(spec, args: Sequence[JetBatch],
-                           order: int) -> tuple[JetBatch, JetBatch]:
+def connection_metric_args(spec, args: Sequence[JetBatch]) -> tuple[JetBatch, JetBatch]:
     """(Gamma, g) as :func:`connection_args` and :func:`metric_args` give
     them.  A metric grid from which the connection derives is evaluated
     once: g is then the one of :func:`metric_dg_args`, which has the bits of
     :func:`metric_args`."""
     if spec.potential is None and spec.connection_kind in ("levi-civita", "hessian-dual"):
-        return _derived_connection(spec, args, order)
-    return connection_args(spec, args, order), metric_args(spec, args, order)
+        return _derived_connection(spec, args)
+    return connection_args(spec, args), metric_args(spec, args)
 
 
 def connection_support(spec) -> tuple[tuple[int, int, int], ...]:

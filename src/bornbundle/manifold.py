@@ -119,7 +119,7 @@ def build_spec(name: str, coordinates: Sequence[str], sample_box,
             shaped = shaped and all(len(e) == n for e in entries)
             entries = [x for e in entries for x in e]
         program = expr.parse(entries, coords)
-        return program if shaped else program._only(())
+        return program if shaped else expr.Program(n, (), (), (), ())
     metric_exprs = None if metric is None else compile_grid(metric, 2)
     potential_program = None if potential is None else expr.parse(potential, coords)
     gamma_exprs = None if gamma is None else compile_grid(gamma, 3)
@@ -210,12 +210,14 @@ def check_spd(g: np.ndarray, points: Sequence) -> None:
             f"smallest pivot {pivot:.6g}", pivot)
 
 
-def _require_inside(spec: ManifoldSpec, p) -> tuple:
+def _require_inside(spec: ManifoldSpec, p, noun: str = "point") -> tuple:
+    """p as a tuple of floats, after checking that it is a point of the
+    sample box; ``noun`` names it in the errors."""
     p = tuple(float(x) for x in p)
     if len(p) != spec.n:
-        raise SpecError(f"point has {len(p)} coordinates, expected {spec.n}")
+        raise SpecError(f"{noun} has {len(p)} coordinates, expected {spec.n}")
     if not spec.contains(p):
-        raise SpecError(f"point {p} lies outside the sample box")
+        raise SpecError(f"{noun} {p} lies outside the sample box")
     return p
 
 
@@ -261,15 +263,21 @@ class BaseJets:
         return BaseJets(self.x[points], self.gamma[points], self.g[points])
 
 
-def _require_finite(x: tuple, name: str, field: np.ndarray) -> None:
-    """Reject a field whose entries have a value or a derivative that is not
-    finite, naming the first such entry."""
+def _require_finite(x: tuple, name: str, field: np.ndarray, coords: Sequence[str]) -> None:
+    """Reject a field whose entries have a value or a first partial that is
+    not finite, naming the first such entry and, if its value is finite,
+    its first partial that is not, by the coordinate's name."""
     bad = np.argwhere(~np.isfinite(field).all(axis=0))
     if len(bad):
         idx = tuple(bad[0])
         entry = "".join(f"[{i}]" for i in idx)
-        raise SpecError(f"{name}{entry} or one of its derivatives is not "
-                        f"finite at {x} (value {float(field[(0, *idx)])!r})")
+        value, partials = float(field[(0, *idx)]), field[(slice(1, None), *idx)]
+        if not math.isfinite(value):
+            raise SpecError(f"{name}{entry} or one of its derivatives is not "
+                            f"finite at {x} (value {value!r})")
+        d = int(np.argmin(np.isfinite(partials)))
+        raise SpecError(f"{name}{entry} has a partial by {coords[d]} that is not finite "
+                        f"at {x} (partial {float(partials[d])!r}, value {value!r})")
 
 
 def _point_maxima(r: np.ndarray, count: int) -> np.ndarray:
@@ -365,15 +373,15 @@ def _base_batch(spec: ManifoldSpec, points) -> BaseJets:
     xs = _inside(spec, points)
     args = jets.seed_batch(xs, 1)
     with np.errstate(over="ignore", invalid="ignore"):  # as Python floats
-        gamma, g = fields.connection_metric_args(spec, args, 1)
+        gamma, g = fields.connection_metric_args(spec, args)
     xs = tuple(map(tuple, xs.tolist()))
     bases = BaseJets(xs, gamma.coeffs.transpose(0, 4, 1, 2, 3), g.coeffs.transpose(0, 3, 1, 2))
     finite = np.all([np.isfinite(f).reshape(len(xs), -1).all(axis=1)
                      for f in (bases.gamma, bases.g)], axis=0)
     if not finite.all():
         p = int(np.argmin(finite))
-        _require_finite(xs[p], "gamma", bases.gamma[p])
-        _require_finite(xs[p], "metric", bases.g[p])
+        _require_finite(xs[p], "gamma", bases.gamma[p], spec.coords)
+        _require_finite(xs[p], "metric", bases.g[p], spec.coords)
     return bases
 
 

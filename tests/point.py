@@ -93,7 +93,7 @@ def _stacked(field, spec: ManifoldSpec, points, order: int) -> np.ndarray:
     second axis and, at order 1, the first partials in the rows after it."""
     args = jets.seed_batch([_require_inside(spec, p) for p in points], order)
     with np.errstate(over="ignore", invalid="ignore"):  # as Python floats
-        return np.moveaxis(field(spec, args, order).coeffs, -1, 1)
+        return np.moveaxis(field(spec, args).coeffs, -1, 1)
 
 
 def _at(field, spec: ManifoldSpec, p, order: int = 0) -> np.ndarray:
@@ -114,23 +114,23 @@ def connection_at(spec: ManifoldSpec, p) -> np.ndarray:
     return _at(fields.connection_args, spec, p)
 
 
-def dual_of(spec: ManifoldSpec, args, gamma, order: int):
+def dual_of(spec: ManifoldSpec, args, gamma):
     """Dual of the connection gamma with respect to the metric at jet-valued
     coordinates, through the formula of :mod:`bornbundle.fields`."""
-    g, dg = fields.metric_dg_args(spec, args, order)
+    g, dg = fields.metric_dg_args(spec, args)
     return fields.dual_connection_of(gamma, g, dg, fields.jet_inv(g))
 
 
 def levi_civita_at(spec: ManifoldSpec, p) -> np.ndarray:
-    def levi_civita(spec, args, order):
-        g, dg = fields.metric_dg_args(spec, args, order)
+    def levi_civita(spec, args):
+        g, dg = fields.metric_dg_args(spec, args)
         return fields.levi_civita_of(dg, fields.jet_inv(g))
     return _at(levi_civita, spec, p)
 
 
 def dual_connection_at(spec: ManifoldSpec, p) -> np.ndarray:
-    def dual(spec, args, order):
-        return dual_of(spec, args, fields.connection_args(spec, args, order), order)
+    def dual(spec, args):
+        return dual_of(spec, args, fields.connection_args(spec, args))
     return _at(dual, spec, p)
 
 

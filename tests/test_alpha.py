@@ -47,8 +47,8 @@ DERIVED = fields._derived_connection
 
 def scale_gamma(monkeypatch, c):
     """Scale the derived connection's Gamma by c, from now on in the test."""
-    def scaled(spec, args, order):
-        gamma, g = DERIVED(spec, args, order)
+    def scaled(spec, args):
+        gamma, g = DERIVED(spec, args)
         return JetBatch(gamma.order, gamma.nvars, gamma.coeffs * c), g
     monkeypatch.setattr(fields, "_derived_connection", scaled)
 

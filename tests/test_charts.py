@@ -784,7 +784,7 @@ def test_gate_raises_the_first_failing_point():
     spec = build_spec("gate-order", ("u", "v"), [(-1, 1), (-1, 1)],
                       metric=[["1", "0"], ["0", "1"]], connection="explicit", gamma=gamma)
     with pytest.raises(EvalDomainError) as batch:
-        fields.connection_args(spec, jets.seed_batch(points, 1), 1)
+        fields.connection_args(spec, jets.seed_batch(points, 1))
     with pytest.raises(EvalDomainError) as first:
         connection_at(spec, points[1])
     with pytest.raises(EvalDomainError) as gate:
@@ -885,7 +885,6 @@ def test_constant_gamma_is_evaluated_once_per_integration(monkeypatch):
 
     def counted_evaluate(program, args):
         if inside[0]:
-            assert len(program) == 1  # the one support term
             counts["in_rk4"] += 1
         return evaluate(program, args)
 
@@ -968,9 +967,9 @@ def test_gate_evaluates_the_connection_once(monkeypatch):
     calls = []
     connection_args = fields.connection_args
 
-    def counted(spec, args, order):
-        calls.append((len(args[0].coeffs), order))
-        return connection_args(spec, args, order)
+    def counted(spec, args):
+        calls.append((len(args[0].coeffs), args[0].order))
+        return connection_args(spec, args)
 
     monkeypatch.setattr(fields, "connection_args", counted)
     exponential_chart(PULLBACK, (0.0, 0.0))

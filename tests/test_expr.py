@@ -258,19 +258,6 @@ def test_a_shared_failing_node_fails_at_its_first_offset(texts, offset):
     assert str(exc.value) == str(first.value)
 
 
-def test_a_picked_program_keeps_the_picked_outputs_and_their_order():
-    program = parse(SHARING[2], UV)
-    args = _batch(2, 2, 5)
-    every = evaluate(program, args)
-    picked = program._only([2, 0])
-    assert picked.literals == (None, None) and picked.free == (1, 1)
-    for jet, t in zip(evaluate(picked, args), [2, 0], strict=True):
-        assert np.array_equal(jet.coeffs.view(np.int64), every[t].coeffs.view(np.int64))
-    # 1, u + 1, its square and the difference; not the cube or the numbers
-    assert (len(picked._code), len(program._code)) == (4, 8)
-    assert len(program._only(())) == 0
-
-
 def test_too_few_argument_jets_is_a_usage_error():
     with pytest.raises(jets.JetUsageError, match="2 coordinates need as many argument jets"):
         evaluate(parse("u", UV), ref.seed((1.0,), 1))

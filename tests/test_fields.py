@@ -131,6 +131,22 @@ def test_a_subnormal_metric_entry_is_a_singular_metric(kind, tmp_path, capsys):
                                 "(0.50244140625, 0.2952293857643651)"}
 
 
+def test_a_finite_entry_with_a_partial_that_is_not_finite_names_the_partial(tmp_path, capsys):
+    # the Levi-Civita connection of 1e-300 I is 0.0, but its partials are NaN
+    # (the inverse metric's partials overflow): the error names the first
+    # partial that is not finite, by its coordinate, not "(value 0.0)"
+    path = tmp_path / "tiny-metric.json"
+    path.write_text(json.dumps({
+        "dimension": 2, "coordinates": ["u", "v"],
+        "metric": {"components": [["1e-300", "0"], ["0", "1e-300"]]},
+        "connection": {"kind": "levi-civita"}, "sample_box": [[-1, 1], [-1, 1]]}))
+    assert main(["check", str(path)]) == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"kind": "SpecError",
+                     "message": "gamma[0][0][0] has a partial by u that is not finite at "
+                                "(0.50244140625, 0.2952293857643651) (partial nan, value 0.0)"}
+
+
 def _first_failure_spec(metric00: str) -> object:
     # Gamma^0_00 = log(u) fails at u < 0; g fails at v = 0.9 only
     gamma = [[["log(u)", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]]
@@ -181,11 +197,11 @@ def test_one_metric_evaluation_gives_the_metric_bits(name):
     for order in (0, 1):
         args = jets.seed_batch(sample_points(spec, 20, 5), order)
         with np.errstate(over="ignore", invalid="ignore"):
-            gamma, g = fields.connection_metric_args(spec, args, order)
-            assert_same_bits(g.coeffs, fields.metric_args(spec, args, order).coeffs)
-            assert_same_bits(gamma.coeffs, fields.connection_args(spec, args, order).coeffs)
+            gamma, g = fields.connection_metric_args(spec, args)
+            assert_same_bits(g.coeffs, fields.metric_args(spec, args).coeffs)
+            assert_same_bits(gamma.coeffs, fields.connection_args(spec, args).coeffs)
             if spec.potential is None:
-                assert_same_bits(fields.metric_dg_args(spec, args, order)[0].coeffs,
+                assert_same_bits(fields.metric_dg_args(spec, args)[0].coeffs,
                                  g.coeffs)
 
 
@@ -199,18 +215,6 @@ def test_batch_of_one_point_equals_the_batch_of_all():
         assert_same_bits(bases.g[p:p + 1], alone.g)
 
 
-def test_an_explicit_field_at_another_order_than_its_arguments_is_usage_error():
-    # an explicit metric or Gamma comes at the order of its arguments; another
-    # order is an error, not a field of the wrong order
-    spec = _first_failure_spec("1")
-    args = jets.seed_batch([(0.5, 0.5)], 1)
-    for field in (fields.metric_args, fields.connection_args):
-        assert field(spec, args, 1).order == 1
-        for order in (0, 2):
-            with pytest.raises(jets.JetUsageError, match="order differs from argument order"):
-                field(spec, args, order)
-
-
 def test_seed_batch_matches_seed_embedded():
     points = np.array([[0.25, -1.5], [2.0, 0.125]])
     for order in (0, 1, 2):
@@ -221,15 +225,19 @@ def test_seed_batch_matches_seed_embedded():
                 assert_same_bits(a.coeffs[p], ref.coefficients(w))
 
 
-EVALUATE_ALL_TEXTS = ["0", "-1.226", "2.5", "u", "-0", "u*v - 0.5", "3e-2", "-v"]
+# the second "2.5", "u*v - 0.5", "u" and "0", and "0.0", read a value of an
+# earlier text
+EVALUATE_ALL_TEXTS = ["0", "-1.226", "2.5", "u", "-0", "u*v - 0.5", "3e-2", "-v",
+                      "2.5", "u*v - 0.5", "0.0", "u", "0"]
 
 
 @pytest.mark.parametrize("order", range(jets.MAX_ORDER + 1))
 @pytest.mark.parametrize("batch", [(5,), (3, 2)], ids=["P", "B-n"])
 def test_evaluate_all_writes_constants_with_the_bits_of_evaluate(order, batch, monkeypatch):
-    # a bare number is written as its value over +0.0 partials, with no jet
-    # built; a negated one ("-1.226", "-0") keeps the evaluated -0.0 partials;
-    # the other outputs come from one evaluation of their program
+    # a bare number is written as its value over +0.0 partials, a negated one
+    # ("-1.226", "-0") with the evaluated -0.0 partials; every output comes
+    # from one evaluation of the whole program, and a value that several
+    # outputs read is written into each of them
     program = expr.parse(EVALUATE_ALL_TEXTS, ("u", "v"))
     rng = np.random.default_rng(order)
     width = len(jets._columns(order, 2))
@@ -240,12 +248,13 @@ def test_evaluate_all_writes_constants_with_the_bits_of_evaluate(order, batch, m
     calls = []
     evaluate = expr.evaluate
     monkeypatch.setattr(expr, "evaluate", lambda p, a: calls.append(p) or evaluate(p, a))
-    got = fields.evaluate_all(program, args).coeffs
+    got = fields.evaluate_all(program, args, (len(program),)).coeffs
     assert got.shape == want.shape
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert np.array_equal(np.signbit(got), np.signbit(want))
-    assert [p.literals for p in calls] == [(None,) * 5]
-    assert program.literals == (0.0, None, 2.5, None, None, None, 3e-2, None)
+    assert calls == [program]
+    assert program.literals == (0.0, None, 2.5, None, None, None, 3e-2, None,
+                                2.5, None, 0.0, None, 0.0)
     if order:
         const, neg = EVALUATE_ALL_TEXTS.index("2.5"), EVALUATE_ALL_TEXTS.index("-1.226")
         assert not np.signbit(got[..., const, 1:]).any()
@@ -257,6 +266,6 @@ def test_evaluate_all_checks_the_arguments_of_an_all_constant_grid():
     point = np.zeros((1, 2))
     mixed = [jets.seed_batch(point, 1)[0], jets.seed_batch(point, 2)[1]]
     with pytest.raises(jets.JetUsageError, match="share order and arity"):
-        fields.evaluate_all(program, mixed)
+        fields.evaluate_all(program, mixed, (3,))
     with pytest.raises(jets.JetUsageError, match="at least one argument jet"):
-        fields.evaluate_all(program, [])
+        fields.evaluate_all(program, [], (3,))

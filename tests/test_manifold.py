@@ -277,7 +277,7 @@ def test_dual_defining_identity(spec):
     # d_i g_jk = Gamma^l_ij g_lk + g_jl Gamma*^l_ik
     for p in points_of(spec, 4):
         g = metric_at(spec, p)
-        dg = np.moveaxis(fields.metric_args(spec, jets.seed_batch([p], 1), 1).coeffs[0],
+        dg = np.moveaxis(fields.metric_args(spec, jets.seed_batch([p], 1)).coeffs[0],
                          -1, 0)[1:]
         resid = (dg - np.einsum("lij,lk->ijk", connection_at(spec, p), g)
                  - np.einsum("jl,lik->ijk", g, dual_connection_at(spec, p)))
@@ -288,9 +288,9 @@ def test_dual_defining_identity(spec):
 def test_dual_of_dual_returns_original(spec):
     for p in points_of(spec, 4):
         args = jets.seed_batch([p], 0)
-        gamma = fields.connection_args(spec, args, 0)
-        first = dual_of(spec, args, gamma, 0)
-        second = dual_of(spec, args, first, 0)
+        gamma = fields.connection_args(spec, args)
+        first = dual_of(spec, args, gamma)
+        second = dual_of(spec, args, first)
         diff = second.value - gamma.value
         assert np.max(np.abs(diff)) <= 1e-10
 
