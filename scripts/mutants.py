@@ -26,6 +26,7 @@ ROOT = Path(__file__).resolve().parent.parent
 BUNDLE = "src/bornbundle/bundle.py"
 EXPR = "src/bornbundle/expr.py"
 FIELDS = "src/bornbundle/fields.py"
+MANIFOLD = "src/bornbundle/manifold.py"
 
 
 @dataclass(frozen=True)
@@ -72,10 +73,10 @@ MUTANTS = (
            ("tests/test_fields.py",)),
     Mutant("dual-swap", FIELDS, "inner = dg[..., :, j, :]", "inner = dg[..., j, :, :]",
            ("tests/test_fields.py",)),
-    Mutant("curvature-swap", "src/bornbundle/manifold.py", '"...lim,...mjk->...lijk"',
+    Mutant("curvature-swap", MANIFOLD, '"...lim,...mjk->...lijk"',
            '"...ilm,...mjk->...lijk"', ("tests/test_manifold.py",)),
     # transposes and signs in the same formulas
-    Mutant("curvature-transpose", "src/bornbundle/manifold.py", "half - half.swapaxes(-3, -2)",
+    Mutant("curvature-transpose", MANIFOLD, "half - half.swapaxes(-3, -2)",
            "half - half.swapaxes(-2, -1)", ("tests/test_manifold.py",)),
     Mutant("nijenhuis-sign", "src/bornbundle/integrability.py", "return half - half.swapaxes",
            "return half + half.swapaxes", ("tests/test_integrability.py",)),
@@ -95,8 +96,17 @@ MUTANTS = (
     Mutant("shared-write", FIELDS, "np.take(distinct, program._reads,",
            "np.take(distinct, sorted(program._reads),", ("tests/test_fields.py",)),
     # a maximum equal to its threshold holds
-    Mutant("holds-strict", "src/bornbundle/manifold.py", "m <= self.tol for name",
+    Mutant("holds-strict", MANIFOLD, "m <= self.tol for name",
            "m < self.tol for name", ("tests/test_manifold.py",)),
+    # thresholds a decade off, each killed by a verdict or an exit code
+    Mutant("born-gate-x10", MANIFOLD, "BORN_GATE = 1e-8", "BORN_GATE = 1e-7",
+           ("tests/test_cli.py",)),
+    Mutant("born-gate-div10", MANIFOLD, "BORN_GATE = 1e-8", "BORN_GATE = 1e-9",
+           ("tests/test_cli.py",)),
+    Mutant("pushforward-tol-x10", MANIFOLD, "PUSHFORWARD_TOL = 1e-6", "PUSHFORWARD_TOL = 1e-5",
+           ("tests/test_charts.py",)),
+    Mutant("cross-tol-x10", MANIFOLD, "CROSS_TOL = 1e-7", "CROSS_TOL = 1e-6",
+           ("tests/test_thresholds.py",)),
 )
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache",

@@ -22,7 +22,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from bornbundle import corpus
 from bornbundle.cli import RunConfig, report_to_json, run
-from bornbundle.errors import SpecError
 from bornbundle.integrability import log_margin
 
 
@@ -44,7 +43,7 @@ def main(argv=None) -> int:
                              fiber_points=args.fiber_points,
                              fiber_radius=args.fiber_radius, seed=args.seed)
                    for name in corpus.BUILTIN_BUILDERS]
-    except SpecError as e:  # a sample count or the fiber radius is out of range
+    except ValueError as e:  # a sample count or the fiber radius is out of range
         parser.error(str(e))
 
     if args.out:

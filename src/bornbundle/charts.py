@@ -97,7 +97,12 @@ array, the probes are placed by one array expression over the Halton
 points, and the constant I, J, K blocks the residuals compare with are
 built once per n (:func:`bornbundle.bundle._constant_blocks`).
 
-Errors: probe radii are checked before any integration.  The loop runs
+Errors: the step count is checked in one place, :class:`ChartMap`,
+through which every integration goes; :func:`exponential_chart` builds
+its chart right after checking the base point, before the gate.  Probe
+radii are checked before any integration, and a probe beyond the radius
+is an internal fault (:class:`bornbundle.errors.InternalError`), since
+the witness places its probes inside it.  The loop runs
 under ``np.errstate``, since Python floats overflow to inf silently and
 numpy would warn.  A box exit, a domain error or a singular Jacobian names
 the first failing probe or gate point through
@@ -119,7 +124,7 @@ import numpy as np
 
 from . import fields, jets
 from .bundle import _constant_blocks, _frame_of
-from .errors import SpecError
+from .errors import InternalError, SpecError
 from .jets import JetBatch
 from .manifold import (FLATNESS_GATE_TOL, PROBE_RADIUS_SLACK, PUSHFORWARD_TOL,
                        ManifoldSpec, Residuals, _curvature_of, _first_failure, _inside,
@@ -132,10 +137,6 @@ GATE_POINTS = 8  # sample points of the flatness gate
 
 class BoxExitError(SpecError):
     """A geodesic left the sample box."""
-
-    def __init__(self, message: str, step: int):
-        super().__init__(message)
-        self.step = step
 
 
 class FlatnessGateError(SpecError):
@@ -219,7 +220,7 @@ def _check_box(positions: np.ndarray, lo, hi, step: int, steps: int) -> None:
         values = tuple(positions[r, int(np.argmin(inside[r]))].tolist())
         raise BoxExitError(
             f"geodesic left the sample box at step {step + r + 1}/{steps}, "
-            f"position {values}", step + r + 1)
+            f"position {values}")
 
 
 def _stage_rows(accel, u, h: float):
@@ -343,9 +344,7 @@ def _integrate(spec: ManifoldSpec, x0, velocities, order: int, steps: int) -> np
 
 def geodesic_integrate(spec: ManifoldSpec, x0, v, steps: int = DEFAULT_STEPS) -> np.ndarray:
     """Endpoint of the unit-time geodesic from x0 with initial velocity v."""
-    if steps < 1:
-        raise ValueError("need at least one integration step")
-    return _integrate(spec, x0, [v], 0, steps)[0, :, 0]
+    return ChartMap(spec, x0, steps).probe_jets([v], 0).coeffs[0, :, 0]
 
 
 @lru_cache(maxsize=None)
@@ -402,9 +401,7 @@ def exponential_chart(spec: ManifoldSpec, x0, steps: int = DEFAULT_STEPS,
                       seed: int = 42) -> ChartMap:
     """Build the exponential chart at x0 after checking that curvature and
     torsion vanish on sampled points (otherwise the map is not affine)."""
-    if steps < 1:
-        raise ValueError("need at least one integration step")
-    x0 = _require_inside(spec, x0, "chart base point")
+    chart = ChartMap(spec, _require_inside(spec, x0, "chart base point"), steps)
     points = [tuple(p) for p in _inside(spec, sample_points(spec, GATE_POINTS, seed)).tolist()]
     with np.errstate(over="ignore", invalid="ignore"):  # finite_maxima checks
         gamma = _gate_connection(spec, points)
@@ -415,12 +412,7 @@ def exponential_chart(spec: ManifoldSpec, x0, steps: int = DEFAULT_STEPS,
             "exponential map is affine only for flat torsion-free connections: "
             f"max |curvature| = {gate.maxima['curvature']:.3g}, "
             f"max |torsion| = {gate.maxima['torsion']:.3g} (gate {gate.tol:g})")
-    return ChartMap(spec=spec, x0=x0, steps=steps)
-
-
-def _connection_values(spec: ManifoldSpec, x: np.ndarray) -> np.ndarray:
-    """Gamma^k_ij at each row of positions x, ``(B, n)``, as ``(B, n, n, n)``."""
-    return fields.connection_args(spec, jets.seed_batch(x, 0)).value
+    return chart
 
 
 def _transformed_connections(jac: np.ndarray, sec: np.ndarray, gamma: np.ndarray,
@@ -457,14 +449,14 @@ def _probe_residuals(chart: ChartMap, probes, y) -> Residuals:
     probes = [tuple(float(c) for c in a) for a in probes]
     for a in probes:
         if float(np.linalg.norm(a)) > chart.radius + PROBE_RADIUS_SLACK:
-            raise ValueError(
+            raise InternalError(
                 f"probe {a} lies beyond the chart validity radius {chart.radius:g}")
     cj = chart.probe_jets(probes, order=2).coeffs
     n = chart.spec.n
     with np.errstate(over="ignore", invalid="ignore"):  # finite_maxima checks
         transformed = _transformed_connections(
             cj[:, :, 1:n + 1], cj[:, :, _second_columns(n)],
-            _connection_values(chart.spec, cj[:, :, 0]), probes)
+            fields.connection_args(chart.spec, jets.seed_batch(cj[:, :, 0], 0)).value, probes)
         stacks = {"pushforward_connection": transformed,
                   "born_block": _block_residuals(transformed, y)}
     return Residuals(finite_maxima(stacks, probes), PUSHFORWARD_TOL)

@@ -42,10 +42,11 @@ gate),
 2 internal invariant failure (the Hessian and integrability verdicts
 disagreed, the two-of-four residual pattern was impossible, or the
 Born construction broke in the adapted frame, which ``theorem`` checks
-too and names on stderr) or internal fault (a jet misuse or a failed
-linear solve, reported as a JSON error like a spec error).  A spec merely
-being non-Hessian is a result, not a failure.  The threshold behind each
-verdict, gate and exit code is in the table of :mod:`bornbundle.manifold`.
+too and names on stderr) or internal fault (a jet misuse, a failed
+linear solve or a chart probe placed beyond the validity radius, reported
+as a JSON error like a spec error).  A spec merely being non-Hessian is a
+result, not a failure.  The threshold behind each verdict, gate and exit
+code is in the table of :mod:`bornbundle.manifold`.
 """
 from __future__ import annotations
 
@@ -64,7 +65,7 @@ from . import corpus
 # unused: bornbench's test_remove_restores_every_patched_attribute pins it (ROADMAP item 5)
 from .bundle import born_at
 from .charts import DEFAULT_STEPS, ChartMap, affine_chart_witness, chart_witness
-from .errors import SpecError
+from .errors import InternalError, SpecError
 from .expr import EvalDomainError, ParseError
 from .integrability import integrability_verdict
 from .jets import JetDomainError, JetUsageError
@@ -85,9 +86,9 @@ class RunConfig:
 
     def __post_init__(self):
         if self.points < 1 or self.fiber_points < 1:
-            raise SpecError("sample counts must be at least 1")
+            raise ValueError("sample counts must be at least 1")
         if not 0.0 < self.fiber_radius < math.inf:
-            raise SpecError("fiber radius must be finite and positive")
+            raise ValueError("fiber radius must be finite and positive")
 
 
 def load_spec(source: str) -> ManifoldSpec:
@@ -475,8 +476,8 @@ def main(argv=None) -> int:
         if args.command == "theorem":
             return _cmd_theorem(args)
         return _cmd_affine_chart(args)
-    # both subclass ValueError, but they are internal faults, not spec errors
-    except (JetUsageError, np.linalg.LinAlgError) as e:
+    # the last two subclass ValueError, but all three are internal faults
+    except (InternalError, JetUsageError, np.linalg.LinAlgError) as e:
         fault, code = e, 2
     # a domain error or an overflow outside expression evaluation, such as
     # inverting a metric whose pivot is nearly zero, is still the spec's fault

@@ -8,10 +8,11 @@ class SpecError(Exception):
 class NotPositiveDefiniteError(SpecError):
     """Metric failed the positivity check at a point."""
 
-    def __init__(self, message: str, smallest_pivot: float):
-        super().__init__(message)
-        self.smallest_pivot = smallest_pivot
-
 
 class UnsupportedDerivativeError(SpecError):
     """A computation would need field derivatives beyond the jet order cap."""
+
+
+class InternalError(Exception):
+    """An invariant the package keeps by construction is broken: a fault of
+    the package, not of the spec or the options."""

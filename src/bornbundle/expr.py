@@ -102,16 +102,15 @@ class Program:
     """Expression texts compiled against n coordinates.  Slots 0..n-1 hold
     the coordinate jets; each instruction ``(function, operand slots,
     offset)`` writes the next slot, a number's reading slot 0 for the type,
-    order and arity of its constant.  Per output: its slot, its value if
-    the text is a bare number (``literals``, else None), and the
-    coordinates it reads (``free``, bit i for coordinate i).  Outputs that
-    read one slot share its value: ``_reads`` numbers each output's value
-    among the distinct ones, and ``_firsts`` gives the first output to read
-    each.  ``len`` counts the outputs."""
+    order and arity of its constant.  Per output: its slot, whether the
+    text is the bare number 0 (``zeros``), and the coordinates it reads
+    (``free``, bit i for coordinate i).  Outputs that read one slot share
+    its value: ``_reads`` numbers each output's value among the distinct
+    ones, and ``_firsts`` gives the first output to read each.  ``len`` counts the outputs."""
 
-    def __init__(self, arity: int, code, outputs, literals, free):
+    def __init__(self, arity: int, code, outputs, zeros, free):
         self._arity, self._code, self._outputs = arity, tuple(code), tuple(outputs)
-        self.literals, self.free = tuple(literals), tuple(free)
+        self.zeros, self.free = tuple(zeros), tuple(free)
         # the slots each instruction is the last to read, outputs aside: the
         # evaluation drops them there, so that its working set stays that of a
         # tree walk (holding every value made the order-3 evaluation of a
@@ -141,7 +140,6 @@ class _Compiler:
         self.code: list = []
         self.slots: dict = {}
         self.free = [1 << i for i in range(len(self.coords))]  # coordinates read, as bits
-        self.numbers: dict[int, float] = {}
 
     def emit(self, key: tuple, fn, operands: tuple, offset: int) -> int:
         slot = self.slots.get(key)
@@ -232,7 +230,7 @@ class _Compiler:
         if kind == "number":
             value = float(text)
             slot = self.emit(("number", value.hex()), partial(_constant, value), (0,), offset)
-            self.free[slot], self.numbers[slot] = 0, value
+            self.free[slot] = 0
             return slot
         if kind == "name":
             if text in FUNCTIONS:
@@ -260,8 +258,8 @@ def parse(texts: str | Sequence[str], coords: Sequence[str]) -> Program:
     compiler, slots = _Compiler(coords), {}
     outputs = [slots[t] if t in slots else slots.setdefault(t, compiler.parse(t))
                for t in ([texts] if isinstance(texts, str) else texts)]
-    return Program(len(coords), compiler.code, outputs,
-                   [compiler.numbers.get(slot) for slot in outputs],
+    zero = compiler.slots.get(("number", (0.0).hex()))  # every bare 0 reads this slot
+    return Program(len(coords), compiler.code, outputs, [slot == zero for slot in outputs],
                    [compiler.free[slot] for slot in outputs])
 
 

@@ -38,8 +38,6 @@ from . import expr, jets
 from .errors import SpecError, UnsupportedDerivativeError
 from .jets import JetBatch
 
-MAX_ORDER = jets.MAX_ORDER
-
 
 def evaluate_all(program: expr.Program, args: Sequence[JetBatch], shape: tuple) -> JetBatch:
     """The outputs of ``program`` over the batch of the arguments, as one
@@ -78,10 +76,10 @@ def metric_args(spec, args: Sequence[JetBatch]) -> JetBatch:
         return _metric_grid(spec, args)
     order = args[0].order
     need = order + 2
-    if need > MAX_ORDER:
+    if need > jets.MAX_ORDER:
         raise UnsupportedDerivativeError(
             f"potential-based metric with order-{order} jets needs order-{need} "
-            f"jets of the potential (max {MAX_ORDER}); use an explicit metric")
+            f"jets of the potential (max {jets.MAX_ORDER}); use an explicit metric")
     phi = evaluate_all(spec.potential, jets.augment(args, need), ())
     return _slot_partials(phi, args[0].nvars, spec.n, 2, order)
 
@@ -93,7 +91,7 @@ def metric_dg_args(spec, args: Sequence[JetBatch]):
     order, m = args[0].order, args[0].nvars
     if spec.potential is None:
         need = order + 1
-        if need > MAX_ORDER:
+        if need > jets.MAX_ORDER:
             raise UnsupportedDerivativeError(
                 f"metric derivatives at jet order {order} need order-{need} jets")
         grid = _metric_grid(spec, jets.augment(args, need))
@@ -101,10 +99,10 @@ def metric_dg_args(spec, args: Sequence[JetBatch]):
         return (_slot_partials(grid, m, n, 0, order),
                 JetBatch(order, m, np.moveaxis(dg.coeffs, -2, -4)))
     need = order + 3
-    if need > MAX_ORDER:
+    if need > jets.MAX_ORDER:
         raise UnsupportedDerivativeError(
             f"derivatives of a potential-based metric at jet order {order} need "
-            f"order-{need} jets of the potential (max {MAX_ORDER}); "
+            f"order-{need} jets of the potential (max {jets.MAX_ORDER}); "
             f"use an explicit metric")
     phi = evaluate_all(spec.potential, jets.augment(args, need), ())
     # the third partials of phi are symmetric in (l, i, j)
@@ -232,6 +230,5 @@ def connection_support(spec) -> tuple[tuple[int, int, int], ...]:
         return ()
     every = tuple(np.ndindex(spec.n, spec.n, spec.n))
     if kind == "explicit":
-        return tuple(kij for kij, value in zip(every, spec.gamma_exprs.literals)
-                     if value != 0.0)
+        return tuple(kij for kij, zero in zip(every, spec.gamma_exprs.zeros) if not zero)
     return every

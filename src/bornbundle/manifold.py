@@ -20,11 +20,10 @@ included, is one :class:`Residuals` record: per-point maxima by name, read
 against one entry of the table of thresholds below, which the other
 modules import.  A residual that is not finite at a point is a spec error
 through :func:`finite_maxima`, which reduces each stack to per-point
-maxima over its trailing axes as it lies in memory, without copying a
-stack that holds its sample axes innermost; the Born sweep reduces its
-own stacks and calls it only on a maximum that is not finite.  The sample
-box is checked on the whole point array, and point by point only to name
-the first point outside it.
+maxima over its trailing axes; the Born sweep reduces its own stacks and
+calls it only on a maximum that is not finite.  The sample box is checked
+on the whole point array, and point by point only to name the first point
+outside it.
 
 Curvature convention, fixed once for the whole package:
 ``R^l_ijk = d_i Gamma^l_jk - d_j Gamma^l_ik + Gamma^l_im Gamma^m_jk
@@ -53,7 +52,7 @@ CROSS_TOL = 1e-7            # two-of-four "holds": two or three holding is exit 
 BORN_GATE = 1e-8            # Born construction in the adapted frame, relative: exit 2
 FLATNESS_GATE_TOL = 1e-7    # chart curvature and torsion: FlatnessGateError (exit 1), or no witness
 PUSHFORWARD_TOL = 1e-6      # chart witness residuals: "witnessed": false, exit 2
-PROBE_RADIUS_SLACK = 1e-12  # chart probe norm over its radius: ValueError, exit 1
+PROBE_RADIUS_SLACK = 1e-12  # chart probe norm over its radius: InternalError, exit 2
 
 
 @dataclass(frozen=True)
@@ -207,7 +206,7 @@ def check_spd(g: np.ndarray, points: Sequence) -> None:
                             f"{tuple(points[p])}: pivot {pivot!r}")
         raise NotPositiveDefiniteError(
             f"metric is not positive definite at {tuple(points[p])}: "
-            f"smallest pivot {pivot:.6g}", pivot)
+            f"smallest pivot {pivot:.6g}")
 
 
 def _require_inside(spec: ManifoldSpec, p, noun: str = "point") -> tuple:
@@ -280,19 +279,6 @@ def _require_finite(x: tuple, name: str, field: np.ndarray, coords: Sequence[str
                         f"at {x} (partial {float(partials[d])!r}, value {value!r})")
 
 
-def _point_maxima(r: np.ndarray, count: int) -> np.ndarray:
-    """max |r| per point, the ``count`` points running over the fewest
-    leading axes of r that hold them, reduced over the other axes in place
-    (a reshape would copy a stack that is not C-contiguous)."""
-    lead = 1
-    while lead < r.ndim and math.prod(r.shape[:lead]) != count:
-        lead += 1
-    size = np.abs(r)
-    if lead < r.ndim:
-        size = size.max(axis=tuple(range(lead, r.ndim)))
-    return size.reshape(count)
-
-
 def finite_maxima(residuals: dict, points: Sequence) -> dict[str, np.ndarray]:
     """Per-point max |residual| of each stack in ``residuals``, whose first
     axis, or first axes in C order, run over ``points``.  A maximum that is
@@ -302,7 +288,7 @@ def finite_maxima(residuals: dict, points: Sequence) -> dict[str, np.ndarray]:
     ``np.errstate(over="ignore", invalid="ignore")``: a residual that
     overflows or is NaN reaches this check instead of printing a numpy
     warning."""
-    maxima = {name: _point_maxima(np.asarray(r), len(points))
+    maxima = {name: np.abs(r).reshape(len(points), -1).max(axis=1)
               for name, r in residuals.items()}
     finite = np.isfinite(list(maxima.values()))  # (residual, point)
     if finite.all():

@@ -12,10 +12,10 @@ from bornbundle import charts, corpus, expr, fields, jets
 from bornbundle.bundle import _constant_blocks
 from bornbundle.cli import load_spec, main, spec_from_dict
 from bornbundle.charts import (GATE_POINTS, BoxExitError, ChartMap, FlatnessGateError,
-                               _block_residuals, _connection_values, _gate_connection,
+                               _block_residuals, _gate_connection,
                                _probe_residuals, _second_columns, _transformed_connections,
                                affine_chart_witness, exponential_chart, geodesic_integrate)
-from bornbundle.errors import SpecError
+from bornbundle.errors import InternalError, SpecError
 from bornbundle.expr import EvalDomainError
 from bornbundle.jets import JetBatch
 from jet_reference import Jet
@@ -58,10 +58,8 @@ def test_pullback_geodesic_closed_form():
 
 
 def test_box_exit_names_step():
-    with pytest.raises(BoxExitError) as exc:
+    with pytest.raises(BoxExitError, match=r"at step [1-9][0-9]*/64, position"):
         geodesic_integrate(EUCLID, (0.9, 0.0), (1.0, 0.0))
-    assert exc.value.step > 0
-    assert "step" in str(exc.value)
 
 
 @pytest.mark.parametrize("spec,x0,v", [
@@ -153,13 +151,13 @@ def test_pushforward_residual_hessian_translation_chart():
 
 def test_probe_beyond_radius_rejected():
     chart = exponential_chart(EUCLID, (0.0, 0.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(InternalError):
         pushforward_connection_residual(chart, [(0.9, 0.0)])
 
 
 def test_probe_just_beyond_radius_rejected():
     chart = exponential_chart(EUCLID, (0.0, 0.0))
-    with pytest.raises(ValueError, match="validity radius"):
+    with pytest.raises(InternalError, match="validity radius"):
         _probe_residuals(chart, [(chart.radius * (1 + 1e-6), 0.0)], (0.7, -0.4))
 
 
@@ -177,7 +175,7 @@ def test_block_residual_alone_fails_the_witness(monkeypatch, capsys):
 
 def test_block_residual_probe_beyond_radius_rejected():
     chart = exponential_chart(EUCLID, (0.0, 0.0))
-    with pytest.raises(ValueError, match="validity radius"):
+    with pytest.raises(InternalError, match="validity radius"):
         chart_born_block_residual(chart, (0.9, 0.0), (0.7, -0.4))
     with pytest.raises(ValueError, match="at least one chart probe"):
         affine_chart_witness(EUCLID, (0.0, 0.0), 0, 1.0)
@@ -569,11 +567,10 @@ def test_batched_box_exit_reports_the_first_probe():
     # is reported, as when the probes were integrated one after another
     chart = exponential_chart(PULLBACK, (0.9, 0.9))
     points = [tuple(chart.radius * (2 * u - 1) / 2) for u in halton_points(30, 2, 42)]
-    with pytest.raises(BoxExitError) as first:
+    with pytest.raises(BoxExitError, match="at step 24/"):
         chart.probe_jets(points[28:29])
-    with pytest.raises(BoxExitError) as batch:
+    with pytest.raises(BoxExitError, match="at step 51/"):
         chart.probe_jets(points)
-    assert (first.value.step, batch.value.step) == (24, 51)
 
 
 def reference_rk4(spec, x0, velocities, order, steps, box=True):
@@ -606,17 +603,17 @@ def reference_rk4(spec, x0, velocities, order, steps, box=True):
             values = tuple(x[int(np.argmin(inside)), :, 0].tolist())
             raise BoxExitError(
                 f"geodesic left the sample box at step {step + 1}/{steps}, "
-                f"position {values}", step + 1)
+                f"position {values}")
     return x
 
 
 def rk4_outcome(integrate, spec, x0, velocities, order, steps):
-    """The endpoint bytes, or the box exit's step and message."""
+    """The endpoint bytes, or the box exit's message as a 1-tuple."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             return integrate(spec, x0, velocities, order, steps).tobytes()
     except BoxExitError as exc:
-        return exc.step, str(exc)
+        return (str(exc),)
 
 
 # velocities with -0.0 components; from (0.5, 0.4) the second batch leaves
@@ -727,7 +724,7 @@ def test_stacked_probe_residuals_equal_per_probe(name):
     cj = chart.probe_jets(points).coeffs
     n = spec.n
     jac, sec = cj[:, :, 1:n + 1], cj[:, :, _second_columns(n)]
-    gamma = _connection_values(spec, cj[:, :, 0])
+    gamma = fields.connection_args(spec, jets.seed_batch(cj[:, :, 0], 0)).value
     transformed = _transformed_connections(jac, sec, gamma, points)
     blocks = _block_residuals(transformed, y)
     for p in range(len(points)):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -224,11 +225,17 @@ def test_reports_differ_for_different_seed():
     assert a != b
 
 
-def test_config_validation():
-    with pytest.raises(SpecError):
+def test_config_validation(capsys):
+    with pytest.raises(ValueError, match="^sample counts must be at least 1$"):
         RunConfig(source="euclidean2", points=0)
-    with pytest.raises(SpecError):
+    with pytest.raises(ValueError, match="^fiber radius must be finite and positive$"):
         RunConfig(source="euclidean2", fiber_radius=-1.0)
+    # a bad sampling parameter is one error kind in every command
+    for argv in (["check", "euclidean2", "--points", "0"], ["theorem", "--points", "0"],
+                 ["check", "euclidean2", "--fiber-radius", "0"],
+                 ["affine-chart", "euclidean2", "--fiber-radius", "0"]):
+        assert main(argv) == 1
+        assert json.loads(capsys.readouterr().out)["error"]["kind"] == "ValueError"
 
 
 # -- command-line entry points ---------------------------------------------
@@ -681,17 +688,18 @@ def test_invariant_failure_exit_code(monkeypatch, capsys):
     assert any("disagree" in f for f in report["failures"])
 
 
-def _corrupt_born_tensor(monkeypatch, name: str) -> None:
-    """Scale one Born tensor that the sweep builds by 1 + 1e-6, values and
-    partials: a relative defect of about 1e-6 in the adapted frame, which
-    leaves every verdict as it was."""
+def _corrupt_born_tensor(monkeypatch, name: str, scale: float = 1e-6) -> None:
+    """Scale one Born tensor that the sweep builds by 1 + ``scale``, values
+    and partials: a relative defect of about ``scale`` in the adapted frame
+    (on sphere2 at 4x2 points, about 0.73 times it), which leaves every
+    verdict as it was."""
     import bornbundle.integrability as integrability_mod
 
     real = integrability_mod.fiber_born_jets
 
     def corrupted(bases, ys):
         born = real(bases, ys)
-        named_tensors(born)[name] *= 1.0 + 1e-6  # a view into the stack the sweep reads
+        named_tensors(born)[name] *= 1.0 + scale  # a view into the stack the sweep reads
         return born
 
     monkeypatch.setattr(integrability_mod, "fiber_born_jets", corrupted)
@@ -710,6 +718,20 @@ def test_check_exits_2_on_a_corrupted_born_tensor(name, monkeypatch, capsys):
     assert worst[name + "_in_frame"] > BORN_GATE
     assert all(v <= 1e-15 for key, v in worst.items() if key != name + "_in_frame")
     assert report["agreement"] is intact["agreement"] is True
+
+
+@pytest.mark.parametrize("scale,code", [(4e-8, 2), (4e-9, 0)])
+def test_born_gate_decides_a_defect_near_it(scale, code, monkeypatch, capsys):
+    # a defect of about 2.9e-8 breaks the gate and one of about 2.9e-9 holds,
+    # so a gate ten times wider or narrower changes the exit code
+    _corrupt_born_tensor(monkeypatch, "K", scale)
+    assert main(["check", "sphere2", "--points", "4", "--fiber-points", "2"]) == code
+    report = json.loads(capsys.readouterr().out)
+    if code:
+        assert report["failures"] == ["born construction identities"]
+    else:
+        assert report["status"] == "ok"
+    assert report["agreement"] is True
 
 
 def test_failures_list_every_broken_invariant_in_order(monkeypatch, capsys):
@@ -796,6 +818,24 @@ def test_internal_fault_exit_code(monkeypatch, capsys, error):
     out = json.loads(capsys.readouterr().out)
     assert out == {"error": {"kind": type(error).__name__, "message": str(error)},
                    "status": "error"}
+
+
+@pytest.mark.parametrize("argv", [["affine-chart", "euclidean2", "--probes", "1"],
+                                  ["check", "euclidean2"]], ids=lambda a: a[0])
+def test_a_probe_beyond_the_radius_is_an_internal_fault(argv, monkeypatch, capsys):
+    # the witness places its probes inside the radius; one that lies beyond
+    # it is the package's fault, not the spec's
+    import bornbundle.charts as charts_mod
+
+    monkeypatch.setattr(charts_mod, "halton_points",
+                        lambda count, n, seed: np.full((count, n), 3.0))
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    error = json.loads(out)
+    assert error["status"] == "error" and err == ""
+    assert error["error"]["kind"] == "InternalError"
+    assert re.fullmatch(r"probe \(.*\) lies beyond the chart validity radius 0\.5",
+                        error["error"]["message"])
 
 
 LC3 = {

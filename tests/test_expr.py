@@ -229,7 +229,7 @@ def test_equal_subexpressions_become_one_instruction():
     # numbers by their bits: 2 and 2.0 are one, 0 is another; -0 negates 0
     program = parse(["2", "2.0", "20e-1", "0", "-0"], UV)
     assert len(program._code) == 3
-    assert program.literals == (2.0, 2.0, 2.0, 0.0, None)
+    assert program.zeros == (False, False, False, True, False)
     # the Fisher grids: 62 and 174 tree nodes, 2 + 14 and 3 + 25 values
     assert [len(parse(fisher_texts(c), c)._code) for c in (UV, ("u", "v", "w"))] == [14, 25]
 

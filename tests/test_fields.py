@@ -253,8 +253,8 @@ def test_evaluate_all_writes_constants_with_the_bits_of_evaluate(order, batch, m
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert np.array_equal(np.signbit(got), np.signbit(want))
     assert calls == [program]
-    assert program.literals == (0.0, None, 2.5, None, None, None, 3e-2, None,
-                                2.5, None, 0.0, None, 0.0)
+    assert program.zeros == (True, False, False, False, False, False, False, False,
+                             False, False, True, False, True)
     if order:
         const, neg = EVALUATE_ALL_TEXTS.index("2.5"), EVALUATE_ALL_TEXTS.index("-1.226")
         assert not np.signbit(got[..., const, 1:]).any()

@@ -112,7 +112,7 @@ def test_metric_is_symmetric_and_spd_checked():
                      metric=[["u", "0"], ["0", "1"]], connection="flat")
     with pytest.raises(NotPositiveDefiniteError) as exc:
         metric_at(bad, (-0.5, 0.0))
-    assert exc.value.smallest_pivot == pytest.approx(-0.5)
+    assert str(exc.value).endswith("smallest pivot -0.5")
 
 
 def test_asymmetric_grid_is_symmetrized_on_load():
