@@ -61,11 +61,14 @@ MUTANTS = (
            ("tests/test_bundle.py",)),
     # value numbering: the key holds the operation, and a shared instruction
     # keeps the offset of its first occurrence
-    Mutant("key-without-op", EXPR, "self.term()\n                node = self.emit((text, node,",
-           "self.term()\n                node = self.emit((node,", ("tests/test_expr.py",)),
+    Mutant("key-without-op", EXPR, "node = self.emit((text, node, right),",
+           "node = self.emit((node, right),", ("tests/test_expr.py",)),
     Mutant("last-offset", EXPR, "        return slot\n\n    def peek",
            "        self.code[slot - len(self.coords)] = (fn, operands, offset)\n"
            "        return slot\n\n    def peek", ("tests/test_expr.py",)),
+    # a factor may sit inside 100 levels of nesting, not 99
+    Mutant("nesting-off-by-one", EXPR, "if self.depth > _MAX_NESTING:",
+           "if self.depth >= _MAX_NESTING:", ("tests/test_expr.py",)),
     # index swaps in the tensor formulas
     Mutant("nijenhuis-swap", "src/bornbundle/integrability.py",
            '"...lm,...amb->...lab"', '"...ml,...amb->...lab"', ("tests/test_integrability.py",)),
@@ -107,6 +110,14 @@ MUTANTS = (
            ("tests/test_charts.py",)),
     Mutant("cross-tol-x10", MANIFOLD, "CROSS_TOL = 1e-7", "CROSS_TOL = 1e-6",
            ("tests/test_thresholds.py",)),
+    Mutant("cross-tol-div10", MANIFOLD, "CROSS_TOL = 1e-7", "CROSS_TOL = 1e-8",
+           ("tests/test_thresholds.py",)),
+    Mutant("pushforward-tol-div10", MANIFOLD, "PUSHFORWARD_TOL = 1e-6",
+           "PUSHFORWARD_TOL = 1e-7", ("tests/test_charts.py",)),
+    Mutant("flatness-gate-x10", MANIFOLD, "FLATNESS_GATE_TOL = 1e-7",
+           "FLATNESS_GATE_TOL = 1e-6", ("tests/test_charts.py",)),
+    Mutant("flatness-gate-div10", MANIFOLD, "FLATNESS_GATE_TOL = 1e-7",
+           "FLATNESS_GATE_TOL = 1e-8", ("tests/test_charts.py",)),
 )
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache",

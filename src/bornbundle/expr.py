@@ -11,7 +11,12 @@ Grammar::
 '^' accepts only a numeric literal exponent and binds tighter than unary
 minus, so ``-u^2`` reads as ``-(u^2)``.  Function names (sin, cos, exp,
 log, sqrt, tanh) are reserved; any other name must be a declared
-coordinate.  Numbers are decimal with an optional exponent part.
+coordinate.  Numbers are decimal with an optional exponent part.  One
+regular expression splits a text into tokens, skipping what ``str.isspace``
+calls whitespace; ``expr`` and ``term`` are one left-associative rule over
+two operator sets.  A factor inside more than 100 parentheses, function
+calls and unary minuses is a :class:`ParseError` at its offset, well before
+the recursion would reach Python's limit.
 
 :func:`parse` compiles one text, or a sequence of texts such as the
 entries of a grid, into one :class:`Program` with an output per text; each
@@ -63,32 +68,20 @@ FUNCTIONS = {
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+# one token after any whitespace (what str.isspace skips); a character that
+# starts no token is "bad"
+_TOKEN_RE = re.compile(r"\s*(?:(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+                       rf"|(?P<name>{_NAME_RE.pattern})|(?P<op>[-+*/^()])|(?P<bad>\S))")
+_MAX_NESTING = 100  # parentheses, function calls and unary minuses around a factor
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        m = _NUMBER_RE.match(text, pos)
-        if m:
-            tokens.append(("number", m.group(), pos))
-            pos = m.end()
-            continue
-        m = _NAME_RE.match(text, pos)
-        if m:
-            tokens.append(("name", m.group(), pos))
-            pos = m.end()
-            continue
-        if ch in "+-*/^()":
-            tokens.append(("op", ch, pos))
-            pos += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", pos)
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m[kind]!r}", m.start(kind))
+        tokens.append((kind, m[kind], m.start(kind)))
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -140,6 +133,7 @@ class _Compiler:
         self.code: list = []
         self.slots: dict = {}
         self.free = [1 << i for i in range(len(self.coords))]  # coordinates read, as bits
+        self.depth = 0  # the factors open around the current one
 
     def emit(self, key: tuple, fn, operands: tuple, offset: int) -> int:
         slot = self.slots.get(key)
@@ -182,47 +176,43 @@ class _Compiler:
             raise ParseError(f"unexpected token {text!r}", offset)
         return node
 
-    def expr(self) -> int:
-        node = self.term()
+    def expr(self, ops: str = "+-") -> int:
+        """A left-associative chain of binary operations: over '+' and '-'
+        a sum of terms, over '*' and '/' a term, a product of factors."""
+        operand = partial(self.expr, "*/") if ops == "+-" else self.factor
+        node = operand()
         while True:
             kind, text, offset = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                right = self.term()
-                node = self.emit((text, node, right), _BINARY[text], (node, right), offset)
-            else:
+            if kind != "op" or text not in ops:
                 return node
-
-    def term(self) -> int:
-        node = self.factor()
-        while True:
-            kind, text, offset = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                right = self.factor()
-                node = self.emit((text, node, right), _BINARY[text], (node, right), offset)
-            else:
-                return node
+            self.advance()
+            right = operand()
+            node = self.emit((text, node, right), _BINARY[text], (node, right), offset)
 
     def factor(self) -> int:
         kind, text, offset = self.peek()
+        if self.depth > _MAX_NESTING:
+            raise ParseError(f"expression nested more than {_MAX_NESTING} levels deep", offset)
+        self.depth += 1
         if kind == "op" and text == "-":
             self.advance()
             child = self.factor()
-            return self.emit(("neg", child), operator.neg, (child,), offset)
-        node = self.atom()
-        kind, text, offset = self.peek()
-        if kind == "op" and text == "^":
-            self.advance()
-            kind, text, off2 = self.peek()
-            if kind == "name":
-                raise ParseError("variable exponent is not allowed", off2)
-            if kind != "number":
-                raise ParseError("exponent must be a numeric literal", off2)
-            self.advance()
-            exponent = float(text)
-            node = self.emit(("^", node, exponent.hex()), partial(jets.pow_const, c=exponent),
-                             (node,), offset)
+            node = self.emit(("neg", child), operator.neg, (child,), offset)
+        else:
+            node = self.atom()
+            kind, text, offset = self.peek()
+            if kind == "op" and text == "^":
+                self.advance()
+                kind, text, off2 = self.peek()
+                if kind == "name":
+                    raise ParseError("variable exponent is not allowed", off2)
+                if kind != "number":
+                    raise ParseError("exponent must be a numeric literal", off2)
+                self.advance()
+                exponent = float(text)
+                node = self.emit(("^", node, exponent.hex()),
+                                 partial(jets.pow_const, c=exponent), (node,), offset)
+        self.depth -= 1
         return node
 
     def atom(self) -> int:

@@ -11,11 +11,14 @@ Every field reads its jet order off its arguments.  Each grid is one
 :class:`bornbundle.expr.Program`, evaluated whole once over the batch:
 :func:`evaluate_all` writes each distinct value once and gathers every
 entry from the value it reads (an explicit Gamma grid is mostly ``"0"``,
-one constant jet).  :func:`connection_metric_args` gives Gamma and g together:
-for a connection derived from a metric grid (Levi-Civita, or the dual of
-the flat connection) the grid is evaluated once, and g is read off the
-evaluation one order higher that gives its partials, which has the bits
-of :func:`metric_args`.  :func:`jet_inv`, :func:`levi_civita_of` and
+one constant jet).  :func:`metric_args` and :func:`metric_dg_args` read g,
+and dg, off one evaluation of the grid or the potential on arguments
+augmented by the orders they read (a grid's g alone reads none).
+:func:`connection_metric_args` gives Gamma and g together: for a connection
+derived from a metric grid (Levi-Civita, or the dual of the flat
+connection) the grid is evaluated once, and g is read off the evaluation
+one order higher that gives its partials, which has the bits of
+:func:`metric_args`.  :func:`jet_inv`, :func:`levi_civita_of` and
 :func:`dual_connection_of` act on all points at once in the operations
 and summation order of the same formulas on one point's jets, so every
 coefficient equals the per-point reference (``tests/jet_reference.py``)
@@ -24,8 +27,9 @@ as well.
 
 Derivative budget: jets stop at order 3, so a potential-based metric
 (g = second partials of the potential) exposes at most one order of
-derivatives of g.  Combinations that would need more raise
-:class:`UnsupportedDerivativeError`.
+derivatives of g: a connection derived from it at jet order 1 or more
+raises :class:`UnsupportedDerivativeError`.  No caller asks for more
+orders otherwise; such a request fails as a jet beyond order 3.
 """
 from __future__ import annotations
 
@@ -70,43 +74,39 @@ def _metric_grid(spec, args) -> JetBatch:
     return (grid + grid.swapaxes(-1, -2)) * 0.5
 
 
+def _metric_jets(spec, args: Sequence[JetBatch], depth: int) -> list[JetBatch]:
+    """g, then with ``depth`` 1 its first partials (``dg[..., i, j, l]``, the
+    l-partial of g_ij; of a potential, its third partials), as jets of the
+    arguments' order: one evaluation of the grid or the potential, on
+    arguments augmented by as many orders as the partials read need (a
+    grid's g alone reads none)."""
+    order, m = args[0].order, args[0].nvars
+    lowest = 0 if spec.potential is None else 2  # the partial order of the field that is g
+    need = order + lowest + depth
+    if lowest and depth and need > jets.MAX_ORDER:
+        raise UnsupportedDerivativeError(
+            f"derivatives of a potential-based metric at jet order {order} need "
+            f"order-{need} jets of the potential (max {jets.MAX_ORDER}); "
+            f"use an explicit metric")
+    if need == order:
+        return [_metric_grid(spec, args)]
+    augmented = jets.augment(args, need)
+    field = (evaluate_all(spec.potential, augmented, ()) if lowest
+             else _metric_grid(spec, augmented))
+    return [_slot_partials(field, m, spec.n, lowest + k, order) for k in range(depth + 1)]
+
+
 def metric_args(spec, args: Sequence[JetBatch]) -> JetBatch:
     """g_ij as jets at jet-valued coordinates, of the arguments' order."""
-    if spec.potential is None:
-        return _metric_grid(spec, args)
-    order = args[0].order
-    need = order + 2
-    if need > jets.MAX_ORDER:
-        raise UnsupportedDerivativeError(
-            f"potential-based metric with order-{order} jets needs order-{need} "
-            f"jets of the potential (max {jets.MAX_ORDER}); use an explicit metric")
-    phi = evaluate_all(spec.potential, jets.augment(args, need), ())
-    return _slot_partials(phi, args[0].nvars, spec.n, 2, order)
+    return _metric_jets(spec, args, 0)[0]
 
 
 def metric_dg_args(spec, args: Sequence[JetBatch]):
     """(g, dg) as jets of the arguments' order, with dg[..., l, i, j] the
     l-partial of g_ij."""
-    n = spec.n
-    order, m = args[0].order, args[0].nvars
-    if spec.potential is None:
-        need = order + 1
-        if need > jets.MAX_ORDER:
-            raise UnsupportedDerivativeError(
-                f"metric derivatives at jet order {order} need order-{need} jets")
-        grid = _metric_grid(spec, jets.augment(args, need))
-        dg = _slot_partials(grid, m, n, 1, order)  # dg[..., i, j, l]
-        return (_slot_partials(grid, m, n, 0, order),
-                JetBatch(order, m, np.moveaxis(dg.coeffs, -2, -4)))
-    need = order + 3
-    if need > jets.MAX_ORDER:
-        raise UnsupportedDerivativeError(
-            f"derivatives of a potential-based metric at jet order {order} need "
-            f"order-{need} jets of the potential (max {jets.MAX_ORDER}); "
-            f"use an explicit metric")
-    phi = evaluate_all(spec.potential, jets.augment(args, need), ())
-    # the third partials of phi are symmetric in (l, i, j)
-    return _slot_partials(phi, m, n, 2, order), _slot_partials(phi, m, n, 3, order)
+    g, dg = _metric_jets(spec, args, 1)
+    # the last axis first (a potential's third partials are symmetric)
+    return g, JetBatch(dg.order, dg.nvars, np.moveaxis(dg.coeffs, -2, -4))
 
 
 def jet_inv(mat: JetBatch, points=None) -> JetBatch:

@@ -61,7 +61,6 @@ class ManifoldSpec:
     grid or scalar potential whose coordinate Hessian is the metric),
     connection, and the box from which sample points are drawn."""
 
-    n: int
     coords: tuple[str, ...]
     sample_box: tuple[tuple[float, float], ...]
     connection_kind: str
@@ -70,11 +69,13 @@ class ManifoldSpec:
     gamma_exprs: expr.Program | None = None  # n x n x n entries in C order
     name: str = ""
 
+    @property
+    def n(self) -> int:
+        return len(self.coords)
+
     def __post_init__(self):
         if self.n < 1:
             raise SpecError("dimension must be at least 1")
-        if len(self.coords) != self.n:
-            raise SpecError(f"{self.n} coordinates expected, got {len(self.coords)}")
         if len(self.sample_box) != self.n:
             raise SpecError("sample_box must give one interval per coordinate")
         for lo, hi in self.sample_box:
@@ -123,7 +124,7 @@ def build_spec(name: str, coordinates: Sequence[str], sample_box,
     potential_program = None if potential is None else expr.parse(potential, coords)
     gamma_exprs = None if gamma is None else compile_grid(gamma, 3)
     box = tuple((float(lo), float(hi)) for lo, hi in sample_box)
-    return ManifoldSpec(n=n, coords=coords, sample_box=box,
+    return ManifoldSpec(coords=coords, sample_box=box,
                         connection_kind=connection, metric_exprs=metric_exprs,
                         potential=potential_program, gamma_exprs=gamma_exprs, name=name)
 
@@ -164,8 +165,6 @@ def halton_points(count: int, dim: int, seed: int, prime_offset: int = 0) -> np.
 
 
 def sample_points(spec: ManifoldSpec, count: int, seed: int) -> np.ndarray:
-    if count < 1:
-        raise ValueError("need at least one sample point")
     unit = halton_points(count, spec.n, seed)
     box = np.asarray(spec.sample_box)
     return box[:, 0] + unit * (box[:, 1] - box[:, 0])
@@ -174,8 +173,6 @@ def sample_points(spec: ManifoldSpec, count: int, seed: int) -> np.ndarray:
 def sample_fibers(n: int, count: int, radius: float, seed: int) -> np.ndarray:
     """Fiber vectors in the box [-radius, radius]^n, from a Halton stream
     disjoint from the base-point stream."""
-    if count < 1:
-        raise ValueError("need at least one fiber sample")
     if not 0.0 < radius < math.inf:
         raise ValueError("fiber radius must be finite and positive")
     unit = halton_points(count, n, seed, prime_offset=n)

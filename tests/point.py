@@ -19,6 +19,8 @@ the field asked for at the order asked for (the two-of-four report of a
 potential metric with its Levi-Civita connection reads Gamma at order 0 and
 g at order 1), and its Levi-Civita and dual connection are the references
 for :func:`bornbundle.manifold.dual_and_levi_civita`.
+:func:`assert_same_bits` compares two arrays bit for bit, the sign of
+every zero included.
 """
 from __future__ import annotations
 
@@ -36,6 +38,13 @@ from bornbundle.manifold import (DEFAULT_TOL, BaseJets, ManifoldSpec, Residuals,
                                  base_jets, check_spd, finite_maxima)
 from bornbundle.manifold import hessian_verdict as _hessian_verdict
 from bornbundle.manifold import two_of_four_residuals as _two_of_four_residuals
+
+
+def assert_same_bits(got, want):
+    """Equal shapes and values, and the same sign on every zero."""
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,8 @@ from jet_reference import Jet
 from bornbundle.manifold import (_curvature_of, _torsion_of, build_spec, halton_points,
                                  sample_fibers, sample_points)
 from test_manifold import GENERATED
-from point import connection_at, curvature_at, pushforward_connection_residual, torsion_at
+from point import (assert_same_bits, connection_at, curvature_at,
+                   pushforward_connection_residual, torsion_at)
 
 EUCLID = corpus.example("euclidean2")
 HESSIAN = corpus.example("hessian-exp2")
@@ -128,6 +129,36 @@ def test_flatness_gate_rejects_torsion():
     # curvature vanishes but torsion does not; exp is not affine then
     with pytest.raises(FlatnessGateError):
         exponential_chart(TORSIONFUL, (0.0, 0.0))
+
+
+@pytest.mark.parametrize("torsion, code", [("5e-8", 0), ("5e-7", 1)])
+def test_flatness_gate_decides_a_torsion_near_it(torsion, code, tmp_path, capsys):
+    # a constant Gamma^0_01 has torsion of its size and curvature of its square:
+    # half a decade under FLATNESS_GATE_TOL = 1e-7 the chart is witnessed, half
+    # a decade over it the gate rejects the chart
+    gamma = [[["0", torsion], ["0", "0"]], [["0", "0"], ["0", "0"]]]
+    path = tmp_path / "torsion.json"
+    path.write_text(json.dumps({"dimension": 2, "coordinates": ["u", "v"],
+                                "metric": {"components": [["1", "0"], ["0", "1"]]},
+                                "connection": {"kind": "explicit", "gamma": gamma},
+                                "sample_box": [[-1, 1], [-1, 1]]}))
+    assert main(["affine-chart", str(path)]) == code
+    out = json.loads(capsys.readouterr().out)
+    if code:
+        assert out["error"]["kind"] == "FlatnessGateError"
+        assert "max |torsion| = 5e-07 (gate 1e-07)" in out["error"]["message"]
+    else:
+        assert out["witnessed"] is True
+
+
+def test_witness_holds_with_residuals_just_under_its_tolerance(capsys):
+    # at 16 RK4 steps the derived flat Gamma of hessian-dual-exp2 leaves
+    # residuals of about 6.4e-7 and 7.9e-7, under PUSHFORWARD_TOL = 1e-6
+    spec = Path(__file__).parent.parent / "scripts" / "specs" / "hessian-dual-exp2.json"
+    assert main(["affine-chart", str(spec), "--probes", "4", "--steps", "16"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert 1e-7 < out["pushforward_residual"] < out["born_block_residual"] < 1e-6
+    assert out["witnessed"] is True
 
 
 def test_pushforward_residual_euclidean_zero():
@@ -703,11 +734,6 @@ def per_probe_block_residual(transformed, y):
     einv = e.copy()
     einv[n:, :n] = -einv[n:, :n]
     return np.stack([e @ c @ einv - c for c in _constant_blocks(n)])
-
-
-def assert_same_bits(got, want):
-    assert np.array_equal(got, want)
-    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 @pytest.mark.parametrize("name", ["pullback-flat", "pullback-cubic", "sphere2",

@@ -132,13 +132,20 @@ def _malformed(field, value):
     ("sample_box", [[-1, 10 ** 400], [-1, 1]], "sample_box[0][1] does not fit a float"),
     ("sample_box", [[-1e308, 1e308], [-1, 1]],
      "sample interval [-1e+308, 1e+308] is wider than the largest float"),
+    # nesting beyond the parser's 100 levels, which once ended in a RecursionError
+    ("metric.components", [["(" * 300 + "1" + ")" * 300, "0"], ["0", "1"]],
+     "bad spec: expression nested more than 100 levels deep at offset 101"),
+    ("metric.components", [["-" * 2000 + "1", "0"], ["0", "1"]],
+     "bad spec: expression nested more than 100 levels deep at offset 101"),
+    ("metric", {"potential": "sin(" * 300 + "u" + ")" * 300 + " + v^2"},
+     "bad spec: expression nested more than 100 levels deep at offset 404"),
 ], ids=["metric-array", "metric-string", "connection-string", "components-number",
         "components-row-number", "components-entry-number", "potential-number",
         "gamma-number", "kind-number", "gamma-entry-number", "gamma-first-in-order",
         "gamma-row-string", "components-entry-array", "sample-box-null", "sample-box-triple",
         "sample-box-string-bound", "coordinates-numbers", "dimension-string",
         "dimension-fraction", "dimension-inf", "dimension-huge", "sample-box-huge-bound",
-        "sample-box-wide"])
+        "sample-box-wide", "nested-parentheses", "nested-minuses", "nested-sin"])
 @pytest.mark.parametrize("command", ["check", "affine-chart"])
 def test_malformed_spec_field_is_spec_error(command, field, value, message, tmp_path,
                                             capsys):

@@ -141,6 +141,57 @@ def test_bad_character_offset():
     assert exc.value.offset == 4
 
 
+def test_whitespace_is_what_str_isspace_skips():
+    # the information separators \x1c-\x1f, NBSP and the other Unicode
+    # spaces are skipped; a zero-width space is not whitespace.  Every
+    # character that starts no token is an error at its own offset
+    for code in range(0x3100):
+        ch = chr(code)
+        if ch.isspace():
+            assert expr._tokenize(ch + "u" + ch) == [("name", "u", 1), ("end", "", 3)]
+        elif not (ch.isdecimal() or ch.isascii() and (ch.isalpha() or ch in ".+-*/^()")):
+            with pytest.raises(ParseError) as exc:
+                expr._tokenize(ch + "u")
+            assert str(exc.value) == f"unexpected character {ch!r} at offset 0"
+    assert [tok[2] for tok in expr._tokenize("\x1cu\xa0+\u3000v ")] == [1, 3, 5, 7]
+    with pytest.raises(ParseError) as exc:
+        parse("u\u200b", UV)
+    assert str(exc.value) == "unexpected character '\\u200b' at offset 1"
+
+
+@pytest.mark.parametrize("text, offset", [(" \t$", 2), ("\xa0\x1c\u2003 @ u", 4),
+                                          ("\n\n  u + #", 8)])
+def test_bad_character_offset_after_leading_whitespace(text, offset):
+    with pytest.raises(ParseError) as exc:
+        parse(text, UV)
+    assert exc.value.offset == offset
+    assert str(exc.value) == f"unexpected character {text[offset]!r} at offset {offset}"
+
+
+NESTINGS = {
+    "parentheses": lambda k: "(" * k + "1" + ")" * k,
+    "minuses": lambda k: "-" * k + "1",
+    "sin": lambda k: "sin(" * k + "1" + ")" * k,
+}
+
+
+@pytest.mark.parametrize("nesting", list(NESTINGS))
+def test_nesting_deeper_than_the_limit_is_a_parse_error(nesting):
+    # 100 levels of parentheses, unary minuses or function calls compile; the
+    # 101st is an error at the offset of the factor it opens, however deep
+    # the text goes on (300 or 2000 levels once ended in a RecursionError)
+    build = NESTINGS[nesting]
+    want = 1.0
+    for _ in range(100 if nesting == "sin" else 0):
+        want = math.sin(want)
+    assert ev(build(100), (0.5, 0.5)).value == pytest.approx(want, rel=1e-15)
+    offset = {"parentheses": 101, "minuses": 101, "sin": 404}[nesting]
+    for depth in (101, 300, 2000):
+        with pytest.raises(ParseError) as exc:
+            parse(build(depth), UV)
+        assert str(exc.value) == f"expression nested more than 100 levels deep at offset {offset}"
+
+
 def test_coordinate_validation():
     with pytest.raises(ValueError):
         parse("1", [])

@@ -7,14 +7,14 @@ import pytest
 import jet_reference as ref
 from bornbundle import corpus, expr, fields, jets, manifold
 from bornbundle.cli import load_spec, main, spec_from_dict
-from bornbundle.errors import SpecError
+from bornbundle.errors import SpecError, UnsupportedDerivativeError
 from bornbundle.expr import EvalDomainError
 from bornbundle.jets import JetBatch
 from bornbundle.manifold import (DEFAULT_TOL, base_jets, build_spec, dual_and_levi_civita,
                                  sample_points)
 from test_charts import EVERY_NODE
 from test_manifold import GENERATED
-from point import hessian_verdict, two_of_four_bases
+from point import assert_same_bits, hessian_verdict, two_of_four_bases
 
 BOX2 = [(-1.0, 1.0), (-1.0, 1.0)]
 HESSIAN_DUAL = build_spec("hessian-dual-exp2", ("u", "v"), BOX2,
@@ -26,12 +26,6 @@ SPECS = {
     "hessian-dual-exp2": HESSIAN_DUAL,
     "every-node": EVERY_NODE,
 }
-
-
-def assert_same_bits(got, want):
-    assert got.shape == want.shape
-    assert np.array_equal(got, want)
-    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 @pytest.mark.parametrize("name", list(SPECS))
@@ -203,6 +197,21 @@ def test_one_metric_evaluation_gives_the_metric_bits(name):
             if spec.potential is None:
                 assert_same_bits(fields.metric_dg_args(spec, args)[0].coeffs,
                                  g.coeffs)
+
+
+def test_metric_jets_beyond_the_order_cap_are_rejected():
+    # a derived connection of a potential metric is the one budget error;
+    # orders no caller asks for fail as a jet beyond order 3
+    potential, grid = SPECS["hessian-exp2"], SPECS["sphere2"]
+    x = sample_points(grid, 2, 5)
+    with pytest.raises(UnsupportedDerivativeError, match=(
+            r"^derivatives of a potential-based metric at jet order 1 need order-4 jets "
+            r"of the potential \(max 3\); use an explicit metric$")):
+        fields.metric_dg_args(potential, jets.seed_batch(x, 1))
+    for field, spec, order in ((fields.metric_args, potential, 2),
+                               (fields.metric_dg_args, grid, 3)):
+        with pytest.raises(jets.JetUsageError, match=r"unsupported jet order 4 \(max 3\)"):
+            field(spec, jets.seed_batch(x, order))
 
 
 def test_batch_of_one_point_equals_the_batch_of_all():

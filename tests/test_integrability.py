@@ -16,7 +16,7 @@ from bornbundle.manifold import (CROSS_TOL, Residuals, _curvature_of, _nabla_g_o
                                  _torsion_of, base_jets, build_spec, finite_maxima,
                                  sample_fibers, sample_points)
 from test_manifold import GENERATED, _diagonal, _gamma_00, _generated
-from point import (BundlePoint, born_at, d_omega_at, dual_connection_at,
+from point import (BundlePoint, assert_same_bits, born_at, d_omega_at, dual_connection_at,
                    frame_bracket_residuals, named_tensors, nijenhuis_at,
                    nijenhuis_J_identity_residuals, torsion_at)
 
@@ -381,12 +381,6 @@ GENERATED5 = {
         ["0.54*x0", "0", "0", "0.9", "0"],
         ["-0.88*x0", "0", "0", "0", "1.1"]]}, _gamma_00(["0", "1.0", "-1.6", "0.6", "-0.8"])),
 }
-
-
-def assert_same_bits(got, want):
-    assert got.shape == want.shape
-    assert np.array_equal(got, want)
-    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 @pytest.mark.parametrize("source", list(corpus.BUILTIN_BUILDERS) + list(GENERATED)

@@ -58,6 +58,18 @@ def test_near_hessian_passes_both_verdicts_at_a_looser_tolerance(capsys):
     assert report["affine_chart"]["witnessed"]
 
 
+def test_two_of_four_residuals_under_cross_tol_hold(tmp_path, capsys):
+    # at 5e-8 the dual torsion and the nabla g asymmetry (5e-8) and
+    # mean_vs_levi_civita (2.5e-8) lie under CROSS_TOL = 1e-7: all four hold
+    path = tmp_path / "near.json"
+    path.write_text(Path(NEAR_HESSIAN).read_text().replace("5e-7", "5e-8"))
+    code, report = check([str(path), "--points", "4", "--fiber-points", "2"], capsys)
+    assert code == 0
+    two = report["two_of_four"]
+    assert 1e-8 < min(v for name, v in two["residuals"].items() if name != "torsion")
+    assert all(two["holds"].values())
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "ROADMAP item 1: mean_vs_levi_civita is about eps/2, under the absolute CROSS_TOL "
     "while the dual torsion and the asymmetry are above it, so exactly two of the four "
