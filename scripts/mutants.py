@@ -1,10 +1,10 @@
-"""Fixed source-text mutants, each paired with the test files that should
-kill it.
+"""Fixed source-text mutants, each paired with the test files (or pytest
+node ids) that should kill it.
 
 Each mutant replaces one exact text of a package file, which must occur
 there exactly once, in a temporary copy of the repository (the README
 included, as some tests read it), then runs ``python -m pytest -x -q`` on
-its test files in that copy.  A mutant is killed when the tests fail, and
+its tests in that copy.  A mutant is killed when the tests fail, and
 survives when they pass.  The script prints one line per mutant and exits 1
 if any survives, or if a mutant's text is missing or its tests cannot run.
 
@@ -26,6 +26,7 @@ ROOT = Path(__file__).resolve().parent.parent
 BUNDLE = "src/bornbundle/bundle.py"
 EXPR = "src/bornbundle/expr.py"
 FIELDS = "src/bornbundle/fields.py"
+JETS = "src/bornbundle/jets.py"
 MANIFOLD = "src/bornbundle/manifold.py"
 
 
@@ -35,7 +36,7 @@ class Mutant:
     path: str  # relative to the repository root
     old: str
     new: str
-    tests: tuple[str, ...]
+    tests: tuple[str, ...]  # test files or node ids, relative to the root
 
 
 MUTANTS = (
@@ -101,6 +102,14 @@ MUTANTS = (
     # a maximum equal to its threshold holds
     Mutant("holds-strict", MANIFOLD, "m <= self.tol for name",
            "m < self.tol for name", ("tests/test_manifold.py",)),
+    # the chain rule: its partitions in reverse order (order-3 bits move),
+    # and the second block of every partition into two dropped
+    Mutant("partitions-reversed", JETS, "key=lambda part: [(len(b), b) for b in part])",
+           "key=lambda part: [(len(b), b) for b in part], reverse=True)",
+           ("tests/test_jet_batch.py",)),
+    Mutant("chain-dropped-block", JETS, "for block in rest:",
+           "for block in (rest if k > 2 else []):",
+           ("tests/test_jet_batch.py",)),
     # thresholds a decade off, each killed by a verdict or an exit code
     Mutant("born-gate-x10", MANIFOLD, "BORN_GATE = 1e-8", "BORN_GATE = 1e-7",
            ("tests/test_cli.py",)),
@@ -109,9 +118,9 @@ MUTANTS = (
     Mutant("pushforward-tol-x10", MANIFOLD, "PUSHFORWARD_TOL = 1e-6", "PUSHFORWARD_TOL = 1e-5",
            ("tests/test_charts.py",)),
     Mutant("cross-tol-x10", MANIFOLD, "CROSS_TOL = 1e-7", "CROSS_TOL = 1e-6",
-           ("tests/test_thresholds.py",)),
+           ("tests/test_thresholds.py::test_two_of_four_residuals_over_cross_tol_fail",)),
     Mutant("cross-tol-div10", MANIFOLD, "CROSS_TOL = 1e-7", "CROSS_TOL = 1e-8",
-           ("tests/test_thresholds.py",)),
+           ("tests/test_thresholds.py::test_two_of_four_residuals_under_cross_tol_hold",)),
     Mutant("pushforward-tol-div10", MANIFOLD, "PUSHFORWARD_TOL = 1e-6",
            "PUSHFORWARD_TOL = 1e-7", ("tests/test_charts.py",)),
     Mutant("flatness-gate-x10", MANIFOLD, "FLATNESS_GATE_TOL = 1e-7",

@@ -2,7 +2,7 @@
 structure induced on its tangent bundle."""
 
 from .charts import ChartMap, exponential_chart, geodesic_integrate
-from .errors import NotPositiveDefiniteError, SpecError, UnsupportedDerivativeError
+from .errors import NotPositiveDefiniteError, SpecError
 from .expr import evaluate, parse
 from .integrability import IntegrabilityReport, integrability_verdict
 from .manifold import ManifoldSpec, Residuals, build_spec

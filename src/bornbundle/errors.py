@@ -9,10 +9,6 @@ class NotPositiveDefiniteError(SpecError):
     """Metric failed the positivity check at a point."""
 
 
-class UnsupportedDerivativeError(SpecError):
-    """A computation would need field derivatives beyond the jet order cap."""
-
-
 class InternalError(Exception):
     """An invariant the package keeps by construction is broken: a fault of
     the package, not of the spec or the options."""

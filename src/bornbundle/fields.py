@@ -24,12 +24,6 @@ and summation order of the same formulas on one point's jets, so every
 coefficient equals the per-point reference (``tests/jet_reference.py``)
 bit for bit; the two formulas take float arrays with leading stack axes
 as well.
-
-Derivative budget: jets stop at order 3, so a potential-based metric
-(g = second partials of the potential) exposes at most one order of
-derivatives of g: a connection derived from it at jet order 1 or more
-raises :class:`UnsupportedDerivativeError`.  No caller asks for more
-orders otherwise; such a request fails as a jet beyond order 3.
 """
 from __future__ import annotations
 
@@ -39,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from . import expr, jets
-from .errors import SpecError, UnsupportedDerivativeError
+from .errors import SpecError
 from .jets import JetBatch
 
 
@@ -83,11 +77,6 @@ def _metric_jets(spec, args: Sequence[JetBatch], depth: int) -> list[JetBatch]:
     order, m = args[0].order, args[0].nvars
     lowest = 0 if spec.potential is None else 2  # the partial order of the field that is g
     need = order + lowest + depth
-    if lowest and depth and need > jets.MAX_ORDER:
-        raise UnsupportedDerivativeError(
-            f"derivatives of a potential-based metric at jet order {order} need "
-            f"order-{need} jets of the potential (max {jets.MAX_ORDER}); "
-            f"use an explicit metric")
     if need == order:
         return [_metric_grid(spec, args)]
     augmented = jets.augment(args, need)

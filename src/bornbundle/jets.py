@@ -1,8 +1,8 @@
 """Forward-mode truncated-Taylor (jet) arithmetic on coefficient arrays.
 
 A :class:`JetBatch` holds, at every point of a batch, a value together with
-every mixed partial derivative up to a fixed order (at most 3) with respect
-to a fixed set of seeded variables, as one float array of shape
+every mixed partial derivative up to a fixed order with respect to a fixed
+set of seeded variables, as one float array of shape
 ``(*batch, K)``: the value in column 0, then the K - 1 partials in
 :func:`partial_keys` order (Taylor-mode forward differentiation).  Partials
 are stored once per *sorted* multi-index, so equality of mixed partials
@@ -28,8 +28,6 @@ from functools import lru_cache, wraps
 from typing import Callable, Sequence
 
 import numpy as np
-
-MAX_ORDER = 3
 
 
 class JetUsageError(ValueError):
@@ -64,14 +62,17 @@ def _mul_splits(key: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], tuple[int,
 
 # -- elementary functions ----------------------------------------------
 #
-# Each function below is written as the values of f and its first three
-# derivatives at one float, or its JetDomainError there, given the order of
-# the jet it is applied to: a derivative that can fail is computed only
-# when that order reads it (0.0 stands in for it otherwise), so one that the
-# order does not read cannot reject the point.  :func:`_elementary` lifts it
-# to any jet with a ``compose`` method, so a JetBatch and the per-point
-# reference jet compute with the same ``math`` calls and raise the same
-# messages.
+# Each function below is written as the values of f and its derivatives at
+# one float, at least through the order of the jet it is applied to (more are
+# not read), or its JetDomainError there.  The closed forms of the first four
+# come first; past them a function computes its derivatives only for a jet of
+# order 4 or more, those of a power by :func:`_pow_derivs` (the falling
+# factorials of ``pow_const``, whose overflow message they raise).  A
+# derivative that can fail is computed only when the order reads it (0.0
+# stands in for it otherwise), so one that the order does not read cannot
+# reject the point.  :func:`_elementary` lifts it to any jet with a
+# ``compose`` method, so a JetBatch and the per-point reference jet compute
+# with the same ``math`` calls and raise the same messages.
 
 def _elementary(derivs: Callable[[float, int], Sequence[float]]):
     """The jet function whose derivative values ``derivs`` gives at one
@@ -89,8 +90,9 @@ def _reciprocal(v: float, order: int) -> tuple:
         raise JetDomainError("division by zero")
     inv = 1.0 / v
     try:
-        return (inv, -inv * inv, 2.0 * inv ** 3 if order > 1 else 0.0,
-                -6.0 * inv ** 4 if order > 2 else 0.0)
+        f = (inv, -inv * inv, 2.0 * inv ** 3 if order > 1 else 0.0,
+             -6.0 * inv ** 4 if order > 2 else 0.0)
+        return f if order < 4 else f + tuple(_pow_derivs(v, -1.0, order)[4:])
     except OverflowError:
         raise JetDomainError(f"reciprocal of {v} overflows") from None
 
@@ -101,7 +103,7 @@ def exp(v: float, order: int) -> tuple:
         e = math.exp(v)
     except OverflowError:
         raise JetDomainError(f"exp of {v} overflows") from None
-    return (e, e, e, e)
+    return (e, e, e, e) if order < 4 else (e,) * (order + 1)
 
 
 @_elementary
@@ -110,7 +112,9 @@ def log(v: float, order: int) -> tuple:
         raise JetDomainError(f"log of non-positive value {v}")
     inv = 1.0 / v
     try:
-        return (math.log(v), inv, -inv * inv, 2.0 * inv ** 3 if order > 2 else 0.0)
+        f = (math.log(v), inv, -inv * inv, 2.0 * inv ** 3 if order > 2 else 0.0)
+        # the k-th derivative of log is the (k - 1)-th of 1/v
+        return f if order < 4 else f + tuple(_pow_derivs(v, -1.0, order - 1)[3:])
     except OverflowError:
         raise JetDomainError(f"derivatives of log at {v} overflow") from None
 
@@ -121,8 +125,9 @@ def sqrt(v: float, order: int) -> tuple:
         raise JetDomainError(f"sqrt of non-positive value {v}")
     s = math.sqrt(v)
     try:
-        return (s, 0.5 / s, -0.25 / (s * v) if order > 1 else 0.0,
-                0.375 / (s * v * v) if order > 2 else 0.0)
+        f = (s, 0.5 / s, -0.25 / (s * v) if order > 1 else 0.0,
+             0.375 / (s * v * v) if order > 2 else 0.0)
+        return f if order < 4 else f + tuple(_pow_derivs(v, 0.5, order)[4:])
     except ZeroDivisionError:  # s * v or s * v * v underflows to 0
         raise JetDomainError(f"derivatives of sqrt at {v} overflow") from None
 
@@ -130,20 +135,33 @@ def sqrt(v: float, order: int) -> tuple:
 @_elementary
 def sin(v: float, order: int) -> tuple:
     s, c = math.sin(v), math.cos(v)
-    return (s, c, -s, -c)
+    f = (s, c, -s, -c)
+    return f if order < 4 else f * (order // 4 + 1)
 
 
 @_elementary
 def cos(v: float, order: int) -> tuple:
     s, c = math.sin(v), math.cos(v)
-    return (c, -s, -c, s)
+    f = (c, -s, -c, s)
+    return f if order < 4 else f * (order // 4 + 1)
 
 
 @_elementary
 def tanh(v: float, order: int) -> tuple:
     t = math.tanh(v)
     d = 1.0 - t * t
-    return (t, d, -2.0 * t * d, d * (6.0 * t * t - 2.0))
+    f = (t, d, -2.0 * t * d, d * (6.0 * t * t - 2.0))
+    return f if order < 4 else _tanh_derivs(f, order)
+
+
+# apart from tanh: a generator that reads f would make f a closure cell of
+# tanh's own body, which every point's call pays for
+def _tanh_derivs(f: tuple, order: int) -> tuple:
+    """tanh's values f through its third derivative, extended through
+    ``order`` by y' = 1 - y^2: y^(k+1) = -sum_j C(k, j) y^(j) y^(k-j)."""
+    for k in range(3, order):
+        f += (-sum(math.comb(k, j) * f[j] * f[k - j] for j in range(k + 1)),)
+    return f
 
 
 def pow_const(u, c: float):
@@ -174,8 +192,6 @@ def _pow_derivs(v: float, c: float, order: int) -> list:
                 except OverflowError:
                     raise JetDomainError(f"{v} ** {e} overflows") from None
         coeff *= c - k
-    while len(derivs) < 4:
-        derivs.append(0.0)
     return derivs
 
 
@@ -230,41 +246,50 @@ def _is_constant(c: np.ndarray) -> bool:
 
 @lru_cache(maxsize=None)
 def _chain_table(order: int, nvars: int) -> list:
-    """For each multi-index length r >= 2: the columns of its partials and
-    the columns that the chain rule for length r reads (see
-    :func:`_chain_coeffs`)."""
+    """For each multi-index length r >= 2: the columns of its partials, and
+    per block count k from r down to 2, k and the columns that each block
+    of each set partition of the positions 0..r-1 into k blocks reads.  The
+    blocks of a partition are ordered by (size, positions), and a group's
+    partitions lexicographically by those keys; see :func:`_chain_coeffs`."""
     cols = _columns(order, nvars)
     tables = []
     for r in range(2, order + 1):
         keys = [key for key in cols if len(key) == r]
-        if r == 2:
-            reads = [(cols[(i,)], cols[(j,)]) for i, j in keys]
-        else:
-            reads = [(cols[(i,)], cols[(j,)], cols[(k,)], cols[(j, k)],
-                      cols[(i, k)], cols[(i, j)]) for i, j, k in keys]
-        tables.append((np.array([cols[key] for key in keys], dtype=np.intp),
-                       np.array(reads, dtype=np.intp).T))
+        partitions = {tuple(sorted((tuple(q for q in range(r) if labels[q] == label)
+                                    for label in set(labels)), key=lambda b: (len(b), b)))
+                      for labels in itertools.product(range(r), repeat=r)}
+        groups = []
+        for k in range(r, 1, -1):
+            parts = sorted((part for part in partitions if len(part) == k),
+                           key=lambda part: [(len(b), b) for b in part])
+            groups.append((k, [[np.array([cols[tuple(key[q] for q in block)] for key in keys],
+                                         dtype=np.intp) for block in part] for part in parts]))
+        tables.append((np.array([cols[key] for key in keys], dtype=np.intp), groups))
     return tables
 
 
 def _chain_coeffs(p: np.ndarray, f: np.ndarray, order: int, nvars: int) -> np.ndarray:
     """Compose a scalar function with the jets p, ``(*batch, K)``, given
-    its derivative values f, ``(*batch, 4)``, at their values (Faa di Bruno
-    through order 3)."""
+    its derivative values f, ``(*batch, order + 1)``, at their values (Faa
+    di Bruno's formula over set partitions).  A partial of length r is
+    ``(term_r + ... + term_2) + f1*p``: term_k is ``f_k*b1*b2*...`` over
+    the block partials of the one partition into k blocks, or
+    ``f_k*(b1*b2*... + ...)`` over several."""
     out = np.empty(p.shape)
     out[..., 0] = f[..., 0]
     out[..., 1:] = f[..., 1:2] * p[..., 1:]
-    for cols, reads in _chain_table(order, nvars):
-        if len(reads) == 2:
-            i, j = reads
-            out[..., cols] = f[..., 2:3] * p[..., i] * p[..., j] + out[..., cols]
-        else:
-            i, j, k, jk, ik, ij = reads
-            out[..., cols] = (f[..., 3:4] * p[..., i] * p[..., j] * p[..., k]
-                              + f[..., 2:3] * (p[..., i] * p[..., jk]
-                                               + p[..., j] * p[..., ik]
-                                               + p[..., k] * p[..., ij])
-                              + out[..., cols])
+    for cols, groups in _chain_table(order, nvars):
+        total = None
+        for k, parts in groups:
+            term = None
+            for first, *rest in parts:
+                product = f[..., k:k + 1] * p[..., first] if len(parts) == 1 else p[..., first]
+                for block in rest:
+                    product = product * p[..., block]
+                term = product if term is None else term + product
+            term = term if len(parts) == 1 else f[..., k:k + 1] * term
+            total = term if total is None else total + term
+        out[..., cols] = total + out[..., cols]
     return out
 
 
@@ -287,8 +312,6 @@ class JetBatch:
     __slots__ = ("order", "nvars", "coeffs")
 
     def __init__(self, order: int, nvars: int, coeffs):
-        if not 0 <= order <= MAX_ORDER:
-            raise JetUsageError(f"unsupported jet order {order} (max {MAX_ORDER})")
         if nvars < 1:
             raise JetUsageError("jet needs at least one variable")
         coeffs = np.asarray(coeffs, dtype=float)
@@ -323,14 +346,14 @@ class JetBatch:
         return self._new(self.coeffs.swapaxes(a, b))
 
     def compose(self, derivs: Callable[[float, int], Sequence[float]]) -> "JetBatch":
-        """f(self) for the scalar function f whose value and first three
-        derivatives ``derivs`` gives at one float and this batch's order,
-        called at each batch point in C order."""
+        """f(self) for the scalar function f whose value and derivatives
+        ``derivs`` gives at one float and this batch's order, called at each
+        batch point in C order; the first ``order + 1`` values are read."""
         values = self.coeffs[..., 0]
         order = self.order
-        f = np.array([derivs(v, order) for v in values.ravel().tolist()])
-        return self._new(_chain_coeffs(self.coeffs, f.reshape(values.shape + (4,)),
-                                       self.order, self.nvars))
+        f = np.array([derivs(v, order) for v in values.ravel().tolist()], ndmin=2)[:, :order + 1]
+        return self._new(_chain_coeffs(self.coeffs, f.reshape(values.shape + (order + 1,)),
+                                       order, self.nvars))
 
     def _new(self, coeffs) -> "JetBatch":
         # coeffs come from this batch's own arithmetic: no shape check

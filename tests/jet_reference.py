@@ -1,7 +1,7 @@
 """The per-point jet reference for the tests.
 
 :class:`Jet` is a dict-per-scalar jet: a value together with every mixed
-partial up to a fixed order (at most 3), stored once per sorted
+partial up to a fixed order, stored once per sorted
 multi-index, so ``partial(i, j)`` and ``partial(j, i)`` hit the same cell.
 Its arithmetic is written out point by point, independently of the dense
 coefficient arrays of :class:`bornbundle.jets.JetBatch`, whose every
@@ -17,16 +17,17 @@ is the independent check on the jet first derivatives.
 """
 from __future__ import annotations
 
+import math
+import operator
+from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
 
-from bornbundle import expr, jets
-from bornbundle.errors import SpecError, UnsupportedDerivativeError
+from bornbundle import expr
+from bornbundle.errors import SpecError
 from bornbundle.jets import (JetBatch, JetDomainError, JetUsageError, _mul_splits,
                              _reciprocal, partial_keys, pow_const)
-
-MAX_ORDER = jets.MAX_ORDER
 
 
 class Jet:
@@ -36,8 +37,6 @@ class Jet:
 
     def __init__(self, order: int, nvars: int, value: float = 0.0,
                  partials: dict[tuple[int, ...], float] | None = None):
-        if not 0 <= order <= MAX_ORDER:
-            raise JetUsageError(f"unsupported jet order {order} (max {MAX_ORDER})")
         if nvars < 1:
             raise JetUsageError("jet needs at least one variable")
         self.order = order
@@ -154,8 +153,6 @@ class Jet:
 def seed(point: Sequence[float], order: int) -> list[Jet]:
     """Seed jets for the given coordinates: jet i has unit first derivative
     with respect to variable i and zero for everything else."""
-    if order not in (1, 2, 3):
-        raise JetUsageError(f"unsupported order {order}: expected 1, 2 or 3")
     m = len(point)
     if m < 1:
         raise JetUsageError("need at least one coordinate to seed")
@@ -177,25 +174,37 @@ def seed_embedded(point: Sequence[float], order: int, nvars: int,
     return out
 
 
+def _partitions(positions: tuple) -> list:
+    """Every set partition of ``positions``, each a list of blocks: the
+    first position alone, or joined to a block of a partition of the rest."""
+    if not positions:
+        return [[]]
+    first, rest = positions[0], _partitions(positions[1:])
+    return [[(first,)] + part for part in rest] + [part[:b] + [(first,) + block] + part[b + 1:]
+                                                   for part in rest for b, block in enumerate(part)]
+
+
 def _chain(u: Jet, f: Sequence[float]) -> Jet:
     """Compose a scalar function with derivative values ``f[0..order]`` at
-    u.value through the jet u (Faa di Bruno through order 3)."""
+    u.value through the jet u, by Faa di Bruno's formula over the set
+    partitions of the positions of each multi-index: per block count k from
+    r down to 2, f[k] times the block product of the one partition into k
+    blocks, or f[k] times the sum of the block products of several (blocks
+    ordered by (size, positions), partitions lexicographically); the sum of
+    these terms, plus f[1] times the partial."""
     p = u.partials
     out = {}
     for key in p:
-        r = len(key)
-        if r == 1:
-            out[key] = f[1] * p[key]
-        elif r == 2:
-            i, j = key
-            out[key] = f[2] * p[(i,)] * p[(j,)] + f[1] * p[key]
-        else:
-            i, j, k = key
-            out[key] = (f[3] * p[(i,)] * p[(j,)] * p[(k,)]
-                        + f[2] * (p[(i,)] * p[(j, k)]
-                                  + p[(j,)] * p[(i, k)]
-                                  + p[(k,)] * p[(i, j)])
-                        + f[1] * p[key])
+        parts = sorted((sorted(part, key=lambda b: (len(b), b))
+                        for part in _partitions(tuple(range(len(key))))),
+                       key=lambda part: [(len(b), b) for b in part])
+        terms = []
+        for k in range(len(key), 1, -1):
+            group = [[p[tuple(key[q] for q in block)] for block in part]
+                     for part in parts if len(part) == k]
+            terms.append(math.prod([f[k], *group[0]]) if len(group) == 1
+                         else f[k] * reduce(operator.add, map(math.prod, group)))
+        out[key] = reduce(operator.add, terms + [f[1] * p[key]])
     return Jet(u.order, u.nvars, f[0], out)
 
 
@@ -333,10 +342,7 @@ def metric_args(spec, args, order: int) -> np.ndarray:
         grid = np.array([[truncate(grid[i, j], order) for j in range(n)]
                          for i in range(n)], dtype=object)
         return _symmetrize(grid)
-    need = order + 2
-    if need > MAX_ORDER:
-        raise UnsupportedDerivativeError(f"potential needs order {need}")
-    (phi,) = expr.evaluate(spec.potential, augment(args, need))
+    (phi,) = expr.evaluate(spec.potential, augment(args, order + 2))
     m = args[0].nvars
     grid = np.empty((n, n), dtype=object)
     for i in range(n):
@@ -351,20 +357,14 @@ def metric_dg_args(spec, args, order: int):
     dg = np.empty((n, n, n), dtype=object)
     g = np.empty((n, n), dtype=object)
     if spec.potential is None:
-        need = order + 1
-        if need > MAX_ORDER:
-            raise UnsupportedDerivativeError(f"metric derivatives need order {need}")
-        grid = _symmetrize(_eval_grid(spec.metric_exprs, augment(args, need), n))
+        grid = _symmetrize(_eval_grid(spec.metric_exprs, augment(args, order + 1), n))
         for i in range(n):
             for j in range(n):
                 g[i, j] = extract_partial(grid[i, j], (), m, order)
                 for l in range(n):
                     dg[l, i, j] = extract_partial(grid[i, j], (m + l,), m, order)
         return g, dg
-    need = order + 3
-    if need > MAX_ORDER:
-        raise UnsupportedDerivativeError(f"potential derivatives need order {need}")
-    (phi,) = expr.evaluate(spec.potential, augment(args, need))
+    (phi,) = expr.evaluate(spec.potential, augment(args, order + 3))
     for i in range(n):
         for j in range(n):
             g[i, j] = extract_partial(phi, (m + i, m + j), m, order)

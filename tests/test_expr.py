@@ -258,7 +258,7 @@ def _batch(order, nvars, seed):
     return [JetBatch(order, nvars, rng.uniform(0.2, 0.9, (4, width))) for _ in range(nvars)]
 
 
-@pytest.mark.parametrize("order", range(jets.MAX_ORDER + 1))
+@pytest.mark.parametrize("order", range(6))
 @pytest.mark.parametrize("texts", SHARING, ids=range(len(SHARING)))
 def test_a_grid_program_has_the_bits_of_each_text_alone(texts, order):
     # every output reads the instructions of its first occurrences, which see

@@ -7,7 +7,7 @@ import pytest
 import jet_reference as ref
 from bornbundle import corpus, expr, fields, jets, manifold
 from bornbundle.cli import load_spec, main, spec_from_dict
-from bornbundle.errors import SpecError, UnsupportedDerivativeError
+from bornbundle.errors import SpecError
 from bornbundle.expr import EvalDomainError
 from bornbundle.jets import JetBatch
 from bornbundle.manifold import (DEFAULT_TOL, base_jets, build_spec, dual_and_levi_civita,
@@ -199,19 +199,24 @@ def test_one_metric_evaluation_gives_the_metric_bits(name):
                                  g.coeffs)
 
 
-def test_metric_jets_beyond_the_order_cap_are_rejected():
-    # a derived connection of a potential metric is the one budget error;
-    # orders no caller asks for fail as a jet beyond order 3
-    potential, grid = SPECS["hessian-exp2"], SPECS["sphere2"]
-    x = sample_points(grid, 2, 5)
-    with pytest.raises(UnsupportedDerivativeError, match=(
-            r"^derivatives of a potential-based metric at jet order 1 need order-4 jets "
-            r"of the potential \(max 3\); use an explicit metric$")):
-        fields.metric_dg_args(potential, jets.seed_batch(x, 1))
-    for field, spec, order in ((fields.metric_args, potential, 2),
-                               (fields.metric_dg_args, grid, 3)):
-        with pytest.raises(jets.JetUsageError, match=r"unsupported jet order 4 \(max 3\)"):
-            field(spec, jets.seed_batch(x, order))
+@pytest.mark.parametrize("kind", ["levi-civita", "hessian-dual"])
+def test_potential_fields_at_any_order_equal_the_grid_to_round_off(kind):
+    # exp(u) + exp(v) + u*v/4 and its Hessian grid: g, dg and the derived
+    # Gamma read the potential's jets to order 4 at jet order 1 and to order
+    # 5 at jet order 2 (the chart's)
+    box = [(-1.0, 1.0), (-1.0, 1.0)]
+    pot = build_spec("phi", ("u", "v"), box, potential="exp(u) + exp(v) + u*v/4",
+                     connection=kind)
+    grid = build_spec("phi-grid", ("u", "v"), box,
+                      metric=[["exp(u)", "0.25"], ["0.25", "exp(v)"]], connection=kind)
+    x = sample_points(grid, 5, 3)
+    for order in (0, 1, 2):
+        args = jets.seed_batch(x, order)
+        got = [*fields.metric_dg_args(pot, args), fields.connection_args(pot, args)]
+        want = [*fields.metric_dg_args(grid, args), fields.connection_args(grid, args)]
+        for a, b in zip(got, want, strict=True):
+            assert a.order == order and a.coeffs.shape == b.coeffs.shape
+            np.testing.assert_allclose(a.coeffs, b.coeffs, rtol=1e-13, atol=1e-14)
 
 
 def test_batch_of_one_point_equals_the_batch_of_all():
@@ -240,7 +245,7 @@ EVALUATE_ALL_TEXTS = ["0", "-1.226", "2.5", "u", "-0", "u*v - 0.5", "3e-2", "-v"
                       "2.5", "u*v - 0.5", "0.0", "u", "0"]
 
 
-@pytest.mark.parametrize("order", range(jets.MAX_ORDER + 1))
+@pytest.mark.parametrize("order", range(6))
 @pytest.mark.parametrize("batch", [(5,), (3, 2)], ids=["P", "B-n"])
 def test_evaluate_all_writes_constants_with_the_bits_of_evaluate(order, batch, monkeypatch):
     # a bare number is written as its value over +0.0 partials, a negated one

@@ -11,7 +11,7 @@ from bornbundle import expr, jets
 from bornbundle.jets import JetBatch, JetDomainError, JetUsageError, partial_keys
 from jet_reference import Jet, coefficients, seed, seed_embedded
 
-ORDERS = (0, 1, 2, 3)
+ORDERS = (0, 1, 2, 3, 4, 5)
 BATCH = 7
 
 
@@ -163,6 +163,13 @@ UNREAD = [
     pytest.param(jets.sqrt, 1e-200, 3, "derivatives of sqrt at 1e-200 overflow",
                  lambda v: (math.sqrt(v), 0.5 / math.sqrt(v), -0.25 / (math.sqrt(v) * v)),
                  id="sqrt-third"),
+    # past the closed forms, the power's own message
+    pytest.param(jets._reciprocal, 1e-70, 4, "1e-70 ** -5.0 overflows",
+                 lambda v: (1.0 / v, -(1.0 / v) * (1.0 / v), 2.0 * (1.0 / v) ** 3,
+                            -6.0 * (1.0 / v) ** 4), id="reciprocal-fourth"),
+    pytest.param(jets.sqrt, 1e-100, 4, "1e-100 ** -3.5 overflows",
+                 lambda v: (math.sqrt(v), 0.5 / math.sqrt(v), -0.25 / (math.sqrt(v) * v),
+                            0.375 / (math.sqrt(v) * v * v)), id="sqrt-fourth"),
 ]
 
 

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -97,6 +98,40 @@ def test_elementary_third_order(func, x0, derivs):
     assert f.partial(0, 0, 0) == pytest.approx(derivs[3], abs=1e-13)
 
 
+def _one(u):
+    return JetBatch.constant(1.0, u.order, u.nvars)
+
+
+# identities between elementary functions, each side a jet past order 3:
+# (name, value range, left side, right side)
+IDENTITIES = [
+    ("exp-log", (0.3, 3.0), lambda u: jets.exp(jets.log(u)), lambda u: u),
+    ("sin2-cos2", (-3.0, 3.0), lambda u: jets.sin(u) * jets.sin(u) + jets.cos(u) * jets.cos(u),
+     _one),
+    ("reciprocal", (0.3, 3.0), lambda u: _one(u) / (_one(u) / u), lambda u: u),
+    ("sqrt-squared", (0.3, 3.0), lambda u: jets.sqrt(u) * jets.sqrt(u), lambda u: u),
+    ("tanh", (-2.0, 2.0), jets.tanh,
+     lambda u: (jets.exp(u * 2.0) - _one(u)) / (jets.exp(u * 2.0) + _one(u))),
+    ("pow", (0.3, 3.0), lambda u: jets.pow_const(u, 2.5),
+     lambda u: jets.exp(jets.log(u) * 2.5)),
+]
+
+
+@pytest.mark.parametrize("order", [4, 5])
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+@pytest.mark.parametrize("name,values,left,right", IDENTITIES, ids=[i[0] for i in IDENTITIES])
+def test_jets_past_order_3_keep_elementary_identities(order, nvars, name, values, left, right):
+    # random jets: values in range, partials in [-1, 1]; the two sides agree
+    # to round-off relative to the size of their coefficients (the worst,
+    # 1/(1/u) at order 5, reads 1.1e-12: 1/u's partials reach 5!/0.3^6)
+    rng = np.random.default_rng(order * 10 + nvars)
+    coeffs = rng.uniform(-1.0, 1.0, (16, len(jets._columns(order, nvars))))
+    coeffs[:, 0] = rng.uniform(*values, 16)
+    u = JetBatch(order, nvars, coeffs)
+    got, want = left(u).coeffs, np.broadcast_to(right(u).coeffs, coeffs.shape)
+    assert np.abs(got - want).max() <= 1e-11 * max(1.0, np.abs(want).max())
+
+
 def test_pow_const_at_zero():
     (x,) = seed((0.0,), 3)
     f = x ** 3.0
@@ -141,10 +176,8 @@ def test_overflow_is_domain_error():
 
 
 def test_usage_errors():
-    with pytest.raises(JetUsageError):
-        seed((1.0,), 4)
-    with pytest.raises(JetUsageError):
-        seed((1.0,), 0)
+    # any order seeds; jets of different orders or arities do not combine
+    assert [seed((1.0,), order)[0].order for order in (0, 4, 5)] == [0, 4, 5]
     a = seed((1.0,), 1)[0]
     b = seed((1.0, 2.0), 1)[0]
     with pytest.raises(JetUsageError):

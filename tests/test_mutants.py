@@ -25,7 +25,11 @@ def test_each_mutant_changes_one_text_and_names_existing_tests(mutant):
     # that moves it turns the mutant into an error, caught here first
     assert (ROOT / mutant.path).read_text().count(mutant.old) == 1
     assert mutant.new != mutant.old
-    assert mutant.tests and all((ROOT / test).is_file() for test in mutant.tests)
+    assert mutant.tests
+    for test in mutant.tests:
+        path, *node = test.split("::")
+        assert (ROOT / path).is_file()
+        assert not node or f"def {node[0]}(" in (ROOT / path).read_text()
 
 
 def test_names_are_unique():

@@ -70,6 +70,18 @@ def test_two_of_four_residuals_under_cross_tol_hold(tmp_path, capsys):
     assert all(two["holds"].values())
 
 
+def test_two_of_four_residuals_over_cross_tol_fail(capsys):
+    # at 5e-7 the dual torsion and the nabla g asymmetry (5e-7) and
+    # mean_vs_levi_civita (2.5e-7) lie over CROSS_TOL = 1e-7 and under ten
+    # times it: only the torsion of the flat connection holds
+    code, report = check([NEAR_HESSIAN, "--points", "4", "--fiber-points", "2"], capsys)
+    assert code == 0
+    two = report["two_of_four"]
+    assert 1e-7 < min(v for name, v in two["residuals"].items() if name != "torsion")
+    assert max(two["residuals"].values()) < 1e-6
+    assert two["holds"] == {name: name == "torsion" for name in two["residuals"]}
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "ROADMAP item 1: mean_vs_levi_civita is about eps/2, under the absolute CROSS_TOL "
     "while the dual torsion and the asymmetry are above it, so exactly two of the four "

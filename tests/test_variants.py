@@ -1,13 +1,14 @@
 """Connection kinds and dimensions beyond the built-in corpus: the
-hessian-dual kind, a three-dimensional spec, and the derivative-budget
-limits of potential metrics."""
+hessian-dual kind, a three-dimensional spec, and potential metrics under
+the connections derived from them."""
+import json
 import math
 
 import numpy as np
 import pytest
 
 from bornbundle import corpus, fields
-from bornbundle.errors import UnsupportedDerivativeError
+from bornbundle.cli import main
 from bornbundle.integrability import integrability_verdict
 from bornbundle.manifold import build_spec, pattern_violated, sample_points
 from point import (BundlePoint, born_at, born_compatibility_residuals, connection_at,
@@ -110,7 +111,7 @@ def test_three_dim_two_of_four():
     assert not pattern_violated(rep)
 
 
-# -- derivative budget of potential metrics -----------------------------------
+# -- potential metrics under a derived connection -----------------------------
 
 def test_potential_levi_civita_values_work():
     spec = build_spec("pot-lc", ("u", "v"), BOX2, potential="exp(u) + exp(v)",
@@ -124,16 +125,35 @@ def test_potential_levi_civita_values_work():
     assert all(rep.holds.values()) and not pattern_violated(rep)
 
 
-def test_potential_levi_civita_curvature_exceeds_budget():
-    spec = build_spec("pot-lc", ("u", "v"), BOX2, potential="exp(u) + exp(v)",
-                      connection="levi-civita")
-    with pytest.raises(UnsupportedDerivativeError) as exc:
-        curvature_at(spec, (0.0, 0.0))
-    assert "explicit metric" in str(exc.value)
+# phi = exp(u) + exp(v) + u*v/4 and its Hessian as a grid: under a derived
+# connection the sweep reads phi's jets to order 4 and the chart to order 5
+PHI = "exp(u) + exp(v) + u*v/4"
+PHI_GRID = [["exp(u)", "0.25"], ["0.25", "exp(v)"]]
 
 
-def test_potential_hessian_dual_curvature_exceeds_budget():
-    spec = build_spec("pot-hd", ("u", "v"), BOX2, potential="exp(u) + exp(v)",
-                      connection="hessian-dual")
-    with pytest.raises(UnsupportedDerivativeError):
-        curvature_at(spec, (0.0, 0.0))
+def _check(tmp_path, capsys, metric, kind):
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps({"dimension": 2, "coordinates": ["u", "v"], "metric": metric,
+                                "connection": {"kind": kind}, "sample_box": BOX2}))
+    code = main(["check", str(path)])
+    return code, json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("kind,hessian", [("hessian-dual", True), ("levi-civita", False)])
+def test_potential_under_a_derived_connection_checks_as_its_grid(kind, hessian, tmp_path,
+                                                                  capsys):
+    # the dual of the flat connection is Hessian and witnessed; Levi-Civita
+    # of a curved metric is neither Hessian nor integrable
+    code, pot = _check(tmp_path, capsys, {"potential": PHI}, kind)
+    assert code == 0 and pot["status"] == "ok" and pot["agreement"]
+    assert pot["hessian"]["is_hessian"] is hessian
+    assert pot["integrability"]["integrable"] is hessian
+    assert pot.get("affine_chart", {}).get("witnessed", False) is hessian
+    # the grid gives the same verdicts and, to round-off, the same maxima
+    code, grid = _check(tmp_path, capsys, {"components": PHI_GRID}, kind)
+    assert code == 0
+    for part, verdict in (("hessian", "is_hessian"), ("integrability", "integrable")):
+        assert pot[part][verdict] is grid[part][verdict]
+        maxima = {name: value for name, value in grid[part].items() if name.startswith("max_")}
+        assert len(maxima) >= 3
+        assert {name: pot[part][name] for name in maxima} == pytest.approx(maxima, abs=1e-14)
