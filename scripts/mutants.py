@@ -45,6 +45,10 @@ MUTANTS = (
            "max(hv.tol, FLATNESS_GATE_TOL)", ("tests/test_cli.py",)),
     Mutant("gate-points", "src/bornbundle/charts.py", "GATE_POINTS = 8", "GATE_POINTS = 4",
            ("tests/test_cli.py",)),
+    # argmax splits the flat index of a (P, F) stack by F, the fiber count
+    Mutant("argmax-axis", "src/bornbundle/integrability.py",
+           "divmod(int(np.argmax(m)), m.shape[1])", "divmod(int(np.argmax(m)), m.shape[0])",
+           ("tests/test_cli.py::test_argmax_is_the_first_maximum_of_the_one_point_functions",)),
     # the one-fiber sweep of a vanishing Gamma stands at the first fiber
     Mutant("last-fiber", "src/bornbundle/integrability.py", "fibers[:1]", "fibers[-1:]",
            ("tests/test_integrability.py",)),

@@ -56,7 +56,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +71,7 @@ from .jets import JetDomainError, JetUsageError
 from .manifold import (CROSS_TOL, DEFAULT_TOL, FLATNESS_GATE_TOL, ManifoldSpec, build_spec,
                        pattern_violated, two_of_four_residuals)
 
-REPORT_SCHEMA = 4  # layout version of the check report
+REPORT_SCHEMA = 5  # layout version of the check report
 
 
 @dataclass(frozen=True)
@@ -247,14 +246,6 @@ def run(config: RunConfig) -> dict:
         "integrable": integ.born.within,
         "tol": integ.born.tol,
         "argmax": integ.argmax(),
-        # columnar: entry p*F + f of a residual's list is at
-        # (base_points[p], fiber_vectors[f]), so each list takes the writer's
-        # one-join path for floats
-        "per_point": {
-            "base_points": [list(x) for x in integ.bases.x],
-            "fiber_vectors": integ.fibers.tolist(),
-            **{name: m.ravel().tolist() for name, m in integ.born.per_point.items()},
-        },
     }
     report["agreement"] = integ.agreement
 
@@ -279,80 +270,10 @@ def run(config: RunConfig) -> dict:
     return report
 
 
-_FLOAT_TEXT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
 def report_to_json(value) -> str:
-    """``value`` as JSON text in the layout of ``json.dumps(value, indent=2)``,
-    plus a trailing newline: the same bytes for every value ``json.dumps``
-    accepts whose dict keys are str, as in every document the CLI writes,
-    and a ``TypeError`` for any other, a key that ``json.dumps`` would
-    coerce included (a circular container is not detected).  The pieces
-    are appended to one list and joined once, and a list of floats is
-    written with one join, which the stdlib encoder's indented, pure-Python
-    path does not do."""
-    out: list[str] = []
-    _write(value, "\n", out)
-    out.append("\n")
-    return "".join(out)
-
-
-def _float_text(value: float) -> str:
-    text = float.__repr__(value)
-    return _FLOAT_TEXT.get(text, text)
-
-
-def _write(value, newline: str, out: list) -> None:
-    """Append the pieces of ``value``; ``newline`` is a newline followed by
-    the indentation of the line ``value`` starts on."""
-    if isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, float):
-        out.append(_float_text(value))
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        separator = "," + inner
-        try:  # succeeds exactly when every item is a float
-            texts = list(map(float.__repr__, value))
-        except TypeError:
-            out.append("[")
-            for item in value:
-                out.append(inner)
-                _write(item, inner, out)
-                out.append(",")
-            out[-1] = newline + "]"  # in place of the last item's comma
-            return
-        body = separator.join(texts)
-        if "n" in body:  # only nan, inf and -inf spell an n
-            body = separator.join(_FLOAT_TEXT.get(t, t) for t in texts)
-        out += ("[", inner, body, newline, "]")
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        out.append("{")
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {key.__class__.__name__}")
-            out += (inner, encode_basestring_ascii(key), ": ")
-            _write(item, inner, out)
-            out.append(",")
-        out[-1] = newline + "}"  # in place of the last item's comma
-    else:
-        raise TypeError(f"Object of type {value.__class__.__name__} "
-                        f"is not JSON serializable")
+    """``value`` as ``json.dumps(value, indent=2)`` plus a trailing newline:
+    the one layout of every JSON document the command line writes."""
+    return json.dumps(value, indent=2) + "\n"
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -405,6 +326,7 @@ def _cmd_theorem(args) -> int:
     reports = [integrability_verdict(spec, args.points, args.fiber_points,
                                      args.fiber_radius, args.tol, args.seed)
                for spec in specs]
+    # bornbench/workloads.py::_check_theorem splits rows into 4 fields, reads "agreement: k/k" last
     print(f"{'spec':18s} {'hessian':8s} {'integrable':11s} agreement")
     for spec, rep in zip(specs, reports):
         print(f"{spec.name:18s} {str(rep.hessian.within):8s} "

@@ -32,8 +32,9 @@ The report carries the base-point record, which the two-of-four
 residuals of ``check`` read too, and three
 :class:`~bornbundle.manifold.Residuals`: the Hessian verdict; the Born
 record, the normalized residuals of every bundle point as (P, F) arrays
-at the same tolerance, which ``check`` writes as its ``per_point`` table
-and reduces to its ``argmax`` section; and the construction record, the
+at the same tolerance, which ``check`` reduces to its maxima and its
+``argmax`` section (the arrays stay in the library, as ``born.per_point``
+next to ``bases.x`` and ``fibers``); and the construction record, the
 adapted-frame residuals at ``BORN_GATE``.  A maximum that is not finite
 is a spec error naming the residual and its bundle point, the first by
 base point (:func:`bornbundle.manifold._first_failure`), then by fiber and
@@ -89,7 +90,8 @@ def _d_omega_of(omega: np.ndarray) -> np.ndarray:
 class IntegrabilityReport:
     hessian: Residuals  # curvature, torsion and asymmetry per base point
     # the normalized residuals as (P, F) stacks, entry [p, f] at the bundle
-    # point (bases.x[p], fibers[f]), at the Hessian verdict's tolerance
+    # point (bases.x[p], fibers[f]), at the Hessian verdict's tolerance; the
+    # check report keeps only their maxima and argmax
     born: Residuals
     construction: Residuals  # relative adapted-frame defects, at BORN_GATE
     bases: BaseJets  # the sweep's base-point fields

@@ -12,6 +12,7 @@ from bornbundle import bundle, corpus
 from bornbundle.cli import (RunConfig, load_spec, main, report_to_json, run,
                             spec_from_dict)
 from bornbundle.errors import SpecError
+from bornbundle.integrability import integrability_verdict
 from bornbundle.jets import JetUsageError
 from bornbundle.manifold import (BORN_GATE, CROSS_TOL, DEFAULT_TOL, FLATNESS_GATE_TOL,
                                  pattern_violated, sample_fibers, sample_points)
@@ -191,13 +192,9 @@ def test_run_euclidean_report_contents():
     assert list(report) == ["report_schema", "spec", "config", "scope", "hessian",
                             "two_of_four", "born_compat", "integrability", "agreement",
                             "affine_chart", "status"]
-    assert report["report_schema"] == 4
-    table = report["integrability"]["per_point"]
-    assert list(table) == ["base_points", "fiber_vectors", *RESIDUALS]
-    assert len(table["base_points"]) == 6
-    assert len(table["fiber_vectors"]) == 3
-    for name in RESIDUALS:
-        assert len(table[name]) == 18
+    assert report["report_schema"] == 5
+    assert list(report["integrability"]) == [
+        *(f"max_{name}" for name in RESIDUALS), "integrable", "tol", "argmax"]
 
 
 def test_run_sphere_not_hessian_but_ok():
@@ -895,13 +892,14 @@ def test_shared_sweep_matches_standalone_functions(source, tmp_path):
     for bp, _ in rows:
         for key, val in frame_residuals_at(spec, bp).items():
             worst[key] = max(worst.get(key, 0.0), val)
-    # entry p*F + f of each residual belongs to (base_points[p], fiber_vectors[f])
-    table = report["integrability"]["per_point"]
-    assert list(table) == ["base_points", "fiber_vectors", *RESIDUALS]
-    assert table["base_points"] == [list(x) for x in base]
-    assert table["fiber_vectors"] == fibers.tolist()
+    # entry [p, f] of each residual belongs to (bases.x[p], fibers[f])
+    integ = integrability_verdict(spec, config.points, config.fiber_points,
+                                  config.fiber_radius, config.tol, config.seed)
+    assert list(integ.born.per_point) == list(RESIDUALS)
+    assert [tuple(x) for x in integ.bases.x] == base
+    assert integ.fibers.tolist() == fibers.tolist()
     for key in RESIDUALS:
-        assert table[key] == [want[key] for _, want in rows]
+        assert integ.born.per_point[key].ravel().tolist() == [want[key] for _, want in rows]
     assert report["born_compat"] == {"max_residuals": worst, "gate": BORN_GATE}
     assert list(report["born_compat"]["max_residuals"]) == list(worst)
     hv = hessian_verdict(spec, base, config.tol)
