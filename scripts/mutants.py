@@ -49,6 +49,10 @@ MUTANTS = (
     Mutant("argmax-axis", "src/bornbundle/integrability.py",
            "divmod(int(np.argmax(m)), m.shape[1])", "divmod(int(np.argmax(m)), m.shape[0])",
            ("tests/test_cli.py::test_argmax_is_the_first_maximum_of_the_one_point_functions",)),
+    # the --report summary names the largest residual, not the smallest
+    Mutant("dominant-min", "src/bornbundle/cli.py", "max(residuals, key=residuals.get)",
+           "min(residuals, key=residuals.get)",
+           ("tests/test_cli.py::test_report_summary_ends_in_the_dominant_residual",)),
     # the one-fiber sweep of a vanishing Gamma stands at the first fiber
     Mutant("last-fiber", "src/bornbundle/integrability.py", "fibers[:1]", "fibers[-1:]",
            ("tests/test_integrability.py",)),

@@ -28,7 +28,9 @@ when both are within ``--tol`` and ``FLATNESS_GATE_TOL``, ``check``
 measures the affine-chart witness on the chart at the box center and the
 sweep's first fiber vector (:func:`~bornbundle.charts.chart_witness`),
 with no gate points of its own.  The ``affine-chart`` command keeps its
-gate.
+gate.  ``check --report`` writes the report to a file and prints a summary
+line ending in the dominant residual, so a loop over ``list-examples`` is
+the corpus run.
 
 Exit codes: 0 all checks ran and no internal invariant failed, 1 spec or
 configuration error (including a domain error or an overflow while
@@ -55,7 +57,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -66,28 +67,12 @@ from .bundle import born_at
 from .charts import DEFAULT_STEPS, ChartMap, affine_chart_witness, chart_witness
 from .errors import InternalError, SpecError
 from .expr import EvalDomainError, ParseError
-from .integrability import integrability_verdict
+from .integrability import integrability_verdict, log_margin
 from .jets import JetDomainError, JetUsageError
 from .manifold import (CROSS_TOL, DEFAULT_TOL, FLATNESS_GATE_TOL, ManifoldSpec, build_spec,
                        pattern_violated, two_of_four_residuals)
 
 REPORT_SCHEMA = 5  # layout version of the check report
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    source: str
-    points: int = 32
-    fiber_points: int = 8
-    fiber_radius: float = 1.0
-    tol: float = DEFAULT_TOL
-    seed: int = 42
-
-    def __post_init__(self):
-        if self.points < 1 or self.fiber_points < 1:
-            raise ValueError("sample counts must be at least 1")
-        if not 0.0 < self.fiber_radius < math.inf:
-            raise ValueError("fiber radius must be finite and positive")
 
 
 def load_spec(source: str) -> ManifoldSpec:
@@ -212,26 +197,28 @@ def _spec_summary(spec: ManifoldSpec) -> dict:
     }
 
 
-def run(config: RunConfig) -> dict:
+def run(source: str, points: int = 32, fiber_points: int = 8, fiber_radius: float = 1.0,
+        tol: float = DEFAULT_TOL, seed: int = 42) -> dict:
     """Full verdict suite for one spec.  Deterministic for a fixed (spec,
-    config, seed); certifies behaviour on sampled points of this single
-    chart only."""
-    spec = load_spec(config.source)
+    sampling, seed); certifies behaviour on sampled points of this single
+    chart only.  The sampling arguments are checked by
+    :func:`~bornbundle.integrability.integrability_verdict` before any
+    field is evaluated."""
+    spec = load_spec(source)
     report: dict = {
         "report_schema": REPORT_SCHEMA,
         "spec": _spec_summary(spec),
         "config": {
-            "points": config.points,
-            "fiber_points": config.fiber_points,
-            "fiber_radius": config.fiber_radius,
-            "tol": config.tol,
+            "points": points,
+            "fiber_points": fiber_points,
+            "fiber_radius": fiber_radius,
+            "tol": tol,
             "cross_tol": CROSS_TOL,
-            "seed": config.seed,
+            "seed": seed,
         },
         "scope": "verdicts certify sampled points of a single chart",
     }
-    integ = integrability_verdict(spec, config.points, config.fiber_points,
-                                  config.fiber_radius, config.tol, config.seed)
+    integ = integrability_verdict(spec, points, fiber_points, fiber_radius, tol, seed)
     hv = integ.hessian
     report["hessian"] = {"is_hessian": hv.within,
                          **{"max_" + name: value for name, value in hv.maxima.items()},
@@ -253,7 +240,7 @@ def run(config: RunConfig) -> dict:
     # tolerance looser than the gate does not start the witness
     if max(hv.maxima["curvature"], hv.maxima["torsion"]) <= min(hv.tol, FLATNESS_GATE_TOL):
         x0 = tuple(0.5 * (lo + hi) for lo, hi in spec.sample_box)
-        witness = chart_witness(ChartMap(spec, x0), 6, integ.fibers[0], config.seed)
+        witness = chart_witness(ChartMap(spec, x0), 6, integ.fibers[0], seed)
         del witness["probes"]
         report["affine_chart"] = witness
 
@@ -293,12 +280,24 @@ def _cmd_list_examples(_args) -> int:
     return 0
 
 
+def _dominant(report: dict) -> str:
+    """The largest of the curvature, torsion, nabla g asymmetry and d omega
+    maxima as ``name(margin)``, its :func:`log_margin` to one decimal (+inf
+    at a tolerance of 0), or ``-`` when all four are within the tolerance."""
+    residuals = {name: report["hessian"]["max_" + name]
+                 for name in ("curvature", "torsion", "nabla_g_asymmetry")}
+    residuals["d_omega"] = report["integrability"]["max_d_omega"]
+    name = max(residuals, key=residuals.get)
+    tol = report["hessian"]["tol"]
+    if residuals[name] <= tol:
+        return "-"
+    margin = log_margin(residuals[name], tol)
+    return f"{name}({math.inf if margin is None else margin:+.1f})"
+
+
 def _cmd_check(args) -> int:
-    config = RunConfig(source=args.spec, points=args.points,
-                       fiber_points=args.fiber_points,
-                       fiber_radius=args.fiber_radius, tol=args.tol,
-                       seed=args.seed)
-    report = run(config)
+    report = run(args.spec, args.points, args.fiber_points, args.fiber_radius,
+                 args.tol, args.seed)
     text = report_to_json(report)
     if args.report:
         try:
@@ -308,7 +307,8 @@ def _cmd_check(args) -> int:
         print(f"{report['spec']['name'] or args.spec}: hessian="
               f"{report['hessian']['is_hessian']} integrable="
               f"{report['integrability']['integrable']} agreement="
-              f"{report['agreement']} status={report['status']}")
+              f"{report['agreement']} status={report['status']} "
+              f"dominant={_dominant(report)}")
         print(f"report written to {args.report}")
     else:
         sys.stdout.write(text)

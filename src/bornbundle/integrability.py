@@ -134,13 +134,14 @@ def integrability_verdict(spec: ManifoldSpec, base_count: int = 32,
         raise ValueError("sample counts must be at least 1")
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tolerance must be finite and non-negative, not {tol!r}")
-    bases = base_jets(spec, sample_points(spec, base_count, seed))
-    hessian = hessian_verdict(bases, tol)  # its positivity gate precedes the Born identities
+    # every sampling argument is checked before a field is evaluated
     fibers = sample_fibers(spec.n, fiber_count, fiber_radius, seed)
     norms = np.array([_norm_factor(y) for y in fibers])
     if not np.isfinite(norms).all():
         raise SpecError(f"fiber radius {fiber_radius!r} is too large: the norm of "
                         f"a sampled fiber vector overflows")
+    bases = base_jets(spec, sample_points(spec, base_count, seed))
+    hessian = hessian_verdict(bases, tol)  # its positivity gate precedes the Born identities
     # Gamma with all values and partials zero: every fiber carries the
     # structure of the first (module doc)
     swept = fibers if bases.gamma.any() else fibers[:1]

@@ -64,15 +64,18 @@ def _mul_splits(key: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], tuple[int,
 #
 # Each function below is written as the values of f and its derivatives at
 # one float, at least through the order of the jet it is applied to (more are
-# not read), or its JetDomainError there.  The closed forms of the first four
-# come first; past them a function computes its derivatives only for a jet of
-# order 4 or more, those of a power by :func:`_pow_derivs` (the falling
-# factorials of ``pow_const``, whose overflow message they raise).  A
-# derivative that can fail is computed only when the order reads it (0.0
-# stands in for it otherwise), so one that the order does not read cannot
-# reject the point.  :func:`_elementary` lifts it to any jet with a
-# ``compose`` method, so a JetBatch and the per-point reference jet compute
-# with the same ``math`` calls and raise the same messages.
+# not read), or its JetDomainError there.  exp, sin, cos and tanh have one
+# form for every order: exp repeated, the sin/cos four-cycle, and tanh's
+# closed forms through the third derivative extended by :func:`_tanh_derivs`.
+# The reciprocal, log and sqrt give closed forms through the third
+# derivative, and only for a jet of order 4 or more the rest, those of a
+# power by :func:`_pow_derivs` (the falling factorials of ``pow_const``,
+# whose overflow message they raise).  A derivative that can fail is computed
+# only when the order reads it (0.0 stands in for it otherwise), so one that
+# the order does not read cannot reject the point.  :func:`_elementary` lifts
+# it to any jet with a ``compose`` method, so a JetBatch and the per-point
+# reference jet compute with the same ``math`` calls and raise the same
+# messages.
 
 def _elementary(derivs: Callable[[float, int], Sequence[float]]):
     """The jet function whose derivative values ``derivs`` gives at one
@@ -103,7 +106,7 @@ def exp(v: float, order: int) -> tuple:
         e = math.exp(v)
     except OverflowError:
         raise JetDomainError(f"exp of {v} overflows") from None
-    return (e, e, e, e) if order < 4 else (e,) * (order + 1)
+    return (e,) * (order + 1)
 
 
 @_elementary
@@ -135,23 +138,20 @@ def sqrt(v: float, order: int) -> tuple:
 @_elementary
 def sin(v: float, order: int) -> tuple:
     s, c = math.sin(v), math.cos(v)
-    f = (s, c, -s, -c)
-    return f if order < 4 else f * (order // 4 + 1)
+    return (s, c, -s, -c) * (order // 4 + 1)
 
 
 @_elementary
 def cos(v: float, order: int) -> tuple:
     s, c = math.sin(v), math.cos(v)
-    f = (c, -s, -c, s)
-    return f if order < 4 else f * (order // 4 + 1)
+    return (c, -s, -c, s) * (order // 4 + 1)
 
 
 @_elementary
 def tanh(v: float, order: int) -> tuple:
     t = math.tanh(v)
     d = 1.0 - t * t
-    f = (t, d, -2.0 * t * d, d * (6.0 * t * t - 2.0))
-    return f if order < 4 else _tanh_derivs(f, order)
+    return _tanh_derivs((t, d, -2.0 * t * d, d * (6.0 * t * t - 2.0)), order)
 
 
 # apart from tanh: a generator that reads f would make f a closure cell of

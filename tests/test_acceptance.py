@@ -9,7 +9,7 @@ import pytest
 import jet_reference as ref
 from bornbundle import corpus, expr
 from bornbundle.charts import _probe_residuals, exponential_chart, geodesic_integrate
-from bornbundle.cli import RunConfig, report_to_json, run
+from bornbundle.cli import report_to_json, run
 from bornbundle.integrability import integrability_verdict
 from bornbundle.manifold import halton_points, pattern_violated, sample_fibers, sample_points
 from test_bundle import standard_born_matrices
@@ -227,7 +227,7 @@ def test_acceptance_8_affine_chart_witness():
 
 
 def test_acceptance_9_determinism():
-    config = RunConfig(source="flat-skew-metric", points=6, fiber_points=3, seed=42)
-    a = report_to_json(run(config)).encode()
-    b = report_to_json(run(config)).encode()
+    config = dict(points=6, fiber_points=3, seed=42)
+    a = report_to_json(run("flat-skew-metric", **config)).encode()
+    b = report_to_json(run("flat-skew-metric", **config)).encode()
     _verdict(9, "byte-identical reports", a == b)

@@ -8,11 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bornbundle import bundle, corpus
-from bornbundle.cli import (RunConfig, load_spec, main, report_to_json, run,
-                            spec_from_dict)
+from bornbundle import bundle, cli, corpus
+from bornbundle.cli import load_spec, main, report_to_json, run, spec_from_dict
 from bornbundle.errors import SpecError
-from bornbundle.integrability import integrability_verdict
+from bornbundle.integrability import integrability_verdict, log_margin
 from bornbundle.jets import JetUsageError
 from bornbundle.manifold import (BORN_GATE, CROSS_TOL, DEFAULT_TOL, FLATNESS_GATE_TOL,
                                  pattern_violated, sample_fibers, sample_points)
@@ -24,8 +23,8 @@ from point import (BundlePoint, connection_at, d_omega_at, dual_connection_at,
 SMALL = dict(points=6, fiber_points=3)
 
 
-def small_config(source, **kw):
-    return RunConfig(source=source, **{**SMALL, **kw})
+def small_run(source, **kw):
+    return run(source, **{**SMALL, **kw})
 
 
 def test_load_builtin_euclidean():
@@ -69,7 +68,7 @@ def test_spec_file_round_trip(tmp_path):
     }))
     spec = load_spec(str(path))
     assert spec.name == "skew"
-    report = run(small_config(str(path)))
+    report = small_run(str(path))
     assert not report["hessian"]["is_hessian"]
     assert report["agreement"] is True
 
@@ -178,7 +177,7 @@ def test_infinite_sample_box_bound_is_spec_error(command, tmp_path, capsys):
 
 
 def test_run_euclidean_report_contents():
-    report = run(small_config("euclidean2"))
+    report = small_run("euclidean2")
     assert report["status"] == "ok"
     assert report["agreement"] is True
     assert report["hessian"]["is_hessian"] is True
@@ -198,7 +197,7 @@ def test_run_euclidean_report_contents():
 
 
 def test_run_sphere_not_hessian_but_ok():
-    report = run(small_config("sphere2"))
+    report = small_run("sphere2")
     assert report["status"] == "ok"
     assert report["hessian"]["is_hessian"] is False
     assert report["integrability"]["integrable"] is False
@@ -207,7 +206,7 @@ def test_run_sphere_not_hessian_but_ok():
 
 
 def test_run_flat_skew_d_omega_dominates():
-    report = run(small_config("flat-skew-metric"))
+    report = small_run("flat-skew-metric")
     integ = report["integrability"]
     assert integ["max_nijenhuis_I"] <= integ["tol"]
     assert integ["max_nijenhuis_J"] <= integ["tol"]
@@ -218,28 +217,33 @@ def test_run_flat_skew_d_omega_dominates():
 
 
 def test_reports_are_byte_identical_for_same_seed():
-    a = report_to_json(run(small_config("pullback-flat")))
-    b = report_to_json(run(small_config("pullback-flat")))
+    a = report_to_json(small_run("pullback-flat"))
+    b = report_to_json(small_run("pullback-flat"))
     assert a.encode() == b.encode()
 
 
 def test_reports_differ_for_different_seed():
-    a = report_to_json(run(small_config("hessian-exp2", seed=1)))
-    b = report_to_json(run(small_config("hessian-exp2", seed=2)))
+    a = report_to_json(small_run("hessian-exp2", seed=1))
+    b = report_to_json(small_run("hessian-exp2", seed=2))
     assert a != b
 
 
 def test_config_validation(capsys):
     with pytest.raises(ValueError, match="^sample counts must be at least 1$"):
-        RunConfig(source="euclidean2", points=0)
+        run("euclidean2", points=0)
     with pytest.raises(ValueError, match="^fiber radius must be finite and positive$"):
-        RunConfig(source="euclidean2", fiber_radius=-1.0)
+        run("euclidean2", fiber_radius=-1.0)
     # a bad sampling parameter is one error kind in every command
-    for argv in (["check", "euclidean2", "--points", "0"], ["theorem", "--points", "0"],
-                 ["check", "euclidean2", "--fiber-radius", "0"],
-                 ["affine-chart", "euclidean2", "--fiber-radius", "0"]):
+    counts, radius = "sample counts must be at least 1", "fiber radius must be finite and positive"
+    for argv, message in ((["check", "euclidean2", "--points", "0"], counts),
+                          (["check", "euclidean2", "--fiber-points", "-1"], counts),
+                          (["theorem", "--points", "0"], counts),
+                          (["check", "euclidean2", "--fiber-radius", "0"], radius),
+                          (["affine-chart", "euclidean2", "--fiber-radius", "0"], radius)):
         assert main(argv) == 1
-        assert json.loads(capsys.readouterr().out)["error"]["kind"] == "ValueError"
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["error"] == {"kind": "ValueError", "message": message}
+        assert captured.err == ""
 
 
 # -- command-line entry points ---------------------------------------------
@@ -259,6 +263,40 @@ def test_cli_check_writes_report(tmp_path, capsys):
     report = json.loads(path.read_text())
     assert report["status"] == "ok"
     assert "report written" in capsys.readouterr().out
+
+
+# the residual each built-in's --report summary names, None for "-"
+DOMINANT = {"euclidean2": None, "hessian-exp2": None, "flat-skew-metric": "nabla_g_asymmetry",
+            "sphere2": "curvature", "flat-torsionful": "torsion", "pullback-flat": None}
+
+
+def test_report_summary_ends_in_the_dominant_residual(tmp_path, capsys):
+    # the corpus run: check --report on every name list-examples prints
+    assert main(["list-examples"]) == 0
+    names = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    assert names == list(DOMINANT) == list(corpus.BUILTIN_BUILDERS)
+    for name in names:
+        path = tmp_path / f"{name}.json"
+        assert main(["check", name, "--points", "2", "--fiber-points", "1",
+                     "--report", str(path)]) == 0
+        summary = capsys.readouterr().out.splitlines()[0]
+        text = path.read_text()
+        report = json.loads(text)
+        assert report["status"] == "ok" and report_to_json(report) == text
+        if DOMINANT[name] is None:
+            assert summary.endswith(" status=ok dominant=-")
+            continue
+        margin = log_margin(report["hessian"]["max_" + DOMINANT[name]], report["hessian"]["tol"])
+        assert margin > 0
+        assert summary.endswith(f" status=ok dominant={DOMINANT[name]}({margin:+.1f})")
+    assert sorted(p.stem for p in tmp_path.iterdir()) == sorted(names)
+
+
+def test_report_summary_at_zero_tol():
+    # every positive residual sits infinitely many decades above a zero
+    # tolerance, and a zero one is within it
+    assert cli._dominant(run("sphere2", points=2, fiber_points=1, tol=0.0)) == "curvature(+inf)"
+    assert cli._dominant(run("euclidean2", points=2, fiber_points=1, tol=0.0)) == "-"
 
 
 def test_cli_check_stdout(capsys):
@@ -856,11 +894,10 @@ LC3 = {
 RESIDUALS = ("nijenhuis_I", "nijenhuis_J", "nijenhuis_K", "d_omega")
 
 
-def _sweep_grid(spec, config):
-    base = [tuple(x) for x in sample_points(spec, config.points, config.seed)]
-    fibers = sample_fibers(spec.n, config.fiber_points, config.fiber_radius,
-                           config.seed)
-    return base, fibers
+def _sweep_grid(spec):
+    """The base points and fiber vectors of a 4 x 2 sweep at the default
+    fiber radius and seed."""
+    return [tuple(x) for x in sample_points(spec, 4, 42)], sample_fibers(spec.n, 2, 1.0, 42)
 
 
 def _one_point_sweep(spec, base, fibers):
@@ -883,18 +920,16 @@ def test_shared_sweep_matches_standalone_functions(source, tmp_path):
         path = tmp_path / "lc3.json"
         path.write_text(json.dumps(LC3))
         source = str(path)
-    config = RunConfig(source=source, points=4, fiber_points=2)
-    report = run(config)
+    report = run(source, points=4, fiber_points=2)
     spec = load_spec(source)
-    base, fibers = _sweep_grid(spec, config)
+    base, fibers = _sweep_grid(spec)
     worst: dict = {}
     rows = list(_one_point_sweep(spec, base, fibers))
     for bp, _ in rows:
         for key, val in frame_residuals_at(spec, bp).items():
             worst[key] = max(worst.get(key, 0.0), val)
     # entry [p, f] of each residual belongs to (bases.x[p], fibers[f])
-    integ = integrability_verdict(spec, config.points, config.fiber_points,
-                                  config.fiber_radius, config.tol, config.seed)
+    integ = integrability_verdict(spec, 4, 2)
     assert list(integ.born.per_point) == list(RESIDUALS)
     assert [tuple(x) for x in integ.bases.x] == base
     assert integ.fibers.tolist() == fibers.tolist()
@@ -902,7 +937,7 @@ def test_shared_sweep_matches_standalone_functions(source, tmp_path):
         assert integ.born.per_point[key].ravel().tolist() == [want[key] for _, want in rows]
     assert report["born_compat"] == {"max_residuals": worst, "gate": BORN_GATE}
     assert list(report["born_compat"]["max_residuals"]) == list(worst)
-    hv = hessian_verdict(spec, base, config.tol)
+    hv = hessian_verdict(spec, base, DEFAULT_TOL)
     assert report["hessian"] == {
         "is_hessian": hv.within, "max_curvature": hv.maxima["curvature"],
         "max_torsion": hv.maxima["torsion"],
@@ -920,7 +955,7 @@ def test_two_of_four_maxima_equal_a_direct_recomputation(source, tmp_path):
     # computes the other two; each equals its maximum over the sample points
     # of the one-point functions, for Levi-Civita, potential and explicit specs
     source = _source_of(source, tmp_path)
-    report = run(small_config(source))
+    report = small_run(source)
     spec = load_spec(source)
     points = [tuple(x) for x in sample_points(spec, SMALL["points"], 42)]
     rows = []
@@ -944,10 +979,9 @@ def test_two_of_four_maxima_equal_a_direct_recomputation(source, tmp_path):
                          + [("sphere2", 0.0), ("sphere2", 5e-324)])
 def test_argmax_is_the_first_maximum_of_the_one_point_functions(source, tol, tmp_path):
     source = _source_of(source, tmp_path)
-    config = RunConfig(source=source, points=4, fiber_points=2, tol=tol)
-    report = run(config)
+    report = run(source, points=4, fiber_points=2, tol=tol)
     spec = load_spec(source)
-    rows = list(_one_point_sweep(spec, *_sweep_grid(spec, config)))
+    rows = list(_one_point_sweep(spec, *_sweep_grid(spec)))
     argmax = report["integrability"]["argmax"]
     assert list(argmax) == list(RESIDUALS)
     for key in RESIDUALS:
@@ -987,7 +1021,7 @@ def _count_calls(monkeypatch, func) -> list:
 def test_check_evaluates_the_born_tensors_once(monkeypatch):
     born = _count_calls(monkeypatch, bundle.fiber_born_jets)
     blocks = _count_calls(monkeypatch, bundle._fiber_blocks)
-    report = run(small_config("hessian-exp2"))
+    report = small_run("hessian-exp2")
     assert report["status"] == "ok"
     assert (len(born), len(blocks)) == (1, 1)
 
@@ -1080,7 +1114,7 @@ def test_reports_are_json_native_on_every_branch(source, failure, status,
         monkeypatch.setattr(integrability_mod, "BORN_GATE", -1.0)
     if failure == "witness":
         monkeypatch.setattr(charts_mod, "PUSHFORWARD_TOL", -1.0)
-    report = run(RunConfig(source, points=4, fiber_points=2))
+    report = run(source, points=4, fiber_points=2)
     _assert_native(report)
     assert report["status"] == status
     if failure == "witness":  # what the affine-chart command writes

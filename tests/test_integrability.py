@@ -338,6 +338,20 @@ def test_verdict_counts_validated():
         integrability_verdict(EUCLID, 0, 4)
 
 
+def test_sampling_arguments_are_checked_before_the_fields(monkeypatch):
+    # a metric that is not positive definite: the bad radius is named first,
+    # and so is a fiber norm that overflows
+    spec = spec_from_dict({"dimension": 2, "coordinates": ["u", "v"],
+                           "metric": {"components": [["-1", "0"], ["0", "1"]]},
+                           "sample_box": [[-1, 1], [-1, 1]]})
+    with pytest.raises(ValueError, match="^fiber radius must be finite and positive$"):
+        integrability_verdict(spec, fiber_radius=0)
+    monkeypatch.setattr(integrability, "sample_fibers",
+                        lambda n, count, radius, seed: np.full((count, n), 1.5e308))
+    with pytest.raises(SpecError, match=r"^fiber radius 1\.7e\+308 is too large"):
+        integrability_verdict(spec, 2, 2, 1.7e308)
+
+
 def test_theorem_builtin():
     by_name = {spec.name: integrability_verdict(spec, base_count=6, fiber_count=3)
                for spec in corpus.all_examples()}
