@@ -104,6 +104,10 @@ MUTANTS = (
     # the chart gathers Gamma^k_ij of each support term from the whole grid
     Mutant("gamma-gather", "src/bornbundle/charts.py", "(k * n + i) * n + j",
            "(i * n + k) * n + j", ("tests/test_charts.py",)),
+    # the acceleration's sum starts from -0.0, which keeps the sign of a zero term
+    Mutant("accel-zero-start", "src/bornbundle/charts.py", "np.full(u.shape, -0.0)",
+           "np.zeros(u.shape)",
+           ("tests/test_charts.py::test_constant_acceleration_equals_products_on_non_finite_states",)),
     # every grid entry is gathered from the distinct value it reads
     Mutant("shared-write", FIELDS, "np.take(distinct, program._reads,",
            "np.take(distinct, sorted(program._reads),", ("tests/test_fields.py",)),

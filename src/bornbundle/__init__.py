@@ -1,7 +1,7 @@
 """Numerical checks relating Hessian structures on a manifold to the Born
 structure induced on its tangent bundle."""
 
-from .charts import ChartMap, exponential_chart, geodesic_integrate
+from .charts import ChartMap, exponential_chart
 from .errors import NotPositiveDefiniteError, SpecError
 from .expr import evaluate, parse
 from .integrability import IntegrabilityReport, integrability_verdict

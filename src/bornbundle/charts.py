@@ -40,11 +40,13 @@ The witness reads both residuals from one transformed connection per
 probe.  The geodesic acceleration sums only the coefficients of Gamma that
 are not structurally zero (:func:`bornbundle.fields.connection_support`:
 none for a flat connection, the entries other than a literal 0 for an
-explicit one), each k its terms in (k, i, j) order, and is a zero jet for
-a k without terms.  A skipped term is an exact +-0 jet, and adding +-0 to
-a nonzero float is exact, so skipping can change only the signs of zeros;
-every chart output passes through ``abs`` and ``max``, so the reports do
-not change.
+explicit one).  One ``np.add.at`` adds each term into its k in support
+order, which is (k, i, j) order, onto an array of -0.0, the exact
+additive identity, signs of zeros included, and the sum is negated; a k
+without terms is a +0.0 jet.  A skipped term is an exact +-0 jet, and adding +-0
+to a nonzero float is exact, so skipping can change only the signs of
+zeros; every chart output passes through ``abs`` and ``max``, so the
+reports do not change.
 
 Every connection kind gives Gamma on one path: one
 :func:`bornbundle.fields.connection_args` over the whole batch, from whose
@@ -170,10 +172,11 @@ def _acceleration(spec: ManifoldSpec, order: int):
     acceleration cannot change along the integration (see the module
     docstring): Gamma has no support, or it is constant and no component
     that a term reads (its i and j) is one that a term writes (its k).  The
-    support terms are gathered by :func:`_connection_terms` in the order
-    they are summed, their products ``(Gamma * u^i) * u^j`` are formed at
-    once, then each k sums its terms in support order and negates the sum;
-    a k without terms gets +0.0."""
+    support terms are gathered by :func:`_connection_terms` in support
+    order and their products ``(Gamma * u^i) * u^j`` formed at once; one
+    ``np.add.at``, which adds repeated indices in index order, sums each
+    k's terms in support order from -0.0, and the sum is negated, so a k
+    without terms gets +0.0."""
     support = fields.connection_support(spec)
     if not support:
         def zero(u, x):
@@ -181,30 +184,17 @@ def _acceleration(spec: ManifoldSpec, order: int):
         zero.uniform, zero.reads_position = True, False
         return zero
     n = spec.n
-    # the terms in rank order: the first term of every k that has one, then
-    # every second term, and so on, the k with more terms first; adding each
-    # rank into the leading rows of the first sums each k in support order
-    k = [kt for kt, _, _ in support]
-    keys = sorted(sorted(set(k)), key=k.count, reverse=True)
-    rank = [t - k.index(kt) for t, kt in enumerate(k)]
-    perm = sorted(range(len(k)), key=lambda t: (rank[t], keys.index(k[t])))
-    ranked = [support[t] for t in perm]
-    _, i, j = zip(*ranked)
-    sizes = [rank.count(r) for r in range(max(rank) + 1)]
-    later = [(size, sum(sizes[:r])) for r, size in enumerate(sizes) if r]
-    gamma = _connection_terms(spec, ranked, order)
+    k, i, j = zip(*support)
+    gamma = _connection_terms(spec, support, order)
     fixed = None if callable(gamma) else gamma
 
     def accel(u, x):
         g = gamma(x) if fixed is None else fixed
         terms = jets._product_coeffs(jets._product_coeffs(g, u[:, i], order, n),
                                      u[:, j], order, n)
-        total = terms[:, :sizes[0]]
-        for size, start in later:
-            total[:, :size] += terms[:, start:start + size]
-        acc = np.zeros(u.shape)
-        acc[:, keys] = -total
-        return acc
+        acc = np.full(u.shape, -0.0)
+        np.add.at(acc, (slice(None), k), terms)
+        return np.negative(acc, out=acc)
     accel.uniform = fixed is not None and not set(k) & {*i, *j}
     accel.reads_position = fixed is None
     return accel
@@ -340,11 +330,6 @@ def _integrate(spec: ManifoldSpec, x0, velocities, order: int, steps: int) -> np
     with np.errstate(over="ignore", invalid="ignore"):  # as Python floats
         return _first_failure(lambda s: _rk4(spec, x0, velocities[s], order, steps),
                               len(velocities))
-
-
-def geodesic_integrate(spec: ManifoldSpec, x0, v, steps: int = DEFAULT_STEPS) -> np.ndarray:
-    """Endpoint of the unit-time geodesic from x0 with initial velocity v."""
-    return ChartMap(spec, x0, steps).probe_jets([v], 0).coeffs[0, :, 0]
 
 
 @lru_cache(maxsize=None)

@@ -179,7 +179,7 @@ def spec_from_dict(raw: dict, name: str = "") -> ManifoldSpec:
     if gamma is not None:
         _expect_grid(gamma, 3, "connection.gamma")
     try:
-        return build_spec(name or raw.get("name", ""), coordinates, sample_box,
+        return build_spec(name, coordinates, sample_box,
                           metric=components, potential=potential,
                           connection=kind, gamma=gamma)
     except (ParseError, ValueError) as e:

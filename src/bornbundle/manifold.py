@@ -227,16 +227,16 @@ def _curvature_of(gamma: np.ndarray) -> np.ndarray:
     return half - half.swapaxes(-3, -2)
 
 
-def _nabla_g_of(gamma_values: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """nabla g, indexed (direction; arguments), from Gamma's values and a g
-    array as in :func:`_curvature_of`, with its worst asymmetry under index
-    permutations (NaN if any entry is NaN), both over the leading stack axes."""
+def _nabla_g_of(gamma_values: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The worst asymmetry of nabla g, indexed (direction; arguments), under
+    index permutations (NaN if any entry is NaN), from Gamma's values and a
+    g array as in :func:`_curvature_of`, over the leading stack axes."""
     gv, dg = g[..., 0, :, :], g[..., 1:, :, :]  # dg[..., l, i, j] = d_l g_ij
     ng = (dg - np.einsum("...lij,...lk->...ijk", gamma_values, gv)
           - np.einsum("...lik,...jl->...ijk", gamma_values, gv))
     permuted = np.stack([ng.transpose(*range(ng.ndim - 3), *(q - 3 for q in perm))
                          for perm in itertools.permutations(range(3)) if perm != (0, 1, 2)])
-    return ng, np.abs(ng - permuted).max(axis=(0, -3, -2, -1))
+    return np.abs(ng - permuted).max(axis=(0, -3, -2, -1))
 
 
 def _torsion_of(gamma_values: np.ndarray) -> np.ndarray:
@@ -389,7 +389,7 @@ def hessian_verdict(bases: BaseJets, tol: float) -> Residuals:
         residuals = {
             "curvature": _curvature_of(bases.gamma),
             "torsion": _torsion_of(gamma),
-            "nabla_g_asymmetry": _nabla_g_of(gamma, bases.g)[1],
+            "nabla_g_asymmetry": _nabla_g_of(gamma, bases.g),
         }
     return Residuals(finite_maxima(residuals, bases.x), tol)
 

@@ -3,7 +3,9 @@
 Each helper calls the package's stacked functions at P = 1 base point and
 F = 1 fiber vector and returns that point's arrays or dicts; a bundle point
 is a :class:`BundlePoint` and the six value matrices there a
-:class:`BornFrame`.  Two functions hold tensor formulas of their own.
+:class:`BornFrame`.  Three functions hold tensor formulas of their own.
+:func:`nabla_g_at` forms nabla g, of which the package keeps only the
+asymmetry.
 :func:`_proof_identities` checks the frame brackets and N_J in the adapted
 frame against the closed forms of the paper's proof, each residual taken
 at both global signs, so that a test sees which sign matched.
@@ -30,7 +32,7 @@ import numpy as np
 
 from bornbundle import bundle, fields, jets
 from bornbundle.bundle import BornStacks, _frame_of, adapted_frame_residuals, fiber_born_jets
-from bornbundle.charts import ChartMap, _probe_residuals
+from bornbundle.charts import DEFAULT_STEPS, ChartMap, _probe_residuals
 from bornbundle.errors import SpecError
 from bornbundle.integrability import _d_omega_of, _nijenhuis_of, _norm_factor
 from bornbundle.manifold import (DEFAULT_TOL, BaseJets, ManifoldSpec, Residuals,
@@ -152,9 +154,11 @@ def curvature_at(spec: ManifoldSpec, p) -> np.ndarray:
 
 
 def nabla_g_at(spec: ManifoldSpec, p) -> tuple[np.ndarray, float]:
-    """nabla g, indexed (direction; arguments), and its worst asymmetry."""
-    ng, asym = _nabla_g_of(connection_at(spec, p), _at(fields.metric_args, spec, p, 1))
-    return ng, float(asym)
+    """nabla g, indexed (direction; arguments), as (nabla_i g)_jk = d_i g_jk
+    - Gamma^l_ij g_lk - Gamma^l_ik g_jl, and its worst asymmetry."""
+    gamma, g = connection_at(spec, p), _at(fields.metric_args, spec, p, 1)
+    ng = g[1:] - np.einsum("lij,lk->ijk", gamma, g[0]) - np.einsum("lik,jl->ijk", gamma, g[0])
+    return ng, float(_nabla_g_of(gamma, g))
 
 
 def hessian_verdict(spec: ManifoldSpec, points, tol: float = DEFAULT_TOL) -> Residuals:
@@ -181,7 +185,7 @@ def two_of_four_residuals(spec: ManifoldSpec, points,
     gamma = bases.gamma[:, 0]
     with np.errstate(over="ignore", invalid="ignore"):  # finite_maxima checks
         residuals = {"torsion": _torsion_of(gamma),
-                     "nabla_g_asymmetry": _nabla_g_of(gamma, bases.g)[1]}
+                     "nabla_g_asymmetry": _nabla_g_of(gamma, bases.g)}
     hessian = Residuals(finite_maxima(residuals, bases.x), tol)
     return _two_of_four_residuals(bases, hessian, tol)
 
@@ -367,6 +371,11 @@ def frame_bracket_residuals(spec: ManifoldSpec, bp: BundlePoint) -> dict:
 
 def nijenhuis_J_identity_residuals(spec: ManifoldSpec, bp: BundlePoint) -> dict:
     return _identities_at(spec, bp)[1]
+
+
+def geodesic_integrate(spec: ManifoldSpec, x0, v, steps: int = DEFAULT_STEPS) -> np.ndarray:
+    """Endpoint of the unit-time geodesic from x0 with initial velocity v."""
+    return ChartMap(spec, x0, steps).probe_jets([v], 0).coeffs[0, :, 0]
 
 
 def pushforward_connection_residual(chart: ChartMap, probes) -> float:

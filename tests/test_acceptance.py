@@ -8,14 +8,15 @@ import pytest
 
 import jet_reference as ref
 from bornbundle import corpus, expr
-from bornbundle.charts import _probe_residuals, exponential_chart, geodesic_integrate
+from bornbundle.charts import _probe_residuals, exponential_chart
 from bornbundle.cli import report_to_json, run
 from bornbundle.integrability import integrability_verdict
 from bornbundle.manifold import halton_points, pattern_violated, sample_fibers, sample_points
 from test_bundle import standard_born_matrices
 from point import (BundlePoint, born_at, born_compatibility_residuals, d_omega_at,
-                   dual_connection_at, frame_bracket_residuals, nijenhuis_J_identity_residuals,
-                   pushforward_connection_residual, two_of_four_residuals)
+                   dual_connection_at, frame_bracket_residuals, geodesic_integrate,
+                   nijenhuis_J_identity_residuals, pushforward_connection_residual,
+                   two_of_four_residuals)
 
 ALL = corpus.all_examples()
 BY_NAME = {s.name: s for s in ALL}
@@ -222,7 +223,7 @@ def test_acceptance_8_affine_chart_witness():
     e32 = geodesic_integrate(sphere, x0, v, 32)
     factor = np.max(np.abs(e8 - e16)) / np.max(np.abs(e16 - e32))
     print(f"  pushforward {push:.3e}, blocks {blocks:.3e}, contraction {factor:.1f}x")
-    ok = push <= 1e-6 and blocks <= 1e-6 and factor >= 8.0
+    ok = push <= 1e-6 and blocks <= 1e-6 and 12.0 <= factor <= 20.0
     _verdict(8, "affine-chart witness", ok)
 
 
