@@ -28,6 +28,9 @@ EXPR = "src/bornbundle/expr.py"
 FIELDS = "src/bornbundle/fields.py"
 JETS = "src/bornbundle/jets.py"
 MANIFOLD = "src/bornbundle/manifold.py"
+# a pushforward residual between PUSHFORWARD_TOL and ten times it fails the witness
+OVER_PUSHFORWARD_TOL = ("tests/test_charts.py::"
+                        "test_pushforward_residual_over_its_tolerance_fails_the_witness")
 
 
 @dataclass(frozen=True)
@@ -104,6 +107,9 @@ MUTANTS = (
     # the chart gathers Gamma^k_ij of each support term from the whole grid
     Mutant("gamma-gather", "src/bornbundle/charts.py", "(k * n + i) * n + j",
            "(i * n + k) * n + j", ("tests/test_charts.py",)),
+    # the witness reads its residual
+    Mutant("witness-ignored", "src/bornbundle/charts.py", '"witnessed": witness.within',
+           '"witnessed": True', (OVER_PUSHFORWARD_TOL,)),
     # the acceleration's sum starts from -0.0, which keeps the sign of a zero term
     Mutant("accel-zero-start", "src/bornbundle/charts.py", "np.full(u.shape, -0.0)",
            "np.zeros(u.shape)",
@@ -128,13 +134,13 @@ MUTANTS = (
     Mutant("born-gate-div10", MANIFOLD, "BORN_GATE = 1e-8", "BORN_GATE = 1e-9",
            ("tests/test_cli.py",)),
     Mutant("pushforward-tol-x10", MANIFOLD, "PUSHFORWARD_TOL = 1e-6", "PUSHFORWARD_TOL = 1e-5",
-           ("tests/test_charts.py",)),
+           (OVER_PUSHFORWARD_TOL,)),
     Mutant("cross-tol-x10", MANIFOLD, "CROSS_TOL = 1e-7", "CROSS_TOL = 1e-6",
            ("tests/test_thresholds.py::test_two_of_four_residuals_over_cross_tol_fail",)),
     Mutant("cross-tol-div10", MANIFOLD, "CROSS_TOL = 1e-7", "CROSS_TOL = 1e-8",
            ("tests/test_thresholds.py::test_two_of_four_residuals_under_cross_tol_hold",)),
-    Mutant("pushforward-tol-div10", MANIFOLD, "PUSHFORWARD_TOL = 1e-6",
-           "PUSHFORWARD_TOL = 1e-7", ("tests/test_charts.py",)),
+    Mutant("pushforward-tol-div10", MANIFOLD, "PUSHFORWARD_TOL = 1e-6", "PUSHFORWARD_TOL = 1e-7",
+           ("tests/test_charts.py::test_witness_holds_with_residuals_just_under_its_tolerance",)),
     Mutant("flatness-gate-x10", MANIFOLD, "FLATNESS_GATE_TOL = 1e-7",
            "FLATNESS_GATE_TOL = 1e-6", ("tests/test_charts.py",)),
     Mutant("flatness-gate-div10", MANIFOLD, "FLATNESS_GATE_TOL = 1e-7",

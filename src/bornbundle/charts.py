@@ -5,19 +5,20 @@ are mapped to the endpoint of the geodesic with initial velocity a,
 integrated with classical fourth-order Runge-Kutta over unit time.
 Derivatives of the chart map come from pushing order-2 jets through the
 integrator (exact for the discrete map, unlike finite differences through
-an ODE).  Success criterion: the transformed connection coefficients
-vanish in the constructed chart, and so the I, J, K blocks built from them
-take their constant affine-chart form.
+an ODE).  Success criterion: the connection coefficients transformed
+into the constructed chart vanish.  That is all the chart has to show; the
+Born side of the theorem, I, J, K and omega on TM, is checked by the sweep
+of :mod:`bornbundle.integrability`.
 
 The measurement, :func:`chart_witness`, takes a built chart, whose
 validity radius the sample box fixes.  The ``affine-chart`` command goes
 through :func:`affine_chart_witness`: its argument checks, then
 :func:`exponential_chart`, whose flatness gate samples ``GATE_POINTS``
 points of its own.  ``check`` builds the :class:`ChartMap` at the box
-center and calls :func:`chart_witness` with its sweep's first fiber
-vector, with no gate: its sweep's Hessian verdict has already found the
-curvature and torsion within the gate at every point of its own sample,
-so Gamma is evaluated at those points once.
+center and calls :func:`chart_witness` with no gate: its sweep's
+Hessian verdict has already found the curvature and torsion within the
+gate at every point of its own sample, so Gamma is evaluated at those
+points once.
 
 All probes of a call are integrated together, once each, over a
 ``(B, n, K)`` state: B probes, n coordinates, and K jet coefficients in
@@ -36,9 +37,9 @@ support or is constant.  So the bits and errors are those of a loop that
 adds one increment per step and checks the box after it, and memory does
 not grow with the step count.
 
-The witness reads both residuals from one transformed connection per
-probe.  The geodesic acceleration sums only the coefficients of Gamma that
-are not structurally zero (:func:`bornbundle.fields.connection_support`:
+The witness's one residual is the connection transformed into the chart
+at each probe.  The geodesic acceleration sums only the coefficients of
+Gamma that are not structurally zero (:func:`bornbundle.fields.connection_support`:
 none for a flat connection, the entries other than a literal 0 for an
 explicit one).  One ``np.add.at`` adds each term into its k in support
 order, which is (k, i, j) order, onto an array of -0.0, the exact
@@ -90,14 +91,12 @@ The sums stay elementwise in a fixed order; an einsum or matmul would
 round differently.
 
 The flatness gate evaluates Gamma with its first partials at its
-``GATE_POINTS`` sample points as one batch, and the probe residuals (the
-transformed connection and the I, J, K blocks built from it) are computed
-for all probes as one stack, by one batched inverse, stacked einsums and
-stacked matmuls, each of which gives every point or probe the bits of a
-call on it alone.  The gate points are checked against the box as one
-array, the probes are placed by one array expression over the Halton
-points, and the constant I, J, K blocks the residuals compare with are
-built once per n (:func:`bornbundle.bundle._constant_blocks`).
+``GATE_POINTS`` sample points as one batch, and the transformed
+connections are computed for all probes as one stack, by one batched
+inverse and stacked einsums, each of which gives every point or probe the
+bits of a call on it alone.  The gate points are checked against the box
+as one array, and the probes are placed by one array expression over the
+Halton points.
 
 Errors: the step count is checked in one place, :class:`ChartMap`,
 through which every integration goes; :func:`exponential_chart` builds
@@ -109,7 +108,7 @@ under ``np.errstate``, since Python floats overflow to inf silently and
 numpy would warn.  A box exit, a domain error or a singular Jacobian names
 the first failing probe or gate point through
 :func:`bornbundle.manifold._first_failure`.  The flatness gate and the
-probe residuals are each one :class:`~bornbundle.manifold.Residuals`
+probe residual are each one :class:`~bornbundle.manifold.Residuals`
 record, reduced through :func:`bornbundle.manifold.finite_maxima`, so a
 NaN or inf curvature, torsion or residual is a spec error naming it and
 its point.  The gate,
@@ -125,13 +124,11 @@ from functools import lru_cache
 import numpy as np
 
 from . import fields, jets
-from .bundle import _constant_blocks, _frame_of
 from .errors import InternalError, SpecError
 from .jets import JetBatch
 from .manifold import (FLATNESS_GATE_TOL, PROBE_RADIUS_SLACK, PUSHFORWARD_TOL,
                        ManifoldSpec, Residuals, _curvature_of, _first_failure, _inside,
-                       _require_inside, _torsion_of, finite_maxima, halton_points, sample_fibers,
-                       sample_points)
+                       _require_inside, _torsion_of, finite_maxima, halton_points, sample_points)
 
 DEFAULT_STEPS = 64
 GATE_POINTS = 8  # sample points of the flatness gate
@@ -418,19 +415,10 @@ def _transformed_connections(jac: np.ndarray, sec: np.ndarray, gamma: np.ndarray
     return _first_failure(transform, len(probes))
 
 
-def _block_residuals(transformed: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """I, J, K built from each transformed connection of the stack at fiber
-    vector y, minus their constant affine-chart blocks, as (B, 3, 2n, 2n)."""
-    y = np.asarray(y, dtype=float)
-    e, einv = _frame_of(-np.einsum("pkij,j->pki", transformed, y)[:, None])
-    consts = _constant_blocks(len(y))
-    return e @ consts @ einv[:, None] - consts
-
-
-def _probe_residuals(chart: ChartMap, probes, y) -> Residuals:
+def _probe_residuals(chart: ChartMap, probes) -> Residuals:
     """Integrate the chart once over all probes and return, at
     ``PUSHFORWARD_TOL``, the connection of ``chart.spec`` transformed into
-    it and, at fiber vector y, the block residuals, per probe."""
+    it, per probe."""
     probes = [tuple(float(c) for c in a) for a in probes]
     for a in probes:
         if float(np.linalg.norm(a)) > chart.radius + PROBE_RADIUS_SLACK:
@@ -442,40 +430,35 @@ def _probe_residuals(chart: ChartMap, probes, y) -> Residuals:
         transformed = _transformed_connections(
             cj[:, :, 1:n + 1], cj[:, :, _second_columns(n)],
             fields.connection_args(chart.spec, jets.seed_batch(cj[:, :, 0], 0)).value, probes)
-        stacks = {"pushforward_connection": transformed,
-                  "born_block": _block_residuals(transformed, y)}
-    return Residuals(finite_maxima(stacks, probes), PUSHFORWARD_TOL)
+    return Residuals(finite_maxima({"pushforward_connection": transformed}, probes),
+                     PUSHFORWARD_TOL)
 
 
-def chart_witness(chart: ChartMap, probes: int, fiber, seed: int) -> dict:
+def chart_witness(chart: ChartMap, probes: int, seed: int) -> dict:
     """Check, at ``probes`` (at least one) Halton probes inside the chart's
-    validity radius, that the connection transformed into the chart and
-    the I, J, K blocks at fiber vector ``fiber`` take their affine form.
-    The chart is not gated here: its caller has found the connection flat
-    and torsion-free."""
+    validity radius, that the connection transformed into the chart
+    vanishes.  The chart is not gated here: its caller has found the
+    connection flat and torsion-free."""
     n = chart.spec.n
     # the cube of half-width r/2 lies in the ball of radius r only for n <= 4
     scale = chart.radius * min(1.0, 2.0 / math.sqrt(n))
     points = (scale * (2 * halton_points(probes, n, seed) - 1) / 2).tolist()
-    witness = _probe_residuals(chart, points, fiber)
+    witness = _probe_residuals(chart, points)
     return {
         "base_point": list(chart.x0),
         "radius": chart.radius,
         "steps": chart.steps,
         "probes": probes,
         "pushforward_residual": witness.maxima["pushforward_connection"],
-        "born_block_residual": witness.maxima["born_block"],
         "witnessed": witness.within,
     }
 
 
-def affine_chart_witness(spec: ManifoldSpec, x0, probes: int, fiber_radius: float,
+def affine_chart_witness(spec: ManifoldSpec, x0, probes: int,
                          steps: int = DEFAULT_STEPS, seed: int = 42) -> dict:
-    """:func:`chart_witness` of the exponential chart at x0, at the first
-    sampled fiber vector, after the chart's flatness gate; probes and fiber
-    radius are checked before the gate."""
+    """:func:`chart_witness` of the exponential chart at x0, after the
+    chart's flatness gate; the probe count is checked before the gate."""
     if probes < 1:
         raise ValueError("need at least one chart probe")
-    fiber = sample_fibers(spec.n, 1, fiber_radius, seed)[0]
     return chart_witness(exponential_chart(spec, x0, steps=steps, seed=seed),
-                         probes, fiber, seed)
+                         probes, seed)

@@ -25,12 +25,11 @@ report section is a projection of one :class:`~bornbundle.manifold.Residuals`
 record, and ``failures`` comes from one table of (breached, message) pairs.
 The verdict's curvature and torsion are also the chart's flatness gate:
 when both are within ``--tol`` and ``FLATNESS_GATE_TOL``, ``check``
-measures the affine-chart witness on the chart at the box center and the
-sweep's first fiber vector (:func:`~bornbundle.charts.chart_witness`),
-with no gate points of its own.  The ``affine-chart`` command keeps its
-gate.  ``check --report`` writes the report to a file and prints a summary
-line ending in the dominant residual, so a loop over ``list-examples`` is
-the corpus run.
+measures the affine-chart witness on the chart at the box center
+(:func:`~bornbundle.charts.chart_witness`), with no gate points of its
+own.  The ``affine-chart`` command keeps its gate.  ``check --report``
+writes the report to a file and prints a summary line ending in the
+dominant residual, so a loop over ``list-examples`` is the corpus run.
 
 Exit codes: 0 all checks ran and no internal invariant failed, 1 spec or
 configuration error (including a domain error or an overflow while
@@ -72,7 +71,7 @@ from .jets import JetDomainError, JetUsageError
 from .manifold import (CROSS_TOL, DEFAULT_TOL, FLATNESS_GATE_TOL, ManifoldSpec, build_spec,
                        pattern_violated, two_of_four_residuals)
 
-REPORT_SCHEMA = 5  # layout version of the check report
+REPORT_SCHEMA = 6  # layout version of the check report
 
 
 def load_spec(source: str) -> ManifoldSpec:
@@ -240,7 +239,7 @@ def run(source: str, points: int = 32, fiber_points: int = 8, fiber_radius: floa
     # tolerance looser than the gate does not start the witness
     if max(hv.maxima["curvature"], hv.maxima["torsion"]) <= min(hv.tol, FLATNESS_GATE_TOL):
         x0 = tuple(0.5 * (lo + hi) for lo, hi in spec.sample_box)
-        witness = chart_witness(ChartMap(spec, x0), 6, integ.fibers[0], seed)
+        witness = chart_witness(ChartMap(spec, x0), 6, seed)
         del witness["probes"]
         report["affine_chart"] = witness
 
@@ -350,8 +349,7 @@ def _cmd_affine_chart(args) -> int:
     else:
         x0 = tuple(0.5 * (lo + hi) for lo, hi in spec.sample_box)
     out = {"spec": spec.name or args.spec,
-           **affine_chart_witness(spec, x0, args.probes, args.fiber_radius,
-                                  args.steps, args.seed)}
+           **affine_chart_witness(spec, x0, args.probes, args.steps, args.seed)}
     sys.stdout.write(report_to_json(out))
     return 0 if out["witnessed"] else 2
 
@@ -383,7 +381,6 @@ def _parser() -> argparse.ArgumentParser:
     p_chart.add_argument("--at", help="comma-separated base point (default: box center)")
     p_chart.add_argument("--steps", type=int, default=DEFAULT_STEPS)
     p_chart.add_argument("--probes", type=int, default=6)
-    p_chart.add_argument("--fiber-radius", type=float, default=1.0)
     p_chart.add_argument("--seed", type=int, default=42)
     return parser
 

@@ -9,18 +9,17 @@ import pytest
 
 import jet_reference as ref
 from bornbundle import charts, corpus, expr, fields, jets
-from bornbundle.bundle import _constant_blocks
 from bornbundle.cli import load_spec, main, spec_from_dict
 from bornbundle.charts import (GATE_POINTS, BoxExitError, ChartMap, FlatnessGateError,
-                               _block_residuals, _gate_connection,
-                               _probe_residuals, _second_columns, _transformed_connections,
-                               affine_chart_witness, exponential_chart)
+                               _gate_connection, _probe_residuals, _second_columns,
+                               _transformed_connections, affine_chart_witness,
+                               exponential_chart)
 from bornbundle.errors import InternalError, SpecError
 from bornbundle.expr import EvalDomainError
 from bornbundle.jets import JetBatch
 from jet_reference import Jet
 from bornbundle.manifold import (_curvature_of, _torsion_of, build_spec, halton_points,
-                                 sample_fibers, sample_points)
+                                 sample_points)
 from test_manifold import GENERATED
 from point import (assert_same_bits, connection_at, curvature_at, geodesic_integrate,
                    pushforward_connection_residual, torsion_at)
@@ -90,12 +89,6 @@ def jacobian(chart, a):
     return chart.jets(a, order=1).coeffs[:, 1:]
 
 
-def chart_born_block_residual(chart, a, y):
-    """Distance of the I, J, K built from the transformed connection at a
-    chart probe from their constant affine-chart blocks."""
-    return _probe_residuals(chart, [a], y).maxima["born_block"]
-
-
 def test_exponential_chart_euclidean_is_identity():
     chart = exponential_chart(EUCLID, (0.1, 0.2))
     a = (0.3, -0.4)
@@ -150,14 +143,28 @@ def test_flatness_gate_decides_a_torsion_near_it(torsion, code, tmp_path, capsys
         assert out["witnessed"] is True
 
 
+HESSIAN_DUAL_FILE = Path(__file__).parent.parent / "scripts" / "specs" / "hessian-dual-exp2.json"
+
+
 def test_witness_holds_with_residuals_just_under_its_tolerance(capsys):
-    # at 16 RK4 steps the derived flat Gamma of hessian-dual-exp2 leaves
-    # residuals of about 6.4e-7 and 7.9e-7, under PUSHFORWARD_TOL = 1e-6
-    spec = Path(__file__).parent.parent / "scripts" / "specs" / "hessian-dual-exp2.json"
-    assert main(["affine-chart", str(spec), "--probes", "4", "--steps", "16"]) == 0
+    # at 16 RK4 steps the derived flat Gamma of hessian-dual-exp2 leaves a
+    # residual of about 6.4e-7, under PUSHFORWARD_TOL = 1e-6
+    assert main(["affine-chart", str(HESSIAN_DUAL_FILE), "--probes", "4", "--steps", "16"]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert 1e-7 < out["pushforward_residual"] < out["born_block_residual"] < 1e-6
+    assert 1e-7 < out["pushforward_residual"] < 1e-6
     assert out["witnessed"] is True
+
+
+@pytest.mark.parametrize("radius", ["1e-10", "1", "1e3", "1e6"])
+def test_the_witness_does_not_read_the_fiber_radius(radius, capsys):
+    # the witness's one residual is the connection transformed into the
+    # chart, so its section is the one of the default radius 1
+    argv = ["check", str(HESSIAN_DUAL_FILE), "--points", "4", "--fiber-points", "2"]
+    assert main([*argv, "--fiber-radius", radius]) == 0
+    section = json.loads(capsys.readouterr().out)["affine_chart"]
+    assert section["witnessed"] is True
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["affine_chart"] == section
 
 
 def test_pushforward_residual_euclidean_zero():
@@ -188,27 +195,25 @@ def test_probe_beyond_radius_rejected():
 def test_probe_just_beyond_radius_rejected():
     chart = exponential_chart(EUCLID, (0.0, 0.0))
     with pytest.raises(InternalError, match="validity radius"):
-        _probe_residuals(chart, [(chart.radius * (1 + 1e-6), 0.0)], (0.7, -0.4))
+        _probe_residuals(chart, [(chart.radius * (1 + 1e-6), 0.0)])
 
 
-def test_block_residual_alone_fails_the_witness(monkeypatch, capsys):
-    # the pushforward residual stays tiny; a block residual of 1e-5 over
-    # PUSHFORWARD_TOL must still fail both the witness and check
-    blocks = charts._block_residuals
-    monkeypatch.setattr(charts, "_block_residuals", lambda *args: blocks(*args) + 1e-5)
+def test_pushforward_residual_over_its_tolerance_fails_the_witness(monkeypatch, capsys):
+    # 5e-6 added to every transformed connection: over PUSHFORWARD_TOL = 1e-6,
+    # under ten times it, and the witness and check must both fail
+    transformed = charts._transformed_connections
+    monkeypatch.setattr(charts, "_transformed_connections",
+                        lambda *args: transformed(*args) + 5e-6)
     assert main(["affine-chart", "pullback-flat"]) == 2
     out = json.loads(capsys.readouterr().out)
-    assert out["pushforward_residual"] <= 1e-6 and out["witnessed"] is False
+    assert out["pushforward_residual"] == pytest.approx(5e-6) and out["witnessed"] is False
     assert main(["check", "pullback-flat", "--points", "4", "--fiber-points", "2"]) == 2
     assert "affine-chart witness residuals" in json.loads(capsys.readouterr().out)["failures"]
 
 
-def test_block_residual_probe_beyond_radius_rejected():
-    chart = exponential_chart(EUCLID, (0.0, 0.0))
-    with pytest.raises(InternalError, match="validity radius"):
-        chart_born_block_residual(chart, (0.9, 0.0), (0.7, -0.4))
+def test_witness_needs_a_chart_probe():
     with pytest.raises(ValueError, match="at least one chart probe"):
-        affine_chart_witness(EUCLID, (0.0, 0.0), 0, 1.0)
+        affine_chart_witness(EUCLID, (0.0, 0.0), 0)
 
 
 def _flat_doc(n):
@@ -227,13 +232,13 @@ def test_witness_probes_lie_inside_the_radius(n, monkeypatch):
     placed = []
     residuals = charts._probe_residuals
 
-    def recorded(chart, probes, y):
+    def recorded(chart, probes):
         placed.append((chart.radius, probes))
-        return residuals(chart, probes, y)
+        return residuals(chart, probes)
 
     monkeypatch.setattr(charts, "_probe_residuals", recorded)
     for seed in range(1, 41):
-        out = affine_chart_witness(spec, (0.0,) * n, 16, 1.0, seed=seed)
+        out = affine_chart_witness(spec, (0.0,) * n, 16, seed=seed)
         assert out["witnessed"]
         radius, probes = placed.pop()
         assert len(probes) == 16
@@ -259,14 +264,6 @@ def test_chart_jacobian_and_second_derivatives_pullback():
     assert sec == pytest.approx(want, abs=1e-9)
 
 
-def test_born_blocks_in_constructed_chart():
-    for spec in (EUCLID, PULLBACK, HESSIAN):
-        chart = exponential_chart(spec, (0.0, 0.0))
-        for a in probes(chart.radius, 4):
-            res = chart_born_block_residual(chart, a, (0.7, -0.4))
-            assert res <= 1e-6
-
-
 class _CollapsedChart(ChartMap):
     """Sends every probe to x0, so the chart Jacobian is zero."""
 
@@ -280,8 +277,6 @@ def test_singular_chart_jacobian_is_spec_error():
     chart = _CollapsedChart(EUCLID, (0.0, 0.0))
     with pytest.raises(SpecError, match="singular chart Jacobian"):
         pushforward_connection_residual(chart, [(0.1, 0.0)])
-    with pytest.raises(SpecError, match="singular chart Jacobian"):
-        chart_born_block_residual(chart, (0.1, 0.0), (0.7, -0.4))
 
 
 def test_chart_base_point_must_be_inside():
@@ -370,18 +365,15 @@ def test_witness_integrates_each_probe_once(spec, monkeypatch):
 
     monkeypatch.setattr(ChartMap, "probe_jets", counted)
     x0, count, seed = (0.0, 0.0), 5, 3
-    out = affine_chart_witness(spec, x0, count, 1.0, seed=seed)
+    out = affine_chart_witness(spec, x0, count, seed=seed)
     # one integration, in one call, of all the probes
     assert len(calls) == 1 and len(calls[0]) == count
-    # the shared per-probe pass gives what the two standalone residuals give
+    # the batched pass gives what the standalone residual gives
     chart = exponential_chart(spec, x0, seed=seed)
     points = [tuple(chart.radius * (2 * u - 1) / 2)
               for u in halton_points(count, 2, seed)]
-    fiber = sample_fibers(2, 1, 1.0, seed)[0]
     assert out["pushforward_residual"] == pushforward_connection_residual(
         chart, points)
-    assert out["born_block_residual"] == max(
-        chart_born_block_residual(chart, a, fiber) for a in points)
 
 
 def reference_chart_jets(spec, x0, a, order=2, steps=64):
@@ -726,9 +718,9 @@ def test_pullback_cubic_is_witnessed():
     assert fields.connection_support(PULLBACK_CUBIC) == ((1, 0, 0),)
     assert PULLBACK_CUBIC.gamma_exprs.free[4] == 0b01  # (1, 0, 0) reads u alone
     for steps in (16, 64):
-        out = affine_chart_witness(PULLBACK_CUBIC, (0.0, 0.0), 6, 1.0, steps=steps)
+        out = affine_chart_witness(PULLBACK_CUBIC, (0.0, 0.0), 6, steps=steps)
         assert out["witnessed"]
-        assert out["pushforward_residual"] == out["born_block_residual"] == 0.0
+        assert out["pushforward_residual"] == 0.0
 
 
 # -- stacked gate and probe residuals ---------------------------------------
@@ -738,16 +730,6 @@ def per_probe_transformed_connection(jac, sec, gamma):
     inv = np.linalg.inv(jac)
     inner = np.einsum("ia,jb,kij->kab", jac, jac, gamma) + sec
     return np.einsum("ck,kab->cab", inv, inner)
-
-
-def per_probe_block_residual(transformed, y):
-    """The per-probe I, J, K block residual that the stacked one replaced."""
-    n = len(y)
-    e = np.eye(2 * n)
-    e[n:, :n] = -np.einsum("kij,j->ki", transformed, y)
-    einv = e.copy()
-    einv[n:, :n] = -einv[n:, :n]
-    return np.stack([e @ c @ einv - c for c in _constant_blocks(n)])
 
 
 @pytest.mark.parametrize("name", ["pullback-flat", "pullback-cubic", "sphere2",
@@ -760,20 +742,16 @@ def test_stacked_probe_residuals_equal_per_probe(name):
     x0 = tuple(0.5 * (lo + hi) + 0.1 for lo, hi in spec.sample_box)
     chart = ChartMap(spec, x0, steps=16)
     points = [tuple(0.25 * (2 * u - 1) / 2) for u in halton_points(7, spec.n, 5)]
-    y = sample_fibers(spec.n, 1, 1.0, 3)[0]
     cj = chart.probe_jets(points).coeffs
     n = spec.n
     jac, sec = cj[:, :, 1:n + 1], cj[:, :, _second_columns(n)]
     gamma = fields.connection_args(spec, jets.seed_batch(cj[:, :, 0], 0)).value
     transformed = _transformed_connections(jac, sec, gamma, points)
-    blocks = _block_residuals(transformed, y)
     for p in range(len(points)):
-        want = per_probe_transformed_connection(jac[p], sec[p], gamma[p])
-        assert_same_bits(transformed[p], want)
-        assert_same_bits(blocks[p], per_probe_block_residual(want, y))
-    maxima = _probe_residuals(chart, points, y).maxima
-    assert maxima["pushforward_connection"] == max(np.max(np.abs(t)) for t in transformed)
-    assert maxima["born_block"] == max(np.max(np.abs(b)) for b in blocks)
+        assert_same_bits(transformed[p],
+                         per_probe_transformed_connection(jac[p], sec[p], gamma[p]))
+    maxima = _probe_residuals(chart, points).maxima
+    assert maxima == {"pushforward_connection": max(np.max(np.abs(t)) for t in transformed)}
 
 
 def test_stacked_probe_residuals_equal_per_probe_on_random_stacks():
@@ -783,13 +761,10 @@ def test_stacked_probe_residuals_equal_per_probe_on_random_stacks():
             jac = np.eye(n) + rng.normal(size=(count, n, n)) * 0.1
             sec, gamma = rng.normal(size=(2, count, n, n, n)) * 1e-3
             gamma[rng.random(gamma.shape) < 0.5] = -0.0
-            y = rng.normal(size=n)
             transformed = _transformed_connections(jac, sec, gamma, range(count))
-            blocks = _block_residuals(transformed, y)
             for p in range(count):
-                want = per_probe_transformed_connection(jac[p], sec[p], gamma[p])
-                assert_same_bits(transformed[p], want)
-                assert_same_bits(blocks[p], per_probe_block_residual(want, y))
+                assert_same_bits(transformed[p],
+                                 per_probe_transformed_connection(jac[p], sec[p], gamma[p]))
 
 
 @pytest.mark.parametrize("name", ["pullback-flat", "sphere2", "hessian-dual-exp2",
@@ -899,9 +874,8 @@ def test_singular_chart_jacobian_names_the_first_probe():
     points = [(0.1, 0.0), (-0.1, 0.05), (-0.2, 0.0)]
     with pytest.raises(SpecError, match=re.escape("singular chart Jacobian at probe "
                                                   "(-0.1, 0.05)")):
-        _probe_residuals(chart, points, (0.7, -0.4))
-    assert _probe_residuals(chart, points[:1], (0.7, -0.4)).maxima == {
-        "pushforward_connection": 0.0, "born_block": 0.0}
+        _probe_residuals(chart, points)
+    assert _probe_residuals(chart, points[:1]).maxima == {"pushforward_connection": 0.0}
 
 
 # -- work done once ------------------------------------------------------------
@@ -927,7 +901,7 @@ def test_constant_gamma_is_evaluated_once_per_integration(monkeypatch):
 
     monkeypatch.setattr(charts, "_rk4", counted_rk4)
     monkeypatch.setattr(expr, "evaluate", counted_evaluate)
-    out = affine_chart_witness(PULLBACK, (0.0, 0.0), 6, 1.0)
+    out = affine_chart_witness(PULLBACK, (0.0, 0.0), 6)
     assert out["witnessed"]
     # one integration of all probes, and one evaluation in it, not 4 x 64
     assert counts == {"rk4": 1, "in_rk4": 1}
@@ -1033,7 +1007,7 @@ def test_witness_places_probes_and_gate_points_as_the_per_point_loops(name, prob
     record("gate", charts._gate_connection)
     record("probes", charts._probe_residuals)
     x0 = tuple(0.5 * (lo + hi) for lo, hi in spec.sample_box)
-    affine_chart_witness(spec, x0, probes, 1.0, steps=4, seed=seed)
+    affine_chart_witness(spec, x0, probes, steps=4, seed=seed)
     scale = min((hi - lo) / 2.0 for lo, hi in spec.sample_box) / 2.0 * min(
         1.0, 2.0 / math.sqrt(spec.n))
     want_probes = [tuple(scale * (2 * u - 1) / 2) for u in halton_points(probes, spec.n, seed)]

@@ -187,11 +187,13 @@ def test_run_euclidean_report_contents():
         "I_in_frame", "J_in_frame", "K_in_frame", "h_in_frame", "k_in_frame",
         "omega_in_frame"]
     assert max(report["born_compat"]["max_residuals"].values()) <= 1e-10
+    assert list(report["affine_chart"]) == ["base_point", "radius", "steps",
+                                            "pushforward_residual", "witnessed"]
     assert report["affine_chart"]["witnessed"] is True
     assert list(report) == ["report_schema", "spec", "config", "scope", "hessian",
                             "two_of_four", "born_compat", "integrability", "agreement",
                             "affine_chart", "status"]
-    assert report["report_schema"] == 5
+    assert report["report_schema"] == 6
     assert list(report["integrability"]) == [
         *(f"max_{name}" for name in RESIDUALS), "integrable", "tol", "argmax"]
 
@@ -238,8 +240,7 @@ def test_config_validation(capsys):
     for argv, message in ((["check", "euclidean2", "--points", "0"], counts),
                           (["check", "euclidean2", "--fiber-points", "-1"], counts),
                           (["theorem", "--points", "0"], counts),
-                          (["check", "euclidean2", "--fiber-radius", "0"], radius),
-                          (["affine-chart", "euclidean2", "--fiber-radius", "0"], radius)):
+                          (["check", "euclidean2", "--fiber-radius", "0"], radius)):
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert json.loads(captured.out)["error"] == {"kind": "ValueError", "message": message}
@@ -526,11 +527,10 @@ def test_chart_box_exit_names_the_first_probe(capsys):
 
 
 @pytest.mark.parametrize("radius", ["nan", "inf", "0", "-1"])
-@pytest.mark.parametrize("command", ["check", "theorem", "affine-chart"])
+@pytest.mark.parametrize("command", ["check", "theorem"])
 def test_fiber_radius_must_be_finite_and_positive(command, radius, capsys):
     target = {"check": ["euclidean2", "--points", "4", "--fiber-points", "2"],
-              "theorem": ["--points", "4", "--fiber-points", "2"],
-              "affine-chart": ["euclidean2", "--probes", "2"]}[command]
+              "theorem": ["--points", "4", "--fiber-points", "2"]}[command]
     code = main([command, *target, "--fiber-radius", radius])
     assert code == 1
     out = json.loads(capsys.readouterr().out)
@@ -638,7 +638,7 @@ def test_cli_affine_chart(capsys):
 
 def test_cli_affine_chart_rejects_curved(capsys):
     # valid arguments reach the flatness gate, which only affine-chart runs
-    for args in ([], ["--steps", "1", "--probes", "1", "--fiber-radius", "2"]):
+    for args in ([], ["--steps", "1", "--probes", "1"]):
         code = main(["affine-chart", "sphere2", *args])
         assert code == 1
         out = json.loads(capsys.readouterr().out)
@@ -660,8 +660,6 @@ def test_cli_affine_chart_rejects_curved(capsys):
     pytest.param(["--at", ""], "--at must be comma-separated numbers, not ''",
                  id="at-empty"),
     pytest.param(["--probes", "0"], "need at least one chart probe", id="probes-0"),
-    pytest.param(["--fiber-radius", "0"], "fiber radius must be finite and positive",
-                 id="fiber-radius-0"),
 ])
 def test_cli_affine_chart_rejects_bad_arguments(args, message, capsys):
     # sphere2 fails the flatness gate: every argument is checked before it
@@ -792,8 +790,9 @@ def test_failures_list_every_broken_invariant_in_order(monkeypatch, capsys):
     _corrupt_born_tensor(monkeypatch, "K")
     real_n = integrability_mod._nijenhuis_of
     monkeypatch.setattr(integrability_mod, "_nijenhuis_of", lambda a: real_n(a) + 1.0)
-    real_b = charts_mod._block_residuals
-    monkeypatch.setattr(charts_mod, "_block_residuals", lambda t, y: real_b(t, y) + 1e-5)
+    real_t = charts_mod._transformed_connections
+    monkeypatch.setattr(charts_mod, "_transformed_connections",
+                        lambda *args: real_t(*args) + 5e-6)
     assert main(["check", "euclidean2", "--points", "4", "--fiber-points", "2"]) == 2
     report = json.loads(capsys.readouterr().out)
     assert report["status"] == "invariant-failure"
@@ -1118,8 +1117,7 @@ def test_reports_are_json_native_on_every_branch(source, failure, status,
     _assert_native(report)
     assert report["status"] == status
     if failure == "witness":  # what the affine-chart command writes
-        witness = charts_mod.affine_chart_witness(load_spec(source), (0.0, 0.0),
-                                                  2, 1.0, 8)
+        witness = charts_mod.affine_chart_witness(load_spec(source), (0.0, 0.0), 2, 8)
         _assert_native(witness)
         assert witness["witnessed"] is False
 
