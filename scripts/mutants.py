@@ -52,6 +52,10 @@ MUTANTS = (
     Mutant("argmax-axis", "src/bornbundle/integrability.py",
            "divmod(int(np.argmax(m)), m.shape[1])", "divmod(int(np.argmax(m)), m.shape[0])",
            ("tests/test_cli.py::test_argmax_is_the_first_maximum_of_the_one_point_functions",)),
+    # theorem's exit code reads its reports' failures, not agreement alone
+    Mutant("theorem-agreement-only", "src/bornbundle/cli.py", "return 2 if failed else 0",
+           "return 0 if all(report['agreement'] for report in reports) else 2",
+           ("tests/test_cli.py::test_theorem_exits_2_exactly_when_some_check_does",)),
     # the --report summary names the largest residual, not the smallest
     Mutant("dominant-min", "src/bornbundle/cli.py", "max(residuals, key=residuals.get)",
            "min(residuals, key=residuals.get)",

@@ -41,13 +41,17 @@ not finite, and a spec file or ``--report`` path that cannot be read or
 written, and ``affine-chart`` on a connection that fails its flatness
 gate),
 2 internal invariant failure (the Hessian and integrability verdicts
-disagreed, the two-of-four residual pattern was impossible, or the
-Born construction broke in the adapted frame, which ``theorem`` checks
-too and names on stderr) or internal fault (a jet misuse, a failed
-linear solve or a chart probe placed beyond the validity radius, reported
-as a JSON error like a spec error).  A spec merely being non-Hessian is a
-result, not a failure.  The threshold behind each verdict, gate and exit
-code is in the table of :mod:`bornbundle.manifold`.
+disagreed, the two-of-four residual pattern was impossible, the Born
+construction broke in the adapted frame, or the affine-chart witness
+failed: the report's ``failures``; ``theorem`` runs :func:`run`,
+``check``'s full suite with the chart witness, on each spec of its
+corpus, keeps its four-field rows, names each failing spec with its
+failures on stderr, and so exits 2 exactly when ``check`` would on some
+spec) or internal fault (a jet misuse, a failed linear solve or a chart
+probe placed beyond the validity radius, reported as a JSON error like a
+spec error).  A spec merely being non-Hessian is a result, not a failure.
+The threshold behind each verdict, gate and exit code is in the table of
+:mod:`bornbundle.manifold`.
 """
 from __future__ import annotations
 
@@ -196,14 +200,14 @@ def _spec_summary(spec: ManifoldSpec) -> dict:
     }
 
 
-def run(source: str, points: int = 32, fiber_points: int = 8, fiber_radius: float = 1.0,
-        tol: float = DEFAULT_TOL, seed: int = 42) -> dict:
-    """Full verdict suite for one spec.  Deterministic for a fixed (spec,
-    sampling, seed); certifies behaviour on sampled points of this single
-    chart only.  The sampling arguments are checked by
+def run(spec: ManifoldSpec, points: int = 32, fiber_points: int = 8,
+        fiber_radius: float = 1.0, tol: float = DEFAULT_TOL, seed: int = 42) -> dict:
+    """Full verdict suite for one spec, behind both ``check`` and
+    ``theorem``.  Deterministic for a fixed (spec, sampling, seed);
+    certifies behaviour on sampled points of this single chart only.  The
+    sampling arguments are checked by
     :func:`~bornbundle.integrability.integrability_verdict` before any
     field is evaluated."""
-    spec = load_spec(source)
     report: dict = {
         "report_schema": REPORT_SCHEMA,
         "spec": _spec_summary(spec),
@@ -295,7 +299,7 @@ def _dominant(report: dict) -> str:
 
 
 def _cmd_check(args) -> int:
-    report = run(args.spec, args.points, args.fiber_points, args.fiber_radius,
+    report = run(load_spec(args.spec), args.points, args.fiber_points, args.fiber_radius,
                  args.tol, args.seed)
     text = report_to_json(report)
     if args.report:
@@ -316,27 +320,24 @@ def _cmd_check(args) -> int:
 
 def _cmd_theorem(args) -> int:
     if args.corpus == "builtin":
-        specs = corpus.all_examples()
+        sources = list(corpus.BUILTIN_BUILDERS)
     else:
-        files = sorted(Path(args.corpus).glob("*.json"))
-        if not files:
+        sources = [str(f) for f in sorted(Path(args.corpus).glob("*.json"))]
+        if not sources:
             raise SpecError(f"no *.json specs found in {args.corpus!r}")
-        specs = [load_spec(str(f)) for f in files]
-    reports = [integrability_verdict(spec, args.points, args.fiber_points,
-                                     args.fiber_radius, args.tol, args.seed)
+    specs = [load_spec(source) for source in sources]  # every file read before any run
+    reports = [run(spec, args.points, args.fiber_points, args.fiber_radius, args.tol, args.seed)
                for spec in specs]
     # bornbench/workloads.py::_check_theorem splits rows into 4 fields, reads "agreement: k/k" last
     print(f"{'spec':18s} {'hessian':8s} {'integrable':11s} agreement")
-    for spec, rep in zip(specs, reports):
-        print(f"{spec.name:18s} {str(rep.hessian.within):8s} "
-              f"{str(rep.born.within):11s} {rep.agreement}")
-    agree = sum(rep.agreement for rep in reports)
-    print(f"agreement: {agree}/{len(reports)}")
-    broken = [spec.name for spec, rep in zip(specs, reports)
-              if not rep.construction.within]
-    if broken:
-        print(f"born construction identities broke: {', '.join(broken)}", file=sys.stderr)
-    return 0 if agree == len(reports) and not broken else 2
+    for report in reports:
+        print(f"{report['spec']['name']:18s} {str(report['hessian']['is_hessian']):8s} "
+              f"{str(report['integrability']['integrable']):11s} {report['agreement']}")
+    print(f"agreement: {sum(report['agreement'] for report in reports)}/{len(reports)}")
+    failed = [report for report in reports if report["status"] != "ok"]
+    for report in failed:
+        print(f"{report['spec']['name']}: {'; '.join(report['failures'])}", file=sys.stderr)
+    return 2 if failed else 0
 
 
 def _cmd_affine_chart(args) -> int:
@@ -371,7 +372,10 @@ def _parser() -> argparse.ArgumentParser:
     _add_common(p_check)
     p_check.add_argument("--report", help="write the JSON report to this path")
 
-    p_thm = sub.add_parser("theorem", help="hessian vs integrability over a corpus")
+    p_thm = sub.add_parser(
+        "theorem", help="check's full suite, the chart witness included, on each spec of a "
+                        "corpus: one hessian/integrable/agreement row per spec, and each "
+                        "failing spec's failures on stderr")
     p_thm.add_argument("--corpus", default="builtin",
                        help="'builtin' or a directory of spec JSON files")
     _add_common(p_thm)

@@ -76,7 +76,3 @@ def example(name: str) -> ManifoldSpec:
         return BUILTIN_BUILDERS[name]()
     except KeyError:
         raise KeyError(f"unknown example {name!r}; choices: {', '.join(BUILTIN_BUILDERS)}") from None
-
-
-def all_examples() -> list[ManifoldSpec]:
-    return [build() for build in BUILTIN_BUILDERS.values()]

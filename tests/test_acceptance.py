@@ -18,7 +18,7 @@ from point import (BundlePoint, born_at, born_compatibility_residuals, d_omega_a
                    nijenhuis_J_identity_residuals, pushforward_connection_residual,
                    two_of_four_residuals)
 
-ALL = corpus.all_examples()
+ALL = [corpus.example(name) for name in corpus.BUILTIN_BUILDERS]
 BY_NAME = {s.name: s for s in ALL}
 
 EXTRA_EXPRESSIONS = [
@@ -227,6 +227,6 @@ def test_acceptance_8_affine_chart_witness():
 
 def test_acceptance_9_determinism():
     config = dict(points=6, fiber_points=3, seed=42)
-    a = report_to_json(run("flat-skew-metric", **config)).encode()
-    b = report_to_json(run("flat-skew-metric", **config)).encode()
+    a = report_to_json(run(corpus.example("flat-skew-metric"), **config)).encode()
+    b = report_to_json(run(corpus.example("flat-skew-metric"), **config)).encode()
     _verdict(9, "byte-identical reports", a == b)

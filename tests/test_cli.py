@@ -24,7 +24,7 @@ SMALL = dict(points=6, fiber_points=3)
 
 
 def small_run(source, **kw):
-    return run(source, **{**SMALL, **kw})
+    return run(load_spec(source), **{**SMALL, **kw})
 
 
 def test_load_builtin_euclidean():
@@ -232,9 +232,9 @@ def test_reports_differ_for_different_seed():
 
 def test_config_validation(capsys):
     with pytest.raises(ValueError, match="^sample counts must be at least 1$"):
-        run("euclidean2", points=0)
+        run(load_spec("euclidean2"), points=0)
     with pytest.raises(ValueError, match="^fiber radius must be finite and positive$"):
-        run("euclidean2", fiber_radius=-1.0)
+        run(load_spec("euclidean2"), fiber_radius=-1.0)
     # a bad sampling parameter is one error kind in every command
     counts, radius = "sample counts must be at least 1", "fiber radius must be finite and positive"
     for argv, message in ((["check", "euclidean2", "--points", "0"], counts),
@@ -296,8 +296,9 @@ def test_report_summary_ends_in_the_dominant_residual(tmp_path, capsys):
 def test_report_summary_at_zero_tol():
     # every positive residual sits infinitely many decades above a zero
     # tolerance, and a zero one is within it
-    assert cli._dominant(run("sphere2", points=2, fiber_points=1, tol=0.0)) == "curvature(+inf)"
-    assert cli._dominant(run("euclidean2", points=2, fiber_points=1, tol=0.0)) == "-"
+    tiny = dict(points=2, fiber_points=1, tol=0.0)
+    assert cli._dominant(run(load_spec("sphere2"), **tiny)) == "curvature(+inf)"
+    assert cli._dominant(run(load_spec("euclidean2"), **tiny)) == "-"
 
 
 def test_cli_check_stdout(capsys):
@@ -813,13 +814,13 @@ def test_theorem_exits_2_on_a_broken_construction_identity(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out.splitlines()[-1] == intact.out.splitlines()[-1] == "agreement: 6/6"
     assert intact.err == ""
-    assert err.startswith("born construction identities broke: ")
-    assert "euclidean2" in err
+    assert err.splitlines() == [f"{name}: born construction identities"
+                                for name in corpus.BUILTIN_BUILDERS]
 
 
 def test_theorem_exits_2_on_a_verdict_disagreement(monkeypatch, capsys):
     # every Nijenhuis tensor off by 1.0: no spec is integrable, so the three
-    # Hessian ones disagree
+    # Hessian ones disagree, and stderr names each of them
     import bornbundle.integrability as integrability_mod
 
     real = integrability_mod._nijenhuis_of
@@ -832,7 +833,33 @@ def test_theorem_exits_2_on_a_verdict_disagreement(monkeypatch, capsys):
     for name in ("flat-skew-metric", "sphere2", "flat-torsionful"):
         assert rows[name] == f"{name:18s} False    False       True"
     assert out.splitlines()[-1] == "agreement: 3/6"
-    assert err == ""
+    assert err.splitlines() == [f"{name}: hessian/integrability verdicts disagree"
+                                for name in ("euclidean2", "hessian-exp2", "pullback-flat")]
+
+
+def test_theorem_exits_2_exactly_when_some_check_does(tmp_path, capsys):
+    # one spec, one exit code: check fails the flat diag(1, 1 + 1e-7 u) and
+    # flat-skew-metric's metric times 1e-10 on their two_of_four pattern
+    # (ROADMAP items 1 and 18) and passes scripts/specs/near-hessian.json;
+    # theorem names on stderr exactly the specs check fails, each with
+    # check's failures, whatever those are
+    root = Path(__file__).resolve().parent.parent
+    (tmp_path / "near-hessian.json").write_text(
+        (root / "scripts" / "specs" / "near-hessian.json").read_text())
+    for name, metric in (("near-1e-7", ("1", "1 + 1e-7*u")),
+                         ("skew-1e-10", ("1e-10", "1e-10*exp(u)"))):
+        (tmp_path / f"{name}.json").write_text(json.dumps(_diag_spec(metric, box=OVERFLOW_BOX)))
+    sampling = ["--points", "4", "--fiber-points", "2"]
+    codes, failures = [], []
+    for path in sorted(tmp_path.glob("*.json")):
+        codes.append(main(["check", str(path), *sampling]))
+        report = json.loads(capsys.readouterr().out)
+        if "failures" in report:
+            failures.append(f"{path.stem}: {'; '.join(report['failures'])}")
+    code = main(["theorem", "--corpus", str(tmp_path), *sampling])
+    err = capsys.readouterr().err
+    assert code == (2 if 2 in codes else 0)
+    assert err.splitlines() == failures
 
 
 def test_theorem_on_an_empty_directory_is_a_spec_error(tmp_path, capsys):
@@ -919,8 +946,8 @@ def test_shared_sweep_matches_standalone_functions(source, tmp_path):
         path = tmp_path / "lc3.json"
         path.write_text(json.dumps(LC3))
         source = str(path)
-    report = run(source, points=4, fiber_points=2)
     spec = load_spec(source)
+    report = run(spec, points=4, fiber_points=2)
     base, fibers = _sweep_grid(spec)
     worst: dict = {}
     rows = list(_one_point_sweep(spec, base, fibers))
@@ -978,8 +1005,8 @@ def test_two_of_four_maxima_equal_a_direct_recomputation(source, tmp_path):
                          + [("sphere2", 0.0), ("sphere2", 5e-324)])
 def test_argmax_is_the_first_maximum_of_the_one_point_functions(source, tol, tmp_path):
     source = _source_of(source, tmp_path)
-    report = run(source, points=4, fiber_points=2, tol=tol)
     spec = load_spec(source)
+    report = run(spec, points=4, fiber_points=2, tol=tol)
     rows = list(_one_point_sweep(spec, *_sweep_grid(spec)))
     argmax = report["integrability"]["argmax"]
     assert list(argmax) == list(RESIDUALS)
@@ -1113,7 +1140,7 @@ def test_reports_are_json_native_on_every_branch(source, failure, status,
         monkeypatch.setattr(integrability_mod, "BORN_GATE", -1.0)
     if failure == "witness":
         monkeypatch.setattr(charts_mod, "PUSHFORWARD_TOL", -1.0)
-    report = run(source, points=4, fiber_points=2)
+    report = run(load_spec(source), points=4, fiber_points=2)
     _assert_native(report)
     assert report["status"] == status
     if failure == "witness":  # what the affine-chart command writes
