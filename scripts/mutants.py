@@ -121,6 +121,12 @@ MUTANTS = (
     # every grid entry is gathered from the distinct value it reads
     Mutant("shared-write", FIELDS, "np.take(distinct, program._reads,",
            "np.take(distinct, sorted(program._reads),", ("tests/test_fields.py",)),
+    # a potential under a derived connection is evaluated once for Gamma and g
+    Mutant("potential-evaluated-twice", FIELDS,
+           'if spec.connection_kind in ("levi-civita", "hessian-dual"):',
+           'if spec.potential is None and spec.connection_kind in ("levi-civita", '
+           '"hessian-dual"):',
+           ("tests/test_fields.py::test_a_potential_under_a_derived_connection_is_evaluated_once",)),
     # a maximum equal to its threshold holds
     Mutant("holds-strict", MANIFOLD, "m <= self.tol for name",
            "m < self.tol for name", ("tests/test_manifold.py",)),

@@ -29,13 +29,13 @@ chunks of m steps, in one ``(m + 1, B, n, K)`` buffer whose row 0 is the
 carried position and row r + 1 step r's increment.  ``np.add.accumulate``
 adds the rows in order, one rounding per add, as ``x = x + increment``
 does, and one box check per chunk names the first step at which a probe
-is outside and, at that step, the first such probe.  A chunk is one step
-when the acceleration reads the position, so that a domain error of such
-a Gamma cannot come before the box exit of an earlier step, and
-``DEFAULT_STEPS`` steps (fewer at the end) when it does not: Gamma has no
-support or is constant.  So the bits and errors are those of a loop that
-adds one increment per step and checks the box after it, and memory does
-not grow with the step count.
+is outside and, at that step, the first such probe.  A chunk is
+``DEFAULT_STEPS`` steps (fewer at the end) for a uniform acceleration,
+which never reads the position, and one step for every other, so that a
+domain error of a Gamma evaluated at the stage positions cannot come
+before the box exit of an earlier step.  So the bits and errors are those
+of a loop that adds one increment per step and checks the box after it,
+and memory does not grow with the step count.
 
 The witness's one residual is the connection transformed into the chart
 at each probe.  The geodesic acceleration sums only the coefficients of
@@ -82,10 +82,9 @@ included:
   the velocity after step 0 unchanged (a zero acceleration), every later
   step has the row of step 1, formed once.
 * Per stage, for every other connection: the four stages of every step in
-  turn.  A Gamma that reads the position is evaluated at each stage
-  position, one step per chunk; a constant one (``scripts/specs``'s
-  pullback-chain3) reads none, so no stage position is formed, and a
-  whole chunk is filled at a time.
+  turn, one step per chunk, each stage's acceleration at its position.  A
+  constant Gamma that is not uniform (``scripts/specs``'s pullback-chain3)
+  is evaluated once and does not read the positions.
 
 The sums stay elementwise in a fixed order; an einsum or matmul would
 round differently.
@@ -178,7 +177,7 @@ def _acceleration(spec: ManifoldSpec, order: int):
     if not support:
         def zero(u, x):
             return np.zeros(u.shape)
-        zero.uniform, zero.reads_position = True, False
+        zero.uniform = True
         return zero
     n = spec.n
     k, i, j = zip(*support)
@@ -193,7 +192,6 @@ def _acceleration(spec: ManifoldSpec, order: int):
         np.add.at(acc, (slice(None), k), terms)
         return np.negative(acc, out=acc)
     accel.uniform = fixed is not None and not set(k) & {*i, *j}
-    accel.reads_position = fixed is None
     return accel
 
 
@@ -212,27 +210,21 @@ def _check_box(positions: np.ndarray, lo, hi, step: int, steps: int) -> None:
 
 def _stage_rows(accel, u, h: float):
     """The RK4 loop, one stage at a time: a function that advances the
-    velocity u by one step per row of ``rows``, ``(m, B, n, K)``, writing
-    each step's ``u + u2*2 + u3*2 + u4`` into its row.  An acceleration
-    that reads the position gets one row, whose stages after the first take
-    it at ``x + u*(h/2)``, ``x + u2*(h/2)`` and ``x + u3*h`` from the
-    carried position x; any other gets a whole chunk, and its stages the
-    carried position, unread, in place of positions never formed."""
-    def at(x, v, t):
-        return x + v * t if accel.reads_position else x
-
+    velocity u by the one step of ``rows``, ``(1, B, n, K)``, writing its
+    ``u + u2*2 + u3*2 + u4`` into the row.  The stages after the first take
+    the acceleration at ``x + u*(h/2)``, ``x + u2*(h/2)`` and ``x + u3*h``
+    from the carried position x."""
     def fill(rows, x):
         nonlocal u
-        for row in rows:
-            k1u = accel(u, x)
-            u2 = u + k1u * (h / 2)
-            k2u = accel(u2, at(x, u, h / 2))
-            u3 = u + k2u * (h / 2)
-            k3u = accel(u3, at(x, u2, h / 2))
-            u4 = u + k3u * h
-            k4u = accel(u4, at(x, u3, h))
-            row[...] = u + u2 * 2 + u3 * 2 + u4
-            u = u + (k1u + k2u * 2 + k3u * 2 + k4u) * (h / 6)
+        k1u = accel(u, x)
+        u2 = u + k1u * (h / 2)
+        k2u = accel(u2, x + u * (h / 2))
+        u3 = u + k2u * (h / 2)
+        k3u = accel(u3, x + u2 * (h / 2))
+        u4 = u + k3u * h
+        k4u = accel(u4, x + u3 * h)
+        rows[0] = u + u2 * 2 + u3 * 2 + u4
+        u = u + (k1u + k2u * 2 + k3u * 2 + k4u) * (h / 6)
     return fill
 
 
@@ -296,8 +288,9 @@ def _rk4(spec: ManifoldSpec, x0, velocities: np.ndarray, order: int,
     accel = _acceleration(spec, order)
     lo, hi = np.array(spec.sample_box, dtype=float).T
     h = 1.0 / steps
-    # one-step chunks when the stages read the carried position, row 0
-    chunk = 1 if accel.reads_position else min(steps, DEFAULT_STEPS)
+    # whole chunks for a uniform acceleration; else one step per chunk, whose
+    # stages read the carried position, row 0
+    chunk = min(steps, DEFAULT_STEPS) if accel.uniform else 1
     fill = (_uniform_rows(accel, u, x, h, chunk) if accel.uniform
             else _stage_rows(accel, u, h))
     # in-order adds, one rounding each: the bits of x = x + increment

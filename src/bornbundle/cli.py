@@ -307,7 +307,7 @@ def _cmd_check(args) -> int:
             Path(args.report).write_text(text)
         except OSError as e:  # its message names the path
             raise SpecError(f"cannot write report: {e}") from e
-        print(f"{report['spec']['name'] or args.spec}: hessian="
+        print(f"{report['spec']['name']}: hessian="
               f"{report['hessian']['is_hessian']} integrable="
               f"{report['integrability']['integrable']} agreement="
               f"{report['agreement']} status={report['status']} "
@@ -349,7 +349,7 @@ def _cmd_affine_chart(args) -> int:
             raise SpecError(f"--at must be comma-separated numbers, not {args.at!r}") from None
     else:
         x0 = tuple(0.5 * (lo + hi) for lo, hi in spec.sample_box)
-    out = {"spec": spec.name or args.spec,
+    out = {"spec": spec.name,
            **affine_chart_witness(spec, x0, args.probes, args.steps, args.seed)}
     sys.stdout.write(report_to_json(out))
     return 0 if out["witnessed"] else 2

@@ -15,9 +15,9 @@ one constant jet).  :func:`metric_args` and :func:`metric_dg_args` read g,
 and dg, off one evaluation of the grid or the potential on arguments
 augmented by the orders they read (a grid's g alone reads none).
 :func:`connection_metric_args` gives Gamma and g together: for a connection
-derived from a metric grid (Levi-Civita, or the dual of the flat
-connection) the grid is evaluated once, and g is read off the evaluation
-one order higher that gives its partials, which has the bits of
+derived from a metric, grid or potential (Levi-Civita, or the dual of the
+flat connection), the metric is evaluated once, and g is read off the
+evaluation one order higher that gives its partials, which has the bits of
 :func:`metric_args`.  :func:`jet_inv`, :func:`levi_civita_of` and
 :func:`dual_connection_of` act on all points at once in the operations
 and summation order of the same formulas on one point's jets, so every
@@ -201,10 +201,10 @@ def connection_args(spec, args: Sequence[JetBatch]) -> JetBatch:
 
 def connection_metric_args(spec, args: Sequence[JetBatch]) -> tuple[JetBatch, JetBatch]:
     """(Gamma, g) as :func:`connection_args` and :func:`metric_args` give
-    them.  A metric grid from which the connection derives is evaluated
-    once: g is then the one of :func:`metric_dg_args`, which has the bits of
-    :func:`metric_args`."""
-    if spec.potential is None and spec.connection_kind in ("levi-civita", "hessian-dual"):
+    them.  A metric, grid or potential, from which the connection derives
+    is evaluated once: g is then the one of :func:`metric_dg_args`, which
+    has the bits of :func:`metric_args`."""
+    if spec.connection_kind in ("levi-civita", "hessian-dual"):
         return _derived_connection(spec, args)
     return connection_args(spec, args), metric_args(spec, args)
 

@@ -955,12 +955,11 @@ def test_uniform_acceleration_takes_two_kernel_calls(steps, monkeypatch):
     assert len(calls) == 4
 
 
-@pytest.mark.parametrize("spec,checks", [(PULLBACK, 3), (PULLBACK_CHAIN3, 3)])
+@pytest.mark.parametrize("spec,checks", [(PULLBACK, 3), (PULLBACK_CHAIN3, 130)])
 def test_box_checks_per_integration(spec, checks, monkeypatch):
-    # an acceleration that does not read the position is scanned in chunks
-    # of DEFAULT_STEPS steps, here 64 + 64 + 2: the uniform form
-    # (pullback-flat) and the per-stage form of a constant Gamma
-    # (pullback-chain3) alike
+    # a uniform acceleration (pullback-flat) is scanned in chunks of
+    # DEFAULT_STEPS steps, here 64 + 64 + 2; the per-stage form, a constant
+    # Gamma that is not uniform (pullback-chain3) included, one step per chunk
     calls = []
     check_box = charts._check_box
 

@@ -20,11 +20,17 @@ BOX2 = [(-1.0, 1.0), (-1.0, 1.0)]
 HESSIAN_DUAL = build_spec("hessian-dual-exp2", ("u", "v"), BOX2,
                           metric=[["exp(u)", "0"], ["0", "exp(v)"]],
                           connection="hessian-dual")
+# a potential under each connection derived from the metric
+DERIVED_POTENTIALS = {
+    f"potential-{kind}2": build_spec(f"potential-{kind}2", ("u", "v"), BOX2,
+                                     potential="exp(u) + exp(v) + u*v/4", connection=kind)
+    for kind in ("levi-civita", "hessian-dual")}
 SPECS = {
     **{name: corpus.example(name) for name in corpus.BUILTIN_BUILDERS},
     **{name: spec_from_dict(doc, name=name) for name, doc in GENERATED.items()},
     "hessian-dual-exp2": HESSIAN_DUAL,
     "every-node": EVERY_NODE,
+    **DERIVED_POTENTIALS,
 }
 
 
@@ -185,8 +191,9 @@ WITH_SCRIPT_SPECS = {**{path.stem: load_spec(str(path)) for path in sorted(
 @pytest.mark.parametrize("name", list(WITH_SCRIPT_SPECS))
 def test_one_metric_evaluation_gives_the_metric_bits(name):
     # g as metric_dg_args reads it off an evaluation one order higher is
-    # metric_args' g bit for bit, so a connection derived from a metric grid
-    # and g come from one evaluation; (Gamma, g) equal the two fields' own
+    # metric_args' g bit for bit, so a connection derived from a metric, grid
+    # or potential, and g come from one evaluation; (Gamma, g) equal the two
+    # fields' own
     spec = WITH_SCRIPT_SPECS[name]
     for order in (0, 1):
         args = jets.seed_batch(sample_points(spec, 20, 5), order)
@@ -194,9 +201,20 @@ def test_one_metric_evaluation_gives_the_metric_bits(name):
             gamma, g = fields.connection_metric_args(spec, args)
             assert_same_bits(g.coeffs, fields.metric_args(spec, args).coeffs)
             assert_same_bits(gamma.coeffs, fields.connection_args(spec, args).coeffs)
-            if spec.potential is None:
-                assert_same_bits(fields.metric_dg_args(spec, args)[0].coeffs,
-                                 g.coeffs)
+            assert_same_bits(fields.metric_dg_args(spec, args)[0].coeffs, g.coeffs)
+
+
+@pytest.mark.parametrize("name", list(DERIVED_POTENTIALS))
+def test_a_potential_under_a_derived_connection_is_evaluated_once(name, monkeypatch):
+    # Gamma reads the potential's jets to order 4 at the sweep's jet order
+    # 1, and g is read off that evaluation, not a second one at order 3
+    orders = []
+    evaluate = expr.evaluate
+    monkeypatch.setattr(expr, "evaluate",
+                        lambda p, a: orders.append(a[0].order) or evaluate(p, a))
+    spec = SPECS[name]
+    base_jets(spec, sample_points(spec, 8, 42))
+    assert orders == [4]
 
 
 @pytest.mark.parametrize("kind", ["levi-civita", "hessian-dual"])
@@ -204,10 +222,8 @@ def test_potential_fields_at_any_order_equal_the_grid_to_round_off(kind):
     # exp(u) + exp(v) + u*v/4 and its Hessian grid: g, dg and the derived
     # Gamma read the potential's jets to order 4 at jet order 1 and to order
     # 5 at jet order 2 (the chart's)
-    box = [(-1.0, 1.0), (-1.0, 1.0)]
-    pot = build_spec("phi", ("u", "v"), box, potential="exp(u) + exp(v) + u*v/4",
-                     connection=kind)
-    grid = build_spec("phi-grid", ("u", "v"), box,
+    pot = DERIVED_POTENTIALS[f"potential-{kind}2"]
+    grid = build_spec("phi-grid", ("u", "v"), BOX2,
                       metric=[["exp(u)", "0.25"], ["0.25", "exp(v)"]], connection=kind)
     x = sample_points(grid, 5, 3)
     for order in (0, 1, 2):
