@@ -56,6 +56,10 @@ MUTANTS = (
     Mutant("theorem-agreement-only", "src/bornbundle/cli.py", "return 2 if failed else 0",
            "return 0 if all(report['agreement'] for report in reports) else 2",
            ("tests/test_cli.py::test_theorem_exits_2_exactly_when_some_check_does",)),
+    # theorem names on stderr the spec whose evaluation raised
+    Mutant("theorem-error-unnamed", "src/bornbundle/cli.py",
+           '            print(f"{spec.name}: {type(e).__name__}", file=sys.stderr)\n', "",
+           ("tests/test_cli.py::test_theorem_names_the_spec_whose_evaluation_raised",)),
     # the --report summary names the largest residual, not the smallest
     Mutant("dominant-min", "src/bornbundle/cli.py", "max(residuals, key=residuals.get)",
            "min(residuals, key=residuals.get)",

@@ -47,11 +47,13 @@ failed: the report's ``failures``; ``theorem`` runs :func:`run`,
 ``check``'s full suite with the chart witness, on each spec of its
 corpus, keeps its four-field rows, names each failing spec with its
 failures on stderr, and so exits 2 exactly when ``check`` would on some
-spec) or internal fault (a jet misuse, a failed linear solve or a chart
-probe placed beyond the validity radius, reported as a JSON error like a
-spec error).  A spec merely being non-Hessian is a result, not a failure.
-The threshold behind each verdict, gate and exit code is in the table of
-:mod:`bornbundle.manifold`.
+spec; a spec whose evaluation raises ends the run with one stderr line
+``<spec name>: <error kind>`` and the JSON error and exit code ``check``
+gives on that spec) or internal fault (a jet misuse, a failed linear
+solve or a chart probe placed beyond the validity radius, reported as a
+JSON error like a spec error).  A spec merely being non-Hessian is a
+result, not a failure.  The threshold behind each verdict, gate and exit
+code is in the table of :mod:`bornbundle.manifold`.
 """
 from __future__ import annotations
 
@@ -326,8 +328,14 @@ def _cmd_theorem(args) -> int:
         if not sources:
             raise SpecError(f"no *.json specs found in {args.corpus!r}")
     specs = [load_spec(source) for source in sources]  # every file read before any run
-    reports = [run(spec, args.points, args.fiber_points, args.fiber_radius, args.tol, args.seed)
-               for spec in specs]
+    reports = []
+    for spec in specs:
+        try:
+            reports.append(run(spec, args.points, args.fiber_points, args.fiber_radius,
+                               args.tol, args.seed))
+        except Exception as e:  # main reports it as check would; this names the spec
+            print(f"{spec.name}: {type(e).__name__}", file=sys.stderr)
+            raise
     # bornbench/workloads.py::_check_theorem splits rows into 4 fields, reads "agreement: k/k" last
     print(f"{'spec':18s} {'hessian':8s} {'integrable':11s} agreement")
     for report in reports:

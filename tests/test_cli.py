@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import json
 import math
 import re
@@ -21,6 +22,32 @@ from point import (BundlePoint, connection_at, d_omega_at, dual_connection_at,
                    named_tensors, nijenhuis_at, torsion_at, two_of_four_residuals)
 
 SMALL = dict(points=6, fiber_points=3)
+ROOT = Path(__file__).resolve().parent.parent
+SPECS = ROOT / "scripts" / "specs"
+
+
+def _load_specgen():
+    """bornbench/specgen.py, the benchmark's spec generator (stdlib and numpy only)."""
+    spec = importlib.util.spec_from_file_location("specgen", ROOT / "bornbench" / "specgen.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # for the dataclass of its specs
+    spec.loader.exec_module(module)
+    return module
+
+
+SPECGEN = _load_specgen()
+
+
+def _spec_file(name, directory) -> str:
+    """The path of ``name`` written to ``directory``: a ``scripts/specs`` file,
+    or ``<family><n>``, the benchmark generator's spec at spec seed 1."""
+    path = directory / f"{name}.json"
+    if (SPECS / path.name).is_file():
+        path.write_text((SPECS / path.name).read_text())
+    else:
+        family, n = re.fullmatch(r"([a-z]+)(\d)", name).groups()
+        path.write_text(json.dumps(SPECGEN.make_spec(family, int(n), 1).doc))
+    return str(path)
 
 
 def small_run(source, **kw):
@@ -235,7 +262,8 @@ def test_config_validation(capsys):
         run(load_spec("euclidean2"), points=0)
     with pytest.raises(ValueError, match="^fiber radius must be finite and positive$"):
         run(load_spec("euclidean2"), fiber_radius=-1.0)
-    # a bad sampling parameter is one error kind in every command
+    # a bad sampling parameter is one error kind in every command; theorem
+    # names the spec whose run raised it, its first
     counts, radius = "sample counts must be at least 1", "fiber radius must be finite and positive"
     for argv, message in ((["check", "euclidean2", "--points", "0"], counts),
                           (["check", "euclidean2", "--fiber-points", "-1"], counts),
@@ -244,7 +272,7 @@ def test_config_validation(capsys):
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert json.loads(captured.out)["error"] == {"kind": "ValueError", "message": message}
-        assert captured.err == ""
+        assert captured.err == ("euclidean2: ValueError\n" if argv[0] == "theorem" else "")
 
 
 # -- command-line entry points ---------------------------------------------
@@ -497,7 +525,7 @@ def test_overflowing_constant_is_spec_error_without_warning(spec, command, messa
     assert out["error"]["kind"] == "SpecError"
     assert message in out["error"]["message"]
     assert "(value nan)" in out["error"]["message"]
-    assert captured.err == ""
+    assert captured.err == ("const: SpecError\n" if command == "theorem" else "")
 
 
 def _chart_error(argv, capsys):
@@ -556,17 +584,17 @@ def test_a_fiber_radius_whose_norms_overflow_is_scaled(command, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["check", "pullback-flat", "--fiber-radius", "1e8"],
-    ["check", "sphere2", "--fiber-radius", "1e12"],
-    ["theorem", "--points", "4", "--fiber-radius", "1e8"],
-], ids=["pullback-flat", "sphere2", "theorem"])
+    ["check", "pullback-flat", "--points", "3", "--fiber-points", "2", "--fiber-radius", "1e8"],
+    ["check", "sphere2", "--points", "3", "--fiber-points", "2", "--fiber-radius", "1e12"],
+    ["theorem", "--points", "4", "--fiber-points", "2", "--fiber-radius", "1e8"],
+    ["check", "sphere2", "--fiber-radius", "100"],
+    ["theorem", "--fiber-radius", "1e3"],
+], ids=["pullback-flat", "sphere2", "theorem", "sphere2-100-32x8", "theorem-1e3-32x8"])
 def test_a_large_fiber_radius_passes_the_construction_check(argv, capsys):
     # h = E^-T diag(g, g) E^-1 has determinant det(g)^2, never 0, and the
     # adapted-frame check solves nothing: at these radii, where h is
     # numerically singular in bundle coordinates, every verdict still agrees
-    if argv[0] == "check":
-        argv = argv + ["--points", "3"]
-    code = main(argv + ["--fiber-points", "2"])
+    code = main(argv)
     captured = capsys.readouterr()
     assert code == 0 and captured.err == ""
     if argv[0] == "check":
@@ -843,9 +871,7 @@ def test_theorem_exits_2_exactly_when_some_check_does(tmp_path, capsys):
     # (ROADMAP items 1 and 18) and passes scripts/specs/near-hessian.json;
     # theorem names on stderr exactly the specs check fails, each with
     # check's failures, whatever those are
-    root = Path(__file__).resolve().parent.parent
-    (tmp_path / "near-hessian.json").write_text(
-        (root / "scripts" / "specs" / "near-hessian.json").read_text())
+    _spec_file("near-hessian", tmp_path)
     for name, metric in (("near-1e-7", ("1", "1 + 1e-7*u")),
                          ("skew-1e-10", ("1e-10", "1e-10*exp(u)"))):
         (tmp_path / f"{name}.json").write_text(json.dumps(_diag_spec(metric, box=OVERFLOW_BOX)))
@@ -860,6 +886,97 @@ def test_theorem_exits_2_exactly_when_some_check_does(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == (2 if 2 in codes else 0)
     assert err.splitlines() == failures
+
+
+def test_theorem_names_the_spec_whose_evaluation_raised(tmp_path, capsys):
+    # exp(1000 u) underflows to a singular metric at a sampled point of
+    # b-underflow, after a-near has run: theorem names b-underflow on stderr,
+    # then gives the JSON error and exit code of check on that file
+    (tmp_path / "a-near.json").write_text((SPECS / "near-hessian.json").read_text())
+    underflow = tmp_path / "b-underflow.json"
+    underflow.write_text(json.dumps(_diag_spec(("exp(1000*u)", "1"), "levi-civita",
+                                               OVERFLOW_BOX)))
+    sampling = ["--points", "4", "--fiber-points", "2"]
+    assert main(["check", str(underflow), *sampling]) == 1
+    checked = capsys.readouterr().out
+    assert main(["theorem", "--corpus", str(tmp_path), *sampling]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "b-underflow: SpecError\n"
+    assert captured.out == checked
+
+
+GENERATED_N3_TO_5 = [f"{family}{n}" for family in ("lc", "potential", "twisted")
+                     for n in (3, 4, 5)]
+
+
+@pytest.mark.parametrize("names,sampling", [
+    (GENERATED_N3_TO_5 + ["hessian-dual-exp2"], ["--points", "4", "--fiber-points", "2"]),
+    # Gamma vanishes, so at the default 32 x 8 the sweep builds one fiber per base point
+    ([f"potential{n}" for n in (5, 6, 7, 8)], []),
+], ids=["generated-n3-5-4x2", "potential-n5-8-32x8"])
+def test_theorem_on_generated_specs_exits_0(names, sampling, tmp_path, capsys):
+    for name in names:
+        _spec_file(name, tmp_path)
+    assert main(["theorem", "--corpus", str(tmp_path), *sampling]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[-1] == f"agreement: {len(names)}/{len(names)}"
+
+
+def test_every_committed_spec_is_ok_at_the_default_sampling():
+    # theorem --corpus scripts/specs at 32 x 8 exits 0 exactly when every
+    # report is ok; the flat derived Gammas of the hessian-dual specs are
+    # witnessed, fisher-dual3's Fisher grid with its shared subtrees included
+    reports = {path.stem: run(load_spec(str(path))) for path in sorted(SPECS.glob("*.json"))}
+    assert {name: report["status"] for name, report in reports.items()} == dict.fromkeys(
+        reports, "ok")
+    for name in ("fisher-dual3", "hessian-dual-exp2"):
+        assert reports[name]["affine_chart"]["witnessed"] is True
+
+
+STEPS_16 = ["--probes", "4", "--steps", "16"]
+
+
+@pytest.mark.parametrize("argv", [
+    # the Born stack at 2n = 12 at the default 32 x 8
+    ["check", "lc6"],
+    ["check", "potential6"],
+    # twisted8's 512-entry explicit Gamma, almost all "0", through base_jets,
+    # the flatness gate and the chart endpoints of check
+    ["check", "potential8", "--points", "4", "--fiber-points", "2"],
+    ["check", "twisted8", "--points", "4", "--fiber-points", "2"],
+    *(["affine-chart", name, *STEPS_16]
+      for name in ("pullback-flat", "euclidean2", "hessian-exp2", "twisted3", "twisted4",
+                   "potential3", "potential4", "pullback-cubic", "pullback-mixed3",
+                   "pullback-chain3")),
+    # for n > 4 the probe cube is shrunk by 2/sqrt(n) to stay inside the
+    # validity radius, so the witness places no probe it then rejects
+    ["affine-chart", "potential6", "--probes", "16", "--seed", "7"],
+    ["affine-chart", "potential7", "--probes", "40", "--seed", "2"],
+    # a uniform acceleration from a constant Gamma at n = 6 to 8
+    *(["affine-chart", f"twisted{n}"] for n in (6, 7, 8)),
+    # positions are scanned in chunks of 64 steps: a constant Gamma across
+    # chunk boundaries, zero acceleration over many chunks, and one step,
+    # where the first stage's k1 and the later stages' value both enter
+    ["affine-chart", "pullback-flat", "--steps", "200"],
+    ["affine-chart", "twisted4", "--steps", "200"],
+    ["affine-chart", "euclidean2", "--steps", "100000", "--probes", "2"],
+    ["affine-chart", "pullback-flat", "--steps", "1"],
+    # a derived connection, whose RK4 error at 16 steps (6e-7) sits close to
+    # PUSHFORWARD_TOL, at the default 64
+    ["affine-chart", "hessian-dual-exp2", "--probes", "4"],
+], ids=" ".join)
+def test_a_valid_command_line_exits_0_silently(argv, tmp_path, capsys):
+    command, name, *options = argv
+    source = name if name in corpus.BUILTIN_BUILDERS else _spec_file(name, tmp_path)
+    assert main([command, source, *options]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    out = json.loads(captured.out)
+    if command == "check":
+        assert (out["status"], out["agreement"]) == ("ok", True)
+    else:
+        assert out["witnessed"] is True
 
 
 def test_theorem_on_an_empty_directory_is_a_spec_error(tmp_path, capsys):

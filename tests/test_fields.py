@@ -114,21 +114,30 @@ def test_a_subnormal_pivot_is_singular_to_working_precision():
     assert fields.jet_inv(JetBatch(0, 1, mats[..., None])).value[0, 0, 0] == 1 / tiny
 
 
-@pytest.mark.parametrize("kind", ["levi-civita", "hessian-dual"])
-def test_a_subnormal_metric_entry_is_a_singular_metric(kind, tmp_path, capsys):
+SUBNORMAL_POINT = "(0.50244140625, 0.2952293857643651)"
+
+
+@pytest.mark.parametrize("kind,g00,point", [
+    pytest.param("levi-civita", "4e-320", SUBNORMAL_POINT, id="levi-civita"),
+    pytest.param("hessian-dual", "4e-320", SUBNORMAL_POINT, id="hessian-dual"),
+    pytest.param("levi-civita", "exp(1000*u)", "(-0.74755859375, 0.9618960524310316)",
+                 id="underflow-levi-civita"),
+])
+def test_a_subnormal_metric_entry_is_a_singular_metric(kind, g00, point, tmp_path, capsys):
     # diag(4e-320, 1) passes check_spd's sign test, but the derived
     # connection inverts g first: exit 1 naming the first sample point, not
-    # a Gamma that the inverse's jets turned into NaN
+    # a Gamma that the inverse's jets turned into NaN; so too exp(1000 u),
+    # which is 0.0 below u = -0.7452
     path = tmp_path / f"subnormal-{kind}.json"
     path.write_text(json.dumps({
         "dimension": 2, "coordinates": ["u", "v"],
-        "metric": {"components": [["4e-320", "0"], ["0", "1"]]},
+        "metric": {"components": [[g00, "0"], ["0", "1"]]},
         "connection": {"kind": kind}, "sample_box": [[-1, 1], [-1, 1]]}))
     assert main(["check", str(path)]) == 1
-    error = json.loads(capsys.readouterr().out)["error"]
-    assert error == {"kind": "SpecError",
-                     "message": "singular matrix while inverting metric at "
-                                "(0.50244140625, 0.2952293857643651)"}
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["error"] == {
+        "kind": "SpecError", "message": f"singular matrix while inverting metric at {point}"}
 
 
 def test_a_finite_entry_with_a_partial_that_is_not_finite_names_the_partial(tmp_path, capsys):

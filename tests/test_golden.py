@@ -3,13 +3,17 @@ byte, and its committed exit code; regenerate with ``scripts/golden.py
 --write`` only for a defect fix or a schema change."""
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from bornbundle import charts
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "golden.py"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "golden.py"
 
 
 def load_script():
@@ -48,3 +52,19 @@ def test_check_runs_no_chart_gate(name, monkeypatch):
     code, text = GOLDEN.run_case(CASES[name])
     assert text == (GOLDEN.GOLDEN / name).read_text()
     assert code == EXIT_CODES[name]
+
+
+@pytest.mark.parametrize("spec", ["sphere2", "pullback-flat"])
+def test_python_m_bornbundle_is_independent_of_the_hash_seed(spec):
+    # a hash seed is fixed when the interpreter starts, so this test starts
+    # two: python -m bornbundle under each seed gives the golden bytes and
+    # writes nothing to stderr
+    argv = [sys.executable, "-m", "bornbundle", "check", spec, "--points", "4",
+            "--fiber-points", "2"]
+    outs = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": seed}
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, check=False)
+        assert (done.returncode, done.stderr) == (EXIT_CODES[f"check-{spec}.json"], "")
+        outs.append(done.stdout)
+    assert outs[0] == outs[1] == (GOLDEN.GOLDEN / f"check-{spec}.json").read_text()
