@@ -12,6 +12,9 @@ runs every case and compares both.  The cases:
 * ``check`` at the benchmark's sizes: ``sphere2`` and ``pullback-flat`` at
   16 x 8, lc3 at 12 x 4 and potential4 at 4 x 4, whose Gamma vanishes, so
   its sweep builds one fiber per base point;
+* ``check`` on lc3 at the default 32 x 8 points and ``--fiber-radius
+  0.37``, whose fiber norms a BLAS dot product would round differently
+  under different CPU kernels;
 * ``theorem --corpus builtin`` at its defaults, and ``theorem`` on
   ``scripts/specs`` at 4 x 2 points;
 * ``affine-chart pullback-flat`` at ``--probes 4 --steps 16``, at
@@ -62,6 +65,8 @@ def cases() -> dict[str, list[str]]:
                                  (str(GOLDEN / "specs" / "potential4.json"), 4, 4)):
         out[f"check-{Path(name).stem}-{points}x{fibers}.json"] = [
             "check", name, "--points", str(points), "--fiber-points", str(fibers)]
+    out["check-lc3-radius-0.37.json"] = ["check", str(GOLDEN / "specs" / "lc3.json"),
+                                          "--fiber-radius", "0.37"]
     out["theorem-builtin.txt"] = ["theorem", "--corpus", "builtin"]
     out["theorem-specs.txt"] = ["theorem", "--corpus", str(ROOT / "scripts" / "specs"), *SMALL]
     out["affine-chart-pullback-flat.json"] = ["affine-chart", "pullback-flat",

@@ -36,8 +36,8 @@ Sums act row by row; a product has value a b and partials
 ``tests/jet_reference.py``.  A block c + X Y is summed as
 (c + X_0 Y_0) + X_1 Y_1 + ..., term m being column m of X times row m of
 Y, and X Y without c (A = -Gamma y, P, g (-A)) as X_0 Y_0 + X_1 Y_1 + ...:
-the order of the dense products E M E^-1 and E^-T M E^-1 and of a matmul
-over jets, so the arrays equal the jet arithmetic bit for bit.  A block
+the order of the dense products E M E^-1 and E^-T M E^-1 over jets, so the
+arrays equal the jet arithmetic bit for bit.  A block
 sum forms its n terms in one product (those of g (-A) once, for omega, h
 and k) and adds them in that order.  A is read off Gamma: no product
 touches the fiber seed's zero x-rows and unit y-rows or the base fields'
@@ -52,11 +52,15 @@ frame of the blocks A and g it was built from, where each tensor has its
 defining form: E^-1 I E, E^-1 J E, E^-1 K E the constant blocks
 [[0, -1], [1, 0]], [[0, 1], [1, 0]], [[1, 0], [0, -1]], and E^T h E,
 E^T k E, E^T omega E the g-blocks [[g, 0], [0, g]], [[0, g], [g, 0]],
-[[0, g], [-g, 0]].  It takes the values as two C-contiguous stacks,
-(I, J, K) and (h, k, omega), so that its two matmul chains take their
-BLAS path and give every point the bits of a call on it alone.  Each
-difference is relative to the size of its terms: over (1 + max|A|)^2,
-and over max|g| as well for the forms.  For a positive definite g
+[[0, g], [-g, 0]].  The products are n x n block sums in the order of
+the tensors' own, with no BLAS call, so that their bits do not depend
+on the BLAS kernel: for every tensor M, M E = [[M11 + M12 A, M12],
+[M21 + M22 A, M22]]; then E^-1 adds (-A) times the top block row of M E
+to the bottom one, and E^T adds A^T times the bottom block row to the
+top one.  The six value matrices stand on one axis after the matrix
+axes, so that M E is two block sums for all six.  Each difference is
+relative to the size of its terms: over (1 + max|A|)^2, and over max|g|
+as well for the forms.  For a positive definite g
 (:func:`bornbundle.manifold.check_spd`) these six imply every other
 identity of the structure (I^2 = -1, J^2 = K^2 = 1, the anticommutation
 relations, I = h^-1 omega, J = k^-1 h, K = omega^-1 k, h > 0, k of
@@ -66,26 +70,11 @@ and carry over by congruence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import SpecError
 from .manifold import BaseJets, ManifoldSpec, base_jets, check_spd
-
-@lru_cache(maxsize=None)
-def _constant_blocks(n: int) -> np.ndarray:
-    """The constant adapted-frame forms of I, J and K, stacked in that order
-    as (3, 2n, 2n): built once per n and read-only, as every caller shares
-    them."""
-    one = np.eye(n)
-    zero = np.zeros((n, n))
-    blocks = np.stack([np.block([[zero, -one], [one, zero]]),
-                       np.block([[zero, one], [one, zero]]),
-                       np.block([[one, zero], [zero, -one]])])
-    blocks.flags.writeable = False
-    return blocks
-
 
 # -- frames -----------------------------------------------------------------
 
@@ -136,18 +125,6 @@ def _fiber_blocks(bases: BaseJets, ys) -> tuple[np.ndarray, np.ndarray]:
     return np.negative(a, out=a), g
 
 
-def _frame_of(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(E, E^-1) at one bundle point from A's rows (..., rows, n, n), any
-    leading axes a stack of points: E with those rows, E^-1 as values."""
-    n = a.shape[-1]
-    e = np.zeros((*a.shape[:-2], 2 * n, 2 * n))
-    e[..., 0, :, :] = np.eye(2 * n)
-    e[..., n:, :n] = a
-    einv = e[..., 0, :, :].copy()
-    einv[..., n:, :n] = -a[..., 0, :, :]
-    return e, einv
-
-
 @dataclass(frozen=True)
 class BornStacks:
     """The Born tensors of a sweep as two stacks (module doc)."""
@@ -156,12 +133,6 @@ class BornStacks:
     hk: np.ndarray  # (2, P, F, 1, 2n, 2n): h and k
     a: np.ndarray  # (P, F, rows, n, n), the block A they are built from
     g: np.ndarray  # (P, 1, rows, n, n), the block g
-
-    def values(self) -> tuple[np.ndarray, np.ndarray]:
-        """The values of (I, J, K) and (h, k, omega) as two C-contiguous stacks."""
-        ijkw, hk = (m[:, :, :, 0].transpose(1, 2, 0, 3, 4) for m in (self.ijkw, self.hk))
-        ops = np.ascontiguousarray(ijkw[:, :, :3])
-        return ops, np.concatenate([hk, ijkw[:, :, 3:]], 2, out=np.empty(ops.shape))
 
 
 def fiber_born_jets(bases: BaseJets, ys) -> BornStacks:
@@ -221,34 +192,48 @@ def born_jets(spec: ManifoldSpec, x, y) -> dict[str, np.ndarray]:
 def born_at(spec: ManifoldSpec, x, y) -> dict[str, np.ndarray]:
     """The six tensors' value matrices at (x, y) in bundle coordinates, for
     a positive definite metric at x."""
-    # a structural zero can come out as -0.0; adding 0.0 makes it +0.0 and
-    # makes each matrix C-contiguous, for the BLAS path of matmul
-    return {name: np.add(m[0], 0.0, order="C")
+    # a structural zero can come out as -0.0; adding 0.0 makes it +0.0
+    return {name: np.add(m[0], 0.0)
             for name, m in _one_point(spec, x, y, positive=True).items()}
 
 
 # -- the construction in the adapted frame ------------------------------------
 
-def adapted_frame_residuals(ops: np.ndarray, forms: np.ndarray, a: np.ndarray,
-                            g: np.ndarray) -> dict[str, np.ndarray]:
-    """Per bundle point, the relative defect of each tensor of the C-contiguous
-    (..., 3, 2n, 2n) value stacks ``ops`` (I, J, K) and ``forms`` (h, k,
-    omega) in the adapted frame of A's values ``a`` (..., n, n) against its
-    defining form in g's values ``g`` (module doc); leading axes broadcast.
-    A and g are the blocks that built the tensors: an A read off K would
-    pass any K."""
-    n = a.shape[-1]
-    e, einv = _frame_of(a[..., None, :, :])  # e as (..., 1, 2n, 2n)
-    op_defects = einv[..., None, :, :] @ ops @ e
-    op_defects -= _constant_blocks(n)
-    form_defects = e.swapaxes(-1, -2) @ forms @ e
+# the defining forms block by block (11, 12, 21, 22), as multiples of the unit
+# of I, J, K, h, k and omega in turn: 1 for I, J and K, g for the forms
+_FRAME_FORMS = np.array([[0, 0, 1, 1, 0, 0], [-1, 1, 0, 0, 1, 1],
+                         [1, 1, 0, 0, 1, -1], [0, 0, -1, 1, 0, 0]], dtype=float)
+
+
+def adapted_frame_residuals(born: BornStacks) -> dict[str, np.ndarray]:
+    """Per bundle point of the sweep ``born``, as (P, F) arrays, the relative
+    defect of each tensor's values in the adapted frame of the block A that
+    built it against its defining form in the block g (module doc).  A and g
+    are the blocks that built the tensors: an A read off K would pass any K."""
+    n = born.a.shape[-1]
+    # the value matrices of I, J, K, h, k and omega as (1, 2n, 2n, 6, P, F)
+    m = np.empty((1, 2 * n, 2 * n, 6) + born.a.shape[:2])
+    np.concatenate([born.ijkw[:3, :, :, :1], born.hk, born.ijkw[3:, :, :, :1]],
+                   out=m.transpose(3, 4, 5, 0, 1, 2))
+    a = born.a[:, :, :1].transpose(2, 3, 4, 0, 1)[:, :, :, None]  # (1, n, n, 1, P, F)
+    unit = np.empty((1, n, n, 6) + born.g.shape[:2])  # 1 for I, J and K, g for the forms
+    unit[:, :, :, :3] = np.eye(n)[:, :, None, None, None]
+    unit[:, :, :, 3:] = born.g[:, :, :1].transpose(2, 3, 4, 0, 1)[:, :, :, None]
     top, bottom = slice(0, n), slice(n, 2 * n)
-    for m, i, j, target in ((0, top, top, g), (0, bottom, bottom, g), (1, top, bottom, g),
-                            (1, bottom, top, g), (2, top, bottom, g), (2, bottom, top, -g)):
-        form_defects[..., m, i, j] -= target
-    scale = np.square(1.0 + np.abs(a).max(axis=(-2, -1)))[..., None]
-    form_scale = scale * np.abs(g).max(axis=(-2, -1))[..., None]
-    r = np.concatenate([np.abs(op_defects).max(axis=(-2, -1)) / scale,
-                        np.abs(form_defects).max(axis=(-2, -1)) / form_scale], axis=-1)
-    return {name + "_in_frame": r[..., m]
-            for m, name in enumerate(("I", "J", "K", "h", "k", "omega"))}
+    m11, m12, m21, m22 = (m[:, i, j] for i in (top, bottom) for j in (top, bottom))
+    x11, x21 = _madd(m12, a, m11), _madd(m22, a, m21)  # M E, whose right blocks are M's
+    ops, forms = np.s_[:, :, :, :3], np.s_[:, :, :, 3:]
+    neg_a, a_t = -a, a.swapaxes(1, 2)
+    blocks = zip(
+        (x11[ops], m12[ops], _madd(neg_a, x11[ops], x21[ops]), _madd(neg_a, m12[ops], m22[ops])),
+        (_madd(a_t, x21[forms], x11[forms]), _madd(a_t, m22[forms], m12[forms]), x21[forms],
+         m22[forms]),
+        _FRAME_FORMS)
+    worst = np.zeros(m.shape[3:])
+    for z_ops, z_forms, coefficients in blocks:
+        defect = np.concatenate([z_ops, z_forms], axis=3)
+        defect -= coefficients[:, None, None] * unit
+        np.maximum(worst, np.abs(defect).max(axis=(0, 1, 2)), out=worst)
+    scale = np.square(1.0 + np.abs(a).max(axis=(0, 1, 2))) * np.abs(unit).max(axis=(0, 1, 2))
+    r = worst / scale
+    return {name + "_in_frame": r[i] for i, name in enumerate(("I", "J", "K", "h", "k", "omega"))}

@@ -92,8 +92,9 @@ round differently.
 The flatness gate evaluates Gamma with its first partials at its
 ``GATE_POINTS`` sample points as one batch, and the transformed
 connections are computed for all probes as one stack, by one batched
-inverse and stacked einsums, each of which gives every point or probe the
-bits of a call on it alone.  The gate points are checked against the box
+Gauss-Jordan inverse (:func:`bornbundle.fields.jet_inv` at order 0) and
+stacked einsums, each of which gives every point or probe the bits of a
+call on it alone.  The gate points are checked against the box
 as one array, and the probes are placed by one array expression over the
 Halton points.
 
@@ -400,8 +401,8 @@ def _transformed_connections(jac: np.ndarray, sec: np.ndarray, gamma: np.ndarray
     first probe that has one (:func:`~bornbundle.manifold._first_failure`)."""
     def transform(s):
         try:
-            inv = np.linalg.inv(jac[s])
-        except np.linalg.LinAlgError:
+            inv = fields.jet_inv(JetBatch(0, 1, jac[s][..., None])).value
+        except SpecError:
             raise SpecError(f"singular chart Jacobian at probe {probes[s][0]}") from None
         inner = np.einsum("pia,pjb,pkij->pkab", jac[s], jac[s], gamma[s]) + sec[s]
         return np.einsum("pck,pkab->pcab", inv, inner)
@@ -414,7 +415,7 @@ def _probe_residuals(chart: ChartMap, probes) -> Residuals:
     it, per probe."""
     probes = [tuple(float(c) for c in a) for a in probes]
     for a in probes:
-        if float(np.linalg.norm(a)) > chart.radius + PROBE_RADIUS_SLACK:
+        if math.hypot(*a) > chart.radius + PROBE_RADIUS_SLACK:
             raise InternalError(
                 f"probe {a} lies beyond the chart validity radius {chart.radius:g}")
     cj = chart.probe_jets(probes, order=2).coeffs

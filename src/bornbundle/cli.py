@@ -47,11 +47,13 @@ failed: the report's ``failures``; ``theorem`` runs :func:`run`,
 ``check``'s full suite with the chart witness, on each spec of its
 corpus, keeps its four-field rows, names each failing spec with its
 failures on stderr, and so exits 2 exactly when ``check`` would on some
-spec; a spec whose evaluation raises ends the run with one stderr line
+spec; a sampling argument that ``check`` would reject ends the run
+before any spec is evaluated, with the same JSON error and no stderr
+line, and a spec whose evaluation raises ends it with one stderr line
 ``<spec name>: <error kind>`` and the JSON error and exit code ``check``
-gives on that spec) or internal fault (a jet misuse, a failed linear
-solve or a chart probe placed beyond the validity radius, reported as a
-JSON error like a spec error).  A spec merely being non-Hessian is a
+gives on that spec) or internal fault (a jet misuse or a chart probe
+placed beyond the validity radius, reported as a JSON error like a spec
+error).  A spec merely being non-Hessian is a
 result, not a failure.  The threshold behind each verdict, gate and exit
 code is in the table of :mod:`bornbundle.manifold`.
 """
@@ -64,15 +66,13 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import corpus
 # unused: bornbench's test_remove_restores_every_patched_attribute pins it (ROADMAP item 5)
 from .bundle import born_at
 from .charts import DEFAULT_STEPS, ChartMap, affine_chart_witness, chart_witness
 from .errors import InternalError, SpecError
 from .expr import EvalDomainError, ParseError
-from .integrability import integrability_verdict, log_margin
+from .integrability import check_sampling, integrability_verdict, log_margin
 from .jets import JetDomainError, JetUsageError
 from .manifold import (CROSS_TOL, DEFAULT_TOL, FLATNESS_GATE_TOL, ManifoldSpec, build_spec,
                        pattern_violated, two_of_four_residuals)
@@ -208,8 +208,8 @@ def run(spec: ManifoldSpec, points: int = 32, fiber_points: int = 8,
     ``theorem``.  Deterministic for a fixed (spec, sampling, seed);
     certifies behaviour on sampled points of this single chart only.  The
     sampling arguments are checked by
-    :func:`~bornbundle.integrability.integrability_verdict` before any
-    field is evaluated."""
+    :func:`~bornbundle.integrability.check_sampling` before any field is
+    evaluated."""
     report: dict = {
         "report_schema": REPORT_SCHEMA,
         "spec": _spec_summary(spec),
@@ -328,6 +328,7 @@ def _cmd_theorem(args) -> int:
         if not sources:
             raise SpecError(f"no *.json specs found in {args.corpus!r}")
     specs = [load_spec(source) for source in sources]  # every file read before any run
+    check_sampling(args.points, args.fiber_points, args.fiber_radius, args.tol)
     reports = []
     for spec in specs:
         try:
@@ -407,8 +408,8 @@ def main(argv=None) -> int:
         if args.command == "theorem":
             return _cmd_theorem(args)
         return _cmd_affine_chart(args)
-    # the last two subclass ValueError, but all three are internal faults
-    except (InternalError, JetUsageError, np.linalg.LinAlgError) as e:
+    # JetUsageError subclasses ValueError, but it is an internal fault
+    except (InternalError, JetUsageError) as e:
         fault, code = e, 2
     # a domain error or an overflow outside expression evaluation, such as
     # inverting a metric whose pivot is nearly zero, is still the spec's fault

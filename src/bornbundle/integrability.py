@@ -18,8 +18,9 @@ of :func:`bornbundle.bundle.fiber_born_jets`.  N_I, N_J and N_K are taken
 slice by slice off their stack, each reduced to per-point maxima at once,
 so that the einsum temporaries stay a third of the stack; the einsums
 loop over the sample points, innermost in memory.  d omega is one more
-slice, and the adapted-frame residuals are two matmul chains over the
-value stacks (:func:`bornbundle.bundle.adapted_frame_residuals`).
+slice, and the adapted-frame residuals are block products over the
+value rows of the same stacks
+(:func:`bornbundle.bundle.adapted_frame_residuals`).
 
 When every value and first partial of Gamma is zero (a flat connection in
 affine coordinates, or the Levi-Civita or dual connection of a constant
@@ -57,15 +58,22 @@ from .manifold import (BORN_GATE, DEFAULT_TOL, BaseJets, ManifoldSpec, Residuals
 
 
 def _norm_factor(y) -> float:
-    """1 + |y|.  Where ``np.linalg.norm`` overflows, |y| is s |y / s| with
-    s = max |y_i|, which overflows only if |y| does; a norm that overflows
-    comes out inf, without a numpy warning."""
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(y))
-        if math.isinf(norm):
-            s = float(np.max(np.abs(y)))
-            norm = s * float(np.linalg.norm(np.divide(y, s)))
-        return 1.0 + norm
+    """1 + |y|, with |y| by ``math.hypot``, which overflows only if |y| does
+    (to inf, without an exception)."""
+    return 1.0 + math.hypot(*y)
+
+
+def check_sampling(base_count: int, fiber_count: int, fiber_radius: float,
+                   tol: float) -> None:
+    """The configuration errors of a sweep's sampling arguments, named
+    before any spec is evaluated: one check for ``check`` and for every
+    spec of ``theorem``."""
+    if base_count < 1 or fiber_count < 1:
+        raise ValueError("sample counts must be at least 1")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be finite and non-negative, not {tol!r}")
+    if not 0.0 < fiber_radius < math.inf:
+        raise ValueError("fiber radius must be finite and positive")
 
 
 def _nijenhuis_of(a: np.ndarray) -> np.ndarray:
@@ -130,11 +138,7 @@ def integrability_verdict(spec: ManifoldSpec, base_count: int = 32,
     contradicts the equivalence the package exists to check, so it is
     surfaced as a loud flag (implementation-bug indicator), not silently
     accepted."""
-    if base_count < 1 or fiber_count < 1:
-        raise ValueError("sample counts must be at least 1")
-    if not 0.0 <= tol < math.inf:
-        raise ValueError(f"tolerance must be finite and non-negative, not {tol!r}")
-    # every sampling argument is checked before a field is evaluated
+    check_sampling(base_count, fiber_count, fiber_radius, tol)
     fibers = sample_fibers(spec.n, fiber_count, fiber_radius, seed)
     norms = np.array([_norm_factor(y) for y in fibers])
     if not np.isfinite(norms).all():
@@ -152,7 +156,7 @@ def integrability_verdict(spec: ManifoldSpec, base_count: int = 32,
             worst = {"nijenhuis_" + name: np.abs(_nijenhuis_of(m)).max(axis=(-3, -2, -1))
                      for name, m in zip("IJK", born.ijkw)}
             worst["d_omega"] = np.abs(_d_omega_of(born.ijkw[3])).max(axis=(-3, -2, -1))
-            compat = adapted_frame_residuals(*born.values(), born.a[:, :, 0], born.g[:, :, 0])
+            compat = adapted_frame_residuals(born)
         for family in (worst, compat):
             if not np.isfinite(list(family.values())).all():
                 finite_maxima(family, [(x, tuple(y)) for x in bases[s].x

@@ -172,9 +172,8 @@ def sample_points(spec: ManifoldSpec, count: int, seed: int) -> np.ndarray:
 
 def sample_fibers(n: int, count: int, radius: float, seed: int) -> np.ndarray:
     """Fiber vectors in the box [-radius, radius]^n, from a Halton stream
-    disjoint from the base-point stream."""
-    if not 0.0 < radius < math.inf:
-        raise ValueError("fiber radius must be finite and positive")
+    disjoint from the base-point stream; the radius is checked by
+    :func:`bornbundle.integrability.check_sampling`."""
     unit = halton_points(count, n, seed, prime_offset=n)
     return (2.0 * unit - 1.0) * radius
 

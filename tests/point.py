@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from bornbundle import bundle, fields, jets
-from bornbundle.bundle import BornStacks, _frame_of, adapted_frame_residuals, fiber_born_jets
+from bornbundle.bundle import BornStacks, adapted_frame_residuals, fiber_born_jets
 from bornbundle.charts import DEFAULT_STEPS, ChartMap, _probe_residuals
 from bornbundle.errors import SpecError
 from bornbundle.integrability import _d_omega_of, _nijenhuis_of, _norm_factor
@@ -200,16 +200,7 @@ def _born(spec: ManifoldSpec, bp: BundlePoint):
 def frame_residuals_at(spec: ManifoldSpec, bp: BundlePoint) -> dict:
     """The six relative adapted-frame residuals of the construction at bp."""
     born = fiber_born_jets(base_jets(spec, [bp.x]), [bp.y])
-    ops, forms = born.values()
-    return {key: float(r[0, 0]) for key, r in
-            adapted_frame_residuals(ops, forms, born.a[:, :, 0], born.g[:, :, 0]).items()}
-
-
-def frame_stacks(frame: BornFrame) -> tuple[np.ndarray, np.ndarray]:
-    """The values of (I, J, K) and of (h, k, omega) of ``frame`` as the two
-    stacks that :func:`adapted_frame_residuals` takes."""
-    return (np.stack([frame.I, frame.J, frame.K], axis=-3),
-            np.stack([frame.h, frame.k, frame.omega], axis=-3))
+    return {key: float(r[0, 0]) for key, r in adapted_frame_residuals(born).items()}
 
 
 # the floor of omega_nondegenerate below, as the package's thresholds table had it
@@ -283,6 +274,18 @@ def born_compatibility_residuals(bf: BornFrame) -> BornCompatReport:
     eigs = eigvalsh(bf.k)
     signature = (np.sum(eigs > 0, axis=-1), np.sum(eigs < 0, axis=-1))
     return BornCompatReport(residuals=residuals, k_signature=signature)
+
+
+def _frame_of(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(E, E^-1) at one bundle point from A's rows (..., rows, n, n), any
+    leading axes a stack of points: E with those rows, E^-1 as values."""
+    n = a.shape[-1]
+    e = np.zeros((*a.shape[:-2], 2 * n, 2 * n))
+    e[..., 0, :, :] = np.eye(2 * n)
+    e[..., n:, :n] = a
+    einv = e[..., 0, :, :].copy()
+    einv[..., n:, :n] = -a[..., 0, :, :]
+    return e, einv
 
 
 def adapted_frame_at(spec: ManifoldSpec, bp: BundlePoint):

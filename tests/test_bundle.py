@@ -15,7 +15,7 @@ from bornbundle.errors import SpecError
 from bornbundle.manifold import BaseJets, base_jets, build_spec, sample_fibers, sample_points
 from test_manifold import GENERATED
 from point import (BornFrame, BundlePoint, adapted_frame_at, born_at, born_compatibility_residuals,
-                   born_jets, connection_at, frame_stacks, metric_at, named_tensors)
+                   born_jets, connection_at, metric_at, named_tensors)
 
 EUCLID = corpus.example("euclidean2")
 HESSIAN = corpus.example("hessian-exp2")
@@ -75,8 +75,10 @@ def test_frame_block_structure():
 def adapted_born_matrices(g):
     """The six tensors in the adapted frame at a point of metric g: I, J, K
     constant and h, k, omega in metric-block form."""
-    zero = np.zeros_like(g)
-    return {**dict(zip("IJK", bundle._constant_blocks(len(g)))),
+    one, zero = np.eye(len(g)), np.zeros_like(g)
+    return {"I": np.block([[zero, -one], [one, zero]]),
+            "J": np.block([[zero, one], [one, zero]]),
+            "K": np.block([[one, zero], [zero, -one]]),
             "h": np.block([[g, zero], [zero, g]]),
             "k": np.block([[zero, g], [g, zero]]),
             "omega": np.block([[zero, g], [-g, zero]])}
@@ -89,20 +91,6 @@ def standard_born_matrices(n):
 
 def max_residual(rep):
     return float(np.max(list(rep.residuals.values())))
-
-
-@pytest.mark.parametrize("n", [1, 2, 4])
-def test_constant_blocks_are_built_once_per_n_and_read_only(n):
-    blocks = bundle._constant_blocks(n)
-    assert bundle._constant_blocks(n) is blocks
-    one, zero = np.eye(n), np.zeros((n, n))
-    want = [np.block([[zero, -one], [one, zero]]), np.block([[zero, one], [one, zero]]),
-            np.block([[one, zero], [zero, -one]])]
-    assert np.array_equal(blocks, want)
-    with pytest.raises(ValueError, match="read-only"):
-        blocks[0, 0, 0] = 1.0
-    with pytest.raises(ValueError, match="read-only"):
-        blocks[1] *= 2.0
 
 
 def test_euclidean_reproduces_standard_matrices():
@@ -478,7 +466,7 @@ def test_a_singular_h_reads_inf_and_keeps_the_other_frames():
 def born_of_blocks(a, g):
     """The frame that fiber_born_jets builds from the blocks A and g at one
     bundle point (Gamma^k_i0 = -A[k, i], fiber vector e_0, Gamma and g with
-    zero first partials), and the blocks it returns with it."""
+    zero first partials), and the one-point sweep it is read off."""
     n = len(g)
     gamma = np.zeros((1, 1 + n, n, n, n))
     gamma[0, 0, :, :, 0] = -a
@@ -486,7 +474,7 @@ def born_of_blocks(a, g):
     metric[0, 0] = g
     born = fiber_born_jets(BaseJets(((0.0,) * n,), gamma, metric), [np.eye(n)[0]])
     frame = BornFrame.of({name: m[0, 0, 0] for name, m in named_tensors(born).items()})
-    return frame, born.a[0, 0, 0], born.g[0, 0, 0]
+    return frame, born
 
 
 @st.composite
@@ -508,8 +496,8 @@ def test_the_block_formulas_satisfy_every_identity_to_round_off(blocks):
     # (n, n) and det omega = det(g)^2
     a, g = blocks
     n = len(g)
-    frame, got_a, got_g = born_of_blocks(a, g)
-    assert np.array_equal(got_a, a) and np.array_equal(got_g, g)
+    frame, born = born_of_blocks(a, g)
+    assert np.array_equal(born.a[0, 0, 0], a) and np.array_equal(born.g[0, 0, 0], g)
     unit = 8 * n * np.finfo(float).eps  # a few units of round-off per sum of 2n terms
     size = (1.0 + np.max(np.abs(a))) ** 2  # of the entries of I, J and K
     cond = np.linalg.cond(g)
@@ -523,5 +511,5 @@ def test_the_block_formulas_satisfy_every_identity_to_round_off(blocks):
     assert rep.k_signature == (n, n)
     det = np.linalg.det(g) ** 2
     assert abs(np.linalg.det(frame.omega) - det) <= 4 * unit * size ** 2 * cond * det
-    residuals = adapted_frame_residuals(*frame_stacks(frame), got_a, got_g)
-    assert max(residuals.values()) <= 2 * unit
+    residuals = adapted_frame_residuals(born)
+    assert max(float(r[0, 0]) for r in residuals.values()) <= 2 * unit

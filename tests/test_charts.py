@@ -727,7 +727,7 @@ def test_pullback_cubic_is_witnessed():
 
 def per_probe_transformed_connection(jac, sec, gamma):
     """The per-probe transformed connection that the stacked one replaced."""
-    inv = np.linalg.inv(jac)
+    inv = fields.jet_inv(jets.JetBatch(0, 1, jac[..., None])).value
     inner = np.einsum("ia,jb,kij->kab", jac, jac, gamma) + sec
     return np.einsum("ck,kab->cab", inv, inner)
 

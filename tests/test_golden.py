@@ -68,3 +68,16 @@ def test_python_m_bornbundle_is_independent_of_the_hash_seed(spec):
         assert (done.returncode, done.stderr) == (EXIT_CODES[f"check-{spec}.json"], "")
         outs.append(done.stdout)
     assert outs[0] == outs[1] == (GOLDEN.GOLDEN / f"check-{spec}.json").read_text()
+
+
+@pytest.mark.parametrize("kernel", ["Prescott", "Haswell"])
+def test_goldens_hold_under_another_blas_kernel(kernel):
+    # OPENBLAS_CORETYPE picks the CPU kernel of an OpenBLAS DYNAMIC_ARCH
+    # build, and is read when the library loads, so each kernel needs its
+    # own interpreter; any other BLAS ignores it.  Prescott has no FMA and
+    # Haswell has: a BLAS call on the report path, whose sums the kernel
+    # orders, would move some golden's bytes under one of them
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_CORETYPE": kernel}
+    done = subprocess.run([sys.executable, str(SCRIPT)], env=env, capture_output=True,
+                          text=True, check=False)
+    assert done.returncode == 0, done.stderr

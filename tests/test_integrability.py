@@ -428,9 +428,7 @@ def test_stacked_sweep_equals_one_base_point_at_a_time(source):
         assert_same_bits(stacks["nijenhuis_" + name],
                          _nijenhuis_of(np.ascontiguousarray(mats[name])))
     assert_same_bits(stacks["d_omega"], _d_omega_of(np.ascontiguousarray(mats["omega"])))
-    values = born.values()
-    assert all(m.flags.c_contiguous for m in values)
-    compat = adapted_frame_residuals(*values, born.a[:, :, 0], born.g[:, :, 0])
+    compat = adapted_frame_residuals(born)
     gamma = bases.gamma[:, 0]
     fields = {"curvature": _curvature_of(bases.gamma), "torsion": _torsion_of(gamma),
               "nabla_g_asymmetry": _nabla_g_of(gamma, bases.g)}
@@ -443,8 +441,7 @@ def test_stacked_sweep_equals_one_base_point_at_a_time(source):
         for name in "IJK":
             assert_same_bits(stacks["nijenhuis_" + name][p], _nijenhuis_of(one_mats[name])[0])
         assert_same_bits(stacks["d_omega"][p], _d_omega_of(one_mats["omega"])[0])
-        one_compat = adapted_frame_residuals(*one_born.values(), one_born.a[:, :, 0],
-                                             one_born.g[:, :, 0])
+        one_compat = adapted_frame_residuals(one_born)
         for key, r in compat.items():
             assert_same_bits(r[p], one_compat[key][0])
         one_gamma = one.gamma[:, 0]
@@ -491,8 +488,7 @@ def _full_stack_verdict(spec, base_count, fiber_count, radius, seed):
         tensors = {"nijenhuis_" + name: _nijenhuis_of(mats[name]) for name in "IJK"}
         tensors["d_omega"] = _d_omega_of(mats["omega"])
         worst = finite_maxima(tensors, points)
-        compat = finite_maxima(adapted_frame_residuals(*born.values(), born.a[:, :, 0],
-                                                       born.g[:, :, 0]), points)
+        compat = finite_maxima(adapted_frame_residuals(born), points)
     norms = np.array([_norm_factor(y) for y in fibers])
     per_point = {key: m.reshape(base_count, fiber_count) / norms
                  for key, m in worst.items()}
@@ -614,10 +610,10 @@ def test_error_order_is_by_base_point_then_tensors_then_identities():
 
 
 def test_norm_factor_scales_a_norm_that_overflows():
-    # where np.linalg.norm is finite it is kept, so every report keeps its
-    # bytes; where it overflows, s |y / s| with s = max |y_i| is the norm
+    # math.hypot scales away an intermediate overflow: its norm overflows
+    # only where |y| does
     for y in [(3.0, 4.0), (0.0, -0.0), (1e150, -2e150, 3.0), (-5e-324, 0.0)]:
-        assert _norm_factor(y) == 1.0 + float(np.linalg.norm(y))
+        assert _norm_factor(y) == 1.0 + math.hypot(*y)
     assert _norm_factor((1e200, -1e200)) == 1.0 + 1e200 * math.sqrt(2.0)
     assert _norm_factor((1e308, 1e308)) == 1e308 * math.sqrt(2.0)
     assert _norm_factor((1.7e308, 0.0)) == 1.7e308

@@ -123,9 +123,8 @@ def test_a_degenerate_omega_fails_its_own_identity():
     # 1e-7 times its g-block form, a relative defect of about 1
     spec = corpus.example("euclidean2")
     born = fiber_born_jets(manifold.base_jets(spec, [(0.1, 0.2)]), [(0.3, 0.4)])
-    ops, forms = born.values()
-    forms[..., 2, :, :] *= 1e-7
-    residuals = adapted_frame_residuals(ops, forms, born.a[0, 0, 0], born.g[0, 0, 0])
+    born.ijkw[3] *= 1e-7  # a view into the stack of I, J, K and omega
+    residuals = {key: float(r[0, 0]) for key, r in adapted_frame_residuals(born).items()}
     assert residuals["omega_in_frame"] > manifold.BORN_GATE
     assert residuals["omega_in_frame"] == pytest.approx(1.0)
     assert max(v for key, v in residuals.items() if key != "omega_in_frame") == 0.0
