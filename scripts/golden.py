@@ -15,6 +15,9 @@ runs every case and compares both.  The cases:
 * ``check`` on lc3 at the default 32 x 8 points and ``--fiber-radius
   0.37``, whose fiber norms a BLAS dot product would round differently
   under different CPU kernels;
+* ``check`` at 4 x 2 points and ``affine-chart`` at its defaults on
+  ``tests/golden/specs/huge-box.json``, a flat spec on [1e308, 1.5e308] x
+  [-1, 1], whose box center 1.25e308 is finite though ``lo + hi`` is not;
 * ``theorem --corpus builtin`` at its defaults, and ``theorem`` on
   ``scripts/specs`` at 4 x 2 points;
 * ``affine-chart pullback-flat`` at ``--probes 4 --steps 16``, at
@@ -67,6 +70,8 @@ def cases() -> dict[str, list[str]]:
             "check", name, "--points", str(points), "--fiber-points", str(fibers)]
     out["check-lc3-radius-0.37.json"] = ["check", str(GOLDEN / "specs" / "lc3.json"),
                                           "--fiber-radius", "0.37"]
+    huge = str(GOLDEN / "specs" / "huge-box.json")
+    out["check-huge-box.json"] = ["check", huge, *SMALL]
     out["theorem-builtin.txt"] = ["theorem", "--corpus", "builtin"]
     out["theorem-specs.txt"] = ["theorem", "--corpus", str(ROOT / "scripts" / "specs"), *SMALL]
     out["affine-chart-pullback-flat.json"] = ["affine-chart", "pullback-flat",
@@ -75,6 +80,7 @@ def cases() -> dict[str, list[str]]:
                                                   "--probes", "3", "--steps", "130"]
     out["affine-chart-pullback-flat-box-exit.json"] = [
         "affine-chart", "pullback-flat", "--at", "0.9,0.9", "--probes", "30", "--steps", "400"]
+    out["affine-chart-huge-box.json"] = ["affine-chart", huge]
     chain3 = str(ROOT / "scripts" / "specs" / "pullback-chain3.json")
     out["affine-chart-pullback-chain3-130.json"] = ["affine-chart", chain3,
                                                     "--probes", "3", "--steps", "130"]

@@ -118,6 +118,13 @@ MUTANTS = (
     # the chart gathers Gamma^k_ij of each support term from the whole grid
     Mutant("gamma-gather", "src/bornbundle/charts.py", "(k * n + i) * n + j",
            "(i * n + k) * n + j", ("tests/test_charts.py",)),
+    # the chart's default base point sums halves, so a box near the float
+    # range has a finite center; the base point is checked when the chart is built
+    Mutant("centre-sum", "src/bornbundle/charts.py", "tuple(0.5 * lo + 0.5 * hi for",
+           "tuple(0.5 * (lo + hi) for", ("tests/test_golden.py::test_output_equals_golden_bytes",)),
+    Mutant("chart-base-point-unchecked", "src/bornbundle/charts.py",
+           '_require_inside(self.spec, x0, "chart base point")', "tuple(map(float, x0))",
+           ("tests/test_charts.py::test_chart_base_point_must_be_inside",)),
     # the witness reads its residual
     Mutant("witness-ignored", "src/bornbundle/charts.py", '"witnessed": witness.within',
            '"witnessed": True', (OVER_PUSHFORWARD_TOL,)),

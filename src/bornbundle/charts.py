@@ -98,9 +98,11 @@ call on it alone.  The gate points are checked against the box
 as one array, and the probes are placed by one array expression over the
 Halton points.
 
-Errors: the step count is checked in one place, :class:`ChartMap`,
-through which every integration goes; :func:`exponential_chart` builds
-its chart right after checking the base point, before the gate.  Probe
+Errors: the base point and then the step count are checked in one place,
+:class:`ChartMap`, through which every integration goes, and which
+defaults the base point to the box center, ``0.5 * lo + 0.5 * hi`` per
+coordinate, so a box near the float range has a finite center;
+:func:`exponential_chart` builds its chart before the gate.  Probe
 radii are checked before any integration, and a probe beyond the radius
 is an internal fault (:class:`bornbundle.errors.InternalError`), since
 the witness places its probes inside it.  The loop runs
@@ -131,6 +133,7 @@ from .manifold import (FLATNESS_GATE_TOL, PROBE_RADIUS_SLACK, PUSHFORWARD_TOL,
                        _require_inside, _torsion_of, finite_maxima, halton_points, sample_points)
 
 DEFAULT_STEPS = 64
+DEFAULT_PROBES = 6  # Halton probes of the chart witness
 GATE_POINTS = 8  # sample points of the flatness gate
 
 
@@ -308,21 +311,6 @@ def _rk4(spec: ManifoldSpec, x0, velocities: np.ndarray, order: int,
     return x.copy()
 
 
-def _integrate(spec: ManifoldSpec, x0, velocities, order: int, steps: int) -> np.ndarray:
-    """:func:`_rk4` over all velocities at once, after checking the start
-    point and the velocities' dimension; the first failing one is named
-    through :func:`~bornbundle.manifold._first_failure`."""
-    x0 = _require_inside(spec, x0, "start point")
-    for v in velocities:
-        if np.size(v) != spec.n:
-            raise ValueError(f"velocity {tuple(np.ravel(v).tolist())} has {np.size(v)} "
-                             f"components, expected {spec.n}")
-    velocities = np.array(velocities, dtype=float).reshape(len(velocities), spec.n)
-    with np.errstate(over="ignore", invalid="ignore"):  # as Python floats
-        return _first_failure(lambda s: _rk4(spec, x0, velocities[s], order, steps),
-                              len(velocities))
-
-
 @lru_cache(maxsize=None)
 def _second_columns(n: int) -> np.ndarray:
     """Coefficient column of the (i, j) partial of an order-2 jet over n
@@ -334,14 +322,20 @@ def _second_columns(n: int) -> np.ndarray:
 @dataclass(frozen=True)
 class ChartMap:
     """Forward map from straight coordinates to the original chart,
-    realized by geodesic integration from ``x0``; probes lie within its
-    :attr:`radius`, which the spec's sample box fixes."""
+    realized by geodesic integration from ``x0``, the box center by
+    default; probes lie within its :attr:`radius`, which the spec's sample
+    box fixes.  The base point, kept as a tuple of floats, is checked
+    before the step count."""
 
     spec: ManifoldSpec
-    x0: tuple
+    x0: tuple | None = None
     steps: int = DEFAULT_STEPS
 
     def __post_init__(self):
+        # halves summed: 0.5 * (lo + hi) overflows for bounds near the float range
+        x0 = (tuple(0.5 * lo + 0.5 * hi for lo, hi in self.spec.sample_box)
+              if self.x0 is None else self.x0)
+        object.__setattr__(self, "x0", _require_inside(self.spec, x0, "chart base point"))
         if self.steps < 1:
             raise ValueError("need at least one integration step")
 
@@ -353,9 +347,19 @@ class ChartMap:
 
     def probe_jets(self, probes, order: int = 2) -> JetBatch:
         """Chart-map coordinates at every probe, as jets over the straight
-        coordinates with batch shape (probes, n), from one integration."""
-        return JetBatch(order, self.spec.n,
-                        _integrate(self.spec, self.x0, probes, order, self.steps))
+        coordinates with batch shape (probes, n), from one :func:`_rk4` over
+        all probes after checking their dimension; the first failing one is
+        named through :func:`~bornbundle.manifold._first_failure`."""
+        n = self.spec.n
+        for v in probes:
+            if np.size(v) != n:
+                raise ValueError(f"velocity {tuple(np.ravel(v).tolist())} has {np.size(v)} "
+                                 f"components, expected {n}")
+        velocities = np.array(probes, dtype=float).reshape(len(probes), n)
+        with np.errstate(over="ignore", invalid="ignore"):  # as Python floats
+            return JetBatch(order, n, _first_failure(
+                lambda s: _rk4(self.spec, self.x0, velocities[s], order, self.steps),
+                len(velocities)))
 
     def jets(self, a, order: int = 2) -> JetBatch:
         """Chart-map coordinates at a, as jets with batch shape (n,)."""
@@ -375,9 +379,10 @@ def _gate_connection(spec: ManifoldSpec, points) -> np.ndarray:
 
 def exponential_chart(spec: ManifoldSpec, x0, steps: int = DEFAULT_STEPS,
                       seed: int = 42) -> ChartMap:
-    """Build the exponential chart at x0 after checking that curvature and
-    torsion vanish on sampled points (otherwise the map is not affine)."""
-    chart = ChartMap(spec, _require_inside(spec, x0, "chart base point"), steps)
+    """Build the exponential chart at x0 (the box center when None) after
+    checking that curvature and torsion vanish on sampled points (otherwise
+    the map is not affine)."""
+    chart = ChartMap(spec, x0, steps)
     points = [tuple(p) for p in _inside(spec, sample_points(spec, GATE_POINTS, seed)).tolist()]
     with np.errstate(over="ignore", invalid="ignore"):  # finite_maxima checks
         gamma = _gate_connection(spec, points)

@@ -29,7 +29,8 @@ measures the affine-chart witness on the chart at the box center
 (:func:`~bornbundle.charts.chart_witness`), with no gate points of its
 own.  The ``affine-chart`` command keeps its gate.  ``check --report``
 writes the report to a file and prints a summary line ending in the
-dominant residual, so a loop over ``list-examples`` is the corpus run.
+dominant residual.  The corpus run is ``theorem``: check's suite on each
+spec of a corpus, one row per spec.
 
 Exit codes: 0 all checks ran and no internal invariant failed, 1 spec or
 configuration error (including a domain error or an overflow while
@@ -69,7 +70,7 @@ from pathlib import Path
 from . import corpus
 # unused: bornbench's test_remove_restores_every_patched_attribute pins it (ROADMAP item 5)
 from .bundle import born_at
-from .charts import DEFAULT_STEPS, ChartMap, affine_chart_witness, chart_witness
+from .charts import DEFAULT_PROBES, DEFAULT_STEPS, ChartMap, affine_chart_witness, chart_witness
 from .errors import InternalError, SpecError
 from .expr import EvalDomainError, ParseError
 from .integrability import check_sampling, integrability_verdict, log_margin
@@ -174,8 +175,6 @@ def spec_from_dict(raw: dict, name: str = "") -> ManifoldSpec:
     potential = metric.get("potential")
     if components is not None:
         _expect_grid(components, 2, "metric.components")
-        if len(components) != dimension or any(len(r) != dimension for r in components):
-            raise SpecError(f"metric grid must be {dimension}x{dimension}")
     if potential is not None:
         _expect(potential, "string", "metric.potential")
     kind = _expect(connection, "object", "connection").get("kind", "flat")
@@ -244,8 +243,7 @@ def run(spec: ManifoldSpec, points: int = 32, fiber_points: int = 8,
     # the sweep's curvature and torsion are the chart's flatness gate; a
     # tolerance looser than the gate does not start the witness
     if max(hv.maxima["curvature"], hv.maxima["torsion"]) <= min(hv.tol, FLATNESS_GATE_TOL):
-        x0 = tuple(0.5 * (lo + hi) for lo, hi in spec.sample_box)
-        witness = chart_witness(ChartMap(spec, x0), 6, seed)
+        witness = chart_witness(ChartMap(spec), DEFAULT_PROBES, seed)
         del witness["probes"]
         report["affine_chart"] = witness
 
@@ -351,13 +349,10 @@ def _cmd_theorem(args) -> int:
 
 def _cmd_affine_chart(args) -> int:
     spec = load_spec(args.spec)
-    if args.at is not None:
-        try:
-            x0 = tuple(float(v) for v in args.at.split(","))
-        except ValueError:
-            raise SpecError(f"--at must be comma-separated numbers, not {args.at!r}") from None
-    else:
-        x0 = tuple(0.5 * (lo + hi) for lo, hi in spec.sample_box)
+    try:  # no --at: ChartMap's default, the box center
+        x0 = None if args.at is None else tuple(float(v) for v in args.at.split(","))
+    except ValueError:
+        raise SpecError(f"--at must be comma-separated numbers, not {args.at!r}") from None
     out = {"spec": spec.name,
            **affine_chart_witness(spec, x0, args.probes, args.steps, args.seed)}
     sys.stdout.write(report_to_json(out))
@@ -393,7 +388,7 @@ def _parser() -> argparse.ArgumentParser:
     p_chart.add_argument("spec")
     p_chart.add_argument("--at", help="comma-separated base point (default: box center)")
     p_chart.add_argument("--steps", type=int, default=DEFAULT_STEPS)
-    p_chart.add_argument("--probes", type=int, default=6)
+    p_chart.add_argument("--probes", type=int, default=DEFAULT_PROBES)
     p_chart.add_argument("--seed", type=int, default=42)
     return parser
 

@@ -88,13 +88,13 @@ class ManifoldSpec:
         if (self.metric_exprs is None) == (self.potential is None):
             raise SpecError("exactly one of metric grid and potential is required")
         if self.metric_exprs is not None and len(self.metric_exprs) != self.n ** 2:
-            raise SpecError("metric grid must be n x n")
+            raise SpecError(f"metric grid must be {self.n}x{self.n}")
         if self.connection_kind not in CONNECTION_KINDS:
             raise SpecError(f"unknown connection kind {self.connection_kind!r}")
         if (self.connection_kind == "explicit") != (self.gamma_exprs is not None):
             raise SpecError("explicit connections need a gamma grid, others must not have one")
         if self.gamma_exprs is not None and len(self.gamma_exprs) != self.n ** 3:
-            raise SpecError("gamma grid must be n x n x n")
+            raise SpecError(f"gamma grid must be {self.n}x{self.n}x{self.n}")
 
     def contains(self, p: Sequence[float]) -> bool:
         return all(lo <= x <= hi for x, (lo, hi) in zip(p, self.sample_box))

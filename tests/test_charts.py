@@ -282,11 +282,15 @@ def test_singular_chart_jacobian_is_spec_error():
 def test_chart_base_point_must_be_inside():
     with pytest.raises(SpecError):
         exponential_chart(EUCLID, (3.0, 0.0))
-    # a start point or velocity of the wrong dimension is not broadcast
-    with pytest.raises(SpecError, match="start point has 1 coordinates, expected 2"):
+    # checked when the chart is built, not when it is first integrated
+    with pytest.raises(SpecError, match=re.escape(
+            "chart base point (9.0, 9.0) lies outside the sample box")):
+        ChartMap(EUCLID, (9.0, 9.0))
+    # a base point or velocity of the wrong dimension is not broadcast
+    with pytest.raises(SpecError, match="chart base point has 1 coordinates, expected 2"):
         geodesic_integrate(EUCLID, (0.1,), (0.1, 0.2))
     with pytest.raises(SpecError, match=re.escape(
-            "start point (9.0, 9.0) lies outside the sample box")):
+            "chart base point (9.0, 9.0) lies outside the sample box")):
         geodesic_integrate(EUCLID, (9.0, 9.0), (0.1, 0.2))
     with pytest.raises(ValueError, match=re.escape(
             "velocity (0.1, 0.2, 0.3) has 3 components, expected 2")):
@@ -294,7 +298,7 @@ def test_chart_base_point_must_be_inside():
     chart = ChartMap(EUCLID, (0.0, 0.0))
     with pytest.raises(ValueError, match=re.escape("velocity (0.1,) has 1 components")):
         chart.probe_jets([(0.1, 0.0), (0.1,)])
-    with pytest.raises(SpecError, match="start point has 3 coordinates, expected 2"):
+    with pytest.raises(SpecError, match="chart base point has 3 coordinates, expected 2"):
         ChartMap(EUCLID, (0.0, 0.0, 0.0)).probe_jets([(0.1, 0.0)])
 
 

@@ -147,6 +147,11 @@ def _malformed(field, value):
      "connection.gamma[0][1] must be a JSON array, not string"),
     ("metric.components", [["1", "0"], ["0", ["1"]]],
      "metric.components[1][1] must be a JSON string, not array"),
+    # a ragged grid reaches ManifoldSpec, which names the shape it needs
+    ("metric.components", [["1", "0"], ["0"]], "metric grid must be 2x2"),
+    ("connection", {"kind": "explicit",
+                    "gamma": [[["0", "0"], ["0", "0"]], [["0", "0"], ["0"]]]},
+     "gamma grid must be 2x2x2"),
     ("sample_box", None, "sample_box must be a JSON array, not null"),
     ("sample_box", [[-1, 1], [-1, 1, 2]], "sample_box[1] must be a [lo, hi] pair"),
     ("sample_box", [[-1, 1], [-1, "1"]], "sample_box[1][1] must be a JSON number, not string"),
@@ -169,8 +174,9 @@ def _malformed(field, value):
 ], ids=["metric-array", "metric-string", "connection-string", "components-number",
         "components-row-number", "components-entry-number", "potential-number",
         "gamma-number", "kind-number", "gamma-entry-number", "gamma-first-in-order",
-        "gamma-row-string", "components-entry-array", "sample-box-null", "sample-box-triple",
-        "sample-box-string-bound", "coordinates-numbers", "dimension-string",
+        "gamma-row-string", "components-entry-array", "components-ragged", "gamma-ragged",
+        "sample-box-null", "sample-box-triple", "sample-box-string-bound",
+        "coordinates-numbers", "dimension-string",
         "dimension-fraction", "dimension-inf", "dimension-huge", "sample-box-huge-bound",
         "sample-box-wide", "nested-parentheses", "nested-minuses", "nested-sin"])
 @pytest.mark.parametrize("command", ["check", "affine-chart"])

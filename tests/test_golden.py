@@ -41,10 +41,12 @@ def test_every_golden_file_is_a_case():
     assert set(EXIT_CODES) == set(CASES)
 
 
-@pytest.mark.parametrize("name", [name for name in CASES if name.startswith("check-")])
+@pytest.mark.parametrize("name", [name for name in CASES
+                                  if name.startswith(("check-", "theorem-"))])
 def test_check_runs_no_chart_gate(name, monkeypatch):
-    # check reads flatness off its own sweep: the chart's gate-point
-    # evaluation is never reached, and every report keeps its bytes
+    # check reads flatness off its own sweep, and theorem runs check's
+    # pipeline on each spec: the chart's gate-point evaluation is never
+    # reached, and every report keeps its bytes
     def gate(*args):
         raise AssertionError("check evaluated the chart's gate points")
 
