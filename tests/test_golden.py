@@ -28,8 +28,16 @@ CASES = GOLDEN.cases()
 EXIT_CODES = json.loads(GOLDEN.EXIT_CODES.read_text())
 
 
+def no_gate(*args):
+    raise AssertionError("the chart's gate points were evaluated")
+
+
 @pytest.mark.parametrize("name", list(CASES))
-def test_output_equals_golden_bytes(name):
+def test_output_equals_golden_bytes(name, monkeypatch):
+    # check reads flatness off its own sweep, and theorem runs check's
+    # pipeline on each spec: neither reaches the chart's gate-point evaluation
+    if name.startswith(("check-", "theorem-")):
+        monkeypatch.setattr(charts, "_gate_connection", no_gate)
     code, text = GOLDEN.run_case(CASES[name])
     assert text == (GOLDEN.GOLDEN / name).read_text()
     assert code == EXIT_CODES[name]
@@ -41,16 +49,21 @@ def test_every_golden_file_is_a_case():
     assert set(EXIT_CODES) == set(CASES)
 
 
-@pytest.mark.parametrize("name", [name for name in CASES
-                                  if name.startswith(("check-", "theorem-"))])
-def test_check_runs_no_chart_gate(name, monkeypatch):
-    # check reads flatness off its own sweep, and theorem runs check's
-    # pipeline on each spec: the chart's gate-point evaluation is never
-    # reached, and every report keeps its bytes
-    def gate(*args):
-        raise AssertionError("check evaluated the chart's gate points")
+# A frozen list: test_output_equals_golden_bytes already asserts bytes, exit
+# code and no gate evaluation for every check- and theorem- case, so this test
+# repeats it, takes no new case, and can go once these 21 node ids may be
+# dropped.
+REPEATED = tuple(f"check-{name}.json" for name in (
+    "euclidean2", "hessian-exp2", "flat-skew-metric", "sphere2", "flat-torsionful",
+    "pullback-flat", "fisher-dual3", "hessian-dual-exp2", "near-hessian",
+    "pullback-chain3", "pullback-cubic", "pullback-mixed3", "tors-curv", "lc3",
+    "potential4", "twisted5", "sphere2-16x8", "pullback-flat-16x8", "lc3-12x4",
+    "potential4-4x4", "lc3-radius-0.37"))
 
-    monkeypatch.setattr(charts, "_gate_connection", gate)
+
+@pytest.mark.parametrize("name", REPEATED)
+def test_check_runs_no_chart_gate(name, monkeypatch):
+    monkeypatch.setattr(charts, "_gate_connection", no_gate)
     code, text = GOLDEN.run_case(CASES[name])
     assert text == (GOLDEN.GOLDEN / name).read_text()
     assert code == EXIT_CODES[name]
